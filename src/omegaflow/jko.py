@@ -71,7 +71,7 @@ class JkoConfig:
 
     def __post_init__(self):
         if self.tau < 0:
-            raise JkoError("tau must be positive")
+            raise JkoError("tau must be nonnegative")
         if self.steps < 1:
             raise JkoError("steps must be >= 1")
         if self.inner_tol <= 0:
@@ -125,28 +125,19 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
         if len(g) != n - 1 or np.any(g < 0):
             raise JkoError("min_gaps must be nonnegative of length n-1")
         offsets = np.concatenate([[0.0], np.cumsum(g)])
-    z = v - offsets
-    # PAV with a block stack: (weight sum, weighted value sum, count)
-    bw = np.empty(n)
-    bs = np.empty(n)
-    bc = np.empty(n, dtype=int)
-    top = -1
-    for i in range(n):
-        top += 1
-        bw[top] = w[i]
-        bs[top] = w[i] * z[i]
-        bc[top] = 1
-        while top > 0 and bs[top - 1] * bw[top] > bs[top] * bw[top - 1]:
-            bw[top - 1] += bw[top]
-            bs[top - 1] += bs[top]
-            bc[top - 1] += bc[top]
-            top -= 1
-    out = np.empty(n)
-    pos = 0
-    for k in range(top + 1):
-        out[pos:pos + bc[k]] = bs[k] / bw[k]
-        pos += bc[k]
-    return out + offsets
+    # PAV with a block stack: (weight sum, weighted value sum, count); the
+    # loop runs on Python floats, which index far faster than numpy scalars
+    bw, bs, bc = [], [], []
+    for wi, zi in zip(w.tolist(), (v - offsets).tolist()):
+        sw, ss, cnt = wi, wi * zi, 1
+        while bw and bs[-1] * sw > ss * bw[-1]:
+            sw += bw.pop()
+            ss += bs.pop()
+            cnt += bc.pop()
+        bw.append(sw)
+        bs.append(ss)
+        bc.append(cnt)
+    return np.repeat(np.divide(bs, bw), bc) + offsets
 
 
 # ---------------------------------------------------------------------------

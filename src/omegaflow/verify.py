@@ -628,8 +628,6 @@ def diagonal_plan(qa: QuantileMeasure, qb: QuantileMeasure) -> TransportPlan:
     """Node-to-node monotone coupling of two same-grid states (optimal)."""
     a, b = qa.to_atomic(), qb.to_atomic()
     mat = np.zeros((len(a), len(b)))
-    order_a = np.argsort(qa.positions, kind="stable")
-    order_b = np.argsort(qb.positions, kind="stable")
     # atoms were re-sorted in to_atomic; couple by quantile rank
     for k in range(len(qa)):
         mat[k, k] = a.weights[k]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaflow.energies import (
     Energy,
@@ -18,7 +19,7 @@ from omegaflow.energies import (
     metric_slope_estimate,
     parse_energy,
 )
-from omegaflow.measures import GridDensity, make_atomic, to_quantile
+from omegaflow.measures import GridDensity, QuantileMeasure, make_atomic, to_quantile
 from omegaflow.moduli import lipschitz, psi, sqrt_psi
 from omegaflow.transport import TransportPlan, w2_1d, w2_exact
 from omegaflow.verify import (
@@ -113,6 +114,66 @@ class TestEval:
         flat = GridDensity(0.0, 0.25, np.full(4, 1.0))
         assert E.eval(tall) == math.inf
         assert E.eval(flat) == 0.0
+
+
+def dense_newtonian_1d(x, w, c):
+    """Pair-matrix reference for the 1D Newtonian term c|x|/2 on atoms:
+    value 1/2 sum_ij w_i w_j c|x_i - x_j|/2 and quantile gradient
+    w_i sum_j w_j (c/2) sign(x_i - x_j)."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    diff = x[:, None] - x[None, :]
+    value = 0.5 * float(np.sum(np.outer(w, w) * 0.5 * c * np.abs(diff)))
+    grad = w * np.sum(0.5 * c * np.sign(diff) * w[None, :], axis=1)
+    return value, grad
+
+
+# positions drawn partly from a small set, so that ties (Diracs) are common
+_positions = st.one_of(st.floats(-5.0, 5.0, allow_subnormal=False),
+                       st.sampled_from([-1.0, 0.0, 0.5]))
+
+
+class TestNewtonian1dPrefixSums:
+    @given(st.lists(st.tuples(_positions, st.floats(0.05, 1.0)),
+                    min_size=2, max_size=40),
+           st.floats(-4.0, 4.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pair_matrices(self, atoms, c):
+        x = np.sort([a[0] for a in atoms])
+        w = np.array([a[1] for a in atoms])
+        w = w / w.sum()
+        E = Energy(kernel=Kernel("newtonian", d=1, c=c))
+        value, grad = dense_newtonian_1d(x, w, c)
+        q = QuantileMeasure(np.cumsum(w) - 0.5 * w, x, w)
+        assert abs(E.interaction_value(q) - value) <= 1e-12 * abs(value)
+        assert np.max(np.abs(E.quantile_grad(q) - grad)) <= 1e-14
+        a = make_atomic(x, w)
+        value_a, _ = dense_newtonian_1d(a.points, a.weights, c)
+        assert abs(E.interaction_value(a) - value_a) <= 1e-12 * abs(value_a)
+
+    @given(st.lists(st.integers(0, 30), min_size=2, max_size=40),
+           st.floats(-2.0, 2.0), st.floats(0.01, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_grid_density_matches_pair_matrices(self, vals, origin, spacing):
+        v = np.array(vals, dtype=float)   # empty cells are dropped atoms
+        v[0] += 1.0
+        g = GridDensity(origin, spacing, v / (v.sum() * spacing))
+        a = g.to_atomic()
+        E = Energy(kernel=Kernel("newtonian", d=1, c=4.0))
+        value, _ = dense_newtonian_1d(a.points, a.weights, 4.0)
+        assert abs(E.interaction_value(g) - value) <= 1e-12 * abs(value)
+
+    @pytest.mark.parametrize("a", [0.0, 0.3])
+    def test_two_atom_diracs(self, a):
+        E = Energy(kernel=Kernel("newtonian", d=1, c=2.0))
+        q = QuantileMeasure([0.25, 0.75], [-a, a], [0.5, 0.5])
+        value, grad = dense_newtonian_1d([-a, a], [0.5, 0.5], 2.0)
+        assert E.interaction_value(q) == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(E.quantile_grad(q) - grad)) <= 1e-14
+        # tied atoms exert no force on each other: sign(0) = 0
+        tied = dirac_state(a, n=2)
+        assert E.interaction_value(tied) == 0.0
+        assert np.all(E.quantile_grad(tied) == 0.0)
 
 
 class TestKernelGradient:
