@@ -2,8 +2,8 @@
 
 Subcommands: ``flow`` (run a JKO experiment config), ``verify`` (run an
 inequality suite), ``rates`` (convergence-rate study), ``ode`` and
-``transport`` (focused suites).  Global flags: ``--threads``, ``--seed``,
-``--tol``.
+``transport`` (focused suites).  The suite commands (``verify``, ``ode``,
+``transport``) take ``--seed``, ``--tol`` and ``--quick``.
 
 Exit codes: 0 all checks passed / artifacts written; 1 computation failure;
 2 config schema violation (with a pointer to the offending key).
@@ -135,8 +135,8 @@ def _parse_jko(spec, path: str) -> JkoConfig:
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
-    allowed = {"tau", "steps", "inner_tol", "inner_max_iter", "parametrization",
-               "constraint_mode", "n_nodes", "multi_start", "penalty_weights"}
+    allowed = {"tau", "steps", "inner_tol", "inner_max_iter", "constraint_mode",
+               "n_nodes", "multi_start", "penalty_weights"}
     unknown = set(spec) - allowed
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
@@ -159,7 +159,7 @@ def _parse_energy_cfg(spec, path: str):
 # job runners
 # ---------------------------------------------------------------------------
 
-def run(config_path: str, threads: int = 1) -> int:
+def run(config_path: str) -> int:
     """Dispatch one experiment config; returns the process exit code."""
     t0 = time.monotonic()
     try:
@@ -180,9 +180,9 @@ def run(config_path: str, threads: int = 1) -> int:
         elif job == "rates":
             artifacts = _job_rates(config)
         elif job == "verify":
-            artifacts, failed = _job_verify(config, threads)
+            artifacts, failed = _job_verify(config)
         elif job == "ode-audit":
-            artifacts, failed = _job_ode_audit(config, threads)
+            artifacts, failed = _job_ode_audit(config)
         else:
             raise ConfigError("job", f"unknown job kind {job!r}")
     except ConfigError as exc:
@@ -253,14 +253,14 @@ def _job_rates(config) -> list:
     return [table, report]
 
 
-def _job_verify(config, threads: int):
+def _job_verify(config):
     suite = config.get("suite", "all")
     tol = float(config.get("tol", 1e-6))
     seed = int(config.get("seed", 0))
     quick = bool(config.get("quick", False))
     if suite != "all" and suite not in SUITES:
         raise ConfigError("suite", f"unknown suite {suite!r}")
-    reports = run_suite(suite, tol=tol, seed=seed, threads=threads, quick=quick)
+    reports = run_suite(suite, tol=tol, seed=seed, quick=quick)
     outputs = config.get("output", {})
     report_path = outputs.get("report", "verify_report.json")
     _write_reports(report_path, reports)
@@ -268,10 +268,10 @@ def _job_verify(config, threads: int):
     return [report_path], bool(failed)
 
 
-def _job_ode_audit(config, threads: int):
+def _job_ode_audit(config):
     tol = float(config.get("tol", 1e-6))
     seed = int(config.get("seed", 0))
-    reports = run_suite("ode", tol=tol, seed=seed, threads=threads,
+    reports = run_suite("ode", tol=tol, seed=seed,
                         quick=bool(config.get("quick", True)))
     outputs = config.get("output", {})
     report_path = outputs.get("report", "ode_audit.json")
@@ -295,42 +295,42 @@ def _write_reports(path: str, reports) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="omegaflow",
                                      description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-6)
     sub = parser.add_subparsers(dest="command", required=True)
+    suite_flags = argparse.ArgumentParser(add_help=False)
+    suite_flags.add_argument("--seed", type=int, default=0)
+    suite_flags.add_argument("--tol", type=float, default=1e-6)
+    suite_flags.add_argument("--quick", action="store_true")
 
     p_flow = sub.add_parser("flow", help="run a JKO experiment config")
     p_flow.add_argument("config")
 
-    p_verify = sub.add_parser("verify", help="run inequality suites")
+    p_verify = sub.add_parser("verify", help="run inequality suites",
+                              parents=[suite_flags])
     p_verify.add_argument("--suite", default="all",
                           choices=sorted(SUITES) + ["all"])
     p_verify.add_argument("--report", default="verify_report.json")
-    p_verify.add_argument("--quick", action="store_true")
 
     p_rates = sub.add_parser("rates", help="run a rate-study config")
     p_rates.add_argument("config")
 
-    p_ode = sub.add_parser("ode", help="run the ODE/moduli suite")
+    p_ode = sub.add_parser("ode", help="run the ODE/moduli suite",
+                           parents=[suite_flags])
     p_ode.add_argument("--report", default="ode_report.json")
-    p_ode.add_argument("--quick", action="store_true")
 
-    p_tr = sub.add_parser("transport", help="run the transport suite")
+    p_tr = sub.add_parser("transport", help="run the transport suite",
+                          parents=[suite_flags])
     p_tr.add_argument("--report", default="transport_report.json")
-    p_tr.add_argument("--quick", action="store_true")
 
     args = parser.parse_args(argv)
 
     if args.command in ("flow", "rates"):
-        return run(args.config, threads=args.threads)
+        return run(args.config)
     if args.command == "verify":
         suite = args.suite
     else:
         suite = args.command  # "ode" | "transport"
     try:
-        reports = run_suite(suite, tol=args.tol, seed=args.seed,
-                            threads=args.threads, quick=getattr(args, "quick", False))
+        reports = run_suite(suite, tol=args.tol, seed=args.seed, quick=args.quick)
     except Exception as exc:
         print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -38,10 +38,12 @@ from .measures import (
     AtomicMeasure,
     GridDensity,
     QuantileMeasure,
+    gaps,
+    gaps_adjoint,
     lp_norm,
 )
 from .moduli import Modulus, psi
-from .transport import GluedPlan, TransportPlan, w2_1d, w2_exact
+from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
     "EnergyError",
@@ -175,6 +177,19 @@ class Kernel:
         out = np.where(r > 0, out, 0.0)
         return out if out.ndim else float(out)
 
+    def field(self, at: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Radial field sum_j w_j w'(|a - p_j|) (a - p_j)/|a - p_j| at each
+        row a of ``at`` ((k, d)) from atoms ``pts`` ((n, d)) of mass ``w``;
+        coincident points contribute nothing."""
+        diff = at[:, None, :] - pts[None, :, :]
+        r = np.sqrt(np.sum(diff * diff, axis=2))
+        dv = self.dvalue(r)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(r[:, :, None] > 0,
+                            diff / np.where(r[:, :, None] > 0, r[:, :, None], 1.0),
+                            0.0)
+        return np.einsum("j,ijk->ik", w, dv[:, :, None] * unit)
+
 
 # ---------------------------------------------------------------------------
 # potentials
@@ -280,6 +295,18 @@ POTENTIALS = {
 # the energy functional
 # ---------------------------------------------------------------------------
 
+def _atoms(mu):
+    """(points as an (n, d) array, weights) of any measure type."""
+    if isinstance(mu, AtomicMeasure):
+        return mu.points_2d(), mu.weights
+    if isinstance(mu, QuantileMeasure):
+        return mu.positions[:, None], mu.cell_mass
+    if isinstance(mu, GridDensity):
+        a = mu.to_atomic()
+        return a.points_2d(), a.weights
+    raise EnergyError(f"unsupported measure type {type(mu)!r}")
+
+
 def _newtonian_1d(kernel: Kernel, dim: int) -> bool:
     """True when the interaction is c|x|/2 between 1D atoms, which is
     evaluated by prefix sums over the sorted atoms instead of pair matrices."""
@@ -294,7 +321,6 @@ class Energy:
     kernel: Kernel | None = None
     internal: tuple | None = None          # ("entropy",) or ("power", m)
     constraint: tuple | None = None        # (p, cap); p may be math.inf
-    time_tag: str | None = None
 
     def __post_init__(self):
         if self.internal is not None:
@@ -314,23 +340,13 @@ class Energy:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _atoms(self, mu):
-        if isinstance(mu, AtomicMeasure):
-            return mu.points_2d(), mu.weights
-        if isinstance(mu, QuantileMeasure):
-            return mu.positions[:, None], mu.cell_mass
-        if isinstance(mu, GridDensity):
-            a = mu.to_atomic()
-            return a.points_2d(), a.weights
-        raise EnergyError(f"unsupported measure type {type(mu)!r}")
-
     def potential_value(self, mu) -> float:
-        pts, w = self._atoms(mu)
+        pts, w = _atoms(mu)
         x = pts[:, 0] if pts.shape[1] == 1 else pts
         return float(np.sum(w * np.asarray(self.potential.value(x), dtype=float)))
 
     def interaction_value(self, mu) -> float:
-        pts, w = self._atoms(mu)
+        pts, w = _atoms(mu)
         if _newtonian_1d(self.kernel, pts.shape[1]):
             x = pts[:, 0]   # 1D atoms of every measure type are kept sorted
             left = np.cumsum(w)[:-1]                # mass of atoms 0..k
@@ -434,31 +450,18 @@ class Energy:
 
     def _du_dgap(self, q: QuantileMeasure) -> np.ndarray:
         """Derivative of the internal term w.r.t. each cell gap."""
-        gaps = np.maximum(q.gaps(), GAP_FLOOR)
+        g = np.maximum(q.gaps(), GAP_FLOOR)
         c = q.cell_mass
         kind = self.internal[0]
         if kind == "entropy":
-            return -c / gaps
+            return -c / g
         m = self.internal[1]
         if m == math.inf:
             return np.zeros(len(c))  # indicator handled by the constraint set
-        return -((c / gaps) ** m)
+        return -((c / g) ** m)
 
     def _internal_gap_grad(self, q: QuantileMeasure) -> np.ndarray:
-        du = self._du_dgap(q)
-        n = len(du)
-        g = np.zeros(n)
-        if n == 1:
-            return g
-        # gaps: g_0 = x_1 - x_0, g_i = (x_{i+1} - x_{i-1})/2, g_last one-sided
-        g[0] += -du[0]
-        g[1] += du[0]
-        g[-2] += -du[-1]
-        g[-1] += du[-1]
-        if n > 2:
-            g[2:] += 0.5 * du[1:-1]
-            g[:-2] += -0.5 * du[1:-1]
-        return g
+        return gaps_adjoint(self._du_dgap(q))
 
 
 # ---------------------------------------------------------------------------
@@ -471,32 +474,17 @@ def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
     Singular kernels skip atoms coinciding with the evaluation point when
     ``exclude_diagonal`` is set; otherwise such a hit raises.
     """
-    if isinstance(mu, (QuantileMeasure, GridDensity)):
-        pts, w = (mu.positions[:, None], mu.cell_mass) \
-            if isinstance(mu, QuantileMeasure) else \
-            (mu.to_atomic().points_2d(), mu.to_atomic().weights)
-    elif isinstance(mu, AtomicMeasure):
-        pts, w = mu.points_2d(), mu.weights
-    else:
-        raise EnergyError(f"unsupported measure type {type(mu)!r}")
+    pts, w = _atoms(mu)
     d = pts.shape[1]
     xq = np.atleast_2d(np.asarray(x, dtype=float))
     if xq.shape[1] != d:
         xq = xq.reshape(-1, d)
-    out = np.zeros((len(xq), d))
-    for k, xx in enumerate(xq):
-        diff = xx[None, :] - pts
-        r = np.sqrt(np.sum(diff * diff, axis=1))
-        hit = r == 0.0
-        if kernel.singular and np.any(hit & (w > 0)):
-            if not exclude_diagonal:
-                raise EnergyError(
-                    "field of a singular kernel evaluated exactly at an atom")
-        dv = kernel.dvalue(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, None] > 0, diff / np.where(r[:, None] > 0,
-                                                            r[:, None], 1.0), 0.0)
-        out[k] = np.sum(w[:, None] * dv[:, None] * unit, axis=0)
+    if kernel.singular and not exclude_diagonal:
+        diff = xq[:, None, :] - pts[None, :, :]
+        if np.any((np.sum(diff * diff, axis=2) == 0.0) & (w > 0)):
+            raise EnergyError(
+                "field of a singular kernel evaluated exactly at an atom")
+    out = kernel.field(xq, pts, w)
     if np.ndim(x) == 0 or (np.ndim(x) == 1 and len(np.atleast_1d(x)) == d and d > 1):
         return out[0] if d > 1 else float(out[0, 0])
     return out[:, 0] if d == 1 else out
@@ -528,14 +516,7 @@ def directional_derivative(energy: Energy, curve, at: float = 0.0) -> float:
         grad = grad.reshape(pa.shape)
         total += float(np.sum(ms * np.sum(grad * vel, axis=1)))
     if energy.kernel is not None:
-        diff = pa[:, None, :] - pa[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        dv = energy.kernel.dvalue(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, :, None] > 0,
-                            diff / np.where(r[:, :, None] > 0, r[:, :, None], 1.0),
-                            0.0)
-        field_at = np.einsum("j,ijk->ik", ms, dv[:, :, None] * unit)
+        field_at = energy.kernel.field(pa, pa, ms)
         total += float(np.sum(ms * np.sum(field_at * vel, axis=1)))
     if energy.internal is not None:
         total += _internal_directional(energy, curve, at)
@@ -557,15 +538,8 @@ def _internal_directional(energy: Energy, curve, at: float) -> float:
     qn = (np.arange(n) + 0.5) / n
     qa = QuantileMeasure(qn, (1.0 - at) * x0 + at * x1, ms)
     du = energy._du_dgap(qa)
-    # gap velocities under linear node interpolation
-    v = x1 - x0
-    dg = np.zeros(n)
-    if n > 1:
-        dg[0] = v[1] - v[0]
-        dg[-1] = v[-1] - v[-2]
-        if n > 2:
-            dg[1:-1] = 0.5 * (v[2:] - v[:-2])
-    return float(np.sum(du * dg))
+    # gaps are linear in the nodes: gap velocities are the gaps of x1 - x0
+    return float(np.sum(du * gaps(x1 - x0)))
 
 
 def coupling_cost(curve) -> float:
@@ -600,7 +574,7 @@ def metric_slope_estimate(energy: Energy, mu, samples, modulus: Modulus) -> floa
         raise EnergyError("metric slope requires E(mu) < inf")
     best = 0.0
     for nu in samples:
-        w = _w2_generic(mu, nu)
+        w = w2(mu, nu)
         if w <= 0:
             continue
         e_nu = energy.eval(nu)
@@ -609,13 +583,6 @@ def metric_slope_estimate(energy: Energy, mu, samples, modulus: Modulus) -> floa
         val = (e_mu - e_nu) / w + 0.5 * modulus.lam * modulus.omega(w * w) / w
         best = max(best, val)
     return best
-
-
-def _w2_generic(mu, nu) -> float:
-    dim = getattr(mu, "dim", 1)
-    if dim == 1:
-        return w2_1d(mu, nu, return_plan=False)
-    return w2_exact(mu, nu, return_plan=False)
 
 
 def calibrate_interaction_constant(kernel: Kernel, measures, rng,
@@ -683,4 +650,4 @@ def parse_energy(data) -> Energy:
         p = math.inf if p in ("inf", None) else float(p)
         constraint = (p, float(cd["cap"]))
     return Energy(potential=pot, kernel=ker, internal=internal,
-                  constraint=constraint, time_tag=data.get("time_dependence"))
+                  constraint=constraint)

@@ -30,11 +30,12 @@ from .measures import (
     AtomicMeasure,
     GridDensity,
     QuantileMeasure,
+    gaps_adjoint,
     lp_norm,
     make_atomic,
     to_quantile,
 )
-from .transport import w2_exact
+from .transport import same_quantile_grid, w2, w2_exact
 
 __all__ = [
     "JkoError",
@@ -63,7 +64,6 @@ class JkoConfig:
     steps: int = 1
     inner_tol: float = 1e-8
     inner_max_iter: int = 20000
-    parametrization: str = "quantile"      # "quantile" | "grid"
     constraint_mode: str = "exact_spacing"  # "exact_spacing" | "penalty"
     n_nodes: int = 256
     multi_start: bool = True
@@ -76,8 +76,6 @@ class JkoConfig:
             raise JkoError("steps must be >= 1")
         if self.inner_tol <= 0:
             raise JkoError("inner_tol must be positive")
-        if self.parametrization not in ("quantile", "grid"):
-            raise JkoError(f"unknown parametrization {self.parametrization!r}")
         if self.constraint_mode not in ("exact_spacing", "penalty"):
             raise JkoError(f"unknown constraint mode {self.constraint_mode!r}")
 
@@ -221,17 +219,7 @@ class _QuantileObjective:
         # d/dg_i of (sum c^p g^(1-p))^(1/p)
         s = float(np.sum(c**p * g ** (1.0 - p)))
         dn_dg = (1.0 / p) * s ** (1.0 / p - 1.0) * (1.0 - p) * c**p * g ** (-p)
-        du = 2.0 * viol * dn_dg
-        n = len(c)
-        out = np.zeros(n)
-        out[0] += -du[0]
-        out[1] += du[0]
-        out[-2] += -du[-1]
-        out[-1] += du[-1]
-        if n > 2:
-            out[2:] += 0.5 * du[1:-1]
-            out[:-2] += -0.5 * du[1:-1]
-        return out
+        return gaps_adjoint(2.0 * viol * dn_dg)
 
 
 def _fista(objective, x0, min_gaps, tol, max_iter):
@@ -383,7 +371,6 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
         colw = plan.matrix.sum(axis=0)
         L = float(np.max(colw)) / tau + 1.0
         for _ in range(500):
-            nu = make_atomic(z, w)
             g = (colw[:, None] * z - bary) / tau + _atomic_energy_grad(energy, z, w)
             z_new = z - g / L
             step = float(np.max(np.abs(z_new - z)))
@@ -403,15 +390,7 @@ def _atomic_energy_grad(energy, pts, w):
         grad = np.asarray(energy.potential.grad(pts), dtype=float).reshape(pts.shape)
         g += w[:, None] * grad
     if energy.kernel is not None:
-        diff = pts[:, None, :] - pts[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
-        dv = energy.kernel.dvalue(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, :, None] > 0,
-                            diff / np.where(r[:, :, None] > 0, r[:, :, None], 1.0),
-                            0.0)
-        field = np.einsum("j,ijk->ik", w, dv[:, :, None] * unit)
-        g += w[:, None] * field
+        g += w[:, None] * energy.kernel.field(pts, pts, w)
     return g
 
 
@@ -495,7 +474,7 @@ def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:
     for _ in range(cfg.steps):
         new, info = proximal_step(energy, states[-1], cfg.tau, cfg,
                                   prev_state=prev_prev, return_info=True)
-        dists.append(_state_distance(states[-1], new))
+        dists.append(w2(states[-1], new))
         prev_prev = states[-1]
         states.append(new)
         energies.append(energy.eval(new))
@@ -518,7 +497,7 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
         ek = schedule(k, cfg.tau)
         new, info = proximal_step(ek, states[-1], cfg.tau, cfg,
                                   prev_state=prev_prev, return_info=True)
-        dists.append(_state_distance(states[-1], new))
+        dists.append(w2(states[-1], new))
         prev_prev = states[-1]
         states.append(new)
         energies.append(ek.eval(new))
@@ -529,19 +508,9 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
 
 def quantile_w2(qa: QuantileMeasure, qb: QuantileMeasure) -> float:
     """Exact 1D W2 between states sharing the same quantile grid."""
-    if len(qa) != len(qb) or np.max(np.abs(qa.q_nodes - qb.q_nodes)) > 1e-12:
+    if not same_quantile_grid(qa, qb):
         raise JkoError("states do not share a quantile grid")
-    return float(np.sqrt(np.sum(qa.cell_mass * (qa.positions - qb.positions) ** 2)))
-
-
-def _state_distance(a, b) -> float:
-    if isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure) \
-            and len(a) == len(b):
-        return quantile_w2(a, b)
-    from .transport import w2_1d
-    if getattr(a, "dim", 1) == 1:
-        return w2_1d(a, b, return_plan=False)
-    return w2_exact(a, b, return_plan=False)
+    return w2(qa, qb)
 
 
 def rescaled_intermediate(mu, mu_tau, plan, h: float, tau: float):

@@ -36,6 +36,8 @@ __all__ = [
     "AtomicMeasure",
     "QuantileMeasure",
     "GridDensity",
+    "gaps",
+    "gaps_adjoint",
     "make_atomic",
     "to_quantile",
     "quantile_function",
@@ -63,6 +65,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise MeasureError(f"{what} contains NaN or infinite entries")
+
+
+def gaps(x: np.ndarray) -> np.ndarray:
+    """Cell widths of nodes ``x`` (midpoint convention): x_1 - x_0 and
+    x_{n-1} - x_{n-2} at the ends, (x_{i+1} - x_{i-1})/2 in between."""
+    n = len(x)
+    if n == 1:
+        return np.zeros(1)
+    g = np.empty(n)
+    g[1:-1] = 0.5 * (x[2:] - x[:-2])
+    g[0] = x[1] - x[0]
+    g[-1] = x[-1] - x[-2]
+    return g
+
+
+def gaps_adjoint(du: np.ndarray) -> np.ndarray:
+    """Transpose of the linear map :func:`gaps`: the gradient in the nodes
+    of sum_i du_i gaps(x)_i."""
+    n = len(du)
+    out = np.zeros(n)
+    if n == 1:
+        return out
+    out[0] += -du[0]
+    out[1] += du[0]
+    out[-2] += -du[-1]
+    out[-1] += du[-1]
+    if n > 2:
+        out[2:] += 0.5 * du[1:-1]
+        out[:-2] += -0.5 * du[1:-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,15 +195,7 @@ class QuantileMeasure:
 
     def gaps(self) -> np.ndarray:
         """Spatial width of each quantile cell (midpoint convention)."""
-        x = self.positions
-        n = len(x)
-        if n == 1:
-            return np.zeros(1)
-        g = np.empty(n)
-        g[1:-1] = 0.5 * (x[2:] - x[:-2])
-        g[0] = x[1] - x[0]
-        g[-1] = x[-1] - x[-2]
-        return g
+        return gaps(self.positions)
 
     def densities(self) -> np.ndarray:
         """Cell densities cell_mass / gap; +inf on zero-width cells."""

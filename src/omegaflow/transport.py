@@ -27,6 +27,7 @@ __all__ = [
     "TransportError",
     "TransportPlan",
     "GluedPlan",
+    "w2",
     "w2_1d",
     "w2_exact",
     "geodesic",
@@ -190,55 +191,51 @@ def _northwest_corner(a, b):
     return flow, basis
 
 
-def _potentials(basis, C, m, n):
-    """Node potentials u, v on the basis spanning tree (root u_0 = 0)."""
-    adj = [[] for _ in range(m + n)]
-    for k, (i, j) in enumerate(basis):
-        adj[i].append((m + j, k))
-        adj[m + j].append((i, k))
-    u = np.zeros(m)
-    v = np.zeros(n)
-    seen = np.zeros(m + n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for nbr, k in adj[node]:
-            if seen[nbr]:
-                continue
-            seen[nbr] = True
-            i, j = basis[k]
-            if nbr >= m:
-                v[j] = C[i, j] - u[i]
-            else:
-                u[i] = C[i, j] - v[j]
-            stack.append(nbr)
-    if not seen.all():
-        raise RuntimeError("basis is not a spanning tree")
-    return u, v
+def _tree_walk(basis, cost, m, n):
+    """One walk of the basis spanning tree from row node 0.
 
-
-def _tree_path(basis, m, n, start, goal):
-    """Node path from ``start`` to ``goal`` along the basis tree."""
+    Returns the node potentials u, v (root u_0 = 0) and the parent and
+    depth of every node; row i is node i, column j is node m + j.
+    """
     adj = [[] for _ in range(m + n)]
     for i, j in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    parent = {start: None}
-    stack = [start]
+    u = [0.0] * m
+    v = [0.0] * n
+    parent = [-1] * (m + n)
+    depth = [-1] * (m + n)
+    depth[0] = 0
+    stack = [0]
     while stack:
         node = stack.pop()
-        if node == goal:
-            break
         for nbr in adj[node]:
-            if nbr not in parent:
-                parent[nbr] = node
-                stack.append(nbr)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+            if depth[nbr] >= 0:
+                continue
+            depth[nbr] = depth[node] + 1
+            parent[nbr] = node
+            if nbr >= m:
+                v[nbr - m] = cost[node][nbr - m] - u[node]
+            else:
+                u[nbr] = cost[nbr][node - m] - v[node - m]
+            stack.append(nbr)
+    if min(depth) < 0:
+        raise RuntimeError("basis is not a spanning tree")
+    return np.array(u), np.array(v), parent, depth
+
+
+def _cycle_nodes(parent, depth, start, goal):
+    """Node path from ``start`` to ``goal``: both climb to their common
+    ancestor (tree paths are unique)."""
+    up, down = [start], [goal]
+    while depth[up[-1]] > depth[down[-1]]:
+        up.append(parent[up[-1]])
+    while depth[down[-1]] > depth[up[-1]]:
+        down.append(parent[down[-1]])
+    while up[-1] != down[-1]:
+        up.append(parent[up[-1]])
+        down.append(parent[down[-1]])
+    return up + down[-2::-1]
 
 
 def _network_simplex(a, b, C):
@@ -251,14 +248,12 @@ def _network_simplex(a, b, C):
     """
     m, n = C.shape
     flow, basis = _northwest_corner(a, b)
-    in_basis = np.zeros((m, n), dtype=bool)
-    for i, j in basis:
-        in_basis[i, j] = True
+    cost = C.tolist()   # the tree walk indexes Python floats far faster
     bland_after = 60 * (m + n)
     max_pivots = 400 * (m + n) + 10000
     pivots = 0
     while True:
-        u, v = _potentials(basis, C, m, n)
+        u, v, parent, depth = _tree_walk(basis, cost, m, n)
         R = C - u[:, None] - v[None, :]
         if pivots < bland_after:
             idx = int(np.argmin(R))
@@ -273,7 +268,7 @@ def _network_simplex(a, b, C):
         if pivots > max_pivots:
             raise RuntimeError("network simplex pivot budget exceeded")
         ei, ej = divmod(idx, n)
-        path = _tree_path(basis, m, n, ei, m + ej)
+        path = _cycle_nodes(parent, depth, ei, m + ej)
         # cycle = entering arc (+) then alternating -,+,... along the path
         arcs = []
         for s, t in zip(path[:-1], path[1:]):
@@ -293,9 +288,7 @@ def _network_simplex(a, b, C):
             flow[i, j] = max(flow[i, j], 0.0)
         li, lj = arcs[leave_idx]
         basis.remove((li, lj))
-        in_basis[li, lj] = False
         basis.append((ei, ej))
-        in_basis[ei, ej] = True
     return flow
 
 
@@ -319,16 +312,35 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
     return dist, TransportPlan(mu, nu, flow)
 
 
+def same_quantile_grid(mu, nu) -> bool:
+    """True for two QuantileMeasures on one quantile grid (nodes within 1e-12)."""
+    return (isinstance(mu, QuantileMeasure) and isinstance(nu, QuantileMeasure)
+            and len(mu) == len(nu)
+            and float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12)
+
+
+def w2(mu, nu, return_plan: bool = False):
+    """W2 between any two measures of this package.
+
+    Two states on one quantile grid are coupled node to node, so without a
+    plan their distance is the diagonal sqrt(sum c (x - y)^2).  Otherwise 1D
+    pairs use the monotone coupling :func:`w2_1d` and everything else the
+    exact LP :func:`w2_exact`; ``return_plan`` then also returns the plan.
+    """
+    if not return_plan and same_quantile_grid(mu, nu):
+        return float(np.sqrt(np.sum(mu.cell_mass * (mu.positions - nu.positions) ** 2)))
+    if mu.dim == 1 and nu.dim == 1:
+        return w2_1d(mu, nu, return_plan=return_plan)
+    return w2_exact(mu, nu, return_plan=return_plan)
+
+
 def geodesic(mu0: AtomicMeasure, mu1: AtomicMeasure, alpha: float,
              plan: TransportPlan | None = None) -> AtomicMeasure:
     """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha."""
     if not 0.0 <= alpha <= 1.0:
         raise TransportError(f"alpha = {alpha} outside [0, 1]")
     if plan is None:
-        if mu0.dim == 1 and mu1.dim == 1:
-            _, plan = w2_1d(mu0, mu1)
-        else:
-            _, plan = w2_exact(mu0, mu1)
+        _, plan = w2(mu0, mu1, return_plan=True)
     xs, ys, ms = plan.pairs()
     pts = (1.0 - alpha) * xs + alpha * ys
     if pts.shape[1] == 1:

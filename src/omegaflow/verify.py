@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,7 +35,6 @@ from .jko import (
     flow_time_dependent,
     isotonic_project,
     proximal_step,
-    quantile_w2,
     rescaled_intermediate,
 )
 from .measures import (
@@ -47,7 +45,7 @@ from .measures import (
     measure_to_json,
 )
 from .moduli import Modulus, lipschitz, log_lipschitz, polynomial, sqrt_psi
-from .transport import TransportPlan, glue, w2_1d, w2_exact
+from .transport import TransportPlan, glue, w2, w2_1d, w2_exact
 
 __all__ = [
     "InequalityReport",
@@ -154,19 +152,10 @@ class RateStudy:
 # distances
 # ---------------------------------------------------------------------------
 
-def _dist(a, b) -> float:
-    if isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure) \
-            and len(a) == len(b):
-        return quantile_w2(a, b)
-    if getattr(a, "dim", 1) == 1:
-        return w2_1d(a, b, return_plan=False)
-    return w2_exact(a, b, return_plan=False)
-
-
 def _pseudo_dist_through_base(mu_a, mu_b, base) -> float:
     """W_{2,nu}(mu_a, mu_b) glued over ``base`` (equals W2 in 1D)."""
     if getattr(mu_a, "dim", 1) == 1:
-        return _dist(mu_a, mu_b)
+        return w2(mu_a, mu_b)
     _, plan_a = w2_exact(_to_atoms(mu_a), _to_atoms(base))
     _, plan_b = w2_exact(_to_atoms(mu_b), _to_atoms(base))
     glued = glue(plan_a, plan_b)
@@ -202,8 +191,8 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
         mu_tau, info = proximal_step(energy, mu, tau, cfg, return_info=True)
     e_mt = energy.eval(mu_tau)
     w_cross = _pseudo_dist_through_base(mu_tau, nu, mu)
-    w_mu_nu = _dist(mu, nu)
-    w_step = _dist(mu, mu_tau)
+    w_mu_nu = w2(mu, nu)
+    w_step = w2(mu, mu_tau)
     lhs = modulus.euler_step(tau, w_cross**2) - w_mu_nu**2
     rhs = 2.0 * tau * (e_nu - e_mt) - w_step**2
     ctx = {"tau": tau, "E_mu": e_mu, "E_mu_tau": e_mt, "E_nu": e_nu}
@@ -236,8 +225,8 @@ def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     mu_tau, info_m = proximal_step(energy, mu, tau, cfg, return_info=True)
     nu_tau, info_n = proximal_step(energy, nu, tau, cfg, return_info=True)
     e_mt, e_nt = energy.eval(mu_tau), energy.eval(nu_tau)
-    w0 = _dist(mu, nu)
-    wt = _dist(mu_tau, nu_tau)
+    w0 = w2(mu, nu)
+    wt = w2(mu_tau, nu_tau)
     lam = modulus.lam
     ctx = {"tau": tau, "W0": w0, "Wt": wt,
            "residual_flag": info_m.get("residual_flag") or info_n.get("residual_flag")}
@@ -261,7 +250,7 @@ def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     cap = min(caps)
     if tau >= cap:
         return _skip(name, f"tau cap violated (tau >= {cap})", tau=tau)
-    w_nu_step = _dist(nu, nu_tau)
+    w_nu_step = w2(nu, nu_tau)
     rhs = w0**2 - lam * tau * modulus.omega_tilde(big_r**2 * w_nu_step) \
         + 2.0 * tau * (e_mu - e_mt) + 3.0 * lam**2 * c_r**2 * tau**2
     ctx.update({"R": big_r, "r": r, "c_r": c_r})
@@ -281,7 +270,7 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
     modulus-specific contraction rate with multiplicative slack."""
     cfg = cfg or JkoConfig(tau=t / max(n, 1), steps=n)
     cfg = replace(cfg, tau=t / max(n, 1), steps=n)
-    w0 = _dist(mu, nu)
+    w0 = w2(mu, nu)
     if t == 0:
         return InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
     lam = modulus.lam
@@ -299,7 +288,7 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
                 return _skip(name, f"t outside rate window [0, {window})", t=t)
     tr_mu = flow(energy, mu, cfg)
     tr_nu = flow(energy, nu, cfg)
-    wt = _dist(tr_mu.states[-1], tr_nu.states[-1])
+    wt = w2(tr_mu.states[-1], tr_nu.states[-1])
     if kind == "lipschitz":
         bound = math.exp(-lam * t) * w0
     elif kind == "polynomial":
@@ -340,8 +329,8 @@ def check_nstep_contraction(energy: Energy, mu, nu, t: float, n: int,
     cfg = replace(cfg, tau=t / n, steps=n)
     tr_mu = flow(energy, mu, cfg)
     tr_nu = flow(energy, nu, cfg)
-    w0 = _dist(mu, nu)
-    wt = _dist(tr_mu.states[-1], tr_nu.states[-1])
+    w0 = w2(mu, nu)
+    wt = w2(tr_mu.states[-1], tr_nu.states[-1])
     gap_mu = max(tr_mu.energies[0] - tr_mu.energies.min(), 0.0)
     gap_nu = max(tr_nu.energies[0] - tr_nu.energies.min(), 0.0)
     big_r = max(w0 + math.sqrt(2.0 * (t + 1.0)) * (math.sqrt(gap_mu + 1e-12)
@@ -365,7 +354,7 @@ def check_hwi(energy: Energy, mu0, mu1, modulus: Modulus, slope_samples,
     e0, e1 = energy.eval(mu0), energy.eval(mu1)
     if not (math.isfinite(e0) and math.isfinite(e1)):
         return _skip(name, "endpoint outside the energy domain")
-    w = _dist(mu0, mu1)
+    w = w2(mu0, mu1)
     if w == 0:
         return InequalityReport(name, 0.0, 0.0, tol, context={"W2": 0.0})
     slope = metric_slope_estimate(energy, mu0, slope_samples, modulus)
@@ -433,13 +422,10 @@ def check_large_small_step(energy: Energy, mu, tau: float, h: float,
     nu = rescaled_intermediate(mu, mu_tau, None, h, tau) \
         if isinstance(mu, QuantileMeasure) else None
     if nu is None:
-        if getattr(mu, "dim", 1) == 1:
-            _, plan = w2_1d(_to_atoms(mu), _to_atoms(mu_tau))
-        else:
-            _, plan = w2_exact(_to_atoms(mu), _to_atoms(mu_tau))
+        _, plan = w2(_to_atoms(mu), _to_atoms(mu_tau), return_plan=True)
         nu = rescaled_intermediate(_to_atoms(mu), _to_atoms(mu_tau), plan, h, tau)
     back = proximal_step(energy, nu, h, cfg)
-    d = _dist(back, mu_tau)
+    d = w2(back, mu_tau)
     return InequalityReport(name, d, 0.0, tol,
                             context={"tau": tau, "h": h, "distance": d})
 
@@ -480,9 +466,9 @@ def check_asymmetric_recursion(energy: Energy, mu0, T: float, n_steps: int,
                   + modulus.omega_tilde(h**2))
     for nn in range(1, n_steps + 1):
         for mm in range(1, m_steps + 1):
-            w_nm = _dist(tr_tau.states[nn], tr_h.states[mm])
-            w_a = _dist(tr_tau.states[nn - 1], tr_h.states[mm - 1])
-            w_b = _dist(tr_tau.states[nn], tr_h.states[mm - 1])
+            w_nm = w2(tr_tau.states[nn], tr_h.states[mm])
+            w_a = w2(tr_tau.states[nn - 1], tr_h.states[mm - 1])
+            w_b = w2(tr_tau.states[nn], tr_h.states[mm - 1])
             lhs = modulus.tilde_euler_iterate(h, w_nm**2, 2 * mm)
             rhs = (h / tau) * modulus.tilde_euler_iterate(h, w_a**2, 2 * (mm - 1)) \
                 + ((tau - h) / tau) * modulus.tilde_euler_iterate(h, w_b**2, 2 * (mm - 1)) \
@@ -515,7 +501,7 @@ def rate_study(energy: Energy, mu0, t: float, n_list, modulus: Modulus,
     for n in list(n_list) + [n_ref // 2, n_ref // 4]:
         if n not in cache:
             tr = flow(energy, mu0, replace(cfg, tau=t / n, steps=n))
-            cache[n] = _dist(tr.states[-1], ref)
+            cache[n] = w2(tr.states[-1], ref)
     errors = [cache[n] for n in n_list]
     if modulus.kind in ("log_lipschitz", "sqrt_psi"):
         expo = 1.0 / (2.0 * math.exp(2.0 * modulus.lam_minus * t))
@@ -714,9 +700,9 @@ def _suite_transport(tol: float, seed: int, quick: bool) -> list:
         reports.append(InequalityReport(
             "generalized_geodesic_identity", abs(lhs - rhs), 0.0, 1e-10,
             context={"case": k, "dim": dim, "alpha": alpha}))
-        w2 = w2_exact(mu0, mu1, return_plan=False)
+        d_exact = w2_exact(mu0, mu1, return_plan=False)
         reports.append(InequalityReport(
-            "pseudo_distance_dominates_w2", w2,
+            "pseudo_distance_dominates_w2", d_exact,
             math.sqrt(g.squared_pseudo_distance()), 1e-9,
             context={"case": k, "dim": dim}))
     return reports
@@ -982,7 +968,7 @@ def _suite_appendix(tol: float, seed: int, quick: bool) -> list:
         tr = flow_time_dependent(schedule, dirac_state(1.0, 4),
                                  JkoConfig(tau=t_final / n, steps=n,
                                            inner_tol=1e-9))
-        errs[n] = _dist(tr.states[-1], ref)
+        errs[n] = w2(tr.states[-1], ref)
     for n in (16, 32, 64):
         ratio = errs[n] / errs[2 * n] if errs[2 * n] > 0 else math.inf
         reports.append(InequalityReport(
@@ -1016,7 +1002,7 @@ SUITES = {
 
 
 def run_suite(name: str, tol: float = DEFAULT_TOL, seed: int = 0,
-              threads: int = 1, quick: bool = False) -> list:
+              quick: bool = False) -> list:
     """Run one named suite; returns the list of InequalityReports."""
     if name == "all":
         names = list(SUITES)
@@ -1025,10 +1011,4 @@ def run_suite(name: str, tol: float = DEFAULT_TOL, seed: int = 0,
     for n in names:
         if n not in SUITES:
             raise KeyError(f"unknown suite {n!r} (have {sorted(SUITES)})")
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            chunks = list(ex.map(lambda n: SUITES[n](tol, seed, quick), names))
-    else:
-        chunks = [SUITES[n](tol, seed, quick) for n in names]
-    reports = [r for chunk in chunks for r in chunk]
-    return reports
+    return [r for n in names for r in SUITES[n](tol, seed, quick)]

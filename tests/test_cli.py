@@ -64,6 +64,13 @@ class TestRun:
         assert code == 2
         assert "stepz" in capsys.readouterr().err
 
+    def test_removed_parametrization_key_rejected(self, tmp_path, capsys):
+        cfg = dict(FLOW_CONFIG)
+        cfg["jko"] = {"tau": 0.1, "steps": 2, "parametrization": "grid"}
+        code = run(write_config(tmp_path, "c.json", cfg))
+        assert code == 2
+        assert "jko.parametrization" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dict(FLOW_CONFIG)
         cfg["output"] = {"trajectory": str(tmp_path / "a.csv")}
@@ -133,6 +140,19 @@ class TestMainEntry:
                      "--report", "rep.json"])
         assert code == 0
         assert (tmp_path / "rep.json").exists()
+
+    def test_suite_flags_after_subcommand(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "transport", "--quick", "--seed", "1",
+                     "--tol", "1e-6", "--report", "rep.json"]) == 0
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--tol", "1e-3"]])
+    @pytest.mark.parametrize("command", ["flow", "rates"])
+    def test_config_jobs_reject_suite_flags(self, tmp_path, command, flag):
+        path = write_config(tmp_path, "c.json", FLOW_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, *flag])
+        assert exc.value.code == 2
 
     def test_transport_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

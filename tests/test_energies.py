@@ -215,6 +215,84 @@ class TestKernelGradient:
         kernel_gradient(k, mu, 0.0)  # exclusion: finite
 
 
+def per_point_field(kernel, pts, w, xq):
+    """Reference (grad W * mu)(x): one query point at a time, atoms at
+    distance 0 skipped."""
+    out = np.zeros((len(xq), pts.shape[1]))
+    scale = np.zeros(len(xq))
+    for k, xx in enumerate(xq):
+        diff = xx[None, :] - pts
+        r = np.sqrt(np.sum(diff * diff, axis=1))
+        dv = np.atleast_1d(kernel.dvalue(r))
+        unit = np.zeros_like(diff)
+        unit[r > 0] = diff[r > 0] / r[r > 0, None]
+        terms = w[:, None] * dv[:, None] * unit
+        out[k] = terms.sum(axis=0)
+        scale[k] = np.abs(terms).sum()
+    return out, scale
+
+
+_FIELD_KERNELS = [
+    Kernel("newtonian", d=1, c=1.5),
+    Kernel("newtonian", d=2),
+    Kernel("log", c=-0.7),
+    Kernel("riesz", alpha=2.0, d=3, sign=-1, c=2.0),
+    Kernel("smooth", d=2, profile=lambda r: np.asarray(r) ** 2 / 4.0,
+           dprofile=lambda r: np.asarray(r) / 2.0),
+]
+
+# coordinates on a 1/64 grid: ties are common and distances stay far from
+# the overflow of the singular profiles
+_field_coord = st.integers(-192, 192).map(lambda k: k / 64.0)
+
+
+class TestKernelFieldMerge:
+    @given(st.sampled_from(_FIELD_KERNELS), st.sampled_from([1, 2]),
+           st.integers(1, 10).flatmap(lambda n: st.tuples(
+               st.lists(st.tuples(_field_coord, _field_coord), min_size=n,
+                        max_size=n),
+               st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))),
+           st.lists(st.tuples(_field_coord, _field_coord), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_point_loop(self, kernel, dim, atoms, extra):
+        pts = np.array(atoms[0])[:, :dim]
+        mu = make_atomic(pts, atoms[1])
+        # query at every atom (ties and Diracs included) and a few more points
+        xq = np.concatenate([mu.points_2d(), np.array(extra).reshape(-1, 2)[:, :dim]])
+        ref, scale = per_point_field(kernel, mu.points_2d(), mu.weights, xq)
+        out = np.asarray(kernel_gradient(kernel, mu, xq[:, 0] if dim == 1 else xq))
+        out = out.reshape(ref.shape)
+        assert np.all(np.abs(out - ref) <= 1e-12 * np.maximum(scale, 1e-300)[:, None])
+        if dim == 1:
+            q = QuantileMeasure(np.cumsum(mu.weights) - 0.5 * mu.weights,
+                                mu.points, mu.weights)
+            assert np.array_equal(kernel_gradient(kernel, q, xq[:, 0]),
+                                  out[:, 0])
+
+    @pytest.mark.parametrize("kernel", _FIELD_KERNELS[:4])
+    def test_singular_hit_raises_on_two_atom_dirac(self, kernel):
+        mu = make_atomic([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(EnergyError):
+            kernel_gradient(kernel, mu, [1.0, 0.5], exclude_diagonal=False)
+        assert kernel_gradient(kernel, mu, 0.5) == 0.0
+
+    def test_smooth_kernel_never_raises(self):
+        mu = make_atomic([0.5, 0.5], [0.5, 0.5])
+        k = _FIELD_KERNELS[4]
+        assert kernel_gradient(k, mu, 0.5, exclude_diagonal=False) == 0.0
+
+    def test_output_shapes(self):
+        k = Kernel("log")
+        mu1 = make_atomic([0.0, 1.0], [0.5, 0.5])
+        assert isinstance(kernel_gradient(k, mu1, 0.3), float)
+        assert kernel_gradient(k, mu1, [0.3, 2.0]).shape == (2,)
+        mu2 = make_atomic([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        assert kernel_gradient(k, mu2, [0.3, 2.0]).shape == (2,)
+        assert kernel_gradient(k, mu2, [[0.3, 2.0]]).shape == (1, 2)
+        g = GridDensity(0.0, 0.5, np.ones(2))
+        assert kernel_gradient(k, g, [0.1, 3.0]).shape == (2,)
+
+
 class TestDirectionalDerivative:
     def test_diagonal_coupling_zero(self, rng):
         mu = make_atomic(rng.normal(size=5), np.ones(5))

@@ -323,8 +323,7 @@ class TestGridParametrization:
         E = quadratic_energy()
         g = GridDensity(-0.5, 0.01, np.ones(100))
         out = proximal_step(E, g, 0.1, JkoConfig(tau=0.1, inner_tol=1e-10,
-                                                 n_nodes=128,
-                                                 parametrization="grid"))
+                                                 n_nodes=128))
         assert isinstance(out, GridDensity)
         assert out.spacing == g.spacing
         assert abs(out.cell_masses().sum() - 1.0) <= 1e-9
@@ -361,7 +360,3 @@ class TestConfigValidation:
     def test_tau_zero_accepted(self):
         # tau = 0 is the identity map of proximal_step
         assert JkoConfig(tau=0.0).tau == 0.0
-
-    def test_bad_parametrization(self):
-        with pytest.raises(JkoError):
-            JkoConfig(parametrization="spectral")

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegaflow.measures import (
     AtomicMeasure,
     GridDensity,
     MeasureError,
     QuantileMeasure,
+    gaps,
+    gaps_adjoint,
     lp_norm,
     make_atomic,
     measure_from_json,
@@ -236,3 +239,34 @@ class Test2DSerialization:
         assert back.dim == 2
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
+
+
+def _vectors(n):
+    return st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                    min_size=n, max_size=n)
+
+
+class TestGapStencil:
+    @given(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 40))
+           .flatmap(lambda n: st.tuples(_vectors(n), _vectors(n))))
+    @settings(max_examples=200, deadline=None)
+    def test_adjoint_identity(self, pair):
+        v, du = np.array(pair[0]), np.array(pair[1])
+        lhs = float(np.dot(gaps(v), du))
+        rhs = float(np.dot(v, gaps_adjoint(du)))
+        scale = float(np.dot(np.abs(v), np.abs(gaps_adjoint(np.abs(du))))) \
+            + float(np.dot(np.abs(gaps(v)), np.abs(du)))
+        assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_n_stencils(self, n):
+        eye = np.eye(n)
+        G = np.column_stack([gaps(e) for e in eye])
+        GT = np.column_stack([gaps_adjoint(e) for e in eye])
+        assert np.array_equal(GT, G.T)
+
+    def test_quantile_gaps_use_the_stencil(self):
+        q = QuantileMeasure([0.1, 0.3, 0.6, 0.9], [0.0, 0.0, 1.0, 3.0],
+                            [0.25, 0.25, 0.25, 0.25])
+        assert np.array_equal(q.gaps(), gaps(q.positions))
+        assert q.gaps().tolist() == [0.0, 0.5, 1.5, 2.0]

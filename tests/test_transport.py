@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegaflow.measures import GridDensity, make_atomic, to_quantile
+from omegaflow.jko import JkoError, quantile_w2
+from omegaflow.measures import GridDensity, QuantileMeasure, make_atomic, to_quantile
 from omegaflow.transport import (
     GluedPlan,
     TransportError,
@@ -13,6 +16,7 @@ from omegaflow.transport import (
     geodesic,
     glue,
     pseudo_distance,
+    w2,
     w2_1d,
     w2_exact,
 )
@@ -369,3 +373,94 @@ class TestLargerSupports:
             d1 = w2_1d(mu, nu, return_plan=False)
             d2 = w2_exact(mu, nu, return_plan=False)
             assert abs(d1 - d2) <= 1e-9
+
+
+# positions drawn partly from a small set, so that ties (Diracs) are common
+_coord = st.one_of(st.floats(-3.0, 3.0, allow_subnormal=False),
+                   st.sampled_from([-1.0, 0.0, 0.5]))
+
+
+def _close_sq(a: float, b: float) -> bool:
+    """Squared distances agree within 1e-12 relative (1e-12 absolute below 1)."""
+    return abs(a * a - b * b) <= 1e-12 * max(1.0, b * b)
+
+
+class TestW2Dispatch:
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.lists(_coord, min_size=n, max_size=n),
+        st.lists(_coord, min_size=n, max_size=n),
+        st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))))
+    @settings(max_examples=150, deadline=None)
+    def test_same_grid_quantiles(self, data):
+        xs, ys, c = (np.array(v) for v in data)
+        c = c / c.sum()
+        q = np.cumsum(c) - 0.5 * c
+        qa = QuantileMeasure(q, np.sort(xs), c)
+        qb = QuantileMeasure(q, np.sort(ys), c)
+        d = w2(qa, qb)
+        assert d == quantile_w2(qa, qb)
+        assert _close_sq(d, w2_1d(qa, qb, return_plan=False))
+        assert _close_sq(d, w2_exact(qa, qb, return_plan=False))
+        dp, plan = w2(qa, qb, return_plan=True)
+        assert dp == w2_1d(qa, qb, return_plan=False)
+        assert _close_sq(dp, math.sqrt(plan.cost()))
+
+    @given(st.lists(_coord, min_size=1, max_size=9),
+           st.lists(_coord, min_size=1, max_size=9),
+           st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_1d_atoms_grids_and_grid_mismatch(self, xs, ys, n_nodes):
+        a = make_atomic(xs, np.ones(len(xs)))
+        b = make_atomic(ys, np.arange(1.0, len(ys) + 1.0))
+        ref = w2_1d(a, b, return_plan=False)
+        assert w2(a, b) == ref
+        assert _close_sq(ref, w2_exact(a, b, return_plan=False))
+        # quantile states on different grids go through the monotone coupling
+        qa, qb = to_quantile(a, n_nodes), to_quantile(b, n_nodes + 1)
+        assert w2(qa, qb) == w2_1d(qa, qb, return_plan=False)
+        with pytest.raises(JkoError, match="quantile grid"):
+            quantile_w2(qa, qb)
+        ga = GridDensity(min(xs), 0.25, np.full(4, 1.0))
+        assert w2(ga, b) == w2_1d(ga, b, return_plan=False)
+
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+        st.tuples(_coord, _coord), min_size=n, max_size=n)),
+        st.integers(1, 7).flatmap(lambda n: st.lists(
+            st.tuples(_coord, _coord), min_size=n, max_size=n)))
+    @settings(max_examples=100, deadline=None)
+    def test_2d_atoms(self, xs, ys):
+        a = make_atomic(np.array(xs), np.ones(len(xs)))
+        b = make_atomic(np.array(ys), np.arange(1.0, len(ys) + 1.0))
+        ref, ref_plan = w2_exact(a, b)
+        assert w2(a, b) == ref
+        d, plan = w2(a, b, return_plan=True)
+        assert d == ref
+        assert np.array_equal(plan.matrix, ref_plan.matrix)
+
+    def test_two_atom_diracs(self):
+        q = np.array([0.25, 0.75])
+        c = np.array([0.5, 0.5])
+        da = QuantileMeasure(q, [0.3, 0.3], c)
+        db = QuantileMeasure(q, [-0.2, -0.2], c)
+        assert w2(da, db) == quantile_w2(da, db) == 0.5
+        assert _close_sq(w2(da.to_atomic(), db.to_atomic()), 0.5)
+
+
+class TestPinnedPlans:
+    """The network simplex pivots deterministically: these plan digests
+    were recorded before the tree walk was merged and must not move."""
+
+    def test_seeded_64x64_2d_plan(self):
+        rng = np.random.default_rng(12345)
+        a = make_atomic(rng.normal(size=(64, 2)), rng.uniform(0.5, 1.5, 64))
+        b = make_atomic(rng.normal(size=(64, 2)), rng.uniform(0.5, 1.5, 64))
+        _, plan = w2_exact(a, b)
+        assert hashlib.sha256(plan.matrix.tobytes()).hexdigest() == \
+            "d4b3b3a9fd0a7a2784d180c7d79f6137c4e968b355d780ef929b99b5c27952e2"
+        # the 1D problem below continues the same generator
+        x = np.round(rng.normal(size=12), 1)   # rounding makes ties
+        y = np.round(rng.normal(size=9), 1)
+        _, plan = w2_exact(make_atomic(x, np.ones(12)), make_atomic(y, np.ones(9)))
+        assert len(np.unique(x)) < 12
+        assert hashlib.sha256(plan.matrix.tobytes()).hexdigest() == \
+            "9479ec4afd899773a29762c919f351a44c023e163c8706f123c8448544e33a1e"
