@@ -82,7 +82,8 @@ def emit_plot_table(obj) -> str:
 
 
 def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
-    header = "step,time,energy,W2_step,constraint_violation,inner_iters"
+    header = ("step,time,energy,W2_step,constraint_violation,inner_iters,"
+              "residual,residual_flag")
     lines = [header]
     tau = traj.config.tau
     cap = energy.constraint if energy.constraint else None
@@ -93,12 +94,15 @@ def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
             v = lp_norm(state, cap[0])
             viol = max(0.0, v - cap[1]) if math.isfinite(v) else math.inf
         if k == 0:
-            w2s, iters = 0.0, 0
+            w2s, iters, res, flag = 0.0, 0, 0, False
         else:
             w2s = float(traj.step_distances[k - 1])
-            iters = traj.diagnostics[k - 1].get("inner_iters", 0)
+            info = traj.diagnostics[k - 1]
+            iters = info.get("inner_iters", 0)
+            res, flag = info["residual"], info["residual_flag"]
         lines.append(",".join([str(k), _fmt(k * tau), _fmt(float(traj.energies[k])),
-                               _fmt(w2s), _fmt(viol), str(iters)]))
+                               _fmt(w2s), _fmt(viol), str(iters), _fmt(res),
+                               _fmt(bool(flag))]))
     return "\n".join(lines) + "\n"
 
 

@@ -468,6 +468,17 @@ class Energy:
 # fields, derivatives, certificates
 # ---------------------------------------------------------------------------
 
+def _finite_field(kernel: Kernel, at, pts, w) -> np.ndarray:
+    """``kernel.field``, raising where w'(r) overflows at distinct points
+    too close together (there inf * 0 in the unit vector gives NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel.field(at, pts, w)
+    if not np.all(np.isfinite(out)):
+        raise EnergyError("kernel field is undefined (overflow): distinct "
+                          "points lie too close together")
+    return out
+
+
 def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
     """Convolution gradient (grad W * mu)(x) at one or many points.
 
@@ -484,7 +495,7 @@ def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
         if np.any((np.sum(diff * diff, axis=2) == 0.0) & (w > 0)):
             raise EnergyError(
                 "field of a singular kernel evaluated exactly at an atom")
-    out = kernel.field(xq, pts, w)
+    out = _finite_field(kernel, xq, pts, w)
     if np.ndim(x) == 0 or (np.ndim(x) == 1 and len(np.atleast_1d(x)) == d and d > 1):
         return out[0] if d > 1 else float(out[0, 0])
     return out[:, 0] if d == 1 else out
@@ -516,7 +527,7 @@ def directional_derivative(energy: Energy, curve, at: float = 0.0) -> float:
         grad = grad.reshape(pa.shape)
         total += float(np.sum(ms * np.sum(grad * vel, axis=1)))
     if energy.kernel is not None:
-        field_at = energy.kernel.field(pa, pa, ms)
+        field_at = _finite_field(energy.kernel, pa, pa, ms)
         total += float(np.sum(ms * np.sum(field_at * vel, axis=1)))
     if energy.internal is not None:
         total += _internal_directional(energy, curve, at)

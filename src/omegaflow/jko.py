@@ -182,7 +182,17 @@ class _QuantileObjective:
         return self.q.with_positions(x)
 
     def value(self, x):
+        return self._value(self.state(x), x)
+
+    def grad(self, x):
+        return self._grad(self.state(x), x)
+
+    def value_and_grad(self, x):
+        """(value(x), grad(x)) from one state."""
         qs = self.state(x)
+        return self._value(qs, x), self._grad(qs, x)
+
+    def _value(self, qs, x):
         val = 0.5 / self.tau * float(np.sum(self.m * (x - self.y) ** 2))
         if self.energy.potential is not None:
             val += self.energy.potential_value(qs)
@@ -197,8 +207,7 @@ class _QuantileObjective:
             val += self.pw * self._violation(qs) ** 2
         return val
 
-    def grad(self, x):
-        qs = self.state(x)
+    def _grad(self, qs, x):
         g = self.m * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
         if self.penalty is not None and self.pw > 0:
             g += self.pw * self._violation_grad(qs)
@@ -241,7 +250,7 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     x_best = x.copy()
     f_best = objective.value(x)
     for it in range(1, max_iter + 1):
-        g = objective.grad(z)
+        fz, g = objective.value_and_grad(z)
         if g_prev is not None:
             # BB curvature estimate; the backtracking loop repairs
             # underestimates, nonconvex directions keep the previous L
@@ -252,7 +261,6 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
                 if l_bb > 0:
                     L = min(max(l_bb, 1e-12), 1e18)
         z_prev, g_prev = z.copy(), g
-        fz = objective.value(z)
         while True:
             x_new = proj(z - g / L)
             dx = x_new - z

@@ -21,6 +21,9 @@ A QuantileMeasure has a dual reading that the rest of the package relies on:
 
 All measure objects are immutable after construction (arrays are marked
 read-only), so they are safe to share across threads.
+:meth:`QuantileMeasure.with_positions` relies on this: the new state shares
+the already validated, read-only ``q_nodes`` and ``cell_mass`` arrays of
+the old one and checks only the new positions.
 """
 
 from __future__ import annotations
@@ -65,6 +68,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _check_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise MeasureError(f"{what} contains NaN or infinite entries")
+
+
+_EQUAL_LENGTH = "q_nodes, positions, cell_mass must be equal-length 1D"
+
+
+def _checked_positions(x, n: int) -> np.ndarray:
+    """Quantile positions for a grid of ``n`` nodes: 1D of length n, finite
+    and nondecreasing up to -1e-12; returned cleaned and read-only."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or len(x) != n:
+        raise MeasureError(_EQUAL_LENGTH)
+    _check_finite(x, "positions")
+    if np.any(np.diff(x) < -1e-12):
+        raise MeasureError("positions must be nondecreasing")
+    return _freeze(np.maximum.accumulate(x))  # clean up -1e-13 scale noise
 
 
 def gaps(x: np.ndarray) -> np.ndarray:
@@ -166,24 +184,20 @@ class QuantileMeasure:
 
     def __post_init__(self):
         q = np.asarray(self.q_nodes, dtype=float)
-        x = np.asarray(self.positions, dtype=float)
         c = np.asarray(self.cell_mass, dtype=float)
-        if q.ndim != 1 or len(q) < 1 or len(q) != len(x) or len(q) != len(c):
-            raise MeasureError("q_nodes, positions, cell_mass must be equal-length 1D")
+        if q.ndim != 1 or len(q) < 1 or len(q) != len(c):
+            raise MeasureError(_EQUAL_LENGTH)
         _check_finite(q, "q_nodes")
-        _check_finite(x, "positions")
+        x = _checked_positions(self.positions, len(q))
         _check_finite(c, "cell_mass")
         if np.any(q <= 0.0) or np.any(q >= 1.0) or np.any(np.diff(q) <= 0):
             raise MeasureError("q_nodes must be strictly increasing inside (0,1)")
-        if np.any(np.diff(x) < -1e-12):
-            raise MeasureError("positions must be nondecreasing")
-        x = np.maximum.accumulate(x)  # clean up -1e-13 scale noise
         if np.any(c <= 0.0):
             raise MeasureError("cell_mass must be positive")
         if abs(c.sum() - 1.0) > MASS_TOL:
             raise MeasureError(f"cell_mass sums to {c.sum()}, expected 1")
         object.__setattr__(self, "q_nodes", _freeze(q))
-        object.__setattr__(self, "positions", _freeze(x))
+        object.__setattr__(self, "positions", x)
         object.__setattr__(self, "cell_mass", _freeze(c))
 
     @property
@@ -208,7 +222,15 @@ class QuantileMeasure:
         return make_atomic(self.positions, self.cell_mass)
 
     def with_positions(self, x: np.ndarray) -> "QuantileMeasure":
-        return QuantileMeasure(self.q_nodes, x, self.cell_mass)
+        """The same quantile grid at new positions.  The grid arrays are
+        already validated and read-only, so they are shared, and only the
+        positions are checked (the constructor's rule, not a copy of it)."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "q_nodes", self.q_nodes)
+        object.__setattr__(new, "positions",
+                           _checked_positions(x, len(self.q_nodes)))
+        object.__setattr__(new, "cell_mass", self.cell_mass)
+        return new
 
 
 @dataclass(frozen=True)

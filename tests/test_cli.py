@@ -35,8 +35,13 @@ class TestRun:
         assert code == 0
         rows = (tmp_path / "t.csv").read_text().splitlines()
         assert rows[0].split(",") == ["step", "time", "energy", "W2_step",
-                                      "constraint_violation", "inner_iters"]
+                                      "constraint_violation", "inner_iters",
+                                      "residual", "residual_flag"]
         assert len(rows) == 1 + 6  # header + steps+1 states
+        assert rows[1].split(",")[-2:] == ["0", "False"]
+        for row in rows[2:]:
+            residual, flag = row.split(",")[-2:]
+            assert float(residual) <= 1e-10 and flag == "False"
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["tool"].startswith("omegaflow")
         assert "config_sha256" in manifest
@@ -80,6 +85,17 @@ class TestRun:
         assert run(path) == 0
         body2 = (tmp_path / "a.csv").read_bytes()
         assert body1 == body2
+
+    def test_unconverged_steps_flagged_in_csv(self, tmp_path):
+        cfg = dict(FLOW_CONFIG)
+        cfg["jko"] = {"tau": 0.1, "steps": 3, "inner_tol": 1e-14,
+                      "inner_max_iter": 1}
+        cfg["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 0
+        rows = [r.split(",") for r in
+                (tmp_path / "t.csv").read_text().splitlines()[2:]]
+        assert rows and all(r[-1] == "True" and float(r[-2]) > 1e-14
+                            for r in rows)
 
     def test_rates_job(self, tmp_path):
         cfg = {

@@ -293,6 +293,43 @@ class TestKernelFieldMerge:
         assert kernel_gradient(k, g, [0.1, 3.0]).shape == (2,)
 
 
+# two distinct atoms 3.8e-161 apart: their squared distance is subnormal, so
+# r > 0, and w'(r) overflows for these profiles (at c = 1 the log and 2D
+# newtonian profiles c/r stay below 5e161 for every r > 0 a double gives)
+_OVERFLOW_KERNELS = [
+    Kernel("riesz", alpha=2.0, d=3),
+    Kernel("log", c=1e160),
+    Kernel("newtonian", d=2, c=1e160),
+]
+
+
+def _close_pair(dim):
+    pts = [[0.0, 0.0], [0.0, 3.8e-161]] if dim == 2 else [0.0, 3.8e-161]
+    mu = make_atomic(pts, [0.5, 0.5])
+    return mu, TransportPlan(mu, mu, np.diag(mu.weights))
+
+
+class TestFieldOverflow:
+    @pytest.mark.parametrize("kernel", _OVERFLOW_KERNELS)
+    def test_overflow_raises(self, kernel):
+        mu, plan = _close_pair(2)
+        with pytest.raises(EnergyError, match=r"undefined \(overflow\)"):
+            kernel_gradient(kernel, mu, mu.points)
+        with pytest.raises(EnergyError, match=r"undefined \(overflow\)"):
+            directional_derivative(Energy(kernel=kernel), plan)
+
+    @pytest.mark.parametrize("kernel", [Kernel("newtonian", d=1, c=1.0),
+                                        _FIELD_KERNELS[4]])
+    def test_bounded_profiles_unaffected(self, kernel):
+        mu, plan = _close_pair(1)
+        field = kernel_gradient(kernel, mu, mu.points)
+        assert np.all(np.isfinite(field))
+        if kernel.kind == "newtonian":
+            # the subnormal r costs digits of the unit vector, not its sign
+            assert np.allclose(field, [-0.25, 0.25], rtol=1e-3)
+        assert directional_derivative(Energy(kernel=kernel), plan) == 0.0
+
+
 class TestDirectionalDerivative:
     def test_diagonal_coupling_zero(self, rng):
         mu = make_atomic(rng.normal(size=5), np.ones(5))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -14,6 +15,7 @@ from omegaflow.jko import (
     FlowTrajectory,
     JkoConfig,
     JkoError,
+    _QuantileObjective,
     flow,
     flow_time_dependent,
     isotonic_project,
@@ -27,10 +29,25 @@ from omegaflow.verify import (
     capped_aggregation_energy,
     dirac_state,
     entropy_energy,
+    feasible_random_state,
     ks_surrogate_energy,
     quadratic_energy,
     uniform_state,
 )
+
+
+# the energy terms of the quantile objective, one at a time (the kernel
+# case adds a potential), and a finite-p cap handled by its penalty
+_OBJECTIVES = {
+    "potential": lambda: (Energy(potential=POTENTIALS["granular"]({})), {}),
+    "kernel": lambda: (Energy(potential=POTENTIALS["quadratic"]({}),
+                              kernel=Kernel("log", d=1)), {}),
+    "entropy": lambda: (entropy_energy(), {}),
+    "power": lambda: (Energy(internal=("power", 3.0)), {}),
+    "penalty": lambda: (Energy(kernel=Kernel("newtonian", d=1, c=2.0),
+                               constraint=(4.0, 1.2)),
+                        {"penalty": (4.0, 1.2), "penalty_weight": 1e4}),
+}
 
 
 def isotonic_oracle(values, weights, min_gaps):
@@ -153,6 +170,47 @@ class TestProximalStep:
                              capture_output=True, text=True, check=True,
                              timeout=120)
         assert out.stdout.strip() == "False"
+
+    def test_inner_solver_builds_no_validated_states(self, monkeypatch):
+        # each solver point takes its state from with_positions, which
+        # checks only the positions; before that the 64 steps below ran
+        # 832 full constructions (13 a step), now they run none
+        built = []
+        original = QuantileMeasure.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        mu0 = dirac_state(1.0, 2)
+        monkeypatch.setattr(QuantileMeasure, "__post_init__", counting)
+        flow(quadratic_energy(), mu0, JkoConfig(tau=0.05, steps=64,
+                                                inner_tol=1e-10))
+        assert len(built) <= 4
+
+    @pytest.mark.parametrize("name", sorted(_OBJECTIVES))
+    def test_value_and_grad_matches_value_grad(self, name):
+        energy, penalty = _OBJECTIVES[name]()
+        rng = np.random.default_rng(11)
+        q = feasible_random_state(rng, 24, cap=None, span=0.5)
+        x = np.sort(q.positions + rng.normal(scale=0.05, size=24))
+        obj = _QuantileObjective(energy, q, 0.05, **penalty)
+        val, grad = obj.value_and_grad(x)
+        assert val == obj.value(x) and math.isfinite(val)
+        assert grad.tobytes() == obj.grad(x).tobytes()
+        if penalty:
+            assert obj._violation(q.with_positions(x)) > 0
+
+    def test_ks_surrogate_flow_positions_pinned(self):
+        # recorded before the inner solver fused its value and gradient
+        # evaluations; the iterates must not move by a bit
+        mu0 = feasible_random_state(np.random.default_rng(2024), 64, cap=2.0)
+        traj = flow(ks_surrogate_energy(), mu0,
+                    JkoConfig(tau=1e-3, steps=3, inner_tol=1e-9))
+        digest = hashlib.sha256(b"".join(s.positions.tobytes()
+                                         for s in traj.states)).hexdigest()
+        assert digest == \
+            "abd91a05292b3eca2ea572380c740b4e2fab3e92a4bae3b83ac962c86e506e08"
 
     def test_objective_not_worse_than_stay(self):
         E = ks_surrogate_energy(2.0)

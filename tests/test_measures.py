@@ -270,3 +270,72 @@ class TestGapStencil:
                             [0.25, 0.25, 0.25, 0.25])
         assert np.array_equal(q.gaps(), gaps(q.positions))
         assert q.gaps().tolist() == [0.0, 0.5, 1.5, 2.0]
+
+
+_BAD_POSITIONS = ("decrease", "nan", "inf", "short", "long", "column", "row")
+
+
+class TestWithPositions:
+    """``with_positions`` checks only the new positions and shares the
+    grid; it must agree with the validating constructor on every input."""
+
+    @staticmethod
+    def _outcome(build):
+        try:
+            return build()
+        except MeasureError as err:
+            return str(err)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_constructor(self, data):
+        n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)))
+        mass = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n,
+                                           max_size=n)))
+        q = QuantileMeasure((np.arange(n) + 0.5) / n, np.zeros(n),
+                            mass / mass.sum())
+        x = np.sort(np.array(data.draw(_vectors(n))))
+        kind = data.draw(st.sampled_from(
+            ("random", "tied", "noise") + _BAD_POSITIONS))
+        j = data.draw(st.integers(0, n - 1))
+        if kind == "tied":                 # a Dirac
+            x = np.full(n, x[0])
+        elif kind == "noise":              # a Dirac with -1e-13 noise
+            x = np.full(n, x[0])
+            x[1::2] -= 1e-13
+        elif kind == "decrease":
+            x = np.append(x, x[-1] - 1e-11)[1:]
+        elif kind in ("nan", "inf"):
+            x[j] = math.nan if kind == "nan" else -math.inf
+        elif kind == "short":
+            x = x[:-1]
+        elif kind == "long":
+            x = np.append(x, x[-1])
+        elif kind == "column":
+            x = x[:, None]
+        elif kind == "row":
+            x = x[None, :]
+        fast = self._outcome(lambda: q.with_positions(x))
+        ref = self._outcome(lambda: QuantileMeasure(q.q_nodes, x, q.cell_mass))
+        if kind in _BAD_POSITIONS and (kind != "decrease" or n > 1):
+            assert isinstance(ref, str)
+        if isinstance(fast, str) or isinstance(ref, str):
+            assert fast == ref
+            return
+        assert kind not in _BAD_POSITIONS or kind == "decrease"
+        for name in ("q_nodes", "positions", "cell_mass"):
+            a, b = getattr(fast, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert np.all(np.diff(fast.positions) >= 0)
+
+    def test_shares_grid_and_copies_positions(self):
+        q = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.5, 0.5])
+        x = np.array([2.0, 3.0])
+        new = q.with_positions(x)
+        assert new.q_nodes is q.q_nodes and new.cell_mass is q.cell_mass
+        x[0] = 5.0
+        assert new.positions.tolist() == [2.0, 3.0]
+        with pytest.raises(ValueError):
+            new.positions[0] = 0.0
