@@ -12,7 +12,8 @@ still returned with a residual flag).
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
 use exact transport plans inside a block-coordinate
-(majorize-minimize) scheme.
+(majorize-minimize) scheme; their residual is the relative objective change
+of the last outer pass, and the flag is set when it exceeds ``inner_tol``.
 
 Everything here is deterministic: fixed reduction orders, fixed multi-start
 order with best-objective selection and lowest-index tie-breaking.
@@ -367,12 +368,16 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
     z = mu.points_2d().copy()
     total_iters = 0
     prev_obj = math.inf
+    residual = math.inf
     for outer in range(40):
         nu = make_atomic(z, w)
         dist, plan = w2_exact(mu, nu)
         obj = 0.5 / tau * dist * dist + energy.eval(nu)
-        if prev_obj - obj <= cfg.inner_tol * (1.0 + abs(obj)) and outer > 0:
-            break
+        if outer > 0:
+            # relative objective change of this outer pass, the stopping test
+            residual = abs(prev_obj - obj) / (1.0 + abs(obj))
+            if prev_obj - obj <= cfg.inner_tol * (1.0 + abs(obj)):
+                break
         prev_obj = obj
         # fixed plan: minimize (1/2tau) sum pi_ij |x_i - z_j|^2 + E(z)
         bary = plan.matrix.T @ mu.points_2d()
@@ -387,8 +392,8 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
             if step < 0.1 * cfg.inner_tol:
                 break
     nu = make_atomic(z, w)
-    info = {"inner_iters": total_iters, "residual": float("nan"),
-            "residual_flag": False}
+    info = {"inner_iters": total_iters, "residual": residual,
+            "residual_flag": residual > cfg.inner_tol}
     return nu, info
 
 

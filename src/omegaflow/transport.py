@@ -1,9 +1,11 @@
 """Exact optimal transport for squared Euclidean cost on finite supports.
 
 Provides the 1D monotone (CDF-matching) coupling, an exact LP solver
-(transportation network simplex with deterministic pivoting), Wasserstein
-geodesics, plan gluing over a common base measure, generalized geodesics,
-and the plan-level pseudo-metric measured through the glued structure.
+(transportation network simplex with deterministic pivoting; each pivot
+updates the basis tree incrementally, re-walking only the subtree it
+re-hangs), Wasserstein geodesics, plan gluing over a common base measure,
+generalized geodesics, and the plan-level pseudo-metric measured through the
+glued structure.
 
 Cost convention throughout: squared Euclidean distance  c(x, y) = |x - y|^2.
 """
@@ -39,6 +41,7 @@ __all__ = [
 MARGINAL_TOL = 1e-10
 DEFAULT_SUPPORT_CAP = 512
 _RC_TOL = 1e-11  # reduced-cost optimality threshold
+_BLAND_AFTER_PER_NODE = 60  # pivots per node before Bland's rule takes over
 
 
 class TransportError(ValueError):
@@ -57,6 +60,14 @@ def _as_atomic_1d(mu) -> AtomicMeasure:
             raise TransportError("w2_1d requires 1D measures")
         return to_quantile(mu, max(1024, 8 * len(mu.values))).to_atomic()
     raise TransportError(f"unsupported measure type {type(mu)!r}")
+
+
+def _as_atomic(mu) -> AtomicMeasure:
+    if isinstance(mu, AtomicMeasure):
+        return mu
+    if isinstance(mu, GridDensity) and mu.dim == 2:
+        return mu.to_atomic()
+    return _as_atomic_1d(mu)
 
 
 def _sq_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -168,16 +179,19 @@ def w2_1d(mu, nu, return_plan: bool = True):
 # ---------------------------------------------------------------------------
 
 def _northwest_corner(a, b):
-    """Deterministic initial basic feasible solution (spanning tree)."""
+    """Deterministic initial basic feasible solution: the flows as rows of
+    Python floats and the adjacency of its spanning tree (row i is node i,
+    column j is node m + j)."""
     m, n = len(a), len(b)
-    flow = np.zeros((m, n))
-    basis = []
-    ra, rb = a.copy(), b.copy()
+    flow = [[0.0] * n for _ in range(m)]
+    adj = [[] for _ in range(m + n)]
+    ra, rb = a.tolist(), b.tolist()
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
-        flow[i, j] = t
-        basis.append((i, j))
+        flow[i][j] = t
+        adj[i].append(m + j)
+        adj[m + j].append(i)
         ra[i] -= t
         rb[j] -= t
         if i == m - 1 and j == n - 1:
@@ -188,19 +202,17 @@ def _northwest_corner(a, b):
             j += 1
         else:
             i += 1
-    return flow, basis
+    return flow, adj
 
 
-def _tree_walk(basis, cost, m, n):
-    """One walk of the basis spanning tree from row node 0.
+def _tree_walk(adj, cost, m):
+    """One full walk of the basis spanning tree from row node 0.
 
     Returns the node potentials u, v (root u_0 = 0) and the parent and
-    depth of every node; row i is node i, column j is node m + j.
+    depth of every node, as lists; raises unless the walk reaches every
+    node.
     """
-    adj = [[] for _ in range(m + n)]
-    for i, j in basis:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+    n = len(adj) - m
     u = [0.0] * m
     v = [0.0] * n
     parent = [-1] * (m + n)
@@ -221,7 +233,28 @@ def _tree_walk(basis, cost, m, n):
             stack.append(nbr)
     if min(depth) < 0:
         raise RuntimeError("basis is not a spanning tree")
-    return np.array(u), np.array(v), parent, depth
+    return u, v, parent, depth
+
+
+def _rehang(node, top, adj, cost, m, u, v, parent, depth):
+    """Hang the subtree rooted at ``node`` below ``top`` and walk only that
+    subtree, setting parent, depth and potentials by the formulas of
+    :func:`_tree_walk`.  A potential depends only on the node's path to the
+    root, so the result is the one a full walk would give."""
+    parent[node] = top
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        up = parent[node]
+        depth[node] = depth[up] + 1
+        if node >= m:
+            v[node - m] = cost[up][node - m] - u[up]
+        else:
+            u[node] = cost[node][up - m] - v[up - m]
+        for nbr in adj[node]:
+            if nbr != up:
+                parent[nbr] = node
+                stack.append(nbr)
 
 
 def _cycle_nodes(parent, depth, start, goal):
@@ -245,16 +278,20 @@ def _network_simplex(a, b, C):
     tie-breaking; after a pivot budget, Bland's rule (first negative arc
     in row-major order) guarantees termination under degeneracy.  The
     leaving arc is the first minimum-flow backward arc along the cycle.
+
+    The basis tree is walked in full once; each pivot then re-hangs only
+    the subtree cut off by the leaving arc.  At optimality a second full
+    walk must reproduce the incremental tree and potentials exactly.
     """
     m, n = C.shape
-    flow, basis = _northwest_corner(a, b)
-    cost = C.tolist()   # the tree walk indexes Python floats far faster
-    bland_after = 60 * (m + n)
+    flow, adj = _northwest_corner(a, b)
+    cost = C.tolist()   # the tree walks index Python floats far faster
+    u, v, parent, depth = _tree_walk(adj, cost, m)
+    bland_after = _BLAND_AFTER_PER_NODE * (m + n)
     max_pivots = 400 * (m + n) + 10000
     pivots = 0
     while True:
-        u, v, parent, depth = _tree_walk(basis, cost, m, n)
-        R = C - u[:, None] - v[None, :]
+        R = C - np.array(u)[:, None] - np.array(v)[None, :]
         if pivots < bland_after:
             idx = int(np.argmin(R))
             if R.flat[idx] >= -_RC_TOL:
@@ -270,35 +307,43 @@ def _network_simplex(a, b, C):
         ei, ej = divmod(idx, n)
         path = _cycle_nodes(parent, depth, ei, m + ej)
         # cycle = entering arc (+) then alternating -,+,... along the path
-        arcs = []
-        for s, t in zip(path[:-1], path[1:]):
-            i, j = (s, t - m) if s < m else (t, s - m)
-            arcs.append((i, j))
-        signs = [-1 if k % 2 == 0 else +1 for k in range(len(arcs))]
+        arcs = [(s, t - m) if s < m else (t, s - m)
+                for s, t in zip(path[:-1], path[1:])]
         theta = np.inf
         leave_idx = -1
-        for k, ((i, j), s) in enumerate(zip(arcs, signs)):
-            if s < 0 and flow[i, j] < theta - 1e-18:
-                theta = flow[i, j]
+        for k in range(0, len(arcs), 2):
+            i, j = arcs[k]
+            if flow[i][j] < theta - 1e-18:
+                theta = flow[i][j]
                 leave_idx = k
         theta = max(theta, 0.0)
-        flow[ei, ej] += theta
-        for (i, j), s in zip(arcs, signs):
-            flow[i, j] += s * theta
-            flow[i, j] = max(flow[i, j], 0.0)
-        li, lj = arcs[leave_idx]
-        basis.remove((li, lj))
-        basis.append((ei, ej))
-    return flow
+        flow[ei][ej] += theta
+        for k, (i, j) in enumerate(arcs):
+            flow[i][j] = max(flow[i][j] + (theta if k % 2 else -theta), 0.0)
+        # the leaving arc cuts off the subtree below its child endpoint,
+        # which holds exactly one end of the entering arc
+        p, q = path[leave_idx], path[leave_idx + 1]
+        adj[p].remove(q)
+        adj[q].remove(p)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        if parent[p] == q:
+            _rehang(ei, m + ej, adj, cost, m, u, v, parent, depth)
+        else:
+            _rehang(m + ej, ei, adj, cost, m, u, v, parent, depth)
+    if _tree_walk(adj, cost, m) != (u, v, parent, depth):
+        raise RuntimeError("incremental basis tree differs from a full walk")
+    return np.array(flow)
 
 
 def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
              support_cap: int = DEFAULT_SUPPORT_CAP):
-    """Exact W2 between atomic measures by linear programming."""
-    if not isinstance(mu, AtomicMeasure):
-        mu = _as_atomic_1d(mu)
-    if not isinstance(nu, AtomicMeasure):
-        nu = _as_atomic_1d(nu)
+    """Exact W2 between atomic measures by linear programming.
+
+    Other measures are atomized first: 2D grids at their cell midpoints,
+    1D measures as in :func:`w2_1d`.
+    """
+    mu, nu = _as_atomic(mu), _as_atomic(nu)
     if mu.dim != nu.dim:
         raise TransportError("dimension mismatch between measures")
     if len(mu) > support_cap or len(nu) > support_cap:

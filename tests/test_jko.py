@@ -232,6 +232,14 @@ class TestProximalStep:
         # match up to reordering: compare sorted first coordinates
         assert np.max(np.abs(np.sort(got[:, 0]) - np.sort(expect[:, 0]))) <= 1e-6
 
+    def test_2d_step_reports_residual(self, rng):
+        mu = make_atomic(rng.normal(size=(6, 2)), np.ones(6))
+        cfg = JkoConfig(tau=0.3, inner_tol=1e-9)
+        _, info = proximal_step(quadratic_energy(), mu, 0.3, cfg, return_info=True)
+        assert math.isfinite(info["residual"])
+        assert 0.0 <= info["residual"] <= cfg.inner_tol
+        assert info["residual_flag"] is False
+
     def test_2d_atom_cap(self, rng):
         pts = rng.normal(size=(80, 2))
         mu = make_atomic(pts, np.ones(80))

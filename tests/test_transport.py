@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegaflow import transport
 from omegaflow.jko import JkoError, quantile_w2
 from omegaflow.measures import GridDensity, QuantileMeasure, make_atomic, to_quantile
 from omegaflow.transport import (
@@ -364,6 +365,20 @@ class TestGridInputs:
         d = w2_1d(a, b, return_plan=False)
         assert abs(d - 1.0) <= 1e-3
 
+    def test_2d_grid_is_atomized(self, rng):
+        vals = rng.uniform(0.0, 1.0, size=(4, 5))
+        vals[1, 2] = vals[3, 0] = 0.0   # empty cells are dropped
+        g = GridDensity((-0.5, 0.25), 0.2, vals / (vals.sum() * 0.04))
+        nu = make_atomic(rng.normal(size=(7, 2)), rng.uniform(0.5, 1.5, 7))
+        ref, ref_plan = w2_exact(g.to_atomic(), nu)
+        d, plan = w2_exact(g, nu)
+        assert d == ref and np.array_equal(plan.matrix, ref_plan.matrix)
+        assert w2_exact(nu, g, return_plan=False) == \
+            w2_exact(nu, g.to_atomic(), return_plan=False)
+        assert w2(g, nu) == ref
+        with pytest.raises(TransportError, match="cap 17"):
+            w2_exact(g, nu, support_cap=17)
+
 
 class TestLargerSupports:
     def test_1d_agreement_at_64_atoms(self, rng):
@@ -464,3 +479,166 @@ class TestPinnedPlans:
         assert len(np.unique(x)) < 12
         assert hashlib.sha256(plan.matrix.tobytes()).hexdigest() == \
             "9479ec4afd899773a29762c919f351a44c023e163c8706f123c8448544e33a1e"
+
+
+# ---------------------------------------------------------------------------
+# the network simplex against a full-walk reference
+# ---------------------------------------------------------------------------
+
+def _reference_network_simplex(a, b, C, bland_per_node=60):
+    """The network simplex as it was before pivots updated the basis tree
+    incrementally: it rebuilds the tree and all potentials on each pivot."""
+    m, n = C.shape
+    flow = np.zeros((m, n))
+    basis = []
+    ra, rb = a.copy(), b.copy()
+    i = j = 0
+    while True:
+        t = min(ra[i], rb[j])
+        flow[i, j] = t
+        basis.append((i, j))
+        ra[i] -= t
+        rb[j] -= t
+        if i == m - 1 and j == n - 1:
+            break
+        if ra[i] <= rb[j] and i < m - 1:
+            i += 1
+        elif j < n - 1:
+            j += 1
+        else:
+            i += 1
+    cost = C.tolist()
+    bland_after = bland_per_node * (m + n)
+    pivots = 0
+    while True:
+        adj = [[] for _ in range(m + n)]
+        for i, j in basis:
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+        u, v = [0.0] * m, [0.0] * n
+        parent, depth = [-1] * (m + n), [-1] * (m + n)
+        depth[0] = 0
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nbr in adj[node]:
+                if depth[nbr] >= 0:
+                    continue
+                depth[nbr] = depth[node] + 1
+                parent[nbr] = node
+                if nbr >= m:
+                    v[nbr - m] = cost[node][nbr - m] - u[node]
+                else:
+                    u[nbr] = cost[nbr][node - m] - v[node - m]
+                stack.append(nbr)
+        assert min(depth) >= 0
+        R = C - np.array(u)[:, None] - np.array(v)[None, :]
+        if pivots < bland_after:
+            idx = int(np.argmin(R))
+            if R.flat[idx] >= -1e-11:
+                break
+        else:
+            neg = np.flatnonzero(R.ravel() < -1e-11)
+            if len(neg) == 0:
+                break
+            idx = int(neg[0])
+        pivots += 1
+        ei, ej = divmod(idx, n)
+        up, down = [ei], [m + ej]
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        path = up + down[-2::-1]
+        arcs = [(s, t - m) if s < m else (t, s - m)
+                for s, t in zip(path[:-1], path[1:])]
+        signs = [-1 if k % 2 == 0 else +1 for k in range(len(arcs))]
+        theta = np.inf
+        leave_idx = -1
+        for k, ((i, j), s) in enumerate(zip(arcs, signs)):
+            if s < 0 and flow[i, j] < theta - 1e-18:
+                theta = flow[i, j]
+                leave_idx = k
+        theta = max(theta, 0.0)
+        flow[ei, ej] += theta
+        for (i, j), s in zip(arcs, signs):
+            flow[i, j] += s * theta
+            flow[i, j] = max(flow[i, j], 0.0)
+        basis.remove(arcs[leave_idx])
+        basis.append((ei, ej))
+    return flow
+
+
+_LP_KINDS = ("random", "rounded", "duplicates", "near")
+
+
+def _lp_problem(seed, dim, m, n, kind, equal):
+    """Normalized weights and the squared-distance cost of one seeded problem.
+
+    ``rounded`` ties the costs, ``duplicates`` repeats atoms, and ``near``
+    moves every source atom by a small step, as the 2D proximal step does
+    (m = n and equal weights there)."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(m, dim))
+    ys = rng.normal(size=(n, dim))
+    if kind == "rounded":
+        xs, ys = np.round(xs, 1), np.round(ys, 1)
+    elif kind == "duplicates":
+        xs = xs[rng.integers(0, max(1, m // 2), m)]
+        ys = ys[rng.integers(0, max(1, n // 2), n)]
+    elif kind == "near":
+        n = m
+        ys = xs * (1.0 - 0.05 * rng.uniform()) + rng.normal(
+            scale=10.0 ** -rng.integers(2, 13), size=(m, dim))
+    wa = np.ones(m) if equal else rng.uniform(0.5, 1.5, m)
+    wb = np.ones(n) if equal or kind == "near" else rng.uniform(0.5, 1.5, n)
+    mu = make_atomic(xs if dim == 2 else xs[:, 0], wa)
+    nu = make_atomic(ys if dim == 2 else ys[:, 0], wb)
+    return (mu.weights.copy(), nu.weights.copy(),
+            transport._sq_cost_matrix(mu.points_2d(), nu.points_2d()))
+
+
+class TestNetworkSimplexReference:
+    """Pivots update the basis tree incrementally; the flows must equal,
+    bit for bit, those of the reference that walks the whole tree on every
+    pivot."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]),
+           st.integers(1, 24), st.one_of(st.sampled_from([1, 2]), st.integers(1, 24)),
+           st.sampled_from(_LP_KINDS), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_flows_bitwise_equal(self, seed, dim, m, n, kind, equal):
+        a, b, C = _lp_problem(seed, dim, m, n, kind, equal)
+        got = transport._network_simplex(a.copy(), b.copy(), C)
+        assert np.array_equal(got, _reference_network_simplex(a, b, C))
+
+    def test_bland_branch_bitwise_equal(self, monkeypatch):
+        # at these sizes the budget before Bland's rule never runs out;
+        # a zero budget pivots by Bland's rule from the first pivot on
+        monkeypatch.setattr(transport, "_BLAND_AFTER_PER_NODE", 0)
+        for k, (kind, dim, (m, n)) in enumerate(itertools.product(
+                _LP_KINDS, (1, 2), ((1, 5), (5, 1), (2, 9), (12, 12), (20, 13)))):
+            a, b, C = _lp_problem(k, dim, m, n, kind, equal=k % 3 == 0)
+            got = transport._network_simplex(a.copy(), b.copy(), C)
+            ref = _reference_network_simplex(a, b, C, bland_per_node=0)
+            assert np.array_equal(got, ref), (kind, dim, m, n)
+
+    def test_two_full_tree_walks_per_solve(self, monkeypatch):
+        # one walk builds the tree, one checks it at optimality; the
+        # pivots in between (hundreds at 64x64) re-walk only subtrees
+        walks = []
+        original = transport._tree_walk
+
+        def counting(*args):
+            walks.append(1)
+            return original(*args)
+
+        rng = np.random.default_rng(7)
+        a = make_atomic(rng.normal(size=(64, 2)), rng.uniform(0.5, 1.5, 64))
+        b = make_atomic(rng.normal(size=(64, 2)), rng.uniform(0.5, 1.5, 64))
+        monkeypatch.setattr(transport, "_tree_walk", counting)
+        w2_exact(a, b)
+        assert len(walks) == 2
