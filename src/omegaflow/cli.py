@@ -15,6 +15,7 @@ variable ``OMEGAFLOW_FIXTURES`` overrides the frozen-fixture directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -139,14 +140,10 @@ def _parse_jko(spec, path: str) -> JkoConfig:
         spec = {}
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
-    allowed = {"tau", "steps", "inner_tol", "inner_max_iter", "constraint_mode",
-               "n_nodes", "multi_start", "penalty_weights"}
-    unknown = set(spec) - allowed
+    unknown = set(spec) - {f.name for f in dataclasses.fields(JkoConfig)}
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
     try:
-        if "penalty_weights" in spec:
-            spec = dict(spec, penalty_weights=tuple(spec["penalty_weights"]))
         return JkoConfig(**spec)
     except (JkoError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
@@ -185,8 +182,6 @@ def run(config_path: str) -> int:
             artifacts = _job_rates(config)
         elif job == "verify":
             artifacts, failed = _job_verify(config)
-        elif job == "ode-audit":
-            artifacts, failed = _job_ode_audit(config)
         else:
             raise ConfigError("job", f"unknown job kind {job!r}")
     except ConfigError as exc:
@@ -203,7 +198,7 @@ def run(config_path: str) -> int:
     }
     manifest_path = outputs.get("manifest", _default_out(config_path, "manifest.json"))
     _atomic_write(manifest_path, json.dumps(manifest, indent=1) + "\n")
-    if job in ("verify", "ode-audit") and failed:
+    if job == "verify" and failed:
         return 1
     return 0
 
@@ -270,17 +265,6 @@ def _job_verify(config):
     _write_reports(report_path, reports)
     failed = [r for r in reports if not r.passed]
     return [report_path], bool(failed)
-
-
-def _job_ode_audit(config):
-    tol = float(config.get("tol", 1e-6))
-    seed = int(config.get("seed", 0))
-    reports = run_suite("ode", tol=tol, seed=seed,
-                        quick=bool(config.get("quick", True)))
-    outputs = config.get("output", {})
-    report_path = outputs.get("report", "ode_audit.json")
-    _write_reports(report_path, reports)
-    return [report_path], any(not r.passed for r in reports)
 
 
 def _sort_key(r):

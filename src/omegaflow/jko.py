@@ -36,7 +36,7 @@ from .measures import (
     make_atomic,
     to_quantile,
 )
-from .transport import same_quantile_grid, w2, w2_exact
+from .transport import geodesic, same_quantile_grid, w2, w2_exact
 
 __all__ = [
     "JkoError",
@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 ATOM_CAP_2D = 64
+# finite-p constraint penalty: weights of the continuation stages
+_PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
 
 
 class JkoError(ValueError):
@@ -65,10 +67,7 @@ class JkoConfig:
     steps: int = 1
     inner_tol: float = 1e-8
     inner_max_iter: int = 20000
-    constraint_mode: str = "exact_spacing"  # "exact_spacing" | "penalty"
     n_nodes: int = 256
-    multi_start: bool = True
-    penalty_weights: tuple = (1e2, 1e4, 1e6)
 
     def __post_init__(self):
         if self.tau < 0:
@@ -77,8 +76,6 @@ class JkoConfig:
             raise JkoError("steps must be >= 1")
         if self.inner_tol <= 0:
             raise JkoError("inner_tol must be positive")
-        if self.constraint_mode not in ("exact_spacing", "penalty"):
-            raise JkoError(f"unknown constraint mode {self.constraint_mode!r}")
 
 
 @dataclass
@@ -143,11 +140,10 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
 # quantile inner solver
 # ---------------------------------------------------------------------------
 
-def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray, cfg: JkoConfig):
+def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
     """Linear spacing lower bounds encoding the hard density caps."""
     caps = []
-    if energy.constraint is not None and energy.constraint[0] == math.inf \
-            and cfg.constraint_mode == "exact_spacing":
+    if energy.constraint is not None and energy.constraint[0] == math.inf:
         caps.append(energy.constraint[1])
     if energy.internal is not None and energy.internal[0] == "power" \
             and energy.internal[1] == math.inf:
@@ -158,7 +154,7 @@ def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray, cfg: JkoConfig):
     return cell_mass[:-1] / m_cap
 
 
-def _finite_p_penalty(energy: Energy, cfg: JkoConfig):
+def _finite_p_penalty(energy: Energy):
     if energy.constraint is None:
         return None
     p, cap = energy.constraint
@@ -239,11 +235,16 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     Returns (x, iterations, projected-gradient residual)."""
     m = objective.m
     proj = lambda v: isotonic_project(v, m, min_gaps)
+    s_probe = min(objective.tau, 1.0)
+
+    def residual(x):
+        gx = objective.grad(x) / m
+        return float(np.max(np.abs((x - proj(x - s_probe * gx)) / s_probe)))
+
     x = proj(np.asarray(x0, dtype=float))
     z = x.copy()
     t_m = 1.0
     L = max(float(np.max(m)) / objective.tau, 1e-12)
-    s_probe = min(objective.tau, 1.0)
     res = math.inf
     it = 0
     z_prev = None
@@ -280,26 +281,20 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
             f_best = fxn
             x_best = x.copy()
         if it <= 3 or it % 5 == 0 or moved <= 0.1 * tol * s_probe:
-            gx = objective.grad(x) / m
-            r = (x - proj(x - s_probe * gx)) / s_probe
-            res = float(np.max(np.abs(r)))
+            res = residual(x)
             if res <= tol:
                 break
     else:
-        gx = objective.grad(x) / m
-        r = (x - proj(x - s_probe * gx)) / s_probe
-        res = float(np.max(np.abs(r)))
+        res = residual(x)
     if objective.value(x) > f_best + 1e-12 * (1.0 + abs(f_best)):
         x = x_best
-        gx = objective.grad(x) / m
-        r = (x - proj(x - s_probe * gx)) / s_probe
-        res = float(np.max(np.abs(r)))
+        res = residual(x)
     return x, it, res
 
 
-def _multi_starts(q_prev, prev_prev, cfg, nonconvex):
+def _multi_starts(q_prev, prev_prev, nonconvex):
     starts = [q_prev.positions.copy()]
-    if not (cfg.multi_start and nonconvex):
+    if not nonconvex:
         return starts
     x = q_prev.positions
     qn = q_prev.q_nodes
@@ -314,10 +309,9 @@ def _multi_starts(q_prev, prev_prev, cfg, nonconvex):
 
 
 def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
-    min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass, cfg)
-    penalty = _finite_p_penalty(energy, cfg)
-    starts = _multi_starts(q_prev, prev_prev, cfg,
-                           not energy.convex_in_quantile())
+    min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass)
+    penalty = _finite_p_penalty(energy)
+    starts = _multi_starts(q_prev, prev_prev, not energy.convex_in_quantile())
     best = None
     for idx, x0 in enumerate(starts):
         if penalty is None:
@@ -326,11 +320,11 @@ def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
                                  cfg.inner_max_iter)
         else:
             x, its, res = np.asarray(x0, dtype=float), 0, math.inf
-            for si, w in enumerate(cfg.penalty_weights):
+            for si, w in enumerate(_PENALTY_WEIGHTS):
                 # penalty curvature ~ weight: exact stationarity is not
                 # reachable at sane budgets; feasibility is checked below
                 # and a residual flag is carried either way
-                last = si == len(cfg.penalty_weights) - 1
+                last = si == len(_PENALTY_WEIGHTS) - 1
                 stage_tol = cfg.inner_tol if last else 100.0 * cfg.inner_tol
                 stage_cap = min(cfg.inner_max_iter, 3000) if last \
                     else min(max(cfg.inner_max_iter // 4, 100), 1000)
@@ -479,21 +473,7 @@ def _resample_to_grid(q: QuantileMeasure, template: GridDensity) -> GridDensity:
 
 def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:
     """Discrete gradient flow sequence mu^0 -> mu^1 -> ... -> mu^steps."""
-    states = [mu0]
-    energies = [energy.eval(mu0)]
-    dists = []
-    diagnostics = []
-    prev_prev = None
-    for _ in range(cfg.steps):
-        new, info = proximal_step(energy, states[-1], cfg.tau, cfg,
-                                  prev_state=prev_prev, return_info=True)
-        dists.append(w2(states[-1], new))
-        prev_prev = states[-1]
-        states.append(new)
-        energies.append(energy.eval(new))
-        diagnostics.append(info)
-    return FlowTrajectory(states, np.asarray(energies), np.asarray(dists),
-                          diagnostics, cfg)
+    return flow_time_dependent(lambda k, tau: energy, mu0, cfg)
 
 
 def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
@@ -501,8 +481,7 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
 
     Step k (1-based) minimizes (1/2 tau) W2^2(mu^{k-1}, .) + E^k_tau(.)."""
     states = [mu0]
-    e0 = schedule(0, cfg.tau)
-    energies = [e0.eval(mu0)]
+    energies = [schedule(0, cfg.tau).eval(mu0)]
     dists = []
     diagnostics = []
     prev_prev = None
@@ -527,20 +506,15 @@ def quantile_w2(qa: QuantileMeasure, qb: QuantileMeasure) -> float:
 
 
 def rescaled_intermediate(mu, mu_tau, plan, h: float, tau: float):
-    """Partial displacement nu = ((tau-h)/tau * t_mu^{mu_tau} + h/tau * id) # mu."""
+    """Partial displacement nu = ((tau-h)/tau * t_mu^{mu_tau} + h/tau * id) # mu.
+
+    This is the point at (tau - h) / tau on the geodesic from ``mu`` to
+    ``mu_tau`` (:func:`transport.geodesic`): along ``plan`` when given,
+    node to node for states on one quantile grid, otherwise along the
+    optimal plan computed by :func:`transport.w2`.
+    """
     if not 0.0 <= h <= tau:
         raise JkoError("need 0 <= h <= tau")
     if tau == 0:
         return mu
-    lam = (tau - h) / tau
-    if isinstance(mu, QuantileMeasure) and isinstance(mu_tau, QuantileMeasure) \
-            and len(mu) == len(mu_tau):
-        x = lam * mu_tau.positions + (h / tau) * mu.positions
-        return mu.with_positions(x)
-    if plan is None:
-        raise JkoError("need an optimal plan for atomic intermediates")
-    xs, ys, ms = plan.pairs()
-    pts = lam * ys + (h / tau) * xs
-    if pts.shape[1] == 1:
-        pts = pts[:, 0]
-    return make_atomic(pts, ms)
+    return geodesic(mu, mu_tau, (tau - h) / tau, plan)

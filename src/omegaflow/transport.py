@@ -379,12 +379,20 @@ def w2(mu, nu, return_plan: bool = False):
     return w2_exact(mu, nu, return_plan=return_plan)
 
 
-def geodesic(mu0: AtomicMeasure, mu1: AtomicMeasure, alpha: float,
-             plan: TransportPlan | None = None) -> AtomicMeasure:
-    """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha."""
+def geodesic(mu0, mu1, alpha: float, plan: TransportPlan | None = None):
+    """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha.
+
+    ``gamma`` is ``plan`` when given.  Without a plan, two states on one
+    quantile grid (:func:`same_quantile_grid`) move node to node and the
+    result is the ``QuantileMeasure`` with positions (1-a) x + a y; other
+    pairs use the optimal plan of :func:`w2` and give an ``AtomicMeasure``.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise TransportError(f"alpha = {alpha} outside [0, 1]")
     if plan is None:
+        if same_quantile_grid(mu0, mu1):
+            return mu0.with_positions((1.0 - alpha) * mu0.positions
+                                      + alpha * mu1.positions)
         _, plan = w2(mu0, mu1, return_plan=True)
     xs, ys, ms = plan.pairs()
     pts = (1.0 - alpha) * xs + alpha * ys

@@ -37,15 +37,9 @@ from .jko import (
     proximal_step,
     rescaled_intermediate,
 )
-from .measures import (
-    AtomicMeasure,
-    GridDensity,
-    QuantileMeasure,
-    make_atomic,
-    measure_to_json,
-)
+from .measures import QuantileMeasure, make_atomic, measure_to_json
 from .moduli import Modulus, lipschitz, log_lipschitz, polynomial, sqrt_psi
-from .transport import TransportPlan, glue, w2, w2_1d, w2_exact
+from .transport import TransportPlan, geodesic, glue, w2, w2_1d, w2_exact
 
 __all__ = [
     "InequalityReport",
@@ -156,20 +150,10 @@ def _pseudo_dist_through_base(mu_a, mu_b, base) -> float:
     """W_{2,nu}(mu_a, mu_b) glued over ``base`` (equals W2 in 1D)."""
     if getattr(mu_a, "dim", 1) == 1:
         return w2(mu_a, mu_b)
-    _, plan_a = w2_exact(_to_atoms(mu_a), _to_atoms(base))
-    _, plan_b = w2_exact(_to_atoms(mu_b), _to_atoms(base))
+    _, plan_a = w2_exact(mu_a, base)
+    _, plan_b = w2_exact(mu_b, base)
     glued = glue(plan_a, plan_b)
     return math.sqrt(glued.squared_pseudo_distance())
-
-
-def _to_atoms(mu) -> AtomicMeasure:
-    if isinstance(mu, AtomicMeasure):
-        return mu
-    if isinstance(mu, QuantileMeasure):
-        return mu.to_atomic()
-    if isinstance(mu, GridDensity):
-        return mu.to_atomic()
-    raise TypeError(f"unsupported measure {type(mu)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +252,7 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
                                 ) -> InequalityReport:
     """Evolve both states to time t (n JKO steps) and compare W2 against the
     modulus-specific contraction rate with multiplicative slack."""
-    cfg = cfg or JkoConfig(tau=t / max(n, 1), steps=n)
-    cfg = replace(cfg, tau=t / max(n, 1), steps=n)
+    cfg = replace(cfg or JkoConfig(), tau=t / max(n, 1), steps=n)
     w0 = w2(mu, nu)
     if t == 0:
         return InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
@@ -325,8 +308,7 @@ def check_nstep_contraction(energy: Energy, mu, nu, t: float, n: int,
     """F_2t(W2^2(mu^n, nu^n)) <= W2^2(mu,nu) + explicit error terms (lam<=0)."""
     if modulus.lam > 0:
         return _skip(name, "n-step corollary stated for lam <= 0")
-    cfg = cfg or JkoConfig(tau=t / n, steps=n)
-    cfg = replace(cfg, tau=t / n, steps=n)
+    cfg = replace(cfg or JkoConfig(), tau=t / n, steps=n)
     tr_mu = flow(energy, mu, cfg)
     tr_nu = flow(energy, nu, cfg)
     w0 = w2(mu, nu)
@@ -367,20 +349,12 @@ def check_hwi(energy: Energy, mu0, mu1, modulus: Modulus, slope_samples,
     refined = list(slope_samples)
     for s in list(slope_samples) + [mu1]:
         for alpha in (0.3, 0.1, 0.03, 0.01):
-            refined.append(_interpolate_states(mu0, s, alpha))
+            refined.append(geodesic(mu0, s, alpha))
     slope = metric_slope_estimate(energy, mu0, refined, modulus)
     rhs = slope * w - 0.5 * modulus.lam * modulus.omega(w * w)
     return InequalityReport(name, lhs, rhs, tol,
                             context={"W2": w, "slope_estimate": slope,
                                      "refined": True})
-
-
-def _interpolate_states(a, b, alpha: float):
-    if isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure) \
-            and len(a) == len(b):
-        return a.with_positions((1.0 - alpha) * a.positions + alpha * b.positions)
-    from .transport import geodesic
-    return geodesic(_to_atoms(a), _to_atoms(b), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +393,7 @@ def check_large_small_step(energy: Energy, mu, tau: float, h: float,
         return _skip(name, "need 0 <= h <= tau", tau=tau, h=h)
     cfg = cfg or JkoConfig(tau=tau)
     mu_tau = proximal_step(energy, mu, tau, cfg)
-    nu = rescaled_intermediate(mu, mu_tau, None, h, tau) \
-        if isinstance(mu, QuantileMeasure) else None
-    if nu is None:
-        _, plan = w2(_to_atoms(mu), _to_atoms(mu_tau), return_plan=True)
-        nu = rescaled_intermediate(_to_atoms(mu), _to_atoms(mu_tau), plan, h, tau)
+    nu = rescaled_intermediate(mu, mu_tau, None, h, tau)
     back = proximal_step(energy, nu, h, cfg)
     d = w2(back, mu_tau)
     return InequalityReport(name, d, 0.0, tol,
@@ -852,10 +822,20 @@ def _suite_rates(tol: float, seed: int, quick: bool) -> list:
     return reports
 
 
-def _pair_sampler_interaction(rng, energy, n=32, cap=2.0):
+def _pair_sampler_interaction(rng, n=32, cap=2.0):
     def sample(_k):
         mu0 = feasible_random_state(rng, n, cap=cap)
         mu1 = feasible_random_state(rng, n, cap=cap)
+        return mu0, mu1, diagonal_plan(mu0, mu1)
+    return sample
+
+
+def _pinch_sampler(rng):
+    """Dirac pairs near the log-pinch singularity, one pair per draw."""
+    def sample(_k):
+        a = math.exp(-rng.uniform(1.5, 4.0))
+        b = a * math.exp(rng.uniform(-1.0, 1.0))
+        mu0, mu1 = dirac_state(a, 4), dirac_state(b, 4)
         return mu0, mu1, diagonal_plan(mu0, mu1)
     return sample
 
@@ -868,42 +848,30 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
     lam_agg = -4.0 * frozen["aggregation_cap2"]["C"]
     rep = check_omega_convexity(
         capped_aggregation_energy(2.0),
-        _pair_sampler_interaction(rng, None, n=32, cap=2.0),
+        _pair_sampler_interaction(rng, n=32, cap=2.0),
         sqrt_psi(lam_agg), trials, tol=tol, name="omega_convexity[W_inf]")
     reports.append(rep)
     lam_vm = -4.0 * frozen["vm_drift_cap2"]["C"]
     energy_vm = drift_diffusion_energy()
     rep = check_omega_convexity(
-        energy_vm, _pair_sampler_interaction(rng, None, n=32, cap=2.0),
+        energy_vm, _pair_sampler_interaction(rng, n=32, cap=2.0),
         sqrt_psi(lam_vm), trials, tol=tol, name="omega_convexity[V_m]")
     reports.append(rep)
     # adversarial wrong-modulus control on a genuinely nonconvex 1D energy
     energy_pinch = log_pinch_energy(1.0)
-
-    def pinch_sampler(k):
-        a = math.exp(-rng.uniform(1.5, 4.0))
-        b = a * math.exp(rng.uniform(-1.0, 1.0))
-        mu0, mu1 = dirac_state(a, 4), dirac_state(b, 4)
-        return mu0, mu1, diagonal_plan(mu0, mu1)
-
-    wrong = check_omega_convexity(energy_pinch, pinch_sampler, lipschitz(0.0),
-                                  50, tol=tol, name="adversarial_wrong_modulus")
+    wrong = check_omega_convexity(energy_pinch, _pinch_sampler(rng),
+                                  lipschitz(0.0), 50, tol=tol,
+                                  name="adversarial_wrong_modulus")
     # this control PASSES when a negative witness is found
     found = wrong.context["min_slack"] < -tol
     reports.append(InequalityReport(
         "adversarial_wrong_modulus_witness", 0.0 if found else 1.0, 0.0, 1e-12,
         context=wrong.context))
     lam_pinch = -frozen["log_pinch_s1"]["lambda_abs"]
-    rng2 = np.random.default_rng(seed)  # same pairs, correct modulus
-
-    def pinch_sampler2(k):
-        a = math.exp(-rng2.uniform(1.5, 4.0))
-        b = a * math.exp(rng2.uniform(-1.0, 1.0))
-        mu0, mu1 = dirac_state(a, 4), dirac_state(b, 4)
-        return mu0, mu1, diagonal_plan(mu0, mu1)
-
+    # correct modulus, on pairs drawn from a fresh generator with the seed
     reports.append(check_omega_convexity(
-        energy_pinch, pinch_sampler2, sqrt_psi(lam_pinch), 50, tol=tol,
+        energy_pinch, _pinch_sampler(np.random.default_rng(seed)),
+        sqrt_psi(lam_pinch), 50, tol=tol,
         name="omega_convexity[log_pinch]"))
     # granular quartic with its sharp polynomial certificate, including
     # pairs on the extremal ray y = -2x where the slack vanishes

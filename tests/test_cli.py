@@ -58,9 +58,10 @@ class TestRun:
         assert run(str(p)) == 2
 
     def test_unknown_job_exit_2(self, tmp_path, capsys):
-        code = run(write_config(tmp_path, "c.json", {"job": "everything"}))
-        assert code == 2
-        assert "job" in capsys.readouterr().err
+        for job in ("everything", "ode-audit"):
+            code = run(write_config(tmp_path, "c.json", {"job": job}))
+            assert code == 2, job
+            assert "job" in capsys.readouterr().err
 
     def test_unknown_jko_key_pointer(self, tmp_path, capsys):
         cfg = dict(FLOW_CONFIG)
@@ -69,12 +70,18 @@ class TestRun:
         assert code == 2
         assert "stepz" in capsys.readouterr().err
 
-    def test_removed_parametrization_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("parametrization", "grid", id="parametrization"),
+        pytest.param("constraint_mode", "penalty", id="constraint_mode"),
+        pytest.param("multi_start", False, id="multi_start"),
+        pytest.param("penalty_weights", [1.0, 10.0], id="penalty_weights"),
+    ])
+    def test_removed_jko_key_rejected(self, tmp_path, capsys, key, value):
         cfg = dict(FLOW_CONFIG)
-        cfg["jko"] = {"tau": 0.1, "steps": 2, "parametrization": "grid"}
+        cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
         code = run(write_config(tmp_path, "c.json", cfg))
         assert code == 2
-        assert "jko.parametrization" in capsys.readouterr().err
+        assert f"jko.{key}" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dict(FLOW_CONFIG)

@@ -136,7 +136,9 @@ _positions = st.one_of(st.floats(-5.0, 5.0, allow_subnormal=False),
 class TestNewtonian1dPrefixSums:
     @given(st.lists(st.tuples(_positions, st.floats(0.05, 1.0)),
                     min_size=2, max_size=40),
-           st.floats(-4.0, 4.0))
+           # a subnormal c makes the pair-matrix reference round each term
+           # as a subnormal and land one subnormal ulp off the exact value
+           st.floats(-4.0, 4.0, allow_subnormal=False))
     @settings(max_examples=150, deadline=None)
     def test_matches_pair_matrices(self, atoms, c):
         x = np.sort([a[0] for a in atoms])

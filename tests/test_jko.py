@@ -24,7 +24,7 @@ from omegaflow.jko import (
     rescaled_intermediate,
 )
 from omegaflow.measures import GridDensity, QuantileMeasure, lp_norm, make_atomic, to_quantile
-from omegaflow.transport import w2_1d, w2_exact
+from omegaflow.transport import w2, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
     dirac_state,
@@ -382,6 +382,18 @@ class TestRescaledIntermediate:
         mid = rescaled_intermediate(mu, nu, plan, 0.15, 0.3)
         # half displacement toward nu
         assert np.allclose(np.sort(mid.points), [1.0, 2.0])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_atomic_without_plan_uses_optimal_plan(self, rng, dim):
+        shape_mu, shape_nu = ((6,), (5,)) if dim == 1 else ((6, 2), (5, 2))
+        mu = make_atomic(rng.normal(size=shape_mu), rng.uniform(0.2, 1.0, 6))
+        nu = make_atomic(rng.normal(size=shape_nu), rng.uniform(0.2, 1.0, 5))
+        _, plan = w2(mu, nu, return_plan=True)
+        for h in (0.0, 0.1, 0.25, 0.3):
+            ref = rescaled_intermediate(mu, nu, plan, h, 0.3)
+            out = rescaled_intermediate(mu, nu, None, h, 0.3)
+            assert np.array_equal(out.points, ref.points)
+            assert np.array_equal(out.weights, ref.weights)
 
 
 class TestGridParametrization:

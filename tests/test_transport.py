@@ -176,6 +176,33 @@ class TestGeodesic:
         with pytest.raises(TransportError):
             geodesic(mu, mu, 1.5)
 
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_same_grid_quantiles_move_node_to_node(self, rng, n):
+        q = (np.arange(n) + 0.5) / n
+        c = np.full(n, 1.0 / n)
+        x = np.sort(rng.normal(size=n))
+        y = np.sort(rng.normal(size=n))
+        if n == 2:
+            y[:] = 0.7   # a Dirac endpoint: tied positions
+        mu, nu = QuantileMeasure(q, x, c), QuantileMeasure(q, y, c)
+        for a in (0.0, 0.3, 0.5, 1.0):
+            g = geodesic(mu, nu, a)
+            assert isinstance(g, QuantileMeasure)
+            assert np.array_equal(g.q_nodes, mu.q_nodes)
+            assert np.array_equal(g.positions, (1 - a) * x + a * y)
+            ref = geodesic(mu.to_atomic(), nu.to_atomic(), a)
+            got = g.to_atomic()
+            assert np.max(np.abs(got.points - ref.points)) <= 1e-12
+            assert np.max(np.abs(got.weights - ref.weights)) <= 1e-12
+
+    def test_quantile_pair_with_plan_is_atomic(self):
+        mu = QuantileMeasure([0.25, 0.75], [0.0, 2.0], [0.5, 0.5])
+        nu = QuantileMeasure([0.25, 0.75], [1.0, 3.0], [0.5, 0.5])
+        _, plan = w2(mu, nu, return_plan=True)
+        g = geodesic(mu, nu, 0.5, plan)
+        assert not isinstance(g, QuantileMeasure)
+        assert g.points.tolist() == [0.5, 2.5]
+
 
 class TestGluedPlan:
     def test_single_atom_base_is_product(self):
