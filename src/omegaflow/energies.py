@@ -341,9 +341,12 @@ class Energy:
     # -- pieces ---------------------------------------------------------------
 
     def potential_value(self, mu) -> float:
-        pts, w = _atoms(mu)
-        x = pts[:, 0] if pts.shape[1] == 1 else pts
-        return float(np.sum(w * np.asarray(self.potential.value(x), dtype=float)))
+        if isinstance(mu, QuantileMeasure):
+            x, w = mu.positions, mu.cell_mass
+        else:
+            pts, w = _atoms(mu)
+            x = pts[:, 0] if pts.shape[1] == 1 else pts
+        return float((w * np.asarray(self.potential.value(x), dtype=float)).sum())
 
     def interaction_value(self, mu) -> float:
         pts, w = _atoms(mu)

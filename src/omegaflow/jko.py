@@ -76,6 +76,10 @@ class JkoConfig:
             raise JkoError("steps must be >= 1")
         if self.inner_tol <= 0:
             raise JkoError("inner_tol must be positive")
+        if self.inner_max_iter < 1:
+            raise JkoError("inner_max_iter must be >= 1")
+        if self.n_nodes < 2:
+            raise JkoError("n_nodes must be >= 2")
 
 
 @dataclass
@@ -112,15 +116,14 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     n = len(v)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != n or np.any(w <= 0):
+    if len(w) != n or (w <= 0).any():
         raise JkoError("weights must be positive and match values")
-    if min_gaps is None:
-        offsets = np.zeros(n)
-    else:
+    offsets = np.zeros(n)
+    if min_gaps is not None:
         g = np.asarray(min_gaps, dtype=float)
-        if len(g) != n - 1 or np.any(g < 0):
+        if len(g) != n - 1 or (g < 0).any():
             raise JkoError("min_gaps must be nonnegative of length n-1")
-        offsets = np.concatenate([[0.0], np.cumsum(g)])
+        np.cumsum(g, out=offsets[1:])
     # PAV with a block stack: (weight sum, weighted value sum, count); the
     # loop runs on Python floats, which index far faster than numpy scalars
     bw, bs, bc = [], [], []
@@ -190,7 +193,7 @@ class _QuantileObjective:
         return self._value(qs, x), self._grad(qs, x)
 
     def _value(self, qs, x):
-        val = 0.5 / self.tau * float(np.sum(self.m * (x - self.y) ** 2))
+        val = 0.5 / self.tau * float((self.m * (x - self.y) ** 2).sum())
         if self.energy.potential is not None:
             val += self.energy.potential_value(qs)
         if self.energy.kernel is not None:
@@ -232,27 +235,32 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     """Accelerated projected gradient with Barzilai-Borwein step sizing,
     backtracking safeguard and gradient-based momentum restarts.
 
-    Returns (x, iterations, projected-gradient residual)."""
+    Evaluates each point once: the start by ``value_and_grad``, which the
+    first iteration reuses as its extrapolated point.
+
+    Returns (x, iterations, projected-gradient residual, objective at x)."""
     m = objective.m
     proj = lambda v: isotonic_project(v, m, min_gaps)
     s_probe = min(objective.tau, 1.0)
 
     def residual(x):
         gx = objective.grad(x) / m
-        return float(np.max(np.abs((x - proj(x - s_probe * gx)) / s_probe)))
+        return float(np.abs((x - proj(x - s_probe * gx)) / s_probe).max())
 
     x = proj(np.asarray(x0, dtype=float))
     z = x.copy()
     t_m = 1.0
-    L = max(float(np.max(m)) / objective.tau, 1e-12)
+    L = max(float(m.max()) / objective.tau, 1e-12)
     res = math.inf
     it = 0
     z_prev = None
     g_prev = None
     x_best = x.copy()
-    f_best = objective.value(x)
+    fz, g = objective.value_and_grad(z)
+    fx = f_best = fz
     for it in range(1, max_iter + 1):
-        fz, g = objective.value_and_grad(z)
+        if it > 1:
+            fz, g = objective.value_and_grad(z)
         if g_prev is not None:
             # BB curvature estimate; the backtracking loop repairs
             # underestimates, nonconvex directions keep the previous L
@@ -275,8 +283,8 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
             t_m = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
         z = x_new + (t_m - 1.0) / t_new * (x_new - x)
-        moved = float(np.max(np.abs(x_new - x)))
-        x, t_m = x_new, t_new
+        moved = float(np.abs(x_new - x).max())
+        x, fx, t_m = x_new, fxn, t_new
         if fxn < f_best:
             f_best = fxn
             x_best = x.copy()
@@ -286,10 +294,10 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
                 break
     else:
         res = residual(x)
-    if objective.value(x) > f_best + 1e-12 * (1.0 + abs(f_best)):
-        x = x_best
+    if fx > f_best + 1e-12 * (1.0 + abs(f_best)):
+        x, fx = x_best, f_best
         res = residual(x)
-    return x, it, res
+    return x, it, res, fx
 
 
 def _multi_starts(q_prev, prev_prev, nonconvex):
@@ -316,8 +324,8 @@ def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
     for idx, x0 in enumerate(starts):
         if penalty is None:
             objective = _QuantileObjective(energy, q_prev, tau)
-            x, its, res = _fista(objective, x0, min_gaps, cfg.inner_tol,
-                                 cfg.inner_max_iter)
+            x, its, res, val = _fista(objective, x0, min_gaps, cfg.inner_tol,
+                                      cfg.inner_max_iter)
         else:
             x, its, res = np.asarray(x0, dtype=float), 0, math.inf
             for si, w in enumerate(_PENALTY_WEIGHTS):
@@ -330,10 +338,11 @@ def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
                     else min(max(cfg.inner_max_iter // 4, 100), 1000)
                 objective = _QuantileObjective(energy, q_prev, tau,
                                                penalty=penalty, penalty_weight=w)
-                x, add_its, res = _fista(objective, x, min_gaps, stage_tol,
-                                         stage_cap)
+                x, add_its, res, _ = _fista(objective, x, min_gaps, stage_tol,
+                                            stage_cap)
                 its += add_its
-        val = _QuantileObjective(energy, q_prev, tau).value(x)
+            # the candidates compete on the unpenalized objective
+            val = _QuantileObjective(energy, q_prev, tau).value(x)
         cand = (val, idx, x, its, res)
         if best is None or cand[0] < best[0] - 1e-15:
             best = cand

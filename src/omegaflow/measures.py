@@ -66,7 +66,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise MeasureError(f"{what} contains NaN or infinite entries")
 
 
@@ -80,7 +80,7 @@ def _checked_positions(x, n: int) -> np.ndarray:
     if x.ndim != 1 or len(x) != n:
         raise MeasureError(_EQUAL_LENGTH)
     _check_finite(x, "positions")
-    if np.any(np.diff(x) < -1e-12):
+    if (x[1:] - x[:-1] < -1e-12).any():
         raise MeasureError("positions must be nondecreasing")
     return _freeze(np.maximum.accumulate(x))  # clean up -1e-13 scale noise
 

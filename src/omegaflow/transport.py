@@ -361,7 +361,8 @@ def same_quantile_grid(mu, nu) -> bool:
     """True for two QuantileMeasures on one quantile grid (nodes within 1e-12)."""
     return (isinstance(mu, QuantileMeasure) and isinstance(nu, QuantileMeasure)
             and len(mu) == len(nu)
-            and float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12)
+            and (mu.q_nodes is nu.q_nodes   # shared by with_positions
+                 or float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12))
 
 
 def w2(mu, nu, return_plan: bool = False):

@@ -252,10 +252,10 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
                                 ) -> InequalityReport:
     """Evolve both states to time t (n JKO steps) and compare W2 against the
     modulus-specific contraction rate with multiplicative slack."""
-    cfg = replace(cfg or JkoConfig(), tau=t / max(n, 1), steps=n)
     w0 = w2(mu, nu)
     if t == 0:
         return InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
+    cfg = replace(cfg or JkoConfig(), tau=t / max(n, 1), steps=n)
     lam = modulus.lam
     kind = modulus.kind
     if kind == "polynomial" and w0 > 1.0:

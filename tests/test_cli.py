@@ -83,6 +83,18 @@ class TestRun:
         assert code == 2
         assert f"jko.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        pytest.param("inner_max_iter", 0, "inner_max_iter must be >= 1",
+                     id="inner_max_iter"),
+        pytest.param("n_nodes", 1, "n_nodes must be >= 2", id="n_nodes"),
+    ])
+    def test_invalid_jko_value_exit_2(self, tmp_path, capsys, key, value,
+                                      message):
+        cfg = dict(FLOW_CONFIG)
+        cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        assert message in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dict(FLOW_CONFIG)
         cfg["output"] = {"trajectory": str(tmp_path / "a.csv")}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omegaflow
+from omegaflow import jko
 from omegaflow.energies import Energy, Kernel, POTENTIALS
 from omegaflow.jko import (
     FlowTrajectory,
@@ -31,6 +32,7 @@ from omegaflow.verify import (
     entropy_energy,
     feasible_random_state,
     ks_surrogate_energy,
+    log_pinch_energy,
     quadratic_energy,
     uniform_state,
 )
@@ -48,6 +50,11 @@ _OBJECTIVES = {
                                constraint=(4.0, 1.2)),
                         {"penalty": (4.0, 1.2), "penalty_weight": 1e4}),
 }
+
+
+def _positions_digest(traj) -> str:
+    return hashlib.sha256(b"".join(s.positions.tobytes()
+                                   for s in traj.states)).hexdigest()
 
 
 def isotonic_oracle(values, weights, min_gaps):
@@ -207,10 +214,45 @@ class TestProximalStep:
         mu0 = feasible_random_state(np.random.default_rng(2024), 64, cap=2.0)
         traj = flow(ks_surrogate_energy(), mu0,
                     JkoConfig(tau=1e-3, steps=3, inner_tol=1e-9))
-        digest = hashlib.sha256(b"".join(s.positions.tobytes()
-                                         for s in traj.states)).hexdigest()
-        assert digest == \
+        assert _positions_digest(traj) == \
             "abd91a05292b3eca2ea572380c740b4e2fab3e92a4bae3b83ac962c86e506e08"
+
+    def test_nonconvex_multi_start_flow_positions_pinned(self):
+        # log-pinch potential: nonconvex in quantile coordinates, so every
+        # step after the first runs two starts and keeps the better one;
+        # recorded before the inner solver stopped re-evaluating its points
+        traj = flow(log_pinch_energy(1.0), dirac_state(5e-3, 2),
+                    JkoConfig(tau=0.125 / 32, steps=32, inner_tol=1e-9))
+        assert _positions_digest(traj) == \
+            "686b9161e5eca408cdaac530c2ff015c54337fd84a77790f8490ffea8d406d81"
+
+    def test_step_evaluates_each_point_once(self, monkeypatch):
+        # Each projection after the start's gives one new point, a
+        # backtracking trial or a residual probe, evaluated once; each
+        # iteration evaluates its extrapolated point once, and the first
+        # iteration reuses the start's evaluation.
+        counts = dict.fromkeys(["eval", "proj"], 0)
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("value", "grad", "value_and_grad"):
+            monkeypatch.setattr(_QuantileObjective, name, counting(
+                "eval", getattr(_QuantileObjective, name)))
+        monkeypatch.setattr(jko, "isotonic_project",
+                            counting("proj", jko.isotonic_project))
+        mu = QuantileMeasure(np.array([0.25, 0.75]), np.array([-0.5, 1.0]),
+                             np.array([0.5, 0.5]))
+        out, info = proximal_step(quadratic_energy(), mu, 0.1,
+                                  JkoConfig(tau=0.1, inner_tol=1e-12),
+                                  return_info=True)
+        np.testing.assert_allclose(out.positions, mu.positions / 1.1,
+                                   rtol=0, atol=1e-12)
+        assert info["inner_iters"] == 2      # as before the change
+        assert counts["eval"] <= info["inner_iters"] + counts["proj"] - 1
 
     def test_objective_not_worse_than_stay(self):
         E = ks_surrogate_energy(2.0)
@@ -429,6 +471,17 @@ class TestPenaltyMode:
         flags = [d.get("penalty_flag", False) for d in tr.diagnostics]
         assert not any(flags)
 
+    def test_penalty_flow_positions_pinned(self):
+        # the third step runs the penalty stages (3588 inner iterations);
+        # recorded before the inner solver stopped re-evaluating its points
+        E = Energy(kernel=Kernel("newtonian", d=1, c=2.0),
+                   constraint=(4.0, 1.2))
+        traj = flow(E, uniform_state(-0.6, 0.6, 16),
+                    JkoConfig(tau=0.1, steps=3, inner_tol=1e-8))
+        assert [d["inner_iters"] for d in traj.diagnostics] == [3, 3, 3588]
+        assert _positions_digest(traj) == \
+            "9254e588359b424d10528ab43dec9c20b7f11084e182eb97151cc23e099fb354"
+
 
 class TestConfigValidation:
     def test_bad_tau(self):
@@ -438,3 +491,18 @@ class TestConfigValidation:
     def test_tau_zero_accepted(self):
         # tau = 0 is the identity map of proximal_step
         assert JkoConfig(tau=0.0).tau == 0.0
+
+    @pytest.mark.parametrize("iters", [0, -5])
+    def test_bad_inner_max_iter(self, iters):
+        # a step with no iterations would return its start, flagged
+        with pytest.raises(JkoError, match="inner_max_iter must be >= 1"):
+            JkoConfig(tau=0.1, inner_max_iter=iters)
+
+    @pytest.mark.parametrize("nodes", [0, 1])
+    def test_bad_n_nodes(self, nodes):
+        with pytest.raises(JkoError, match="n_nodes must be >= 2"):
+            JkoConfig(tau=0.1, n_nodes=nodes)
+
+    def test_smallest_budget_and_grid_accepted(self):
+        cfg = JkoConfig(tau=0.1, inner_max_iter=1, n_nodes=2)
+        assert (cfg.inner_max_iter, cfg.n_nodes) == (1, 2)

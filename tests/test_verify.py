@@ -8,6 +8,7 @@ from omegaflow.energies import Energy
 from omegaflow.jko import JkoConfig, proximal_step
 from omegaflow.measures import make_atomic
 from omegaflow.moduli import lipschitz, sqrt_psi
+from omegaflow.transport import w2
 from omegaflow.verify import (
     InequalityReport,
     check_contraction,
@@ -107,6 +108,15 @@ class TestSemigroupContraction:
                                           lipschitz(1.0))
         assert rep.passed
         assert rep.lhs == rep.rhs
+
+    def test_t_zero_with_no_steps(self):
+        # t = 0 reports W2(mu, nu) on both sides before any step count
+        # reaches a JkoConfig, so n = 0 is accepted
+        E = quadratic_energy()
+        mu, nu = dirac_state(-0.5, 2), dirac_state(1.0, 2)
+        rep = check_semigroup_contraction(E, mu, nu, 0.0, 0, lipschitz(1.0))
+        assert rep.passed
+        assert rep.lhs == rep.rhs == w2(mu, nu)
 
     def test_quadratic_rate(self):
         E = quadratic_energy()
