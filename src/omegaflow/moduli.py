@@ -13,11 +13,12 @@ Shipped kinds
                     continuity for the capped power)
 ``log_lipschitz``   omega(x) = x|log x| below the junction e^(-1-sqrt(2)),
                     sqrt(x^2 + 2(1+sqrt(2)) e^(-1-sqrt(2)) x) above
-``sqrt_psi``        omega(x) = sqrt(x psi(x)); identical to log_lipschitz
-                    as a function, but tagged for the interaction-energy
+``sqrt_psi``        sqrt(x psi(x)), which is the log_lipschitz formula; the
+                    kind is kept as a tag for the interaction-energy
                     certificates whose lambda is calibrated
 ``phi_derived``     omega built by quadrature of a sampled phi (see
-                    :func:`modulus_from_phi`)
+                    :func:`modulus_from_phi`), with linear majorant
+                    ``meta["slope"]`` x
 
 Each modulus carries a signed rate ``lam`` and exposes:
 
@@ -30,6 +31,10 @@ Each modulus carries a signed rate ``lam`` and exposes:
 * ``envelope``          the growing Bihari majorant dG/ds = om~(G) used on
                         the bound side of the error estimates
 * ``c_r``               max_{0 <= x <= r} omega_tilde(x) / sqrt(x)
+
+``tilde_flow``, ``envelope`` and ``flow`` (for the lipschitz and log
+kinds, where omega = omega_tilde) all solve the one majorant ODE
+dG/dt = rate * omega_tilde(G), at rates -lam^-, 1 and lam.
 
 Sign conventions here keep the Euler map, the exact flow, and the error
 bound mutually consistent: F_t(x) = exp(lam*t) * x for the Lipschitz kind,
@@ -47,6 +52,7 @@ import numpy as np
 
 __all__ = [
     "JUNCTION",
+    "LOG_KINDS",
     "PSI_SHIFT",
     "FlowWindowError",
     "ModulusError",
@@ -65,6 +71,9 @@ __all__ = [
 # branch junction of the log-Lipschitz modulus and of psi
 JUNCTION = math.exp(-1.0 - math.sqrt(2.0))
 PSI_SHIFT = 2.0 * (1.0 + math.sqrt(2.0)) * JUNCTION
+# kinds whose omega and omega_tilde are both the log-Lipschitz formula
+LOG_KINDS = ("log_lipschitz", "sqrt_psi")
+_KINDS = ("lipschitz", "polynomial", "phi_derived") + LOG_KINDS
 
 _QUAD_TOL = 1e-11
 _BISECT_TOL = 1e-12
@@ -149,8 +158,16 @@ class Modulus:
     lam: float
     p: float = 0.0                       # polynomial exponent, if applicable
     _omega_fn: object = field(default=None, repr=False, compare=False)
-    _omega_tilde_fn: object = field(default=None, repr=False, compare=False)
     meta: dict = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ModulusError(f"unknown modulus kind {self.kind!r}")
+        slope = self.meta.get("slope") or 0.0
+        if self.kind == "phi_derived" and not (callable(self._omega_fn)
+                                               and slope > 0.0):
+            raise ModulusError("phi_derived modulus needs an omega function "
+                               "and meta['slope'] > 0")
 
     # -- evaluators ---------------------------------------------------------
 
@@ -162,45 +179,37 @@ class Modulus:
             out = xa.copy()
         elif self.kind == "polynomial":
             out = np.where(xa <= 1.0, xa ** (self.p + 1.0), 1.0)
-        elif self.kind == "log_lipschitz":
-            out = _log_lip_omega(xa)
-        elif self.kind == "sqrt_psi":
-            out = np.sqrt(xa * psi(xa))
         elif self.kind == "phi_derived":
             out = self._omega_fn(xa)
         else:
-            raise ModulusError(f"unknown modulus kind {self.kind!r}")
+            out = _log_lip_omega(xa)
         return out if np.ndim(x) else float(out)
 
     def omega_tilde(self, x):
         xa = np.asarray(x, dtype=float)
         if np.any(xa < 0):
             raise ModulusError("omega_tilde requires x >= 0")
-        if self.kind in ("lipschitz", "polynomial"):
-            out = self.tilde_slope * xa
-        elif self.kind in ("log_lipschitz", "sqrt_psi"):
-            out = _log_lip_omega(xa)
-        elif self.kind == "phi_derived":
-            out = self._omega_tilde_fn(xa)
-        else:
-            raise ModulusError(f"unknown modulus kind {self.kind!r}")
+        slope = self.tilde_slope
+        out = _log_lip_omega(xa) if slope is None else slope * xa
         return out if np.ndim(x) else float(out)
 
     @property
-    def tilde_slope(self) -> float:
-        """Slope of the linear majorant (1 for lipschitz, p+1 for the
-        capped power, whose sharp Lipschitz constant is p+1)."""
+    def tilde_slope(self) -> float | None:
+        """Slope of the linear majorant, or None for the log family.
+
+        1 for lipschitz, p+1 for the capped power (its sharp Lipschitz
+        constant), ``meta["slope"]`` for phi_derived."""
+        if self.kind == "lipschitz":
+            return 1.0
         if self.kind == "polynomial":
             return self.p + 1.0
-        return 1.0
+        if self.kind == "phi_derived":
+            return self.meta["slope"]
+        return None
 
     @property
     def lam_minus(self) -> float:
         return max(0.0, -self.lam)
-
-    @property
-    def lam_plus(self) -> float:
-        return max(0.0, self.lam)
 
     # -- Euler maps ---------------------------------------------------------
 
@@ -225,8 +234,9 @@ class Modulus:
         if self.kind == "lipschitz":
             return x
         if self.kind == "polynomial":
-            return x ** (self.p + 1.0) if x <= 1.0 else 1.0
-        if self.kind in ("log_lipschitz", "sqrt_psi"):
+            # np.power as in omega: libm's pow can differ in the last bit
+            return float(np.power(x, self.p + 1.0)) if x <= 1.0 else 1.0
+        if self.kind in LOG_KINDS:
             if x <= JUNCTION:
                 return x * abs(math.log(x))
             return math.sqrt(x * x + PSI_SHIFT * x)
@@ -263,17 +273,15 @@ class Modulus:
         """Existence window T(x) for the flow from x (inf when global)."""
         if self.lam <= 0 or x <= 0:
             return math.inf
-        if self.kind == "lipschitz":
-            return math.inf
         if self.kind == "polynomial":
             if x >= 1.0 or self.p == 0.0:
                 return math.inf
             return (x ** (-self.p) - 1.0) / (self.lam * self.p)
-        if self.kind in ("log_lipschitz", "sqrt_psi"):
+        if self.kind in LOG_KINDS:
             if x > JUNCTION:
                 return math.inf
             return math.log(math.log(x) / (-1.0 - math.sqrt(2.0))) / self.lam
-        return math.inf  # capped phi_derived grows at most linearly
+        return math.inf  # linear growth; capped phi_derived at most linear
 
     def flow(self, t: float, x: float) -> float:
         """Exact flow F_t(x) of dF/dt = lam * omega(F), F_0 = x."""
@@ -286,14 +294,11 @@ class Modulus:
         window = self.flow_window(x)
         if t >= window:
             raise FlowWindowError(t, window)
-        lam = self.lam
-        if self.kind == "lipschitz":
-            return x * math.exp(lam * t)
         if self.kind == "polynomial":
             return self._flow_polynomial(t, x)
-        if self.kind in ("log_lipschitz", "sqrt_psi"):
-            return self._flow_log_lipschitz(t, x)
-        return self._flow_numeric(t, x, self.omega, lam)
+        if self.kind == "phi_derived":
+            return self._flow_numeric(t, x)
+        return self._majorant_flow(self.lam, t, x)  # omega = omega_tilde
 
     def _flow_polynomial(self, t: float, x: float) -> float:
         lam, p = self.lam, self.p
@@ -332,37 +337,41 @@ class Modulus:
         k = math.acosh(1.0 + 2.0 * y / c)
         return 0.5 * c * (math.cosh(k + s) - 1.0)
 
-    @staticmethod
-    def _cosh_time_to_junction(y: float) -> float:
-        """Time for the unit-rate upper-branch flow to decay from y to the
-        junction."""
-        c = PSI_SHIFT
-        return math.acosh(1.0 + 2.0 * y / c) \
-            - math.acosh(1.0 + 2.0 * JUNCTION / c)
+    def _majorant_flow(self, rate: float, t: float, x: float) -> float:
+        """G_t(x) of dG/dt = rate * omega_tilde(G), G_0 = x, for t, x > 0.
 
-    def _flow_log_lipschitz(self, t: float, x: float) -> float:
-        lam = self.lam
+        Exponential for a linear majorant; for the log family the power
+        branch x^exp(-rate t) below the junction and the cosh branch above
+        it, crossing the junction in the direction of motion."""
+        slope = self.tilde_slope
+        if slope is not None:
+            return x * math.exp(rate * slope * t)
         if x <= JUNCTION:
-            return x ** math.exp(-lam * t)  # same form for both signs
-        if lam < 0:
-            t_cross = self._cosh_time_to_junction(x) / (-lam)
-            if t <= t_cross:
-                return self._cosh_branch(lam * t, x)
-            rest = t - t_cross
-            return JUNCTION ** math.exp(-lam * rest)
-        return self._cosh_branch(lam * t, x)
+            if rate > 0:
+                t_cross = math.log(math.log(x) / math.log(JUNCTION)) / rate
+                if t > t_cross:
+                    return self._cosh_branch(rate * (t - t_cross), JUNCTION)
+            return x ** math.exp(-rate * t)
+        if rate < 0:
+            # time for the cosh branch to decay from x to the junction
+            c = PSI_SHIFT
+            t_cross = (math.acosh(1.0 + 2.0 * x / c)
+                       - math.acosh(1.0 + 2.0 * JUNCTION / c)) / -rate
+            if t > t_cross:
+                return JUNCTION ** math.exp(-rate * (t - t_cross))
+        return self._cosh_branch(rate * t, x)
 
-    def _time_to_reach(self, x: float, y: float) -> float:
-        """|int_x^y dz / (lam omega(z))| for same-branch endpoints."""
-        val = adaptive_simpson(lambda z: 1.0 / self.omega(z), x, y)
-        return val / self.lam
+    def _flow_numeric(self, t: float, x: float) -> float:
+        """Solve int_x^y dz / omega(z) = lam * t for y by bracket + bisection."""
+        target = self.lam * t
 
-    def _flow_numeric(self, t: float, x: float, om, lam: float) -> float:
-        """Solve int_x^y dz / om(z) = lam * t for y by bracket + bisection."""
-        target = lam * t
+        def inv(z):
+            return 1.0 / self.omega(z)
 
         def T(y):
-            return self._branch_integral(om, x, y)
+            if y < x:
+                return -adaptive_simpson(inv, y, x)
+            return adaptive_simpson(inv, x, y)
 
         if target > 0:
             hi = max(2.0 * x, 1.0)
@@ -392,20 +401,6 @@ class Modulus:
                 break
         return 0.5 * (lo + hi)
 
-    def _branch_integral(self, om, a: float, b: float) -> float:
-        """int_a^b dz/om(z), split at the branch junction when crossed."""
-        if a == b:
-            return 0.0
-        sign = 1.0
-        if a > b:
-            a, b, sign = b, a, -1.0
-        f = lambda z: 1.0 / om(z)
-        if a < JUNCTION < b and self.kind in ("log_lipschitz", "sqrt_psi"):
-            val = adaptive_simpson(f, a, JUNCTION) + adaptive_simpson(f, JUNCTION, b)
-        else:
-            val = adaptive_simpson(f, a, b)
-        return sign * val
-
     # -- comparison flows used on the bound side ----------------------------
 
     def tilde_flow(self, t: float, x: float) -> float:
@@ -415,19 +410,7 @@ class Modulus:
         lm = self.lam_minus
         if lm == 0.0 or t == 0.0 or x == 0.0:
             return float(x)
-        if self.kind in ("lipschitz", "polynomial"):
-            return x * math.exp(-lm * self.tilde_slope * t)
-        if self.kind in ("log_lipschitz", "sqrt_psi"):
-            if x <= JUNCTION:
-                return x ** math.exp(lm * t)
-            t_cross = self._cosh_time_to_junction(x) / lm
-            if t <= t_cross:
-                return self._cosh_branch(-lm * t, x)
-            return JUNCTION ** math.exp(lm * (t - t_cross))
-        slope = self.meta.get("slope")
-        if slope:  # linear majorant: exponential comparison flow
-            return x * math.exp(-lm * slope * t)
-        return self._flow_numeric(t, x, self.omega_tilde, -lm)
+        return self._majorant_flow(-lm, t, x)
 
     def envelope(self, s: float, y: float) -> float:
         """Growing Bihari majorant G_s(y) of dG/ds = omega_tilde(G)."""
@@ -435,22 +418,7 @@ class Modulus:
             raise ModulusError("envelope requires s, y >= 0")
         if y == 0.0 or s == 0.0:
             return float(y)
-        if self.kind in ("lipschitz", "polynomial"):
-            return y * math.exp(self.tilde_slope * s)
-        if self.kind in ("log_lipschitz", "sqrt_psi"):
-            if y <= JUNCTION:
-                s_cross = math.log(math.log(y) / math.log(JUNCTION))
-                if s <= s_cross:
-                    return y ** math.exp(-s)
-                y = JUNCTION
-                s = s - s_cross
-                if s == 0.0:
-                    return y
-            return self._cosh_branch(s, y)
-        slope = self.meta.get("slope")
-        if slope:
-            return y * math.exp(slope * s)
-        return self._flow_numeric(s, y, self.omega_tilde, 1.0)
+        return self._majorant_flow(1.0, s, y)
 
     def euler_error_bound(self, t: float, x: float, steps: int) -> float:
         """Bound on |F_t(x) - f^(steps)_{t/steps}(x)|.
@@ -474,14 +442,15 @@ class Modulus:
     def c_r(self, r: float) -> float:
         """max over 0 <= x <= r of omega_tilde(x)/sqrt(x).
 
-        Closed form sqrt(r) for linear majorants; grid maximization over a
-        fixed master grid (so the result is nondecreasing in r) with a 1.01
-        safety factor otherwise.
+        Closed form slope * sqrt(r) for linear majorants; for the log family
+        grid maximization over a fixed master grid (so the result is
+        nondecreasing in r) with a 1.01 safety factor.
         """
         if r < 1.0:
             raise ModulusError("c_r requires r >= 1")
-        if self.kind in ("lipschitz", "polynomial"):
-            return self.tilde_slope * math.sqrt(r)
+        slope = self.tilde_slope
+        if slope is not None:
+            return slope * math.sqrt(r)
         grid = _master_grid()
         pts = grid[grid <= r]
         pts = np.append(pts, r)
@@ -613,14 +582,7 @@ def modulus_from_phi(s_samples, phi_samples, sign: int,
     else:
         pos = s > 0
         slope = float(np.max(-ph[pos] / s[pos]))
-    if slope <= 0:
-        raise ModulusError("degenerate phi slope")
-
-    def omega_tilde_fn(x):
-        return slope * np.asarray(x, dtype=float)
-
     mod = Modulus("phi_derived", lam, _omega_fn=omega_fn,
-                  _omega_tilde_fn=omega_tilde_fn,
                   meta={"slope": slope, "sign": sign})
     mod.validate()
     return mod
@@ -637,15 +599,11 @@ def modulus_from_json(data) -> Modulus:
         data = json.loads(data)
     kind = data.get("kind")
     lam = float(data.get("lambda", data.get("lam", 0.0)))
-    if kind == "lipschitz":
-        return lipschitz(lam)
+    if kind not in ("lipschitz", "polynomial") + LOG_KINDS:
+        raise ModulusError(f"unknown modulus kind {kind!r}")
     if kind == "polynomial":
         return polynomial(float(data.get("p", 1.0)), lam)
-    if kind == "log_lipschitz":
-        return log_lipschitz(lam)
-    if kind == "sqrt_psi":
-        return sqrt_psi(lam)
-    raise ModulusError(f"unknown modulus kind {kind!r}")
+    return Modulus(kind, lam)
 
 
 def modulus_to_json(mod: Modulus) -> dict:

@@ -31,6 +31,7 @@ from .energies import (
 )
 from .jko import (
     JkoConfig,
+    JkoError,
     flow,
     flow_time_dependent,
     isotonic_project,
@@ -38,7 +39,15 @@ from .jko import (
     rescaled_intermediate,
 )
 from .measures import QuantileMeasure, make_atomic, measure_to_json
-from .moduli import Modulus, lipschitz, log_lipschitz, polynomial, sqrt_psi
+from .moduli import (
+    JUNCTION,
+    LOG_KINDS,
+    Modulus,
+    lipschitz,
+    log_lipschitz,
+    polynomial,
+    sqrt_psi,
+)
 from .transport import TransportPlan, geodesic, glue, w2, w2_1d, w2_exact
 
 __all__ = [
@@ -119,7 +128,7 @@ class RateStudy:
 
     def monotone(self) -> bool:
         e = np.asarray(self.errors)
-        return bool(np.all(np.diff(e) <= 1e-12 + 0.0 * e[:-1]))
+        return bool(np.all(np.diff(e) <= 1e-12))
 
     def below_envelope(self) -> bool:
         return all(e <= self.c_star * b * (1.0 + 1e-9) + 1e-15
@@ -260,9 +269,8 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
     kind = modulus.kind
     if kind == "polynomial" and w0 > 1.0:
         return _skip(name, "W2(0) > 1 outside the polynomial rate window", W0=w0)
-    if kind in ("log_lipschitz", "sqrt_psi"):
-        junction = math.exp(-1.0 - math.sqrt(2.0))
-        if w0 > junction:
+    if kind in LOG_KINDS:
+        if w0 > JUNCTION:
             return _skip(name, "W2(0) above the log-Lipschitz junction", W0=w0)
         if lam < 0:
             window = math.log(math.log(w0**2) / (-1.0 - math.sqrt(2.0))) \
@@ -306,6 +314,8 @@ def check_nstep_contraction(energy: Energy, mu, nu, t: float, n: int,
                             tol: float = DEFAULT_TOL,
                             name: str = "nstep_contraction") -> InequalityReport:
     """F_2t(W2^2(mu^n, nu^n)) <= W2^2(mu,nu) + explicit error terms (lam<=0)."""
+    if n < 1:
+        raise JkoError("steps must be >= 1")
     if modulus.lam > 0:
         return _skip(name, "n-step corollary stated for lam <= 0")
     cfg = replace(cfg or JkoConfig(), tau=t / n, steps=n)
@@ -473,7 +483,7 @@ def rate_study(energy: Energy, mu0, t: float, n_list, modulus: Modulus,
             tr = flow(energy, mu0, replace(cfg, tau=t / n, steps=n))
             cache[n] = w2(tr.states[-1], ref)
     errors = [cache[n] for n in n_list]
-    if modulus.kind in ("log_lipschitz", "sqrt_psi"):
+    if modulus.kind in LOG_KINDS:
         expo = 1.0 / (2.0 * math.exp(2.0 * modulus.lam_minus * t))
         bounds = [(n ** -0.5 * math.log(n)) ** expo for n in n_list]
         bound_name = "[n^-1/2 log n]^(1/(2 exp(2 lam- t)))"
@@ -857,9 +867,12 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
         energy_vm, _pair_sampler_interaction(rng, n=32, cap=2.0),
         sqrt_psi(lam_vm), trials, tol=tol, name="omega_convexity[V_m]")
     reports.append(rep)
-    # adversarial wrong-modulus control on a genuinely nonconvex 1D energy
+    # adversarial wrong-modulus control on a genuinely nonconvex 1D energy,
+    # then the correct modulus on the same pairs
     energy_pinch = log_pinch_energy(1.0)
-    wrong = check_omega_convexity(energy_pinch, _pinch_sampler(rng),
+    pinch = _pinch_sampler(rng)
+    pinch_pairs = [pinch(k) for k in range(50)]
+    wrong = check_omega_convexity(energy_pinch, pinch_pairs.__getitem__,
                                   lipschitz(0.0), 50, tol=tol,
                                   name="adversarial_wrong_modulus")
     # this control PASSES when a negative witness is found
@@ -868,9 +881,8 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
         "adversarial_wrong_modulus_witness", 0.0 if found else 1.0, 0.0, 1e-12,
         context=wrong.context))
     lam_pinch = -frozen["log_pinch_s1"]["lambda_abs"]
-    # correct modulus, on pairs drawn from a fresh generator with the seed
     reports.append(check_omega_convexity(
-        energy_pinch, _pinch_sampler(np.random.default_rng(seed)),
+        energy_pinch, pinch_pairs.__getitem__,
         sqrt_psi(lam_pinch), 50, tol=tol,
         name="omega_convexity[log_pinch]"))
     # granular quartic with its sharp polynomial certificate, including

@@ -1,11 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omegaflow.moduli import (
     JUNCTION,
+    LOG_KINDS,
     PSI_SHIFT,
     FlowWindowError,
     Modulus,
@@ -392,3 +394,204 @@ class TestPhiDerivedFlows:
         mod = modulus_from_phi(s, -s, -1)  # lam = -1, omega ~ x below cap
         got = mod.flow(0.7, 0.4)
         assert got == pytest.approx(0.4 * math.exp(-0.7), rel=1e-6)
+
+
+class TestConstruction:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ModulusError, match="unknown modulus kind"):
+            Modulus("mystery", 1.0)
+
+    @pytest.mark.parametrize("meta", [{}, {"slope": 0.0}, {"slope": -1.0},
+                                      {"slope": math.nan}])
+    def test_phi_derived_needs_positive_slope(self, meta):
+        with pytest.raises(ModulusError, match="slope"):
+            Modulus("phi_derived", 1.0, _omega_fn=lambda x: x, meta=meta)
+
+    def test_tilde_slope_is_the_linear_majorant_test(self):
+        assert lipschitz(-1.0).tilde_slope == 1.0
+        assert polynomial(2.0, -1.0).tilde_slope == 3.0
+        assert _phi_modulus(+1).tilde_slope == _phi_modulus(+1).meta["slope"]
+        for kind in LOG_KINDS:
+            assert Modulus(kind, -1.0).tilde_slope is None
+
+
+# -- reference: the per-method flow ladders the majorant flow replaced ------
+
+def _ref_cosh_branch(s, y):
+    c = PSI_SHIFT
+    k = math.acosh(1.0 + 2.0 * y / c)
+    return 0.5 * c * (math.cosh(k + s) - 1.0)
+
+
+def _ref_cosh_time_to_junction(y):
+    c = PSI_SHIFT
+    return math.acosh(1.0 + 2.0 * y / c) \
+        - math.acosh(1.0 + 2.0 * JUNCTION / c)
+
+
+def _ref_old_slope(mod):
+    return mod.p + 1.0 if mod.kind == "polynomial" else 1.0
+
+
+def _ref_flow_numeric(mod, t, x):
+    target = mod.lam * t
+
+    def T(b):
+        a, sign = x, 1.0
+        if a == b:
+            return 0.0
+        if a > b:
+            a, b, sign = b, a, -1.0
+        return sign * adaptive_simpson(lambda z: 1.0 / mod.omega(z), a, b)
+
+    if target > 0:
+        hi = max(2.0 * x, 1.0)
+        while T(hi) < target:
+            hi *= 2.0
+        lo = x
+    else:
+        lo = 0.5 * x
+        while T(lo) > target:
+            lo *= 0.5
+        hi = x
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if T(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def ref_flow(mod, t, x):
+    lam = mod.lam
+    if t == 0 or x == 0 or lam == 0:
+        return float(x)
+    if mod.kind == "lipschitz":
+        return x * math.exp(lam * t)
+    if mod.kind == "polynomial":
+        return mod._flow_polynomial(t, x)
+    if mod.kind in ("log_lipschitz", "sqrt_psi"):
+        if x <= JUNCTION:
+            return x ** math.exp(-lam * t)
+        if lam < 0:
+            t_cross = _ref_cosh_time_to_junction(x) / (-lam)
+            if t <= t_cross:
+                return _ref_cosh_branch(lam * t, x)
+            rest = t - t_cross
+            return JUNCTION ** math.exp(-lam * rest)
+        return _ref_cosh_branch(lam * t, x)
+    return _ref_flow_numeric(mod, t, x)
+
+
+def ref_tilde_flow(mod, t, x):
+    lm = max(0.0, -mod.lam)
+    if lm == 0.0 or t == 0.0 or x == 0.0:
+        return float(x)
+    if mod.kind in ("lipschitz", "polynomial"):
+        return x * math.exp(-lm * _ref_old_slope(mod) * t)
+    if mod.kind in ("log_lipschitz", "sqrt_psi"):
+        if x <= JUNCTION:
+            return x ** math.exp(lm * t)
+        t_cross = _ref_cosh_time_to_junction(x) / lm
+        if t <= t_cross:
+            return _ref_cosh_branch(-lm * t, x)
+        return JUNCTION ** math.exp(lm * (t - t_cross))
+    return x * math.exp(-lm * mod.meta["slope"] * t)
+
+
+def ref_envelope(mod, s, y):
+    if y == 0.0 or s == 0.0:
+        return float(y)
+    if mod.kind in ("lipschitz", "polynomial"):
+        return y * math.exp(_ref_old_slope(mod) * s)
+    if mod.kind in ("log_lipschitz", "sqrt_psi"):
+        if y <= JUNCTION:
+            s_cross = math.log(math.log(y) / math.log(JUNCTION))
+            if s <= s_cross:
+                return y ** math.exp(-s)
+            y = JUNCTION
+            s = s - s_cross
+            if s == 0.0:
+                return y
+        return _ref_cosh_branch(s, y)
+    return y * math.exp(mod.meta["slope"] * s)
+
+
+def ref_euler_error_bound(mod, t, x, steps):
+    if mod.lam == 0.0:
+        return 0.0
+    al = abs(mod.lam)
+    if mod.lam > 0:
+        seed = al * t * mod.omega(ref_flow(mod, t, x)) / steps
+    else:
+        seed = al * t * mod.omega(x) / steps
+    return ref_envelope(mod, al * t, seed)
+
+
+_PHI_S = np.linspace(0.0, 1.5, 300)
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_modulus(sign):
+    if sign > 0:
+        return modulus_from_phi(_PHI_S, _PHI_S, +1)
+    return modulus_from_phi(_PHI_S[:201], -_PHI_S[:201], -1)
+
+
+def _make(kind, lam, p):
+    if kind == "lipschitz":
+        return lipschitz(lam)
+    if kind == "polynomial":
+        return polynomial(p, lam)
+    if kind == "phi_derived":
+        return _phi_modulus(+1 if lam > 0 else -1)
+    return Modulus(kind, lam)
+
+
+KINDS = ["lipschitz", "polynomial", "log_lipschitz", "sqrt_psi", "phi_derived"]
+RATES = st.one_of(st.just(0.0), st.floats(-3.0, -0.01), st.floats(0.01, 3.0))
+EXPONENTS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+# both sides of the log-family junction, the junction itself included
+X_BOTH_SIDES = st.one_of(st.floats(1e-12, JUNCTION), st.floats(JUNCTION, 10.0))
+
+
+class TestMajorantFlowReference:
+    @given(kind=st.sampled_from(KINDS), lam=RATES, p=EXPONENTS,
+           x=X_BOTH_SIDES, frac=st.floats(0.0, 1.0),
+           steps=st.integers(1, 1000))
+    @settings(max_examples=300, deadline=None)
+    def test_flows_bitwise_equal_to_reference(self, kind, lam, p, x, frac,
+                                              steps):
+        mod = _make(kind, lam, p)
+        window = mod.flow_window(x)
+        t = frac * min(window, 3.0)
+        assume(t < window)
+        assert mod.tilde_flow(t, x) == ref_tilde_flow(mod, t, x)
+        assert mod.envelope(t, x) == ref_envelope(mod, t, x)
+        if kind == "phi_derived":  # its flow is the slow numeric inversion
+            if mod.lam < 0:
+                assert mod.euler_error_bound(t, x, steps) \
+                    == ref_euler_error_bound(mod, t, x, steps)
+            return
+        assert mod.flow(t, x) == ref_flow(mod, t, x)
+        assert mod.euler_error_bound(t, x, steps) \
+            == ref_euler_error_bound(mod, t, x, steps)
+
+    @pytest.mark.parametrize("sign,x", [(+1, 0.4), (+1, 2.0), (-1, 0.01),
+                                        (-1, 2.0)])
+    def test_phi_derived_flow_bitwise_equal_to_reference(self, sign, x):
+        mod = _phi_modulus(sign)
+        assert mod.flow(0.7, x) == ref_flow(mod, 0.7, x)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [-2.0, 0.7])
+    def test_one_scalar_euler_iterate_is_one_euler_step(self, kind, lam):
+        # the scalar loop's omega and the array omega are one formula
+        mod = _make(kind, lam, 1.5)
+        xs = np.concatenate([np.geomspace(1e-12, 10.0, 300),
+                             np.linspace(0.0, 3.0, 301)])
+        for x in xs.tolist():
+            assert mod.euler_iterate(0.3, x, 1) == mod.euler_step(0.3, x), x

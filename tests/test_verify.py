@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from omegaflow import verify
 from omegaflow.energies import Energy
-from omegaflow.jko import JkoConfig, proximal_step
+from omegaflow.jko import JkoConfig, JkoError, proximal_step
 from omegaflow.measures import make_atomic
 from omegaflow.moduli import lipschitz, sqrt_psi
 from omegaflow.transport import w2
@@ -15,6 +16,7 @@ from omegaflow.verify import (
     check_discrete_evi,
     check_hwi,
     check_large_small_step,
+    check_nstep_contraction,
     check_omega_convexity,
     check_semigroup_contraction,
     diagonal_plan,
@@ -130,6 +132,15 @@ class TestSemigroupContraction:
             math.exp(-0.5), rel=2e-3)
 
 
+class TestNstepContraction:
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_steps_rejected(self, t, n):
+        with pytest.raises(JkoError, match="steps must be >= 1"):
+            check_nstep_contraction(quadratic_energy(), dirac_state(0.0, 2),
+                                    dirac_state(1.0, 2), t, n, lipschitz(-1.0))
+
+
 class TestHwi:
     def test_identical_endpoints(self):
         E = quadratic_energy()
@@ -195,6 +206,36 @@ class TestOmegaConvexity:
         rep = check_omega_convexity(E, sampler, lipschitz(0.0), 5, tol=1e-8)
         assert not rep.passed
         assert "witness_mu0" in rep.context
+
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_pinch_certificate_sees_the_control_pairs(self, monkeypatch, seed):
+        # the wrong-modulus control and the log-pinch certificate must be
+        # evaluated on the same list of pairs
+        seen = {}
+        check = verify.check_omega_convexity
+
+        def spy(energy, sampler, modulus, trials, tol=1e-6,
+                name="omega_convexity"):
+            pairs = seen.setdefault(name, [])
+
+            def recording(k):
+                pair = sampler(k)
+                pairs.append(pair)
+                return pair
+            return check(energy, recording, modulus, trials, tol=tol, name=name)
+
+        monkeypatch.setattr(verify, "check_omega_convexity", spy)
+        reports = verify._suite_convexity(1e-6, seed, True)
+        control = seen["adversarial_wrong_modulus"]
+        certificate = seen["omega_convexity[log_pinch]"]
+        assert len(control) == len(certificate) == 50
+        for (a0, a1, _), (b0, b1, _) in zip(control, certificate):
+            assert np.array_equal(a0.positions, b0.positions)
+            assert np.array_equal(a1.positions, b1.positions)
+        by_name = {r.name: r for r in reports}
+        assert by_name["adversarial_wrong_modulus_witness"].passed
+        assert by_name["omega_convexity[log_pinch]"].passed
 
 
 class TestLargeSmallStep:
