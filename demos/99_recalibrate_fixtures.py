@@ -22,7 +22,7 @@ import numpy as np
 
 from omegaflow.energies import Kernel, calibrate_interaction_constant, psi
 from omegaflow.jko import JkoConfig
-from omegaflow.moduli import lipschitz, polynomial, sqrt_psi
+from omegaflow.moduli import JUNCTION, lipschitz, polynomial, sqrt_psi
 from omegaflow.verify import (
     dirac_state,
     drift_diffusion_energy,
@@ -79,7 +79,7 @@ def main() -> None:
     pts = np.random.default_rng(2).uniform(-3.0, 3.0, size=(2000, 2))
     c_vm = potential_constant(drift_diffusion_energy(), pts)
 
-    j = math.sqrt(math.exp(-1.0 - math.sqrt(2.0)))
+    j = math.sqrt(JUNCTION)
     r3 = np.random.default_rng(3)
     mag = np.exp(r3.uniform(math.log(1e-8), math.log(j), size=(8000, 2)))
     sgn = np.random.default_rng(4).choice([-1.0, 1.0], size=(8000, 2))

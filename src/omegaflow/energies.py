@@ -42,7 +42,7 @@ from .measures import (
     gaps_adjoint,
     lp_norm,
 )
-from .moduli import Modulus, psi
+from .moduli import JUNCTION, Modulus, psi
 from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
@@ -245,7 +245,7 @@ def _log_pinch(strength: float):
     Closed form below the branch junction: V(x) = -(s/4) x^2 (1 - 2 log|x|).
     """
     s = float(strength)
-    j = math.sqrt(math.exp(-1.0 - math.sqrt(2.0)))
+    j = math.sqrt(JUNCTION)
 
     def val(x):
         x = np.abs(np.asarray(x, dtype=float))

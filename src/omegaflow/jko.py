@@ -111,7 +111,10 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
 
     The affine substitution z_i = x_i - sum_{j<i} min_gaps_j reduces the
     problem to plain isotonic regression, solved exactly by
-    pool-adjacent-violators.
+    pool-adjacent-violators.  Every block before the first pair that pools
+    is a single atom, so one vectorized test of the merge predicate on
+    adjacent atoms finds that pair: feasible input returns at once, and
+    otherwise the PAV loop starts there on a stack of singletons.
     """
     v = np.asarray(values, dtype=float)
     n = len(v)
@@ -124,11 +127,19 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
         if len(g) != n - 1 or (g < 0).any():
             raise JkoError("min_gaps must be nonnegative of length n-1")
         np.cumsum(g, out=offsets[1:])
-    # PAV with a block stack: (weight sum, weighted value sum, count); the
-    # loop runs on Python floats, which index far faster than numpy scalars
-    bw, bs, bc = [], [], []
-    for wi, zi in zip(w.tolist(), (v - offsets).tolist()):
-        sw, ss, cnt = wi, wi * zi, 1
+    wz = w * (v - offsets)
+    # the loop's merge predicate on two single-atom blocks, same products
+    pools = wz[:-1] * w[1:] > wz[1:] * w[:-1]
+    if not pools.any():
+        return np.divide(wz, w) + offsets
+    # PAV with a block stack: (weight sum, weighted value sum, count),
+    # seeded with the singletons before atom k, which pools with atom k-1;
+    # the loop runs on Python floats, which index far faster than numpy
+    # scalars
+    k = int(pools.argmax()) + 1
+    bw, bs, bc = w[:k].tolist(), wz[:k].tolist(), [1] * k
+    for sw, ss in zip(w[k:].tolist(), wz[k:].tolist()):
+        cnt = 1
         while bw and bs[-1] * sw > ss * bw[-1]:
             sw += bw.pop()
             ss += bs.pop()
@@ -177,9 +188,15 @@ class _QuantileObjective:
         self.tau = tau
         self.penalty = penalty
         self.pw = penalty_weight
+        self._x = self._qs = None
 
     def state(self, x):
-        return self.q.with_positions(x)
+        """The state at positions ``x``.  The last one is kept, keyed on the
+        array object, so a residual probe right after ``value(x)`` reuses
+        it; callers never change an evaluated array in place."""
+        if x is not self._x:
+            self._x, self._qs = x, self.q.with_positions(x)
+        return self._qs
 
     def value(self, x):
         return self._value(self.state(x), x)
@@ -342,12 +359,13 @@ def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
                                             stage_cap)
                 its += add_its
             # the candidates compete on the unpenalized objective
-            val = _QuantileObjective(energy, q_prev, tau).value(x)
-        cand = (val, idx, x, its, res)
+            objective = _QuantileObjective(energy, q_prev, tau)
+            val = objective.value(x)
+        cand = (val, idx, x, its, res, objective)
         if best is None or cand[0] < best[0] - 1e-15:
             best = cand
-    _, _, x, its, res = best
-    q_new = q_prev.with_positions(x)
+    _, _, x, its, res, objective = best
+    q_new = objective.state(x)   # built when the solver evaluated x
     info = {"inner_iters": its, "residual": res,
             "residual_flag": res > cfg.inner_tol}
     if penalty is not None:

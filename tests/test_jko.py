@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import omegaflow
 from omegaflow import jko
@@ -86,6 +86,63 @@ def isotonic_oracle(values, weights, min_gaps):
     return best + offsets
 
 
+def pav_reference(values, weights=None, min_gaps=None):
+    """The pool-adjacent-violators loop as it ran before the vectorized
+    pooling test: every atom enters the block stack; the fast path must
+    match it bit for bit."""
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    offsets = np.zeros(n)
+    if min_gaps is not None:
+        np.cumsum(np.asarray(min_gaps, dtype=float), out=offsets[1:])
+    bw, bs, bc = [], [], []
+    for wi, zi in zip(w.tolist(), (v - offsets).tolist()):
+        sw, ss, cnt = wi, wi * zi, 1
+        while bw and bs[-1] * sw > ss * bw[-1]:
+            sw += bw.pop()
+            ss += bs.pop()
+            cnt += bc.pop()
+        bw.append(sw)
+        bs.append(ss)
+        bc.append(cnt)
+    return np.repeat(np.divide(bs, bw), bc) + offsets
+
+
+_PAV_KINDS = ("random", "feasible", "violator", "diracs", "saturated")
+
+
+@st.composite
+def _pav_inputs(draw):
+    """(values, weights, min_gaps) for one of ``_PAV_KINDS``.  Gaps, weights
+    and the z-coordinates of the structured kinds sit on dyadic grids, so
+    values - offsets is exact and saturated caps give exactly equal z."""
+    kind = draw(st.sampled_from(_PAV_KINDS))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = None
+    if draw(st.booleans()):
+        g = rng.integers(0, 4, size=n - 1) / 64.0
+    offsets = np.zeros(n) if g is None else np.concatenate([[0.0], np.cumsum(g)])
+    weights = draw(st.sampled_from(["none", "uniform", "nonuniform"]))
+    w = {"none": None, "uniform": np.ones(n),
+         "nonuniform": rng.integers(1, 64, size=n) / 16.0}[weights]
+    if kind == "random":
+        v = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n)
+        return v, w, g
+    if kind == "diracs":
+        z = np.full(n, rng.integers(-64, 64) / 8.0)
+    elif kind == "saturated":
+        z = np.sort(rng.integers(-2, 3, size=n) / 4.0)   # many ties
+    else:
+        z = np.sort(rng.integers(-512, 512, size=n) / 64.0)
+    if kind == "violator" and n > 1:
+        # one pair out of order, anywhere up to the last pair
+        i = draw(st.integers(0, n - 2))
+        z[i + 1] = z[i] - draw(st.sampled_from([1.0 / 64.0, 1.0, 100.0]))
+    return z + offsets, w, g
+
+
 class TestIsotonicProject:
     def test_feasible_unchanged(self):
         x = isotonic_project([0.0, 1.0, 3.0], None, [0.5, 0.5])
@@ -133,6 +190,20 @@ class TestIsotonicProject:
                 slack = (x[i + 1] - x[i]) - g[i]
                 assert abs(lam * slack) <= 1e-8
         assert abs(lam) <= 1e-10
+
+    @given(_pav_inputs())
+    @settings(max_examples=400, deadline=None)
+    @example(([3.0], None, None))
+    @example(([3.0], [2.0], []))
+    @example(([1.0, 0.0], None, None))
+    @example(([0.0, 1.0], [1.0, 3.0], [1.0]))
+    @example(([0.0, 1.0, 2.0, 2.5], [1.0, 2.0, 1.0, 0.5], [1.0, 1.0, 1.0]))
+    @example(([0.5, 0.5, 0.5], None, None))
+    @example(([0.5, 0.5, 0.5], None, [0.25, 0.25]))
+    def test_matches_pav_reference_bitwise(self, case):
+        v, w, g = case
+        got = isotonic_project(v, w, g)
+        assert got.tobytes() == pav_reference(v, w, g).tobytes()
 
 
 class TestProximalStep:
@@ -231,7 +302,11 @@ class TestProximalStep:
         # backtracking trial or a residual probe, evaluated once; each
         # iteration evaluates its extrapolated point once, and the first
         # iteration reuses the start's evaluation.
-        counts = dict.fromkeys(["eval", "proj"], 0)
+        # A residual probe and the returned state reuse the state that
+        # value() just built at that point, so only value and value_and_grad
+        # build states.
+        counts = dict.fromkeys(["value", "grad", "value_and_grad", "proj",
+                                "state"], 0)
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -241,9 +316,11 @@ class TestProximalStep:
 
         for name in ("value", "grad", "value_and_grad"):
             monkeypatch.setattr(_QuantileObjective, name, counting(
-                "eval", getattr(_QuantileObjective, name)))
+                name, getattr(_QuantileObjective, name)))
         monkeypatch.setattr(jko, "isotonic_project",
                             counting("proj", jko.isotonic_project))
+        monkeypatch.setattr(QuantileMeasure, "with_positions", counting(
+            "state", QuantileMeasure.with_positions))
         mu = QuantileMeasure(np.array([0.25, 0.75]), np.array([-0.5, 1.0]),
                              np.array([0.5, 0.5]))
         out, info = proximal_step(quadratic_energy(), mu, 0.1,
@@ -252,7 +329,10 @@ class TestProximalStep:
         np.testing.assert_allclose(out.positions, mu.positions / 1.1,
                                    rtol=0, atol=1e-12)
         assert info["inner_iters"] == 2      # as before the change
-        assert counts["eval"] <= info["inner_iters"] + counts["proj"] - 1
+        builds = counts["value"] + counts["value_and_grad"]
+        assert builds + counts["grad"] <= info["inner_iters"] + counts["proj"] - 1
+        assert counts["grad"] > 0            # the residual was probed
+        assert counts["state"] <= builds
 
     def test_objective_not_worse_than_stay(self):
         E = ks_surrogate_energy(2.0)
