@@ -505,11 +505,9 @@ def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
 
 
 def _coupling_pairs(curve):
-    if isinstance(curve, TransportPlan):
-        return curve.pairs()
-    if isinstance(curve, GluedPlan):
-        return curve.xs, curve.ys, curve.mass
-    raise EnergyError("curve must be a TransportPlan or GluedPlan")
+    if not isinstance(curve, (TransportPlan, GluedPlan)):
+        raise EnergyError("curve must be a TransportPlan or GluedPlan")
+    return curve.pairs()
 
 
 def directional_derivative(energy: Energy, curve, at: float = 0.0) -> float:

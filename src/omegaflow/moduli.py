@@ -52,6 +52,7 @@ import numpy as np
 
 __all__ = [
     "JUNCTION",
+    "LOG_JUNCTION",
     "LOG_KINDS",
     "PSI_SHIFT",
     "FlowWindowError",
@@ -68,8 +69,9 @@ __all__ = [
     "adaptive_simpson",
 ]
 
-# branch junction of the log-Lipschitz modulus and of psi
-JUNCTION = math.exp(-1.0 - math.sqrt(2.0))
+# branch junction of the log-Lipschitz modulus and of psi, and its logarithm
+LOG_JUNCTION = -1.0 - math.sqrt(2.0)
+JUNCTION = math.exp(LOG_JUNCTION)
 PSI_SHIFT = 2.0 * (1.0 + math.sqrt(2.0)) * JUNCTION
 # kinds whose omega and omega_tilde are both the log-Lipschitz formula
 LOG_KINDS = ("log_lipschitz", "sqrt_psi")
@@ -280,7 +282,7 @@ class Modulus:
         if self.kind in LOG_KINDS:
             if x > JUNCTION:
                 return math.inf
-            return math.log(math.log(x) / (-1.0 - math.sqrt(2.0))) / self.lam
+            return math.log(math.log(x) / LOG_JUNCTION) / self.lam
         return math.inf  # linear growth; capped phi_derived at most linear
 
     def flow(self, t: float, x: float) -> float:
@@ -348,7 +350,7 @@ class Modulus:
             return x * math.exp(rate * slope * t)
         if x <= JUNCTION:
             if rate > 0:
-                t_cross = math.log(math.log(x) / math.log(JUNCTION)) / rate
+                t_cross = math.log(math.log(x) / LOG_JUNCTION) / rate
                 if t > t_cross:
                     return self._cosh_branch(rate * (t - t_cross), JUNCTION)
             return x ** math.exp(-rate * t)

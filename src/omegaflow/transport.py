@@ -48,26 +48,18 @@ class TransportError(ValueError):
     """Invalid transport inputs (dimension mismatch, cap exceeded, ...)."""
 
 
-def _as_atomic_1d(mu) -> AtomicMeasure:
+def _as_atomic(mu) -> AtomicMeasure:
+    """Atomic form of any measure: quantile states at their nodes, 2D grids
+    at their cell midpoints, 1D grids through a fine quantile grid."""
     if isinstance(mu, AtomicMeasure):
-        if mu.dim != 1:
-            raise TransportError("w2_1d requires 1D measures")
         return mu
     if isinstance(mu, QuantileMeasure):
         return mu.to_atomic()
     if isinstance(mu, GridDensity):
-        if mu.dim != 1:
-            raise TransportError("w2_1d requires 1D measures")
+        if mu.dim == 2:
+            return mu.to_atomic()
         return to_quantile(mu, max(1024, 8 * len(mu.values))).to_atomic()
     raise TransportError(f"unsupported measure type {type(mu)!r}")
-
-
-def _as_atomic(mu) -> AtomicMeasure:
-    if isinstance(mu, AtomicMeasure):
-        return mu
-    if isinstance(mu, GridDensity) and mu.dim == 2:
-        return mu.to_atomic()
-    return _as_atomic_1d(mu)
 
 
 def _sq_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -139,38 +131,27 @@ class TransportPlan:
 def w2_1d(mu, nu, return_plan: bool = True):
     """W2 between 1D measures via the monotone CDF-matching coupling.
 
+    On sorted 1D supports the monotone coupling is the north-west-corner
+    walk that starts the network simplex; its zero-mass cells are skipped.
     Returns ``(distance, plan)`` (or just the distance when
     ``return_plan=False``).  Optimality of the monotone coupling in 1D is
     cross-checked against :func:`w2_exact` in the test suite.
     """
-    a = _as_atomic_1d(mu)
-    b = _as_atomic_1d(nu)
-    wa = a.weights.copy()
-    wb = b.weights.copy()
+    a, b = _as_atomic(mu), _as_atomic(nu)
+    if a.dim != 1 or b.dim != 1:
+        raise TransportError("w2_1d requires 1D measures")
+    cells = [c for c in _northwest_corner(a.weights, b.weights) if c[2] > 0]
     xs, ys = a.points, b.points
-    i = j = 0
-    entries = []
     cost = 0.0
-    m, n = len(wa), len(wb)
-    while i < m and j < n:
-        t = min(wa[i], wb[j])
-        if t > 0:
-            d = xs[i] - ys[j]
-            cost += t * d * d
-            entries.append((i, j, t))
-        wa[i] -= t
-        wb[j] -= t
-        # min() zeroes at least one side exactly, so this always advances
-        if wa[i] <= 0.0:
-            i += 1
-        if j < n and wb[j] <= 0.0:
-            j += 1
+    for i, j, t in cells:
+        d = xs[i] - ys[j]
+        cost += t * d * d
     dist = float(np.sqrt(max(cost, 0.0)))
     if not return_plan:
         return dist
-    mat = np.zeros((m, n))
-    for i, j, t in entries:
-        mat[i, j] += t
+    mat = np.zeros((len(a), len(b)))
+    for i, j, t in cells:
+        mat[i, j] = t
     return dist, TransportPlan(a, b, mat)
 
 
@@ -179,30 +160,27 @@ def w2_1d(mu, nu, return_plan: bool = True):
 # ---------------------------------------------------------------------------
 
 def _northwest_corner(a, b):
-    """Deterministic initial basic feasible solution: the flows as rows of
-    Python floats and the adjacency of its spanning tree (row i is node i,
-    column j is node m + j)."""
+    """The north-west-corner walk over weights ``a`` and ``b``: its cells
+    ``(i, j, t)`` in walk order, ``t`` the mass moved at (i, j) as a Python
+    float.  The m + n - 1 cells, zero-mass ones included, span a basis tree
+    of the transportation problem."""
     m, n = len(a), len(b)
-    flow = [[0.0] * n for _ in range(m)]
-    adj = [[] for _ in range(m + n)]
     ra, rb = a.tolist(), b.tolist()
+    cells = []
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
-        flow[i][j] = t
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+        cells.append((i, j, t))
         ra[i] -= t
         rb[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return cells
         if ra[i] <= rb[j] and i < m - 1:
             i += 1
         elif j < n - 1:
             j += 1
         else:
             i += 1
-    return flow, adj
 
 
 def _tree_walk(adj, cost, m):
@@ -284,7 +262,12 @@ def _network_simplex(a, b, C):
     walk must reproduce the incremental tree and potentials exactly.
     """
     m, n = C.shape
-    flow, adj = _northwest_corner(a, b)
+    flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
+    adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
+    for i, j, t in _northwest_corner(a, b):
+        flow[i][j] = t
+        adj[i].append(m + j)
+        adj[m + j].append(i)
     cost = C.tolist()   # the tree walks index Python floats far faster
     u, v, parent, depth = _tree_walk(adj, cost, m)
     bland_after = _BLAND_AFTER_PER_NODE * (m + n)
@@ -380,6 +363,20 @@ def w2(mu, nu, return_plan: bool = False):
     return w2_exact(mu, nu, return_plan=return_plan)
 
 
+def _displace(xs, ys, alpha: float):
+    """Points (1-a) x + a y at a = ``alpha`` in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise TransportError(f"alpha = {alpha} outside [0, 1]")
+    return (1.0 - alpha) * xs + alpha * ys
+
+
+def _push_forward(coupling, alpha: float) -> AtomicMeasure:
+    """((1-a) x + a y) # gamma at a = ``alpha`` for a coupling ``gamma``
+    (a :class:`TransportPlan` or a :class:`GluedPlan`)."""
+    xs, ys, mass = coupling.pairs()
+    return make_atomic(_displace(xs, ys, alpha), mass)
+
+
 def geodesic(mu0, mu1, alpha: float, plan: TransportPlan | None = None):
     """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha.
 
@@ -388,18 +385,11 @@ def geodesic(mu0, mu1, alpha: float, plan: TransportPlan | None = None):
     result is the ``QuantileMeasure`` with positions (1-a) x + a y; other
     pairs use the optimal plan of :func:`w2` and give an ``AtomicMeasure``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise TransportError(f"alpha = {alpha} outside [0, 1]")
     if plan is None:
         if same_quantile_grid(mu0, mu1):
-            return mu0.with_positions((1.0 - alpha) * mu0.positions
-                                      + alpha * mu1.positions)
+            return mu0.with_positions(_displace(mu0.positions, mu1.positions, alpha))
         _, plan = w2(mu0, mu1, return_plan=True)
-    xs, ys, ms = plan.pairs()
-    pts = (1.0 - alpha) * xs + alpha * ys
-    if pts.shape[1] == 1:
-        pts = pts[:, 0]
-    return make_atomic(pts, ms)
+    return _push_forward(plan, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +429,10 @@ class GluedPlan:
     def dim(self) -> int:
         return self.xs.shape[1]
 
-    def _collapse(self, pts: np.ndarray) -> AtomicMeasure:
-        if self.dim == 1:
-            return make_atomic(pts[:, 0], self.mass)
-        return make_atomic(pts, self.mass)
-
-    def interpolate(self, alpha: float) -> AtomicMeasure:
-        """Generalized geodesic mu_alpha = ((1-a) pi^1 + a pi^2) # nu."""
-        if not 0.0 <= alpha <= 1.0:
-            raise TransportError(f"alpha = {alpha} outside [0, 1]")
-        return self._collapse((1.0 - alpha) * self.xs + alpha * self.ys)
+    def pairs(self):
+        """The (x, y, mass) triples as arrays of shape (k,d),(k,d),(k,), as
+        :meth:`TransportPlan.pairs`."""
+        return self.xs, self.ys, self.mass
 
     def squared_pseudo_distance(self) -> float:
         """W^2_{2,nu}(mu0, mu1) = int |pi_1 - pi_2|^2 d nu."""
@@ -520,7 +504,8 @@ def glue(plan0: TransportPlan, plan1: TransportPlan) -> GluedPlan:
 
 
 def generalized_geodesic(glued: GluedPlan, alpha: float) -> AtomicMeasure:
-    return glued.interpolate(alpha)
+    """Generalized geodesic mu_alpha = ((1-a) pi^1 + a pi^2) # nu."""
+    return _push_forward(glued, alpha)
 
 
 def pseudo_distance(glued: GluedPlan) -> float:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from omegaflow.moduli import (
     JUNCTION,
+    LOG_JUNCTION,
     LOG_KINDS,
     PSI_SHIFT,
     FlowWindowError,
@@ -89,6 +90,7 @@ class TestPsi:
 
     def test_junction_symbolic(self):
         j = math.exp(-1.0 - math.sqrt(2.0))
+        assert (JUNCTION, LOG_JUNCTION) == (j, -1.0 - math.sqrt(2.0))
         lower = j * (1.0 + math.sqrt(2.0)) ** 2
         upper = j + 2.0 * (1.0 + math.sqrt(2.0)) * j
         assert abs(lower - upper) <= 1e-16

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omegaflow import transport
 from omegaflow.jko import JkoError, quantile_w2
@@ -70,6 +70,84 @@ class TestW21d:
         _, plan = w2_1d(mu, nu)
         assert np.allclose(plan.matrix.sum(axis=1), mu.weights, atol=1e-12)
         assert np.allclose(plan.matrix.sum(axis=0), nu.weights, atol=1e-12)
+
+
+def _reference_w2_1d(a, b):
+    """The monotone coupling of two 1D atomic measures as ``w2_1d`` computed
+    it with its own loop: (distance, plan matrix)."""
+    wa = a.weights.copy()
+    wb = b.weights.copy()
+    xs, ys = a.points, b.points
+    i = j = 0
+    entries = []
+    cost = 0.0
+    m, n = len(wa), len(wb)
+    while i < m and j < n:
+        t = min(wa[i], wb[j])
+        if t > 0:
+            d = xs[i] - ys[j]
+            cost += t * d * d
+            entries.append((i, j, t))
+        wa[i] -= t
+        wb[j] -= t
+        if wa[i] <= 0.0:
+            i += 1
+        if j < n and wb[j] <= 0.0:
+            j += 1
+    mat = np.zeros((m, n))
+    for i, j, t in entries:
+        mat[i, j] += t
+    return float(np.sqrt(max(cost, 0.0))), mat
+
+
+# zero weights and weights of order 1e-8 next to order-one ones
+_weight = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-8, 0.1, 1.0]))
+_atoms = st.one_of(st.sampled_from([1, 2]), st.integers(1, 13)).flatmap(
+    lambda n: st.tuples(st.lists(st.floats(-3.0, 3.0, allow_subnormal=False)
+                                 | st.sampled_from([-1.0, 0.0, 0.5]),
+                                 min_size=n, max_size=n),
+                        st.lists(_weight, min_size=n, max_size=n)))
+
+
+class TestW21dReference:
+    """``w2_1d`` takes its cells from the simplex's north-west-corner walk;
+    distance and plan must equal, bit for bit, those of its former loop."""
+
+    @staticmethod
+    def _assert_matches(mu, nu):
+        d, plan = w2_1d(mu, nu)
+        ref_d, ref_mat = _reference_w2_1d(mu, nu)
+        assert d == ref_d
+        assert np.array_equal(plan.matrix, ref_mat)
+        assert w2_1d(mu, nu, return_plan=False) == ref_d
+
+    @given(_atoms, _atoms)
+    @settings(max_examples=400, deadline=None)
+    def test_random_tied_and_zero_weights(self, x, y):
+        (xs, wx), (ys, wy) = x, y
+        assume(sum(wx) > 0 and sum(wy) > 0)
+        self._assert_matches(make_atomic(xs, wx), make_atomic(ys, wy))
+
+    def test_diracs_and_last_bit_sums(self):
+        cases = [
+            (make_atomic([0.3, 0.3], [1, 1]), make_atomic([-0.2, -0.2], [1, 1])),
+            (make_atomic([0.5], [1.0]), make_atomic([0.5, 0.5], [0.3, 0.7])),
+            (make_atomic([0.0, 1.0], [0.0, 1.0]), make_atomic([2.0, 3.0], [1.0, 0.0])),
+            # normalized weights whose sums are not 1 in the last bit
+            (make_atomic(np.linspace(0, 1, 10), np.full(10, 0.1)),
+             make_atomic(np.linspace(0, 2, 3), [1.0, 1.0, 1.0])),
+            (make_atomic(np.arange(7.0), np.full(7, 1 / 7)),
+             make_atomic(np.arange(13.0) / 3, np.arange(1.0, 14.0))),
+        ]
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            cases.append((make_atomic(rng.normal(size=12), rng.uniform(0, 1, 12)),
+                          make_atomic(rng.normal(size=9), rng.uniform(0, 1, 9))))
+        off = [abs(float(np.sum(m.weights)) - 1.0) for pair in cases for m in pair]
+        assert max(off) > 0.0
+        for mu, nu in cases:
+            self._assert_matches(mu, nu)
+            self._assert_matches(nu, mu)
 
 
 class TestW2Exact:

@@ -7,7 +7,7 @@ import pytest
 from omegaflow import verify
 from omegaflow.energies import Energy
 from omegaflow.jko import JkoConfig, JkoError, proximal_step
-from omegaflow.measures import make_atomic
+from omegaflow.measures import QuantileMeasure, make_atomic
 from omegaflow.moduli import lipschitz, sqrt_psi
 from omegaflow.transport import w2
 from omegaflow.verify import (
@@ -85,6 +85,29 @@ class TestDiscreteEvi:
         assert rep.skipped
         assert "domain" in rep.skip_reason
 
+    def test_failing_check_reruns_once_tighter(self, monkeypatch):
+        # no slack passes a tolerance of -inf: one rerun at inner_tol / 10,
+        # whose report is the check of that step, marked reran_tighter
+        E = quadratic_energy()
+        mu, nu = dirac_state(1.4, 4), dirac_state(-0.3, 4)
+        cfg = JkoConfig(tau=0.25, inner_tol=1e-9)
+        steps = []
+
+        def counting(energy, state, tau, step_cfg, return_info=False):
+            steps.append(step_cfg.inner_tol)
+            return proximal_step(energy, state, tau, step_cfg, return_info=return_info)
+
+        monkeypatch.setattr(verify, "proximal_step", counting)
+        rep = check_discrete_evi(E, mu, nu, 0.25, lipschitz(1.0), cfg, tol=-math.inf)
+        assert steps == [cfg.inner_tol, cfg.inner_tol / 10.0]
+        assert not rep.passed and rep.context["reran_tighter"] is True
+        tighter = JkoConfig(tau=0.25, inner_tol=cfg.inner_tol / 10.0)
+        mu_tau, info = proximal_step(E, mu, 0.25, tighter, return_info=True)
+        ref = check_discrete_evi(E, mu, nu, 0.25, lipschitz(1.0), tighter,
+                                 mu_tau=mu_tau, info=info, tol=math.inf)
+        assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
+        assert rep.context == {**ref.context, "reran_tighter": True}
+
 
 class TestContraction:
     def test_equal_states(self):
@@ -95,11 +118,39 @@ class TestContraction:
         assert rep.passed
         assert rep.lhs <= 1e-12
 
-    def test_tau_cap_skip(self):
+    def test_tau_cap_skip(self, monkeypatch):
+        # lam > 0 and tau >= 1 is skipped before any proximal step
+        steps = []
+        monkeypatch.setattr(verify, "proximal_step",
+                            lambda *args, **kwargs: steps.append(1))
         E = quadratic_energy()
         rep = check_contraction(E, dirac_state(0.0, 4), dirac_state(1.0, 4),
                                 2.0, lipschitz(1.0), JkoConfig(tau=2.0))
         assert rep.skipped and "cap" in rep.skip_reason
+        assert steps == []
+        assert rep.to_dict() == verify._skip(
+            "contraction", "tau cap violated (tau >= 1)", tau=2.0).to_dict()
+
+
+class TestDiagonalPlan:
+    @pytest.mark.parametrize("x, y", [
+        ([0.3, 0.3], [-0.2, -0.2]),                 # 2-atom Diracs
+        ([-1.0, 2.0], [0.5, 0.5]),                  # n = 2
+        ([0.0, 0.0, 0.4, 0.4, 0.4], [-1.0, 0.1, 0.1, 0.2, 3.0]),   # ties
+        ([0.7], [0.2]),
+    ])
+    def test_matches_node_loop(self, x, y):
+        n = len(x)
+        c = np.arange(1.0, n + 1.0) / (n * (n + 1) / 2)
+        q = np.cumsum(c) - 0.5 * c
+        qa, qb = QuantileMeasure(q, x, c), QuantileMeasure(q, y, c)
+        a = qa.to_atomic()
+        loop = np.zeros((n, n))
+        for k in range(n):
+            loop[k, k] = a.weights[k]
+        plan = diagonal_plan(qa, qb)
+        assert np.array_equal(plan.matrix, loop)
+        assert np.array_equal(plan.target.points, np.asarray(y))
 
 
 class TestSemigroupContraction:
