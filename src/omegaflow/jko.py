@@ -12,8 +12,10 @@ still returned with a residual flag).
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
 use exact transport plans inside a block-coordinate
-(majorize-minimize) scheme; their residual is the relative objective change
-of the last outer pass, and the flag is set when it exceeds ``inner_tol``.
+(majorize-minimize) scheme; each outer pass after the first warm-starts
+its LP from the previous pass's optimal basis.  Their residual is the
+relative objective change of the last outer pass, and the flag is set when
+it exceeds ``inner_tol`` or when a fixed-plan pass used up its iterations.
 
 Everything here is deterministic: fixed reduction orders, fixed multi-start
 order with best-objective selection and lowest-index tie-breaking.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import Energy
+from .energies import Energy, _finite_field
 from .measures import (
     AtomicMeasure,
     GridDensity,
@@ -36,7 +38,15 @@ from .measures import (
     make_atomic,
     to_quantile,
 )
-from .transport import geodesic, same_quantile_grid, w2, w2_exact
+# w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
+from .transport import (
+    _exact_plan,
+    _plan_distance,
+    geodesic,
+    same_quantile_grid,
+    w2,
+    w2_exact,
+)
 
 __all__ = [
     "JkoError",
@@ -51,6 +61,7 @@ __all__ = [
 ]
 
 ATOM_CAP_2D = 64
+_FIXED_PLAN_ITERS = 500   # gradient steps per fixed-plan pass of the 2D step
 # finite-p constraint penalty: weights of the continuation stages
 _PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
 
@@ -390,9 +401,14 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
     total_iters = 0
     prev_obj = math.inf
     residual = math.inf
+    capped = False
+    basis = None
     for outer in range(40):
         nu = make_atomic(z, w)
-        dist, plan = w2_exact(mu, nu)
+        # every nu has the same weights, so the last pass's optimal basis
+        # is a feasible start for this one
+        plan, basis = _exact_plan(mu, nu, basis)
+        dist = _plan_distance(plan)
         obj = 0.5 / tau * dist * dist + energy.eval(nu)
         if outer > 0:
             # relative objective change of this outer pass, the stopping test
@@ -404,7 +420,7 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
         bary = plan.matrix.T @ mu.points_2d()
         colw = plan.matrix.sum(axis=0)
         L = float(np.max(colw)) / tau + 1.0
-        for _ in range(500):
+        for _ in range(_FIXED_PLAN_ITERS):
             g = (colw[:, None] * z - bary) / tau + _atomic_energy_grad(energy, z, w)
             z_new = z - g / L
             step = float(np.max(np.abs(z_new - z)))
@@ -412,9 +428,15 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
             total_iters += 1
             if step < 0.1 * cfg.inner_tol:
                 break
-    nu = make_atomic(z, w)
+        else:
+            capped = True
+    else:
+        # z moved after the last LP: no plan couples mu to the result
+        nu, plan = make_atomic(z, w), None
     info = {"inner_iters": total_iters, "residual": residual,
-            "residual_flag": residual > cfg.inner_tol}
+            "residual_flag": residual > cfg.inner_tol or capped}
+    if plan is not None:
+        info["plan"] = plan   # optimal mu -> nu, the returned state
     return nu, info
 
 
@@ -424,7 +446,7 @@ def _atomic_energy_grad(energy, pts, w):
         grad = np.asarray(energy.potential.grad(pts), dtype=float).reshape(pts.shape)
         g += w[:, None] * grad
     if energy.kernel is not None:
-        g += w[:, None] * energy.kernel.field(pts, pts, w)
+        g += w[:, None] * _finite_field(energy.kernel, pts, pts, w)
     return g
 
 
@@ -516,7 +538,8 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
         ek = schedule(k, cfg.tau)
         new, info = proximal_step(ek, states[-1], cfg.tau, cfg,
                                   prev_state=prev_prev, return_info=True)
-        dists.append(w2(states[-1], new))
+        plan = info.pop("plan", None)
+        dists.append(w2(states[-1], new) if plan is None else _plan_distance(plan))
         prev_prev = states[-1]
         states.append(new)
         energies.append(ek.eval(new))

@@ -3,7 +3,8 @@
 Provides the 1D monotone (CDF-matching) coupling, an exact LP solver
 (transportation network simplex with deterministic pivoting; each pivot
 updates the basis tree incrementally, re-walking only the subtree it
-re-hangs), Wasserstein geodesics, plan gluing over a common base measure,
+re-hangs, and a solve can start from an earlier solve's optimal basis),
+Wasserstein geodesics, plan gluing over a common base measure,
 generalized geodesics, and the plan-level pseudo-metric measured through the
 glued structure.
 
@@ -13,6 +14,7 @@ Cost convention throughout: squared Euclidean distance  c(x, y) = |x - y|^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +99,10 @@ class TransportPlan:
         """Total squared-distance cost of the coupling."""
         c = _sq_cost_matrix(self.source.points_2d(), self.target.points_2d())
         return float(np.sum(self.matrix * c))
+
+    def transpose(self) -> TransportPlan:
+        """The same coupling from the target's side: target -> source."""
+        return TransportPlan(self.target, self.source, self.matrix.T)
 
     def pairs(self):
         """Nonzero entries as (x, y, mass) arrays of shape (k,d),(k,d),(k,)."""
@@ -249,8 +255,15 @@ def _cycle_nodes(parent, depth, start, goal):
     return up + down[-2::-1]
 
 
-def _network_simplex(a, b, C):
-    """Optimal flow for the dense transportation problem.
+def _network_simplex(a, b, C, basis=None):
+    """Optimal flow and basis for the dense transportation problem.
+
+    The search starts from ``basis``, a list of m + n - 1 spanning-tree
+    cells ``(i, j, t)`` with ``t`` their flow, when one is given (it must
+    be primal feasible for ``a`` and ``b``), and otherwise from the
+    north-west corner.  Returns the flow and the final basis in the same
+    form, its cells in row-major order, so a later solve with the same
+    weights and nearby costs can start from it.
 
     Entering arc: most negative reduced cost, lexicographic (row-major)
     tie-breaking; after a pivot budget, Bland's rule (first negative arc
@@ -264,7 +277,7 @@ def _network_simplex(a, b, C):
     m, n = C.shape
     flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
     adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
-    for i, j, t in _northwest_corner(a, b):
+    for i, j, t in basis or _northwest_corner(a, b):
         flow[i][j] = t
         adj[i].append(m + j)
         adj[m + j].append(i)
@@ -316,7 +329,8 @@ def _network_simplex(a, b, C):
             _rehang(m + ej, ei, adj, cost, m, u, v, parent, depth)
     if _tree_walk(adj, cost, m) != (u, v, parent, depth):
         raise RuntimeError("incremental basis tree differs from a full walk")
-    return np.array(flow)
+    basis = [(i, k - m, flow[i][k - m]) for i in range(m) for k in sorted(adj[i])]
+    return np.array(flow), basis
 
 
 def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
@@ -332,12 +346,22 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
     if len(mu) > support_cap or len(nu) > support_cap:
         raise TransportError(
             f"support size exceeds cap {support_cap} (got {len(mu)}x{len(nu)})")
+    plan, _ = _exact_plan(mu, nu)
+    dist = _plan_distance(plan)
+    return (dist, plan) if return_plan else dist
+
+
+def _exact_plan(mu: AtomicMeasure, nu: AtomicMeasure, basis=None):
+    """``(plan, basis)`` of the exact LP between atomic measures, the
+    simplex started from ``basis`` when given (see :func:`_network_simplex`)."""
     C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
-    flow = _network_simplex(mu.weights.copy(), nu.weights.copy(), C)
-    dist = float(np.sqrt(max(np.sum(flow * C), 0.0)))
-    if not return_plan:
-        return dist
-    return dist, TransportPlan(mu, nu, flow)
+    flow, basis = _network_simplex(mu.weights.copy(), nu.weights.copy(), C, basis)
+    return TransportPlan(mu, nu, flow), basis
+
+
+def _plan_distance(plan: TransportPlan) -> float:
+    """sqrt of the plan's cost: W2 when the plan is optimal."""
+    return math.sqrt(max(plan.cost(), 0.0))
 
 
 def same_quantile_grid(mu, nu) -> bool:

@@ -49,7 +49,16 @@ from .moduli import (
     polynomial,
     sqrt_psi,
 )
-from .transport import TransportPlan, geodesic, glue, pseudo_distance, w2, w2_1d, w2_exact
+from .transport import (
+    TransportPlan,
+    _plan_distance,
+    geodesic,
+    glue,
+    pseudo_distance,
+    w2,
+    w2_1d,
+    w2_exact,
+)
 
 __all__ = [
     "InequalityReport",
@@ -156,13 +165,13 @@ class RateStudy:
 # distances
 # ---------------------------------------------------------------------------
 
-def _pseudo_dist_through_base(mu_a, mu_b, base) -> float:
-    """W_{2,nu}(mu_a, mu_b) glued over ``base`` (equals W2 in 1D)."""
-    if getattr(mu_a, "dim", 1) == 1:
-        return w2(mu_a, mu_b)
-    _, plan_a = w2_exact(mu_a, base)
-    _, plan_b = w2_exact(mu_b, base)
-    return pseudo_distance(glue(plan_a, plan_b))
+def _step_plan(mu, mu_tau, info):
+    """The optimal plan mu -> mu_tau: the one a 2D proximal step hands out
+    in ``info``, else a fresh exact solve."""
+    plan = (info or {}).get("plan")
+    if plan is None or plan.source is not mu or plan.target is not mu_tau:
+        _, plan = w2_exact(mu, mu_tau)
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +185,10 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     """f_tau(W_{2,mu}^2(mu_tau, nu)) - W2^2(mu, nu)
        <= 2 tau (E(nu) - E(mu_tau)) - W2^2(mu, mu_tau).
 
+    In 1D W_{2,mu} is W2.  In 2D it is glued over mu from the transposes of
+    the plans mu -> mu_tau (the step's own, see :func:`_step_plan`) and
+    mu -> nu, so the check solves one LP of its own.
+
     A failing check is rerun once from a fresh proximal step at a 10x
     tighter inner tolerance; the rerun's report says ``reran_tighter``."""
     cfg = cfg or JkoConfig(tau=tau)
@@ -183,12 +196,19 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     e_mu = energy.eval(mu)
     if not (math.isfinite(e_nu) and math.isfinite(e_mu)):
         return _skip(name, "endpoint outside the energy domain", tau=tau)
-    w_mu_nu = w2(mu, nu)
+    if mu.dim == 1:
+        w_mu_nu = w2(mu, nu)
+    else:
+        w_mu_nu, plan_mn = w2_exact(mu, nu)
 
     def report(mu_tau, info) -> InequalityReport:
         e_mt = energy.eval(mu_tau)
-        w_cross = _pseudo_dist_through_base(mu_tau, nu, mu)
-        w_step = w2(mu, mu_tau)
+        if mu.dim == 1:
+            w_cross, w_step = w2(mu_tau, nu), w2(mu, mu_tau)
+        else:
+            plan_step = _step_plan(mu, mu_tau, info)
+            w_cross = pseudo_distance(glue(plan_step.transpose(), plan_mn.transpose()))
+            w_step = _plan_distance(plan_step)
         lhs = modulus.euler_step(tau, w_cross**2) - w_mu_nu**2
         rhs = 2.0 * tau * (e_nu - e_mt) - w_step**2
         ctx = {"tau": tau, "E_mu": e_mu, "E_mu_tau": e_mt, "E_nu": e_nu}
@@ -247,7 +267,8 @@ def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     cap = min(caps)
     if tau >= cap:
         return _skip(name, f"tau cap violated (tau >= {cap})", tau=tau)
-    w_nu_step = w2(nu, nu_tau)
+    w_nu_step = w2(nu, nu_tau) if nu.dim == 1 \
+        else _plan_distance(_step_plan(nu, nu_tau, info_n))
     rhs = w0**2 - lam * tau * modulus.omega_tilde(big_r**2 * w_nu_step) \
         + 2.0 * tau * (e_mu - e_mt) + 3.0 * lam**2 * c_r**2 * tau**2
     ctx.update({"R": big_r, "r": r, "c_r": c_r})

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import omegaflow
-from omegaflow import jko
+from omegaflow import jko, transport
 from omegaflow.energies import Energy, Kernel, POTENTIALS
 from omegaflow.jko import (
     FlowTrajectory,
@@ -367,6 +367,152 @@ class TestProximalStep:
         mu = make_atomic(pts, np.ones(80))
         with pytest.raises(JkoError):
             proximal_step(quadratic_energy(), mu, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# 2D proximal step: warm-started outer passes against the cold reference
+# ---------------------------------------------------------------------------
+
+def _reference_prox_atomic_2d(energy, mu, tau, cfg):
+    """The 2D proximal step as it was before outer passes warm-started
+    their LP: every pass solves W2(mu, nu) cold with ``w2_exact``."""
+    w = mu.weights
+    z = mu.points_2d().copy()
+    prev_obj = math.inf
+    for outer in range(40):
+        nu = make_atomic(z, w)
+        dist, plan = w2_exact(mu, nu)
+        obj = 0.5 / tau * dist * dist + energy.eval(nu)
+        if outer > 0 and prev_obj - obj <= cfg.inner_tol * (1.0 + abs(obj)):
+            break
+        prev_obj = obj
+        bary = plan.matrix.T @ mu.points_2d()
+        colw = plan.matrix.sum(axis=0)
+        L = float(np.max(colw)) / tau + 1.0
+        for _ in range(500):
+            g = (colw[:, None] * z - bary) / tau + jko._atomic_energy_grad(energy, z, w)
+            z_new = z - g / L
+            step = float(np.max(np.abs(z_new - z)))
+            z = z_new
+            if step < 0.1 * cfg.inner_tol:
+                break
+    return make_atomic(z, w)
+
+
+def _convex_2d_energy():
+    # quadratic potential plus the convex kernel w(r) = r^2 / 4
+    return Energy(potential=POTENTIALS["quadratic"]({}),
+                  kernel=Kernel("smooth", d=2, profile=lambda r: np.asarray(r) ** 2 / 4.0,
+                                dprofile=lambda r: np.asarray(r) / 2.0))
+
+
+def _atoms_2d(seed, n, kind="random"):
+    """A seeded 2D atomic measure; ``tied`` repeats atoms at equal weights,
+    ``rounded`` puts the atoms on a 0.1 lattice (tied costs, some repeats)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 2))
+    wts = rng.uniform(0.5, 1.5, n)
+    if kind == "tied":
+        pts, wts = pts[rng.integers(0, max(1, n // 2), n)], np.ones(n)
+    elif kind == "rounded":
+        pts = np.round(pts, 1)
+    return make_atomic(pts, wts)
+
+
+class TestProx2dWarmStart:
+    """Outer passes after the first start their LP from the previous
+    pass's optimal basis; the state must equal the cold reference's."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied"])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_bitwise_equal_to_cold_reference(self, seed, n, kind):
+        energy, tau = _convex_2d_energy(), 0.05
+        mu = _atoms_2d(seed, n, kind)
+        cfg = JkoConfig(tau=tau)
+        got = proximal_step(energy, mu, tau, cfg)
+        ref = _reference_prox_atomic_2d(energy, mu, tau, cfg)
+        assert np.array_equal(got.points, ref.points)
+        assert np.array_equal(got.weights, ref.weights)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rounded_lattice_within_one_ulp(self, seed):
+        # repeated atoms make the LP degenerate: a warm pass can keep the
+        # previous optimal vertex where a cold one ends at another vertex
+        # of equal cost, and the state moves in the last bit
+        energy, tau = _convex_2d_energy(), 0.05
+        mu = _atoms_2d(seed, 64, "rounded")
+        cfg = JkoConfig(tau=tau)
+        got = proximal_step(energy, mu, tau, cfg)
+        ref = _reference_prox_atomic_2d(energy, mu, tau, cfg)
+        assert np.max(np.abs(got.points - ref.points)) <= 4.5e-16
+        assert np.array_equal(got.weights, ref.weights)
+
+    def test_warm_passes_and_handed_out_plan(self, monkeypatch):
+        calls = []
+        original = transport._network_simplex
+
+        def counting(a, b, C, basis=None):
+            flow_, out = original(a, b, C, basis)
+            calls.append(basis is None)
+            return flow_, out
+
+        monkeypatch.setattr(transport, "_network_simplex", counting)
+        mu = _atoms_2d(3, 16)
+        out, info = proximal_step(_convex_2d_energy(), mu, 0.05,
+                                  JkoConfig(tau=0.05), return_info=True)
+        assert len(calls) >= 2 and calls[0] and not any(calls[1:])
+        plan = info["plan"]
+        assert plan.source is mu and plan.target is out
+        d, cold = w2_exact(mu, out)
+        assert np.array_equal(plan.matrix, cold.matrix)
+        assert transport._plan_distance(plan) == d
+
+    def test_forty_passes_hand_out_no_plan(self, monkeypatch):
+        # one gradient step per pass: the objective still falls after the
+        # last LP, so no plan couples mu to the state
+        monkeypatch.setattr(jko, "_FIXED_PLAN_ITERS", 1)
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
+        out, info = proximal_step(quadratic_energy(), mu, 0.3,
+                                  JkoConfig(tau=0.3, inner_tol=1e-9), return_info=True)
+        assert info["inner_iters"] == 40
+        assert "plan" not in info
+        assert info["residual_flag"] is True
+
+    def test_fixed_plan_cap_sets_residual_flag(self):
+        # the light atom converges at rate 1 - 1e-3 per step under the
+        # heavy atom's step size: every fixed-plan pass uses up its 500
+        # iterations while the outer objective settles within inner_tol
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
+        cfg = JkoConfig(tau=0.3, inner_tol=1e-9, steps=1)
+        _, info = proximal_step(quadratic_energy(), mu, 0.3, cfg, return_info=True)
+        assert info["inner_iters"] % jko._FIXED_PLAN_ITERS == 0
+        assert info["residual"] <= cfg.inner_tol
+        assert info["residual_flag"] is True
+        # the flag reaches the flow CSV
+        from omegaflow.cli import _trajectory_csv
+        csv = _trajectory_csv(flow(quadratic_energy(), mu, cfg), quadratic_energy())
+        assert csv.splitlines()[-1].endswith(",True")
+
+    def test_flow_diagnostics_hold_no_plan(self):
+        energy, cfg = _convex_2d_energy(), JkoConfig(tau=0.05, steps=3)
+        mu = _atoms_2d(5, 8)
+        tr = flow(energy, mu, cfg)
+        assert all("plan" not in d for d in tr.diagnostics)
+        for k in range(cfg.steps):
+            assert tr.step_distances[k] == w2(tr.states[k], tr.states[k + 1])
+
+    def test_close_points_raise_instead_of_nan(self):
+        from omegaflow.energies import EnergyError
+        # w'(r) overflows at r ~ 1e-160 and inf * 0 in the unit vector
+        # gives NaN, which the step used to pass on into make_atomic
+        energy = Energy(kernel=Kernel("riesz", alpha=2.0, d=3))
+        pts = np.array([[0.0, 0.0], [0.0, 3.8e-161]])
+        w = np.array([0.5, 0.5])
+        with pytest.raises(EnergyError, match="too close"):
+            jko._atomic_energy_grad(energy, pts, w)
+        with pytest.raises(EnergyError, match="too close"):
+            proximal_step(energy, make_atomic(pts, w), 0.05)
 
 
 class TestFlow:

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from omegaflow import verify
-from omegaflow.energies import Energy
+from omegaflow import transport, verify
+from omegaflow.energies import POTENTIALS, Energy, Kernel
 from omegaflow.jko import JkoConfig, JkoError, proximal_step
 from omegaflow.measures import QuantileMeasure, make_atomic
 from omegaflow.moduli import lipschitz, sqrt_psi
-from omegaflow.transport import w2
+from omegaflow.transport import glue, pseudo_distance, w2, w2_exact
 from omegaflow.verify import (
     InequalityReport,
     check_contraction,
@@ -130,6 +130,24 @@ class TestContraction:
         assert steps == []
         assert rep.to_dict() == verify._skip(
             "contraction", "tau cap violated (tau >= 1)", tau=2.0).to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_2d_step_distance_from_plan_bitwise(self, monkeypatch, seed):
+        # W2(nu, nu_tau) comes from nu's step plan; a fresh cold solve,
+        # the call it replaces, must give the same report bit for bit
+        rng = np.random.default_rng(seed)
+        mu = make_atomic(rng.normal(size=(8, 2)), rng.uniform(0.5, 1.5, 8))
+        nu = make_atomic(rng.normal(size=(8, 2)), rng.uniform(0.5, 1.5, 8))
+        E, tau, modulus = quadratic_energy(), 0.05, lipschitz(-1.0)
+        rep = check_contraction(E, mu, nu, tau, modulus, JkoConfig(tau=tau))
+        assert not rep.skipped and "R" in rep.context
+        _, info = proximal_step(E, nu, tau, JkoConfig(tau=tau), return_info=True)
+        assert "plan" in info   # the step hands out the plan reused above
+        monkeypatch.setattr(verify, "_step_plan",
+                            lambda a, b, info: w2_exact(a, b)[1])
+        ref = check_contraction(E, mu, nu, tau, modulus, JkoConfig(tau=tau))
+        assert rep.to_dict() == ref.to_dict()
+        assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
 
 
 class TestDiagonalPlan:
@@ -336,10 +354,99 @@ class TestDiscreteEvi2D:
 
     def test_2d_cross_term_dominates_w2(self, rng):
         # the glued pseudo-distance upper-bounds W2 between prox and probe
-        from omegaflow.verify import _pseudo_dist_through_base
-        from omegaflow.transport import w2_exact
         a = make_atomic(rng.normal(size=(4, 2)), np.ones(4))
         b = make_atomic(rng.normal(size=(4, 2)), np.ones(4))
         base = make_atomic(rng.normal(size=(4, 2)), np.ones(4))
-        cross = _pseudo_dist_through_base(a, b, base)
+        cross = pseudo_distance(glue(w2_exact(a, base)[1], w2_exact(b, base)[1]))
         assert cross >= w2_exact(a, b, return_plan=False) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# 2D checks reuse the proximal step's plan
+# ---------------------------------------------------------------------------
+
+def _convex_2d_energy():
+    # quadratic potential plus the convex kernel w(r) = r^2 / 4
+    return Energy(potential=POTENTIALS["quadratic"]({}),
+                  kernel=Kernel("smooth", d=2, profile=lambda r: np.asarray(r) ** 2 / 4.0,
+                                dprofile=lambda r: np.asarray(r) / 2.0))
+
+
+def _pair_2d(seed, n, kind):
+    """Seeded 2D pair: ``random``; ``tied`` (repeated atoms, equal
+    weights); ``rounded`` (atoms on a 0.1 lattice); ``same`` (nu = mu)."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    wx, wy = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n)
+    if kind == "tied":
+        x, wx, wy = x[rng.integers(0, max(1, n // 2), n)], np.ones(n), np.ones(n)
+    elif kind == "rounded":
+        x, y = np.round(x, 1), np.round(y, 1)
+    mu = make_atomic(x, wx)
+    return mu, (mu if kind == "same" else make_atomic(y, wy))
+
+
+def _reference_evi_2d(energy, mu, nu, tau, modulus, mu_tau):
+    """The 2D lhs and rhs as computed before the check reused plans: four
+    cold LP solves, with W_{2,mu} glued from fresh (mu_tau, mu) and
+    (nu, mu) plans."""
+    w_mu_nu = w2(mu, nu)
+    _, plan_a = w2_exact(mu_tau, mu)
+    _, plan_b = w2_exact(nu, mu)
+    w_cross = pseudo_distance(glue(plan_a, plan_b))
+    w_step = w2(mu, mu_tau)
+    lhs = modulus.euler_step(tau, w_cross**2) - w_mu_nu**2
+    rhs = 2.0 * tau * (energy.eval(nu) - energy.eval(mu_tau)) - w_step**2
+    return lhs, rhs
+
+
+class TestDiscreteEvi2DPlanReuse:
+    TAU = 0.05
+
+    def _check_and_reference(self, mu, nu):
+        energy, modulus, cfg = _convex_2d_energy(), lipschitz(1.0), JkoConfig(tau=self.TAU)
+        rep = check_discrete_evi(energy, mu, nu, self.TAU, modulus, cfg)
+        assert "reran_tighter" not in rep.context
+        mu_tau = proximal_step(energy, mu, self.TAU, cfg)
+        lhs, rhs = _reference_evi_2d(energy, mu, nu, self.TAU, modulus, mu_tau)
+        return rep, lhs, rhs
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generic_pairs_bitwise(self, seed, n):
+        rep, lhs, rhs = self._check_and_reference(*_pair_2d(seed, n, "random"))
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
+    @pytest.mark.parametrize("kind", ["tied", "rounded", "same"])
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degenerate_pairs_close_with_same_verdict(self, seed, n, kind):
+        # a degenerate LP can end at another optimal vertex, so the glue
+        # may differ in rounding: lhs moved by at most 5e-12 in seeded runs
+        rep, lhs, rhs = self._check_and_reference(*_pair_2d(seed, n, kind))
+        assert abs(rep.lhs - lhs) <= 1e-10 and abs(rep.rhs - rhs) <= 1e-10
+        assert rep.passed == InequalityReport("ref", lhs, rhs, rep.tolerance).passed
+
+    def test_one_cold_solve_of_its_own(self, monkeypatch):
+        # the step's first pass and W2(mu, nu) are the only cold solves;
+        # every later pass of the step warm-starts
+        cold = []
+        original = transport._network_simplex
+
+        def counting(a, b, C, basis=None):
+            cold.append(basis is None)
+            return original(a, b, C, basis)
+
+        monkeypatch.setattr(transport, "_network_simplex", counting)
+        mu, nu = _pair_2d(3, 16, "random")
+        check_discrete_evi(_convex_2d_energy(), mu, nu, self.TAU, lipschitz(1.0),
+                           JkoConfig(tau=self.TAU))
+        assert cold.count(True) == 2
+        assert cold.count(False) >= 1
+
+    def test_capped_step_flag_in_context(self):
+        # each fixed-plan pass of this step uses up its iterations
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
+        rep = check_discrete_evi(quadratic_energy(), mu, mu, 0.3, lipschitz(1.0),
+                                 JkoConfig(tau=0.3, inner_tol=1e-9))
+        assert rep.context["residual_flag"] is True
