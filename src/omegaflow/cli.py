@@ -121,6 +121,8 @@ def _parse_measure(spec, path: str):
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     kind = spec.get("kind")
+    if kind == "grid":
+        raise ConfigError(f"{path}.kind", "grid states are not stepped")
     try:
         if kind == "dirac":
             return dirac_state(float(spec.get("a", 0.0)), int(spec.get("n", 8)))

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import (
+    GAP_FLOOR,
     AtomicMeasure,
     GridDensity,
     QuantileMeasure,
@@ -42,7 +43,7 @@ from .measures import (
     gaps_adjoint,
     lp_norm,
 )
-from .moduli import JUNCTION, Modulus, psi
+from .moduli import JUNCTION, Modulus, _log_positive, psi
 from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "POTENTIALS",
 ]
 
-GAP_FLOOR = 1e-12
 CONSTRAINT_SLACK = 1e-9
 
 
@@ -131,9 +131,7 @@ class Kernel:
             if self.d == 1:
                 out = 0.5 * r * self.c
             elif self.d == 2:
-                with np.errstate(divide="ignore"):
-                    out = self.c * np.where(r > 0, np.log(np.where(r > 0, r, 1.0)),
-                                            -np.inf) / (2.0 * math.pi)
+                out = self.c * _log_positive(r, -np.inf) / (2.0 * math.pi)
             else:
                 d = self.d
                 coef = self.c / (d * (2.0 - d) * _ball_volume(d))
@@ -147,9 +145,7 @@ class Kernel:
             # lsc convention: +c|x|^(a-d) takes 0 at x=0, -c|x|^(a-d) is -inf
             out = np.where(r > 0, out, 0.0 if self.sign > 0 else -np.inf)
         elif self.kind == "log":
-            with np.errstate(divide="ignore"):
-                out = self.c * np.where(r > 0, np.log(np.where(r > 0, r, 1.0)),
-                                        -np.inf)
+            out = self.c * _log_positive(r, -np.inf)
         else:
             out = np.asarray(self.profile(r), dtype=float)
         return out if out.ndim else float(out)
@@ -250,8 +246,7 @@ def _log_pinch(strength: float):
     def val(x):
         x = np.abs(np.asarray(x, dtype=float))
         xc = np.minimum(x, j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(xc > 0, np.log(np.where(xc > 0, xc, 1.0)), 0.0)
+        lg = _log_positive(xc)
         core = -(s / 4.0) * xc**2 * (1.0 - 2.0 * lg)
         # continue linearly in the (unused) far region to keep V C^1
         slope_j = -(s / 2.0) * j * (-2.0 * math.log(j))
@@ -263,8 +258,7 @@ def _log_pinch(strength: float):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
         xc = np.minimum(ax, j)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lg = np.where(xc > 0, np.log(np.where(xc > 0, xc, 1.0)), 0.0)
+        lg = _log_positive(xc)
         mag = np.where(ax <= j, -s * xc * (-lg), -s * j * (-math.log(j)))
         out = np.sign(x) * mag
         return out if out.ndim else float(out)

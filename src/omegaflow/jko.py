@@ -30,13 +30,13 @@ import numpy as np
 
 from .energies import Energy, _finite_field
 from .measures import (
+    GAP_FLOOR,
     AtomicMeasure,
-    GridDensity,
+    MeasureError,
     QuantileMeasure,
     gaps_adjoint,
     lp_norm,
     make_atomic,
-    to_quantile,
 )
 # w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
 from .transport import (
@@ -78,7 +78,6 @@ class JkoConfig:
     steps: int = 1
     inner_tol: float = 1e-8
     inner_max_iter: int = 20000
-    n_nodes: int = 256
 
     def __post_init__(self):
         if self.tau < 0:
@@ -89,8 +88,6 @@ class JkoConfig:
             raise JkoError("inner_tol must be positive")
         if self.inner_max_iter < 1:
             raise JkoError("inner_max_iter must be >= 1")
-        if self.n_nodes < 2:
-            raise JkoError("n_nodes must be >= 2")
 
 
 @dataclass
@@ -251,7 +248,7 @@ class _QuantileObjective:
         viol = norm - cap
         if viol <= 0 or not math.isfinite(norm):
             return np.zeros(len(qs))
-        g = np.maximum(qs.gaps(), 1e-12)
+        g = np.maximum(qs.gaps(), GAP_FLOOR)
         c = qs.cell_mass
         # d/dg_i of (sum c^p g^(1-p))^(1/p)
         s = float(np.sum(c**p * g ** (1.0 - p)))
@@ -288,7 +285,11 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     fx = f_best = fz
     for it in range(1, max_iter + 1):
         if it > 1:
-            fz, g = objective.value_and_grad(z)
+            try:
+                fz, g = objective.value_and_grad(z)
+            except MeasureError:  # z out of order: restart the momentum at x
+                z, t_m = x, 1.0
+                fz, g = objective.value_and_grad(z)
         if g_prev is not None:
             # BB curvature estimate; the backtracking loop repairs
             # underestimates, nonconvex directions keep the previous L
@@ -458,8 +459,9 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
                   prev_state=None, return_info: bool = False):
     """One proximal step argmin_nu (1/2 tau) W2^2(mu, nu) + E(nu).
 
-    ``tau = 0`` returns ``mu`` unchanged.  The result is reported in the
-    same parametrization as the input.
+    ``mu`` is a :class:`QuantileMeasure` or an :class:`AtomicMeasure`, 1D
+    atoms stepped exactly as quantile cells; the result has the input's type.
+    Grids raise (see :func:`measures.to_quantile`); ``tau = 0`` returns ``mu``.
     """
     cfg = cfg or JkoConfig(tau=tau)
     if tau < 0:
@@ -472,52 +474,16 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
     elif isinstance(mu, AtomicMeasure) and mu.dim == 2:
         out, info = _prox_atomic_2d(energy, mu, tau, cfg)
     elif isinstance(mu, AtomicMeasure):
-        n = len(mu)
-        if np.allclose(mu.weights, mu.weights[0]):
-            q = QuantileMeasure((np.arange(n) + 0.5) / n, mu.points, mu.weights)
-        else:
-            q = to_quantile(mu, cfg.n_nodes)
+        keep = mu.weights > 0   # one quantile cell per atom of positive mass
+        n = int(keep.sum())
+        q = QuantileMeasure((np.arange(n) + 0.5) / n, mu.points[keep],
+                            mu.weights[keep])
         q_out, info = _prox_quantile(energy, q, tau, cfg)
         out = q_out.to_atomic()
-    elif isinstance(mu, GridDensity):
-        if mu.dim != 1:
-            raise JkoError("grid-parametrized proximal steps are 1D only")
-        # Eulerian cross-validation path: quantile engine + grid resampling
-        q = to_quantile(mu, cfg.n_nodes)
-        q_out, info = _prox_quantile(energy, q, tau, cfg)
-        out = _resample_to_grid(q_out, mu)
     else:
-        raise JkoError(f"unsupported measure type {type(mu)!r}")
+        raise JkoError(f"unsupported measure type {type(mu)!r}; convert 1D "
+                       "grids with measures.to_quantile")
     return (out, info) if return_info else out
-
-
-def _resample_to_grid(q: QuantileMeasure, template: GridDensity) -> GridDensity:
-    """Histogram the quantile cells back onto the template's grid."""
-    n_cells = len(template.values)
-    sp = template.spacing
-    org = template.origin
-    x = q.positions
-    c = q.cell_mass
-    edges = np.empty(len(x) + 1)
-    edges[1:-1] = 0.5 * (x[1:] + x[:-1])
-    edges[0] = x[0] - 0.5 * max(x[1] - x[0], 1e-12) if len(x) > 1 else x[0] - 1e-9
-    edges[-1] = x[-1] + 0.5 * max(x[-1] - x[-2], 1e-12) if len(x) > 1 else x[-1] + 1e-9
-    masses = np.zeros(n_cells)
-    lo_all = np.clip((edges[:-1] - org) / sp, 0, n_cells)
-    hi_all = np.clip((edges[1:] - org) / sp, 0, n_cells)
-    for mass, lo, hi in zip(c, lo_all, hi_all):
-        if hi <= lo:
-            k = min(int(lo), n_cells - 1)
-            masses[k] += mass
-            continue
-        k0, k1 = int(math.floor(lo)), min(int(math.ceil(hi)), n_cells)
-        width = hi - lo
-        for k in range(k0, k1):
-            overlap = min(hi, k + 1) - max(lo, k)
-            if overlap > 0:
-                masses[k] += mass * overlap / width
-    masses /= masses.sum()
-    return GridDensity(org, sp, masses / sp)
 
 
 def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-10
-GAP_FLOOR = 1e-12
+GAP_FLOOR = 1e-12   # smallest cell width a density or its gradient divides by
 
 
 class MeasureError(ValueError):

@@ -124,6 +124,11 @@ def adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL,
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
+def _log_positive(x, fill=0.0):
+    """log x where x > 0, else ``fill``; log sees no x <= 0, so no warning."""
+    return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), fill)
+
+
 def psi(x):
     """x (log x)^2 below the junction, x + 2(1+sqrt 2) e^(-1-sqrt 2) above.
 
@@ -132,8 +137,7 @@ def psi(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ModulusError("psi requires x >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), 0.0)
+    logs = _log_positive(x)
     lower = x * logs * logs
     upper = x + PSI_SHIFT
     out = np.where(x <= JUNCTION, lower, upper)
@@ -143,8 +147,7 @@ def psi(x):
 
 def _log_lip_omega(x):
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), 0.0)
+    logs = _log_positive(x)
     lower = x * np.abs(logs)
     upper = np.sqrt(x * x + PSI_SHIFT * x)
     out = np.where(x <= JUNCTION, lower, upper)

@@ -75,6 +75,7 @@ class TestRun:
         pytest.param("constraint_mode", "penalty", id="constraint_mode"),
         pytest.param("multi_start", False, id="multi_start"),
         pytest.param("penalty_weights", [1.0, 10.0], id="penalty_weights"),
+        pytest.param("n_nodes", 256, id="n_nodes"),
     ])
     def test_removed_jko_key_rejected(self, tmp_path, capsys, key, value):
         cfg = dict(FLOW_CONFIG)
@@ -86,7 +87,6 @@ class TestRun:
     @pytest.mark.parametrize("key, value, message", [
         pytest.param("inner_max_iter", 0, "inner_max_iter must be >= 1",
                      id="inner_max_iter"),
-        pytest.param("n_nodes", 1, "n_nodes must be >= 2", id="n_nodes"),
     ])
     def test_invalid_jko_value_exit_2(self, tmp_path, capsys, key, value,
                                       message):
@@ -94,6 +94,14 @@ class TestRun:
         cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert message in capsys.readouterr().err
+
+    def test_grid_initial_exit_2(self, tmp_path, capsys):
+        # proximal steps take quantile or atomic states, not grids
+        cfg = dict(FLOW_CONFIG)
+        cfg["initial"] = {"kind": "grid", "origin": -0.5, "spacing": 0.5,
+                          "values": [1.0, 1.0]}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        assert "initial.kind" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dict(FLOW_CONFIG)
