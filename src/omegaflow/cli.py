@@ -1,9 +1,9 @@
 """Batch driver: experiment configs in, CSV/JSON artifacts out.
 
-Subcommands: ``flow`` (run a JKO experiment config), ``verify`` (run an
-inequality suite), ``rates`` (convergence-rate study), ``ode`` and
-``transport`` (focused suites).  The suite commands (``verify``, ``ode``,
-``transport``) take ``--seed``, ``--tol`` and ``--quick``.
+Subcommands: ``flow`` and ``rates`` run a JKO or rate-study config;
+``verify`` runs an inequality suite (``--suite``, ``--seed``, ``--tol``,
+``--quick``, ``--report``) as a ``verify`` config job, so it too writes a
+manifest, beside its report.
 
 Exit codes: 0 all checks passed / artifacts written; 1 computation failure;
 2 config schema violation (with a pointer to the offending key).
@@ -25,10 +25,10 @@ import tempfile
 import time
 
 from . import __version__
-from .energies import EnergyError, parse_energy
-from .jko import FlowTrajectory, JkoConfig, JkoError, flow
-from .measures import MeasureError, measure_from_json
-from .moduli import ModulusError, modulus_from_json
+from .energies import parse_energy
+from .jko import FlowTrajectory, JkoConfig, flow
+from .measures import lp_norm, measure_from_json, measure_to_json
+from .moduli import modulus_from_json
 from .verify import RateStudy, SUITES, rate_study, run_suite
 from .verify import dirac_state, uniform_state
 
@@ -88,7 +88,6 @@ def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
     lines = [header]
     tau = traj.config.tau
     cap = energy.constraint if energy.constraint else None
-    from .measures import lp_norm
     for k, state in enumerate(traj.states):
         viol = 0.0
         if cap is not None:
@@ -111,51 +110,67 @@ def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    return data[key]
+REQUIRED = object()
 
 
-def _parse_measure(spec, path: str):
+def _read(data, key, convert, default=REQUIRED, path=""):
+    """``convert(data[key])`` (the value itself if ``convert`` is None), or
+    of ``default`` when the key is absent.  A missing required key or a value
+    ``convert`` rejects is a :class:`ConfigError` at ``path.key``."""
+    pointer = f"{path}.{key}" if path else key
+    if key in data:
+        value = data[key]
+    elif default is REQUIRED:
+        raise ConfigError(pointer, "missing required key")
+    else:
+        value = default
+    if convert is None:
+        return value
+    try:
+        return convert(value)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(pointer, str(exc)) from exc
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _suite(name):
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return name
+
+
+def _parse_measure(spec):
+    """The ``initial`` state: ``dirac`` or ``uniform`` shorthand, or measure JSON."""
     if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
+        raise TypeError("expected an object")
     kind = spec.get("kind")
     if kind == "grid":
-        raise ConfigError(f"{path}.kind", "grid states are not stepped")
-    try:
-        if kind == "dirac":
-            return dirac_state(float(spec.get("a", 0.0)), int(spec.get("n", 8)))
-        if kind == "uniform":
-            return uniform_state(float(_require(spec, "lo", path)),
-                                 float(_require(spec, "hi", path)),
-                                 int(spec.get("n", 64)))
-        return measure_from_json(spec)
-    except (MeasureError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError("initial.kind", "grid states are not stepped")
+    if kind == "dirac":
+        return dirac_state(_read(spec, "a", float, 0.0, "initial"),
+                           _read(spec, "n", int, 8, "initial"))
+    if kind == "uniform":
+        return uniform_state(_read(spec, "lo", float, path="initial"),
+                             _read(spec, "hi", float, path="initial"),
+                             _read(spec, "n", int, 64, "initial"))
+    return measure_from_json(spec)
 
 
-def _parse_jko(spec, path: str) -> JkoConfig:
-    if spec is None:
-        spec = {}
+def _parse_jko(spec) -> JkoConfig:
+    spec = {} if spec is None else spec
     if not isinstance(spec, dict):
-        raise ConfigError(path, "expected an object")
+        raise TypeError("expected an object")
     unknown = set(spec) - {f.name for f in dataclasses.fields(JkoConfig)}
     if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-    try:
-        return JkoConfig(**spec)
-    except (JkoError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _parse_energy_cfg(spec, path: str):
-    try:
-        return parse_energy(spec)
-    except (EnergyError, KeyError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(f"jko.{sorted(unknown)[0]}", "unknown key")
+    return JkoConfig(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +178,7 @@ def _parse_energy_cfg(spec, path: str):
 # ---------------------------------------------------------------------------
 
 def run(config_path: str) -> int:
-    """Dispatch one experiment config; returns the process exit code."""
-    t0 = time.monotonic()
+    """Run one experiment config file; returns the process exit code."""
     try:
         with open(config_path) as fh:
             raw = fh.read()
@@ -175,9 +189,16 @@ def run(config_path: str) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error at <root>: invalid JSON ({exc})", file=sys.stderr)
         return 2
+    return _run_config(config, raw, os.path.dirname(os.path.abspath(config_path)))
+
+
+def _run_config(config, raw: str, base: str) -> int:
+    """Run a parsed config's ``job`` and write its manifest (default
+    ``manifest.json`` in ``base``); returns the exit code."""
+    t0 = time.monotonic()
+    failed = False
     try:
-        job = _require(config, "job", "")
-        outputs = config.get("output", {})
+        job = _read(config, "job", None)
         if job == "flow":
             artifacts = _job_flow(config)
         elif job == "rates":
@@ -198,21 +219,16 @@ def run(config_path: str) -> int:
         "wall_clock_s": time.monotonic() - t0,
         "artifacts": sorted(artifacts),
     }
-    manifest_path = outputs.get("manifest", _default_out(config_path, "manifest.json"))
+    manifest_path = config.get("output", {}).get(
+        "manifest", os.path.join(base, "manifest.json"))
     _atomic_write(manifest_path, json.dumps(manifest, indent=1) + "\n")
-    if job == "verify" and failed:
-        return 1
-    return 0
-
-
-def _default_out(config_path: str, name: str) -> str:
-    return os.path.join(os.path.dirname(os.path.abspath(config_path)), name)
+    return 1 if failed else 0
 
 
 def _job_flow(config) -> list:
-    energy = _parse_energy_cfg(_require(config, "energy", ""), "energy")
-    mu0 = _parse_measure(_require(config, "initial", ""), "initial")
-    cfg = _parse_jko(config.get("jko"), "jko")
+    energy = _read(config, "energy", parse_energy)
+    mu0 = _read(config, "initial", _parse_measure)
+    cfg = _read(config, "jko", _parse_jko, None)
     traj = flow(energy, mu0, cfg)
     outputs = config.get("output", {})
     csv_path = outputs.get("trajectory", "trajectory.csv")
@@ -224,7 +240,6 @@ def _job_flow(config) -> list:
         artifacts.append(table)
     states_dir = outputs.get("states_dir")
     if states_dir:
-        from .measures import measure_to_json
         os.makedirs(states_dir, exist_ok=True)
         for k, s in enumerate(traj.states):
             p = os.path.join(states_dir, f"state_{k:05d}.json")
@@ -234,18 +249,15 @@ def _job_flow(config) -> list:
 
 
 def _job_rates(config) -> list:
-    energy = _parse_energy_cfg(_require(config, "energy", ""), "energy")
-    mu0 = _parse_measure(_require(config, "initial", ""), "initial")
-    try:
-        modulus = modulus_from_json(_require(config, "modulus", ""))
-    except ModulusError as exc:
-        raise ConfigError("modulus", str(exc)) from exc
-    cfg = _parse_jko(config.get("jko"), "jko")
-    t = float(config.get("t", 0.5))
-    n_list = config.get("n_list", [8, 16, 32, 64, 128])
-    n_ref = int(config.get("n_ref", 1024))
-    st = rate_study(energy, mu0, t, n_list, modulus, cfg, n_ref=n_ref,
-                    family=config.get("family", "config"))
+    energy = _read(config, "energy", parse_energy)
+    mu0 = _read(config, "initial", _parse_measure)
+    modulus = _read(config, "modulus", modulus_from_json)
+    cfg = _read(config, "jko", _parse_jko, None)
+    st = rate_study(energy, mu0, _read(config, "t", float, 0.5),
+                    _read(config, "n_list", lambda v: [int(n) for n in v],
+                          [8, 16, 32, 64, 128]),
+                    modulus, cfg, n_ref=_read(config, "n_ref", int, 1024),
+                    family=_read(config, "family", str, "config"))
     outputs = config.get("output", {})
     table = outputs.get("plot_table", "rates.csv")
     _atomic_write(table, emit_plot_table(st))
@@ -255,27 +267,19 @@ def _job_rates(config) -> list:
 
 
 def _job_verify(config):
-    suite = config.get("suite", "all")
-    tol = float(config.get("tol", 1e-6))
-    seed = int(config.get("seed", 0))
-    quick = bool(config.get("quick", False))
-    if suite != "all" and suite not in SUITES:
-        raise ConfigError("suite", f"unknown suite {suite!r}")
-    reports = run_suite(suite, tol=tol, seed=seed, quick=quick)
-    outputs = config.get("output", {})
-    report_path = outputs.get("report", "verify_report.json")
-    _write_reports(report_path, reports)
-    failed = [r for r in reports if not r.passed]
-    return [report_path], bool(failed)
-
-
-def _sort_key(r):
-    return (r.name, json.dumps(r.context, sort_keys=True, default=str))
-
-
-def _write_reports(path: str, reports) -> None:
-    ordered = sorted(reports, key=_sort_key)
+    reports = run_suite(_read(config, "suite", _suite, "all"),
+                        tol=_read(config, "tol", float, 1e-6),
+                        seed=_read(config, "seed", int, 0),
+                        quick=_read(config, "quick", _boolean, False))
+    path = config.get("output", {}).get("report", "verify_report.json")
+    ordered = sorted(reports, key=lambda r: (
+        r.name, json.dumps(r.context, sort_keys=True, default=str)))
     _atomic_write(path, json.dumps([r.to_dict() for r in ordered], indent=1) + "\n")
+    n_fail = sum(1 for r in reports if not r.passed)
+    n_skip = sum(1 for r in reports if r.skipped)
+    print(f"{len(reports)} checks: {len(reports) - n_fail} passed, "
+          f"{n_fail} failed, {n_skip} skipped -> {path}")
+    return [path], n_fail > 0
 
 
 # ---------------------------------------------------------------------------
@@ -286,50 +290,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="omegaflow",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    suite_flags = argparse.ArgumentParser(add_help=False)
-    suite_flags.add_argument("--seed", type=int, default=0)
-    suite_flags.add_argument("--tol", type=float, default=1e-6)
-    suite_flags.add_argument("--quick", action="store_true")
 
-    p_flow = sub.add_parser("flow", help="run a JKO experiment config")
-    p_flow.add_argument("config")
+    for name, text in (("flow", "run a JKO experiment config"),
+                       ("rates", "run a rate-study config")):
+        sub.add_parser(name, help=text).add_argument("config")
 
-    p_verify = sub.add_parser("verify", help="run inequality suites",
-                              parents=[suite_flags])
+    p_verify = sub.add_parser("verify", help="run inequality suites")
     p_verify.add_argument("--suite", default="all",
                           choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--tol", type=float, default=1e-6)
+    p_verify.add_argument("--quick", action="store_true")
     p_verify.add_argument("--report", default="verify_report.json")
 
-    p_rates = sub.add_parser("rates", help="run a rate-study config")
-    p_rates.add_argument("config")
-
-    p_ode = sub.add_parser("ode", help="run the ODE/moduli suite",
-                           parents=[suite_flags])
-    p_ode.add_argument("--report", default="ode_report.json")
-
-    p_tr = sub.add_parser("transport", help="run the transport suite",
-                          parents=[suite_flags])
-    p_tr.add_argument("--report", default="transport_report.json")
-
     args = parser.parse_args(argv)
-
-    if args.command in ("flow", "rates"):
+    if args.command != "verify":
         return run(args.config)
-    if args.command == "verify":
-        suite = args.suite
-    else:
-        suite = args.command  # "ode" | "transport"
-    try:
-        reports = run_suite(suite, tol=args.tol, seed=args.seed, quick=args.quick)
-    except Exception as exc:
-        print(f"computation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    _write_reports(args.report, reports)
-    n_fail = sum(1 for r in reports if not r.passed)
-    n_skip = sum(1 for r in reports if r.skipped)
-    print(f"{len(reports)} checks: {len(reports) - n_fail} passed, "
-          f"{n_fail} failed, {n_skip} skipped -> {args.report}")
-    return 1 if n_fail else 0
+    config = {"job": "verify", "suite": args.suite, "seed": args.seed,
+              "tol": args.tol, "quick": args.quick,
+              "output": {"report": args.report}}
+    return _run_config(config, json.dumps(config, sort_keys=True),
+                       os.path.dirname(os.path.abspath(args.report)))
 
 
 if __name__ == "__main__":

@@ -623,6 +623,9 @@ def parse_energy(data) -> Energy:
      "constraint":{"p":"inf","cap":1.0},"internal":{"power":2}}"""
     if isinstance(data, str):
         data = json.loads(data)
+    unknown = set(data) - {"potential", "kernel", "internal", "constraint"}
+    if unknown:
+        raise EnergyError(f"unknown energy key {sorted(unknown)[0]!r}")
     pot = None
     if "potential" in data and data["potential"] is not None:
         spec = data["potential"]

@@ -101,12 +101,7 @@ class FlowTrajectory:
     config: JkoConfig
 
     def max_constraint_violation(self, p, cap) -> float:
-        worst = 0.0
-        for s in self.states:
-            v = lp_norm(s, p)
-            if math.isfinite(v):
-                worst = max(worst, v - cap)
-        return worst
+        return max([0.0] + [lp_norm(s, p) - cap for s in self.states])
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,9 @@ LOG_KINDS = ("log_lipschitz", "sqrt_psi")
 _KINDS = ("lipschitz", "polynomial", "phi_derived") + LOG_KINDS
 
 _QUAD_TOL = 1e-11
+_QUAD_MAX_DEPTH = 48        # bisection depth of adaptive_simpson
 _BISECT_TOL = 1e-12
+_PHI_TABLE_SIZE = 2048      # nodes of the modulus_from_phi table
 
 
 class ModulusError(ValueError):
@@ -97,8 +99,7 @@ class FlowWindowError(ValueError):
         super().__init__(f"t = {t} outside existence window [0, {window})")
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL,
-                     max_depth: int = 48) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL) -> float:
     """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
     if a == b:
         return 0.0
@@ -113,7 +114,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL,
         fl, fr = f(lmid), f(rmid)
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * eps:
+        if depth >= _QUAD_MAX_DEPTH or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, depth + 1)
                 + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0, depth + 1))
@@ -529,8 +530,7 @@ def sqrt_psi(lam: float) -> Modulus:
     return Modulus("sqrt_psi", float(lam))
 
 
-def modulus_from_phi(s_samples, phi_samples, sign: int,
-                     table_size: int = 2048) -> Modulus:
+def modulus_from_phi(s_samples, phi_samples, sign: int) -> Modulus:
     """Convert a sampled uniformly-convexifying phi into a modulus.
 
     omega_1(x) = (2/lam) int_0^sqrt(x) phi(s) ds with lam = +-1 per
@@ -571,7 +571,7 @@ def modulus_from_phi(s_samples, phi_samples, sign: int,
 
     # log-spaced table with monotone-cubic interpolation, split exactly at
     # the cap so the kink there is not smoothed over
-    xs = np.concatenate([[0.0], np.geomspace(1e-16, cap_at, table_size - 1)])
+    xs = np.concatenate([[0.0], np.geomspace(1e-16, cap_at, _PHI_TABLE_SIZE - 1)])
     xs[-1] = cap_at
     ys = omega_exact(xs)
     ys = np.maximum.accumulate(np.maximum(ys, 0.0))

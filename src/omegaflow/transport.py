@@ -365,11 +365,14 @@ def _plan_distance(plan: TransportPlan) -> float:
 
 
 def same_quantile_grid(mu, nu) -> bool:
-    """True for two QuantileMeasures on one quantile grid (nodes within 1e-12)."""
+    """True for two QuantileMeasures on one quantile grid: nodes and cell
+    masses each within 1e-12 (``with_positions`` shares both arrays)."""
     return (isinstance(mu, QuantileMeasure) and isinstance(nu, QuantileMeasure)
             and len(mu) == len(nu)
-            and (mu.q_nodes is nu.q_nodes   # shared by with_positions
-                 or float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12))
+            and (mu.q_nodes is nu.q_nodes
+                 or float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12)
+            and (mu.cell_mass is nu.cell_mass
+                 or float(np.max(np.abs(mu.cell_mass - nu.cell_mass))) <= 1e-12))
 
 
 def w2(mu, nu, return_plan: bool = False):

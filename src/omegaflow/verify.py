@@ -489,7 +489,7 @@ def check_asymmetric_recursion(energy: Energy, mu0, T: float, n_steps: int,
 
 def rate_study(energy: Energy, mu0, t: float, n_list, modulus: Modulus,
                cfg: JkoConfig | None = None, n_ref: int = 4096,
-               family: str = "unnamed", fit_at: int | None = None) -> RateStudy:
+               family: str = "unnamed") -> RateStudy:
     """Errors W2(mu^n_{t/n}, mu^{n_ref}_{t/n_ref}) against the paper envelope.
 
     The envelope is n^(-1/4) for linear majorants and
@@ -514,8 +514,7 @@ def rate_study(energy: Energy, mu0, t: float, n_list, modulus: Modulus,
     else:
         bounds = [n ** -0.25 for n in n_list]
         bound_name = "n^-1/4"
-    k = 0 if fit_at is None else n_list.index(fit_at)
-    c_star = errors[k] / bounds[k] if bounds[k] > 0 else 0.0
+    c_star = errors[0] / bounds[0] if bounds[0] > 0 else 0.0
     pos = [(n, e) for n, e in zip(n_list, errors) if e > 0]
     if len(pos) >= 2:
         ln = np.log([p[0] for p in pos])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -145,6 +146,35 @@ class TestRun:
         assert table[0] == "series,x,y"
         assert any(line.startswith("measured,") for line in table[1:])
 
+    @pytest.mark.parametrize("job, key, value", [
+        pytest.param("verify", "quick", "false", id="quick-string"),
+        pytest.param("verify", "seed", "x", id="seed"),
+        pytest.param("verify", "tol", [1], id="tol"),
+        pytest.param("rates", "n_list", [8, "x"], id="n_list"),
+        pytest.param("rates", "n_ref", "x", id="n_ref"),
+        pytest.param("flow", "energy", {"potentail": "quadratic"},
+                     id="energy-typo"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, job, key, value):
+        cfg = {"job": job, "suite": "transport", "quick": True,
+               "energy": {"potential": "quadratic"},
+               "initial": {"kind": "dirac", "a": 1.0, "n": 2},
+               "modulus": {"kind": "lipschitz", "lambda": 1.0},
+               "output": {"report": str(tmp_path / "r.json"),
+                          "plot_table": str(tmp_path / "r.csv"),
+                          "trajectory": str(tmp_path / "t.csv"),
+                          "manifest": str(tmp_path / "m.json")},
+               key: value}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        assert f"config error at {key!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_nested_key_pointer(self, tmp_path, capsys):
+        cfg = dict(FLOW_CONFIG)
+        cfg["initial"] = {"kind": "uniform", "lo": "x", "hi": 1.0}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        assert "config error at 'initial.lo'" in capsys.readouterr().err
+
     def test_verify_job(self, tmp_path):
         cfg = {"job": "verify", "suite": "transport", "quick": True,
                "output": {"report": str(tmp_path / "rep.json"),
@@ -177,12 +207,36 @@ class TestEmitPlotTable:
 
 
 class TestMainEntry:
-    def test_verify_subcommand(self, tmp_path, monkeypatch):
+    def test_verify_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["verify", "--suite", "transport", "--quick",
-                     "--report", "rep.json"])
+                     "--report", "out/rep.json"])
         assert code == 0
-        assert (tmp_path / "rep.json").exists()
+        assert (tmp_path / "out" / "rep.json").exists()
+        # the run is the equivalent config job, hashed in canonical form
+        config = {"job": "verify", "suite": "transport", "seed": 0,
+                  "tol": 1e-6, "quick": True,
+                  "output": {"report": "out/rep.json"}}
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config_sha256"] == hashlib.sha256(
+            json.dumps(config, sort_keys=True).encode()).hexdigest()
+        assert manifest["artifacts"] == ["out/rep.json"]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].endswith(" failed, 0 skipped -> out/rep.json")
+
+    def test_verify_job_matches_subcommand(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "transport", "--quick", "--seed", "2",
+                     "--tol", "1e-7", "--report", "rep.json"]) == 0
+        body, out = (tmp_path / "rep.json").read_bytes(), capsys.readouterr().out
+        cfg = {"job": "verify", "suite": "transport", "quick": True, "seed": 2,
+               "tol": 1e-7, "output": {"report": "rep.json",
+                                       "manifest": "m.json"}}
+        (tmp_path / "rep.json").unlink()
+        assert run(write_config(tmp_path, "c.json", cfg)) == 0
+        assert (tmp_path / "rep.json").read_bytes() == body
+        assert capsys.readouterr().out == out
 
     def test_suite_flags_after_subcommand(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -197,9 +251,14 @@ class TestMainEntry:
             main([command, path, *flag])
         assert exc.value.code == 2
 
-    def test_transport_subcommand(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["ode", "transport"])
+    def test_suite_aliases_removed(self, tmp_path, monkeypatch, command):
+        # a focused suite runs as ``verify --suite <name>``
         monkeypatch.chdir(tmp_path)
-        assert main(["transport", "--quick", "--report", "t.json"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--quick"])
+        assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
     def test_flow_subcommand(self, tmp_path):
         cfg = dict(FLOW_CONFIG)

@@ -526,6 +526,11 @@ class TestConfig:
         with pytest.raises(EnergyError):
             parse_energy({"potential": "mystery"})
 
+    def test_unknown_key(self):
+        # a misspelt term would otherwise leave a zero energy
+        with pytest.raises(EnergyError, match="potentail"):
+            parse_energy({"potentail": "quadratic"})
+
     def test_json_string_input(self):
         E = parse_energy(json.dumps({"potential": "quadratic"}))
         assert E.kernel is None

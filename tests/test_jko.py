@@ -576,6 +576,14 @@ class TestFlow:
                   JkoConfig(tau=0.05, steps=20, inner_tol=1e-9))
         assert tr.max_constraint_violation(math.inf, 2.0) <= 1e-8
 
+    def test_infinite_norm_is_a_violation(self):
+        # atoms have infinite L-inf norm: the CSV says inf, and so must this
+        tr = flow(capped_aggregation_energy(2.0),
+                  make_atomic(np.linspace(-1, 1, 8), np.full(8, 0.125)),
+                  JkoConfig(tau=0.05, steps=3, inner_tol=1e-9))
+        assert all(lp_norm(s, math.inf) == math.inf for s in tr.states)
+        assert tr.max_constraint_violation(math.inf, 2.0) == math.inf
+
 
 class TestTimeDependent:
     @staticmethod

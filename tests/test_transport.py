@@ -565,6 +565,22 @@ class TestW2Dispatch:
         assert w2(da, db) == quantile_w2(da, db) == 0.5
         assert _close_sq(w2(da.to_atomic(), db.to_atomic()), 0.5)
 
+    def test_same_nodes_other_masses(self):
+        # one quantile grid means equal nodes and equal cell masses: the
+        # node-to-node coupling moves no mass between cells
+        a = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.5, 0.5])
+        b = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.1, 0.9])
+        assert not transport.same_quantile_grid(a, b)
+        assert transport.same_quantile_grid(a, a.with_positions([0.5, 2.0]))
+        ref = w2_1d(a, b, return_plan=False)
+        assert ref == pytest.approx(math.sqrt(0.4))
+        assert w2(a, b) == ref
+        with pytest.raises(JkoError, match="quantile grid"):
+            quantile_w2(a, b)
+        g = geodesic(a, b, 0.5)
+        assert g.points.tolist() == [0.0, 0.5, 1.0]
+        assert g.weights.tolist() == pytest.approx([0.1, 0.4, 0.5])
+
 
 class TestPinnedPlans:
     """The network simplex pivots deterministically: these plan digests

@@ -200,6 +200,16 @@ class TestSemigroupContraction:
         assert rep.lhs / rep.context["W0"] == pytest.approx(
             math.exp(-0.5), rel=2e-3)
 
+    def test_same_nodes_other_masses(self):
+        # W0 is the distance between the two cell-mass vectors, not 0
+        mu = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.5, 0.5])
+        nu = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.1, 0.9])
+        rep = check_semigroup_contraction(
+            quadratic_energy(), mu, nu, 0.5, 256, lipschitz(1.0),
+            JkoConfig(inner_tol=1e-10))
+        assert rep.context["W0"] == pytest.approx(math.sqrt(0.4), rel=1e-12)
+        assert rep.passed and rep.lhs > 0.0
+
 
 class TestNstepContraction:
     @pytest.mark.parametrize("t", [0.0, 0.5])
