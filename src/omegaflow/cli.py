@@ -192,6 +192,15 @@ def run(config_path: str) -> int:
     return _run_config(config, raw, os.path.dirname(os.path.abspath(config_path)))
 
 
+# the top-level keys each job reads, besides ``job``
+_JOB_KEYS = {
+    "flow": {"energy", "initial", "jko", "output"},
+    "rates": {"energy", "initial", "modulus", "jko", "t", "n_list", "n_ref",
+              "family", "output"},
+    "verify": {"suite", "tol", "seed", "quick", "output"},
+}
+
+
 def _run_config(config, raw: str, base: str) -> int:
     """Run a parsed config's ``job`` and write its manifest (default
     ``manifest.json`` in ``base``); returns the exit code."""
@@ -199,14 +208,17 @@ def _run_config(config, raw: str, base: str) -> int:
     failed = False
     try:
         job = _read(config, "job", None)
+        if not isinstance(job, str) or job not in _JOB_KEYS:
+            raise ConfigError("job", f"unknown job kind {job!r}")
+        unknown = sorted(set(config) - _JOB_KEYS[job] - {"job"})
+        if unknown:
+            raise ConfigError(unknown[0], f"unknown key for a {job} job")
         if job == "flow":
             artifacts = _job_flow(config)
         elif job == "rates":
             artifacts = _job_rates(config)
-        elif job == "verify":
-            artifacts, failed = _job_verify(config)
         else:
-            raise ConfigError("job", f"unknown job kind {job!r}")
+            artifacts, failed = _job_verify(config)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

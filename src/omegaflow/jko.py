@@ -5,10 +5,25 @@ variables are the n quantile positions, the W2 term to the previous state
 is the exact diagonal quadratic sum(m_i (x_i - y_i)^2), and the hard cap
 ||mu||_inf <= M becomes the linear spacing constraints
 x_{i+1} - x_i >= cell_mass_i / M handled inside an isotonic projection.
-The inner solver is accelerated projected gradient (monotone FISTA with
-backtracking); it stops when the projected-gradient residual drops below
-``inner_tol`` or after ``inner_max_iter`` iterations (reported, result
-still returned with a residual flag).
+On that feasible set (the sorted cone) the 1D Newtonian term is linear in
+x, and its gradient counts tied atoms by their order.
+
+Two inner solvers share one stopping test: the projected-gradient
+residual below ``inner_tol``, or ``inner_max_iter`` iterations (reported,
+result still returned with a residual flag).
+
+* Projected Newton with a banded solve (:func:`_newton`) takes the steps
+  whose energy is convex in quantile coordinates, has no finite-p
+  penalty, and has a second derivative in every term: potentials with a
+  ``hess`` (quadratic, granular, zero), the 1D Newtonian kernel, entropy
+  and power internal terms, hard caps.  Its iteration count does not grow
+  with the number of nodes.  When its line search fails it hands the
+  iterate to FISTA.
+* Accelerated projected gradient (monotone FISTA with backtracking,
+  :func:`_fista`) takes everything else: the nonconvex multi-start (e.g.
+  ``log_pinch``, log and Riesz kernels), the finite-p penalty
+  continuation, and potentials without a ``hess``.  It stops early, flagged,
+  at an iterate whose value is -inf.
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
 use exact transport plans inside a block-coordinate
@@ -64,6 +79,11 @@ ATOM_CAP_2D = 64
 _FIXED_PLAN_ITERS = 500   # gradient steps per fixed-plan pass of the 2D step
 # finite-p constraint penalty: weights of the continuation stages
 _PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
+# projected Newton: largest slack of a glued gap, as a fraction of the mean
+# gap; sufficient-decrease fraction and step halvings of its Armijo search
+_EPS_ACTIVE = 1e-3
+_ARMIJO = 1e-4
+_ARMIJO_HALVINGS = 30
 
 
 class JkoError(ValueError):
@@ -119,6 +139,13 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
     adjacent atoms finds that pair: feasible input returns at once, and
     otherwise the PAV loop starts there on a stack of singletons.
     """
+    means, counts, offsets = _pav(values, weights, min_gaps)
+    return (means if counts is None else np.repeat(means, counts)) + offsets
+
+
+def _pav(values, weights, min_gaps):
+    """The pools of :func:`isotonic_project`: (pool means in the shifted
+    coordinates z, pool sizes or None when no pair pools, offsets)."""
     v = np.asarray(values, dtype=float)
     n = len(v)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
@@ -134,7 +161,7 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
     # the loop's merge predicate on two single-atom blocks, same products
     pools = wz[:-1] * w[1:] > wz[1:] * w[:-1]
     if not pools.any():
-        return np.divide(wz, w) + offsets
+        return np.divide(wz, w), None, offsets
     # PAV with a block stack: (weight sum, weighted value sum, count),
     # seeded with the singletons before atom k, which pools with atom k-1;
     # the loop runs on Python floats, which index far faster than numpy
@@ -150,7 +177,7 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
         bw.append(sw)
         bs.append(ss)
         bc.append(cnt)
-    return np.repeat(np.divide(bs, bw), bc) + offsets
+    return np.divide(bs, bw), bc, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +254,13 @@ class _QuantileObjective:
             val += self.pw * self._violation(qs) ** 2
         return val
 
+    def hess(self, x):
+        """Bands (diagonal, first and second superdiagonal) of the Hessian
+        of the unpenalized objective at ``x`` (see
+        :meth:`Energy.quantile_hess`)."""
+        d0, d1, d2 = self.energy.quantile_hess(self.state(x))
+        return d0 + self.m / self.tau, d1, d2
+
     def _grad(self, qs, x):
         g = self.m * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
         if self.penalty is not None and self.pw > 0:
@@ -256,7 +290,8 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     backtracking safeguard and gradient-based momentum restarts.
 
     Evaluates each point once: the start by ``value_and_grad``, which the
-    first iteration reuses as its extrapolated point.
+    first iteration reuses as its extrapolated point.  Stops at the first
+    accepted iterate whose value is -inf, with an infinite residual.
 
     Returns (x, iterations, projected-gradient residual, objective at x)."""
     m = objective.m
@@ -309,6 +344,8 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
         z = x_new + (t_m - 1.0) / t_new * (x_new - x)
         moved = float(np.abs(x_new - x).max())
         x, fx, t_m = x_new, fxn, t_new
+        if fxn == -math.inf:   # unbounded below: no minimizer to approach
+            return x, it, math.inf, fxn
         if fxn < f_best:
             f_best = fxn
             x_best = x.copy()
@@ -322,6 +359,156 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
         x, fx = x_best, f_best
         res = residual(x)
     return x, it, res, fx
+
+
+def _newton(objective, x0, min_gaps, tol, max_iter):
+    """Projected Newton (Bertsekas 1982) in the gap coordinates
+    s_i = x_{i+1} - x_i - min_gap_i >= 0, for a convex objective with a
+    Hessian (:meth:`_QuantileObjective.hess`).
+
+    Each iteration glues the gaps that the projected-gradient probe pools
+    (the ones at or near their bound that the gradient closes), so the
+    nodes fall into blocks, and takes the Newton step of the block
+    positions to the minimizer of the quadratic model on that face; the
+    reduced Hessian stays pentadiagonal and is solved by a banded LDL^T.
+    An Armijo search runs along the projection arc, which clips the gaps
+    that the step would close past their bound.  The stopping test and the
+    budget are FISTA's; when the search fails, the iterate and the rest of
+    the budget go to :func:`_fista`.
+
+    Returns (x, iterations, projected-gradient residual, objective at x)."""
+    m = objective.m
+    n = len(m)
+    lo = np.zeros(n - 1) if min_gaps is None else min_gaps
+    s_probe = min(objective.tau, 1.0)
+    x = np.asarray(x0, dtype=float)
+    # a start feasible up to the rounding that QuantileMeasure allows in
+    # its order keeps its bits (the arc clips the gaps it moves)
+    if (np.diff(x) < lo - 1e-12).any():
+        x = isotonic_project(x, m, min_gaps)
+    fx, g = objective.value_and_grad(x)
+    it = 0
+    while True:
+        # FISTA's residual; the probe's pools are the gaps that the
+        # gradient closes, and those within eps of their bound are glued
+        means, counts, offsets = _pav(x - s_probe * (g / m), m, min_gaps)
+        probe = (means if counts is None else np.repeat(means, counts)) + offsets
+        res = float(np.abs((x - probe) / s_probe).max())
+        if res <= tol or it == max_iter:
+            return x, it, res, fx
+        it += 1
+        slack = np.diff(x) - lo
+        glued = np.zeros(n - 1, dtype=bool)
+        if counts is not None:
+            pooled = np.repeat(np.arange(len(counts)), counts)
+            eps = _EPS_ACTIVE * (x[-1] - x[0]) / (n - 1)
+            glued = (pooled[1:] == pooled[:-1]) & (slack <= eps)
+        dx = _newton_direction(objective.hess(x), g, slack, glued)
+        x_new, f_new = _armijo_arc(objective, x, fx, g, dx, slack)
+        if x_new is None:
+            x, more, res, fx = _fista(objective, x, min_gaps, tol, max_iter - it)
+            return x, it + more, res, fx
+        x, fx = x_new, f_new
+        g = objective.grad(x)
+
+
+def _newton_direction(bands, g, slack, glued):
+    """Node displacement to the minimizer of the quadratic model
+    g.d + d.H.d/2 over the face where the ``glued`` gaps sit at their
+    bounds; None when H is not positive definite on that face."""
+    if not glued.any():
+        v = _solve_pentadiagonal(*bands, -g)
+        return None if v is None else np.asarray(v)
+    blk = np.concatenate(([0], np.cumsum(~glued)))
+    nb = int(blk[-1]) + 1
+    # close the glued gaps, moving the nodes right of each
+    close = np.concatenate(([0.0], np.cumsum(np.where(glued, -slack, 0.0))))
+    rhs = np.bincount(blk, weights=-(g + _band_matvec(bands, close)),
+                      minlength=nb)
+    v = _solve_pentadiagonal(*_reduce_bands(bands, blk, nb), rhs)
+    return None if v is None else close + np.asarray(v)[blk]
+
+
+def _band_matvec(bands, v):
+    """H v for symmetric H given by its (diagonal, first, second) bands."""
+    d0, d1, d2 = bands
+    out = d0 * v
+    out[:-1] += d1 * v[1:]
+    out[1:] += d1 * v[:-1]
+    out[:-2] += d2 * v[2:]
+    out[2:] += d2 * v[:-2]
+    return out
+
+
+def _reduce_bands(bands, blk, nb):
+    """Bands of P^T H P for the contiguous-block indicator P of ``blk``
+    (node -> block index); a pentadiagonal H stays pentadiagonal."""
+    out = [np.bincount(blk, weights=bands[0], minlength=nb),
+           np.zeros(nb), np.zeros(nb)]
+    for k in (1, 2):
+        row = blk[:-k]
+        dist = blk[k:] - row
+        for j in range(k + 1):
+            sel = dist == j
+            add = np.bincount(row[sel], weights=bands[k][sel], minlength=nb)
+            out[j] += 2.0 * add if j == 0 else add
+    return out[0], out[1][:nb - 1], out[2][:max(nb - 2, 0)]
+
+
+def _solve_pentadiagonal(a, b, c, r):
+    """Solve A v = r for the symmetric pentadiagonal A with diagonal ``a``
+    and superdiagonals ``b``, ``c`` by LDL^T, on Python floats (a loop, as
+    in :func:`_pav`).  Returns a list, or None on a nonpositive pivot."""
+    b = b.tolist() + [0.0, 0.0]
+    c = c.tolist() + [0.0, 0.0]
+    l1, l2, z = [], [], []
+    # L[i, i-1], L[i, i-2], L[i+1, i-1], D[i-1], D[i-2], y[i-1], y[i-2]
+    l1m, l2mm, l2m, dm, dmm, ym, ymm = 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
+    for ai, bi, ci, ri in zip(a.tolist(), b, c, r.tolist()):
+        e = l1m * dm
+        di = ai - l1m * e - l2mm * l2mm * dmm
+        if not di > 0.0:
+            return None
+        l1i = (bi - l2m * e) / di
+        l2i = ci / di
+        yi = ri - l1m * ym - l2mm * ymm     # L y = r
+        l1.append(l1i)
+        l2.append(l2i)
+        z.append(yi / di)
+        l1m, l2mm, l2m, dm, dmm, ym, ymm = l1i, l2m, l2i, di, dm, yi, ym
+    v = [0.0] * len(z)
+    vp = vpp = 0.0
+    for i in range(len(z) - 1, -1, -1):    # L^T v = D^-1 y
+        vp, vpp = z[i] - l1[i] * vp - l2[i] * vpp, vp
+        v[i] = vp
+    return v
+
+
+def _armijo_arc(objective, x, fx, g, dx, slack):
+    """First point x(a), a = 1, 1/2, ..., of the projection arc with
+    f(x(a)) <= f(x) + _ARMIJO min(g.(x(a) - x), 0) (up to rounding of f):
+    the glued gaps and the clipping can turn the arc away from descent, so
+    no step raises f beyond that rounding.  x(a) steps by a dx and then
+    clips each gap whose ``slack`` over its bound turns negative, shifting
+    the nodes right of it.  (None, None) when none is found."""
+    if dx is None:
+        return None, None
+    dslack = np.diff(dx)
+    alpha = 1.0
+    for _ in range(_ARMIJO_HALVINGS):
+        xt = x + alpha * dx
+        over = np.maximum(-(slack + alpha * dslack), 0.0)
+        if over.any():
+            xt[1:] += np.cumsum(over)
+        try:
+            ft = objective.value(xt)
+        except MeasureError:
+            ft = math.nan
+        decrease = _ARMIJO * min(float(g @ (xt - x)), 0.0)
+        if ft <= fx + decrease + 1e-15 * (1.0 + abs(fx)):
+            return xt, ft
+        alpha *= 0.5
+    return None, None
 
 
 def _multi_starts(q_prev, prev_prev, nonconvex):
@@ -343,13 +530,15 @@ def _multi_starts(q_prev, prev_prev, nonconvex):
 def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
     min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass)
     penalty = _finite_p_penalty(energy)
-    starts = _multi_starts(q_prev, prev_prev, not energy.convex_in_quantile())
+    convex = energy.convex_in_quantile()
+    starts = _multi_starts(q_prev, prev_prev, not convex)
+    newton = convex and penalty is None and energy.has_quantile_hess()
     best = None
     for idx, x0 in enumerate(starts):
         if penalty is None:
             objective = _QuantileObjective(energy, q_prev, tau)
-            x, its, res, val = _fista(objective, x0, min_gaps, cfg.inner_tol,
-                                      cfg.inner_max_iter)
+            x, its, res, val = (_newton if newton else _fista)(
+                objective, x0, min_gaps, cfg.inner_tol, cfg.inner_max_iter)
         else:
             x, its, res = np.asarray(x0, dtype=float), 0, math.inf
             for si, w in enumerate(_PENALTY_WEIGHTS):

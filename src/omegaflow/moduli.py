@@ -602,6 +602,8 @@ def modulus_from_json(data) -> Modulus:
     "lambda":-0.5}."""
     if isinstance(data, str):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise ModulusError(f"a modulus is a JSON object, got {data!r}")
     kind = data.get("kind")
     lam = float(data.get("lambda", data.get("lam", 0.0)))
     if kind not in ("lipschitz", "polynomial") + LOG_KINDS:

@@ -23,7 +23,6 @@ FLOW_CONFIG = {
     "energy": {"potential": "quadratic"},
     "initial": {"kind": "dirac", "a": 1.0, "n": 4},
     "jko": {"tau": 0.1, "steps": 5, "inner_tol": 1e-10},
-    "seed": 7,
 }
 
 
@@ -116,6 +115,9 @@ class TestRun:
 
     def test_unconverged_steps_flagged_in_csv(self, tmp_path):
         cfg = dict(FLOW_CONFIG)
+        # a quartic potential: one Newton iteration is not exact (on the
+        # quadratic one it is)
+        cfg["energy"] = {"potential": "granular"}
         cfg["jko"] = {"tau": 0.1, "steps": 3, "inner_tol": 1e-14,
                       "inner_max_iter": 1}
         cfg["output"] = {"trajectory": str(tmp_path / "t.csv")}
@@ -154,17 +156,25 @@ class TestRun:
         pytest.param("rates", "n_ref", "x", id="n_ref"),
         pytest.param("flow", "energy", {"potentail": "quadratic"},
                      id="energy-typo"),
+        pytest.param("rates", "modulus", [1], id="modulus-not-object"),
+        pytest.param("flow", "jk0", {"tau": 0.1}, id="top-level-typo"),
+        pytest.param("verify", "energy", {"potential": "quadratic"},
+                     id="key-of-another-job"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, job, key, value):
-        cfg = {"job": job, "suite": "transport", "quick": True,
-               "energy": {"potential": "quadratic"},
-               "initial": {"kind": "dirac", "a": 1.0, "n": 2},
-               "modulus": {"kind": "lipschitz", "lambda": 1.0},
-               "output": {"report": str(tmp_path / "r.json"),
-                          "plot_table": str(tmp_path / "r.csv"),
-                          "trajectory": str(tmp_path / "t.csv"),
-                          "manifest": str(tmp_path / "m.json")},
-               key: value}
+        # each job's config holds only the keys that job reads
+        dynamics = {"energy": {"potential": "quadratic"},
+                    "initial": {"kind": "dirac", "a": 1.0, "n": 2}}
+        cfg = {"verify": {"suite": "transport", "quick": True},
+               "rates": dict(dynamics,
+                             modulus={"kind": "lipschitz", "lambda": 1.0}),
+               "flow": dynamics}[job]
+        cfg = dict(cfg, job=job,
+                   output={"report": str(tmp_path / "r.json"),
+                           "plot_table": str(tmp_path / "r.csv"),
+                           "trajectory": str(tmp_path / "t.csv"),
+                           "manifest": str(tmp_path / "m.json")})
+        cfg[key] = value
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert f"config error at {key!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]

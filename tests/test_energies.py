@@ -117,14 +117,17 @@ class TestEval:
 
 
 def dense_newtonian_1d(x, w, c):
-    """Pair-matrix reference for the 1D Newtonian term c|x|/2 on atoms:
-    value 1/2 sum_ij w_i w_j c|x_i - x_j|/2 and quantile gradient
-    w_i sum_j w_j (c/2) sign(x_i - x_j)."""
+    """Pair-matrix reference for the 1D Newtonian term c|x|/2 on sorted
+    atoms: value 1/2 sum_ij w_i w_j c|x_i - x_j|/2 and quantile gradient
+    w_i sum_j w_j (c/2) sign(i - j), the gradient on the sorted cone, which
+    counts tied atoms by their order (sign(x_i - x_j) away from ties)."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     diff = x[:, None] - x[None, :]
     value = 0.5 * float(np.sum(np.outer(w, w) * 0.5 * c * np.abs(diff)))
-    grad = w * np.sum(0.5 * c * np.sign(diff) * w[None, :], axis=1)
+    order = np.arange(len(x))
+    by_index = np.sign(order[:, None] - order[None, :])
+    grad = w * np.sum(0.5 * c * by_index * w[None, :], axis=1)
     return value, grad
 
 
@@ -172,10 +175,80 @@ class TestNewtonian1dPrefixSums:
         value, grad = dense_newtonian_1d([-a, a], [0.5, 0.5], 2.0)
         assert E.interaction_value(q) == pytest.approx(value, rel=1e-12, abs=0.0)
         assert np.max(np.abs(E.quantile_grad(q) - grad)) <= 1e-14
-        # tied atoms exert no force on each other: sign(0) = 0
+        # tied atoms: no energy, and a gradient that counts them by order
         tied = dirac_state(a, n=2)
         assert E.interaction_value(tied) == 0.0
-        assert np.all(E.quantile_grad(tied) == 0.0)
+        np.testing.assert_allclose(E.quantile_grad(tied), [-0.25, 0.25],
+                                   rtol=0, atol=1e-15)
+
+
+def _dense(bands):
+    d0, d1, d2 = bands
+    return np.diag(d0) + np.diag(d1, 1) + np.diag(d1, -1) \
+        + np.diag(d2, 2) + np.diag(d2, -2)
+
+
+class TestQuantileHessian:
+    @pytest.mark.parametrize("name, params", [
+        ("quadratic", {}), ("granular", {}), ("granular", {"b": 1.5, "beta": 2.0}),
+        ("zero", {})])
+    def test_potential_hess_matches_gradient_differences(self, name, params):
+        pot = POTENTIALS[name](params)
+        x = np.array([-1.3, -0.2, 0.05, 0.7, 2.1])
+        h = 1e-6
+        fd = (pot.grad(x + h) - pot.grad(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(pot.hess(x), fd, rtol=1e-7, atol=1e-9)
+
+    def test_no_hessian_keeps_none(self):
+        assert POTENTIALS["log_pinch"]({}).hess is None
+        for energy in (Energy(potential=POTENTIALS["log_pinch"]({})),
+                       Energy(kernel=Kernel("log", d=1))):
+            assert not energy.has_quantile_hess()
+        assert capped_aggregation_energy().has_quantile_hess()
+
+    @pytest.mark.parametrize("energy", [
+        Energy(internal=("entropy",)),
+        Energy(internal=("power", 3.0)),
+        Energy(potential=POTENTIALS["granular"]({}), internal=("entropy",)),
+        Energy(kernel=Kernel("newtonian", d=1, c=4.0), internal=("entropy",),
+               constraint=(math.inf, 2.0)),
+        Energy(potential=POTENTIALS["quadratic"]({}), internal=("power", math.inf)),
+    ], ids=["entropy", "power3", "granular+entropy", "ks", "power_inf"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 11])
+    def test_bands_match_gradient_differences(self, energy, n):
+        q = feasible_random_state(np.random.default_rng(n), n, cap=1.0, span=2.0)
+        x = q.positions
+        h = 1e-7
+        fd = np.empty((n, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd[:, j] = (energy.quantile_grad(q.with_positions(x + e))
+                        - energy.quantile_grad(q.with_positions(x - e))) / (2 * h)
+        dense = _dense(energy.quantile_hess(q))
+        scale = max(1.0, float(np.abs(dense).max()))
+        assert np.max(np.abs(dense - fd)) <= 1e-5 * scale
+
+    def test_internal_curvature_vanishes_below_gap_floor(self):
+        # the gap derivative is clamped at GAP_FLOOR, so it is flat there
+        q = dirac_state(0.3, 3)
+        d0, d1, d2 = Energy(internal=("entropy",)).quantile_hess(q)
+        assert not d0.any() and not d1.any() and not d2.any()
+
+    def test_gradient_by_index_counts_tied_atoms_in_order(self):
+        E = Energy(kernel=Kernel("newtonian", d=1, c=2.0))
+        q = QuantileMeasure([0.125, 0.5, 0.875], [0.0, 0.0, 1.0],
+                            [0.25, 0.5, 0.25])
+        # the one-sided derivatives of (c/2) sum_k gap_k W_k (1 - W_k) on
+        # the sorted cone: mass left minus mass right, by index
+        np.testing.assert_allclose(E.quantile_grad(q),
+                                   [0.25 * (0.0 - 0.75), 0.5 * (0.25 - 0.25),
+                                    0.25 * (0.75 - 0.0)], rtol=0, atol=1e-15)
+        # away from ties it is the pair-matrix gradient, sign(x_i - x_j)
+        free = feasible_random_state(np.random.default_rng(1), 9, cap=None)
+        x, w = free.positions, free.cell_mass
+        pair = w * np.sum(np.sign(x[:, None] - x[None, :]) * w[None, :], axis=1)
+        np.testing.assert_allclose(E.quantile_grad(free), pair, rtol=0, atol=1e-15)
 
 
 class TestKernelGradient:

@@ -283,9 +283,11 @@ class TestProximalStep:
         if penalty:
             assert obj._violation(q.with_positions(x)) > 0
 
-    def test_ks_surrogate_flow_positions_pinned(self):
+    def test_ks_surrogate_flow_positions_pinned(self, monkeypatch):
         # recorded before the inner solver fused its value and gradient
-        # evaluations; the iterates must not move by a bit
+        # evaluations; FISTA's iterates must not move by a bit (Newton
+        # solves this energy by default: the FISTA path is pinned here)
+        monkeypatch.setattr(jko, "_newton", jko._fista)
         mu0 = feasible_random_state(np.random.default_rng(2024), 64, cap=2.0)
         traj = flow(ks_surrogate_energy(), mu0,
                     JkoConfig(tau=1e-3, steps=3, inner_tol=1e-9))
@@ -318,6 +320,7 @@ class TestProximalStep:
                 return fn(*args, **kwargs)
             return wrapped
 
+        monkeypatch.setattr(jko, "_newton", jko._fista)   # FISTA's counts
         for name in ("value", "grad", "value_and_grad"):
             monkeypatch.setattr(_QuantileObjective, name, counting(
                 name, getattr(_QuantileObjective, name)))
@@ -731,9 +734,10 @@ class TestAtomicInput:
         assert np.max(np.abs(out.points - np.array([0.8, 1.6]))) <= 1e-10
         np.testing.assert_allclose(out.weights, [1e-3, 0.999], rtol=1e-12)
 
-    def test_tied_unequal_masses_keep_momentum_in_state_space(self):
+    def test_tied_unequal_masses_keep_momentum_in_state_space(self, monkeypatch):
         # the momentum point pulls the tied pair out of order (about
         # [0.24010, 0.24009, 1.6]), where no state exists: FISTA restarts
+        monkeypatch.setattr(jko, "_newton", jko._fista)
         mu = QuantileMeasure(np.array([1.0, 3.0, 5.0]) / 6.0,
                              np.array([0.3, 0.3, 2.0]), np.array([0.1, 0.2, 0.7]))
         out = self._step(mu, 0.25)
@@ -749,6 +753,188 @@ class TestAtomicInput:
         out = proximal_step(energy, mu, 0.1, cfg)
         assert out.points.tobytes() == ref.to_atomic().points.tobytes()
         assert out.weights.tobytes() == ref.to_atomic().weights.tobytes()
+
+
+_QUADRATIC = POTENTIALS["quadratic"]({})
+# convex energies with a Hessian, each with the density cap its spacing
+# constraints enforce (None: no cap)
+_NEWTON_ENERGIES = {
+    "granular": (lambda: Energy(potential=POTENTIALS["granular"]({})), None),
+    "entropy": (entropy_energy, None),
+    "power3": (lambda: Energy(potential=_QUADRATIC, internal=("power", 3.0)),
+               None),
+    "ks": (ks_surrogate_energy, 2.0),
+    "capped": (capped_aggregation_energy, 2.0),
+    "power_inf": (lambda: Energy(potential=_QUADRATIC,
+                                 internal=("power", math.inf)), 1.0),
+    "newtonian": (lambda: Energy(potential=_QUADRATIC,
+                                 kernel=Kernel("newtonian", d=1, c=2.0)), None),
+}
+
+
+def _newton_and_fista(energy, q, tau, tol=1e-12):
+    """(x, iterations, residual, value) of Newton and of FISTA on one step."""
+    min_gaps = jko._spacing_min_gaps(energy, q.cell_mass)
+    return [solver(_QuantileObjective(energy, q, tau), q.positions, min_gaps,
+                   tol, 20000) for solver in (jko._newton, jko._fista)]
+
+
+def _assert_newton_agrees(energy, q, tau):
+    """Newton's step matches FISTA's; returns Newton's iteration count."""
+    (xn, its, res_n, fn), (xf, _, res_f, ff) = _newton_and_fista(energy, q, tau)
+    assert res_n <= 1e-12 and res_f <= 1e-12
+    assert np.max(np.abs(xn - xf)) <= 1e-9
+    assert fn <= ff + 1e-12 * (1.0 + abs(ff))
+    return its
+
+
+class TestNewton:
+    """The projected Newton solver of convex quantile steps against FISTA,
+    the reference it replaces."""
+
+    def test_convex_steps_take_newton(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return jko._fista(*args)
+
+        monkeypatch.setattr(jko, "_newton", spy)
+        proximal_step(ks_surrogate_energy(), uniform_state(-0.8, 0.8, 16), 1e-3)
+        proximal_step(log_pinch_energy(1.0), dirac_state(5e-3, 2), 1e-3)
+        proximal_step(Energy(kernel=Kernel("newtonian", d=1, c=2.0),
+                             constraint=(4.0, 1.2)),
+                      uniform_state(-0.6, 0.6, 8), 0.1)
+        assert calls == [1]   # neither the nonconvex nor the penalty step
+
+    @pytest.mark.parametrize("a, n", [(1.0, 2), (-2.5, 8)])
+    def test_quadratic_dirac_step_exact_in_one_iteration(self, a, n):
+        out, info = proximal_step(quadratic_energy(), dirac_state(a, n), 0.1,
+                                  JkoConfig(tau=0.1, inner_tol=1e-12),
+                                  return_info=True)
+        np.testing.assert_allclose(out.positions, a / 1.1, rtol=0, atol=1e-12)
+        assert info["inner_iters"] == 1 and not info["residual_flag"]
+
+    @pytest.mark.parametrize("w", [1e-2, 1e-5, 1e-8])
+    def test_mass_ratio_does_not_slow_the_step(self, w):
+        # FISTA steps every node by one scalar 1/L: at w = 1e-8 it used up
+        # all 20000 iterations and ended 7.5e-5 off
+        mu = make_atomic([1.0, 2.0], [w, 1.0 - w])
+        out, info = proximal_step(quadratic_energy(), mu, 0.25,
+                                  JkoConfig(tau=0.25, inner_tol=1e-12),
+                                  return_info=True)
+        assert info["inner_iters"] <= 5 and not info["residual_flag"]
+        np.testing.assert_allclose(out.points, [0.8, 1.6], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(_NEWTON_ENERGIES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_fista_on_random_states(self, name, seed):
+        make, cap = _NEWTON_ENERGIES[name]
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 25))
+        tau = float(rng.choice([1e-3, 0.05, 0.5]))
+        q = feasible_random_state(rng, n, cap=cap, span=rng.uniform(0.3, 1.5))
+        _assert_newton_agrees(make(), q, tau)
+
+    @pytest.mark.parametrize("name", sorted(_NEWTON_ENERGIES))
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    @pytest.mark.parametrize("tau", [1e-3, 0.5])
+    def test_agrees_with_fista_on_degenerate_states(self, name, n, tau):
+        # without a cap: tied pairs of atoms, and one Dirac.  Ties give a
+        # power-law energy its clamped gap derivative -(c / GAP_FLOOR)^3,
+        # and FISTA itself ends at a residual near 1e35 there, so power3
+        # gets the capless uniform state instead
+        make, cap = _NEWTON_ENERGIES[name]
+        grid = (np.arange(n) + 0.5) / n
+        mass = np.full(n, 1.0 / n)
+        if name == "power3":
+            states = [uniform_state(-0.5, 0.5, n)]
+        elif cap is None:
+            states = [dirac_state(0.7, n), QuantileMeasure(
+                grid, np.repeat([-0.4, 0.3, 1.1, 1.5, 2.0], 2)[:n], mass)]
+        else:
+            states = []
+        for q in states:
+            _assert_newton_agrees(make(), q, tau)
+        if cap is None:
+            return
+        # with a cap: the uniform state at the cap, where every spacing is
+        # saturated, and the same state with one gap 1e-7 above its bound,
+        # which the step must close (gluing it alone would keep it open)
+        q = uniform_state(0.3 - 0.5 / cap, 0.3 + 0.5 / cap, n)
+        x = q.positions.copy()
+        x[n // 2:] += 1e-7
+        for q in (q, q.with_positions(x)):
+            assert _assert_newton_agrees(make(), q, tau) <= 10
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_banded_pieces_match_dense_algebra(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        dense = np.triu(np.tril(a @ a.T, 2), -2) + n * np.eye(n)  # SPD band
+        bands = (np.diag(dense).copy(), np.diag(dense, 1).copy(),
+                 np.diag(dense, 2).copy())
+        v = rng.normal(size=n)
+        np.testing.assert_allclose(jko._band_matvec(bands, v), dense @ v,
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jko._solve_pentadiagonal(*bands, v),
+                                   np.linalg.solve(dense, v), rtol=1e-10,
+                                   atol=1e-12)
+        blk = np.concatenate(([0], np.cumsum(rng.random(n - 1) < 0.5)))
+        p = (blk[:, None] == np.arange(blk[-1] + 1)).astype(float)
+        reduced = p.T @ dense @ p
+        got = jko._reduce_bands(bands, blk, int(blk[-1]) + 1)
+        for k in range(3):
+            np.testing.assert_allclose(got[k], np.diag(reduced, k),
+                                       rtol=1e-12, atol=1e-12)
+        assert not np.triu(reduced, 3).any()
+        indefinite = (bands[0] - 10.0 * n, bands[1], bands[2])
+        assert jko._solve_pentadiagonal(*indefinite, v) is None
+
+    def test_failed_armijo_search_hands_off_to_fista(self, monkeypatch):
+        # a Hessian 1e12 times too small makes every Newton step too long
+        # for 30 halvings to repair, so the first search fails and FISTA
+        # takes over from the start, its iterations counted after Newton's
+        hess = _QuantileObjective.hess
+        monkeypatch.setattr(_QuantileObjective, "hess", lambda self, x: tuple(
+            1e-12 * b for b in hess(self, x)))
+        E = ks_surrogate_energy()
+        q = feasible_random_state(np.random.default_rng(3), 16, cap=2.0)
+        (xn, its_n, res_n, fn), (xf, its_f, res_f, ff) = \
+            _newton_and_fista(E, q, 0.05, tol=1e-9)
+        assert its_n == its_f + 1 and res_n <= 1e-9
+        assert xn.tobytes() == xf.tobytes() and fn == ff
+
+    def test_arc_search_never_accepts_a_rise(self):
+        # along a direction the gradient calls ascent, f(x) + 1e-4 g.(x(a) - x)
+        # lies above f(x): a point that raises f by 1e-9 would pass it
+        class Rising:
+            def value(self, xt):
+                return 1.0 + 1e-9
+        x = np.array([0.0, 1.0, 2.0])
+        assert jko._armijo_arc(Rising(), x, 1.0, np.ones(3), np.full(3, 0.5),
+                               np.diff(x)) == (None, None)
+
+    def test_ks_surrogate_iterations_independent_of_grid(self):
+        # FISTA took 20-25, 64-90 and 1093-1339 iterations per step here
+        for n in (64, 256, 1024):
+            traj = flow(ks_surrogate_energy(), uniform_state(-0.8, 0.8, n),
+                        JkoConfig(tau=5e-4, steps=4, inner_tol=1e-9))
+            its = [d["inner_iters"] for d in traj.diagnostics]
+            assert max(its) <= 10, (n, its)
+            assert not any(d["residual_flag"] for d in traj.diagnostics)
+
+
+class TestUnboundedObjective:
+    def test_fista_stops_at_minus_infinity(self):
+        # attractive log kernel: the objective is -inf once two atoms meet;
+        # FISTA used to run out its whole budget there (20000 iterations)
+        energy = Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1))
+        mu = make_atomic(np.linspace(-1.0, 1.5, 7) ** 3, np.full(7, 1.0 / 7))
+        _, info = proximal_step(energy, mu, 0.1,
+                                JkoConfig(tau=0.1, inner_tol=1e-10),
+                                return_info=True)
+        assert info["inner_iters"] <= 50 and info["residual_flag"]
 
 
 class TestPenaltyMode:
