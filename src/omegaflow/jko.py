@@ -13,17 +13,22 @@ residual below ``inner_tol``, or ``inner_max_iter`` iterations (reported,
 result still returned with a residual flag).
 
 * Projected Newton with a banded solve (:func:`_newton`) takes the steps
-  whose energy is convex in quantile coordinates, has no finite-p
-  penalty, and has a second derivative in every term: potentials with a
-  ``hess`` (quadratic, granular, zero), the 1D Newtonian kernel, entropy
-  and power internal terms, hard caps.  Its iteration count does not grow
-  with the number of nodes.  When its line search fails it hands the
-  iterate to FISTA.
+  whose energy is convex in quantile coordinates and has a second
+  derivative in every term: potentials with a ``hess`` (quadratic,
+  granular, zero), the 1D Newtonian kernel, entropy and power internal
+  terms, caps.  Its iteration count does not grow with the number of
+  nodes.  When its line search fails it hands the iterate to FISTA.
 * Accelerated projected gradient (monotone FISTA with backtracking,
   :func:`_fista`) takes everything else: the nonconvex multi-start (e.g.
-  ``log_pinch``, log and Riesz kernels), the finite-p penalty
-  continuation, and potentials without a ``hess``.  It stops early, flagged,
-  at an iterate whose value is -inf.
+  ``log_pinch``, log and Riesz kernels) and potentials without a ``hess``.
+  It stops early, flagged, at an iterate whose value is -inf.
+
+A finite-p cap ||rho||_p <= C is a multiplier search on the same solvers
+(:func:`_cap_search`): when the step without it ends above the cap, the
+step is solved again with lam U_p added, U_p = ||rho||_p^p / (p - 1) being
+the power-p internal term, and lam >= 0 is grown and bisected until the
+state ends at the cap.  Its solves spend what the first solve left of
+``inner_max_iter``; a search that cannot finish sets the residual flag.
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
 use exact transport plans inside a block-coordinate
@@ -45,11 +50,9 @@ import numpy as np
 
 from .energies import Energy, _finite_field
 from .measures import (
-    GAP_FLOOR,
     AtomicMeasure,
     MeasureError,
     QuantileMeasure,
-    gaps_adjoint,
     lp_norm,
     make_atomic,
 )
@@ -77,8 +80,6 @@ __all__ = [
 
 ATOM_CAP_2D = 64
 _FIXED_PLAN_ITERS = 500   # gradient steps per fixed-plan pass of the 2D step
-# finite-p constraint penalty: weights of the continuation stages
-_PENALTY_WEIGHTS = (1e2, 1e4, 1e6)
 # projected Newton: largest slack of a glued gap, as a fraction of the mean
 # gap; sufficient-decrease fraction and step halvings of its Armijo search
 _EPS_ACTIVE = 1e-3
@@ -198,26 +199,19 @@ def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
     return cell_mass[:-1] / m_cap
 
 
-def _finite_p_penalty(energy: Energy):
-    if energy.constraint is None:
-        return None
-    p, cap = energy.constraint
-    if p == math.inf:
-        return None
-    return (float(p), float(cap))
-
-
 class _QuantileObjective:
-    """(1/2 tau) sum m (x - y)^2 + discrete energy (+ optional penalty)."""
+    """(1/2 tau) sum m (x - y)^2 + discrete energy (+ ``weight`` U_p, U_p
+    the power-``power`` internal term: a finite-p cap's multiplier term)."""
 
-    def __init__(self, energy, q_prev, tau, penalty=None, penalty_weight=0.0):
+    def __init__(self, energy, q_prev, tau, power=None, weight=0.0):
         self.energy = energy
         self.q = q_prev
         self.y = q_prev.positions
         self.m = q_prev.cell_mass
         self.tau = tau
-        self.penalty = penalty
-        self.pw = penalty_weight
+        self.cap_term = None if power is None \
+            else Energy(internal=("power", power))
+        self.weight = weight
         self._x = self._qs = None
 
     def state(self, x):
@@ -250,39 +244,26 @@ class _QuantileObjective:
             if not math.isfinite(v):
                 return math.inf
             val += v
-        if self.penalty is not None and self.pw > 0:
-            val += self.pw * self._violation(qs) ** 2
+        if self.cap_term is not None:   # +inf stays +inf: weight > 0
+            val += self.weight * self.cap_term.internal_value(qs)
         return val
 
     def hess(self, x):
         """Bands (diagonal, first and second superdiagonal) of the Hessian
-        of the unpenalized objective at ``x`` (see
-        :meth:`Energy.quantile_hess`)."""
-        d0, d1, d2 = self.energy.quantile_hess(self.state(x))
-        return d0 + self.m / self.tau, d1, d2
+        of the objective at ``x`` (see :meth:`Energy.quantile_hess`)."""
+        qs = self.state(x)
+        bands = self.energy.quantile_hess(qs)   # a tuple of fresh arrays
+        bands[0][:] += self.m / self.tau
+        if self.cap_term is not None:
+            for band, extra in zip(bands, self.cap_term.quantile_hess(qs)):
+                band += self.weight * extra
+        return bands
 
     def _grad(self, qs, x):
         g = self.m * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
-        if self.penalty is not None and self.pw > 0:
-            g += self.pw * self._violation_grad(qs)
+        if self.cap_term is not None:
+            g += self.weight * self.cap_term.quantile_grad(qs)
         return g
-
-    def _violation(self, qs):
-        p, cap = self.penalty
-        return max(0.0, lp_norm(qs, p) - cap)
-
-    def _violation_grad(self, qs):
-        p, cap = self.penalty
-        norm = lp_norm(qs, p)
-        viol = norm - cap
-        if viol <= 0 or not math.isfinite(norm):
-            return np.zeros(len(qs))
-        g = np.maximum(qs.gaps(), GAP_FLOOR)
-        c = qs.cell_mass
-        # d/dg_i of (sum c^p g^(1-p))^(1/p)
-        s = float(np.sum(c**p * g ** (1.0 - p)))
-        dn_dg = (1.0 / p) * s ** (1.0 / p - 1.0) * (1.0 - p) * c**p * g ** (-p)
-        return gaps_adjoint(2.0 * viol * dn_dg)
 
 
 def _fista(objective, x0, min_gaps, tol, max_iter):
@@ -529,47 +510,64 @@ def _multi_starts(q_prev, prev_prev, nonconvex):
 
 def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
     min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass)
-    penalty = _finite_p_penalty(energy)
     convex = energy.convex_in_quantile()
-    starts = _multi_starts(q_prev, prev_prev, not convex)
-    newton = convex and penalty is None and energy.has_quantile_hess()
+    solver = _newton if convex and energy.has_quantile_hess() else _fista
+    tol = cfg.inner_tol
+
+    def solve(x0, budget, power=None, weight=0.0):
+        objective = _QuantileObjective(energy, q_prev, tau, power, weight)
+        x, its, res, val = solver(objective, x0, min_gaps, tol, budget)
+        return val, x, its, res, objective
+
     best = None
-    for idx, x0 in enumerate(starts):
-        if penalty is None:
-            objective = _QuantileObjective(energy, q_prev, tau)
-            x, its, res, val = (_newton if newton else _fista)(
-                objective, x0, min_gaps, cfg.inner_tol, cfg.inner_max_iter)
-        else:
-            x, its, res = np.asarray(x0, dtype=float), 0, math.inf
-            for si, w in enumerate(_PENALTY_WEIGHTS):
-                # penalty curvature ~ weight: exact stationarity is not
-                # reachable at sane budgets; feasibility is checked below
-                # and a residual flag is carried either way
-                last = si == len(_PENALTY_WEIGHTS) - 1
-                stage_tol = cfg.inner_tol if last else 100.0 * cfg.inner_tol
-                stage_cap = min(cfg.inner_max_iter, 3000) if last \
-                    else min(max(cfg.inner_max_iter // 4, 100), 1000)
-                objective = _QuantileObjective(energy, q_prev, tau,
-                                               penalty=penalty, penalty_weight=w)
-                x, add_its, res, _ = _fista(objective, x, min_gaps, stage_tol,
-                                            stage_cap)
-                its += add_its
-            # the candidates compete on the unpenalized objective
-            objective = _QuantileObjective(energy, q_prev, tau)
-            val = objective.value(x)
-        cand = (val, idx, x, its, res, objective)
+    for x0 in _multi_starts(q_prev, prev_prev, not convex):
+        cand = solve(x0, cfg.inner_max_iter)
         if best is None or cand[0] < best[0] - 1e-15:
             best = cand
-    _, _, x, its, res, objective = best
+    _, x, its, res, objective = best
     q_new = objective.state(x)   # built when the solver evaluated x
-    info = {"inner_iters": its, "residual": res,
-            "residual_flag": res > cfg.inner_tol}
-    if penalty is not None:
-        p, cap = penalty
-        viol = max(0.0, lp_norm(q_new, p) - cap)
-        info["constraint_violation"] = viol
-        info["penalty_flag"] = viol > 1e-6
-    return q_new, info
+    if energy.constraint is not None and energy.constraint[0] < math.inf \
+            and not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
+        return _cap_search(solve, q_prev, *energy.constraint, tol, its,
+                           cfg.inner_max_iter)
+    return q_new, {"inner_iters": its, "residual": res,
+                   "residual_flag": res > tol}
+
+
+def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
+    """The step under ||rho||_p <= cap, once the solve without it (``its``
+    iterations) ended above: solves with lam U_p added, U_p = ||rho||_p^p /
+    (p-1), lam grown 4x from 1 until a solve ends feasible, then bisected
+    until a state reaches cap (1 - tol) or the bracket is tol-relative
+    narrow.  Each solve starts from the last feasible state and gets what is
+    left of ``max_iter``.  An unconverged solve (value -inf or no budget
+    left) or an overflowing lam ends the search flagged, at the last
+    feasible state or ``q_prev``."""
+    x0 = q_prev.positions
+    if not lp_norm(q_prev, p) <= cap:
+        # start from the nearest nodes whose densities stay below
+        # M = (cap^p / mass)^(1 / (p-1)), so that ||rho||_p^p <= M^(p-1) mass
+        c = q_prev.cell_mass
+        dens = (cap ** p / float(c.sum())) ** (1.0 / (p - 1.0))
+        x0 = isotonic_project(x0, c, np.maximum(c[:-1], c[1:]) / dens)
+    lo, hi, lam = 0.0, math.inf, 1.0
+    q_ok = q_prev
+    while math.isfinite(lam):
+        _, x, add, res, objective = solve(x0, max_iter - its, p, lam)
+        its += add
+        if res > tol:
+            break
+        q = objective.state(x)
+        norm = lp_norm(q, p)
+        if norm > cap:
+            lo = lam
+        else:
+            q_ok, x0, hi = q, x, lam
+            if norm >= cap * (1.0 - tol) or hi - lo <= tol * hi:
+                return q, {"inner_iters": its, "residual": res,
+                           "residual_flag": False}
+        lam = 4.0 * lam if hi == math.inf else 0.5 * (lo + hi)
+    return q_ok, {"inner_iters": its, "residual": res, "residual_flag": True}
 
 
 # ---------------------------------------------------------------------------

@@ -397,12 +397,12 @@ def lp_norm(measure, p) -> float:
         if np.any(g <= 0):
             return math.inf
         dens = c / g
-        if p == math.inf or p == "inf":
+        if p == math.inf:
             return float(dens.max())
         return float(np.sum(g * dens ** float(p)) ** (1.0 / float(p)))
     if isinstance(measure, GridDensity):
         v = measure.values.ravel()
-        if p == math.inf or p == "inf":
+        if p == math.inf:
             return float(v.max())
         return float(np.sum(measure.cell_volume() * v ** float(p)) ** (1.0 / float(p)))
     raise MeasureError(f"unsupported measure type {type(measure)!r}")

@@ -5,13 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def pytest_addoption(parser):
-    parser.addoption("--run-slow", action="store_true", default=False,
-                     help="run the full acceptance-scale checks")
-
-
-def pytest_collection_modifyitems(config, items):
-    # acceptance tests always run; nothing is skipped by default
-    pass

@@ -127,6 +127,39 @@ class TestRun:
         assert rows and all(r[-1] == "True" and float(r[-2]) > 1e-14
                             for r in rows)
 
+    def _finite_p_rows(self, tmp_path, kernel, initial, steps):
+        cfg = dict(FLOW_CONFIG)
+        cfg["energy"] = {"kernel": kernel, "constraint": {"p": 4, "cap": 1.2}}
+        cfg["initial"] = initial
+        cfg["jko"] = {"tau": 0.1, "steps": steps, "inner_tol": 1e-8}
+        cfg["output"] = {"trajectory": str(tmp_path / "t.csv")}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 0
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        return [dict(zip(header, r.split(","))) for r in lines[1:]]
+
+    def test_finite_p_cap_held_in_csv(self, tmp_path):
+        # the cap is active from step 3 on: every state ends on it
+        rows = self._finite_p_rows(
+            tmp_path, {"kind": "newtonian", "d": 1, "c": 2.0},
+            {"kind": "uniform", "lo": -0.6, "hi": 0.6, "n": 32}, 8)
+        assert len(rows) == 9
+        for row in rows:
+            assert np.isfinite(float(row["energy"]))
+            assert float(row["constraint_violation"]) == 0.0
+            assert row["residual_flag"] == "False"
+
+    def test_failed_finite_p_steps_flagged_in_csv(self, tmp_path):
+        # attractive log kernel: the search reaches -inf where atoms meet,
+        # and each step returns its start, feasible, with the flag set
+        rows = self._finite_p_rows(
+            tmp_path, {"kind": "log", "d": 1},
+            {"kind": "uniform", "lo": -0.5, "hi": 0.5, "n": 8}, 3)
+        assert len(rows) == 4
+        assert all(row["residual_flag"] == "True" for row in rows[1:])
+        assert all(float(row["constraint_violation"]) == 0.0
+                   and row["energy"] == rows[0]["energy"] for row in rows)
+
     def test_rates_job(self, tmp_path):
         cfg = {
             "job": "rates",
