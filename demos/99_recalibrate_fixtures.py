@@ -11,7 +11,8 @@ the theory only asserts to exist:
 
 Run this script only to refresh src/omegaflow/fixtures/calibration.json;
 the verification suites compare freshly computed values against these
-frozen ones within +-5%.
+frozen ones within +-5%.  It prints ``old -> new`` for every frozen value
+that it changes.
 """
 
 import json
@@ -63,6 +64,15 @@ def loeper_constant(kernel, measures, probes) -> float:
         if w > 1e-12:
             worst = max(worst, l2 / w)
     return worst
+
+
+def changed_values(old, new, path=""):
+    """(path, old value, new value) for each leaf where ``new`` differs."""
+    if isinstance(new, dict):
+        old = old if isinstance(old, dict) else {}
+        return [d for k in new
+                for d in changed_values(old.get(k), new[k], f"{path}.{k}".lstrip("."))]
+    return [] if old == new else [(path, old, new)]
 
 
 def main() -> None:
@@ -117,6 +127,12 @@ def main() -> None:
         "loeper_observed": {"aggregation_cap2": c_loeper},
         "rate_families": families,
     }
+    old = {}
+    if os.path.exists(OUT):
+        with open(OUT) as fh:
+            old = json.load(fh)
+    for path, before, after in changed_values(old, payload):
+        print(f"{path}: {before} -> {after}")
     with open(OUT, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

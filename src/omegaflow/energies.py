@@ -43,6 +43,7 @@ from .measures import (
     QuantileMeasure,
     gaps,
     gaps_adjoint,
+    interval_masses,
     lp_norm,
 )
 from .moduli import JUNCTION, Modulus, _log_positive, psi
@@ -360,7 +361,7 @@ class Energy:
             left = np.cumsum(w)[:-1]                # mass of atoms 0..k
             right = np.cumsum(w[::-1])[::-1][1:]    # mass of atoms k+1..
             # a sum over gaps of nonnegative terms: no cancellation
-            return 0.5 * self.kernel.c * float(np.sum(np.diff(x) * left * right))
+            return 0.5 * self.kernel.c * float(np.sum(gaps(x) * left * right))
         diff = pts[:, None, :] - pts[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=2))
         vals = self.kernel.value(r)
@@ -372,14 +373,14 @@ class Energy:
     def internal_value(self, mu) -> float:
         kind = self.internal[0]
         if isinstance(mu, QuantileMeasure):
-            g = np.maximum(mu.gaps(), GAP_FLOOR)
-            c = mu.cell_mass
+            c, rho = self._interval_densities(mu)
             if kind == "entropy":
-                return float(np.sum(c * np.log(c / g)))
+                return float(np.sum(c * np.log(rho)))
             m = self.internal[1]
             if m == math.inf:
-                return 0.0 if np.all(c / g <= 1.0 + 1e-9) else math.inf
-            return float(np.sum(c**m * g ** (1.0 - m)) / (m - 1.0))
+                return 0.0 if np.all(rho <= 1.0 + 1e-9) else math.inf
+            # c rho^(m-1), not c^m g^(1-m): no overflow of the two factors
+            return float(np.sum(c * rho ** (m - 1.0)) / (m - 1.0))
         if isinstance(mu, GridDensity):
             v = mu.values.ravel()
             cell = mu.cell_volume()
@@ -463,60 +464,51 @@ class Energy:
             and (self.kernel is None or _newtonian_1d(self.kernel, 1))
 
     def quantile_hess(self, q: QuantileMeasure):
-        """Hessian of the discretized energy in the nodes as its bands
-        (diagonal, first and second superdiagonal); assumes
-        :meth:`has_quantile_hess`.  The potential is diagonal, the 1D
-        Newtonian term is linear in x on the sorted cone (0), and the
-        internal term is G^T diag(U''(g)) G through the midpoint stencil of
-        ``gaps``."""
-        x = q.positions
+        """Hessian of the discretized energy in the nodes, tridiagonal, as
+        the pair (e, w) with H = diag(e) + D^T diag(w) D, D the first
+        differences of :func:`gaps`: its superdiagonal is -w and its
+        diagonal e_i + w_{i-1} + w_i.  Assumes :meth:`has_quantile_hess`.
+        The potential gives e, the 1D Newtonian term is linear in x on the
+        sorted cone (0), and the internal term gives w = U''(g) per
+        interval."""
         c = q.cell_mass
-        n = len(x)
-        d0, d1, d2 = np.zeros(n), np.zeros(max(n - 1, 0)), np.zeros(max(n - 2, 0))
-        if self.potential is not None:
-            d0 += c * np.asarray(self.potential.hess(x), dtype=float)
-        if self.internal is not None and n > 1:
-            u2 = self._d2u_dgap2(q)
-            # stencil rows: gap 0 is x_1 - x_0, gap n-1 is x_{n-1} - x_{n-2},
-            # gap i is (x_{i+1} - x_{i-1}) / 2 in between
-            for i in (0, n - 1):
-                lo = min(i, n - 2)
-                d0[lo] += u2[i]
-                d0[lo + 1] += u2[i]
-                d1[lo] -= u2[i]
-            mid = 0.25 * u2[1:-1]
-            d0[:-2] += mid
-            d0[2:] += mid
-            d2 -= mid
-        return d0, d1, d2
+        diag = np.zeros(len(c)) if self.potential is None else \
+            c * np.asarray(self.potential.hess(q.positions), dtype=float)
+        curv = np.zeros(len(c) - 1) if self.internal is None \
+            else self._d2u_dgap2(q)
+        return diag, curv
+
+    def _interval_densities(self, q: QuantileMeasure):
+        """(interval masses, their densities with each width clamped at
+        GAP_FLOOR)."""
+        c = interval_masses(q.cell_mass)
+        return c, c / np.maximum(q.gaps(), GAP_FLOOR)
 
     def _d2u_dgap2(self, q: QuantileMeasure) -> np.ndarray:
-        """Second derivative of the internal term w.r.t. each cell gap; 0
-        below GAP_FLOOR, where :meth:`_du_dgap` is clamped."""
+        """Second derivative of the internal term w.r.t. each interval
+        width; 0 below GAP_FLOOR, where :meth:`_du_dgap` is clamped."""
         g = q.gaps()
-        c = q.cell_mass
-        gs = np.maximum(g, GAP_FLOOR)
+        c, rho = self._interval_densities(q)
         kind = self.internal[0]
         if kind == "entropy":
-            u2 = c / gs**2
+            u2 = rho * rho / c
         elif self.internal[1] == math.inf:
             return np.zeros(len(c))
         else:
             m = self.internal[1]
-            u2 = m * c**m * gs ** (-m - 1.0)
+            u2 = m * rho ** (m + 1.0) / c
         return np.where(g < GAP_FLOOR, 0.0, u2)
 
     def _du_dgap(self, q: QuantileMeasure) -> np.ndarray:
-        """Derivative of the internal term w.r.t. each cell gap."""
-        g = np.maximum(q.gaps(), GAP_FLOOR)
-        c = q.cell_mass
+        """Derivative of the internal term w.r.t. each interval width."""
+        c, rho = self._interval_densities(q)
         kind = self.internal[0]
         if kind == "entropy":
-            return -c / g
+            return -rho
         m = self.internal[1]
         if m == math.inf:
             return np.zeros(len(c))  # indicator handled by the constraint set
-        return -((c / g) ** m)
+        return -(rho ** m)
 
     def _internal_gap_grad(self, q: QuantileMeasure) -> np.ndarray:
         return gaps_adjoint(self._du_dgap(q))
@@ -570,7 +562,7 @@ def directional_derivative(energy: Energy, curve, at: float = 0.0) -> float:
 
     Potential and interaction terms use the coupling integrals
     (< grad V(pi_a), y - x > and < grad W * mu_a (pi_a), y - x >); internal
-    terms require a node-to-node 1D coupling and differentiate the cell-gap
+    terms require a node-to-node 1D coupling and differentiate the interval
     formulas directly.
     """
     xs, ys, ms = _coupling_pairs(curve)
@@ -605,7 +597,7 @@ def _internal_directional(energy: Energy, curve, at: float) -> float:
     qn = (np.arange(n) + 0.5) / n
     qa = QuantileMeasure(qn, (1.0 - at) * x0 + at * x1, ms)
     du = energy._du_dgap(qa)
-    # gaps are linear in the nodes: gap velocities are the gaps of x1 - x0
+    # widths are linear in the nodes: width velocities are the gaps of x1 - x0
     return float(np.sum(du * gaps(x1 - x0)))
 
 

@@ -3,16 +3,18 @@
 1D flows use the quantile (Lagrangian) parametrization: the decision
 variables are the n quantile positions, the W2 term to the previous state
 is the exact diagonal quadratic sum(m_i (x_i - y_i)^2), and the hard cap
-||mu||_inf <= M becomes the linear spacing constraints
-x_{i+1} - x_i >= cell_mass_i / M handled inside an isotonic projection.
+||mu||_inf <= M on the interval densities of :mod:`measures` becomes the
+linear spacing constraints x_{i+1} - x_i >= interval_mass_i / M handled
+inside an isotonic projection.
 On that feasible set (the sorted cone) the 1D Newtonian term is linear in
 x, and its gradient counts tied atoms by their order.
 
 Two inner solvers share one stopping test: the projected-gradient
 residual below ``inner_tol``, or ``inner_max_iter`` iterations (reported,
-result still returned with a residual flag).
+result still returned with a residual flag).  Both read a trial point
+whose value or gradient is not finite (an overflowing power term) as +inf.
 
-* Projected Newton with a banded solve (:func:`_newton`) takes the steps
+* Projected Newton with a tridiagonal solve (:func:`_newton`) takes the steps
   whose energy is convex in quantile coordinates and has a second
   derivative in every term: potentials with a ``hess`` (quadratic,
   granular, zero), the 1D Newtonian kernel, entropy and power internal
@@ -22,6 +24,12 @@ result still returned with a residual flag).
   :func:`_fista`) takes everything else: the nonconvex multi-start (e.g.
   ``log_pinch``, log and Riesz kernels) and potentials without a ``hess``.
   It stops early, flagged, at an iterate whose value is -inf.
+
+Near a minimizer on a dense state one float spacing of a gap moves the
+residual by more than 1e-12, so both solvers stop where their iteration
+no longer moves, and a residual left above the tolerance there is cut by
+rounding the last Newton step to the float point that minimizes it
+(:func:`_rounded_newton`).
 
 A finite-p cap ||rho||_p <= C is a multiplier search on the same solvers
 (:func:`_cap_search`): when the step without it ends above the cap, the
@@ -53,6 +61,9 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     QuantileMeasure,
+    gaps,
+    gaps_adjoint,
+    interval_masses,
     lp_norm,
     make_atomic,
 )
@@ -195,8 +206,7 @@ def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
         caps.append(1.0)
     if not caps:
         return None
-    m_cap = min(caps)
-    return cell_mass[:-1] / m_cap
+    return interval_masses(cell_mass) / min(caps)
 
 
 class _QuantileObjective:
@@ -229,9 +239,11 @@ class _QuantileObjective:
         return self._grad(self.state(x), x)
 
     def value_and_grad(self, x):
-        """(value(x), grad(x)) from one state."""
+        """(value(x), grad(x)) from one state; the value reads +inf where
+        the gradient is not finite."""
         qs = self.state(x)
-        return self._value(qs, x), self._grad(qs, x)
+        g = self._grad(qs, x)
+        return (self._value(qs, x) if np.isfinite(g).all() else math.inf), g
 
     def _value(self, qs, x):
         val = 0.5 / self.tau * float((self.m * (x - self.y) ** 2).sum())
@@ -249,15 +261,14 @@ class _QuantileObjective:
         return val
 
     def hess(self, x):
-        """Bands (diagonal, first and second superdiagonal) of the Hessian
-        of the objective at ``x`` (see :meth:`Energy.quantile_hess`)."""
+        """The Hessian of the objective at ``x`` as the pair (e, w) of
+        :meth:`Energy.quantile_hess`."""
         qs = self.state(x)
-        bands = self.energy.quantile_hess(qs)   # a tuple of fresh arrays
-        bands[0][:] += self.m / self.tau
+        diag, curv = self.energy.quantile_hess(qs)
+        diag = diag + self.m / self.tau
         if self.cap_term is not None:
-            for band, extra in zip(bands, self.cap_term.quantile_hess(qs)):
-                band += self.weight * extra
-        return bands
+            curv = curv + self.weight * self.cap_term.quantile_hess(qs)[1]
+        return diag, curv
 
     def _grad(self, qs, x):
         g = self.m * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
@@ -271,8 +282,15 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     backtracking safeguard and gradient-based momentum restarts.
 
     Evaluates each point once: the start by ``value_and_grad``, which the
-    first iteration reuses as its extrapolated point.  Stops at the first
-    accepted iterate whose value is -inf, with an infinite residual.
+    first iteration reuses as its extrapolated point.  Stops with an
+    infinite residual at the first accepted iterate whose value is -inf,
+    and where neither the extrapolated point nor the iterate has a finite
+    gradient.  Stops at a fixed point of the float iteration (the step and
+    the momentum both round to nothing), where it would otherwise spend
+    its budget repeating one point.  A residual still above ``tol`` at the
+    end is then rounding when the objective has a Hessian: the end point
+    gives way to :func:`_rounded_newton`'s when that has a smaller
+    residual and no larger value.
 
     Returns (x, iterations, projected-gradient residual, objective at x)."""
     m = objective.m
@@ -281,6 +299,8 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
 
     def residual(x):
         gx = objective.grad(x) / m
+        if not np.isfinite(gx).all():
+            return math.inf
         return float(np.abs((x - proj(x - s_probe * gx)) / s_probe).max())
 
     x = proj(np.asarray(x0, dtype=float))
@@ -298,9 +318,14 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
         if it > 1:
             try:
                 fz, g = objective.value_and_grad(z)
-            except MeasureError:  # z out of order: restart the momentum at x
+            except MeasureError:  # z out of order
+                fz = math.inf
+            if fz == math.inf:   # restart the momentum at x
                 z, t_m = x, 1.0
                 fz, g = objective.value_and_grad(z)
+        if not np.isfinite(g).all():   # no direction to step along
+            res = math.inf
+            break
         if g_prev is not None:
             # BB curvature estimate; the backtracking loop repairs
             # underestimates, nonconvex directions keep the previous L
@@ -319,11 +344,14 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
             if fxn <= quad + 1e-15 * (1.0 + abs(quad)) or L >= 1e17:
                 break
             L *= 2.0
+        moved = float(np.abs(x_new - x).max())
+        if moved == 0.0 and not (z != x).any():
+            res = residual(x)   # a fixed point: no later iteration moves
+            break
         if float(np.dot(z - x_new, x_new - x)) > 0:  # momentum restart
             t_m = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
         z = x_new + (t_m - 1.0) / t_new * (x_new - x)
-        moved = float(np.abs(x_new - x).max())
         x, fx, t_m = x_new, fxn, t_new
         if fxn == -math.inf:   # unbounded below: no minimizer to approach
             return x, it, math.inf, fxn
@@ -339,6 +367,13 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     if fx > f_best + 1e-12 * (1.0 + abs(f_best)):
         x, fx = x_best, f_best
         res = residual(x)
+    if res > tol and objective.energy.has_quantile_hess():
+        x_r = _rounded_newton(objective, x, objective.grad(x), min_gaps)
+        if x_r is not None:
+            res_r = residual(x_r)
+            f_r = objective.value(x_r)
+            if res_r < res and f_r <= fx + 1e-15 * (1.0 + abs(fx)):
+                x, res, fx = x_r, res_r, f_r
     return x, it, res, fx
 
 
@@ -351,11 +386,13 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     (the ones at or near their bound that the gradient closes), so the
     nodes fall into blocks, and takes the Newton step of the block
     positions to the minimizer of the quadratic model on that face; the
-    reduced Hessian stays pentadiagonal and is solved by a banded LDL^T.
+    reduced Hessian stays tridiagonal and is solved by an LDL^T sweep.
     An Armijo search runs along the projection arc, which clips the gaps
     that the step would close past their bound.  The stopping test and the
     budget are FISTA's; when the search fails, the iterate and the rest of
-    the budget go to :func:`_fista`.
+    the budget go to :func:`_fista`, as they do when the search ends at a
+    point without a finite gradient or at the iterate itself (the step is
+    below the float spacing, and every later iteration would repeat it).
 
     Returns (x, iterations, projected-gradient residual, objective at x)."""
     m = objective.m
@@ -365,7 +402,7 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     x = np.asarray(x0, dtype=float)
     # a start feasible up to the rounding that QuantileMeasure allows in
     # its order keeps its bits (the arc clips the gaps it moves)
-    if (np.diff(x) < lo - 1e-12).any():
+    if (gaps(x) < lo - 1e-12).any():
         x = isotonic_project(x, m, min_gaps)
     fx, g = objective.value_and_grad(x)
     it = 0
@@ -378,7 +415,7 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
         if res <= tol or it == max_iter:
             return x, it, res, fx
         it += 1
-        slack = np.diff(x) - lo
+        slack = gaps(x) - lo
         glued = np.zeros(n - 1, dtype=bool)
         if counts is not None:
             pooled = np.repeat(np.arange(len(counts)), counts)
@@ -386,11 +423,12 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
             glued = (pooled[1:] == pooled[:-1]) & (slack <= eps)
         dx = _newton_direction(objective.hess(x), g, slack, glued)
         x_new, f_new = _armijo_arc(objective, x, fx, g, dx, slack)
-        if x_new is None:
+        g_new = None if x_new is None else objective.grad(x_new)
+        if g_new is None or not np.isfinite(g_new).all() \
+                or not (x_new != x).any():
             x, more, res, fx = _fista(objective, x, min_gaps, tol, max_iter - it)
             return x, it + more, res, fx
-        x, fx = x_new, f_new
-        g = objective.grad(x)
+        x, fx, g = x_new, f_new, g_new
 
 
 def _newton_direction(bands, g, slack, glued):
@@ -398,7 +436,7 @@ def _newton_direction(bands, g, slack, glued):
     g.d + d.H.d/2 over the face where the ``glued`` gaps sit at their
     bounds; None when H is not positive definite on that face."""
     if not glued.any():
-        v = _solve_pentadiagonal(*bands, -g)
+        v = _solve_tridiagonal(*bands, -g)
         return None if v is None else np.asarray(v)
     blk = np.concatenate(([0], np.cumsum(~glued)))
     nb = int(blk[-1]) + 1
@@ -406,63 +444,90 @@ def _newton_direction(bands, g, slack, glued):
     close = np.concatenate(([0.0], np.cumsum(np.where(glued, -slack, 0.0))))
     rhs = np.bincount(blk, weights=-(g + _band_matvec(bands, close)),
                       minlength=nb)
-    v = _solve_pentadiagonal(*_reduce_bands(bands, blk, nb), rhs)
+    v = _solve_tridiagonal(*_reduce_bands(bands, blk, nb), rhs)
     return None if v is None else close + np.asarray(v)[blk]
 
 
 def _band_matvec(bands, v):
-    """H v for symmetric H given by its (diagonal, first, second) bands."""
-    d0, d1, d2 = bands
-    out = d0 * v
-    out[:-1] += d1 * v[1:]
-    out[1:] += d1 * v[:-1]
-    out[:-2] += d2 * v[2:]
-    out[2:] += d2 * v[:-2]
-    return out
+    """H v for H = diag(e) + D^T diag(w) D given as (e, w)."""
+    e, w = bands
+    return e * v + gaps_adjoint(w * gaps(v))
 
 
 def _reduce_bands(bands, blk, nb):
-    """Bands of P^T H P for the contiguous-block indicator P of ``blk``
-    (node -> block index); a pentadiagonal H stays pentadiagonal."""
-    out = [np.bincount(blk, weights=bands[0], minlength=nb),
-           np.zeros(nb), np.zeros(nb)]
-    for k in (1, 2):
-        row = blk[:-k]
-        dist = blk[k:] - row
-        for j in range(k + 1):
-            sel = dist == j
-            add = np.bincount(row[sel], weights=bands[k][sel], minlength=nb)
-            out[j] += 2.0 * add if j == 0 else add
-    return out[0], out[1][:nb - 1], out[2][:max(nb - 2, 0)]
+    """P^T H P for the contiguous-block indicator P of ``blk`` (node ->
+    block index), H and the result as (e, w): the blocks sum their e, and
+    only the intervals between two blocks keep their w (D P is 0 on the
+    intervals inside a block)."""
+    e, w = bands
+    return np.bincount(blk, weights=e, minlength=nb), w[blk[1:] != blk[:-1]]
 
 
-def _solve_pentadiagonal(a, b, c, r):
-    """Solve A v = r for the symmetric pentadiagonal A with diagonal ``a``
-    and superdiagonals ``b``, ``c`` by LDL^T, on Python floats (a loop, as
-    in :func:`_pav`).  Returns a list, or None on a nonpositive pivot."""
-    b = b.tolist() + [0.0, 0.0]
-    c = c.tolist() + [0.0, 0.0]
-    l1, l2, z = [], [], []
-    # L[i, i-1], L[i, i-2], L[i+1, i-1], D[i-1], D[i-2], y[i-1], y[i-2]
-    l1m, l2mm, l2m, dm, dmm, ym, ymm = 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0
-    for ai, bi, ci, ri in zip(a.tolist(), b, c, r.tolist()):
-        e = l1m * dm
-        di = ai - l1m * e - l2mm * l2mm * dmm
+def _solve_tridiagonal(e, w, r):
+    """Solve (diag(e) + D^T diag(w) D) v = r by LDL^T, on Python floats (a
+    loop, as in :func:`_pav`).  Pivot i is s_i + w_i with
+    s_i = e_i + w_{i-1} s_{i-1} / pivot_{i-1}: for e, w >= 0 every term is
+    nonnegative, so no pivot cancels however large w is against e.
+    Returns a list, or None on a nonpositive pivot."""
+    l, z = [], []
+    lm, sm, ym = 0.0, 0.0, 0.0   # w_{i-1} / pivot_{i-1}, s_{i-1}, y_{i-1}
+    for ei, wi, ri in zip(e.tolist(), w.tolist() + [0.0], r.tolist()):
+        si = ei + lm * sm
+        di = si + wi
         if not di > 0.0:
             return None
-        l1i = (bi - l2m * e) / di
-        l2i = ci / di
-        yi = ri - l1m * ym - l2mm * ymm     # L y = r
-        l1.append(l1i)
-        l2.append(l2i)
+        yi = ri + lm * ym        # L y = r, L[i, i-1] = -w_{i-1} / pivot
+        lm, sm, ym = wi / di, si, yi
+        l.append(lm)
         z.append(yi / di)
-        l1m, l2mm, l2m, dm, dmm, ym, ymm = l1i, l2m, l2i, di, dm, yi, ym
     v = [0.0] * len(z)
-    vp = vpp = 0.0
+    vp = 0.0
     for i in range(len(z) - 1, -1, -1):    # L^T v = D^-1 y
-        vp, vpp = z[i] - l1[i] * vp - l2[i] * vpp, vp
+        vp = z[i] + l[i] * vp
         v[i] = vp
     return v
+
+
+def _rounded_newton(objective, x, g, min_gaps):
+    """The Newton step from ``x`` rounded to float64 so as to minimize the
+    residual: among the points whose node i is the float nearest to
+    x_i + v_i, v the Newton displacement, or one of its two neighbours, the
+    one whose linearized residual max_i |g + H d|_i / m_i (d = point - x)
+    is smallest (a min-max Viterbi pass over the tridiagonal H).  Near a
+    minimizer each gap moved by one spacing shifts the residual by
+    H / m times that spacing, which on dense states exceeds a 1e-12
+    tolerance: rounding every node to its nearest float can miss the
+    tolerance that a neighbouring float point meets.  None when H is not
+    positive definite or the point leaves the gap bounds."""
+    e, w = objective.hess(x)
+    v = _solve_tridiagonal(e, w, -g)
+    if v is None:
+        return None
+    n = len(x)
+    p = x + np.asarray(v)
+    d = (p[:, None] + np.spacing(np.abs(p))[:, None] * (-1.0, 0.0, 1.0)) - x[:, None]
+    # virtual fixed nodes -1 and n, joined by zero curvature
+    dp = np.vstack((np.zeros(3), d, np.zeros(3)))
+    wp = np.concatenate(([0.0], w, [0.0]))
+    best = None
+    backs = []
+    for i in range(n):
+        # residual i over (k_{i-1}, k_i, k_{i+1})
+        mid = dp[i + 1][None, :, None]
+        r = np.abs(g[i] + e[i] * mid + wp[i] * (mid - dp[i][:, None, None])
+                   + wp[i + 1] * (mid - dp[i + 2][None, None, :])) / objective.m[i]
+        if best is not None:
+            r = np.maximum(best[:, :, None], r)
+        backs.append(r.argmin(axis=0))
+        best = r.min(axis=0)              # over (k_i, k_{i+1})
+    b, c = np.unravel_index(best.argmin(), best.shape)
+    k = np.empty(n, dtype=int)
+    for i in range(n - 1, -1, -1):
+        k[i] = b
+        b, c = backs[i][b, c], b
+    x_r = x + d[np.arange(n), k]
+    lo = 0.0 if min_gaps is None else min_gaps
+    return x_r if (gaps(x_r) >= lo).all() else None
 
 
 def _armijo_arc(objective, x, fx, g, dx, slack):
@@ -545,11 +610,11 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
     feasible state or ``q_prev``."""
     x0 = q_prev.positions
     if not lp_norm(q_prev, p) <= cap:
-        # start from the nearest nodes whose densities stay below
-        # M = (cap^p / mass)^(1 / (p-1)), so that ||rho||_p^p <= M^(p-1) mass
+        # start from the nearest nodes whose interval densities stay below
+        # M = cap^(p / (p-1)): the intervals hold at most mass 1, so
+        # ||rho||_p^p <= M^(p-1)
         c = q_prev.cell_mass
-        dens = (cap ** p / float(c.sum())) ** (1.0 / (p - 1.0))
-        x0 = isotonic_project(x0, c, np.maximum(c[:-1], c[1:]) / dens)
+        x0 = isotonic_project(x0, c, interval_masses(c) / cap ** (p / (p - 1.0)))
     lo, hi, lam = 0.0, math.inf, 1.0
     q_ok = q_prev
     while math.isfinite(lam):

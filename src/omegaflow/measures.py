@@ -13,11 +13,15 @@ A QuantileMeasure has a dual reading that the rest of the package relies on:
 * for transport purposes it is the atomic measure with mass ``cell_mass[i]``
   at ``positions[i]`` (so the 1D W2 between two states on the same quantile
   grid is exactly ``sum(m_i (x_i - y_i)^2)``),
-* for density purposes (Lp norms, internal energies) it is the histogram
-  with cell widths given by :meth:`QuantileMeasure.gaps` -- midpoints between
-  neighboring nodes in the interior, one-sided at the two ends.  With this
-  convention the spacing constraints ``x_{i+1} - x_i >= cell_mass_i / M``
-  used by the JKO inner solver enforce ``||mu||_inf <= M`` exactly.
+* for density purposes (Lp norms, internal energies, hard caps) it is the
+  histogram on the n - 1 intervals ``[x_i, x_{i+1}]`` between nodes, the
+  interval of :func:`gaps` carrying the mass ``(c_i + c_{i+1}) / 2`` of
+  :func:`interval_masses` (the Lagrangian discretization of Blanchet,
+  Calvez & Carrillo 2008).  The end half-masses ``c_0 / 2`` and
+  ``c_{n-1} / 2`` carry no density.  The spacing constraints
+  ``x_{i+1} - x_i >= (c_i + c_{i+1}) / (2M)`` used by the JKO inner solver
+  are then ``||mu||_inf <= M`` itself, up to the rounding of the
+  projection.
 
 All measure objects are immutable after construction (arrays are marked
 read-only), so they are safe to share across threads.
@@ -41,6 +45,7 @@ __all__ = [
     "GridDensity",
     "gaps",
     "gaps_adjoint",
+    "interval_masses",
     "make_atomic",
     "to_quantile",
     "quantile_function",
@@ -52,7 +57,7 @@ __all__ = [
 ]
 
 MASS_TOL = 1e-10
-GAP_FLOOR = 1e-12   # smallest cell width a density or its gradient divides by
+GAP_FLOOR = 1e-12   # smallest interval width a density or its gradient divides by
 
 
 class MeasureError(ValueError):
@@ -86,33 +91,20 @@ def _checked_positions(x, n: int) -> np.ndarray:
 
 
 def gaps(x: np.ndarray) -> np.ndarray:
-    """Cell widths of nodes ``x`` (midpoint convention): x_1 - x_0 and
-    x_{n-1} - x_{n-2} at the ends, (x_{i+1} - x_{i-1})/2 in between."""
-    n = len(x)
-    if n == 1:
-        return np.zeros(1)
-    g = np.empty(n)
-    g[1:-1] = 0.5 * (x[2:] - x[:-2])
-    g[0] = x[1] - x[0]
-    g[-1] = x[-1] - x[-2]
-    return g
+    """Widths x_{i+1} - x_i of the n - 1 intervals between nodes ``x``."""
+    return x[1:] - x[:-1]
 
 
 def gaps_adjoint(du: np.ndarray) -> np.ndarray:
-    """Transpose of the linear map :func:`gaps`: the gradient in the nodes
-    of sum_i du_i gaps(x)_i."""
-    n = len(du)
-    out = np.zeros(n)
-    if n == 1:
-        return out
-    out[0] += -du[0]
-    out[1] += du[0]
-    out[-2] += -du[-1]
-    out[-1] += du[-1]
-    if n > 2:
-        out[2:] += 0.5 * du[1:-1]
-        out[:-2] += -0.5 * du[1:-1]
-    return out
+    """Transpose of the linear map :func:`gaps`: the gradient in the n
+    nodes of sum_i du_i gaps(x)_i."""
+    return np.concatenate(([0.0], du)) - np.concatenate((du, [0.0]))
+
+
+def interval_masses(cell_mass: np.ndarray) -> np.ndarray:
+    """Masses (c_i + c_{i+1}) / 2 of the intervals between nodes; they sum
+    to 1 - (c_0 + c_{n-1}) / 2."""
+    return 0.5 * (cell_mass[:-1] + cell_mass[1:])
 
 
 @dataclass(frozen=True)
@@ -208,15 +200,16 @@ class QuantileMeasure:
         return len(self.q_nodes)
 
     def gaps(self) -> np.ndarray:
-        """Spatial width of each quantile cell (midpoint convention)."""
+        """Widths of the n - 1 intervals between nodes (:func:`gaps`)."""
         return gaps(self.positions)
 
     def densities(self) -> np.ndarray:
-        """Cell densities cell_mass / gap; +inf on zero-width cells."""
+        """Interval densities interval_mass / gap; +inf on zero-width
+        intervals."""
         g = self.gaps()
         with np.errstate(divide="ignore"):
-            d = np.where(g > 0, self.cell_mass / np.where(g > 0, g, 1.0), np.inf)
-        return d
+            return np.where(g > 0, interval_masses(self.cell_mass)
+                            / np.where(g > 0, g, 1.0), np.inf)
 
     def to_atomic(self) -> AtomicMeasure:
         return make_atomic(self.positions, self.cell_mass)
@@ -384,22 +377,21 @@ def lp_norm(measure, p) -> float:
     """Discrete L^p norm of the density; math.inf where undefined.
 
     Atomic measures have no density: the norm is +inf for p > 1 (and 1 for
-    p = 1).  Quantile measures with zero-width cells likewise report +inf
-    for p > 1.
+    p = 1).  Quantile measures have the interval densities of
+    :meth:`QuantileMeasure.densities`; with a zero-width interval, or with
+    no interval at all (one node), they likewise report +inf for p > 1.
     """
     if p == 1:
         return 1.0
     if isinstance(measure, AtomicMeasure):
         return math.inf if p > 1 else 1.0
     if isinstance(measure, QuantileMeasure):
-        g = measure.gaps()
-        c = measure.cell_mass
-        if np.any(g <= 0):
+        dens = measure.densities()
+        if not dens.size or dens.max() == math.inf:
             return math.inf
-        dens = c / g
         if p == math.inf:
             return float(dens.max())
-        return float(np.sum(g * dens ** float(p)) ** (1.0 / float(p)))
+        return float(np.sum(measure.gaps() * dens ** float(p)) ** (1.0 / float(p)))
     if isinstance(measure, GridDensity):
         v = measure.values.ravel()
         if p == math.inf:

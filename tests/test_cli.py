@@ -150,15 +150,22 @@ class TestRun:
             assert row["residual_flag"] == "False"
 
     def test_failed_finite_p_steps_flagged_in_csv(self, tmp_path):
-        # attractive log kernel: the search reaches -inf where atoms meet,
-        # and each step returns its start, feasible, with the flag set
+        # strongly attractive log kernel: the search reaches -inf where
+        # atoms meet, and each step returns its start, feasible, with the
+        # flag set
+        initial = {"kind": "uniform", "lo": -0.5, "hi": 0.5, "n": 8}
         rows = self._finite_p_rows(
-            tmp_path, {"kind": "log", "d": 1},
-            {"kind": "uniform", "lo": -0.5, "hi": 0.5, "n": 8}, 3)
+            tmp_path, {"kind": "log", "d": 1, "c": 4.0}, initial, 3)
         assert len(rows) == 4
         assert all(row["residual_flag"] == "True" for row in rows[1:])
         assert all(float(row["constraint_violation"]) == 0.0
                    and row["energy"] == rows[0]["energy"] for row in rows)
+        # at c = 1 every step converges, feasible
+        rows = self._finite_p_rows(tmp_path, {"kind": "log", "d": 1},
+                                   initial, 3)
+        assert all(row["residual_flag"] == "False"
+                   and float(row["constraint_violation"]) == 0.0
+                   for row in rows)
 
     def test_rates_job(self, tmp_path):
         cfg = {

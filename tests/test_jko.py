@@ -57,6 +57,14 @@ def _positions_digest(traj) -> str:
                                    for s in traj.states)).hexdigest()
 
 
+def _dense_hess(hess):
+    """diag(e) + D^T diag(w) D from the pair (e, w) of
+    :meth:`Energy.quantile_hess`, D the first differences."""
+    e, w = hess
+    d = np.diff(np.eye(len(e)), axis=0)
+    return np.diag(e) + d.T @ np.diag(w) @ d
+
+
 def isotonic_oracle(values, weights, min_gaps):
     """Exact projection by enumerating active constraint sets (small n)."""
     v = np.asarray(values, dtype=float)
@@ -290,15 +298,16 @@ class TestProximalStep:
                                         rel=1e-14)
 
     def test_ks_surrogate_flow_positions_pinned(self, monkeypatch):
-        # recorded before the inner solver fused its value and gradient
-        # evaluations; FISTA's iterates must not move by a bit (Newton
-        # solves this energy by default: the FISTA path is pinned here)
+        # re-recorded when the internal term moved to the intervals between
+        # nodes (the states agree with Newton's to 1.2e-12); FISTA's iterates
+        # must not move by a bit (Newton solves this energy by default: the
+        # FISTA path is pinned here)
         monkeypatch.setattr(jko, "_newton", jko._fista)
         mu0 = feasible_random_state(np.random.default_rng(2024), 64, cap=2.0)
         traj = flow(ks_surrogate_energy(), mu0,
                     JkoConfig(tau=1e-3, steps=3, inner_tol=1e-9))
         assert _positions_digest(traj) == \
-            "abd91a05292b3eca2ea572380c740b4e2fab3e92a4bae3b83ac962c86e506e08"
+            "73d4f78ff1066822c2b25280879b48f103a4b7b6a9459b5fe64cc541ce8c8b78"
 
     def test_nonconvex_multi_start_flow_positions_pinned(self):
         # log-pinch potential: nonconvex in quantile coordinates, so every
@@ -883,29 +892,57 @@ class TestNewton:
         for q in (q, q.with_positions(x)):
             assert _assert_newton_agrees(make(), q, tau) <= 10
 
+    def test_stalled_step_ends_at_the_best_rounded_newton_point(self):
+        # entropy from a Dirac at 0.7, 9 nodes, tau 1e-3: one float spacing
+        # of a gap moves the residual by about 1.3e-12, and the minimizer
+        # rounded node by node reads 1.1e-12.  FISTA stops at the fixed
+        # point of its float iteration, far inside its budget, and the
+        # rounded Newton step ends below 1e-12
+        n = 9
+        q = dirac_state(0.7, n)
+        objective = _QuantileObjective(entropy_energy(), q, 1e-3)
+        x, its, res, _ = jko._fista(objective, q.positions, None, 1e-12, 20000)
+        assert its < 1000 and res <= 1e-12
+        # the min-max pass against all 3^n candidates of its linear model,
+        # from a point a few spacings off
+        x0 = x + np.spacing(x) * np.array([2, -1, 0, 3, 1, -2, 0, 1, -1])
+        g = objective.grad(x0)
+        e, w = objective.hess(x0)
+        p = x0 + np.asarray(jko._solve_tridiagonal(e, w, -g))
+        k = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+        d = (p + k * np.spacing(np.abs(p))) - x0
+        wd = w * np.diff(d, axis=1)
+        hd = e * d + np.pad(wd, ((0, 0), (1, 0))) - np.pad(wd, ((0, 0), (0, 1)))
+        model = np.abs(g + hd) / objective.m
+        d_best = jko._rounded_newton(objective, x0, g, None) - x0
+        (row,) = np.flatnonzero((d == d_best).all(axis=1))
+        assert model[row].max() == model.max(axis=1).min() <= 1e-12
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_banded_pieces_match_dense_algebra(self, n):
+        # H = diag(e) + D^T diag(w) D from random e, w and from the Hessian
+        # of a step objective
         rng = np.random.default_rng(n)
-        a = rng.normal(size=(n, n))
-        dense = np.triu(np.tril(a @ a.T, 2), -2) + n * np.eye(n)  # SPD band
-        bands = (np.diag(dense).copy(), np.diag(dense, 1).copy(),
-                 np.diag(dense, 2).copy())
-        v = rng.normal(size=n)
-        np.testing.assert_allclose(jko._band_matvec(bands, v), dense @ v,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(jko._solve_pentadiagonal(*bands, v),
-                                   np.linalg.solve(dense, v), rtol=1e-10,
-                                   atol=1e-12)
-        blk = np.concatenate(([0], np.cumsum(rng.random(n - 1) < 0.5)))
-        p = (blk[:, None] == np.arange(blk[-1] + 1)).astype(float)
-        reduced = p.T @ dense @ p
-        got = jko._reduce_bands(bands, blk, int(blk[-1]) + 1)
-        for k in range(3):
-            np.testing.assert_allclose(got[k], np.diag(reduced, k),
-                                       rtol=1e-12, atol=1e-12)
-        assert not np.triu(reduced, 3).any()
-        indefinite = (bands[0] - 10.0 * n, bands[1], bands[2])
-        assert jko._solve_pentadiagonal(*indefinite, v) is None
+        q = feasible_random_state(rng, n, cap=2.0)
+        step = _QuantileObjective(ks_surrogate_energy(), q, 0.05).hess(
+            q.positions)
+        for hess in ((rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 10.0, n - 1)),
+                     step):
+            dense = _dense_hess(hess)
+            atol = 1e-12 * float(np.abs(dense).max())
+            v = rng.normal(size=n)
+            np.testing.assert_allclose(jko._band_matvec(hess, v), dense @ v,
+                                       rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(jko._solve_tridiagonal(*hess, v),
+                                       np.linalg.solve(dense, v), rtol=1e-10,
+                                       atol=1e-12)
+            blk = np.concatenate(([0], np.cumsum(rng.random(n - 1) < 0.5)))
+            p = (blk[:, None] == np.arange(blk[-1] + 1)).astype(float)
+            got = jko._reduce_bands(hess, blk, int(blk[-1]) + 1)
+            np.testing.assert_allclose(_dense_hess(got), p.T @ dense @ p,
+                                       rtol=1e-12, atol=atol)
+            indefinite = -(hess[0] + 2.0 * float(np.abs(dense).max()))
+            assert jko._solve_tridiagonal(indefinite, hess[1], v) is None
 
     def test_failed_armijo_search_hands_off_to_fista(self, monkeypatch):
         # a Hessian 1e12 times too small makes every Newton step too long
@@ -941,6 +978,81 @@ class TestNewton:
             assert not any(d["residual_flag"] for d in traj.diagnostics)
 
 
+def _heat_quantiles(q):
+    """Quantiles of the uniform law on [-1/2, 1/2] after the heat flow
+    d rho / dt = rho'' to t = 1/2: the CDF is G(y + 1/2) - G(y - 1/2) with
+    G(z) = z Phi(z) + phi(z) (the uniform convolved with N(0, 1)),
+    inverted by bisection."""
+    phi_cdf = np.vectorize(lambda z: 0.5 * (1.0 + math.erf(z / math.sqrt(2.0))))
+
+    def cdf(y):
+        g = lambda z: z * phi_cdf(z) + np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        return g(y + 0.5) - g(y - 0.5)
+
+    lo, hi = np.full(len(q), -10.0), np.full(len(q), 10.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < q
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestIntervalDiscretization:
+    """The internal term, Lp norms and hard-cap spacing share one density
+    per interval between nodes."""
+
+    def test_heat_flow_matches_closed_form(self):
+        # the midpoint cells of the old internal term read 6.2e-2 and 4.1e-2
+        errs = []
+        for n in (48, 96):
+            traj = flow(entropy_energy(), uniform_state(-0.5, 0.5, n),
+                        JkoConfig(tau=0.5 / 256, steps=256, inner_tol=1e-9))
+            end = traj.states[-1]
+            d = end.positions - _heat_quantiles(end.q_nodes)
+            errs.append(math.sqrt(float(np.sum(end.cell_mass * d * d))))
+        assert errs[0] <= 1e-2 and errs[1] < errs[0], errs
+
+    @pytest.mark.parametrize("make, lo", [(entropy_energy, 0.5),
+                                          (ks_surrogate_energy, 0.8)],
+                             ids=["entropy", "ks"])
+    def test_no_odd_even_mode(self, make, lo):
+        # midpoint cells could not see x_i + (-1)^i eps: the atoms paired
+        # up, median |log2| of the gap ratios 2.29 (entropy) and 2.59 (ks)
+        energy = make()
+        traj = flow(energy, uniform_state(-lo, lo, 96),
+                    JkoConfig(tau=0.5 / 64, steps=64, inner_tol=1e-9))
+        end = traj.states[-1]
+        gap = np.diff(end.positions)[24:72]
+        assert np.median(np.abs(np.log2(gap[1:] / gap[:-1]))) <= 0.1
+        if energy.constraint is None:
+            return
+        # one density: what is reported, what is capped and what the
+        # spacing bound allows (it binds at the cap M itself)
+        cap = energy.constraint[1]
+        dens = end.densities().max()
+        spacing = cap * float(np.max(jko._spacing_min_gaps(
+            energy, end.cell_mass) / end.gaps()))
+        assert lp_norm(end, math.inf) == pytest.approx(dens, rel=1e-12)
+        assert spacing == pytest.approx(dens, rel=1e-12)
+        assert dens <= cap * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("energy", [capped_aggregation_energy(),
+                                        ks_surrogate_energy()],
+                             ids=["capped", "ks"])
+    def test_unequal_atom_masses_under_a_hard_cap(self, energy):
+        rng = np.random.default_rng(5)
+        mu = make_atomic(np.sort(rng.uniform(-0.3, 0.3, 12)),
+                         rng.uniform(0.2, 1.0, 12))
+        cap = energy.constraint[1]
+        for _ in range(4):
+            mu, info = proximal_step(energy, mu, 0.05, return_info=True)
+            assert not info["residual_flag"]
+        q = QuantileMeasure((np.arange(12) + 0.5) / 12, mu.points, mu.weights)
+        assert lp_norm(q, math.inf) <= cap * (1.0 + 1e-9)
+        if energy.internal is None:   # the aggregation reaches the cap
+            assert lp_norm(q, math.inf) >= cap * (1.0 - 1e-6)
+
+
 class TestUnboundedObjective:
     def test_fista_stops_at_minus_infinity(self):
         # attractive log kernel: the objective is -inf once two atoms meet;
@@ -967,13 +1079,14 @@ class TestPenaltyMode:
         assert not any(d["residual_flag"] for d in tr.diagnostics)
 
     def test_penalty_flow_positions_pinned(self):
-        # the third step runs the multiplier search; recorded once
-        # TestFinitePCapKkt passed
+        # the third step runs the multiplier search; re-recorded with the
+        # interval densities once TestFinitePCapKkt and the SLSQP reference
+        # below passed
         traj = flow(_CAPPED_NEWTONIAN, uniform_state(-0.6, 0.6, 16),
                     JkoConfig(tau=0.1, steps=3, inner_tol=1e-8))
-        assert [d["inner_iters"] for d in traj.diagnostics] == [1, 1, 64]
+        assert [d["inner_iters"] for d in traj.diagnostics] == [1, 1, 65]
         assert _positions_digest(traj) == \
-            "6bb05a5772bc26e68cca5a3beebe0aa9e2c9bd4f909866a1b17cf9150e85a370"
+            "3151f80451748cc4b18384602ef7801cd012eaf584a65044b3afb9f5e049cbe4"
 
     def test_matches_slsqp_reference(self):
         # the third step above against SciPy's SLSQP on the same objective;
@@ -1047,9 +1160,8 @@ class TestFinitePCapKkt:
             return
         assert lp_norm(out, p) >= cap * (1.0 - tol)
         # stationarity, measured as the solver's residual: the projected
-        # gradient of objective + lam U_p on the sorted cone.  Adjacent nodes
-        # may meet at a finite norm (the midpoint cells stay open), so lam
-        # is fitted by least squares to the gradient summed over each run
+        # gradient of objective + lam U_p on the sorted cone.  lam is fitted
+        # by least squares to the gradient summed over each run
         # of tied nodes; fitted in the 2-norm and tested in the max norm,
         # it may miss the solver's lam by up to sqrt(n)
         x, m = out.positions, out.cell_mass
@@ -1077,19 +1189,65 @@ class TestFinitePCapKkt:
             e = np.zeros(n)
             e[j] = h
             fd[:, j] = (obj.grad(x + e) - obj.grad(x - e)) / (2 * h)
-        d0, d1, d2 = obj.hess(x)
-        dense = np.diag(d0) + np.diag(d1, 1) + np.diag(d1, -1) \
-            + np.diag(d2, 2) + np.diag(d2, -2)
+        dense = _dense_hess(obj.hess(x))
         assert np.max(np.abs(dense - fd)) <= 1e-5 * float(np.abs(dense).max())
 
     def test_unbounded_step_flagged(self):
-        # attractive log kernel: a solve of the search reaches -inf where
-        # two atoms meet; the step returns its start, flagged
-        energy = Energy(kernel=Kernel("log", d=1), constraint=(3.0, 1.5))
+        # strongly attractive log kernel: a solve of the search reaches -inf
+        # where two atoms meet; the step returns its start, flagged
+        energy = Energy(kernel=Kernel("log", d=1, c=4.0), constraint=(3.0, 1.5))
         q = uniform_state(-0.5, 0.5, 8)
         out, info = proximal_step(energy, q, 0.1, return_info=True)
         assert info["residual_flag"] and info["residual"] == math.inf
         assert out.positions.tobytes() == q.positions.tobytes()
+        # at c = 1 the search converges: a tie is a zero-width interval,
+        # where lam U_p is huge, so the solves no longer tie two atoms
+        weak = dataclasses.replace(energy, kernel=Kernel("log", d=1))
+        out, info = proximal_step(weak, q, 0.1, return_info=True)
+        assert not info["residual_flag"] and weak.constraint_ok(out)
+        assert lp_norm(out, 3.0) >= 1.5 * (1.0 - 1e-8)
+
+    @pytest.mark.parametrize("p", [48.0, 64.0])
+    def test_large_p_does_not_crash(self, p):
+        # step 31 used to raise MeasureError: Newton's pivots cancelled on
+        # the lam = 1 problem (lam U_p'' about 1e15 against m / tau = 0.4),
+        # FISTA took over, and inf - inf from an overflowing (c/g)^p reached
+        # the positions as NaN
+        energy = Energy(kernel=Kernel("newtonian", d=1, c=1.0),
+                        constraint=(p, 2.0))
+        cfg = JkoConfig(tau=0.05, steps=40)
+        traj = flow(energy, uniform_state(-1.0, 1.0, 48), cfg)
+        assert len(traj.states) == 41
+        assert all(energy.constraint_ok(s) for s in traj.states)
+        assert all(d["residual_flag"] for d in traj.diagnostics
+                   if not d["residual"] <= cfg.inner_tol)
+        # with pivots that no longer cancel, every search converges
+        assert not any(d["residual_flag"] for d in traj.diagnostics)
+
+    def test_overflowing_trial_points_read_as_inf(self, monkeypatch):
+        # FISTA on the lam = 1 problem of that search at p = 48: (c/g)^p
+        # overflows at its trial points, where the parent raised
+        # MeasureError; it now ends flagged, and Newton solves the problem
+        energy = Energy(kernel=Kernel("newtonian", d=1, c=1.0),
+                        constraint=(48.0, 2.0))
+        q = flow(energy, uniform_state(-1.0, 1.0, 48),
+                 JkoConfig(tau=0.05, steps=30)).states[-1]
+        obj = _QuantileObjective(energy, q, 0.05, power=48.0, weight=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, res, _ = jko._fista(obj, q.positions, None, 1e-8, 20000)
+        assert res > 1e-8
+        assert jko._newton(obj, q.positions, None, 1e-8, 20000)[2] <= 1e-8
+        # a point that Newton's search accepts without a finite gradient
+        # goes to FISTA with the rest of the budget, like a failed search
+        budgets = []
+        fista = jko._fista
+        monkeypatch.setattr(jko, "_fista", lambda *args: (
+            budgets.append(args[-1]) or fista(*args)))
+        monkeypatch.setattr(_QuantileObjective, "grad",
+                            lambda self, x: np.full(len(x), np.nan))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, _, res, _ = jko._newton(obj, q.positions, None, 1e-8, 40)
+        assert budgets == [39] and res > 1e-8
 
     def test_budget_is_shared(self):
         # every solve draws on one inner_max_iter budget

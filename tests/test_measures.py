@@ -12,6 +12,7 @@ from omegaflow.measures import (
     QuantileMeasure,
     gaps,
     gaps_adjoint,
+    interval_masses,
     lp_norm,
     make_atomic,
     measure_from_json,
@@ -248,7 +249,7 @@ def _vectors(n):
 
 class TestGapStencil:
     @given(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 40))
-           .flatmap(lambda n: st.tuples(_vectors(n), _vectors(n))))
+           .flatmap(lambda n: st.tuples(_vectors(n), _vectors(n - 1))))
     @settings(max_examples=200, deadline=None)
     def test_adjoint_identity(self, pair):
         v, du = np.array(pair[0]), np.array(pair[1])
@@ -261,15 +262,56 @@ class TestGapStencil:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_small_n_stencils(self, n):
         eye = np.eye(n)
-        G = np.column_stack([gaps(e) for e in eye])
-        GT = np.column_stack([gaps_adjoint(e) for e in eye])
-        assert np.array_equal(GT, G.T)
+        G = np.array([gaps(e) for e in eye]).T
+        GT = np.array([gaps_adjoint(e) for e in np.eye(n - 1)]) \
+            .reshape(n - 1, n).T
+        assert G.shape == (n - 1, n) and np.array_equal(GT, G.T)
 
     def test_quantile_gaps_use_the_stencil(self):
         q = QuantileMeasure([0.1, 0.3, 0.6, 0.9], [0.0, 0.0, 1.0, 3.0],
                             [0.25, 0.25, 0.25, 0.25])
         assert np.array_equal(q.gaps(), gaps(q.positions))
-        assert q.gaps().tolist() == [0.0, 0.5, 1.5, 2.0]
+        assert q.gaps().tolist() == [0.0, 1.0, 2.0]
+
+
+class TestIntervalDensity:
+    """One density per interval [x_i, x_{i+1}], of mass (c_i + c_{i+1}) / 2;
+    the end half-masses carry none."""
+
+    def test_one_node_has_no_interval(self):
+        q = QuantileMeasure([0.5], [0.3], [1.0])
+        assert q.gaps().size == 0 and q.densities().size == 0
+        for p in (1.5, 2, 8, math.inf):
+            assert lp_norm(q, p) == math.inf
+        assert lp_norm(q, 1) == 1.0
+
+    def test_two_nodes(self):
+        q = QuantileMeasure([0.25, 0.75], [-0.25, 0.25], [0.5, 0.5])
+        assert interval_masses(q.cell_mass).tolist() == [0.5]
+        assert q.densities().tolist() == [1.0]
+        assert lp_norm(q, math.inf) == 1.0
+        # ||rho||_p^p = 0.5 * 1^p over an interval of width 0.5
+        assert lp_norm(q, 2) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+
+    def test_tied_pair_is_a_zero_width_interval(self):
+        q = QuantileMeasure([0.2, 0.5, 0.8], [0.0, 0.0, 1.0],
+                            [0.3, 0.4, 0.3])
+        dens = q.densities()
+        assert dens[0] == math.inf and dens[1] == pytest.approx(0.35)
+        assert lp_norm(q, 3) == math.inf and lp_norm(q, math.inf) == math.inf
+
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_interval_masses_leave_out_the_end_halves(self, n, seed):
+        c = np.random.default_rng(seed).uniform(0.1, 1.0, n)
+        c /= c.sum()
+        q = QuantileMeasure((np.arange(n) + 0.5) / n, np.arange(n, dtype=float), c)
+        mass = interval_masses(q.cell_mass)
+        assert len(mass) == n - 1
+        assert mass.sum() == pytest.approx(1.0 - 0.5 * (c[0] + c[-1]),
+                                           rel=1e-13)
+        # unit spacing: the densities are the interval masses
+        np.testing.assert_allclose(q.densities(), mass, rtol=1e-15)
 
 
 _BAD_POSITIONS = ("decrease", "nan", "inf", "short", "long", "column", "row")
