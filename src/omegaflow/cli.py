@@ -20,9 +20,12 @@ import hashlib
 import json
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 from . import __version__
 from .energies import parse_energy
@@ -199,6 +202,28 @@ _JOB_KEYS = {
               "family", "output"},
     "verify": {"suite", "tol", "seed", "quick", "output"},
 }
+# the ``output`` keys each job writes
+_OUTPUT_KEYS = {
+    "flow": {"trajectory", "plot_table", "states_dir", "manifest"},
+    "rates": {"plot_table", "report", "manifest"},
+    "verify": {"report", "manifest"},
+}
+
+
+def _outputs(job):
+    """Converter of a ``job``'s ``output``: an object of string paths under
+    the keys that job writes."""
+    def convert(value):
+        if not isinstance(value, dict):
+            raise TypeError("expected an object")
+        for key, path in value.items():
+            if key not in _OUTPUT_KEYS[job]:
+                raise ConfigError(f"output.{key}",
+                                  f"unknown key for a {job} job")
+            if not isinstance(path, str):
+                raise ConfigError(f"output.{key}", "expected a string")
+        return value
+    return convert
 
 
 def _run_config(config, raw: str, base: str) -> int:
@@ -213,12 +238,13 @@ def _run_config(config, raw: str, base: str) -> int:
         unknown = sorted(set(config) - _JOB_KEYS[job] - {"job"})
         if unknown:
             raise ConfigError(unknown[0], f"unknown key for a {job} job")
+        outputs = _read(config, "output", _outputs(job), {})
         if job == "flow":
-            artifacts = _job_flow(config)
+            artifacts = _job_flow(config, outputs)
         elif job == "rates":
-            artifacts = _job_rates(config)
+            artifacts = _job_rates(config, outputs)
         else:
-            artifacts, failed = _job_verify(config)
+            artifacts, failed = _job_verify(config, outputs)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -230,19 +256,20 @@ def _run_config(config, raw: str, base: str) -> int:
         "config_sha256": hashlib.sha256(raw.encode()).hexdigest(),
         "wall_clock_s": time.monotonic() - t0,
         "artifacts": sorted(artifacts),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
     }
-    manifest_path = config.get("output", {}).get(
-        "manifest", os.path.join(base, "manifest.json"))
+    manifest_path = outputs.get("manifest", os.path.join(base, "manifest.json"))
     _atomic_write(manifest_path, json.dumps(manifest, indent=1) + "\n")
     return 1 if failed else 0
 
 
-def _job_flow(config) -> list:
+def _job_flow(config, outputs) -> list:
     energy = _read(config, "energy", parse_energy)
     mu0 = _read(config, "initial", _parse_measure)
     cfg = _read(config, "jko", _parse_jko, None)
     traj = flow(energy, mu0, cfg)
-    outputs = config.get("output", {})
     csv_path = outputs.get("trajectory", "trajectory.csv")
     _atomic_write(csv_path, _trajectory_csv(traj, energy))
     artifacts = [csv_path]
@@ -260,7 +287,7 @@ def _job_flow(config) -> list:
     return artifacts
 
 
-def _job_rates(config) -> list:
+def _job_rates(config, outputs) -> list:
     energy = _read(config, "energy", parse_energy)
     mu0 = _read(config, "initial", _parse_measure)
     modulus = _read(config, "modulus", modulus_from_json)
@@ -270,7 +297,6 @@ def _job_rates(config) -> list:
                           [8, 16, 32, 64, 128]),
                     modulus, cfg, n_ref=_read(config, "n_ref", int, 1024),
                     family=_read(config, "family", str, "config"))
-    outputs = config.get("output", {})
     table = outputs.get("plot_table", "rates.csv")
     _atomic_write(table, emit_plot_table(st))
     report = outputs.get("report", "rates.json")
@@ -278,12 +304,12 @@ def _job_rates(config) -> list:
     return [table, report]
 
 
-def _job_verify(config):
+def _job_verify(config, outputs):
     reports = run_suite(_read(config, "suite", _suite, "all"),
                         tol=_read(config, "tol", float, 1e-6),
                         seed=_read(config, "seed", int, 0),
                         quick=_read(config, "quick", _boolean, False))
-    path = config.get("output", {}).get("report", "verify_report.json")
+    path = outputs.get("report", "verify_report.json")
     ordered = sorted(reports, key=lambda r: (
         r.name, json.dumps(r.context, sort_keys=True, default=str)))
     _atomic_write(path, json.dumps([r.to_dict() for r in ordered], indent=1) + "\n")

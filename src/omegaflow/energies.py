@@ -122,11 +122,6 @@ class Kernel:
             return True
         return False
 
-    @property
-    def convex_1d(self) -> bool:
-        """True for kernels convex as functions on R (1D attraction)."""
-        return self.kind == "newtonian" and self.d == 1 and self.c >= 0
-
     def value(self, r):
         """w(r) for r = |x - y| >= 0."""
         r = np.asarray(r, dtype=float)
@@ -198,10 +193,9 @@ class Kernel:
 class Potential:
     """Scalar potential V with gradient; 1D or radial-in-2D evaluators.
 
-    ``convex`` marks potentials known convex on R^d (enables single-start
-    inner solves; unknown potentials default to False and get multi-start).
-    ``hess`` is V'' at 1D points, or None when not given; with it, a convex
-    1D quantile step is solved by projected Newton instead of FISTA
+    ``hess`` is V'' at 1D points, or None when not given; with it (and a
+    second derivative in the other terms, :meth:`Energy.has_quantile_hess`)
+    a 1D quantile step is solved by projected Newton instead of FISTA
     (``quadratic``, ``granular`` and ``zero`` have one, ``log_pinch`` and
     user potentials do not).
     """
@@ -209,7 +203,6 @@ class Potential:
     name: str
     value: object
     grad: object
-    convex: bool = False
     hess: object = None
 
 
@@ -223,7 +216,7 @@ def _radius_sq(x):
 
 def _quadratic():
     return Potential("quadratic", lambda x: 0.5 * _radius_sq(x),
-                     lambda x: np.asarray(x, dtype=float), convex=True,
+                     lambda x: np.asarray(x, dtype=float),
                      hess=lambda x: np.ones(np.shape(x)))
 
 
@@ -242,7 +235,7 @@ def _granular(b: float, beta: float):
         # 1D: beta (b+1) |x|^b
         return beta * (b + 1.0) * np.abs(np.asarray(x, dtype=float)) ** b
 
-    return Potential(f"granular(b={b})", val, grd, convex=True, hess=hss)
+    return Potential(f"granular(b={b})", val, grd, hess=hss)
 
 
 def _log_pinch(strength: float):
@@ -286,7 +279,7 @@ def _zero():
         return out if out.ndim else 0.0
 
     zeros = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return Potential("zero", val, zeros, convex=True, hess=zeros)
+    return Potential("zero", val, zeros, hess=zeros)
 
 
 POTENTIALS = {
@@ -403,15 +396,6 @@ class Energy:
         p, cap = self.constraint
         return lp_norm(mu, p) <= cap * (1.0 + CONSTRAINT_SLACK)
 
-    def convex_in_quantile(self) -> bool:
-        """True when the 1D quantile-coordinate inner problem is convex
-        (internal terms and spacing constraints always are)."""
-        if self.potential is not None and not self.potential.convex:
-            return False
-        if self.kernel is not None and not self.kernel.convex_1d:
-            return False
-        return True
-
     def eval(self, mu) -> float:
         """Energy value; +inf exactly on constraint violation."""
         if not self.constraint_ok(mu):
@@ -459,7 +443,9 @@ class Energy:
     def has_quantile_hess(self) -> bool:
         """True when every term has a second derivative in quantile
         coordinates: a potential with ``hess``, the 1D Newtonian kernel,
-        internal terms."""
+        internal terms.  This alone picks the solver of a 1D step: projected
+        Newton when True (it hands over to FISTA where the Hessian is not
+        positive definite or its search fails), FISTA otherwise."""
         return (self.potential is None or self.potential.hess is not None) \
             and (self.kernel is None or _newtonian_1d(self.kernel, 1))
 

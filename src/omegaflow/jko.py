@@ -14,16 +14,22 @@ residual below ``inner_tol``, or ``inner_max_iter`` iterations (reported,
 result still returned with a residual flag).  Both read a trial point
 whose value or gradient is not finite (an overflowing power term) as +inf.
 
+Every step makes one solve, from the previous state's positions, and one
+rule picks its solver: Newton when :meth:`Energy.has_quantile_hess`,
+FISTA otherwise.
+
 * Projected Newton with a tridiagonal solve (:func:`_newton`) takes the steps
-  whose energy is convex in quantile coordinates and has a second
-  derivative in every term: potentials with a ``hess`` (quadratic,
-  granular, zero), the 1D Newtonian kernel, entropy and power internal
-  terms, caps.  Its iteration count does not grow with the number of
-  nodes.  When its line search fails it hands the iterate to FISTA.
+  whose energy has a second derivative in every term: potentials with a
+  ``hess`` (quadratic, granular, zero), the 1D Newtonian kernel of either
+  sign (linear on the sorted cone), entropy and power internal terms,
+  caps.  Its iteration count does not grow with the number of nodes.
+  When its tridiagonal solve meets a nonpositive pivot (a Hessian that is
+  not positive definite) or its line search fails, it hands the iterate
+  to FISTA.
 * Accelerated projected gradient (monotone FISTA with backtracking,
-  :func:`_fista`) takes everything else: the nonconvex multi-start (e.g.
-  ``log_pinch``, log and Riesz kernels) and potentials without a ``hess``.
-  It stops early, flagged, at an iterate whose value is -inf.
+  :func:`_fista`) takes everything else: potentials without a ``hess``
+  (e.g. ``log_pinch``), log, Riesz and smooth kernels.  It stops early,
+  flagged, at an iterate whose value is -inf.
 
 Near a minimizer on a dense state one float spacing of a gap moves the
 residual by more than 1e-12, so both solvers stop where their iteration
@@ -45,8 +51,8 @@ its LP from the previous pass's optimal basis.  Their residual is the
 relative objective change of the last outer pass, and the flag is set when
 it exceeds ``inner_tol`` or when a fixed-plan pass used up its iterations.
 
-Everything here is deterministic: fixed reduction orders, fixed multi-start
-order with best-objective selection and lowest-index tie-breaking.
+Everything here is deterministic: fixed reduction orders and one start
+per solve.
 """
 
 from __future__ import annotations
@@ -379,8 +385,8 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
 
 def _newton(objective, x0, min_gaps, tol, max_iter):
     """Projected Newton (Bertsekas 1982) in the gap coordinates
-    s_i = x_{i+1} - x_i - min_gap_i >= 0, for a convex objective with a
-    Hessian (:meth:`_QuantileObjective.hess`).
+    s_i = x_{i+1} - x_i - min_gap_i >= 0, for an objective with a Hessian
+    (:meth:`_QuantileObjective.hess`).
 
     Each iteration glues the gaps that the projected-gradient probe pools
     (the ones at or near their bound that the gradient closes), so the
@@ -389,9 +395,10 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     reduced Hessian stays tridiagonal and is solved by an LDL^T sweep.
     An Armijo search runs along the projection arc, which clips the gaps
     that the step would close past their bound.  The stopping test and the
-    budget are FISTA's; when the search fails, the iterate and the rest of
-    the budget go to :func:`_fista`, as they do when the search ends at a
-    point without a finite gradient or at the iterate itself (the step is
+    budget are FISTA's; when the search fails (or has no direction: the
+    Hessian is not positive definite on the face), the iterate and the rest
+    of the budget go to :func:`_fista`, as they do when the search ends at
+    a point without a finite gradient or at the iterate itself (the step is
     below the float spacing, and every later iteration would repeat it).
 
     Returns (x, iterations, projected-gradient residual, objective at x)."""
@@ -557,40 +564,17 @@ def _armijo_arc(objective, x, fx, g, dx, slack):
     return None, None
 
 
-def _multi_starts(q_prev, prev_prev, nonconvex):
-    starts = [q_prev.positions.copy()]
-    if not nonconvex:
-        return starts
-    x = q_prev.positions
-    qn = q_prev.q_nodes
-    mean = float(np.sum(q_prev.cell_mass * x))
-    std = math.sqrt(max(float(np.sum(q_prev.cell_mass * (x - mean) ** 2)), 0.0))
-    if std > 0:
-        uniform = mean + (qn - 0.5) * math.sqrt(12.0) * std
-        starts.append(0.9 * x + 0.1 * uniform)
-    if prev_prev is not None:
-        starts.append(2.0 * x - prev_prev.positions)
-    return starts
-
-
-def _prox_quantile(energy, q_prev, tau, cfg, prev_prev=None):
+def _prox_quantile(energy, q_prev, tau, cfg):
     min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass)
-    convex = energy.convex_in_quantile()
-    solver = _newton if convex and energy.has_quantile_hess() else _fista
+    solver = _newton if energy.has_quantile_hess() else _fista
     tol = cfg.inner_tol
 
     def solve(x0, budget, power=None, weight=0.0):
         objective = _QuantileObjective(energy, q_prev, tau, power, weight)
-        x, its, res, val = solver(objective, x0, min_gaps, tol, budget)
-        return val, x, its, res, objective
+        x, its, res, _ = solver(objective, x0, min_gaps, tol, budget)
+        return objective.state(x), its, res   # built when the solver evaluated x
 
-    best = None
-    for x0 in _multi_starts(q_prev, prev_prev, not convex):
-        cand = solve(x0, cfg.inner_max_iter)
-        if best is None or cand[0] < best[0] - 1e-15:
-            best = cand
-    _, x, its, res, objective = best
-    q_new = objective.state(x)   # built when the solver evaluated x
+    q_new, its, res = solve(q_prev.positions, cfg.inner_max_iter)
     if energy.constraint is not None and energy.constraint[0] < math.inf \
             and not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
         return _cap_search(solve, q_prev, *energy.constraint, tol, its,
@@ -618,16 +602,15 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
     lo, hi, lam = 0.0, math.inf, 1.0
     q_ok = q_prev
     while math.isfinite(lam):
-        _, x, add, res, objective = solve(x0, max_iter - its, p, lam)
+        q, add, res = solve(x0, max_iter - its, p, lam)
         its += add
         if res > tol:
             break
-        q = objective.state(x)
         norm = lp_norm(q, p)
         if norm > cap:
             lo = lam
         else:
-            q_ok, x0, hi = q, x, lam
+            q_ok, x0, hi = q, q.positions, lam
             if norm >= cap * (1.0 - tol) or hi - lo <= tol * hi:
                 return q, {"inner_iters": its, "residual": res,
                            "residual_flag": False}
@@ -703,7 +686,7 @@ def _atomic_energy_grad(energy, pts, w):
 # ---------------------------------------------------------------------------
 
 def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
-                  prev_state=None, return_info: bool = False):
+                  return_info: bool = False):
     """One proximal step argmin_nu (1/2 tau) W2^2(mu, nu) + E(nu).
 
     ``mu`` is a :class:`QuantileMeasure` or an :class:`AtomicMeasure`, 1D
@@ -717,7 +700,7 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
         return (mu, {"inner_iters": 0, "residual": 0.0, "residual_flag": False}) \
             if return_info else mu
     if isinstance(mu, QuantileMeasure):
-        out, info = _prox_quantile(energy, mu, tau, cfg, prev_prev=prev_state)
+        out, info = _prox_quantile(energy, mu, tau, cfg)
     elif isinstance(mu, AtomicMeasure) and mu.dim == 2:
         out, info = _prox_atomic_2d(energy, mu, tau, cfg)
     elif isinstance(mu, AtomicMeasure):
@@ -746,14 +729,11 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
     energies = [schedule(0, cfg.tau).eval(mu0)]
     dists = []
     diagnostics = []
-    prev_prev = None
     for k in range(1, cfg.steps + 1):
         ek = schedule(k, cfg.tau)
-        new, info = proximal_step(ek, states[-1], cfg.tau, cfg,
-                                  prev_state=prev_prev, return_info=True)
+        new, info = proximal_step(ek, states[-1], cfg.tau, cfg, return_info=True)
         plan = info.pop("plan", None)
         dists.append(w2(states[-1], new) if plan is None else _plan_distance(plan))
-        prev_prev = states[-1]
         states.append(new)
         energies.append(ek.eval(new))
         diagnostics.append(info)

@@ -267,7 +267,7 @@ def test_criterion_10_appendix():
         scale = 1.0 + 0.5 * math.sin(t)
         from omegaflow.energies import Potential
         pot = Potential("sq", lambda x, s=scale: 0.5 * s * np.asarray(x) ** 2,
-                        lambda x, s=scale: s * np.asarray(x), convex=True)
+                        lambda x, s=scale: s * np.asarray(x))
         return Energy(potential=pot)
 
     t_final = 1.0

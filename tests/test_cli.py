@@ -1,12 +1,15 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import omegaflow
+from omegaflow import cli
 from omegaflow.cli import ConfigError, emit_plot_table, main, run
 from omegaflow.jko import FlowTrajectory, JkoConfig, flow
 from omegaflow.verify import RateStudy, dirac_state, quadratic_energy
@@ -45,6 +48,28 @@ class TestRun:
         manifest = json.loads((tmp_path / "m.json").read_text())
         assert manifest["tool"].startswith("omegaflow")
         assert "config_sha256" in manifest
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["cpu_count"] == os.cpu_count()
+
+    def test_flow_job_loads_no_scipy(self, tmp_path):
+        # the manifest's library versions come without importing SciPy
+        # (about 27 MB for scipy.linalg alone)
+        cfg = dict(FLOW_CONFIG, output={"trajectory": str(tmp_path / "t.csv"),
+                                        "manifest": str(tmp_path / "m.json")})
+        path = write_config(tmp_path, "c.json", cfg)
+        code = ("import sys\n"
+                "from omegaflow.cli import run\n"
+                f"assert run({path!r}) == 0\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(omegaflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+        assert "numpy" in json.loads((tmp_path / "m.json").read_text())
 
     def test_missing_key_exit_2(self, tmp_path, capsys):
         code = run(write_config(tmp_path, "c.json", {"job": "flow"}))
@@ -209,14 +234,42 @@ class TestRun:
                "rates": dict(dynamics,
                              modulus={"kind": "lipschitz", "lambda": 1.0}),
                "flow": dynamics}[job]
+        written = {"verify": {"report": "r.json"},
+                   "rates": {"report": "r.json", "plot_table": "r.csv"},
+                   "flow": {"trajectory": "t.csv"}}[job]
+        written = dict(written, manifest="m.json")
         cfg = dict(cfg, job=job,
-                   output={"report": str(tmp_path / "r.json"),
-                           "plot_table": str(tmp_path / "r.csv"),
-                           "trajectory": str(tmp_path / "t.csv"),
-                           "manifest": str(tmp_path / "m.json")})
+                   output={k: str(tmp_path / v) for k, v in written.items()})
         cfg[key] = value
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert f"config error at {key!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("job, output, pointer", [
+        pytest.param("flow", "out.csv", "output", id="flow-string"),
+        pytest.param("flow", {"trajectory": 5}, "output.trajectory",
+                     id="flow-path-not-string"),
+        pytest.param("flow", {"report": "r.json"}, "output.report",
+                     id="flow-key-of-rates"),
+        pytest.param("rates", {"trajectory": "t.csv"}, "output.trajectory",
+                     id="rates-key-of-flow"),
+        pytest.param("verify", ["rep.json"], "output", id="verify-list"),
+        pytest.param("verify", {"states_dir": "s"}, "output.states_dir",
+                     id="verify-key-of-flow"),
+        pytest.param("verify", None, "output", id="verify-null"),
+    ])
+    def test_malformed_output_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     job, output, pointer):
+        # rejected before the job computes: a verify job runs no suite
+        monkeypatch.setattr(cli, "run_suite", None)
+        cfg = {"flow": FLOW_CONFIG,
+               "rates": dict(FLOW_CONFIG, job="rates",
+                             modulus={"kind": "lipschitz", "lambda": 1.0}),
+               "verify": {"job": "verify", "suite": "all"}}[job]
+        monkeypatch.chdir(tmp_path)
+        code = run(write_config(tmp_path, "c.json", dict(cfg, output=output)))
+        assert code == 2
+        assert f"config error at {pointer!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_nested_key_pointer(self, tmp_path, capsys):

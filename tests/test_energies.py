@@ -479,8 +479,7 @@ class TestAboveTangent:
     def test_linear_energy_zero_slack(self):
         # linear potential: E(mu_alpha) affine in alpha, slack vanishes
         pot = Potential("linear", lambda x: 3.0 * np.asarray(x, dtype=float),
-                        lambda x: np.full_like(np.asarray(x, dtype=float), 3.0),
-                        convex=True)
+                        lambda x: np.full_like(np.asarray(x, dtype=float), 3.0))
         E = Energy(potential=pot)
         mu = dirac_state(0.0, 4)
         nu = dirac_state(1.0, 4)

@@ -310,13 +310,32 @@ class TestProximalStep:
             "73d4f78ff1066822c2b25280879b48f103a4b7b6a9459b5fe64cc541ce8c8b78"
 
     def test_nonconvex_multi_start_flow_positions_pinned(self):
-        # log-pinch potential: nonconvex in quantile coordinates, so every
-        # step after the first runs two starts and keeps the better one;
-        # recorded before the inner solver stopped re-evaluating its points
+        # log-pinch potential: nonconvex in quantile coordinates and without
+        # a Hessian, so FISTA takes every step, from the previous state.  The
+        # digest was recorded when each step after the first also tried a
+        # start extrapolated from the two previous states, which never won
+        # here, and before the inner solver stopped re-evaluating its points
         traj = flow(log_pinch_energy(1.0), dirac_state(5e-3, 2),
                     JkoConfig(tau=0.125 / 32, steps=32, inner_tol=1e-9))
         assert _positions_digest(traj) == \
             "686b9161e5eca408cdaac530c2ff015c54337fd84a77790f8490ffea8d406d81"
+
+    def test_one_solve_per_step(self, monkeypatch):
+        # one start per step, also where the energy is nonconvex: three
+        # log-pinch steps are three FISTA solves
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1])
+            return fista(*args)
+
+        fista = jko._fista
+        monkeypatch.setattr(jko, "_fista", spy)
+        traj = flow(log_pinch_energy(1.0), dirac_state(5e-3, 2),
+                    JkoConfig(tau=0.125 / 32, steps=3, inner_tol=1e-9))
+        assert len(calls) == 3
+        for x0, prev in zip(calls, traj.states):
+            assert x0.tobytes() == prev.positions.tobytes()
 
     def test_step_evaluates_each_point_once(self, monkeypatch):
         # Each projection after the start's gives one new point, a
@@ -610,7 +629,7 @@ class TestTimeDependent:
         scale = 1.0 + 0.5 * math.sin(t)
         from omegaflow.energies import Potential
         pot = Potential("sq", lambda x, s=scale: 0.5 * s * np.asarray(x) ** 2,
-                        lambda x, s=scale: s * np.asarray(x), convex=True)
+                        lambda x, s=scale: s * np.asarray(x))
         return Energy(potential=pot)
 
     def test_constant_schedule_matches_flow(self):
@@ -770,10 +789,51 @@ class TestAtomicInput:
         assert out.weights.tobytes() == ref.to_atomic().weights.tobytes()
 
 
+@st.composite
+def _hard_cap_starts(draw):
+    """A start for a step under the density cap 2: a random feasible state,
+    tied pairs of atoms, a Dirac, or the uniform state saturated at the cap;
+    2 to 24 nodes."""
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["random", "tied", "dirac", "saturated"]))
+    center = draw(st.floats(-1.0, 1.0))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return feasible_random_state(rng, n, cap=2.0,
+                                     span=draw(st.floats(0.3, 1.5)))
+    if kind == "tied":
+        x = np.sort(draw(st.lists(st.floats(-1.0, 1.0), min_size=(n + 1) // 2,
+                                  max_size=(n + 1) // 2)))
+        return QuantileMeasure((np.arange(n) + 0.5) / n, np.repeat(x, 2)[:n],
+                               np.full(n, 1.0 / n))
+    if kind == "dirac":
+        return dirac_state(center, n)
+    return uniform_state(center - 0.25, center + 0.25, n)
+
+
+class TestHardCapStepProperty:
+    """One step under a hard cap stays under it, and from a state of finite
+    energy it satisfies the one-step bound E(out) + W2^2 / (2 tau) <= E(mu)
+    up to the rounding of the separately summed terms."""
+
+    @pytest.mark.parametrize("make", [capped_aggregation_energy,
+                                      ks_surrogate_energy])
+    @settings(max_examples=60, deadline=None)
+    @given(mu=_hard_cap_starts(), tau=st.sampled_from([1e-3, 0.05, 0.5]))
+    def test_feasible_and_descends(self, make, mu, tau):
+        energy = make(2.0)
+        out = proximal_step(energy, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
+        assert lp_norm(out, math.inf) <= 2.0 * (1.0 + 1e-9)
+        e_mu = energy.eval(mu)
+        if math.isfinite(e_mu):
+            assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
+                <= e_mu + 1e-12 * max(1.0, abs(e_mu))
+
+
 _QUADRATIC = POTENTIALS["quadratic"]({})
 _CAPPED_NEWTONIAN = Energy(kernel=Kernel("newtonian", d=1, c=2.0),
                            constraint=(4.0, 1.2))
-# convex energies with a Hessian, each with the density cap its spacing
+# energies with a Hessian, each with the density cap its spacing
 # constraints enforce (None: no cap)
 _NEWTON_ENERGIES = {
     "granular": (lambda: Energy(potential=POTENTIALS["granular"]({})), None),
@@ -786,6 +846,9 @@ _NEWTON_ENERGIES = {
                                  internal=("power", math.inf)), 1.0),
     "newtonian": (lambda: Energy(potential=_QUADRATIC,
                                  kernel=Kernel("newtonian", d=1, c=2.0)), None),
+    # repulsive: concave as a pair interaction, but linear on the sorted cone
+    "repulsive": (lambda: Energy(potential=_QUADRATIC,
+                                 kernel=Kernel("newtonian", d=1, c=-2.0)), None),
 }
 
 
@@ -806,8 +869,8 @@ def _assert_newton_agrees(energy, q, tau):
 
 
 class TestNewton:
-    """The projected Newton solver of convex quantile steps against FISTA,
-    the reference it replaces."""
+    """The projected Newton solver of quantile steps with a Hessian against
+    FISTA, the reference it replaces."""
 
     def test_convex_steps_take_newton(self, monkeypatch):
         calls = []
