@@ -149,6 +149,18 @@ def _suite(name):
     return name
 
 
+def _reject_unknown(spec, known, path):
+    """A :class:`ConfigError` at ``path.key`` for the first key of ``spec``
+    not in ``known``."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+
+
+# the keys each ``initial`` shorthand reads
+_SHORTHAND_KEYS = {"dirac": {"kind", "a", "n"}, "uniform": {"kind", "lo", "hi", "n"}}
+
+
 def _parse_measure(spec):
     """The ``initial`` state: ``dirac`` or ``uniform`` shorthand, or measure JSON."""
     if not isinstance(spec, dict):
@@ -156,6 +168,8 @@ def _parse_measure(spec):
     kind = spec.get("kind")
     if kind == "grid":
         raise ConfigError("initial.kind", "grid states are not stepped")
+    if kind in _SHORTHAND_KEYS:
+        _reject_unknown(spec, _SHORTHAND_KEYS[kind], "initial")
     if kind == "dirac":
         return dirac_state(_read(spec, "a", float, 0.0, "initial"),
                            _read(spec, "n", int, 8, "initial"))
@@ -170,9 +184,7 @@ def _parse_jko(spec) -> JkoConfig:
     spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise TypeError("expected an object")
-    unknown = set(spec) - {f.name for f in dataclasses.fields(JkoConfig)}
-    if unknown:
-        raise ConfigError(f"jko.{sorted(unknown)[0]}", "unknown key")
+    _reject_unknown(spec, {f.name for f in dataclasses.fields(JkoConfig)}, "jko")
     return JkoConfig(**spec)
 
 

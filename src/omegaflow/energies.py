@@ -5,8 +5,9 @@ An :class:`Energy` is a sum of optional terms
 * potential        int V(x) dmu
 * interaction      1/2 int (W * mu)(x) dmu(x)   (kernel W, radial)
 * internal         entropy  int mu log mu,  or power  1/(m-1) int mu^m
-                   (m = inf means the hard indicator ||mu||_inf <= 1)
-* constraint       +inf whenever ||mu||_p > C_p
+                   with 1 < m < inf
+* constraint       +inf whenever ||mu||_p > C_p; p = inf is the hard
+                   density cap ||mu||_inf <= C, the only way to write it
 
 together with value, Lagrangian gradient in quantile coordinates,
 directional derivatives along couplings, the above-tangent convexity
@@ -122,26 +123,29 @@ class Kernel:
             return True
         return False
 
+    def _power_law(self):
+        """(sign, sign * c, exponent) of a kernel sign * c * r^exponent: the
+        Riesz kernel, exponent alpha - d in [2-d, 0), and the Newtonian one
+        in d >= 3, the Riesz kernel with alpha = 2 and
+        sign * c = c / (d (2 - d) |B_d|)."""
+        if self.kind == "riesz":
+            return self.sign, self.sign * self.c, self.alpha - self.d
+        coef = self.c / (self.d * (2.0 - self.d) * _ball_volume(self.d))
+        return (1 if coef > 0 else -1), coef, 2.0 - self.d
+
     def value(self, r):
         """w(r) for r = |x - y| >= 0."""
         r = np.asarray(r, dtype=float)
-        if self.kind == "newtonian":
-            if self.d == 1:
-                out = 0.5 * r * self.c
-            elif self.d == 2:
-                out = self.c * _log_positive(r, -np.inf) / (2.0 * math.pi)
-            else:
-                d = self.d
-                coef = self.c / (d * (2.0 - d) * _ball_volume(d))
-                with np.errstate(divide="ignore"):
-                    out = coef * np.where(r > 0, r, np.nan) ** (2.0 - d)
-                    out = np.where(r > 0, out, -np.inf * np.sign(coef))
-        elif self.kind == "riesz":
-            expo = self.alpha - self.d  # in [2-d, 0)
+        if self.kind == "newtonian" and self.d == 1:
+            out = 0.5 * r * self.c
+        elif self.kind == "newtonian" and self.d == 2:
+            out = self.c * _log_positive(r, -np.inf) / (2.0 * math.pi)
+        elif self.kind in ("newtonian", "riesz"):
+            sign, coef, expo = self._power_law()
             with np.errstate(divide="ignore"):
-                out = self.sign * self.c * np.where(r > 0, r, np.nan) ** expo
+                out = coef * np.where(r > 0, r, np.nan) ** expo
             # lsc convention: +c|x|^(a-d) takes 0 at x=0, -c|x|^(a-d) is -inf
-            out = np.where(r > 0, out, 0.0 if self.sign > 0 else -np.inf)
+            out = np.where(r > 0, out, 0.0 if sign > 0 else -np.inf)
         elif self.kind == "log":
             out = self.c * _log_positive(r, -np.inf)
         else:
@@ -152,18 +156,13 @@ class Kernel:
         """w'(r) for r > 0."""
         r = np.asarray(r, dtype=float)
         safe = np.where(r > 0, r, 1.0)
-        if self.kind == "newtonian":
-            if self.d == 1:
-                out = np.full_like(r, 0.5 * self.c)
-            elif self.d == 2:
-                out = self.c / (2.0 * math.pi * safe)
-            else:
-                d = self.d
-                coef = self.c / (d * (2.0 - d) * _ball_volume(d))
-                out = coef * (2.0 - d) * safe ** (1.0 - d)
-        elif self.kind == "riesz":
-            expo = self.alpha - self.d
-            out = self.sign * self.c * expo * safe ** (expo - 1.0)
+        if self.kind == "newtonian" and self.d == 1:
+            out = np.full_like(r, 0.5 * self.c)
+        elif self.kind == "newtonian" and self.d == 2:
+            out = self.c / (2.0 * math.pi * safe)
+        elif self.kind in ("newtonian", "riesz"):
+            _, coef, expo = self._power_law()
+            out = coef * expo * safe ** (expo - 1.0)
         elif self.kind == "log":
             out = self.c / safe
         else:
@@ -220,7 +219,7 @@ def _quadratic():
                      hess=lambda x: np.ones(np.shape(x)))
 
 
-def _granular(b: float, beta: float):
+def _granular(b: float = 2.0, beta: float = 1.0):
     # beta/(b+2) |x|^(b+2); gradient beta |x|^b x
     def val(x):
         return beta / (b + 2.0) * _radius_sq(x) ** ((b + 2.0) / 2.0)
@@ -238,7 +237,7 @@ def _granular(b: float, beta: float):
     return Potential(f"granular(b={b})", val, grd, hess=hss)
 
 
-def _log_pinch(strength: float):
+def _log_pinch(strength: float = 1.0):
     """1D potential whose gradient is log-Lipschitz but not Lipschitz.
 
     V'(x) = -(strength/2) * omega(x^2)/x with omega(u) = u|log u| on the
@@ -282,11 +281,28 @@ def _zero():
     return Potential("zero", val, zeros, hess=zeros)
 
 
+def _reject_unknown(spec, known, what: str) -> None:
+    """Raise at the first key of the config object ``spec`` not in ``known``:
+    a key that is not read is a typo, not a default."""
+    unknown = sorted(set(spec) - set(known))
+    if unknown:
+        raise EnergyError(f"unknown {what} {unknown[0]!r}")
+
+
+def _from_params(factory, *keys):
+    """A :data:`POTENTIALS` entry: ``factory`` called with a parameter dict,
+    which may hold only ``keys``."""
+    def build(params):
+        _reject_unknown(params, keys, "potential parameter")
+        return factory(**params)
+    return build
+
+
 POTENTIALS = {
-    "quadratic": lambda params: _quadratic(),
-    "granular": lambda params: _granular(params.get("b", 2.0), params.get("beta", 1.0)),
-    "log_pinch": lambda params: _log_pinch(params.get("strength", 1.0)),
-    "zero": lambda params: _zero(),
+    "quadratic": _from_params(_quadratic),
+    "granular": _from_params(_granular, "b", "beta"),
+    "log_pinch": _from_params(_log_pinch, "strength"),
+    "zero": _from_params(_zero),
 }
 
 
@@ -318,17 +334,18 @@ class Energy:
 
     potential: Potential | None = None
     kernel: Kernel | None = None
-    internal: tuple | None = None          # ("entropy",) or ("power", m)
-    constraint: tuple | None = None        # (p, cap); p may be math.inf
+    internal: tuple | None = None          # ("entropy",) or ("power", m), m < inf
+    constraint: tuple | None = None        # (p, cap); p = math.inf: hard cap
 
     def __post_init__(self):
         if self.internal is not None:
             kind = self.internal[0]
-            if kind == "power":
-                m = self.internal[1]
-                if not (m > 1):
-                    raise EnergyError("power internal term requires m > 1")
-            elif kind != "entropy":
+            if kind == "power" and not (self.internal[1] > 1
+                                        and math.isfinite(self.internal[1])):
+                raise EnergyError(
+                    "power internal term requires 1 < m < inf; write a hard "
+                    "density cap as constraint=(inf, cap)")
+            if kind not in ("power", "entropy"):
                 raise EnergyError(f"unknown internal term {kind!r}")
         if self.constraint is not None:
             p, cap = self.constraint
@@ -370,8 +387,6 @@ class Energy:
             if kind == "entropy":
                 return float(np.sum(c * np.log(rho)))
             m = self.internal[1]
-            if m == math.inf:
-                return 0.0 if np.all(rho <= 1.0 + 1e-9) else math.inf
             # c rho^(m-1), not c^m g^(1-m): no overflow of the two factors
             return float(np.sum(c * rho ** (m - 1.0)) / (m - 1.0))
         if isinstance(mu, GridDensity):
@@ -381,8 +396,6 @@ class Energy:
                 pos = v > 0
                 return float(np.sum(cell * v[pos] * np.log(v[pos])))
             m = self.internal[1]
-            if m == math.inf:
-                return 0.0 if v.max() <= 1.0 + 1e-9 else math.inf
             return float(np.sum(cell * v**m) / (m - 1.0))
         if isinstance(mu, AtomicMeasure):
             return math.inf  # atoms have no density
@@ -397,10 +410,14 @@ class Energy:
         return lp_norm(mu, p) <= cap * (1.0 + CONSTRAINT_SLACK)
 
     def eval(self, mu) -> float:
-        """Energy value; +inf exactly on constraint violation."""
-        if not self.constraint_ok(mu):
-            return math.inf
-        total = 0.0
+        """Energy value; +inf on constraint violation."""
+        return self.terms_value(mu) if self.constraint_ok(mu) else math.inf
+
+    def terms_value(self, mu, start: float = 0.0) -> float:
+        """``start`` plus the potential, interaction and internal terms, added
+        in that order, without the constraint; +inf where the internal term
+        is."""
+        total = start
         if self.potential is not None:
             total += self.potential_value(mu)
         if self.kernel is not None:
@@ -475,11 +492,8 @@ class Energy:
         width; 0 below GAP_FLOOR, where :meth:`_du_dgap` is clamped."""
         g = q.gaps()
         c, rho = self._interval_densities(q)
-        kind = self.internal[0]
-        if kind == "entropy":
+        if self.internal[0] == "entropy":
             u2 = rho * rho / c
-        elif self.internal[1] == math.inf:
-            return np.zeros(len(c))
         else:
             m = self.internal[1]
             u2 = m * rho ** (m + 1.0) / c
@@ -487,14 +501,10 @@ class Energy:
 
     def _du_dgap(self, q: QuantileMeasure) -> np.ndarray:
         """Derivative of the internal term w.r.t. each interval width."""
-        c, rho = self._interval_densities(q)
-        kind = self.internal[0]
-        if kind == "entropy":
+        rho = self._interval_densities(q)[1]
+        if self.internal[0] == "entropy":
             return -rho
-        m = self.internal[1]
-        if m == math.inf:
-            return np.zeros(len(c))  # indicator handled by the constraint set
-        return -(rho ** m)
+        return -(rho ** self.internal[1])
 
     def _internal_gap_grad(self, q: QuantileMeasure) -> np.ndarray:
         return gaps_adjoint(self._du_dgap(q))
@@ -662,9 +672,8 @@ def parse_energy(data) -> Energy:
      "constraint":{"p":"inf","cap":1.0},"internal":{"power":2}}"""
     if isinstance(data, str):
         data = json.loads(data)
-    unknown = set(data) - {"potential", "kernel", "internal", "constraint"}
-    if unknown:
-        raise EnergyError(f"unknown energy key {sorted(unknown)[0]!r}")
+    _reject_unknown(data, ("potential", "kernel", "internal", "constraint"),
+                    "energy key")
     pot = None
     if "potential" in data and data["potential"] is not None:
         spec = data["potential"]
@@ -683,17 +692,18 @@ def parse_energy(data) -> Energy:
     internal = None
     if "internal" in data and data["internal"] is not None:
         idata = data["internal"]
-        if idata == "entropy" or (isinstance(idata, dict)
-                                  and idata.get("kind") == "entropy"):
+        if idata == "entropy":
             internal = ("entropy",)
-        elif isinstance(idata, dict) and "power" in idata:
-            m = idata["power"]
-            internal = ("power", math.inf if m in ("inf", None) else float(m))
+        elif isinstance(idata, dict) and set(idata) == {"power"} \
+                and isinstance(idata["power"], (int, float)):
+            internal = ("power", float(idata["power"]))
         else:
-            raise EnergyError(f"unknown internal term {idata!r}")
+            raise EnergyError(f"unknown internal term {idata!r}; write a "
+                              "hard density cap as constraint")
     constraint = None
     if "constraint" in data and data["constraint"] is not None:
         cd = data["constraint"]
+        _reject_unknown(cd, ("p", "cap"), "constraint key")
         p = cd["p"]
         p = math.inf if p in ("inf", None) else float(p)
         constraint = (p, float(cd["cap"]))

@@ -203,16 +203,10 @@ def _pav(values, weights, min_gaps):
 # ---------------------------------------------------------------------------
 
 def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
-    """Linear spacing lower bounds encoding the hard density caps."""
-    caps = []
-    if energy.constraint is not None and energy.constraint[0] == math.inf:
-        caps.append(energy.constraint[1])
-    if energy.internal is not None and energy.internal[0] == "power" \
-            and energy.internal[1] == math.inf:
-        caps.append(1.0)
-    if not caps:
+    """Linear spacing lower bounds encoding a hard density cap, or None."""
+    if energy.constraint is None or energy.constraint[0] < math.inf:
         return None
-    return interval_masses(cell_mass) / min(caps)
+    return interval_masses(cell_mass) / energy.constraint[1]
 
 
 class _QuantileObjective:
@@ -252,16 +246,8 @@ class _QuantileObjective:
         return (self._value(qs, x) if np.isfinite(g).all() else math.inf), g
 
     def _value(self, qs, x):
-        val = 0.5 / self.tau * float((self.m * (x - self.y) ** 2).sum())
-        if self.energy.potential is not None:
-            val += self.energy.potential_value(qs)
-        if self.energy.kernel is not None:
-            val += self.energy.interaction_value(qs)
-        if self.energy.internal is not None and self.energy.internal != ("power", math.inf):
-            v = self.energy.internal_value(qs)
-            if not math.isfinite(v):
-                return math.inf
-            val += v
+        val = self.energy.terms_value(
+            qs, 0.5 / self.tau * float((self.m * (x - self.y) ** 2).sum()))
         if self.cap_term is not None:   # +inf stays +inf: weight > 0
             val += self.weight * self.cap_term.internal_value(qs)
         return val

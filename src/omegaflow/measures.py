@@ -207,7 +207,7 @@ class QuantileMeasure:
         """Interval densities interval_mass / gap; +inf on zero-width
         intervals."""
         g = self.gaps()
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):  # subnormal gaps
             return np.where(g > 0, interval_masses(self.cell_mass)
                             / np.where(g > 0, g, 1.0), np.inf)
 

@@ -605,9 +605,13 @@ def modulus_from_json(data) -> Modulus:
     if not isinstance(data, dict):
         raise ModulusError(f"a modulus is a JSON object, got {data!r}")
     kind = data.get("kind")
-    lam = float(data.get("lambda", data.get("lam", 0.0)))
     if kind not in ("lipschitz", "polynomial") + LOG_KINDS:
         raise ModulusError(f"unknown modulus kind {kind!r}")
+    known = {"kind", "lambda", "p"} if kind == "polynomial" else {"kind", "lambda"}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ModulusError(f"unknown key {unknown[0]!r} of a {kind} modulus")
+    lam = float(data.get("lambda", 0.0))
     if kind == "polynomial":
         return polynomial(float(data.get("p", 1.0)), lam)
     return Modulus(kind, lam)

@@ -278,6 +278,52 @@ class TestRun:
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert "config error at 'initial.lo'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("job, key, value, pointer, word", [
+        pytest.param("flow", "initial", {"kind": "dirac", "a": 0.5, "m": 4},
+                     "initial.m", "unknown key", id="dirac-typo"),
+        pytest.param("flow", "initial",
+                     {"kind": "uniform", "lo": 0.0, "hi": 1.0, "nn": 4},
+                     "initial.nn", "unknown key", id="uniform-typo"),
+        pytest.param("flow", "energy",
+                     {"constraint": {"p": "inf", "cap": 2, "cpa": 1}},
+                     "energy", "'cpa'", id="constraint-typo"),
+        pytest.param("flow", "energy",
+                     {"potential": {"name": "granular", "bb": 3}},
+                     "energy", "'bb'", id="potential-param-typo"),
+        pytest.param("flow", "energy",
+                     {"potential": {"name": "quadratic", "b": 3}},
+                     "energy", "'b'", id="potential-param-unread"),
+        pytest.param("flow", "energy", {"internal": {"power": "inf"}},
+                     "energy", "constraint", id="power-inf"),
+        pytest.param("flow", "energy", {"internal": {"power": None}},
+                     "energy", "constraint", id="power-null"),
+        pytest.param("flow", "energy", {"internal": {"kind": "entropy"}},
+                     "energy", "internal", id="entropy-object"),
+        pytest.param("rates", "modulus", {"kind": "lipschitz", "lamda": 1},
+                     "modulus", "'lamda'", id="modulus-typo"),
+        pytest.param("rates", "modulus", {"kind": "lipschitz", "lam": 1},
+                     "modulus", "'lam'", id="modulus-lam"),
+        pytest.param("rates", "modulus",
+                     {"kind": "sqrt_psi", "lambda": -1, "p": 2},
+                     "modulus", "'p'", id="modulus-p-unread"),
+    ])
+    def test_unread_nested_key_exit_2(self, tmp_path, capsys, job, key,
+                                      value, pointer, word):
+        # a key the parser does not read is a typo, not a default
+        cfg = dict(FLOW_CONFIG, output={"trajectory": str(tmp_path / "t.csv"),
+                                        "manifest": str(tmp_path / "m.json")})
+        if job == "rates":
+            cfg = dict(cfg, job="rates",
+                       modulus={"kind": "lipschitz", "lambda": 1.0},
+                       output={"report": str(tmp_path / "r.json"),
+                               "plot_table": str(tmp_path / "r.csv"),
+                               "manifest": str(tmp_path / "m.json")})
+        cfg[key] = value
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        err = capsys.readouterr().err
+        assert f"config error at {pointer!r}" in err and word in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
     def test_verify_job(self, tmp_path):
         cfg = {"job": "verify", "suite": "transport", "quick": True,
                "output": {"report": str(tmp_path / "rep.json"),

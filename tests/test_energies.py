@@ -72,6 +72,22 @@ class TestKernel:
         assert attract.value(0.0) == -math.inf
         assert repel.value(0.0) == 0.0
 
+    @pytest.mark.parametrize("c", [1.0, -2.5])
+    @pytest.mark.parametrize("d", [3, 4, 6])
+    def test_newtonian_is_riesz_alpha_2(self, d, c):
+        # W = c |x|^(2-d) / (d (2-d) |B_d|): value(1) is that coefficient
+        newton = Kernel("newtonian", d=d, c=c)
+        coef = newton.value(1.0)
+        riesz = Kernel("riesz", d=d, alpha=2.0, sign=1 if coef > 0 else -1,
+                       c=abs(coef))
+        r = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 7.0])
+        assert np.array_equal(newton.value(r), riesz.value(r))
+        assert np.array_equal(newton.dvalue(r), riesz.dvalue(r))
+        # lower semicontinuous at 0: -inf for the attractive c > 0
+        assert newton.value(0.0) == riesz.value(0.0)
+        assert newton.value(0.0) == (-math.inf if c > 0 else 0.0)
+        assert newton.dvalue(0.0) == 0.0
+
 
 class TestEval:
     def test_potential_on_dirac(self):
@@ -109,7 +125,10 @@ class TestEval:
         assert abs(E.eval(g) - 2.0) <= 1e-12
 
     def test_power_infinity_indicator(self):
-        E = Energy(internal=("power", math.inf))
+        # the hard cap ||rho||_inf <= 1 is a constraint, not an m = inf power
+        with pytest.raises(EnergyError, match="constraint"):
+            Energy(internal=("power", math.inf))
+        E = Energy(constraint=(math.inf, 1.0))
         tall = GridDensity(0.0, 0.125, np.full(4, 2.0))
         flat = GridDensity(0.0, 0.25, np.full(4, 1.0))
         assert E.eval(tall) == math.inf
@@ -220,7 +239,7 @@ class TestQuantileHessian:
         Energy(potential=POTENTIALS["granular"]({}), internal=("entropy",)),
         Energy(kernel=Kernel("newtonian", d=1, c=4.0), internal=("entropy",),
                constraint=(math.inf, 2.0)),
-        Energy(potential=POTENTIALS["quadratic"]({}), internal=("power", math.inf)),
+        Energy(potential=POTENTIALS["quadratic"]({}), constraint=(math.inf, 1.0)),
     ], ids=["entropy", "power3", "granular+entropy", "ks", "power_inf"])
     @pytest.mark.parametrize("n", [2, 3, 4, 11])
     def test_bands_match_gradient_differences(self, energy, n):

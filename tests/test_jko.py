@@ -843,7 +843,7 @@ _NEWTON_ENERGIES = {
     "ks": (ks_surrogate_energy, 2.0),
     "capped": (capped_aggregation_energy, 2.0),
     "power_inf": (lambda: Energy(potential=_QUADRATIC,
-                                 internal=("power", math.inf)), 1.0),
+                                 constraint=(math.inf, 1.0)), 1.0),
     "newtonian": (lambda: Energy(potential=_QUADRATIC,
                                  kernel=Kernel("newtonian", d=1, c=2.0)), None),
     # repulsive: concave as a pair interaction, but linear on the sorted cone

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,14 @@ class TestLpNorm:
         m = make_atomic([0.0, 0.0, 1.0], [0.3, 0.3, 0.4])
         assert lp_norm(m, 2) == math.inf
         assert lp_norm(m, 1) == 1.0
+
+    def test_subnormal_gap_is_silent_inf(self):
+        # mass / 5e-324 overflows: the density is +inf, without a warning
+        q = QuantileMeasure([0.25, 0.75], [0.0, 5e-324], [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert q.densities()[0] == math.inf
+            assert lp_norm(q, math.inf) == math.inf
 
 
 class TestPushForward:

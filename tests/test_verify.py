@@ -8,7 +8,7 @@ from omegaflow import transport, verify
 from omegaflow.energies import POTENTIALS, Energy, Kernel
 from omegaflow.jko import JkoConfig, JkoError, proximal_step
 from omegaflow.measures import QuantileMeasure, make_atomic
-from omegaflow.moduli import lipschitz, sqrt_psi
+from omegaflow.moduli import lipschitz, polynomial, sqrt_psi
 from omegaflow.transport import glue, pseudo_distance, w2, w2_exact
 from omegaflow.verify import (
     InequalityReport,
@@ -210,6 +210,24 @@ class TestSemigroupContraction:
         assert rep.context["W0"] == pytest.approx(math.sqrt(0.4), rel=1e-12)
         assert rep.passed and rep.lhs > 0.0
 
+    def test_polynomial_and_log_lipschitz_rates(self):
+        # the contraction suite's first granular and log-pinch pairs
+        a = 0.15
+        rep = check_semigroup_contraction(
+            verify.granular_energy(2.0, 1.0), dirac_state(a, 2),
+            dirac_state(-a, 2), 0.5, 512, polynomial(1.0, 1.0 / 6.0),
+            JkoConfig(tau=0.5 / 512, inner_tol=1e-9), rate_slack=1e-3)
+        assert rep.passed and not rep.skipped
+        assert rep.context["rate_kind"] == "polynomial"
+        a = math.exp(-8.0)
+        lam = -load_frozen()["log_pinch_s1"]["lambda_abs"]
+        rep = check_semigroup_contraction(
+            verify.log_pinch_energy(1.0), dirac_state(a / 2.0, 2),
+            dirac_state(-a / 2.0, 2), 0.5, 512, sqrt_psi(lam),
+            JkoConfig(tau=0.5 / 512, inner_tol=1e-9), rate_slack=1e-2)
+        assert rep.passed and not rep.skipped
+        assert rep.context["rate_kind"] == "sqrt_psi"
+
 
 class TestNstepContraction:
     @pytest.mark.parametrize("t", [0.0, 0.5])
@@ -218,6 +236,16 @@ class TestNstepContraction:
         with pytest.raises(JkoError, match="steps must be >= 1"):
             check_nstep_contraction(quadratic_energy(), dirac_state(0.0, 2),
                                     dirac_state(1.0, 2), t, n, lipschitz(-1.0))
+
+    def test_ks_surrogate(self):
+        # the contraction suite's quick KS input: 16 steps to t = 0.2
+        lam = -4.0 * load_frozen()["ks_surrogate_cap2"]["C"]
+        nu = feasible_random_state(np.random.default_rng(0), 48, cap=2.0)
+        rep = check_nstep_contraction(
+            verify.ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48), nu,
+            0.2, 16, sqrt_psi(lam), JkoConfig(tau=0.2 / 16, inner_tol=1e-9))
+        assert rep.passed and not rep.skipped
+        assert rep.context["n"] == 16 and rep.context["R"] >= 3.0
 
 
 class TestHwi:
@@ -343,6 +371,11 @@ class TestSuites:
         reps = run_suite("transport", quick=True)
         assert len(reps) >= 50
         assert all(r.passed for r in reps)
+
+    @pytest.mark.parametrize("name", ["ode", "appendix"])
+    def test_suite_quick_passes(self, name):
+        reps = run_suite(name, quick=True)
+        assert reps and all(r.passed for r in reps)
 
     def test_frozen_fixture_file_loads(self):
         frozen = load_frozen()
