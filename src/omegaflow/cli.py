@@ -31,7 +31,7 @@ from . import __version__
 from .energies import parse_energy
 from .jko import FlowTrajectory, JkoConfig, flow
 from .measures import lp_norm, measure_from_json, measure_to_json
-from .moduli import modulus_from_json
+from .moduli import _first_unknown, modulus_from_json
 from .verify import RateStudy, SUITES, rate_study, run_suite
 from .verify import dirac_state, uniform_state
 
@@ -152,9 +152,9 @@ def _suite(name):
 def _reject_unknown(spec, known, path):
     """A :class:`ConfigError` at ``path.key`` for the first key of ``spec``
     not in ``known``."""
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown key")
+    key = _first_unknown(spec, known)
+    if key is not None:
+        raise ConfigError(f"{path}.{key}", "unknown key")
 
 
 # the keys each ``initial`` shorthand reads
@@ -247,9 +247,9 @@ def _run_config(config, raw: str, base: str) -> int:
         job = _read(config, "job", None)
         if not isinstance(job, str) or job not in _JOB_KEYS:
             raise ConfigError("job", f"unknown job kind {job!r}")
-        unknown = sorted(set(config) - _JOB_KEYS[job] - {"job"})
-        if unknown:
-            raise ConfigError(unknown[0], f"unknown key for a {job} job")
+        key = _first_unknown(config, _JOB_KEYS[job] | {"job"})
+        if key is not None:
+            raise ConfigError(key, f"unknown key for a {job} job")
         outputs = _read(config, "output", _outputs(job), {})
         if job == "flow":
             artifacts = _job_flow(config, outputs)

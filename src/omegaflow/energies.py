@@ -47,7 +47,7 @@ from .measures import (
     interval_masses,
     lp_norm,
 )
-from .moduli import JUNCTION, Modulus, _log_positive, psi
+from .moduli import JUNCTION, Modulus, _first_unknown, _log_positive, psi
 from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
@@ -282,11 +282,10 @@ def _zero():
 
 
 def _reject_unknown(spec, known, what: str) -> None:
-    """Raise at the first key of the config object ``spec`` not in ``known``:
-    a key that is not read is a typo, not a default."""
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise EnergyError(f"unknown {what} {unknown[0]!r}")
+    """Raise at the first key of the config object ``spec`` not in ``known``."""
+    key = _first_unknown(spec, known)
+    if key is not None:
+        raise EnergyError(f"unknown {what} {key!r}")
 
 
 def _from_params(factory, *keys):
@@ -705,7 +704,9 @@ def parse_energy(data) -> Energy:
         cd = data["constraint"]
         _reject_unknown(cd, ("p", "cap"), "constraint key")
         p = cd["p"]
-        p = math.inf if p in ("inf", None) else float(p)
+        if p is None:
+            raise EnergyError('constraint p is a number or "inf", got null')
+        p = math.inf if p == "inf" else float(p)
         constraint = (p, float(cd["cap"]))
     return Energy(potential=pot, kernel=ker, internal=internal,
                   constraint=constraint)

@@ -1,9 +1,10 @@
 """Exact optimal transport for squared Euclidean cost on finite supports.
 
 Provides the 1D monotone (CDF-matching) coupling, an exact LP solver
-(transportation network simplex with deterministic pivoting; each pivot
-updates the basis tree incrementally, re-walking only the subtree it
-re-hangs, and a solve can start from an earlier solve's optimal basis),
+(transportation network simplex with deterministic pivoting; a cold solve
+starts from a greedy minimum-cost basis, each pivot updates the basis tree
+incrementally, re-walking only the subtree it re-hangs, and a solve can
+start from an earlier solve's optimal basis),
 Wasserstein geodesics, plan gluing over a common base measure,
 generalized geodesics, and the plan-level pseudo-metric measured through the
 glued structure.
@@ -138,7 +139,7 @@ def w2_1d(mu, nu, return_plan: bool = True):
     """W2 between 1D measures via the monotone CDF-matching coupling.
 
     On sorted 1D supports the monotone coupling is the north-west-corner
-    walk that starts the network simplex; its zero-mass cells are skipped.
+    walk; its zero-mass cells are skipped.
     Returns ``(distance, plan)`` (or just the distance when
     ``return_plan=False``).  Optimality of the monotone coupling in 1D is
     cross-checked against :func:`w2_exact` in the test suite.
@@ -168,8 +169,8 @@ def w2_1d(mu, nu, return_plan: bool = True):
 def _northwest_corner(a, b):
     """The north-west-corner walk over weights ``a`` and ``b``: its cells
     ``(i, j, t)`` in walk order, ``t`` the mass moved at (i, j) as a Python
-    float.  The m + n - 1 cells, zero-mass ones included, span a basis tree
-    of the transportation problem."""
+    float.  On sorted 1D supports it is the monotone coupling of
+    :func:`w2_1d`."""
     m, n = len(a), len(b)
     ra, rb = a.tolist(), b.tolist()
     cells = []
@@ -187,6 +188,39 @@ def _northwest_corner(a, b):
             j += 1
         else:
             i += 1
+
+
+def _greedy_basis(a, b, C):
+    """Greedy minimum-cost start of the network simplex.
+
+    Visits the cells of ``C`` in stable ascending cost order, skipping those
+    whose row or column is closed.  Each other cell moves t = min(remaining
+    row, remaining column) and closes its row when the row runs out first
+    (ties included) and another row is open, or when rounding leaves the
+    last open column short of the row; otherwise its column.  The last row
+    and column close together.  Returns the m + n - 1 cells ``(i, j, t)``
+    in placement order, zero-mass ones included; they span a basis tree."""
+    m, n = C.shape
+    ra, rb = a.tolist(), b.tolist()
+    row_open, col_open = [True] * m, [True] * n
+    rows, cols = m, n
+    cells = []
+    rows_of, cols_of = np.divmod(np.argsort(C, axis=None, kind="stable"), n)
+    for i, j in zip(rows_of.tolist(), cols_of.tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        t = min(ra[i], rb[j])
+        cells.append((i, j, t))
+        ra[i] -= t
+        rb[j] -= t
+        if rows == 1 and cols == 1:
+            return cells
+        if (ra[i] <= rb[j] and rows > 1) or cols == 1:
+            row_open[i] = False
+            rows -= 1
+        else:
+            col_open[j] = False
+            cols -= 1
 
 
 def _tree_walk(adj, cost, m):
@@ -260,10 +294,10 @@ def _network_simplex(a, b, C, basis=None):
 
     The search starts from ``basis``, a list of m + n - 1 spanning-tree
     cells ``(i, j, t)`` with ``t`` their flow, when one is given (it must
-    be primal feasible for ``a`` and ``b``), and otherwise from the
-    north-west corner.  Returns the flow and the final basis in the same
-    form, its cells in row-major order, so a later solve with the same
-    weights and nearby costs can start from it.
+    be primal feasible for ``a`` and ``b``), and otherwise from the greedy
+    minimum-cost basis of :func:`_greedy_basis`.  Returns the flow and the
+    final basis in the same form, its cells in row-major order, so a later
+    solve with the same weights and nearby costs can start from it.
 
     Entering arc: most negative reduced cost, lexicographic (row-major)
     tie-breaking; after a pivot budget, Bland's rule (first negative arc
@@ -277,7 +311,7 @@ def _network_simplex(a, b, C, basis=None):
     m, n = C.shape
     flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
     adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
-    for i, j, t in basis or _northwest_corner(a, b):
+    for i, j, t in basis or _greedy_basis(a, b, C):
         flow[i][j] = t
         adj[i].append(m + j)
         adj[m + j].append(i)

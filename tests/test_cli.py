@@ -297,6 +297,8 @@ class TestRun:
                      "energy", "constraint", id="power-inf"),
         pytest.param("flow", "energy", {"internal": {"power": None}},
                      "energy", "constraint", id="power-null"),
+        pytest.param("flow", "energy", {"constraint": {"p": None, "cap": 2}},
+                     "energy", "constraint", id="constraint-p-null"),
         pytest.param("flow", "energy", {"internal": {"kind": "entropy"}},
                      "energy", "internal", id="entropy-object"),
         pytest.param("rates", "modulus", {"kind": "lipschitz", "lamda": 1},
