@@ -240,9 +240,12 @@ def _outputs(job):
 
 def _run_config(config, raw: str, base: str) -> int:
     """Run a parsed config's ``job`` and write its manifest (default
-    ``manifest.json`` in ``base``); returns the exit code."""
+    ``manifest.json`` in ``base``; a ``flow`` job's also counts its
+    ``flagged_steps``, the steps whose ``residual_flag`` is set); returns
+    the exit code."""
     t0 = time.monotonic()
     failed = False
+    counts = {}
     try:
         job = _read(config, "job", None)
         if not isinstance(job, str) or job not in _JOB_KEYS:
@@ -252,7 +255,7 @@ def _run_config(config, raw: str, base: str) -> int:
             raise ConfigError(key, f"unknown key for a {job} job")
         outputs = _read(config, "output", _outputs(job), {})
         if job == "flow":
-            artifacts = _job_flow(config, outputs)
+            artifacts, counts["flagged_steps"] = _job_flow(config, outputs)
         elif job == "rates":
             artifacts = _job_rates(config, outputs)
         else:
@@ -271,13 +274,14 @@ def _run_config(config, raw: str, base: str) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        **counts,
     }
     manifest_path = outputs.get("manifest", os.path.join(base, "manifest.json"))
     _atomic_write(manifest_path, json.dumps(manifest, indent=1) + "\n")
     return 1 if failed else 0
 
 
-def _job_flow(config, outputs) -> list:
+def _job_flow(config, outputs):
     energy = _read(config, "energy", parse_energy)
     mu0 = _read(config, "initial", _parse_measure)
     cfg = _read(config, "jko", _parse_jko, None)
@@ -296,7 +300,7 @@ def _job_flow(config, outputs) -> list:
             p = os.path.join(states_dir, f"state_{k:05d}.json")
             _atomic_write(p, measure_to_json(s) + "\n")
             artifacts.append(p)
-    return artifacts
+    return artifacts, sum(bool(d["residual_flag"]) for d in traj.diagnostics)
 
 
 def _job_rates(config, outputs) -> list:

@@ -46,6 +46,7 @@ from .measures import (
     gaps_adjoint,
     interval_masses,
     lp_norm,
+    pair_differences,
 )
 from .moduli import JUNCTION, Modulus, _first_unknown, _log_positive, psi
 from .transport import GluedPlan, TransportPlan, w2
@@ -173,15 +174,18 @@ class Kernel:
     def field(self, at: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Radial field sum_j w_j w'(|a - p_j|) (a - p_j)/|a - p_j| at each
         row a of ``at`` ((k, d)) from atoms ``pts`` ((n, d)) of mass ``w``;
-        coincident points contribute nothing."""
-        diff = at[:, None, :] - pts[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
+        coincident points contribute nothing.
+
+        Built one coordinate at a time (:func:`measures.pair_differences`):
+        column c is the matvec of the (k, n) products w'(r) (a_c - p_c) / r
+        with ``w``.  Where r = 0, w'(r) is 0, so those products are 0; where
+        w'(r) overflows at distinct points, inf * 0 gives NaN for the caller
+        to reject (:func:`_finite_field`)."""
+        diffs, sq = pair_differences(at, pts)
+        r = np.sqrt(sq)
         dv = self.dvalue(r)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(r[:, :, None] > 0,
-                            diff / np.where(r[:, :, None] > 0, r[:, :, None], 1.0),
-                            0.0)
-        return np.einsum("j,ijk->ik", w, dv[:, :, None] * unit)
+        safe = np.where(r > 0, r, 1.0)
+        return np.stack([(dv * (dc / safe)) @ w for dc in diffs], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +375,7 @@ class Energy:
             right = np.cumsum(w[::-1])[::-1][1:]    # mass of atoms k+1..
             # a sum over gaps of nonnegative terms: no cancellation
             return 0.5 * self.kernel.c * float(np.sum(gaps(x) * left * right))
-        diff = pts[:, None, :] - pts[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=2))
+        r = np.sqrt(pair_differences(pts, pts)[1])
         vals = self.kernel.value(r)
         pair = np.outer(w, w) * vals
         if self.kernel.singular:
@@ -536,8 +539,7 @@ def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
     if xq.shape[1] != d:
         xq = xq.reshape(-1, d)
     if kernel.singular and not exclude_diagonal:
-        diff = xq[:, None, :] - pts[None, :, :]
-        if np.any((np.sum(diff * diff, axis=2) == 0.0) & (w > 0)):
+        if np.any((pair_differences(xq, pts)[1] == 0.0) & (w > 0)):
             raise EnergyError(
                 "field of a singular kernel evaluated exactly at an atom")
     out = _finite_field(kernel, xq, pts, w)

@@ -611,8 +611,10 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
 def _prox_atomic_2d(energy, mu, tau, cfg):
     if len(mu) > ATOM_CAP_2D:
         raise JkoError(f"2D proximal steps support at most {ATOM_CAP_2D} atoms")
-    if energy.internal is not None:
-        raise JkoError("internal terms are not available for 2D atomic states")
+    if energy.internal is not None or energy.constraint is not None:
+        # atoms have no density: every state would read E = +inf
+        raise JkoError("internal terms and density constraints are not "
+                       "available for 2D atomic states")
     w = mu.weights
     z = mu.points_2d().copy()
     total_iters = 0
@@ -651,7 +653,7 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
         # z moved after the last LP: no plan couples mu to the result
         nu, plan = make_atomic(z, w), None
     info = {"inner_iters": total_iters, "residual": residual,
-            "residual_flag": residual > cfg.inner_tol or capped}
+            "residual_flag": not residual <= cfg.inner_tol or capped}
     if plan is not None:
         info["plan"] = plan   # optimal mu -> nu, the returned state
     return nu, info

@@ -101,6 +101,19 @@ def gaps_adjoint(du: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], du)) - np.concatenate((du, [0.0]))
 
 
+def pair_differences(xs: np.ndarray, ys: np.ndarray):
+    """Pairwise geometry of point sets ``xs`` ((k, d)) and ``ys`` ((n, d)),
+    one coordinate at a time: the list of the d differences
+    ``xs[:, None, c] - ys[None, :, c]``, each (k, n), and the (k, n) squared
+    distances summed in coordinate order (bitwise equal to summing a (k, n, d)
+    difference tensor over its last axis)."""
+    diffs = [xs[:, None, c] - ys[None, :, c] for c in range(xs.shape[1])]
+    sq = diffs[0] * diffs[0]
+    for dc in diffs[1:]:
+        sq += dc * dc
+    return diffs, sq
+
+
 def interval_masses(cell_mass: np.ndarray) -> np.ndarray:
     """Masses (c_i + c_{i+1}) / 2 of the intervals between nodes; they sum
     to 1 - (c_0 + c_{n-1}) / 2."""

@@ -25,6 +25,7 @@ from .measures import (
     GridDensity,
     QuantileMeasure,
     make_atomic,
+    pair_differences,
     to_quantile,
 )
 
@@ -66,8 +67,10 @@ def _as_atomic(mu) -> AtomicMeasure:
 
 
 def _sq_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    diff = xs[:, None, :] - ys[None, :, :]
-    return np.sum(diff * diff, axis=2)
+    """The (k, n) cost matrix |x_i - y_j|^2 of point sets ``xs`` ((k, d))
+    and ``ys`` ((n, d)), summed one coordinate at a time
+    (:func:`measures.pair_differences`) with no (k, n, d) tensor."""
+    return pair_differences(xs, ys)[1]
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,9 @@ class InequalityReport:
     def passed(self) -> bool:
         if self.skipped:
             return True
-        return self.slack >= -self.tolerance
+        # a Python bool: rhs - lhs may be a numpy scalar, and the report's
+        # JSON cannot hold numpy.bool
+        return bool(self.slack >= -self.tolerance)
 
     def to_dict(self) -> dict:
         return {

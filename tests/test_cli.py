@@ -12,6 +12,7 @@ import omegaflow
 from omegaflow import cli
 from omegaflow.cli import ConfigError, emit_plot_table, main, run
 from omegaflow.jko import FlowTrajectory, JkoConfig, flow
+from omegaflow.measures import make_atomic, measure_to_json
 from omegaflow.verify import RateStudy, dirac_state, quadratic_energy
 
 
@@ -51,6 +52,20 @@ class TestRun:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
         assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["flagged_steps"] == 0
+
+    def test_flagged_steps_in_manifest(self, tmp_path):
+        # weights 1e3 apart: the light atom's fixed-plan passes use up their
+        # iteration budget, so the one step is flagged
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
+        cfg = {"job": "flow", "energy": {"potential": "quadratic"},
+               "initial": json.loads(measure_to_json(mu)),
+               "jko": {"tau": 0.3, "steps": 1, "inner_tol": 1e-9},
+               "output": {"trajectory": str(tmp_path / "t.csv"),
+                          "manifest": str(tmp_path / "m.json")}}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 0
+        assert (tmp_path / "t.csv").read_text().splitlines()[-1].endswith(",True")
+        assert json.loads((tmp_path / "m.json").read_text())["flagged_steps"] == 1
 
     def test_flow_job_loads_no_scipy(self, tmp_path):
         # the manifest's library versions come without importing SciPy
@@ -375,6 +390,15 @@ class TestMainEntry:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].endswith(" failed, 0 skipped -> out/rep.json")
+
+    def test_verify_appendix_writes_its_report(self, tmp_path, monkeypatch):
+        # the asymmetric recursion's rhs is a numpy scalar, and its pass
+        # flag must still be a bool the JSON report can hold
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "appendix", "--quick",
+                     "--report", "rep.json"]) == 0
+        names = {r["name"] for r in json.loads((tmp_path / "rep.json").read_text())}
+        assert "asymmetric_recursion" in names
 
     def test_verify_job_matches_subcommand(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

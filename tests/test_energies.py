@@ -11,6 +11,7 @@ from omegaflow.energies import (
     Kernel,
     POTENTIALS,
     Potential,
+    _finite_field,
     above_tangent_slack,
     calibrate_interaction_constant,
     coupling_cost,
@@ -19,7 +20,13 @@ from omegaflow.energies import (
     metric_slope_estimate,
     parse_energy,
 )
-from omegaflow.measures import GridDensity, QuantileMeasure, make_atomic, to_quantile
+from omegaflow.measures import (
+    GridDensity,
+    QuantileMeasure,
+    make_atomic,
+    pair_differences,
+    to_quantile,
+)
 from omegaflow.moduli import lipschitz, psi, sqrt_psi
 from omegaflow.transport import TransportPlan, w2_1d, w2_exact
 from omegaflow.verify import (
@@ -430,6 +437,85 @@ class TestFieldOverflow:
             # the subnormal r costs digits of the unit vector, not its sign
             assert np.allclose(field, [-0.25, 0.25], rtol=1e-3)
         assert directional_derivative(Energy(kernel=kernel), plan) == 0.0
+
+
+def unit_tensor_field(kernel, at, pts, w):
+    """Reference for :meth:`Kernel.field`: the (k, n, d) difference and unit
+    tensors reduced with einsum, the formula the per-coordinate path
+    replaced; also the row scales sum_j w_j |w'(r_ij)|."""
+    diff = at[:, None, :] - pts[None, :, :]
+    r = np.sqrt(np.sum(diff * diff, axis=2))
+    dv = kernel.dvalue(r)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(r[:, :, None] > 0,
+                        diff / np.where(r[:, :, None] > 0, r[:, :, None], 1.0),
+                        0.0)
+    return np.einsum("j,ijk->ik", w, dv[:, :, None] * unit), np.abs(dv) @ w
+
+
+# smooth, log, newtonian in d = 1, 2 and 3, and riesz of either sign
+_FAST_PATH_KERNELS = _FIELD_KERNELS + [Kernel("newtonian", d=3),
+                                       Kernel("riesz", alpha=2.5, d=4, c=2.0)]
+
+# grid coordinates tie often; the tiny ones give differences whose square
+# underflows to 0 (1e-170: r = 0) or to a subnormal (3.8e-161: r > 0, where
+# the power-law profiles overflow)
+_fast_coord = st.one_of(_field_coord,
+                        st.sampled_from([0.0, 1e-170, -1e-170, 3.8e-161, -1e-160]))
+_fast_size = st.one_of(st.sampled_from([1, 2]), st.integers(1, 24))
+
+
+def _point_sets(dim, size, coord=_fast_coord):
+    return st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                    min_size=size, max_size=size).map(np.array)
+
+
+@st.composite
+def _field_inputs(draw):
+    """(at, pts, w) in d = 1, 2 or 3; ``at is pts`` half of the time."""
+    dim = draw(st.integers(1, 3))
+    n = draw(_fast_size)
+    pts = draw(_point_sets(dim, n))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    at = pts if draw(st.booleans()) else draw(_point_sets(dim, draw(_fast_size)))
+    return at, pts, w
+
+
+class TestFieldFastPath:
+    @given(st.sampled_from(_FAST_PATH_KERNELS), _field_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unit_tensor_formula(self, kernel, inputs):
+        at, pts, w = inputs
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref, scale = unit_tensor_field(kernel, at, pts, w)
+            out = kernel.field(at, pts, w)
+        assert out.shape == ref.shape == at.shape
+        # the same products, summed over j in another order
+        finite = np.all(np.isfinite(ref), axis=1)
+        assert np.array_equal(np.all(np.isfinite(out), axis=1), finite)
+        assert np.all(np.abs(out[finite] - ref[finite]) <= 1e-14 * scale[finite, None])
+
+    @pytest.mark.parametrize("kernel", _OVERFLOW_KERNELS)
+    def test_overflow_still_raises(self, kernel):
+        pts = np.array([[0.0, 0.0], [0.0, 3.8e-161]])
+        w = np.array([0.5, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(unit_tensor_field(kernel, pts, pts, w)[0]))
+        with pytest.raises(EnergyError, match=r"undefined \(overflow\)"):
+            _finite_field(kernel, pts, pts, w)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pair_differences_bitwise(self, data):
+        dim = data.draw(st.integers(1, 3))
+        coord = st.one_of(st.floats(-1e6, 1e6), _fast_coord)
+        xs, ys = (data.draw(_point_sets(dim, data.draw(st.integers(1, 8)), coord))
+                  for _ in range(2))
+        diff = xs[:, None, :] - ys[None, :, :]
+        diffs, sq = pair_differences(xs, ys)
+        assert sq.tobytes() == np.sum(diff * diff, axis=2).tobytes()
+        for c, dc in enumerate(diffs):
+            assert dc.tobytes() == diff[:, :, c].tobytes()
 
 
 class TestDirectionalDerivative:
