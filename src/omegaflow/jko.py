@@ -45,11 +45,15 @@ state ends at the cap.  Its solves spend what the first solve left of
 ``inner_max_iter``; a search that cannot finish sets the residual flag.
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
-use exact transport plans inside a block-coordinate
-(majorize-minimize) scheme; each outer pass after the first warm-starts
-its LP from the previous pass's optimal basis.  Their residual is the
-relative objective change of the last outer pass, and the flag is set when
-it exceeds ``inner_tol`` or when a fixed-plan pass used up its iterations.
+are Lagrangian too (Westdickenberg & Wilkening 2010; Carrillo, Craig &
+Patacchini 2019): each atom keeps its weight, and the positions minimize
+Phi(z) = sum_i w_i |x_i - z_i|^2 / (2 tau) + E(z), by L-BFGS in the metric
+diag(w_i / tau) with an Armijo search (:func:`_lbfgs`).  Their residual is
+the stationarity residual max_i tau |grad_i Phi| / w_i, a length.  The
+diagonal plan x_i -> z_i is then certified optimal by cyclical
+monotonicity (Rockafellar 1966; :func:`_cycle_slack`), so the step solves
+no LP; it hands the plan out when certified, and sets the flag when the
+certificate fails or the residual stays above ``inner_tol``.
 
 Everything here is deterministic: fixed reduction orders and one start
 per solve.
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import Energy, _finite_field
+from .energies import Energy, EnergyError, _finite_field
 from .measures import (
     AtomicMeasure,
     MeasureError,
@@ -71,11 +75,11 @@ from .measures import (
     gaps_adjoint,
     interval_masses,
     lp_norm,
-    make_atomic,
+    pair_differences,
 )
 # w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
 from .transport import (
-    _exact_plan,
+    TransportPlan,
     _plan_distance,
     geodesic,
     same_quantile_grid,
@@ -96,12 +100,17 @@ __all__ = [
 ]
 
 ATOM_CAP_2D = 64
-_FIXED_PLAN_ITERS = 500   # gradient steps per fixed-plan pass of the 2D step
 # projected Newton: largest slack of a glued gap, as a fraction of the mean
 # gap; sufficient-decrease fraction and step halvings of its Armijo search
+# (the 2D step's search uses the same two)
 _EPS_ACTIVE = 1e-3
 _ARMIJO = 1e-4
 _ARMIJO_HALVINGS = 30
+_LBFGS_MEMORY = 10   # (s, y) pairs kept by the 2D step's L-BFGS
+_VALUE_ROUNDING = 1e-15   # relative rounding of the 2D step's objective value
+# the 2D certificate accepts a lightest cycle down to -_CERTIFICATE_EPS max C:
+# rounding of the Floyd-Warshall sums on tied atoms, about n^2 ulp of max C
+_CERTIFICATE_EPS = 1e-12
 
 
 class JkoError(ValueError):
@@ -605,10 +614,14 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# 2D block-coordinate proximal step
+# 2D Lagrangian proximal step with a cycle certificate
 # ---------------------------------------------------------------------------
 
 def _prox_atomic_2d(energy, mu, tau, cfg):
+    """One Lagrangian solve over the atoms of positive weight (those of
+    zero weight stay put), then the certificate that the diagonal plan
+    couples ``mu`` to the result optimally; the plan is handed out only
+    when certified, and an uncertified step is flagged."""
     if len(mu) > ATOM_CAP_2D:
         raise JkoError(f"2D proximal steps support at most {ATOM_CAP_2D} atoms")
     if energy.internal is not None or energy.constraint is not None:
@@ -616,57 +629,161 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
         raise JkoError("internal terms and density constraints are not "
                        "available for 2D atomic states")
     w = mu.weights
-    z = mu.points_2d().copy()
-    total_iters = 0
-    prev_obj = math.inf
-    residual = math.inf
-    capped = False
-    basis = None
-    for outer in range(40):
-        nu = make_atomic(z, w)
-        # every nu has the same weights, so the last pass's optimal basis
-        # is a feasible start for this one
-        plan, basis = _exact_plan(mu, nu, basis)
-        dist = _plan_distance(plan)
-        obj = 0.5 / tau * dist * dist + energy.eval(nu)
-        if outer > 0:
-            # relative objective change of this outer pass, the stopping test
-            residual = abs(prev_obj - obj) / (1.0 + abs(obj))
-            if prev_obj - obj <= cfg.inner_tol * (1.0 + abs(obj)):
-                break
-        prev_obj = obj
-        # fixed plan: minimize (1/2tau) sum pi_ij |x_i - z_j|^2 + E(z)
-        bary = plan.matrix.T @ mu.points_2d()
-        colw = plan.matrix.sum(axis=0)
-        L = float(np.max(colw)) / tau + 1.0
-        for _ in range(_FIXED_PLAN_ITERS):
-            g = (colw[:, None] * z - bary) / tau + _atomic_energy_grad(energy, z, w)
-            z_new = z - g / L
-            step = float(np.max(np.abs(z_new - z)))
-            z = z_new
-            total_iters += 1
-            if step < 0.1 * cfg.inner_tol:
-                break
-        else:
-            capped = True
-    else:
-        # z moved after the last LP: no plan couples mu to the result
-        nu, plan = make_atomic(z, w), None
-    info = {"inner_iters": total_iters, "residual": residual,
-            "residual_flag": not residual <= cfg.inner_tol or capped}
-    if plan is not None:
-        info["plan"] = plan   # optimal mu -> nu, the returned state
+    keep = w > 0
+    x = mu.points_2d()
+    z = x.copy()
+    z[keep], its, res = _lbfgs(_LagrangianObjective(energy, x[keep], w[keep], tau),
+                               cfg.inner_tol, cfg.inner_max_iter)
+    nu = AtomicMeasure(z, w)
+    slack, scale = _cycle_slack(x[keep], z[keep])
+    certified = slack >= -_CERTIFICATE_EPS * scale
+    info = {"inner_iters": its, "residual": res, "certificate_slack": slack,
+            "residual_flag": not res <= cfg.inner_tol or not certified}
+    if certified:
+        info["plan"] = TransportPlan(mu, nu, np.diag(w))   # optimal mu -> nu
     return nu, info
 
 
 def _atomic_energy_grad(energy, pts, w):
+    """grad_i E / w_i at 2D atoms ``pts`` of weights ``w``: grad V(z_i) +
+    sum_j w_j grad W(z_i - z_j), the energy's gradient per unit mass."""
     g = np.zeros_like(pts)
     if energy.potential is not None:
-        grad = np.asarray(energy.potential.grad(pts), dtype=float).reshape(pts.shape)
-        g += w[:, None] * grad
+        g += np.asarray(energy.potential.grad(pts), dtype=float).reshape(pts.shape)
     if energy.kernel is not None:
-        g += w[:, None] * _finite_field(energy.kernel, pts, pts, w)
+        g += _finite_field(energy.kernel, pts, pts, w)
     return g
+
+
+class _LagrangianObjective:
+    """Phi(z) = sum_i w_i |x_i - z_i|^2 / (2 tau) + E(z) over 2D atoms z of
+    weights ``w`` > 0, and its gradient in the metric diag(w_i / tau):
+    h_i = tau grad_i Phi / w_i = z_i - x_i + tau grad_i E / w_i, a length."""
+
+    def __init__(self, energy, x, w, tau):
+        self.energy, self.x, self.w, self.tau = energy, x, w, tau
+
+    def inner(self, a, b):
+        """The metric's inner product, up to the factor 1 / tau."""
+        return float(self.w @ (a * b).sum(axis=1))
+
+    def value(self, z):
+        d = z - self.x
+        return self.energy.terms_value(AtomicMeasure(z, self.w),
+                                       0.5 / self.tau * self.inner(d, d))
+
+    def grad(self, z):
+        return z - self.x + self.tau * _atomic_energy_grad(self.energy, z, self.w)
+
+
+def _lbfgs(objective, tol, max_iter):
+    """L-BFGS in the metric of :class:`_LagrangianObjective`, from z = x,
+    with the line search of :func:`_armijo_step`.
+
+    The residual is the stationarity residual max_i |h_i|, in length units.
+    The solve stops when it is at most ``tol``, after ``max_iter``
+    iterations, or when the search fails: that is the rounding floor, where
+    Phi no longer moves by more than its rounding and the residual no longer
+    halves, and the residual left there is compared with ``tol`` by the
+    caller.  A value of -inf (colliding atoms under an attractive singular
+    kernel) ends the solve with an infinite residual; a gradient that
+    overflows at the start raises (:func:`_finite_field`).
+    Returns (z, iterations, residual)."""
+    z = objective.x.copy()
+    fz, h = objective.value(z), objective.grad(z)
+    memory = []   # (s, y, 1 / <s, y>) of the last _LBFGS_MEMORY steps
+    it = 0
+    while True:
+        if fz == -math.inf or not np.isfinite(h).all():
+            return z, it, math.inf
+        res = _max_length(h)
+        if res <= tol or it == max_iter:
+            return z, it, res
+        d = -_two_loop(objective, h, memory)
+        slope = objective.inner(h, d)
+        if not slope < 0.0:   # no descent along the quasi-Newton direction
+            memory.clear()
+            d, slope = -h, -objective.inner(h, h)
+        step = _armijo_step(objective, z, fz, res, slope / objective.tau, d)
+        if step is None:
+            return z, it, res
+        it += 1
+        z_new, fz, h_new = step
+        s, y = z_new - z, h_new - h
+        sy = objective.inner(s, y)
+        if sy > 0.0:
+            memory.append((s, y, 1.0 / sy))
+            del memory[:-_LBFGS_MEMORY]
+        z, h = z_new, h_new
+
+
+def _max_length(h):
+    """max_i |h_i| over the rows of ``h``."""
+    return float(np.sqrt((h * h).sum(axis=1)).max())
+
+
+def _two_loop(objective, h, memory):
+    """The L-BFGS product H h, the first matrix gamma I scaled by the last
+    pair's <s, y> / <y, y> (I, the prox term's inverse Hessian, with no
+    pairs)."""
+    q = h.copy()
+    alphas = []
+    for s, y, rho in reversed(memory):
+        a = rho * objective.inner(s, q)
+        q -= a * y
+        alphas.append(a)
+    if memory:
+        s, y, _ = memory[-1]
+        q *= objective.inner(s, y) / objective.inner(y, y)
+    for (s, y, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * objective.inner(y, q)) * s
+    return q
+
+
+def _armijo_step(objective, z, fz, res, slope, d):
+    """First z + a d, a = 1, 1/2, ... (_ARMIJO_HALVINGS halvings), that
+    lowers Phi by at least _ARMIJO a |``slope``| (``slope`` = grad Phi . d
+    < 0) and by more than Phi's rounding, _VALUE_ROUNDING (1 + |Phi|); or,
+    where Phi stays within that rounding of Phi(z), that halves the
+    residual ``res``.  A drop below the rounding alone is not progress:
+    accepting it lets the solve wander on rounding noise.  A trial point
+    whose gradient overflows is rejected.  Returns (point, value, metric
+    gradient), or None when no halving is accepted."""
+    rounding = _VALUE_ROUNDING * (1.0 + abs(fz))
+    alpha = 1.0
+    for _ in range(_ARMIJO_HALVINGS):
+        zt = z + alpha * d
+        try:
+            ht = objective.grad(zt)
+        except EnergyError:   # distinct atoms too close: w'(r) overflows
+            ht = None
+        if ht is not None:
+            ft = objective.value(zt)
+            drop = fz - ft
+            if drop >= max(-_ARMIJO * alpha * slope, rounding) \
+                    or (drop >= -rounding and _max_length(ht) <= 0.5 * res):
+                return zt, ft, ht
+        alpha *= 0.5
+    return None
+
+
+def _cycle_slack(x, z):
+    """(lightest cycle, max C) for the diagonal plan x_i -> z_i under the
+    cost C_ij = |x_i - z_j|^2.  The plan is optimal iff it is cyclically
+    monotone (Rockafellar 1966): no cycle i_1 -> ... -> i_k -> i_1 of the
+    arc weights a_ij = C_ij - C_ii has negative weight.  Floyd-Warshall over
+    the n atoms, with +inf on the diagonal, leaves in D_ii the lightest
+    cycle through i; the slack is min_i D_ii (+inf for one atom).  Where a
+    cycle is negative, its walks can repeat it, and the slack is only some
+    value at or below the lightest cycle's weight."""
+    C = pair_differences(x, z)[1]
+    D = C - np.diag(C)[:, None]
+    np.fill_diagonal(D, math.inf)
+    via = np.empty_like(D)
+    for k in range(len(D)):   # D_ij = min(D_ij, D_ik + D_kj), all i, j at once
+        np.add(D[:, k, None], D[None, k, :], out=via)
+        np.minimum(D, via, out=D)
+    return float(np.diag(D).min()), float(C.max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Exact optimal transport for squared Euclidean cost on finite supports.
 
 Provides the 1D monotone (CDF-matching) coupling, an exact LP solver
-(transportation network simplex with deterministic pivoting; a cold solve
-starts from a greedy minimum-cost basis, each pivot updates the basis tree
-incrementally, re-walking only the subtree it re-hangs, and a solve can
-start from an earlier solve's optimal basis),
+(transportation network simplex with deterministic pivoting; a solve
+starts from a greedy minimum-cost basis, and each pivot updates the basis
+tree incrementally, re-walking only the subtree it re-hangs),
 Wasserstein geodesics, plan gluing over a common base measure,
 generalized geodesics, and the plan-level pseudo-metric measured through the
 glued structure.
@@ -292,15 +291,11 @@ def _cycle_nodes(parent, depth, start, goal):
     return up + down[-2::-1]
 
 
-def _network_simplex(a, b, C, basis=None):
-    """Optimal flow and basis for the dense transportation problem.
+def _network_simplex(a, b, C):
+    """Optimal flow for the dense transportation problem.
 
-    The search starts from ``basis``, a list of m + n - 1 spanning-tree
-    cells ``(i, j, t)`` with ``t`` their flow, when one is given (it must
-    be primal feasible for ``a`` and ``b``), and otherwise from the greedy
-    minimum-cost basis of :func:`_greedy_basis`.  Returns the flow and the
-    final basis in the same form, its cells in row-major order, so a later
-    solve with the same weights and nearby costs can start from it.
+    The search starts from the greedy minimum-cost basis of
+    :func:`_greedy_basis`.
 
     Entering arc: most negative reduced cost, lexicographic (row-major)
     tie-breaking; after a pivot budget, Bland's rule (first negative arc
@@ -314,7 +309,7 @@ def _network_simplex(a, b, C, basis=None):
     m, n = C.shape
     flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
     adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
-    for i, j, t in basis or _greedy_basis(a, b, C):
+    for i, j, t in _greedy_basis(a, b, C):
         flow[i][j] = t
         adj[i].append(m + j)
         adj[m + j].append(i)
@@ -366,8 +361,7 @@ def _network_simplex(a, b, C, basis=None):
             _rehang(m + ej, ei, adj, cost, m, u, v, parent, depth)
     if _tree_walk(adj, cost, m) != (u, v, parent, depth):
         raise RuntimeError("incremental basis tree differs from a full walk")
-    basis = [(i, k - m, flow[i][k - m]) for i in range(m) for k in sorted(adj[i])]
-    return np.array(flow), basis
+    return np.array(flow)
 
 
 def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
@@ -383,17 +377,10 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
     if len(mu) > support_cap or len(nu) > support_cap:
         raise TransportError(
             f"support size exceeds cap {support_cap} (got {len(mu)}x{len(nu)})")
-    plan, _ = _exact_plan(mu, nu)
+    C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
+    plan = TransportPlan(mu, nu, _network_simplex(mu.weights, nu.weights, C))
     dist = _plan_distance(plan)
     return (dist, plan) if return_plan else dist
-
-
-def _exact_plan(mu: AtomicMeasure, nu: AtomicMeasure, basis=None):
-    """``(plan, basis)`` of the exact LP between atomic measures, the
-    simplex started from ``basis`` when given (see :func:`_network_simplex`)."""
-    C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
-    flow, basis = _network_simplex(mu.weights.copy(), nu.weights.copy(), C, basis)
-    return TransportPlan(mu, nu, flow), basis
 
 
 def _plan_distance(plan: TransportPlan) -> float:

@@ -215,8 +215,8 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
         rhs = 2.0 * tau * (e_nu - e_mt) - w_step**2
         ctx = {"tau": tau, "E_mu": e_mu, "E_mu_tau": e_mt, "E_nu": e_nu}
         if info:
-            ctx.update({k: info[k] for k in ("inner_iters", "residual_flag")
-                        if k in info})
+            ctx.update({k: info[k] for k in ("inner_iters", "residual_flag",
+                                             "certificate_slack") if k in info})
         return InequalityReport(name, lhs, rhs, tol, context=ctx)
 
     if mu_tau is None:

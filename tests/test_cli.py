@@ -55,12 +55,13 @@ class TestRun:
         assert manifest["flagged_steps"] == 0
 
     def test_flagged_steps_in_manifest(self, tmp_path):
-        # weights 1e3 apart: the light atom's fixed-plan passes use up their
-        # iteration budget, so the one step is flagged
+        # one inner iteration is not enough for this 2D step: it ends
+        # flagged, with its residual above inner_tol
         mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
         cfg = {"job": "flow", "energy": {"potential": "quadratic"},
                "initial": json.loads(measure_to_json(mu)),
-               "jko": {"tau": 0.3, "steps": 1, "inner_tol": 1e-9},
+               "jko": {"tau": 0.3, "steps": 1, "inner_tol": 1e-9,
+                       "inner_max_iter": 1},
                "output": {"trajectory": str(tmp_path / "t.csv"),
                           "manifest": str(tmp_path / "m.json")}}
         assert run(write_config(tmp_path, "c.json", cfg)) == 0

@@ -25,7 +25,13 @@ from omegaflow.jko import (
     quantile_w2,
     rescaled_intermediate,
 )
-from omegaflow.measures import GridDensity, QuantileMeasure, lp_norm, make_atomic
+from omegaflow.measures import (
+    AtomicMeasure,
+    GridDensity,
+    QuantileMeasure,
+    lp_norm,
+    make_atomic,
+)
 from omegaflow.transport import w2, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
@@ -411,12 +417,15 @@ class TestProximalStep:
 
 
 # ---------------------------------------------------------------------------
-# 2D proximal step: warm-started outer passes against the cold reference
+# 2D proximal step: one Lagrangian solve and a cycle certificate
 # ---------------------------------------------------------------------------
 
 def _reference_prox_atomic_2d(energy, mu, tau, cfg):
-    """The 2D proximal step as it was before outer passes warm-started
-    their LP: every pass solves W2(mu, nu) cold with ``w2_exact``."""
+    """The block-coordinate 2D step that the Lagrangian solve replaced:
+    an exact LP, solved cold by ``w2_exact``, then up to 500 fixed-plan
+    gradient steps, repeated for at most 40 passes until the objective
+    change falls below ``inner_tol``.  Its states lie 5e-9 to 7e-9 from
+    the exact minimizer on the convex energy below."""
     w = mu.weights
     z = mu.points_2d().copy()
     prev_obj = math.inf
@@ -431,7 +440,8 @@ def _reference_prox_atomic_2d(energy, mu, tau, cfg):
         colw = plan.matrix.sum(axis=0)
         L = float(np.max(colw)) / tau + 1.0
         for _ in range(500):
-            g = (colw[:, None] * z - bary) / tau + jko._atomic_energy_grad(energy, z, w)
+            g = (colw[:, None] * z - bary) / tau \
+                + w[:, None] * jko._atomic_energy_grad(energy, z, w)
             z_new = z - g / L
             step = float(np.max(np.abs(z_new - z)))
             z = z_new
@@ -447,9 +457,22 @@ def _convex_2d_energy():
                                 dprofile=lambda r: np.asarray(r) / 2.0))
 
 
+def _closed_form_2d(mu, tau):
+    """The exact step under :func:`_convex_2d_energy`, for which it is
+    linear.  With the interaction (1/2) sum_ij w_i w_j |z_i - z_j|^2 / 4,
+    stationarity reads (z_i - x_i) / tau + z_i + (z_i - zbar) / 2 = 0, so
+    the mean zbar = xbar / (1 + tau) and z_i = (x_i / tau + zbar / 2) /
+    (1 / tau + 3 / 2).  Atoms of zero weight stay put."""
+    x, w = mu.points_2d(), mu.weights
+    zbar = (w @ x) / (1.0 + tau)
+    z = (x / tau + zbar / 2.0) / (1.0 / tau + 1.5)
+    return np.where((w > 0)[:, None], z, x)
+
+
 def _atoms_2d(seed, n, kind="random"):
     """A seeded 2D atomic measure; ``tied`` repeats atoms at equal weights,
-    ``rounded`` puts the atoms on a 0.1 lattice (tied costs, some repeats)."""
+    ``rounded`` puts the atoms on a 0.1 lattice (tied costs, some repeats),
+    ``zero`` gives every third atom zero weight."""
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 2))
     wts = rng.uniform(0.5, 1.5, n)
@@ -457,83 +480,76 @@ def _atoms_2d(seed, n, kind="random"):
         pts, wts = pts[rng.integers(0, max(1, n // 2), n)], np.ones(n)
     elif kind == "rounded":
         pts = np.round(pts, 1)
+    elif kind == "zero":
+        wts[::3] = 0.0
     return make_atomic(pts, wts)
 
 
 class TestProx2dWarmStart:
-    """Outer passes after the first start their LP from the previous
-    pass's optimal basis; the state must equal the cold reference's."""
+    """The 2D step against the block-coordinate step with warm-started LP
+    passes that it replaced (:func:`_reference_prox_atomic_2d`), and the
+    step's own bookkeeping: residual, certificate slack and plan."""
 
     @pytest.mark.parametrize("kind", ["random", "tied"])
     @pytest.mark.parametrize("n", [2, 3, 8, 16, 64])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_state_bitwise_equal_to_cold_reference(self, seed, n, kind):
+        # a cold rerun of the step, on fresh copies of the input, is the
+        # same state bit for bit; the state lies within 1e-8 of the
+        # replaced step's, which is that step's own error
         energy, tau = _convex_2d_energy(), 0.05
         mu = _atoms_2d(seed, n, kind)
         cfg = JkoConfig(tau=tau)
-        got = proximal_step(energy, mu, tau, cfg)
+        got, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        again = proximal_step(energy, AtomicMeasure(mu.points.copy(), mu.weights.copy()),
+                              tau, cfg)
+        assert np.array_equal(got.points, again.points)
+        assert np.array_equal(got.weights, mu.weights)
+        assert not info["residual_flag"] and info["residual"] <= cfg.inner_tol
         ref = _reference_prox_atomic_2d(energy, mu, tau, cfg)
-        assert np.array_equal(got.points, ref.points)
-        assert np.array_equal(got.weights, ref.weights)
+        assert np.max(np.abs(got.points - ref.points)) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rounded_lattice_within_one_ulp(self, seed):
-        # repeated atoms make the LP degenerate: a warm pass can keep the
-        # previous optimal vertex where a cold one ends at another vertex
-        # of equal cost, and the state moves in the last bit
+        # tied costs make the LP degenerate; the certified diagonal plan's
+        # cost is the cold LP's within one ulp (the LP also ends diagonal
+        # on these seeds, so the two are equal)
         energy, tau = _convex_2d_energy(), 0.05
         mu = _atoms_2d(seed, 64, "rounded")
-        cfg = JkoConfig(tau=tau)
-        got = proximal_step(energy, mu, tau, cfg)
-        ref = _reference_prox_atomic_2d(energy, mu, tau, cfg)
-        assert np.max(np.abs(got.points - ref.points)) <= 4.5e-16
-        assert np.array_equal(got.weights, ref.weights)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        cost = info["plan"].cost()
+        lp_cost = w2_exact(mu, out)[1].cost()
+        assert abs(cost - lp_cost) <= np.spacing(lp_cost)
 
-    def test_warm_passes_and_handed_out_plan(self, monkeypatch):
+    def test_certified_step_solves_no_lp(self, monkeypatch):
         calls = []
         original = transport._network_simplex
-
-        def counting(a, b, C, basis=None):
-            flow_, out = original(a, b, C, basis)
-            calls.append(basis is None)
-            return flow_, out
-
-        monkeypatch.setattr(transport, "_network_simplex", counting)
+        monkeypatch.setattr(transport, "_network_simplex",
+                            lambda *args: calls.append(1) or original(*args))
         mu = _atoms_2d(3, 16)
         out, info = proximal_step(_convex_2d_energy(), mu, 0.05,
                                   JkoConfig(tau=0.05), return_info=True)
-        assert len(calls) >= 2 and calls[0] and not any(calls[1:])
+        assert calls == []
         plan = info["plan"]
         assert plan.source is mu and plan.target is out
-        d, cold = w2_exact(mu, out)
-        assert np.array_equal(plan.matrix, cold.matrix)
-        assert transport._plan_distance(plan) == d
+        assert np.array_equal(plan.matrix, np.diag(mu.weights))
+        d = w2_exact(mu, out, return_plan=False)
+        assert len(calls) == 1
+        assert abs(transport._plan_distance(plan) ** 2 - d ** 2) <= 1e-12 * d ** 2
 
-    def test_forty_passes_hand_out_no_plan(self, monkeypatch):
-        # one gradient step per pass: the objective still falls after the
-        # last LP, so no plan couples mu to the state
-        monkeypatch.setattr(jko, "_FIXED_PLAN_ITERS", 1)
+    def test_weight_spread_pair_converges_unflagged(self):
+        # weights 1e3 apart: the metric diag(w_i / tau) scales each atom's
+        # step, so the light atom converges with the heavy one
         mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
-        out, info = proximal_step(quadratic_energy(), mu, 0.3,
-                                  JkoConfig(tau=0.3, inner_tol=1e-9), return_info=True)
-        assert info["inner_iters"] == 40
-        assert "plan" not in info
-        assert info["residual_flag"] is True
-
-    def test_fixed_plan_cap_sets_residual_flag(self):
-        # the light atom converges at rate 1 - 1e-3 per step under the
-        # heavy atom's step size: every fixed-plan pass uses up its 500
-        # iterations while the outer objective settles within inner_tol
-        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
-        cfg = JkoConfig(tau=0.3, inner_tol=1e-9, steps=1)
-        _, info = proximal_step(quadratic_energy(), mu, 0.3, cfg, return_info=True)
-        assert info["inner_iters"] % jko._FIXED_PLAN_ITERS == 0
+        tau = 0.3
+        cfg = JkoConfig(tau=tau, inner_tol=1e-9, steps=1)
+        out, info = proximal_step(quadratic_energy(), mu, tau, cfg, return_info=True)
+        assert np.max(np.abs(out.points - mu.points / (1.0 + tau))) <= 1e-10
         assert info["residual"] <= cfg.inner_tol
-        assert info["residual_flag"] is True
-        # the flag reaches the flow CSV
+        assert info["residual_flag"] is False
         from omegaflow.cli import _trajectory_csv
         csv = _trajectory_csv(flow(quadratic_energy(), mu, cfg), quadratic_energy())
-        assert csv.splitlines()[-1].endswith(",True")
+        assert csv.splitlines()[-1].endswith(",False")
 
     def test_flow_diagnostics_hold_no_plan(self):
         energy, cfg = _convex_2d_energy(), JkoConfig(tau=0.05, steps=3)
@@ -557,7 +573,6 @@ class TestProx2dWarmStart:
 
     def test_density_cap_raises(self):
         # atoms have no density, so every 2D state has E = +inf under a cap
-        # and the passes' objective changes are inf - inf
         energy = Energy(potential=POTENTIALS["quadratic"]({}),
                         constraint=(math.inf, 2.0))
         with pytest.raises(JkoError, match="density constraints"):
@@ -566,15 +581,168 @@ class TestProx2dWarmStart:
             proximal_step(entropy_energy(), _atoms_2d(0, 8), 0.1)
 
     def test_non_finite_residual_is_flagged(self):
-        # a tied pair under the attractive log kernel has E = -inf, so the
-        # relative objective change is nan, which no tolerance accepts
+        # a tied pair under the attractive log kernel has E = -inf: the
+        # solve stops at the start with an infinite residual (the replaced
+        # step read nan there, an objective change inf - inf)
         energy = Energy(potential=POTENTIALS["quadratic"]({}),
                         kernel=Kernel("log", c=1.0))
         mu = make_atomic(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]]),
                          np.ones(3))
-        _, info = proximal_step(energy, mu, 0.1, return_info=True)
-        assert math.isnan(info["residual"])
+        out, info = proximal_step(energy, mu, 0.1, return_info=True)
+        assert info["residual"] == math.inf
         assert info["residual_flag"] is True
+        assert info["inner_iters"] == 0
+        assert np.array_equal(out.points, mu.points)
+
+
+class TestProx2dClosedForm:
+    """Quadratic potential plus r^2 / 4: the step is linear
+    (:func:`_closed_form_2d`), and the solve reaches it within 1e-10."""
+
+    def test_interaction_convention(self):
+        # the closed form assumes (1/2) sum over ordered pairs
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 2.0]]), np.array([1.0, 3.0]))
+        assert _convex_2d_energy().interaction_value(mu) == \
+            pytest.approx(0.25 * 0.75 * 5.0 / 4.0, rel=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("kind, n", [("random", 64), ("random", 2), ("tied", 16),
+                                         ("zero", 16), ("zero", 3), ("rounded", 32)])
+    def test_matches_closed_form(self, kind, n, tau):
+        energy = _convex_2d_energy()
+        mu = _atoms_2d(n + int(10 * tau), n, kind)
+        cfg = JkoConfig(tau=tau, inner_tol=1e-11)
+        out, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        assert not info["residual_flag"] and "plan" in info
+        assert np.max(np.abs(out.points - _closed_form_2d(mu, tau))) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_tolerance_error(self, seed):
+        # at the default inner_tol = 1e-8: the energy is convex, so the
+        # step's Hessian is at least the metric diag(w_i / tau), and the
+        # error in that metric is at most the residual's (up to rounding)
+        energy, tau = _convex_2d_energy(), 0.05
+        mu = _atoms_2d(seed, 64)
+        cfg = JkoConfig(tau=tau)
+        out, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        err = out.points - _closed_form_2d(mu, tau)
+        assert info["residual"] <= cfg.inner_tol
+        assert math.sqrt(float(mu.weights @ (err * err).sum(axis=1))) \
+            <= info["residual"] + 1e-15
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rounding_floor_ends_the_solve(self, seed):
+        # tau = 10 and atoms at scale 10: the last iterations lower Phi by
+        # less than its rounding.  Taking such drops as progress let the
+        # solve wander on rounding noise until inner_max_iter; they count
+        # only where they also halve the residual
+        energy, tau = _convex_2d_energy(), 10.0
+        rng = np.random.default_rng(seed)
+        mu = make_atomic(10.0 * rng.normal(size=(32, 2)), 1e3 ** rng.uniform(0.0, 1.0, 32))
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        assert info["inner_iters"] <= 10 and not info["residual_flag"]
+        err = out.points - _closed_form_2d(mu, tau)
+        assert math.sqrt(float(mu.weights @ (err * err).sum(axis=1))) \
+            <= info["residual"] + 1e-13
+
+
+def _brute_force_permutation_cost(C):
+    return min(sum(C[i, p] for i, p in enumerate(perm))
+               for perm in itertools.permutations(range(len(C))))
+
+
+def _rotated_triangle(theta):
+    """Atoms on the unit circle at 0, 120 and 240 degrees, each target the
+    source rotated by ``theta``.  For 60 < theta < 90 degrees the 3-cycle
+    i -> i - 1 beats the identity while no 2-cycle does."""
+    ang = np.deg2rad([0.0, 120.0, 240.0])
+    x = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    z = np.stack([np.cos(ang + np.deg2rad(theta)), np.sin(ang + np.deg2rad(theta))],
+                 axis=1)
+    return x, z
+
+
+def _certificate_pair(seed, n, kind):
+    """Sources x and targets z: ``near`` (z a shrunk, perturbed x: the
+    identity mostly optimal), ``far`` (z independent of x), ``tied`` (x
+    and z repeated together) and ``swap`` (z = x reversed)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    if kind == "tied":
+        x = x[rng.integers(0, max(1, n // 2), n)]
+        return x, 0.9 * x
+    if kind == "swap":
+        return x, x[::-1].copy()
+    if kind == "far":
+        return x, rng.normal(size=(n, 2))
+    return x, 0.9 * x + rng.normal(scale=0.3, size=(n, 2))
+
+
+def _certified(x, z):
+    slack, scale = jko._cycle_slack(x, z)
+    return slack >= -jko._CERTIFICATE_EPS * scale
+
+
+class TestCycleCertificate:
+    """The cycle test certifies the diagonal plan x_i -> z_i exactly when it
+    is optimal: against brute force over permutations (equal weights) and
+    against the exact LP (any weights, zero weights dropped)."""
+
+    @pytest.mark.parametrize("kind", ["near", "far", "tied", "swap"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_weights_against_permutations(self, seed, n, kind):
+        x, z = _certificate_pair(seed, n, kind)
+        C = transport._sq_cost_matrix(x, z)
+        best, diag = _brute_force_permutation_cost(C), float(np.trace(C))
+        if _certified(x, z):
+            assert abs(diag - best) <= 1e-12 * best
+        else:
+            assert diag > best
+
+    @pytest.mark.parametrize("theta, optimal", [(30.0, True), (75.0, False),
+                                                (89.0, False), (100.0, False)])
+    def test_three_cycle_beats_identity(self, theta, optimal):
+        x, z = _rotated_triangle(theta)
+        C = transport._sq_cost_matrix(x, z)
+        two_cycles = [C[i, j] + C[j, i] - C[i, i] - C[j, j]
+                      for i, j in itertools.combinations(range(3), 2)]
+        assert (min(two_cycles) < 0) == (theta > 90.0)
+        assert _certified(x, z) == optimal
+        assert (float(np.trace(C)) > _brute_force_permutation_cost(C)) == (not optimal)
+
+    def test_one_atom_is_certified(self):
+        slack, _ = jko._cycle_slack(np.zeros((1, 2)), np.ones((1, 2)))
+        assert slack == math.inf
+
+    @pytest.mark.parametrize("kind", ["near", "far", "tied", "swap"])
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_any_weights_against_lp(self, seed, n, kind):
+        x, z = _certificate_pair(seed, n, kind)
+        w = np.random.default_rng(seed + 100).uniform(0.5, 1.5, n)
+        w[1::4] = 0.0
+        mu, nu = make_atomic(x, w), make_atomic(z, w)
+        keep = w > 0
+        lp_cost = w2_exact(mu, nu)[1].cost()
+        diag = transport.TransportPlan(mu, nu, np.diag(mu.weights)).cost()
+        if _certified(x[keep], z[keep]):
+            assert abs(diag - lp_cost) <= 1e-12 * lp_cost
+        else:
+            assert diag > lp_cost
+
+    @pytest.mark.parametrize("tau", [0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uncertified_step_flagged_without_plan(self, seed, tau):
+        # attractive log (c = 0.5): atoms collide, and the diagonal plan
+        # stops being optimal; such steps hand out no plan and are flagged
+        energy = Energy(potential=POTENTIALS["quadratic"]({}), kernel=Kernel("log", c=0.5))
+        mu = _atoms_2d(seed, 32)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        assert info["certificate_slack"] < 0 and "plan" not in info
+        assert info["residual_flag"] is True
+        diag = float(np.sum(mu.weights * ((mu.points - out.points) ** 2).sum(axis=1)))
+        assert diag > w2_exact(mu, out)[1].cost()
 
 
 class TestFlow:
@@ -852,19 +1020,10 @@ class TestHardCapStepProperty:
 
 
 # weights this far apart (largest over smallest) still converge within the
-# fixed-plan iteration budget at the default inner_tol; measured on random
-# 2 to 16 atom steps at tau 0.05 and 0.3: 80 of 80 unflagged at 10 apart,
-# 61 of 80 at 20 and none at 50 (the 1/L step, L = max(colw)/tau + 1,
-# crawls on the light atoms)
-_WELL_CONDITIONED_SPREAD = 10.0
-
-
 @st.composite
 def _degenerate_2d_starts(draw):
     """2 to 16 seeded 2D atoms: random, tied (repeated points), coincident
-    (all at one point), or with weights up to 10 or up to 1e3 apart.  Weights
-    more than about 1e3 apart are not drawn: the fixed-plan steps then stall
-    for thousands of iterations (see ``test_fixed_plan_cap_sets_residual_flag``)."""
+    (all at one point), or with weights up to 10 or up to 1e3 apart."""
     n = draw(st.integers(2, 16))
     kind = draw(st.sampled_from(["random", "tied", "coincident", "unequal",
                                  "spread"]))
@@ -876,7 +1035,7 @@ def _degenerate_2d_starts(draw):
     elif kind == "coincident":
         pts = np.repeat(pts[:1], n, axis=0)
     elif kind == "unequal":
-        wts = _WELL_CONDITIONED_SPREAD ** rng.uniform(0.0, 1.0, n)
+        wts = 10.0 ** rng.uniform(0.0, 1.0, n)
     elif kind == "spread":
         wts = 1e3 ** rng.uniform(0.0, 1.0, n)
     return make_atomic(pts, wts)
@@ -885,11 +1044,12 @@ def _degenerate_2d_starts(draw):
 class TestDegenerate2dStepProperty:
     """One 2D step under the convex energy (quadratic + r^2/4) satisfies the
     one-step bound E(out) + W2^2 / (2 tau) <= E(mu) up to the rounding of the
-    separately summed terms, on every drawn start; where the weights are at
-    most ``_WELL_CONDITIONED_SPREAD`` apart it also converges unflagged."""
+    separately summed terms, and converges unflagged, on every drawn start
+    and at every tau (the metric diag(w_i / tau) makes the solve blind to
+    how far apart the weights are)."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(mu=_degenerate_2d_starts(), tau=st.sampled_from([0.05, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    @given(mu=_degenerate_2d_starts(), tau=st.sampled_from([0.05, 0.3, 1.0, 3.0]))
     def test_descends_and_converges(self, mu, tau):
         energy = _convex_2d_energy()
         out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau),
@@ -897,8 +1057,7 @@ class TestDegenerate2dStepProperty:
         e_mu = energy.eval(mu)
         assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
             <= e_mu + 1e-12 * max(1.0, abs(e_mu))
-        if mu.weights.max() <= _WELL_CONDITIONED_SPREAD * mu.weights.min():
-            assert not info["residual_flag"]
+        assert not info["residual_flag"]
 
 
 _QUADRATIC = POTENTIALS["quadratic"]({})

@@ -385,7 +385,7 @@ class TestSuites:
 
 class TestDiscreteEvi2D:
     def test_glued_pseudo_distance_path(self, rng):
-        # quadratic potential on 2D atoms: block-coordinate prox has the
+        # quadratic potential on 2D atoms: the Lagrangian step has the
         # closed form x/(1+tau), and the EVI runs through the glued plans
         E = quadratic_energy()
         mu = make_atomic(rng.normal(size=(5, 2)), np.ones(5))
@@ -471,25 +471,25 @@ class TestDiscreteEvi2DPlanReuse:
         assert rep.passed == InequalityReport("ref", lhs, rhs, rep.tolerance).passed
 
     def test_one_cold_solve_of_its_own(self, monkeypatch):
-        # the step's first pass and W2(mu, nu) are the only cold solves;
-        # every later pass of the step warm-starts
-        cold = []
+        # W2(mu, nu) is the only LP: the certified step hands out its plan
+        # and solves none
+        calls = []
         original = transport._network_simplex
-
-        def counting(a, b, C, basis=None):
-            cold.append(basis is None)
-            return original(a, b, C, basis)
-
-        monkeypatch.setattr(transport, "_network_simplex", counting)
+        monkeypatch.setattr(transport, "_network_simplex",
+                            lambda *args: calls.append(1) or original(*args))
         mu, nu = _pair_2d(3, 16, "random")
-        check_discrete_evi(_convex_2d_energy(), mu, nu, self.TAU, lipschitz(1.0),
-                           JkoConfig(tau=self.TAU))
-        assert cold.count(True) == 2
-        assert cold.count(False) >= 1
+        rep = check_discrete_evi(_convex_2d_energy(), mu, nu, self.TAU, lipschitz(1.0),
+                                 JkoConfig(tau=self.TAU))
+        assert len(calls) == 1
+        assert rep.context["certificate_slack"] > 0
 
     def test_capped_step_flag_in_context(self):
-        # each fixed-plan pass of this step uses up its iterations
-        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
-        rep = check_discrete_evi(quadratic_energy(), mu, mu, 0.3, lipschitz(1.0),
-                                 JkoConfig(tau=0.3, inner_tol=1e-9))
+        # one L-BFGS iteration is not enough for this step: its flag, and
+        # the certificate slack of the state it ends at, reach the context
+        mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]),
+                         np.array([1.0, 1e-3, 0.3]))
+        rep = check_discrete_evi(_convex_2d_energy(), mu, mu, 0.3, lipschitz(1.0),
+                                 JkoConfig(tau=0.3, inner_tol=1e-9, inner_max_iter=1))
+        assert rep.context["inner_iters"] == 1
         assert rep.context["residual_flag"] is True
+        assert rep.context["certificate_slack"] > 0
