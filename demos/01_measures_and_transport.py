@@ -1,6 +1,6 @@
 """Measures and exact optimal transport, end to end.
 
-Walks through the three measure parametrizations, quantile conversion,
+Walks through the two measure parametrizations, quantile conversion,
 exact W2 (monotone 1D coupling and the network-simplex LP), displacement
 geodesics, plan gluing over a base measure, and the (2, nu)-transport
 pseudo-metric with its exact interpolation identity.
@@ -9,23 +9,26 @@ pseudo-metric with its exact interpolation identity.
 import numpy as np
 
 from omegaflow.measures import (
-    GridDensity, lp_norm, make_atomic, second_moment, to_quantile,
+    QuantileMeasure, lp_norm, make_atomic, second_moment, to_quantile,
 )
 from omegaflow.transport import geodesic, glue, pseudo_distance, w2_1d, w2_exact
 
 rng = np.random.default_rng(0)
 
-# -- three parametrizations --------------------------------------------------
+# -- two parametrizations ----------------------------------------------------
 
 atoms = make_atomic([2.0, 0.0, -1.0], [1.0, 1.0, 2.0])
 print("atomic:", atoms.points, atoms.weights)
+print("inverse-CDF nodes at q = 1/8, 3/8, 5/8, 7/8:", to_quantile(atoms, 4).positions)
 
-uniform = GridDensity(0.0, 0.01, np.ones(100))  # density 1 on [0, 1]
-print("second moment of U[0,1]:", second_moment(uniform), "(1/3)")
-print("L2 norm:", lp_norm(uniform, 2), " Linf:", lp_norm(uniform, np.inf))
-
-quant = to_quantile(uniform, 8)
-print("inverse-CDF nodes of U[0,1]:", quant.positions)
+# U[0,1] by its quantile function x(q) = q at the midpoint nodes (i + 1/2)/n
+n = 100
+q = (np.arange(n) + 0.5) / n
+uniform = QuantileMeasure(q, q, np.full(n, 1.0 / n))
+print("second moment of U[0,1]:", second_moment(uniform),
+      "(1/3 - 1/(12 n^2) at the nodes)")
+print("L2 norm:", lp_norm(uniform, 2), " Linf:", lp_norm(uniform, np.inf),
+      "(density 1 between the first and last node)")
 
 # -- exact transport ----------------------------------------------------------
 

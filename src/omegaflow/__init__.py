@@ -3,8 +3,8 @@ energies with Osgood moduli of convexity.
 
 Subpackages by capability:
 
-* :mod:`omegaflow.measures`   discrete probability measures (atomic,
-  quantile, grid) with conversions and statistics
+* :mod:`omegaflow.measures`   discrete probability measures (atomic and
+  quantile) with conversions and statistics
 * :mod:`omegaflow.transport`  exact W2, optimal plans, geodesics, plan
   gluing, generalized geodesics, the (2, nu)-transport pseudo-metric
 * :mod:`omegaflow.moduli`     moduli of convexity, comparison ODE flows,

@@ -166,8 +166,6 @@ def _parse_measure(spec):
     if not isinstance(spec, dict):
         raise TypeError("expected an object")
     kind = spec.get("kind")
-    if kind == "grid":
-        raise ConfigError("initial.kind", "grid states are not stepped")
     if kind in _SHORTHAND_KEYS:
         _reject_unknown(spec, _SHORTHAND_KEYS[kind], "initial")
     if kind == "dirac":

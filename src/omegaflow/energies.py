@@ -40,7 +40,6 @@ import numpy as np
 from .measures import (
     GAP_FLOOR,
     AtomicMeasure,
-    GridDensity,
     QuantileMeasure,
     gaps,
     gaps_adjoint,
@@ -319,9 +318,6 @@ def _atoms(mu):
         return mu.points_2d(), mu.weights
     if isinstance(mu, QuantileMeasure):
         return mu.positions[:, None], mu.cell_mass
-    if isinstance(mu, GridDensity):
-        a = mu.to_atomic()
-        return a.points_2d(), a.weights
     raise EnergyError(f"unsupported measure type {type(mu)!r}")
 
 
@@ -375,6 +371,9 @@ class Energy:
             right = np.cumsum(w[::-1])[::-1][1:]    # mass of atoms k+1..
             # a sum over gaps of nonnegative terms: no cancellation
             return 0.5 * self.kernel.c * float(np.sum(gaps(x) * left * right))
+        if not w.all():
+            # a zero-weight atom on another one would give 0 * inf = nan
+            pts, w = pts[w > 0], w[w > 0]
         r = np.sqrt(pair_differences(pts, pts)[1])
         vals = self.kernel.value(r)
         pair = np.outer(w, w) * vals
@@ -391,14 +390,6 @@ class Energy:
             m = self.internal[1]
             # c rho^(m-1), not c^m g^(1-m): no overflow of the two factors
             return float(np.sum(c * rho ** (m - 1.0)) / (m - 1.0))
-        if isinstance(mu, GridDensity):
-            v = mu.values.ravel()
-            cell = mu.cell_volume()
-            if kind == "entropy":
-                pos = v > 0
-                return float(np.sum(cell * v[pos] * np.log(v[pos])))
-            m = self.internal[1]
-            return float(np.sum(cell * v**m) / (m - 1.0))
         if isinstance(mu, AtomicMeasure):
             return math.inf  # atoms have no density
         raise EnergyError(f"unsupported measure type {type(mu)!r}")

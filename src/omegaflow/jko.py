@@ -285,10 +285,11 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     Evaluates each point once: the start by ``value_and_grad``, which the
     first iteration reuses as its extrapolated point.  Stops with an
     infinite residual at the first accepted iterate whose value is -inf,
-    and where neither the extrapolated point nor the iterate has a finite
-    gradient.  Stops at a fixed point of the float iteration (the step and
-    the momentum both round to nothing), where it would otherwise spend
-    its budget repeating one point.  A residual still above ``tol`` at the
+    where neither the extrapolated point nor the iterate has a finite
+    gradient, and where a projected point is out of order (rounding at
+    positions near 1e17).  Stops at a fixed point of the float iteration
+    (the step and the momentum both round to nothing), where it would
+    otherwise spend its budget repeating one point.  A residual still above ``tol`` at the
     end is then rounding when the objective has a Hessian: the end point
     gives way to :func:`_rounded_newton`'s when that has a smaller
     residual and no larger value.
@@ -341,10 +342,17 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
             x_new = proj(z - g / L)
             dx = x_new - z
             quad = fz + float(g @ dx) + 0.5 * L * float(dx @ dx)
-            fxn = objective.value(x_new)
+            try:
+                fxn = objective.value(x_new)
+            except MeasureError:  # order lost to rounding at huge |x|
+                x_new = None
+                break
             if fxn <= quad + 1e-15 * (1.0 + abs(quad)) or L >= 1e17:
                 break
             L *= 2.0
+        if x_new is None:
+            res = math.inf
+            break
         moved = float(np.abs(x_new - x).max())
         if moved == 0.0 and not (z != x).any():
             res = residual(x)   # a fixed point: no later iteration moves
@@ -796,7 +804,7 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
 
     ``mu`` is a :class:`QuantileMeasure` or an :class:`AtomicMeasure`, 1D
     atoms stepped exactly as quantile cells; the result has the input's type.
-    Grids raise (see :func:`measures.to_quantile`); ``tau = 0`` returns ``mu``.
+    Other types raise :class:`JkoError`; ``tau = 0`` returns ``mu``.
     """
     cfg = cfg or JkoConfig(tau=tau)
     if tau < 0:
@@ -816,8 +824,7 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
         q_out, info = _prox_quantile(energy, q, tau, cfg)
         out = q_out.to_atomic()
     else:
-        raise JkoError(f"unsupported measure type {type(mu)!r}; convert 1D "
-                       "grids with measures.to_quantile")
+        raise JkoError(f"unsupported measure type {type(mu)!r}")
     return (out, info) if return_info else out
 
 

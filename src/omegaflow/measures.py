@@ -1,12 +1,8 @@
 """Discrete probability measures on R^d, d in {1, 2}.
 
-Two parametrizations are supported:
-
-* Lagrangian: :class:`AtomicMeasure` (weighted atoms) and
-  :class:`QuantileMeasure` (1D inverse-CDF samples on a uniform quantile
-  grid, the state representation used by the JKO solver).
-* Eulerian: :class:`GridDensity` (piecewise-constant density on a uniform
-  grid, mass per unit length / area).
+Two Lagrangian parametrizations are supported: :class:`AtomicMeasure`
+(weighted atoms) and :class:`QuantileMeasure` (1D inverse-CDF samples on a
+uniform quantile grid, the state representation used by the JKO solver).
 
 A QuantileMeasure has a dual reading that the rest of the package relies on:
 
@@ -42,7 +38,6 @@ __all__ = [
     "MeasureError",
     "AtomicMeasure",
     "QuantileMeasure",
-    "GridDensity",
     "gaps",
     "gaps_adjoint",
     "interval_masses",
@@ -239,69 +234,6 @@ class QuantileMeasure:
         return new
 
 
-@dataclass(frozen=True)
-class GridDensity:
-    """Piecewise-constant probability density on a uniform grid.
-
-    1D: ``values[i]`` is the density on ``[origin + i*spacing,
-    origin + (i+1)*spacing)``.  2D: ``values[iy, ix]`` on the corresponding
-    square cell, ``origin`` is the lower-left corner (pair).
-    """
-
-    origin: object
-    spacing: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        sp = float(self.spacing)
-        if sp <= 0:
-            raise MeasureError("spacing must be positive")
-        if v.ndim not in (1, 2):
-            raise MeasureError("values must be a 1D or 2D array")
-        _check_finite(v, "values")
-        if np.any(v < 0):
-            raise MeasureError("density values must be nonnegative")
-        cell = sp ** v.ndim
-        total = cell * v.sum()
-        if abs(total - 1.0) > MASS_TOL:
-            raise MeasureError(f"grid mass {total}, expected 1 within 1e-10")
-        if v.ndim == 1:
-            org = float(np.asarray(self.origin, dtype=float))
-        else:
-            org = _freeze(np.asarray(self.origin, dtype=float).reshape(2))
-        object.__setattr__(self, "origin", org)
-        object.__setattr__(self, "spacing", sp)
-        object.__setattr__(self, "values", _freeze(v))
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    def cell_volume(self) -> float:
-        return self.spacing ** self.dim
-
-    def midpoints(self) -> np.ndarray:
-        if self.dim == 1:
-            n = len(self.values)
-            return self.origin + (np.arange(n) + 0.5) * self.spacing
-        ny, nx = self.values.shape
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.spacing
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.spacing
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-
-    def cell_masses(self) -> np.ndarray:
-        return self.values.ravel() * self.cell_volume()
-
-    def to_atomic(self) -> AtomicMeasure:
-        """Midpoint atomization (drops empty cells)."""
-        m = self.cell_masses()
-        pts = self.midpoints()
-        keep = m > 0
-        return make_atomic(pts[keep], m[keep])
-
-
 def make_atomic(points, weights) -> AtomicMeasure:
     """Build an atomic measure: renormalize weights, co-sort 1D supports."""
     pts = np.asarray(points, dtype=float)
@@ -339,24 +271,6 @@ def quantile_function(measure, q: np.ndarray) -> np.ndarray:
         return measure.points[idx]
     if isinstance(measure, QuantileMeasure):
         return quantile_function(measure.to_atomic(), q)
-    if isinstance(measure, GridDensity):
-        if measure.dim != 1:
-            raise MeasureError("quantile function requires a 1D measure")
-        m = measure.cell_masses()
-        edges_mass = np.concatenate([[0.0], np.cumsum(m)])
-        edges_mass[-1] = 1.0
-        n = len(m)
-        idx = np.searchsorted(edges_mass, q, side="left") - 1
-        idx = np.clip(idx, 0, n - 1)
-        # skip forward over empty cells so the inverse is the infimum
-        while np.any(m[idx] <= 0):
-            idx = np.where((m[idx] <= 0) & (idx < n - 1), idx + 1, idx)
-            if np.all((m[idx] > 0) | (idx == n - 1)):
-                break
-        left = measure.origin + idx * measure.spacing
-        frac = (q - edges_mass[idx]) / np.where(m[idx] > 0, m[idx], 1.0)
-        frac = np.clip(frac, 0.0, 1.0)
-        return left + frac * measure.spacing
     raise MeasureError(f"unsupported measure type {type(measure)!r}")
 
 
@@ -373,16 +287,12 @@ def to_quantile(measure, n_nodes: int = 256) -> QuantileMeasure:
 
 
 def second_moment(measure) -> float:
-    """integral |x|^2 dmu, by atom sums or cell-midpoint quadrature."""
+    """integral |x|^2 dmu, summed over atoms or quantile nodes."""
     if isinstance(measure, AtomicMeasure):
         p = measure.points_2d()
         return float(np.sum(measure.weights * np.sum(p * p, axis=1)))
     if isinstance(measure, QuantileMeasure):
         return float(np.sum(measure.cell_mass * measure.positions**2))
-    if isinstance(measure, GridDensity):
-        pts = measure.midpoints()
-        sq = pts**2 if measure.dim == 1 else np.sum(pts * pts, axis=1)
-        return float(np.sum(measure.cell_masses() * sq))
     raise MeasureError(f"unsupported measure type {type(measure)!r}")
 
 
@@ -405,11 +315,6 @@ def lp_norm(measure, p) -> float:
         if p == math.inf:
             return float(dens.max())
         return float(np.sum(measure.gaps() * dens ** float(p)) ** (1.0 / float(p)))
-    if isinstance(measure, GridDensity):
-        v = measure.values.ravel()
-        if p == math.inf:
-            return float(v.max())
-        return float(np.sum(measure.cell_volume() * v ** float(p)) ** (1.0 / float(p)))
     raise MeasureError(f"unsupported measure type {type(measure)!r}")
 
 
@@ -446,14 +351,6 @@ def measure_to_json(measure) -> str:
             "positions": measure.positions.tolist(),
             "cell_mass": measure.cell_mass.tolist(),
         }
-    elif isinstance(measure, GridDensity):
-        payload = {
-            "kind": "grid",
-            "dim": measure.dim,
-            "origin": measure.origin if measure.dim == 1 else list(measure.origin),
-            "spacing": measure.spacing,
-            "values": measure.values.tolist(),
-        }
     else:
         raise MeasureError(f"unsupported measure type {type(measure)!r}")
     return json.dumps(payload)
@@ -469,7 +366,4 @@ def measure_from_json(text):
         return QuantileMeasure(np.asarray(data["q_nodes"], dtype=float),
                                np.asarray(data["positions"], dtype=float),
                                np.asarray(data["cell_mass"], dtype=float))
-    if kind == "grid":
-        return GridDensity(data["origin"], data["spacing"],
-                           np.asarray(data["values"], dtype=float))
     raise MeasureError(f"unknown measure kind {kind!r}")

@@ -21,11 +21,9 @@ import numpy as np
 
 from .measures import (
     AtomicMeasure,
-    GridDensity,
     QuantileMeasure,
     make_atomic,
     pair_differences,
-    to_quantile,
 )
 
 __all__ = [
@@ -52,16 +50,11 @@ class TransportError(ValueError):
 
 
 def _as_atomic(mu) -> AtomicMeasure:
-    """Atomic form of any measure: quantile states at their nodes, 2D grids
-    at their cell midpoints, 1D grids through a fine quantile grid."""
+    """Atomic form of a measure: quantile states at their nodes."""
     if isinstance(mu, AtomicMeasure):
         return mu
     if isinstance(mu, QuantileMeasure):
         return mu.to_atomic()
-    if isinstance(mu, GridDensity):
-        if mu.dim == 2:
-            return mu.to_atomic()
-        return to_quantile(mu, max(1024, 8 * len(mu.values))).to_atomic()
     raise TransportError(f"unsupported measure type {type(mu)!r}")
 
 
@@ -368,8 +361,7 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
              support_cap: int = DEFAULT_SUPPORT_CAP):
     """Exact W2 between atomic measures by linear programming.
 
-    Other measures are atomized first: 2D grids at their cell midpoints,
-    1D measures as in :func:`w2_1d`.
+    Quantile states are atomized at their nodes first.
     """
     mu, nu = _as_atomic(mu), _as_atomic(nu)
     if mu.dim != nu.dim:

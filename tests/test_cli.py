@@ -4,9 +4,12 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omegaflow
 from omegaflow import cli
@@ -28,6 +31,30 @@ FLOW_CONFIG = {
     "initial": {"kind": "dirac", "a": 1.0, "n": 4},
     "jko": {"tau": 0.1, "steps": 5, "inner_tol": 1e-10},
 }
+
+
+# flow energies of the shipped configs: convex, log-Lipschitz, hard-capped
+# with entropy (the KS surrogate) and under a finite-p cap
+_RERUN_ENERGIES = {
+    "quadratic": {"potential": "quadratic"},
+    "log_pinch": {"potential": {"name": "log_pinch", "strength": 1.0}},
+    "ks_surrogate": {"kernel": {"kind": "newtonian", "d": 1, "c": 4.0},
+                     "internal": "entropy",
+                     "constraint": {"p": "inf", "cap": 2.0}},
+    "finite_p_cap": {"kernel": {"kind": "newtonian", "d": 1, "c": 1.0},
+                     "constraint": {"p": 4, "cap": 1.2}},
+}
+
+
+@st.composite
+def _initial_shorthands(draw):
+    """A ``dirac`` or ``uniform`` initial state of 2 to 16 nodes."""
+    n = draw(st.integers(2, 16))
+    center = draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        return {"kind": "dirac", "a": center, "n": n}
+    half = draw(st.floats(0.05, 1.0))
+    return {"kind": "uniform", "lo": center - half, "hi": center + half, "n": n}
 
 
 class TestRun:
@@ -137,12 +164,13 @@ class TestRun:
         assert message in capsys.readouterr().err
 
     def test_grid_initial_exit_2(self, tmp_path, capsys):
-        # proximal steps take quantile or atomic states, not grids
+        # the initial state is a shorthand, an atomic or a quantile measure
         cfg = dict(FLOW_CONFIG)
         cfg["initial"] = {"kind": "grid", "origin": -0.5, "spacing": 0.5,
                           "values": [1.0, 1.0]}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert "initial.kind" in capsys.readouterr().err
+        assert "config error at 'initial': unknown measure kind 'grid'" \
+            in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = dict(FLOW_CONFIG)
@@ -153,6 +181,27 @@ class TestRun:
         assert run(path) == 0
         body2 = (tmp_path / "a.csv").read_bytes()
         assert body1 == body2
+
+    @settings(max_examples=40, deadline=None)
+    @given(energy=st.sampled_from(sorted(_RERUN_ENERGIES)),
+           initial=_initial_shorthands(), tau=st.sampled_from([0.01, 0.05, 0.2]),
+           steps=st.integers(1, 3))
+    def test_byte_identical_reruns_property(self, energy, initial, tau, steps):
+        # a second run writes the same trajectory CSV and state files
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = {"job": "flow", "energy": _RERUN_ENERGIES[energy],
+                   "initial": initial, "jko": {"tau": tau, "steps": steps},
+                   "output": {"trajectory": os.path.join(tmp, "t.csv"),
+                              "states_dir": os.path.join(tmp, "states")}}
+            path = write_config(Path(tmp), "c.json", cfg)
+            outputs = []
+            for _ in range(2):
+                assert run(path) == 0
+                files = sorted(Path(tmp, "states").iterdir())
+                assert len(files) == steps + 1
+                outputs.append([Path(tmp, "t.csv").read_bytes()]
+                               + [f.read_bytes() for f in files])
+            assert outputs[0] == outputs[1]
 
     def test_unconverged_steps_flagged_in_csv(self, tmp_path):
         cfg = dict(FLOW_CONFIG)

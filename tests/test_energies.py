@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from omegaflow.energies import (
     parse_energy,
 )
 from omegaflow.measures import (
-    GridDensity,
     QuantileMeasure,
     make_atomic,
     pair_differences,
@@ -103,10 +103,13 @@ class TestEval:
         assert abs(E.eval(mu) - 1.5 ** 2 / 2.0) <= 1e-15
 
     def test_entropy_uniform(self):
-        L = 2.0
-        g = GridDensity(0.0, L / 1000, np.full(1000, 1.0 / L))
+        # density 1/L on the intervals between nodes, which carry mass
+        # 1 - 1/n: the entropy is -(1 - 1/n) log L
+        L, n = 2.0, 1000
         E = Energy(internal=("entropy",))
-        assert abs(E.eval(g) - (-math.log(L))) <= 1e-3
+        value = E.eval(uniform_state(0.0, L, n))
+        assert abs(value - (-(1.0 - 1.0 / n) * math.log(L))) <= 1e-12
+        assert abs(value - (-math.log(L))) <= 1e-3
 
     def test_interaction_two_atoms(self):
         # direct 2x2 double sum: (1/2) sum w_i w_j |x_i-x_j|/2 = 0.25
@@ -126,20 +129,41 @@ class TestEval:
         assert E.eval(make_atomic([0.0, 1.0], [0.5, 0.5])) == math.inf
 
     def test_power_internal(self):
-        g = GridDensity(0.0, 0.125, np.full(4, 2.0))
+        g = uniform_state(0.0, 0.5, 4)  # density 2 on [1/16, 7/16]
         E = Energy(internal=("power", 2.0))
-        # 1/(m-1) int rho^m = int 4 over width 1/2 = 2
-        assert abs(E.eval(g) - 2.0) <= 1e-12
+        # 1/(m-1) int rho^m = int 4 over width 3/8 = 3/2
+        assert abs(E.eval(g) - 1.5) <= 1e-12
 
     def test_power_infinity_indicator(self):
         # the hard cap ||rho||_inf <= 1 is a constraint, not an m = inf power
         with pytest.raises(EnergyError, match="constraint"):
             Energy(internal=("power", math.inf))
         E = Energy(constraint=(math.inf, 1.0))
-        tall = GridDensity(0.0, 0.125, np.full(4, 2.0))
-        flat = GridDensity(0.0, 0.25, np.full(4, 1.0))
+        tall = uniform_state(0.0, 0.5, 4)  # density 2
+        flat = uniform_state(0.0, 1.0, 4)  # density 1
         assert E.eval(tall) == math.inf
         assert E.eval(flat) == 0.0
+
+    @pytest.mark.parametrize("kernel, points", [
+        pytest.param(Kernel("log", c=1.0), [[0, 0], [0, 0], [1, 0.5]],
+                     id="log-2d"),
+        pytest.param(Kernel("log", c=1.0), [0.0, 0.0, 1.0], id="log-1d"),
+        pytest.param(Kernel("riesz", alpha=2.0, d=3, sign=-1), [0.0, 0.0, 1.0],
+                     id="riesz-minus"),
+        # +c/r is 0 at r = 0 (its lsc value), so this case was never nan
+        pytest.param(Kernel("riesz", alpha=2.0, d=3), [[0, 0], [0, 0], [1, 0.5]],
+                     id="riesz-plus"),
+    ])
+    def test_zero_weight_atom_on_another_is_ignored(self, kernel, points):
+        # a massless atom adds nothing, even where the kernel is infinite
+        E = Energy(kernel=kernel)
+        mu = make_atomic(points, [0.0, 1.0, 1.0])
+        without = make_atomic(points[1:], [1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = E.eval(mu)
+        assert value == E.eval(without)
+        assert math.isfinite(value)
 
 
 def dense_newtonian_1d(x, w, c):
@@ -187,18 +211,6 @@ class TestNewtonian1dPrefixSums:
         value_a, _ = dense_newtonian_1d(a.points, a.weights, c)
         assert abs(E.interaction_value(a) - value_a) \
             <= 1e-12 * abs(value_a) + tiny
-
-    @given(st.lists(st.integers(0, 30), min_size=2, max_size=40),
-           st.floats(-2.0, 2.0), st.floats(0.01, 1.0))
-    @settings(max_examples=50, deadline=None)
-    def test_grid_density_matches_pair_matrices(self, vals, origin, spacing):
-        v = np.array(vals, dtype=float)   # empty cells are dropped atoms
-        v[0] += 1.0
-        g = GridDensity(origin, spacing, v / (v.sum() * spacing))
-        a = g.to_atomic()
-        E = Energy(kernel=Kernel("newtonian", d=1, c=4.0))
-        value, _ = dense_newtonian_1d(a.points, a.weights, 4.0)
-        assert abs(E.interaction_value(g) - value) <= 1e-12 * abs(value)
 
     @pytest.mark.parametrize("a", [0.0, 0.3])
     def test_two_atom_diracs(self, a):
@@ -398,8 +410,8 @@ class TestKernelFieldMerge:
         mu2 = make_atomic([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
         assert kernel_gradient(k, mu2, [0.3, 2.0]).shape == (2,)
         assert kernel_gradient(k, mu2, [[0.3, 2.0]]).shape == (1, 2)
-        g = GridDensity(0.0, 0.5, np.ones(2))
-        assert kernel_gradient(k, g, [0.1, 3.0]).shape == (2,)
+        q = uniform_state(0.0, 1.0, 2)
+        assert kernel_gradient(k, q, [0.1, 3.0]).shape == (2,)
 
 
 # two distinct atoms 3.8e-161 apart: their squared distance is subnormal, so
@@ -633,18 +645,16 @@ class TestLscProbe:
     def test_mollified_sequences(self):
         # mollify a block density; eval is lsc along the sequence
         E = Energy(kernel=Kernel("newtonian", d=1), internal=("entropy",))
-        n = 400
-        h = 1.0 / n
+        h = 1.0 / 400
 
         def mollified(eps):
             xs = np.arange(-0.5 + h / 2, 0.5, h)
             tail = np.clip((np.abs(xs) - 0.25) / eps, 0.0, 50.0)
-            v = np.exp(-tail)
-            v /= v.sum() * h
-            return GridDensity(-0.5, h, v)
+            # 400 atoms read at 100 quantile nodes: no two nodes tie
+            return to_quantile(make_atomic(xs, np.exp(-tail)), 100)
 
         target = mollified(1e-9)
-        # the tail scale drops below the grid resolution, so the sequence
+        # the tail scale drops below the atom spacing, so the sequence
         # reaches the limit measure and eval must not jump upward
         seq = [mollified(e) for e in (0.2, 0.1, 0.05, 0.02, 1e-4, 1e-6)]
         vals = [E.eval(m) for m in seq]

@@ -27,7 +27,6 @@ from omegaflow.jko import (
 )
 from omegaflow.measures import (
     AtomicMeasure,
-    GridDensity,
     QuantileMeasure,
     lp_norm,
     make_atomic,
@@ -39,6 +38,7 @@ from omegaflow.verify import (
     dirac_state,
     entropy_energy,
     feasible_random_state,
+    granular_energy,
     ks_surrogate_energy,
     log_pinch_energy,
     quadratic_energy,
@@ -902,21 +902,17 @@ class TestRescaledIntermediate:
             assert np.array_equal(out.weights, ref.weights)
 
 
-class TestGridInput:
-    @pytest.mark.parametrize("grid", [
-        pytest.param(GridDensity(-0.5, 0.02, np.ones(50)), id="1d"),
-        pytest.param(GridDensity((0.0, 0.0), 0.5, np.ones((2, 2))), id="2d"),
+class TestUnsupportedInput:
+    @pytest.mark.parametrize("mu", [
+        pytest.param([0.0, 1.0], id="list"),
+        pytest.param(np.array([[0.0, 0.0], [1.0, 1.0]]), id="array"),
     ])
-    def test_proximal_step_rejects_grids(self, grid):
-        with pytest.raises(JkoError, match="to_quantile"):
-            proximal_step(quadratic_energy(), grid, 0.1)
-
-    def test_large_small_step_on_grid_raises(self):
-        # a resampled grid would move W2 by more than the check's 1e-5
-        with pytest.raises(JkoError, match="to_quantile"):
-            check_large_small_step(quadratic_energy(),
-                                   GridDensity(-0.5, 0.02, np.ones(50)), 0.1,
-                                   0.05, JkoConfig(tau=0.1, inner_tol=1e-10))
+    def test_proximal_step_and_checks_raise(self, mu):
+        # only quantile and atomic states are stepped
+        with pytest.raises(JkoError, match="unsupported measure type"):
+            proximal_step(quadratic_energy(), mu, 0.1)
+        with pytest.raises(JkoError, match="unsupported measure type"):
+            check_large_small_step(quadratic_energy(), mu, 0.1, 0.05)
 
 
 @st.composite
@@ -1019,7 +1015,77 @@ class TestHardCapStepProperty:
                 <= e_mu + 1e-12 * max(1.0, abs(e_mu))
 
 
-# weights this far apart (largest over smallest) still converge within the
+@st.composite
+def _uncapped_starts(draw):
+    """A 1D start of 2 to 24 nodes with random cell masses: random positions,
+    tied pairs of nodes, or a Dirac."""
+    n = draw(st.integers(2, 24))
+    kind = draw(st.sampled_from(["random", "tied", "dirac"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "dirac":
+        return dirac_state(float(rng.uniform(-1.0, 1.0)), n)
+    x = np.sort(rng.normal(size=n))
+    if kind == "tied":
+        x = np.repeat(x[:(n + 1) // 2], 2)[:n]
+    c = rng.uniform(0.5, 1.5, n)
+    c /= c.sum()
+    return QuantileMeasure(np.cumsum(c) - 0.5 * c, x, c)
+
+
+_UNCAPPED_ENERGIES = {
+    "quadratic": quadratic_energy(),
+    "granular": granular_energy(),
+    "log_pinch": log_pinch_energy(),
+    "entropy": entropy_energy(),
+    "power3": Energy(internal=("power", 3.0)),
+    "newtonian_repulsive": Energy(kernel=Kernel("newtonian", d=1, c=-1.0)),
+}
+
+
+class TestUncappedStepProperty:
+    """One 1D step without a cap satisfies the one-step bound
+    E(out) + W2^2 / (2 tau) <= E(mu) from every start of finite energy, up
+    to the rounding of the separately summed terms."""
+
+    @pytest.mark.parametrize("name", list(_UNCAPPED_ENERGIES))
+    # Converging draws take at most about 800 iterations (entropy from a
+    # Dirac); tied starts under the power term end flagged (item 6) after
+    # the whole budget, so it is 2000 here, not 20000.  The bound is
+    # checked on flagged states too: the solvers return their best iterate.
+    @settings(max_examples=25, deadline=None)
+    @given(mu=_uncapped_starts(), tau=st.sampled_from([1e-3, 0.05, 0.5]))
+    def test_descends(self, name, mu, tau):
+        energy = _UNCAPPED_ENERGIES[name]
+        out = proximal_step(energy, mu, tau, JkoConfig(
+            tau=tau, inner_tol=1e-9, inner_max_iter=2000))
+        e_mu = energy.eval(mu)
+        if math.isfinite(e_mu):
+            assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
+                <= e_mu + 1e-12 * max(1.0, abs(e_mu))
+
+    # ROADMAP item 6 (tied starts under power terms): U'' is 0 below
+    # GAP_FLOOR, so Newton overshoots to positions near 1e17 and the step
+    # ends flagged.  The minimal example test_descends[power3] found; any
+    # center fails alike.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a Dirac start "
+                       "under a power term ends flagged")
+    def test_dirac_start_under_power_term_converges(self):
+        _, info = proximal_step(_UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5),
+                                1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9),
+                                return_info=True)
+        assert not info["residual_flag"]
+
+    def test_lost_order_ends_the_solve(self):
+        # FISTA's projected point near 1e17 loses its order to rounding
+        # here; the solve ends at its best iterate, which satisfies the
+        # one-step bound, instead of raising MeasureError.
+        energy, mu = _UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5)
+        out = proximal_step(energy, mu, 1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9))
+        e_mu = energy.eval(mu)
+        assert energy.eval(out) + w2(mu, out) ** 2 / 2e-3 \
+            <= e_mu + 1e-12 * abs(e_mu)
+
+
 @st.composite
 def _degenerate_2d_starts(draw):
     """2 to 16 seeded 2D atoms: random, tied (repeated points), coincident

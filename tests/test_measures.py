@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from omegaflow.measures import (
     AtomicMeasure,
-    GridDensity,
     MeasureError,
     QuantileMeasure,
     gaps,
@@ -24,6 +23,7 @@ from omegaflow.measures import (
     to_quantile,
 )
 from omegaflow.transport import w2_1d
+from omegaflow.verify import uniform_state
 
 
 class TestMakeAtomic:
@@ -74,11 +74,6 @@ class TestQuantile:
         q = to_quantile(make_atomic([0.0], [1.0]), 16)
         assert np.all(q.positions == 0.0)
 
-    def test_uniform_two_nodes(self):
-        u = GridDensity(0.0, 0.001, np.ones(1000))
-        q = to_quantile(u, 2)
-        assert np.allclose(q.positions, [0.25, 0.75], atol=1e-12)
-
     def test_staircase_inversion(self):
         m = make_atomic([0.0, 1.0], [0.5, 0.5])
         q = to_quantile(m, 4)
@@ -94,12 +89,10 @@ class TestQuantile:
             to_quantile(make_atomic([0.0], [1.0]), 1)
 
     def test_round_trip_error_halves(self):
-        # smooth density bounded away from zero: error decays ~ 1/n
-        xs = np.linspace(0.0, 1.0, 2001)
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        dens = 1.0 + 0.5 * np.cos(2 * np.pi * mids)
-        dens /= dens.sum() * (xs[1] - xs[0])
-        src = GridDensity(0.0, xs[1] - xs[0], dens)
+        # 2000 atoms of a smooth density bounded away from zero: the error
+        # of n quantile nodes decays ~ 1/n
+        xs = (np.arange(2000) + 0.5) / 2000
+        src = make_atomic(xs, 1.0 + 0.5 * np.cos(2 * np.pi * xs))
         errs = []
         for n in (32, 64, 128):
             approx = to_quantile(src, n).to_atomic()
@@ -108,14 +101,16 @@ class TestQuantile:
         assert errs[1] / errs[2] >= 1.8
 
     def test_discretization_error_bound(self):
-        u = GridDensity(0.0, 0.01, np.ones(100))
+        u = make_atomic((np.arange(1000) + 0.5) / 1000, np.ones(1000))
         for n in (4, 16, 64):
             q = to_quantile(u, n)
             err = w2_1d(u, q.to_atomic(), return_plan=False)
             assert err <= 1.0 / n  # diameter / n_nodes
 
     def test_gaps_and_densities(self):
-        q = to_quantile(GridDensity(0.0, 0.01, np.ones(100)), 8)
+        # 1000 equal atoms at the cell midpoints of [0, 1], read at 8 nodes
+        fine = make_atomic((np.arange(1000) + 0.5) / 1000, np.ones(1000))
+        q = to_quantile(fine, 8)
         assert np.allclose(q.gaps(), 1.0 / 8)
         assert np.allclose(q.densities(), 1.0)
 
@@ -133,29 +128,32 @@ class TestSecondMoment:
         assert second_moment(make_atomic([-1.0, 1.0], [0.5, 0.5])) == 1.0
 
     def test_uniform_grid(self):
-        u = GridDensity(0.0, 0.001, np.ones(1000))
+        u = uniform_state(0.0, 1.0, 1000)
         assert abs(second_moment(u) - 1.0 / 3.0) <= 1e-4
 
     def test_2d_grid(self):
-        # uniform density on the unit square: second moment = 2/3
-        v = np.ones((50, 50)) / 1.0
-        g = GridDensity((0.0, 0.0), 0.02, v)
+        # equal atoms at the cell midpoints of the unit square: about 2/3
+        axis = (np.arange(50) + 0.5) / 50
+        gx, gy = np.meshgrid(axis, axis)
+        g = make_atomic(np.column_stack([gx.ravel(), gy.ravel()]), np.ones(2500))
         assert abs(second_moment(g) - 2.0 / 3.0) <= 1e-3
 
 
 class TestLpNorm:
     def test_uniform_density_one(self):
-        u = GridDensity(0.0, 0.01, np.ones(100))
+        # density 1 on an interval of length 1 - 1/n; p = 1 is the mass
+        u = uniform_state(0.0, 1.0, 100)
         for p in (1, 2, 7.5, math.inf):
-            assert abs(lp_norm(u, p) - 1.0) <= 1e-12
+            expect = 1.0 if p in (1, math.inf) else 0.99 ** (1.0 / p)
+            assert abs(lp_norm(u, p) - expect) <= 1e-12
 
     def test_tall_block(self):
-        g = GridDensity(0.0, 0.125, np.full(4, 2.0))
+        g = uniform_state(0.0, 0.5, 4)  # density 2 on [1/16, 7/16]
         assert lp_norm(g, math.inf) == 2.0
-        assert abs(lp_norm(g, 2) - math.sqrt(2.0)) <= 1e-12
+        assert abs(lp_norm(g, 2) - math.sqrt(1.5)) <= 1e-12
 
     def test_monotone_in_p_small_support(self):
-        g = GridDensity(0.0, 0.125, np.full(4, 2.0))  # support measure 1/2
+        g = uniform_state(0.0, 0.5, 4)  # support measure 3/8
         vals = [lp_norm(g, p) for p in (2, 8, 32, 128)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         assert abs(vals[-1] - lp_norm(g, math.inf)) <= 0.02
@@ -204,15 +202,21 @@ class TestSerialization:
         assert np.array_equal(back.weights, m.weights)
 
     def test_quantile_round_trip(self):
-        q = to_quantile(GridDensity(0.0, 0.01, np.ones(100)), 16)
+        q = uniform_state(0.0, 1.0, 16)
         back = measure_from_json(measure_to_json(q))
         assert np.array_equal(back.positions, q.positions)
 
-    def test_grid_round_trip_2d(self):
-        g = GridDensity((0.0, -1.0), 0.5, np.full((2, 2), 1.0))
-        back = measure_from_json(measure_to_json(g))
+    def test_atomic_round_trip_2d(self, rng):
+        m = make_atomic(rng.normal(size=(4, 2)), rng.uniform(0.1, 1, 4))
+        back = measure_from_json(measure_to_json(m))
         assert back.dim == 2
-        assert np.array_equal(back.values, g.values)
+        assert np.array_equal(back.points, m.points)
+        assert np.array_equal(back.weights, m.weights)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(MeasureError, match="unknown measure kind 'grid'"):
+            measure_from_json({"kind": "grid", "origin": 0.0, "spacing": 0.5,
+                               "values": [1.0, 1.0]})
 
     def test_plain_decimal_payload(self):
         payload = json.loads(measure_to_json(make_atomic([0.5], [1.0])))
@@ -225,10 +229,6 @@ class TestInvariants:
         m = make_atomic([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             m.points[0] = 5.0
-
-    def test_grid_mass_validation(self):
-        with pytest.raises(MeasureError):
-            GridDensity(0.0, 0.01, np.ones(50))  # mass 0.5
 
     def test_quantile_function_inverse_property(self, rng):
         m = make_atomic(rng.normal(size=10), rng.uniform(0.1, 1, 10))

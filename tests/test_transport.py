@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from omegaflow import transport
 from omegaflow.jko import JkoError, quantile_w2
-from omegaflow.measures import GridDensity, QuantileMeasure, make_atomic, to_quantile
+from omegaflow.measures import QuantileMeasure, make_atomic, to_quantile
 from omegaflow.transport import (
     GluedPlan,
     TransportError,
@@ -463,28 +463,6 @@ class TestExports:
         assert abs(sum(data["mass"]) - 1.0) <= 1e-12
 
 
-class TestGridInputs:
-    def test_w2_between_grids(self):
-        a = GridDensity(0.0, 0.01, np.ones(100))
-        b = GridDensity(1.0, 0.01, np.ones(100))  # translate by 1
-        d = w2_1d(a, b, return_plan=False)
-        assert abs(d - 1.0) <= 1e-3
-
-    def test_2d_grid_is_atomized(self, rng):
-        vals = rng.uniform(0.0, 1.0, size=(4, 5))
-        vals[1, 2] = vals[3, 0] = 0.0   # empty cells are dropped
-        g = GridDensity((-0.5, 0.25), 0.2, vals / (vals.sum() * 0.04))
-        nu = make_atomic(rng.normal(size=(7, 2)), rng.uniform(0.5, 1.5, 7))
-        ref, ref_plan = w2_exact(g.to_atomic(), nu)
-        d, plan = w2_exact(g, nu)
-        assert d == ref and np.array_equal(plan.matrix, ref_plan.matrix)
-        assert w2_exact(nu, g, return_plan=False) == \
-            w2_exact(nu, g.to_atomic(), return_plan=False)
-        assert w2(g, nu) == ref
-        with pytest.raises(TransportError, match="cap 17"):
-            w2_exact(g, nu, support_cap=17)
-
-
 class TestLargerSupports:
     def test_1d_agreement_at_64_atoms(self, rng):
         for _ in range(10):
@@ -540,8 +518,8 @@ class TestW2Dispatch:
         assert w2(qa, qb) == w2_1d(qa, qb, return_plan=False)
         with pytest.raises(JkoError, match="quantile grid"):
             quantile_w2(qa, qb)
-        ga = GridDensity(min(xs), 0.25, np.full(4, 1.0))
-        assert w2(ga, b) == w2_1d(ga, b, return_plan=False)
+        # a quantile state against atoms: the monotone coupling too
+        assert w2(qa, b) == w2_1d(qa, b, return_plan=False)
 
     @given(st.integers(1, 7).flatmap(lambda n: st.lists(
         st.tuples(_coord, _coord), min_size=n, max_size=n)),
