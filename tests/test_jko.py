@@ -902,15 +902,22 @@ class TestRescaledIntermediate:
             assert np.array_equal(out.weights, ref.weights)
 
 
+_UNSUPPORTED = [
+    pytest.param([0.0, 1.0], id="list"),
+    pytest.param(np.array([[0.0, 0.0], [1.0, 1.0]]), id="array"),
+]
+
+
 class TestUnsupportedInput:
-    @pytest.mark.parametrize("mu", [
-        pytest.param([0.0, 1.0], id="list"),
-        pytest.param(np.array([[0.0, 0.0], [1.0, 1.0]]), id="array"),
-    ])
-    def test_proximal_step_and_checks_raise(self, mu):
-        # only quantile and atomic states are stepped
+    """Only quantile and atomic states are stepped or checked."""
+
+    @pytest.mark.parametrize("mu", _UNSUPPORTED)
+    def test_proximal_step_raises(self, mu):
         with pytest.raises(JkoError, match="unsupported measure type"):
             proximal_step(quadratic_energy(), mu, 0.1)
+
+    @pytest.mark.parametrize("mu", _UNSUPPORTED)
+    def test_check_large_small_step_raises(self, mu):
         with pytest.raises(JkoError, match="unsupported measure type"):
             check_large_small_step(quadratic_energy(), mu, 0.1, 0.05)
 
