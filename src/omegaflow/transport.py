@@ -2,9 +2,12 @@
 
 Provides the 1D monotone (CDF-matching) coupling, an exact LP solver
 (transportation network simplex with deterministic pivoting; a solve
-starts from a greedy minimum-cost basis, and each pivot updates the basis
-tree incrementally, re-walking only the subtree it re-hangs),
-Wasserstein geodesics, plan gluing over a common base measure,
+starts from Vogel's approximation basis, whose ties go to rows before
+columns and then to the lowest index; it prices by candidate lists, one
+full pricing keeping the most negative arcs for the pivots that follow;
+and each pivot updates the basis tree incrementally, re-walking only the
+subtree it re-hangs), Wasserstein geodesics, plan gluing over a common
+base measure (one vectorized join of the plans' columns),
 generalized geodesics, and the plan-level pseudo-metric measured through the
 glued structure.
 
@@ -13,6 +16,7 @@ Cost convention throughout: squared Euclidean distance  c(x, y) = |x - y|^2.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -43,6 +47,7 @@ MARGINAL_TOL = 1e-10
 DEFAULT_SUPPORT_CAP = 512
 _RC_TOL = 1e-11  # reduced-cost optimality threshold
 _BLAND_AFTER_PER_NODE = 60  # pivots per node before Bland's rule takes over
+_CANDIDATES = 16  # arcs a full pricing keeps for the pivots that follow
 
 
 class TransportError(ValueError):
@@ -185,37 +190,85 @@ def _northwest_corner(a, b):
             i += 1
 
 
-def _greedy_basis(a, b, C):
-    """Greedy minimum-cost start of the network simplex.
+def _vogel_basis(a, b, C):
+    """Vogel's approximation start of the network simplex.
 
-    Visits the cells of ``C`` in stable ascending cost order, skipping those
-    whose row or column is closed.  Each other cell moves t = min(remaining
-    row, remaining column) and closes its row when the row runs out first
-    (ties included) and another row is open, or when rounding leaves the
-    last open column short of the row; otherwise its column.  The last row
-    and column close together.  Returns the m + n - 1 cells ``(i, j, t)``
-    in placement order, zero-mass ones included; they span a basis tree."""
+    Each placement goes to the open line (row or column) of largest regret:
+    the cost of its second-cheapest open cell minus that of its cheapest; a
+    line with one open cell has regret +inf.  Ties go to rows before
+    columns, then to the lowest index.  The placement is at the line's
+    cheapest open cell (the lowest index among equal costs) and moves
+    t = min(remaining row, remaining column).  It closes its row when the
+    row runs out first (ties included) and another row is open, or when
+    rounding leaves the last open column short of the row; otherwise its
+    column.  The last row and column close together.  Returns the
+    m + n - 1 cells ``(i, j, t)`` in placement order, zero-mass ones
+    included; they span a basis tree.
+
+    Lines are numbered as the simplex's nodes (row i is node i, column j
+    node m + j), so the heap key (-regret, node) orders ties.  Each line is
+    sorted once; its regret is recomputed only when its cheapest or
+    second-cheapest cell closes, and superseded heap entries are skipped.
+    """
     m, n = C.shape
-    ra, rb = a.tolist(), b.tolist()
-    row_open, col_open = [True] * m, [True] * n
+    rest = a.tolist() + b.tolist()   # supply left at each node
+    cost = C.tolist()
+    # each line's cross nodes, cheapest first
+    order = ((np.argsort(C, axis=1, kind="stable") + m).tolist()
+             + np.argsort(C.T, axis=1, kind="stable").tolist())
+    is_open = [True] * (m + n)
+    pos = [[0, 0] for _ in range(m + n)]   # cheapest, second-cheapest open
+    watchers = [[] for _ in range(m + n)]  # lines whose pos points here
+    version = [0] * (m + n)
+    heap = []
+
+    def refresh(k):
+        line, (p, q) = order[k], pos[k]
+        while not is_open[line[p]]:
+            p += 1
+        q0, q = q, max(q, p + 1)
+        while q < len(line) and not is_open[line[q]]:
+            q += 1
+        pos[k] = [p, q]
+        version[k] += 1
+        if q < len(line):
+            if q != q0:
+                watchers[line[q]].append(k)
+            cp, cq = line[p], line[q]
+            regret = (cost[k][cq - m] - cost[k][cp - m] if k < m
+                      else cost[cq][k - m] - cost[cp][k - m])
+        else:
+            regret = math.inf
+        heapq.heappush(heap, (-regret, k, version[k]))
+
+    for k in range(m + n):
+        watchers[order[k][0]].append(k)
+        refresh(k)
     rows, cols = m, n
     cells = []
-    rows_of, cols_of = np.divmod(np.argsort(C, axis=None, kind="stable"), n)
-    for i, j in zip(rows_of.tolist(), cols_of.tolist()):
-        if not (row_open[i] and col_open[j]):
+    while True:
+        _, k, ver = heap[0]
+        if ver != version[k] or not is_open[k]:
+            heapq.heappop(heap)
             continue
-        t = min(ra[i], rb[j])
-        cells.append((i, j, t))
-        ra[i] -= t
-        rb[j] -= t
+        c = order[k][pos[k][0]]
+        i, j = (k, c) if k < m else (c, k)
+        t = min(rest[i], rest[j])
+        cells.append((i, j - m, t))
+        rest[i] -= t
+        rest[j] -= t
         if rows == 1 and cols == 1:
             return cells
-        if (ra[i] <= rb[j] and rows > 1) or cols == 1:
-            row_open[i] = False
+        if (rest[i] <= rest[j] and rows > 1) or cols == 1:
+            closed = i
             rows -= 1
         else:
-            col_open[j] = False
+            closed = j
             cols -= 1
+        is_open[closed] = False
+        for w in watchers[closed]:
+            if is_open[w]:
+                refresh(w)
 
 
 def _tree_walk(adj, cost, m):
@@ -284,16 +337,29 @@ def _cycle_nodes(parent, depth, start, goal):
     return up + down[-2::-1]
 
 
+def _full_pricing(C, u, v, R):
+    """Reduced costs ``(C - u) - v`` of every arc, written into ``R``;
+    returns the flat (row-major) indices of those below -_RC_TOL."""
+    np.subtract(C, u[:, None], out=R)
+    np.subtract(R, v, out=R)
+    return np.flatnonzero(R < -_RC_TOL)
+
+
 def _network_simplex(a, b, C):
     """Optimal flow for the dense transportation problem.
 
-    The search starts from the greedy minimum-cost basis of
-    :func:`_greedy_basis`.
+    The search starts from Vogel's basis (:func:`_vogel_basis`).
 
-    Entering arc: most negative reduced cost, lexicographic (row-major)
-    tie-breaking; after a pivot budget, Bland's rule (first negative arc
-    in row-major order) guarantees termination under degeneracy.  The
-    leaving arc is the first minimum-flow backward arc along the cycle.
+    Entering arc, by candidate-list pricing: a full pricing of all arcs
+    keeps the ``_CANDIDATES`` most negative reduced costs, ordered by
+    value with ties broken row-major, and enters the first.  The pivots
+    that follow re-price only those arcs and enter the most negative
+    (ties to the earlier in the list); a new full pricing runs when none
+    is still negative, and only a full pricing declares optimality.
+    After a pivot budget, Bland's rule (first negative arc in row-major
+    order, from a full pricing on every pivot) guarantees termination
+    under degeneracy.  The leaving arc is the first minimum-flow backward
+    arc along the cycle.
 
     The basis tree is walked in full once; each pivot then re-hangs only
     the subtree cut off by the leaving arc.  At optimality a second full
@@ -302,30 +368,38 @@ def _network_simplex(a, b, C):
     m, n = C.shape
     flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
     adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
-    for i, j, t in _greedy_basis(a, b, C):
+    for i, j, t in _vogel_basis(a, b, C):
         flow[i][j] = t
         adj[i].append(m + j)
         adj[m + j].append(i)
     cost = C.tolist()   # the tree walks index Python floats far faster
     u, v, parent, depth = _tree_walk(adj, cost, m)
+    R = np.empty_like(C)
     bland_after = _BLAND_AFTER_PER_NODE * (m + n)
     max_pivots = 400 * (m + n) + 10000
     pivots = 0
+    candidates = []
     while True:
-        R = C - np.array(u)[:, None] - np.array(v)[None, :]
+        ei = -1
         if pivots < bland_after:
-            idx = int(np.argmin(R))
-            if R.flat[idx] >= -_RC_TOL:
-                break
-        else:
-            neg = np.flatnonzero(R.ravel() < -_RC_TOL)
+            # re-price the candidates in Python floats: the same bits as
+            # the full pricing's (C - u) - v
+            best = -_RC_TOL
+            for i, j in candidates:
+                r = cost[i][j] - u[i] - v[j]
+                if r < best:
+                    best, ei, ej = r, i, j
+        if ei < 0:
+            neg = _full_pricing(C, np.array(u), np.array(v), R)
             if len(neg) == 0:
                 break
-            idx = int(neg[0])
+            if pivots < bland_after:
+                neg = neg[np.argsort(R.flat[neg], kind="stable")[:_CANDIDATES]]
+                candidates = [divmod(k, n) for k in neg.tolist()]
+            ei, ej = divmod(int(neg[0]), n)
         pivots += 1
         if pivots > max_pivots:
             raise RuntimeError("network simplex pivot budget exceeded")
-        ei, ej = divmod(idx, n)
         path = _cycle_nodes(parent, depth, ei, m + ej)
         # cycle = entering arc (+) then alternating -,+,... along the path
         arcs = [(s, t - m) if s < m else (t, s - m)
@@ -371,7 +445,8 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
             f"support size exceeds cap {support_cap} (got {len(mu)}x{len(nu)})")
     C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
     plan = TransportPlan(mu, nu, _network_simplex(mu.weights, nu.weights, C))
-    dist = _plan_distance(plan)
+    # the plan's cost from the C just solved (plan.cost() would rebuild it)
+    dist = math.sqrt(max(float(np.sum(plan.matrix * C)), 0.0))
     return (dist, plan) if return_plan else dist
 
 
@@ -517,33 +592,26 @@ def glue(plan0: TransportPlan, plan1: TransportPlan) -> GluedPlan:
     identical = (plan0.matrix.shape == plan1.matrix.shape
                  and np.array_equal(plan0.matrix, plan1.matrix)
                  and np.array_equal(x_pts, y_pts))
-    xs, ys, zs, mass = [], [], [], []
     if identical:
         # identical plans glue diagonally: (x, x, z) triples
-        for i, k in zip(*np.nonzero(plan0.matrix)):
-            xs.append(x_pts[i])
-            ys.append(x_pts[i])
-            zs.append(z_pts[k])
-            mass.append(plan0.matrix[i, k])
-        return GluedPlan(np.array(xs), np.array(ys), np.array(zs), np.array(mass))
-    for k in range(len(base0)):
-        nu_k = base0.weights[k]
-        if nu_k <= 0:
-            continue
-        col0 = plan0.matrix[:, k]
-        col1 = plan1.matrix[:, k]
-        ii = np.nonzero(col0)[0]
-        jj = np.nonzero(col1)[0]
-        for i in ii:
-            for j in jj:
-                m = col0[i] * col1[j] / nu_k
-                if m <= 0:
-                    continue
-                xs.append(x_pts[i])
-                ys.append(y_pts[j])
-                zs.append(z_pts[k])
-                mass.append(m)
-    return GluedPlan(np.array(xs), np.array(ys), np.array(zs), np.array(mass))
+        i, k = np.nonzero(plan0.matrix)
+        return GluedPlan(x_pts[i], x_pts[i], z_pts[k], plan0.matrix[i, k])
+    # each base atom k joins the nonzero entries (k, i) of plan0's column k
+    # with the entries (k, j) of plan1's: triples in order k, then i, then j
+    k0, i0 = np.nonzero(plan0.matrix.T)
+    k1, j1 = np.nonzero(plan1.matrix.T)
+    nu = base0.weights
+    per_k = np.bincount(k1, minlength=len(nu))
+    reps = np.where(nu[k0] > 0, per_k[k0], 0)  # a massless base atom glues nothing
+    e0 = np.repeat(np.arange(len(k0)), reps)   # each triple's entry of plan0
+    k, i = k0[e0], i0[e0]
+    # its entry of plan1: the start of base atom k's run in k1, plus the
+    # triple's offset within the run of triples of its plan0 entry
+    run = np.arange(len(e0)) - np.repeat(np.cumsum(reps) - reps, reps)
+    j = j1[np.cumsum(per_k)[k] - per_k[k] + run]
+    mass = plan0.matrix[i, k] * plan1.matrix[j, k] / nu[k]
+    keep = mass > 0
+    return GluedPlan(x_pts[i[keep]], y_pts[j[keep]], z_pts[k[keep]], mass[keep])
 
 
 def generalized_geodesic(glued: GluedPlan, alpha: float) -> AtomicMeasure:
