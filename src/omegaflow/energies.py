@@ -241,18 +241,21 @@ def _granular(b: float = 2.0, beta: float = 1.0):
 
 
 def _log_pinch(strength: float = 1.0):
-    """1D potential whose gradient is log-Lipschitz but not Lipschitz.
+    """Radial potential V(x) = v(|x|) whose gradient is log-Lipschitz but
+    not Lipschitz.
 
-    V'(x) = -(strength/2) * omega(x^2)/x with omega(u) = u|log u| on the
-    lower branch, so two symmetric Diracs at +-a satisfy d(a^2)/dt =
-    strength * omega(a^2): the flow expands at exactly the Osgood rate.
-    Closed form below the branch junction: V(x) = -(s/4) x^2 (1 - 2 log|x|).
+    v'(r) = -(strength/2) * omega(r^2)/r with omega(u) = u|log u| on the
+    lower branch, so two symmetric Diracs at +-a satisfy d(|a|^2)/dt =
+    strength * omega(|a|^2): the flow expands at exactly the Osgood rate.
+    Closed form below the branch junction: v(r) = -(s/4) r^2 (1 - 2 log r).
+    In 2D, grad V(x) = v'(|x|) x / |x|, and 0 at x = 0.
     """
     s = float(strength)
     j = math.sqrt(JUNCTION)
 
     def val(x):
-        x = np.abs(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        x = np.sqrt(_radius_sq(x)) if x.ndim == 2 else np.abs(x)
         xc = np.minimum(x, j)
         lg = _log_positive(xc)
         core = -(s / 4.0) * xc**2 * (1.0 - 2.0 * lg)
@@ -262,13 +265,19 @@ def _log_pinch(strength: float = 1.0):
                        core + slope_j * (x - xc))
         return out if out.ndim else float(out)
 
+    def dv(r):
+        # v'(r) for r >= 0
+        rc = np.minimum(r, j)
+        lg = _log_positive(rc)
+        return np.where(r <= j, -s * rc * (-lg), -s * j * (-math.log(j)))
+
     def grd(x):
         x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        xc = np.minimum(ax, j)
-        lg = _log_positive(xc)
-        mag = np.where(ax <= j, -s * xc * (-lg), -s * j * (-math.log(j)))
-        out = np.sign(x) * mag
+        if x.ndim == 2:
+            r = np.sqrt(_radius_sq(x))
+            scale = np.where(r > 0, dv(r) / np.where(r > 0, r, 1.0), 0.0)
+            return scale[:, None] * x
+        out = np.sign(x) * dv(np.abs(x))
         return out if out.ndim else float(out)
 
     return Potential(f"log_pinch({s})", val, grd)
@@ -447,7 +456,7 @@ class Energy:
             np.fill_diagonal(contrib, 0.0)
             g += c * contrib.sum(axis=1)
         if self.internal is not None:
-            g += self._internal_gap_grad(q)
+            g += gaps_adjoint(self._du_dgap(q))
         return g
 
     def has_quantile_hess(self) -> bool:
@@ -499,9 +508,6 @@ class Energy:
             return -rho
         return -(rho ** self.internal[1])
 
-    def _internal_gap_grad(self, q: QuantileMeasure) -> np.ndarray:
-        return gaps_adjoint(self._du_dgap(q))
-
 
 # ---------------------------------------------------------------------------
 # fields, derivatives, certificates
@@ -518,21 +524,17 @@ def _finite_field(kernel: Kernel, at, pts, w) -> np.ndarray:
     return out
 
 
-def kernel_gradient(kernel: Kernel, mu, x, exclude_diagonal: bool = True):
+def kernel_gradient(kernel: Kernel, mu, x):
     """Convolution gradient (grad W * mu)(x) at one or many points.
 
-    Singular kernels skip atoms coinciding with the evaluation point when
-    ``exclude_diagonal`` is set; otherwise such a hit raises.
+    Atoms coinciding with the evaluation point contribute nothing (the
+    diagonal is excluded).
     """
     pts, w = _atoms(mu)
     d = pts.shape[1]
     xq = np.atleast_2d(np.asarray(x, dtype=float))
     if xq.shape[1] != d:
         xq = xq.reshape(-1, d)
-    if kernel.singular and not exclude_diagonal:
-        if np.any((pair_differences(xq, pts)[1] == 0.0) & (w > 0)):
-            raise EnergyError(
-                "field of a singular kernel evaluated exactly at an atom")
     out = _finite_field(kernel, xq, pts, w)
     if np.ndim(x) == 0 or (np.ndim(x) == 1 and len(np.atleast_1d(x)) == d and d > 1):
         return out[0] if d > 1 else float(out[0, 0])

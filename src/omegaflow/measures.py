@@ -46,7 +46,6 @@ __all__ = [
     "quantile_function",
     "second_moment",
     "lp_norm",
-    "push_forward",
     "measure_to_json",
     "measure_from_json",
 ]
@@ -163,9 +162,6 @@ class AtomicMeasure:
     def points_2d(self) -> np.ndarray:
         """Points as an (n, d) array regardless of dimension."""
         return self.points[:, None] if self.dim == 1 else self.points
-
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -316,20 +312,6 @@ def lp_norm(measure, p) -> float:
             return float(dens.max())
         return float(np.sum(measure.gaps() * dens ** float(p)) ** (1.0 / float(p)))
     raise MeasureError(f"unsupported measure type {type(measure)!r}")
-
-
-def push_forward(measure: AtomicMeasure, mapping) -> AtomicMeasure:
-    """Image measure under a pointwise map; weights are carried over."""
-    if not isinstance(measure, AtomicMeasure):
-        raise MeasureError("push_forward is defined for atomic measures")
-    pts = measure.points_2d()
-    img = np.asarray([np.asarray(mapping(x), dtype=float) for x in
-                      (pts[:, 0] if measure.dim == 1 else pts)], dtype=float)
-    if not np.all(np.isfinite(img)):
-        raise MeasureError("map produced NaN or infinite image points")
-    if measure.dim == 1:
-        img = img.reshape(len(measure))
-    return make_atomic(img, measure.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ __all__ = [
     "sqrt_psi",
     "modulus_from_phi",
     "modulus_from_json",
-    "modulus_to_json",
     "adaptive_simpson",
 ]
 
@@ -623,10 +622,3 @@ def modulus_from_json(data) -> Modulus:
     if kind == "polynomial":
         return polynomial(float(data.get("p", 1.0)), lam)
     return Modulus(kind, lam)
-
-
-def modulus_to_json(mod: Modulus) -> dict:
-    out = {"kind": mod.kind, "lambda": mod.lam}
-    if mod.kind == "polynomial":
-        out["p"] = mod.p
-    return out

@@ -17,7 +17,6 @@ Cost convention throughout: squared Euclidean distance  c(x, y) = |x - y|^2.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 MARGINAL_TOL = 1e-10
-DEFAULT_SUPPORT_CAP = 512
+SUPPORT_CAP = 512  # largest support w2_exact accepts on either side
 _RC_TOL = 1e-11  # reduced-cost optimality threshold
 _BLAND_AFTER_PER_NODE = 60  # pivots per node before Bland's rule takes over
 _CANDIDATES = 16  # arcs a full pricing keeps for the pivots that follow
@@ -110,25 +109,6 @@ class TransportPlan:
         i, j = np.nonzero(self.matrix)
         return (self.source.points_2d()[i], self.target.points_2d()[j],
                 self.matrix[i, j])
-
-    def to_csv(self, path) -> None:
-        xs, ys, ms = self.pairs()
-        d = xs.shape[1]
-        cols = [f"x{k}" for k in range(d)] + [f"y{k}" for k in range(d)] + ["mass"]
-        lines = ["# cost convention: squared Euclidean distance |x-y|^2",
-                 ",".join(cols)]
-        for a, b, m in zip(xs, ys, ms):
-            vals = [format(v, ".17g") for v in (*a, *b, m)]
-            lines.append(",".join(vals))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def to_json(self) -> str:
-        xs, ys, ms = self.pairs()
-        return json.dumps({
-            "cost": "squared Euclidean distance |x-y|^2",
-            "x": xs.tolist(), "y": ys.tolist(), "mass": ms.tolist(),
-        })
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +411,18 @@ def _network_simplex(a, b, C):
     return np.array(flow)
 
 
-def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True,
-             support_cap: int = DEFAULT_SUPPORT_CAP):
+def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True):
     """Exact W2 between atomic measures by linear programming.
 
-    Quantile states are atomized at their nodes first.
+    Quantile states are atomized at their nodes first.  A support of more
+    than ``SUPPORT_CAP`` atoms on either side raises before any solve.
     """
     mu, nu = _as_atomic(mu), _as_atomic(nu)
     if mu.dim != nu.dim:
         raise TransportError("dimension mismatch between measures")
-    if len(mu) > support_cap or len(nu) > support_cap:
+    if len(mu) > SUPPORT_CAP or len(nu) > SUPPORT_CAP:
         raise TransportError(
-            f"support size exceeds cap {support_cap} (got {len(mu)}x{len(nu)})")
+            f"support size exceeds cap {SUPPORT_CAP} (got {len(mu)}x{len(nu)})")
     C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
     plan = TransportPlan(mu, nu, _network_simplex(mu.weights, nu.weights, C))
     # the plan's cost from the C just solved (plan.cost() would rebuild it)
@@ -561,15 +541,6 @@ class GluedPlan:
         """W^2_{2,nu}(mu_alpha, base), through this same glued structure."""
         d = (1.0 - alpha) * self.xs + alpha * self.ys - self.zs
         return float(np.sum(self.mass * np.sum(d * d, axis=1)))
-
-    def pair_marginal(self, which: int) -> dict:
-        """Aggregated (point, base) marginal ``which`` in {0, 1} as a dict."""
-        pts = self.xs if which == 0 else self.ys
-        agg: dict = {}
-        for p, z, m in zip(pts, self.zs, self.mass):
-            key = (tuple(p), tuple(z))
-            agg[key] = agg.get(key, 0.0) + m
-        return agg
 
 
 def glue(plan0: TransportPlan, plan1: TransportPlan) -> GluedPlan:

@@ -95,6 +95,23 @@ class TestRun:
         assert (tmp_path / "t.csv").read_text().splitlines()[-1].endswith(",True")
         assert json.loads((tmp_path / "m.json").read_text())["flagged_steps"] == 1
 
+    def test_2d_log_pinch_flow_job(self, tmp_path):
+        # a radial potential: three 2D atoms step and spread outward
+        mu = make_atomic(np.array([[0.01, 0.0], [-0.005, 0.008], [0.0, -0.012]]),
+                         np.array([0.3, 0.3, 0.4]))
+        cfg = {"job": "flow",
+               "energy": {"potential": {"name": "log_pinch", "strength": 1.0}},
+               "initial": json.loads(measure_to_json(mu)),
+               "jko": {"tau": 0.01, "steps": 5},
+               "output": {"trajectory": str(tmp_path / "t.csv"),
+                          "manifest": str(tmp_path / "m.json")}}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 0
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(rows) == 1 + 6
+        assert all(row.endswith(",False") for row in rows[1:])
+        energies = [float(row.split(",")[2]) for row in rows[1:]]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
     def test_flow_job_loads_no_scipy(self, tmp_path):
         # the manifest's library versions come without importing SciPy
         # (about 27 MB for scipy.linalg alone)

@@ -27,7 +27,7 @@ from omegaflow.measures import (
     pair_differences,
     to_quantile,
 )
-from omegaflow.moduli import lipschitz, psi, sqrt_psi
+from omegaflow.moduli import JUNCTION, _log_positive, lipschitz, psi, sqrt_psi
 from omegaflow.transport import TransportPlan, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
@@ -297,6 +297,101 @@ class TestQuantileHessian:
         np.testing.assert_allclose(E.quantile_grad(free), pair, rtol=0, atol=1e-15)
 
 
+def _reference_log_pinch_1d(s):
+    """(value, gradient) of ``log_pinch`` on 1D points as first written,
+    with abs and sign taken per coordinate."""
+    j = math.sqrt(JUNCTION)
+
+    def val(x):
+        x = np.abs(np.asarray(x, dtype=float))
+        xc = np.minimum(x, j)
+        lg = _log_positive(xc)
+        core = -(s / 4.0) * xc**2 * (1.0 - 2.0 * lg)
+        slope_j = -(s / 2.0) * j * (-2.0 * math.log(j))
+        out = np.where(x <= j, core, core + slope_j * (x - xc))
+        return out if out.ndim else float(out)
+
+    def grd(x):
+        x = np.asarray(x, dtype=float)
+        ax = np.abs(x)
+        xc = np.minimum(ax, j)
+        lg = _log_positive(xc)
+        mag = np.where(ax <= j, -s * xc * (-lg), -s * j * (-math.log(j)))
+        out = np.sign(x) * mag
+        return out if out.ndim else float(out)
+
+    return val, grd
+
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)],
+                     [math.sin(theta), math.cos(theta)]])
+
+
+class TestLogPinch:
+    """``log_pinch`` is radial, V(x) = v(|x|): unchanged on 1D points, and
+    one value per atom on (n, 2) arrays."""
+
+    @pytest.mark.parametrize("strength", [1.0, 0.5, 3.0])
+    def test_1d_bitwise_unchanged(self, strength):
+        pot = POTENTIALS["log_pinch"]({"strength": strength})
+        val, grd = _reference_log_pinch_1d(strength)
+        rng = np.random.default_rng(24)
+        j = math.sqrt(JUNCTION)
+        inputs = [rng.normal(scale=0.2, size=50), rng.normal(scale=2.0, size=50),
+                  np.array([0.1, 0.1, -0.1, -0.1, 0.0, 0.0]),   # ties, zeros
+                  np.array([1e-8, -1e-8, 0.0, j, -j, 1e-300]),
+                  np.zeros(3)]
+        for x in inputs:
+            assert np.array_equal(pot.value(x), val(x))
+            assert np.array_equal(pot.grad(x), grd(x))
+        for x in (0.0, 1e-8, -1e-8, 0.25, -0.25, j, 2.0):
+            assert type(pot.value(x)) is float and pot.value(x) == val(x)
+            assert type(pot.grad(x)) is float and pot.grad(x) == grd(x)
+        assert pot.hess is None
+
+    def test_2d_value_is_radial(self):
+        pot = POTENTIALS["log_pinch"]({"strength": 2.0})
+        rng = np.random.default_rng(7)
+        pts = rng.normal(scale=0.3, size=(40, 2))
+        v = pot.value(pts)
+        assert v.shape == (40,)
+        for theta in (0.3, 1.0, math.pi / 2, 2.5):
+            np.testing.assert_allclose(pot.value(pts @ _rotation(theta).T), v,
+                                       rtol=1e-13, atol=0.0)
+        # on an axis, the 1D value at the radius
+        r = np.abs(pts[:, 0])
+        np.testing.assert_allclose(
+            pot.value(np.column_stack([r, np.zeros(40)])), pot.value(r),
+            rtol=1e-15, atol=0.0)
+        assert pot.value(np.zeros((1, 2))).tolist() == [0.0]
+
+    def test_2d_grad_matches_central_differences(self):
+        pot = POTENTIALS["log_pinch"]({"strength": 1.5})
+        rng = np.random.default_rng(11)
+        # inside and outside the junction radius sqrt(JUNCTION) ~ 0.30
+        pts = np.concatenate([rng.normal(scale=0.1, size=(30, 2)),
+                              rng.normal(scale=1.0, size=(30, 2))])
+        g = pot.grad(pts)
+        assert g.shape == pts.shape
+        h = 1e-7
+        for c in range(2):
+            e = np.zeros(2)
+            e[c] = h
+            fd = (pot.value(pts + e) - pot.value(pts - e)) / (2.0 * h)
+            np.testing.assert_allclose(g[:, c], fd, rtol=1e-6, atol=1e-9)
+        assert pot.grad(np.zeros((2, 2))).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_2d_energy_is_weighted_sum_of_radial_values(self):
+        # two atoms used to broadcast their weights across the coordinates
+        energy = Energy(potential=POTENTIALS["log_pinch"]({}))
+        pts = np.array([[0.1, 0.05], [-0.02, 0.2]])
+        mu = make_atomic(pts, [0.25, 0.75])
+        r = np.sqrt(np.sum(mu.points * mu.points, axis=1))
+        expect = float(mu.weights @ POTENTIALS["log_pinch"]({}).value(r))
+        assert energy.eval(mu) == pytest.approx(expect, rel=1e-14)
+
+
 class TestKernelGradient:
     def test_symmetric_measure_zero_field_at_center(self):
         k = Kernel("newtonian", d=1)
@@ -328,12 +423,15 @@ class TestKernelGradient:
         expect = x / (2.0 * math.pi * float(np.sum(x * x)))
         assert np.max(np.abs(field - expect)) <= 1e-3
 
-    def test_singular_hit_without_exclusion(self):
+    def test_singular_hit_is_excluded(self):
+        # the atom at the query point is skipped: only the one at 1 pulls
         k = Kernel("log", c=1.0)
         mu = make_atomic([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(EnergyError):
-            kernel_gradient(k, mu, 0.0, exclude_diagonal=False)
-        kernel_gradient(k, mu, 0.0)  # exclusion: finite
+        assert kernel_gradient(k, mu, 0.0) == -0.5
+        # a query at a two-atom Dirac sees no atom at all
+        dirac = make_atomic([0.5, 0.5], [0.5, 0.5])
+        for kernel in _FIELD_KERNELS:
+            assert kernel_gradient(kernel, dirac, 0.5) == 0.0
 
 
 def per_point_field(kernel, pts, w, xq):
@@ -390,17 +488,10 @@ class TestKernelFieldMerge:
             assert np.array_equal(kernel_gradient(kernel, q, xq[:, 0]),
                                   out[:, 0])
 
-    @pytest.mark.parametrize("kernel", _FIELD_KERNELS[:4])
-    def test_singular_hit_raises_on_two_atom_dirac(self, kernel):
-        mu = make_atomic([0.5, 0.5], [0.5, 0.5])
-        with pytest.raises(EnergyError):
-            kernel_gradient(kernel, mu, [1.0, 0.5], exclude_diagonal=False)
-        assert kernel_gradient(kernel, mu, 0.5) == 0.0
-
     def test_smooth_kernel_never_raises(self):
         mu = make_atomic([0.5, 0.5], [0.5, 0.5])
         k = _FIELD_KERNELS[4]
-        assert kernel_gradient(k, mu, 0.5, exclude_diagonal=False) == 0.0
+        assert kernel_gradient(k, mu, 0.5) == 0.0
 
     def test_output_shapes(self):
         k = Kernel("log")

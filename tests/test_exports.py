@@ -1,7 +1,10 @@
 """Every name a module of the package exports through ``__all__`` exists,
-so ``from omegaflow.<module> import *`` never fails on a stale entry."""
+so ``from omegaflow.<module> import *`` never fails on a stale entry, and no
+module imports a name it neither uses nor exports."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -22,3 +25,45 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"omegaflow.{name}.__all__ names {missing}"
+
+
+# imports kept on purpose although the module never reads them:
+# ``__init__`` loads its submodules, and perfbench's tracer test patches
+# ``jko.w2_exact``
+_UNUSED_IMPORTS_ALLOWED = {
+    "__init__": {"measures", "moduli", "transport"},
+    "jko": {"w2_exact"},
+}
+
+
+def unused_imports(source: str) -> list:
+    """Names a module's source imports (at top level or inside a function)
+    but neither reads anywhere nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    exported: set = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_unused_import_guard_detects_a_stale_import():
+    src = ("import json\nimport math\nfrom .a import b, c\n__all__ = ['c']\n"
+           "def f():\n    from .d import e, g\n    return math.pi + g\n")
+    assert unused_imports(src) == ["json", "b", "e"]
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_unused_imports(name):
+    path = pathlib.Path(omegaflow.__file__).with_name(f"{name}.py")
+    stale = [n for n in unused_imports(path.read_text())
+             if n not in _UNUSED_IMPORTS_ALLOWED.get(name, set())]
+    assert not stale, f"omegaflow/{name}.py imports {stale} and never uses them"

@@ -1133,6 +1133,27 @@ class TestDegenerate2dStepProperty:
         assert not info["residual_flag"]
 
 
+class TestLogPinch2dStep:
+    """``log_pinch`` is radial, so a 2D step under it is an (n, 2) solve
+    like any other, and it satisfies the one-step bound."""
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.01, 0.1])
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_descends(self, n, tau):
+        energy = log_pinch_energy(1.0)
+        rng = np.random.default_rng(100 * n + int(1e3 * tau))
+        mu = make_atomic(rng.normal(scale=0.05, size=(n, 2)), rng.uniform(0.5, 1.5, n))
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau),
+                                  return_info=True)
+        assert isinstance(out, AtomicMeasure) and out.points.shape == (n, 2)
+        e_mu = energy.eval(mu)
+        assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
+            <= e_mu + 1e-12 * max(1.0, abs(e_mu))
+        assert not info["residual_flag"]
+        # the potential pushes every atom away from the origin
+        assert np.all(np.sum(out.points ** 2, axis=1) > np.sum(mu.points ** 2, axis=1))
+
+
 _QUADRATIC = POTENTIALS["quadratic"]({})
 _CAPPED_NEWTONIAN = Energy(kernel=Kernel("newtonian", d=1, c=2.0),
                            constraint=(4.0, 1.2))

@@ -17,7 +17,6 @@ from omegaflow.measures import (
     make_atomic,
     measure_from_json,
     measure_to_json,
-    push_forward,
     quantile_function,
     second_moment,
     to_quantile,
@@ -60,7 +59,7 @@ class TestMakeAtomic:
         for _ in range(20):
             n = int(rng.integers(1, 40))
             m = make_atomic(rng.normal(size=n), rng.uniform(0, 1, n) + 1e-3)
-            assert abs(m.total_mass() - 1.0) <= 1e-10
+            assert abs(m.weights.sum() - 1.0) <= 1e-10
 
     def test_2d_support(self, rng):
         pts = rng.normal(size=(5, 2))
@@ -170,28 +169,6 @@ class TestLpNorm:
             warnings.simplefilter("error")
             assert q.densities()[0] == math.inf
             assert lp_norm(q, math.inf) == math.inf
-
-
-class TestPushForward:
-    def test_identity(self):
-        m = make_atomic([0.0, 1.0], [0.5, 0.5])
-        out = push_forward(m, lambda x: x)
-        assert np.array_equal(out.points, m.points)
-        assert np.array_equal(out.weights, m.weights)
-
-    def test_shift(self):
-        out = push_forward(make_atomic([0.0], [1.0]), lambda x: x + 1.0)
-        assert out.points.tolist() == [1.0]
-
-    def test_scaling(self):
-        out = push_forward(make_atomic([0.0, 1.0], [0.5, 0.5]), lambda x: 2 * x)
-        assert out.points.tolist() == [0.0, 2.0]
-        assert abs(out.total_mass() - 1.0) <= 1e-15
-
-    def test_nan_image_rejected(self):
-        with pytest.raises(MeasureError):
-            push_forward(make_atomic([0.0, 1.0], [0.5, 0.5]),
-                         lambda x: math.nan if x == 0.0 else x)
 
 
 class TestSerialization:
