@@ -41,6 +41,7 @@ from .measures import (
     GAP_FLOOR,
     AtomicMeasure,
     QuantileMeasure,
+    QuantileStack,
     gaps,
     gaps_adjoint,
     interval_masses,
@@ -198,8 +199,7 @@ class Potential:
     ``hess`` is V'' at 1D points, or None when not given; with it (and a
     second derivative in the other terms, :meth:`Energy.has_quantile_hess`)
     a 1D quantile step is solved by projected Newton instead of FISTA
-    (``quadratic``, ``granular`` and ``zero`` have one, ``log_pinch`` and
-    user potentials do not).
+    (every shipped potential has one; user potentials need not).
     """
 
     name: str
@@ -248,7 +248,9 @@ def _log_pinch(strength: float = 1.0):
     lower branch, so two symmetric Diracs at +-a satisfy d(|a|^2)/dt =
     strength * omega(|a|^2): the flow expands at exactly the Osgood rate.
     Closed form below the branch junction: v(r) = -(s/4) r^2 (1 - 2 log r).
-    In 2D, grad V(x) = v'(|x|) x / |x|, and 0 at x = 0.
+    In 2D, grad V(x) = v'(|x|) x / |x|, and 0 at x = 0.  In 1D,
+    V''(x) = s (1 + log|x|) below the junction, 0 above it and -inf at 0,
+    where a Newton step's pivot is not positive and FISTA takes the step.
     """
     s = float(strength)
     j = math.sqrt(JUNCTION)
@@ -280,7 +282,11 @@ def _log_pinch(strength: float = 1.0):
         out = np.sign(x) * dv(np.abs(x))
         return out if out.ndim else float(out)
 
-    return Potential(f"log_pinch({s})", val, grd)
+    def hss(x):
+        r = np.abs(np.asarray(x, dtype=float))
+        return np.where(r <= j, s * (1.0 + _log_positive(r, -np.inf)), 0.0)
+
+    return Potential(f"log_pinch({s})", val, grd, hess=hss)
 
 
 def _zero():
@@ -330,6 +336,24 @@ def _atoms(mu):
     raise EnergyError(f"unsupported measure type {type(mu)!r}")
 
 
+_QUANTILE = (QuantileMeasure, QuantileStack)
+
+
+def _on_nodes(fn, x) -> np.ndarray:
+    """A potential's pointwise ``fn`` (value, grad or hess) at 1D nodes
+    ``x`` of any shape: a potential reads a 2D array as 2D points, so a
+    stack's rows go in flattened."""
+    if x.ndim == 1:
+        return np.asarray(fn(x), dtype=float)
+    return np.asarray(fn(x.ravel()), dtype=float).reshape(x.shape)
+
+
+def _per_row(total):
+    """A term's sum over the nodes: a float for one state, an array of one
+    value per row for a stack."""
+    return total if np.ndim(total) else float(total)
+
+
 def _newtonian_1d(kernel: Kernel, dim: int) -> bool:
     """True when the interaction is c|x|/2 between 1D atoms, which is
     evaluated by prefix sums over the sorted atoms instead of pair matrices."""
@@ -364,22 +388,30 @@ class Energy:
 
     # -- pieces ---------------------------------------------------------------
 
-    def potential_value(self, mu) -> float:
-        if isinstance(mu, QuantileMeasure):
+    def potential_value(self, mu):
+        """The potential term: a float, or one per row of a
+        :class:`QuantileStack` (as are the other terms' values)."""
+        if isinstance(mu, _QUANTILE):
             x, w = mu.positions, mu.cell_mass
+            v = _on_nodes(self.potential.value, x)
         else:
             pts, w = _atoms(mu)
-            x = pts[:, 0] if pts.shape[1] == 1 else pts
-        return float((w * np.asarray(self.potential.value(x), dtype=float)).sum())
+            v = self.potential.value(pts[:, 0] if pts.shape[1] == 1 else pts)
+        return _per_row((w * np.asarray(v, dtype=float)).sum(axis=-1))
 
-    def interaction_value(self, mu) -> float:
-        pts, w = _atoms(mu)
-        if _newtonian_1d(self.kernel, pts.shape[1]):
-            x = pts[:, 0]   # 1D atoms of every measure type are kept sorted
+    def interaction_value(self, mu):
+        if isinstance(mu, QuantileStack) and _newtonian_1d(self.kernel, 1):
+            x, w = mu.positions, mu.cell_mass
+        else:   # a stack under another kernel raises here
+            pts, w = _atoms(mu)
+            x = pts[:, 0] if _newtonian_1d(self.kernel, pts.shape[1]) else None
+        if x is not None:
+            # 1D atoms of every measure type are kept sorted
             left = np.cumsum(w)[:-1]                # mass of atoms 0..k
             right = np.cumsum(w[::-1])[::-1][1:]    # mass of atoms k+1..
             # a sum over gaps of nonnegative terms: no cancellation
-            return 0.5 * self.kernel.c * float(np.sum(gaps(x) * left * right))
+            return 0.5 * self.kernel.c * _per_row(
+                np.sum(gaps(x) * left * right, axis=-1))
         if not w.all():
             # a zero-weight atom on another one would give 0 * inf = nan
             pts, w = pts[w > 0], w[w > 0]
@@ -390,15 +422,15 @@ class Energy:
             np.fill_diagonal(pair, 0.0)
         return 0.5 * float(pair.sum())
 
-    def internal_value(self, mu) -> float:
+    def internal_value(self, mu):
         kind = self.internal[0]
-        if isinstance(mu, QuantileMeasure):
+        if isinstance(mu, _QUANTILE):
             c, rho = self._interval_densities(mu)
             if kind == "entropy":
-                return float(np.sum(c * np.log(rho)))
+                return _per_row(np.sum(c * np.log(rho), axis=-1))
             m = self.internal[1]
             # c rho^(m-1), not c^m g^(1-m): no overflow of the two factors
-            return float(np.sum(c * rho ** (m - 1.0)) / (m - 1.0))
+            return _per_row(np.sum(c * rho ** (m - 1.0), axis=-1) / (m - 1.0))
         if isinstance(mu, AtomicMeasure):
             return math.inf  # atoms have no density
         raise EnergyError(f"unsupported measure type {type(mu)!r}")
@@ -411,24 +443,32 @@ class Energy:
         p, cap = self.constraint
         return lp_norm(mu, p) <= cap * (1.0 + CONSTRAINT_SLACK)
 
-    def eval(self, mu) -> float:
-        """Energy value; +inf on constraint violation."""
+    def eval(self, mu):
+        """Energy value; +inf on constraint violation.  One per row of a
+        :class:`QuantileStack`."""
+        if isinstance(mu, QuantileStack):
+            if self.constraint is None and (self.kernel is None
+                                            or _newtonian_1d(self.kernel, 1)):
+                return self.terms_value(mu)
+            return np.array([self.eval(mu.row(k)) for k in range(len(mu))])
         return self.terms_value(mu) if self.constraint_ok(mu) else math.inf
 
-    def terms_value(self, mu, start: float = 0.0) -> float:
+    def terms_value(self, mu, start=0.0):
         """``start`` plus the potential, interaction and internal terms, added
         in that order, without the constraint; +inf where the internal term
-        is."""
+        is.  Per row for a :class:`QuantileStack` (``start`` then has one
+        entry per row)."""
         total = start
         if self.potential is not None:
-            total += self.potential_value(mu)
+            total = total + self.potential_value(mu)
         if self.kernel is not None:
-            total += self.interaction_value(mu)
+            total = total + self.interaction_value(mu)
         if self.internal is not None:
             v = self.internal_value(mu)
-            if v == math.inf:
-                return math.inf
-            total += v
+            if not np.ndim(v):
+                return math.inf if v == math.inf else total + v
+            inf = v == math.inf
+            return np.where(inf, math.inf, total + v) if inf.any() else total + v
         return total
 
     def __call__(self, mu) -> float:
@@ -436,15 +476,15 @@ class Energy:
 
     # -- Lagrangian gradient in 1D quantile coordinates ------------------------
 
-    def quantile_grad(self, q: QuantileMeasure) -> np.ndarray:
-        """d/dx_i of the discretized energy (constraint terms excluded); the
-        1D Newtonian term counts tied atoms by their order."""
+    def quantile_grad(self, q) -> np.ndarray:
+        """d/dx_i of the discretized energy (constraint terms excluded), per
+        row of a :class:`QuantileStack`; the 1D Newtonian term counts tied
+        atoms by their order."""
         x = q.positions
         c = q.cell_mass
-        n = len(x)
-        g = np.zeros(n)
+        g = np.zeros(x.shape)
         if self.potential is not None:
-            g += c * np.asarray(self.potential.grad(x), dtype=float)
+            g += c * _on_nodes(self.potential.grad, x)
         if self.kernel is not None and _newtonian_1d(self.kernel, 1):
             cum = np.concatenate(([0.0], np.cumsum(c)))
             g += c * (0.5 * self.kernel.c) * (cum[:-1] - (cum[-1] - cum[1:]))
@@ -468,19 +508,19 @@ class Energy:
         return (self.potential is None or self.potential.hess is not None) \
             and (self.kernel is None or _newtonian_1d(self.kernel, 1))
 
-    def quantile_hess(self, q: QuantileMeasure):
+    def quantile_hess(self, q):
         """Hessian of the discretized energy in the nodes, tridiagonal, as
         the pair (e, w) with H = diag(e) + D^T diag(w) D, D the first
         differences of :func:`gaps`: its superdiagonal is -w and its
-        diagonal e_i + w_{i-1} + w_i.  Assumes :meth:`has_quantile_hess`.
-        The potential gives e, the 1D Newtonian term is linear in x on the
-        sorted cone (0), and the internal term gives w = U''(g) per
-        interval."""
-        c = q.cell_mass
-        diag = np.zeros(len(c)) if self.potential is None else \
-            c * np.asarray(self.potential.hess(q.positions), dtype=float)
-        curv = np.zeros(len(c) - 1) if self.internal is None \
-            else self._d2u_dgap2(q)
+        diagonal e_i + w_{i-1} + w_i (per row of a :class:`QuantileStack`).
+        Assumes :meth:`has_quantile_hess`.  The potential gives e, the 1D
+        Newtonian term is linear in x on the sorted cone (0), and the
+        internal term gives w = U''(g) per interval."""
+        x = q.positions
+        diag = np.zeros(x.shape) if self.potential is None else \
+            q.cell_mass * _on_nodes(self.potential.hess, x)
+        curv = np.zeros(x.shape[:-1] + (x.shape[-1] - 1,)) \
+            if self.internal is None else self._d2u_dgap2(q)
         return diag, curv
 
     def _interval_densities(self, q: QuantileMeasure):

@@ -20,16 +20,16 @@ FISTA otherwise.
 
 * Projected Newton with a tridiagonal solve (:func:`_newton`) takes the steps
   whose energy has a second derivative in every term: potentials with a
-  ``hess`` (quadratic, granular, zero), the 1D Newtonian kernel of either
+  ``hess`` (every shipped one), the 1D Newtonian kernel of either
   sign (linear on the sorted cone), entropy and power internal terms,
   caps.  Its iteration count does not grow with the number of nodes.
   When its tridiagonal solve meets a nonpositive pivot (a Hessian that is
   not positive definite) or its line search fails, it hands the iterate
   to FISTA.
 * Accelerated projected gradient (monotone FISTA with backtracking,
-  :func:`_fista`) takes everything else: potentials without a ``hess``
-  (e.g. ``log_pinch``), log, Riesz and smooth kernels.  It stops early,
-  flagged, at an iterate whose value is -inf.
+  :func:`_fista`) takes everything else: potentials without a ``hess``,
+  log, Riesz and smooth kernels.  It stops early, flagged, at an iterate
+  whose value is -inf.
 
 Near a minimizer on a dense state one float spacing of a gap moves the
 residual by more than 1e-12, so both solvers stop where their iteration
@@ -55,6 +55,18 @@ monotonicity (Rockafellar 1966; :func:`_cycle_slack`), so the step solves
 no LP; it hands the plan out when certified, and sets the flag when the
 certificate fails or the residual stays above ``inner_tol``.
 
+1D states on one grid step together as the rows of a
+:class:`QuantileStack` (:func:`flows`; a semigroup-contraction check
+evolves its two states so): the Newton path evaluates every row in one
+call, where small steps spend their time on per-call overhead, and each
+row keeps its own stopping test, iteration count and Armijo arc.  A row
+that goes to FISTA, and a row that searches a finite-p cap's multiplier,
+is solved alone, and FISTA solves every row of an energy without a
+Hessian alone.  Every row is bitwise the step of its own state: the
+per-row sums run along the last axis of C-contiguous arrays, which numpy
+sums row by row as it sums a 1D array, and the inner products stay one
+BLAS dot per row (a batched product would round differently).
+
 Everything here is deterministic: fixed reduction orders and one start
 per solve.
 """
@@ -71,6 +83,7 @@ from .measures import (
     AtomicMeasure,
     MeasureError,
     QuantileMeasure,
+    QuantileStack,
     gaps,
     gaps_adjoint,
     interval_masses,
@@ -80,6 +93,7 @@ from .measures import (
 # w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
 from .transport import (
     TransportPlan,
+    _node_distance,
     _plan_distance,
     geodesic,
     same_quantile_grid,
@@ -94,6 +108,7 @@ __all__ = [
     "isotonic_project",
     "proximal_step",
     "flow",
+    "flows",
     "flow_time_dependent",
     "rescaled_intermediate",
     "quantile_w2",
@@ -166,33 +181,56 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
     adjacent atoms finds that pair: feasible input returns at once, and
     otherwise the PAV loop starts there on a stack of singletons.
     """
-    means, counts, offsets = _pav(values, weights, min_gaps)
-    return (means if counts is None else np.repeat(means, counts)) + offsets
-
-
-def _pav(values, weights, min_gaps):
-    """The pools of :func:`isotonic_project`: (pool means in the shifted
-    coordinates z, pool sizes or None when no pair pools, offsets)."""
     v = np.asarray(values, dtype=float)
     n = len(v)
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if len(w) != n or (w <= 0).any():
         raise JkoError("weights must be positive and match values")
-    offsets = np.zeros(n)
     if min_gaps is not None:
         g = np.asarray(min_gaps, dtype=float)
         if len(g) != n - 1 or (g < 0).any():
             raise JkoError("min_gaps must be nonnegative of length n-1")
-        np.cumsum(g, out=offsets[1:])
+    return _pav(v, w, _offsets(min_gaps, n))[0]
+
+
+def _rows(a, x):
+    """The 1D array ``a`` repeated once per row of the stack ``x`` ((K, n)),
+    or ``a`` itself for one state."""
+    return a[None].repeat(len(x), 0) if x.ndim == 2 else a
+
+
+def _offsets(min_gaps, n):
+    """The shifts sum_{j<i} min_gaps_j of the substitution z = x - shift."""
+    offsets = np.zeros(n)
+    if min_gaps is not None:
+        np.cumsum(min_gaps, out=offsets[1:])
+    return offsets
+
+
+def _pav(v, w, offsets):
+    """:func:`isotonic_project` of ``v``, shape (n,) or a (K, n) stack
+    projected row by row, for checked positive weights ``w`` and shifts
+    ``offsets`` (:func:`_offsets`) of the same shape, and its pools: the
+    pool sizes, or None where no pair pools (for a stack, a list with one
+    entry per row)."""
     wz = w * (v - offsets)
     # the loop's merge predicate on two single-atom blocks, same products
-    pools = wz[:-1] * w[1:] > wz[1:] * w[:-1]
-    if not pools.any():
-        return np.divide(wz, w), None, offsets
-    # PAV with a block stack: (weight sum, weighted value sum, count),
-    # seeded with the singletons before atom k, which pools with atom k-1;
-    # the loop runs on Python floats, which index far faster than numpy
-    # scalars
+    pools = wz[..., :-1] * w[..., 1:] > wz[..., 1:] * w[..., :-1]
+    z = np.divide(wz, w)
+    if v.ndim == 1:
+        counts = _pool(z, w, wz, pools) if pools.any() else None
+    else:
+        counts = [_pool(z[k], w[k], wz[k], pools[k]) if any_k else None
+                  for k, any_k in enumerate(pools.any(axis=1).tolist())]
+    return z + offsets, counts
+
+
+def _pool(z, w, wz, pools):
+    """PAV on one row whose ``pools`` has a pair that pools: writes the
+    pool means into ``z`` and returns the pool sizes.  A block stack of
+    (weight sum, weighted value sum, count) is seeded with the singletons
+    before atom k, which pools with atom k-1; the loop runs on Python
+    floats, which index far faster than numpy scalars."""
     k = int(pools.argmax()) + 1
     bw, bs, bc = w[:k].tolist(), wz[:k].tolist(), [1] * k
     for sw, ss in zip(w[k:].tolist(), wz[k:].tolist()):
@@ -204,7 +242,8 @@ def _pav(values, weights, min_gaps):
         bw.append(sw)
         bs.append(ss)
         bc.append(cnt)
-    return np.divide(bs, bw), bc, offsets
+    z[:] = np.repeat(np.divide(bs, bw), bc)
+    return bc
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +259,45 @@ def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
 
 class _QuantileObjective:
     """(1/2 tau) sum m (x - y)^2 + discrete energy (+ ``weight`` U_p, U_p
-    the power-``power`` internal term: a finite-p cap's multiplier term)."""
+    the power-``power`` internal term: a finite-p cap's multiplier term).
+
+    ``q_prev`` is one state (points x of shape (n,), scalar values) or a
+    :class:`QuantileStack` of K states on one grid; on a stack, points are
+    (K, n) and every value is one per row, each row computed as its own
+    state's would be.  A stack row out of order reads value NaN (one state
+    raises :class:`MeasureError`)."""
 
     def __init__(self, energy, q_prev, tau, power=None, weight=0.0):
         self.energy = energy
         self.q = q_prev
+        self.grid = q_prev.grid if isinstance(q_prev, QuantileStack) else q_prev
         self.y = q_prev.positions
         self.m = q_prev.cell_mass
+        # the masses in the shape of y: numpy multiplies arrays of one
+        # shape about twice as fast as it broadcasts (n,) against (K, n)
+        self.mass = _rows(self.m, self.y)
         self.tau = tau
+        self.power = power
         self.cap_term = None if power is None \
             else Energy(internal=("power", power))
         self.weight = weight
-        self._x = self._qs = None
+        self._x, self._qs = self.y, q_prev   # the state at y is q_prev
+
+    def row(self, k):
+        """The objective of row k of a stack alone (one state's: itself)."""
+        if not isinstance(self.q, QuantileStack):
+            return self
+        return _QuantileObjective(self.energy, self.q.row(k), self.tau,
+                                  self.power, self.weight)
 
     def state(self, x):
-        """The state at positions ``x``.  The last one is kept, keyed on the
-        array object, so a residual probe right after ``value(x)`` reuses
-        it; callers never change an evaluated array in place."""
+        """The state at positions ``x`` (a :class:`QuantileStack` for (K, n)
+        points).  The last one is kept, keyed on the array object, so a
+        residual probe right after ``value(x)`` reuses it; callers never
+        change an evaluated array in place."""
         if x is not self._x:
-            self._x, self._qs = x, self.q.with_positions(x)
+            self._x, self._qs = x, (QuantileStack(self.grid, x) if x.ndim == 2
+                                    else self.grid.with_positions(x))
         return self._qs
 
     def value(self, x):
@@ -252,13 +311,20 @@ class _QuantileObjective:
         the gradient is not finite."""
         qs = self.state(x)
         g = self._grad(qs, x)
-        return (self._value(qs, x) if np.isfinite(g).all() else math.inf), g
+        if np.isfinite(g).all():
+            return self._value(qs, x), g
+        if x.ndim == 1:
+            return math.inf, g
+        return np.where(np.isfinite(g).all(axis=1), self._value(qs, x), math.inf), g
 
     def _value(self, qs, x):
+        move = (self.mass * (x - self.y) ** 2).sum(axis=-1)
         val = self.energy.terms_value(
-            qs, 0.5 / self.tau * float((self.m * (x - self.y) ** 2).sum()))
+            qs, 0.5 / self.tau * (move if move.ndim else float(move)))
         if self.cap_term is not None:   # +inf stays +inf: weight > 0
-            val += self.weight * self.cap_term.internal_value(qs)
+            val = val + self.weight * self.cap_term.internal_value(qs)
+        if x.ndim == 2 and qs.faults is not None:
+            val = np.where(qs.faults, math.nan, val)
         return val
 
     def hess(self, x):
@@ -266,13 +332,13 @@ class _QuantileObjective:
         :meth:`Energy.quantile_hess`."""
         qs = self.state(x)
         diag, curv = self.energy.quantile_hess(qs)
-        diag = diag + self.m / self.tau
+        diag = diag + self.mass / self.tau
         if self.cap_term is not None:
             curv = curv + self.weight * self.cap_term.quantile_hess(qs)[1]
         return diag, curv
 
     def _grad(self, qs, x):
-        g = self.m * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
+        g = self.mass * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
         if self.cap_term is not None:
             g += self.weight * self.cap_term.quantile_grad(qs)
         return g
@@ -294,7 +360,20 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     gives way to :func:`_rounded_newton`'s when that has a smaller
     residual and no larger value.
 
-    Returns (x, iterations, projected-gradient residual, objective at x)."""
+    A stack (``x0`` of shape (K, n)) is solved one row at a time.
+
+    Returns (x, iterations, projected-gradient residual, objective at x),
+    for a stack x and the value per row and the rest as lists."""
+    if np.ndim(x0) == 1:
+        return _fista_row(objective, x0, min_gaps, tol, max_iter)
+    rows = [_fista_row(objective.row(k), x0[k], min_gaps, tol, max_iter)
+            for k in range(len(x0))]
+    x, its, res, fx = zip(*rows)
+    return np.stack(x), list(its), list(res), np.array(fx)
+
+
+def _fista_row(objective, x0, min_gaps, tol, max_iter):
+    """:func:`_fista` on one state."""
     m = objective.m
     proj = lambda v: isotonic_project(v, m, min_gaps)
     s_probe = min(objective.tau, 1.0)
@@ -404,50 +483,93 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     a point without a finite gradient or at the iterate itself (the step is
     below the float spacing, and every later iteration would repeat it).
 
-    Returns (x, iterations, projected-gradient residual, objective at x)."""
-    m = objective.m
-    n = len(m)
-    lo = np.zeros(n - 1) if min_gaps is None else min_gaps
+    On a stack (``x0`` of shape (K, n)) each row runs this iteration as if
+    alone: its own stopping test, iteration count, Armijo arc and hand-over
+    to FISTA.  A row that stops leaves the active set; the objective is
+    still evaluated on the whole stack, which costs next to nothing at the
+    small n where stacks pay, and leaves the stopped rows' bits alone.
+
+    Returns (x, iterations, projected-gradient residual, objective at x),
+    for a stack x and the value per row and the rest as lists."""
+    n = len(objective.m)
     s_probe = min(objective.tau, 1.0)
     x = np.asarray(x0, dtype=float)
+    single = x.ndim == 1
+    if single:
+        x = x[None]
+    # per-node arrays in the shape of the stack (see _QuantileObjective)
+    m = _rows(objective.m, x)
+    lo = _rows(np.zeros(n - 1) if min_gaps is None else min_gaps, x)
     # a start feasible up to the rounding that QuantileMeasure allows in
     # its order keeps its bits (the arc clips the gaps it moves)
-    if (gaps(x) < lo - 1e-12).any():
-        x = isotonic_project(x, m, min_gaps)
+    off = (gaps(x) < lo - 1e-12).any(axis=1)
+    if off.any():
+        x = np.array(x)
+        for k in np.flatnonzero(off):
+            x[k] = isotonic_project(x[k], objective.m, min_gaps)
+    offsets = _rows(_offsets(min_gaps, n), x)
     fx, g = objective.value_and_grad(x)
+    active = list(range(len(x)))
+    its, res, handed = [0] * len(x), [math.inf] * len(x), {}
     it = 0
     while True:
         # FISTA's residual; the probe's pools are the gaps that the
         # gradient closes, and those within eps of their bound are glued
-        means, counts, offsets = _pav(x - s_probe * (g / m), m, min_gaps)
-        probe = (means if counts is None else np.repeat(means, counts)) + offsets
-        res = float(np.abs((x - probe) / s_probe).max())
-        if res <= tol or it == max_iter:
-            return x, it, res, fx
+        probe, counts = _pav(x - s_probe * (g / m), m, offsets)
+        r = np.abs((x - probe) / s_probe).max(axis=1).tolist()
+        stop = [k for k in active if r[k] <= tol or it == max_iter]
+        for k in stop:
+            its[k], res[k] = it, r[k]
+        active = [k for k in active if k not in stop]
+        if not active:
+            break
         it += 1
         slack = gaps(x) - lo
-        glued = np.zeros(n - 1, dtype=bool)
-        if counts is not None:
-            pooled = np.repeat(np.arange(len(counts)), counts)
-            eps = _EPS_ACTIVE * (x[-1] - x[0]) / (n - 1)
-            glued = (pooled[1:] == pooled[:-1]) & (slack <= eps)
-        dx = _newton_direction(objective.hess(x), g, slack, glued)
-        x_new, f_new = _armijo_arc(objective, x, fx, g, dx, slack)
-        g_new = None if x_new is None else objective.grad(x_new)
-        if g_new is None or not np.isfinite(g_new).all() \
-                or not (x_new != x).any():
-            x, more, res, fx = _fista(objective, x, min_gaps, tol, max_iter - it)
-            return x, it + more, res, fx
+        diag, curv = objective.hess(x)
+        dx = np.zeros_like(x)
+        todo = []
+        for k in active:
+            glued = None
+            if counts[k] is not None:
+                pooled = np.repeat(np.arange(len(counts[k])), counts[k])
+                eps = _EPS_ACTIVE * (x[k, -1] - x[k, 0]) / (n - 1)
+                glued = (pooled[1:] == pooled[:-1]) & (slack[k] <= eps)
+            d = _newton_direction((diag[k], curv[k]), g[k], slack[k], glued)
+            if d is not None:
+                dx[k] = d
+                todo.append(k)
+        x_new, f_new, found = _armijo_arc(objective, x, fx, g, dx, slack, todo)
+        g_new = objective.grad(x_new)
+        going = (x_new != x).any(axis=1)
+        if not np.isfinite(g_new).all():
+            going &= np.isfinite(g_new).all(axis=1)
+        for k in active:
+            if k not in found or not going[k]:
+                handed[k] = _fista(objective.row(k), x[k], min_gaps, tol,
+                                   max_iter - it)
+                its[k], res[k] = it + handed[k][1], handed[k][2]
+        active = [k for k in active if k not in handed]
+        if not active:
+            break
         x, fx, g = x_new, f_new, g_new
+    if handed:
+        x, fx = np.array(x), np.array(fx, dtype=float)
+        for k, (xk, _, _, fk) in handed.items():
+            x[k], fx[k] = xk, fk
+    if single:
+        return x[0], its[0], res[0], float(fx[0])
+    return x, its, res, fx
 
 
 def _newton_direction(bands, g, slack, glued):
     """Node displacement to the minimizer of the quadratic model
-    g.d + d.H.d/2 over the face where the ``glued`` gaps sit at their
-    bounds; None when H is not positive definite on that face."""
-    if not glued.any():
+    g.d + d.H.d/2 over the face where the ``glued`` gaps (None: none) sit
+    at their bounds; None when H is not positive definite on that face."""
+    if glued is None or not glued.any():
         v = _solve_tridiagonal(*bands, -g)
         return None if v is None else np.asarray(v)
+    if (bands[0] == -math.inf).any():   # V'' = -inf (log_pinch at 0)
+        return None
     blk = np.concatenate(([0], np.cumsum(~glued)))
     nb = int(blk[-1]) + 1
     # close the glued gaps, moving the nodes right of each
@@ -540,50 +662,82 @@ def _rounded_newton(objective, x, g, min_gaps):
     return x_r if (gaps(x_r) >= lo).all() else None
 
 
-def _armijo_arc(objective, x, fx, g, dx, slack):
-    """First point x(a), a = 1, 1/2, ..., of the projection arc with
-    f(x(a)) <= f(x) + _ARMIJO min(g.(x(a) - x), 0) (up to rounding of f):
-    the glued gaps and the clipping can turn the arc away from descent, so
-    no step raises f beyond that rounding.  x(a) steps by a dx and then
-    clips each gap whose ``slack`` over its bound turns negative, shifting
-    the nodes right of it.  (None, None) when none is found."""
-    if dx is None:
-        return None, None
-    dslack = np.diff(dx)
+def _armijo_arc(objective, x, fx, g, dx, slack, todo):
+    """For each row k in ``todo`` of the stack ``x`` ((K, n)), the first
+    point x_k(a), a = 1, 1/2, ..., of its projection arc with
+    f(x_k(a)) <= f(x_k) + _ARMIJO min(g_k.(x_k(a) - x_k), 0) (up to
+    rounding of f): the glued gaps and the clipping can turn the arc away
+    from descent, so no step raises f beyond that rounding.  x(a) steps by
+    a dx and then clips each gap whose ``slack`` over its bound turns
+    negative, shifting the nodes right of it.
+
+    Returns (points, values, the rows that found a point); every other row
+    keeps x and fx.  When every searching row succeeds on one halving, the
+    points are the array last evaluated, so the objective's kept state
+    serves the next gradient."""
+    dslack = dx[:, 1:] - dx[:, :-1]
+    pending, found = list(todo), []
+    x_new, f_new = x, fx
     alpha = 1.0
     for _ in range(_ARMIJO_HALVINGS):
+        if not pending:
+            break
         xt = x + alpha * dx
         over = np.maximum(-(slack + alpha * dslack), 0.0)
         if over.any():
-            xt[1:] += np.cumsum(over)
-        try:
-            ft = objective.value(xt)
-        except MeasureError:
-            ft = math.nan
-        decrease = _ARMIJO * min(float(g @ (xt - x)), 0.0)
-        if ft <= fx + decrease + 1e-15 * (1.0 + abs(fx)):
-            return xt, ft
+            clip = over.any(axis=1)
+            xt[clip, 1:] += np.cumsum(over[clip], axis=1)
+        if len(pending) < len(x):   # the other rows stay where they are
+            rest = [k for k in range(len(x)) if k not in pending]
+            xt[rest] = x_new[rest]
+        ft = objective.value(xt)
+        step = xt - x
+        f0, f1 = fx.tolist(), ft.tolist()
+        # one BLAS dot per row
+        ok = [k for k in pending if f1[k] <= f0[k] + _ARMIJO * min(
+            float(g[k] @ step[k]), 0.0) + 1e-15 * (1.0 + abs(f0[k]))]
+        if ok:
+            found += ok
+            if len(ok) == len(pending):
+                x_new = xt
+            else:
+                x_new = np.array(x_new)
+                x_new[ok] = xt[ok]
+            if len(ok) == len(x):
+                f_new = ft
+            else:
+                f_new = np.array(f_new)
+                f_new[ok] = ft[ok]
+            pending = [k for k in pending if k not in ok]
         alpha *= 0.5
-    return None, None
+    return x_new, f_new, found
 
 
 def _prox_quantile(energy, q_prev, tau, cfg):
+    """The step from each row of the :class:`QuantileStack` ``q_prev``: the
+    stack of the results and a list of infos, one per row.  The rows are
+    solved together, and a row that ends above a finite-p cap then gets its
+    own cap search."""
     min_gaps = _spacing_min_gaps(energy, q_prev.cell_mass)
     solver = _newton if energy.has_quantile_hess() else _fista
     tol = cfg.inner_tol
 
-    def solve(x0, budget, power=None, weight=0.0):
-        objective = _QuantileObjective(energy, q_prev, tau, power, weight)
+    def solve(q0, x0, budget, power=None, weight=0.0):
+        objective = _QuantileObjective(energy, q0, tau, power, weight)
         x, its, res, _ = solver(objective, x0, min_gaps, tol, budget)
         return objective.state(x), its, res   # built when the solver evaluated x
 
-    q_new, its, res = solve(q_prev.positions, cfg.inner_max_iter)
-    if energy.constraint is not None and energy.constraint[0] < math.inf \
-            and not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
-        return _cap_search(solve, q_prev, *energy.constraint, tol, its,
-                           cfg.inner_max_iter)
-    return q_new, {"inner_iters": its, "residual": res,
-                   "residual_flag": res > tol}
+    out, its, res = solve(q_prev, q_prev.positions, cfg.inner_max_iter)
+    infos = [{"inner_iters": i, "residual": r, "residual_flag": r > tol}
+             for i, r in zip(its, res)]
+    if energy.constraint is None or energy.constraint[0] == math.inf:
+        return out, infos
+    rows = [out.row(k) for k in range(len(out))]
+    for k, q_new in enumerate(rows):
+        if not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
+            rows[k], infos[k] = _cap_search(solve, q_prev.row(k), *energy.constraint,
+                                            tol, its[k], cfg.inner_max_iter)
+    return QuantileStack.of(rows), infos
 
 
 def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
@@ -605,7 +759,7 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
     lo, hi, lam = 0.0, math.inf, 1.0
     q_ok = q_prev
     while math.isfinite(lam):
-        q, add, res = solve(x0, max_iter - its, p, lam)
+        q, add, res = solve(q_prev, x0, max_iter - its, p, lam)
         its += add
         if res > tol:
             break
@@ -802,18 +956,25 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
                   return_info: bool = False):
     """One proximal step argmin_nu (1/2 tau) W2^2(mu, nu) + E(nu).
 
-    ``mu`` is a :class:`QuantileMeasure` or an :class:`AtomicMeasure`, 1D
-    atoms stepped exactly as quantile cells; the result has the input's type.
+    ``mu`` is a :class:`QuantileMeasure`, an :class:`AtomicMeasure` (1D
+    atoms stepped exactly as quantile cells) or a :class:`QuantileStack`,
+    whose rows step together, each bitwise as it would alone (the info is
+    then a list, one dict per row); the result has the input's type.
     Other types raise :class:`JkoError`; ``tau = 0`` returns ``mu``.
     """
     cfg = cfg or JkoConfig(tau=tau)
     if tau < 0:
         raise JkoError("tau must be nonnegative")
     if tau == 0:
-        return (mu, {"inner_iters": 0, "residual": 0.0, "residual_flag": False}) \
-            if return_info else mu
-    if isinstance(mu, QuantileMeasure):
+        info = {"inner_iters": 0, "residual": 0.0, "residual_flag": False}
+        if isinstance(mu, QuantileStack):
+            info = [dict(info) for _ in range(len(mu))]
+        return (mu, info) if return_info else mu
+    if isinstance(mu, QuantileStack):
         out, info = _prox_quantile(energy, mu, tau, cfg)
+    elif isinstance(mu, QuantileMeasure):
+        out, (info,) = _prox_quantile(energy, QuantileStack.of([mu]), tau, cfg)
+        out = out.row(0)
     elif isinstance(mu, AtomicMeasure) and mu.dim == 2:
         out, info = _prox_atomic_2d(energy, mu, tau, cfg)
     elif isinstance(mu, AtomicMeasure):
@@ -821,8 +982,8 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
         n = int(keep.sum())
         q = QuantileMeasure((np.arange(n) + 0.5) / n, mu.points[keep],
                             mu.weights[keep])
-        q_out, info = _prox_quantile(energy, q, tau, cfg)
-        out = q_out.to_atomic()
+        q_out, (info,) = _prox_quantile(energy, QuantileStack.of([q]), tau, cfg)
+        out = q_out.row(0).to_atomic()
     else:
         raise JkoError(f"unsupported measure type {type(mu)!r}")
     return (out, info) if return_info else out
@@ -830,27 +991,82 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
 
 def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:
     """Discrete gradient flow sequence mu^0 -> mu^1 -> ... -> mu^steps."""
-    return flow_time_dependent(lambda k, tau: energy, mu0, cfg)
+    return flows(energy, [mu0], cfg)[0]
+
+
+def flows(energy: Energy, states, cfg: JkoConfig) -> list:
+    """:func:`flow` from each of ``states``, as a list of trajectories.
+
+    States on one quantile grid (bitwise equal nodes and cell masses) step
+    together: each step solves them as the rows of one
+    :class:`QuantileStack`, and every row comes out bitwise equal to its
+    own :func:`flow`.  Any other state steps alone."""
+    return _flows(lambda k, tau: energy, states, cfg)
 
 
 def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
     """JKO against a step-indexed energy schedule (k, tau) -> Energy.
 
     Step k (1-based) minimizes (1/2 tau) W2^2(mu^{k-1}, .) + E^k_tau(.)."""
-    states = [mu0]
-    energies = [schedule(0, cfg.tau).eval(mu0)]
-    dists = []
-    diagnostics = []
+    return _flows(schedule, [mu0], cfg)[0]
+
+
+def _one_grid(a, b) -> bool:
+    """True for two QuantileMeasures whose grids are bitwise equal, so that
+    either one's arrays give the other's step bit for bit."""
+    return (isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure)
+            and len(a) == len(b)
+            and (a.q_nodes is b.q_nodes or np.array_equal(a.q_nodes, b.q_nodes))
+            and (a.cell_mass is b.cell_mass
+                 or np.array_equal(a.cell_mass, b.cell_mass)))
+
+
+def _flows(schedule, starts, cfg: JkoConfig) -> list:
+    """The trajectories of :func:`flows` under a step-indexed schedule."""
+    groups = []
+    for i, mu in enumerate(starts):
+        for group in groups:
+            if _one_grid(starts[group[0]], mu):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    out = [None] * len(starts)
+    for group in groups:
+        trajs = _flow_group(schedule, [starts[i] for i in group], cfg)
+        for i, traj in zip(group, trajs):
+            out[i] = traj
+    return out
+
+
+def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
+    """Trajectories from ``starts``: one state, or QuantileMeasures on one
+    grid, which step as one :class:`QuantileStack`."""
+    e0 = schedule(0, cfg.tau)
+    states = [[mu] for mu in starts]
+    energies = [[e0.eval(mu)] for mu in starts]
+    dists = [[] for _ in starts]
+    diagnostics = [[] for _ in starts]
+    prev = starts[0] if len(starts) == 1 else QuantileStack.of(starts)
     for k in range(1, cfg.steps + 1):
         ek = schedule(k, cfg.tau)
-        new, info = proximal_step(ek, states[-1], cfg.tau, cfg, return_info=True)
-        plan = info.pop("plan", None)
-        dists.append(w2(states[-1], new) if plan is None else _plan_distance(plan))
-        states.append(new)
-        energies.append(ek.eval(new))
-        diagnostics.append(info)
-    return FlowTrajectory(states, np.asarray(energies), np.asarray(dists),
-                          diagnostics, cfg)
+        new, info = proximal_step(ek, prev, cfg.tau, cfg, return_info=True)
+        if len(starts) == 1:
+            plan = info.pop("plan", None)
+            steps = [(new, info, ek.eval(new),
+                      w2(prev, new) if plan is None else _plan_distance(plan))]
+        else:
+            steps = zip([new.row(r) for r in range(len(new))], info,
+                        ek.eval(new), _node_distance(prev.cell_mass,
+                                                     prev.positions, new.positions))
+        for row, (mu, step_info, e, d) in enumerate(steps):
+            states[row].append(mu)
+            energies[row].append(e)
+            dists[row].append(d)
+            diagnostics[row].append(step_info)
+        prev = new
+    return [FlowTrajectory(s, np.asarray(e), np.asarray(d), di, cfg)
+            for s, e, d, di in zip(states, energies, dists, diagnostics)]
 
 
 def quantile_w2(qa: QuantileMeasure, qb: QuantileMeasure) -> float:

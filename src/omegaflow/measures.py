@@ -38,6 +38,7 @@ __all__ = [
     "MeasureError",
     "AtomicMeasure",
     "QuantileMeasure",
+    "QuantileStack",
     "gaps",
     "gaps_adjoint",
     "interval_masses",
@@ -72,27 +73,45 @@ def _check_finite(a: np.ndarray, what: str) -> None:
 _EQUAL_LENGTH = "q_nodes, positions, cell_mass must be equal-length 1D"
 
 
+def _disordered(x: np.ndarray):
+    """None when no node of ``x`` lies below its left neighbour by more
+    than 1e-12 max(1, |x_i|, |x_{i+1}|), which is more than rounding (one
+    ulp at |x| = 1e16 is 2); otherwise the rows (nodes on the last axis)
+    where one does.  Finite ``x`` only."""
+    d = gaps(x)
+    if not (d < -1e-12).any():   # the tolerance is at least 1e-12
+        return None
+    scale = np.maximum(np.maximum(np.abs(x[..., 1:]), np.abs(x[..., :-1])), 1.0)
+    bad = (d < -1e-12 * scale).any(axis=-1)
+    return bad if bad.any() else None
+
+
 def _checked_positions(x, n: int) -> np.ndarray:
     """Quantile positions for a grid of ``n`` nodes: 1D of length n, finite
-    and nondecreasing up to -1e-12; returned cleaned and read-only."""
+    and nondecreasing up to rounding (:func:`_disordered`); returned cleaned
+    and read-only."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or len(x) != n:
         raise MeasureError(_EQUAL_LENGTH)
     _check_finite(x, "positions")
-    if (x[1:] - x[:-1] < -1e-12).any():
+    if _disordered(x) is not None:
         raise MeasureError("positions must be nondecreasing")
-    return _freeze(np.maximum.accumulate(x))  # clean up -1e-13 scale noise
+    return _freeze(np.maximum.accumulate(x))  # clean up rounding noise
 
 
 def gaps(x: np.ndarray) -> np.ndarray:
-    """Widths x_{i+1} - x_i of the n - 1 intervals between nodes ``x``."""
-    return x[1:] - x[:-1]
+    """Widths x_{i+1} - x_i of the n - 1 intervals between nodes ``x``
+    (per row of a stack: the nodes are the last axis)."""
+    return x[..., 1:] - x[..., :-1]
 
 
 def gaps_adjoint(du: np.ndarray) -> np.ndarray:
     """Transpose of the linear map :func:`gaps`: the gradient in the n
     nodes of sum_i du_i gaps(x)_i."""
-    return np.concatenate(([0.0], du)) - np.concatenate((du, [0.0]))
+    out = np.zeros(du.shape[:-1] + (du.shape[-1] + 1,))
+    out[..., 1:] = du
+    out[..., :-1] -= du
+    return out
 
 
 def pair_differences(xs: np.ndarray, ys: np.ndarray):
@@ -222,12 +241,72 @@ class QuantileMeasure:
         """The same quantile grid at new positions.  The grid arrays are
         already validated and read-only, so they are shared, and only the
         positions are checked (the constructor's rule, not a copy of it)."""
+        return self._at(_checked_positions(x, len(self.q_nodes)))
+
+    def _at(self, x: np.ndarray) -> "QuantileMeasure":
+        """The same grid at read-only positions ``x`` that passed
+        :func:`_checked_positions` (or the same check in a
+        :class:`QuantileStack`)."""
         new = object.__new__(type(self))
         object.__setattr__(new, "q_nodes", self.q_nodes)
-        object.__setattr__(new, "positions",
-                           _checked_positions(x, len(self.q_nodes)))
+        object.__setattr__(new, "positions", x)
         object.__setattr__(new, "cell_mass", self.cell_mass)
         return new
+
+
+class QuantileStack:
+    """K states on the grid of one :class:`QuantileMeasure`: the rows of
+    positions ``x`` ((K, n)), stepped together by the JKO solver.
+
+    Each row is checked and cleaned by the rule of
+    :meth:`QuantileMeasure.with_positions`, but a row that breaks it does
+    not raise: ``faults`` marks it (its positions then mean nothing), so
+    one row out of order does not stop the others.  ``faults`` is None
+    when every row is a state."""
+
+    __slots__ = ("grid", "positions", "faults")
+
+    def __init__(self, grid: QuantileMeasure, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != len(grid):
+            raise MeasureError("a stack's positions are (K, n) for n grid nodes")
+        self.grid = grid
+        if np.isfinite(x).all():
+            self.faults = _disordered(x)
+        else:
+            finite = np.isfinite(x).all(axis=1)
+            x = np.where(finite[:, None], x, 0.0)
+            disordered = _disordered(x)
+            self.faults = ~finite if disordered is None else ~finite | disordered
+        self.positions = _freeze(np.maximum.accumulate(x, axis=1))
+
+    @classmethod
+    def of(cls, states) -> "QuantileStack":
+        """The QuantileMeasures ``states``, on the grid of the first, as the
+        rows of a stack; their positions were checked when they were built,
+        so they are not checked again."""
+        new = object.__new__(cls)
+        new.grid, new.faults = states[0], None
+        new.positions = _freeze(states[0].positions[None] if len(states) == 1
+                                else np.stack([s.positions for s in states]))
+        return new
+
+    @property
+    def cell_mass(self) -> np.ndarray:
+        return self.grid.cell_mass
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def gaps(self) -> np.ndarray:
+        """Interval widths of every row, (K, n - 1)."""
+        return gaps(self.positions)
+
+    def row(self, k: int) -> QuantileMeasure:
+        """Row k as a state; it was checked when the stack was built."""
+        if self.faults is not None and self.faults[k]:
+            raise MeasureError(f"row {k} of the stack is not a state")
+        return self.grid._at(self.positions[k])
 
 
 def make_atomic(points, weights) -> AtomicMeasure:

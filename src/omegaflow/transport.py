@@ -435,6 +435,12 @@ def _plan_distance(plan: TransportPlan) -> float:
     return math.sqrt(max(plan.cost(), 0.0))
 
 
+def _node_distance(mass, x, y):
+    """sqrt(sum mass (x - y)^2) over the last axis: the node-to-node
+    distance of two states on one quantile grid, per row of a stack."""
+    return np.sqrt(np.sum(mass * (x - y) ** 2, axis=-1))
+
+
 def same_quantile_grid(mu, nu) -> bool:
     """True for two QuantileMeasures on one quantile grid: nodes and cell
     masses each within 1e-12 (``with_positions`` shares both arrays)."""
@@ -455,7 +461,7 @@ def w2(mu, nu, return_plan: bool = False):
     exact LP :func:`w2_exact`; ``return_plan`` then also returns the plan.
     """
     if not return_plan and same_quantile_grid(mu, nu):
-        return float(np.sqrt(np.sum(mu.cell_mass * (mu.positions - nu.positions) ** 2)))
+        return float(_node_distance(mu.cell_mass, mu.positions, nu.positions))
     if mu.dim == 1 and nu.dim == 1:
         return w2_1d(mu, nu, return_plan=return_plan)
     return w2_exact(mu, nu, return_plan=return_plan)

@@ -34,6 +34,7 @@ from .jko import (
     JkoError,
     flow,
     flow_time_dependent,
+    flows,
     isotonic_project,
     proximal_step,
     rescaled_intermediate,
@@ -286,8 +287,9 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
                                 rate_slack: float = 1e-3,
                                 name: str = "semigroup_contraction",
                                 ) -> InequalityReport:
-    """Evolve both states to time t (n JKO steps) and compare W2 against the
-    modulus-specific contraction rate with multiplicative slack."""
+    """Evolve both states to time t (n JKO steps, one stack when they share
+    a grid: :func:`jko.flows`) and compare W2 against the modulus-specific
+    contraction rate with multiplicative slack."""
     w0 = w2(mu, nu)
     if t == 0:
         return InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
@@ -303,8 +305,7 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
             window = math.log(math.log(w0**2) / LOG_JUNCTION) / (2.0 * abs(lam))
             if t >= window:
                 return _skip(name, f"t outside rate window [0, {window})", t=t)
-    tr_mu = flow(energy, mu, cfg)
-    tr_nu = flow(energy, nu, cfg)
+    tr_mu, tr_nu = flows(energy, [mu, nu], cfg)
     wt = w2(tr_mu.states[-1], tr_nu.states[-1])
     if kind == "lipschitz":
         bound = math.exp(-lam * t) * w0
@@ -345,8 +346,7 @@ def check_nstep_contraction(energy: Energy, mu, nu, t: float, n: int,
     if modulus.lam > 0:
         return _skip(name, "n-step corollary stated for lam <= 0")
     cfg = replace(cfg or JkoConfig(), tau=t / n, steps=n)
-    tr_mu = flow(energy, mu, cfg)
-    tr_nu = flow(energy, nu, cfg)
+    tr_mu, tr_nu = flows(energy, [mu, nu], cfg)
     w0 = w2(mu, nu)
     wt = w2(tr_mu.states[-1], tr_nu.states[-1])
     gap_mu = max(tr_mu.energies[0] - tr_mu.energies.min(), 0.0)

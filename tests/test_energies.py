@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -237,7 +238,7 @@ def _dense(hess):
 class TestQuantileHessian:
     @pytest.mark.parametrize("name, params", [
         ("quadratic", {}), ("granular", {}), ("granular", {"b": 1.5, "beta": 2.0}),
-        ("zero", {})])
+        ("zero", {}), ("log_pinch", {}), ("log_pinch", {"strength": 2.5})])
     def test_potential_hess_matches_gradient_differences(self, name, params):
         pot = POTENTIALS[name](params)
         x = np.array([-1.3, -0.2, 0.05, 0.7, 2.1])
@@ -246,10 +247,15 @@ class TestQuantileHessian:
         np.testing.assert_allclose(pot.hess(x), fd, rtol=1e-7, atol=1e-9)
 
     def test_no_hessian_keeps_none(self):
-        assert POTENTIALS["log_pinch"]({}).hess is None
-        for energy in (Energy(potential=POTENTIALS["log_pinch"]({})),
+        # a potential without ``hess`` (log_pinch's terms with it removed)
+        # or a log kernel leaves the energy without a quantile Hessian;
+        # every shipped potential has one
+        hessless = dataclasses.replace(POTENTIALS["log_pinch"]({}), hess=None)
+        for energy in (Energy(potential=hessless),
                        Energy(kernel=Kernel("log", d=1))):
             assert not energy.has_quantile_hess()
+        for name in POTENTIALS:
+            assert Energy(potential=POTENTIALS[name]({})).has_quantile_hess()
         assert capped_aggregation_energy().has_quantile_hess()
 
     @pytest.mark.parametrize("energy", [
@@ -348,7 +354,18 @@ class TestLogPinch:
         for x in (0.0, 1e-8, -1e-8, 0.25, -0.25, j, 2.0):
             assert type(pot.value(x)) is float and pot.value(x) == val(x)
             assert type(pot.grad(x)) is float and pot.grad(x) == grd(x)
-        assert pot.hess is None
+
+    @pytest.mark.parametrize("strength", [1.0, 0.5, 3.0])
+    def test_1d_hess(self, strength):
+        # V'' = s (1 + log|x|) below the junction sqrt(JUNCTION), 0 above
+        # it (V continues linearly), -inf at 0
+        pot = POTENTIALS["log_pinch"]({"strength": strength})
+        j = math.sqrt(JUNCTION)
+        x = np.array([-0.25, -1e-8, 1e-300, 0.01, 0.999 * j, 1.001 * j, -2.0])
+        expect = np.where(np.abs(x) <= j, strength * (1.0 + np.log(np.abs(x))),
+                          0.0)
+        np.testing.assert_allclose(pot.hess(x), expect, rtol=1e-15, atol=0.0)
+        assert pot.hess(np.zeros(2)).tolist() == [-math.inf, -math.inf]
 
     def test_2d_value_is_radial(self):
         pot = POTENTIALS["log_pinch"]({"strength": 2.0})

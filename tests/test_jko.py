@@ -28,13 +28,17 @@ from omegaflow.jko import (
 from omegaflow.measures import (
     AtomicMeasure,
     QuantileMeasure,
+    QuantileStack,
+    interval_masses,
     lp_norm,
     make_atomic,
 )
+from omegaflow.moduli import lipschitz
 from omegaflow.transport import w2, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
     check_large_small_step,
+    check_semigroup_contraction,
     dirac_state,
     entropy_energy,
     feasible_random_state,
@@ -56,6 +60,13 @@ _OBJECTIVES = {
     "power": lambda: (Energy(internal=("power", 3.0)), {}),
     "penalty": lambda: (_CAPPED_NEWTONIAN, {"power": 4.0, "weight": 3.0}),
 }
+
+
+def _hessless_log_pinch():
+    """``log_pinch`` without its ``hess``: FISTA takes every 1D step, as it
+    did for ``log_pinch`` itself before the potential had a Hessian."""
+    pot = POTENTIALS["log_pinch"]({"strength": 1.0})
+    return Energy(potential=dataclasses.replace(pot, hess=None))
 
 
 def _positions_digest(traj) -> str:
@@ -316,19 +327,20 @@ class TestProximalStep:
             "73d4f78ff1066822c2b25280879b48f103a4b7b6a9459b5fe64cc541ce8c8b78"
 
     def test_nonconvex_multi_start_flow_positions_pinned(self):
-        # log-pinch potential: nonconvex in quantile coordinates and without
-        # a Hessian, so FISTA takes every step, from the previous state.  The
-        # digest was recorded when each step after the first also tried a
-        # start extrapolated from the two previous states, which never won
-        # here, and before the inner solver stopped re-evaluating its points
-        traj = flow(log_pinch_energy(1.0), dirac_state(5e-3, 2),
+        # log-pinch potential: nonconvex in quantile coordinates, and here
+        # without a Hessian, so FISTA takes every step, from the previous
+        # state.  The digest was recorded when each step after the first
+        # also tried a start extrapolated from the two previous states,
+        # which never won here, and before the inner solver stopped
+        # re-evaluating its points
+        traj = flow(_hessless_log_pinch(), dirac_state(5e-3, 2),
                     JkoConfig(tau=0.125 / 32, steps=32, inner_tol=1e-9))
         assert _positions_digest(traj) == \
             "686b9161e5eca408cdaac530c2ff015c54337fd84a77790f8490ffea8d406d81"
 
     def test_one_solve_per_step(self, monkeypatch):
         # one start per step, also where the energy is nonconvex: three
-        # log-pinch steps are three FISTA solves
+        # log-pinch steps without a Hessian are three FISTA solves
         calls = []
 
         def spy(*args):
@@ -337,7 +349,7 @@ class TestProximalStep:
 
         fista = jko._fista
         monkeypatch.setattr(jko, "_fista", spy)
-        traj = flow(log_pinch_energy(1.0), dirac_state(5e-3, 2),
+        traj = flow(_hessless_log_pinch(), dirac_state(5e-3, 2),
                     JkoConfig(tau=0.125 / 32, steps=3, inner_tol=1e-9))
         assert len(calls) == 3
         for x0, prev in zip(calls, traj.states):
@@ -1070,12 +1082,11 @@ class TestUncappedStepProperty:
             assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
                 <= e_mu + 1e-12 * max(1.0, abs(e_mu))
 
-    # ROADMAP item 6 (tied starts under power terms): U'' is 0 below
-    # GAP_FLOOR, so Newton overshoots to positions near 1e17 and the step
-    # ends flagged.  The minimal example test_descends[power3] found; any
-    # center fails alike.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a Dirac start "
-                       "under a power term ends flagged")
+    # the minimal example test_descends[power3] found: U'' is 0 below
+    # GAP_FLOOR, so Newton overshoots to positions near 1e17 and hands the
+    # step to FISTA.  The step ended flagged while a one-ulp loss of order
+    # at 1e17 raised MeasureError (the order check's tolerance was 1e-12
+    # absolute); under the relative tolerance FISTA converges
     def test_dirac_start_under_power_term_converges(self):
         _, info = proximal_step(_UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5),
                                 1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9),
@@ -1083,9 +1094,9 @@ class TestUncappedStepProperty:
         assert not info["residual_flag"]
 
     def test_lost_order_ends_the_solve(self):
-        # FISTA's projected point near 1e17 loses its order to rounding
-        # here; the solve ends at its best iterate, which satisfies the
-        # one-step bound, instead of raising MeasureError.
+        # FISTA's projected point near 1e17 lost its order to rounding
+        # here, beyond the absolute tolerance the order check had; the step
+        # satisfies the one-step bound and raises no MeasureError.
         energy, mu = _UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5)
         out = proximal_step(energy, mu, 1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9))
         e_mu = energy.eval(mu)
@@ -1209,7 +1220,7 @@ class TestNewton:
         monkeypatch.setattr(jko, "_fista", spy("fista", jko._fista))
         proximal_step(ks_surrogate_energy(), uniform_state(-0.8, 0.8, 16), 1e-3)
         assert calls == ["newton"]
-        proximal_step(log_pinch_energy(1.0), dirac_state(5e-3, 2), 1e-3)
+        proximal_step(_hessless_log_pinch(), dirac_state(5e-3, 2), 1e-3)
         assert calls == ["newton", "fista"]
         # a finite-p cap is convex: the solve without it and every solve of
         # the multiplier search take Newton
@@ -1350,10 +1361,12 @@ class TestNewton:
         # lies above f(x): a point that raises f by 1e-9 would pass it
         class Rising:
             def value(self, xt):
-                return 1.0 + 1e-9
-        x = np.array([0.0, 1.0, 2.0])
-        assert jko._armijo_arc(Rising(), x, 1.0, np.ones(3), np.full(3, 0.5),
-                               np.diff(x)) == (None, None)
+                return np.full(len(xt), 1.0 + 1e-9)
+        x = np.array([[0.0, 1.0, 2.0]])
+        x_new, f_new, found = jko._armijo_arc(
+            Rising(), x, np.ones(1), np.ones((1, 3)), np.full((1, 3), 0.5),
+            np.diff(x), [0])
+        assert found == [] and x_new is x and f_new[0] == 1.0
 
     def test_ks_surrogate_iterations_independent_of_grid(self):
         # FISTA took 20-25, 64-90 and 1093-1339 iterations per step here
@@ -1631,7 +1644,7 @@ class TestFinitePCapKkt:
         monkeypatch.setattr(jko, "_fista", lambda *args: (
             budgets.append(args[-1]) or fista(*args)))
         monkeypatch.setattr(_QuantileObjective, "grad",
-                            lambda self, x: np.full(len(x), np.nan))
+                            lambda self, x: np.full(np.shape(x), np.nan))
         with np.errstate(over="ignore", invalid="ignore"):
             _, _, res, _ = jko._newton(obj, q.positions, None, 1e-8, 40)
         assert budgets == [39] and res > 1e-8
@@ -1663,3 +1676,206 @@ class TestConfigValidation:
 
     def test_smallest_budget_and_grid_accepted(self):
         assert JkoConfig(tau=0.1, inner_max_iter=1).inner_max_iter == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked steps: K states on one grid solved as one QuantileStack
+# ---------------------------------------------------------------------------
+
+# energies of the stack contract: Newton in one iteration (quadratic), in
+# several (granular, log_pinch, whose Dirac at 0 hands its row to FISTA),
+# under a saturated hard cap (ks), with a finite-p cap search (finite_p),
+# and without a Hessian, where FISTA takes every row (log kernel)
+_STACK_ENERGIES = {
+    "quadratic": quadratic_energy(),
+    "granular": granular_energy(),
+    "log_pinch": log_pinch_energy(),
+    "ks": ks_surrogate_energy(2.0),
+    "finite_p": _CAPPED_NEWTONIAN,
+    "log_kernel": Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1, c=0.2)),
+}
+_STACK_ROWS = ("random", "tied", "dirac", "dirac0", "saturated", "wide")
+
+
+def _stack_row(kind, n, rng):
+    """Positions of one row on an n-node grid."""
+    if kind == "random":
+        return np.sort(rng.uniform(-0.6, 0.6, n))
+    if kind == "tied":
+        return np.repeat(np.sort(rng.uniform(-0.6, 0.6, (n + 1) // 2)), 2)[:n]
+    if kind == "dirac":
+        return np.full(n, rng.uniform(-0.6, 0.6))
+    if kind == "dirac0":
+        return np.zeros(n)
+    if kind == "saturated":   # every interval at the density cap 2
+        return rng.uniform(-0.2, 0.2) + (np.arange(n) - (n - 1) / 2.0) / (2.0 * n)
+    return np.linspace(-1.5, 1.5, n)   # finite-p: ||rho||_4 below the cap
+
+
+@st.composite
+def _stacks(draw):
+    """(energy name, K states on one grid, tau): n in {2, 3, 9, 64}, K from
+    1 to 4, rows of mixed kinds, and random cell masses."""
+    n = draw(st.sampled_from([2, 3, 9, 64]))
+    name = draw(st.sampled_from(sorted(_STACK_ENERGIES)))
+    kinds = draw(st.lists(st.sampled_from(_STACK_ROWS), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = np.full(n, 1.0 / n)
+    if draw(st.booleans()):
+        c = rng.uniform(0.5, 1.5, n)
+        c /= c.sum()
+    grid = np.cumsum(c) - 0.5 * c
+    states = []
+    for kind in kinds:
+        x = _stack_row(kind, n, rng)
+        if name == "ks" and kind != "saturated":   # start under the cap
+            x = isotonic_project(x, c, interval_masses(c) / 2.0)
+        states.append(QuantileMeasure(grid, x, c))
+    return name, states, draw(st.sampled_from([1e-3, 0.05]))
+
+
+def _same_step(a, b, info_a, info_b):
+    """Bitwise equal positions and equal bookkeeping."""
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert info_a["inner_iters"] == info_b["inner_iters"]
+    assert np.float64(info_a["residual"]).tobytes() \
+        == np.float64(info_b["residual"]).tobytes()
+    assert info_a["residual_flag"] == info_b["residual_flag"]
+
+
+class TestStackedSteps:
+    """Each row of a stacked step is bitwise its own K = 1 step: positions,
+    ``inner_iters``, ``residual`` and ``residual_flag``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_stacks())
+    @example(case=("quadratic", [dirac_state(0.7, 2)], 0.05))   # K = 1
+    def test_rows_match_single_steps(self, case):
+        name, states, tau = case
+        energy = _STACK_ENERGIES[name]
+        cfg = JkoConfig(tau=tau, inner_tol=1e-9, inner_max_iter=3000)
+        with np.errstate(all="ignore"):
+            out, infos = proximal_step(energy, QuantileStack.of(states), tau,
+                                       cfg, return_info=True)
+            assert isinstance(out, QuantileStack) and len(infos) == len(states)
+            for k, mu in enumerate(states):
+                single, info = proximal_step(energy, mu, tau, cfg,
+                                             return_info=True)
+                _same_step(out.row(k), single, infos[k], info)
+
+    @staticmethod
+    def _rows(energy, states, tau):
+        """The stacked step's infos, each row checked against its K = 1
+        step."""
+        cfg = JkoConfig(tau=tau, inner_tol=1e-9)
+        out, infos = proximal_step(energy, QuantileStack.of(states), tau, cfg,
+                                   return_info=True)
+        for k, mu in enumerate(states):
+            single, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+            _same_step(out.row(k), single, infos[k], info)
+        return infos
+
+    def test_rows_stop_at_different_iterations(self):
+        rng = np.random.default_rng(5)
+        states = [dirac_state(0.3, 9), feasible_random_state(rng, 9, cap=2.0),
+                  uniform_state(-0.25, 0.25, 9)]
+        infos = self._rows(ks_surrogate_energy(2.0), states, 0.05)
+        assert len({i["inner_iters"] for i in infos}) > 1
+
+    def test_row_handed_to_fista(self, monkeypatch):
+        # V'' = -inf at 0: the row with a node at 0 has no Newton direction,
+        # and only that row goes to FISTA
+        handed = []
+        fista = jko._fista
+        monkeypatch.setattr(jko, "_fista", lambda *args: (
+            handed.append(np.array(args[1])) or fista(*args)))
+        grid = dirac_state(0.0, 2)
+        states = [dirac_state(1e-3, 2), grid.with_positions([0.0, 1e-3])]
+        infos = self._rows(log_pinch_energy(), states, 0.01)
+        assert len(handed) == 1 + 1   # the stack's row, then its K = 1 step
+        assert handed[0].tolist() == handed[1].tolist() == [0.0, 1e-3]
+        assert not any(i["residual_flag"] for i in infos)
+
+    def test_finite_p_row_searches_alone(self, monkeypatch):
+        # the third state of the flow pinned in TestFinitePCapKkt ends above
+        # ||rho||_4 <= 1.2 and searches its multiplier; the wide one stays
+        # below the cap
+        searches = []
+        search = jko._cap_search
+        monkeypatch.setattr(jko, "_cap_search", lambda solve, q, *args: (
+            searches.append(q.positions.copy()) or search(solve, q, *args)))
+        near = flow(_CAPPED_NEWTONIAN, uniform_state(-0.6, 0.6, 16),
+                    JkoConfig(tau=0.1, steps=2, inner_tol=1e-8)).states[-1]
+        states = [near, near.with_positions(np.linspace(-1.5, 1.5, 16))]
+        proximal_step(_CAPPED_NEWTONIAN, QuantileStack.of(states), 0.1,
+                      JkoConfig(tau=0.1, inner_tol=1e-8))
+        assert len(searches) == 1
+        assert searches[0].tobytes() == states[0].positions.tobytes()
+        monkeypatch.setattr(jko, "_cap_search", search)
+        self._rows(_CAPPED_NEWTONIAN, states, 0.1)
+
+    def test_tau_zero_returns_the_stack(self):
+        stack = QuantileStack.of([dirac_state(0.5, 2), dirac_state(-0.5, 2)])
+        out, infos = proximal_step(quadratic_energy(), stack, 0.0,
+                                   return_info=True)
+        assert out is stack and [i["inner_iters"] for i in infos] == [0, 0]
+
+
+class TestFlows:
+    """``flows`` steps the states that share a grid as one stack, every
+    other state alone, and each trajectory is bitwise its own ``flow``."""
+
+    def test_mixed_starts_match_flow(self, monkeypatch):
+        starts = [dirac_state(0.4, 2), dirac_state(-0.3, 2),
+                  uniform_state(-0.5, 0.5, 3), make_atomic([0.2, 0.9], [0.3, 0.7]),
+                  dirac_state(1.1, 2)]
+        energy, cfg = granular_energy(), JkoConfig(tau=0.05, steps=6,
+                                                   inner_tol=1e-10)
+        steps = []
+        step = jko.proximal_step
+        monkeypatch.setattr(jko, "proximal_step", lambda e, mu, *a, **kw: (
+            steps.append(len(mu) if isinstance(mu, QuantileStack) else 0)
+            or step(e, mu, *a, **kw)))
+        trajs = jko.flows(energy, starts, cfg)
+        # the three 2-node Diracs as one stack, the other two alone
+        assert sorted(steps) == [0] * 12 + [3] * 6
+        monkeypatch.setattr(jko, "proximal_step", step)
+        for mu, traj in zip(starts, trajs):
+            ref = flow(energy, mu, cfg)
+            assert len(traj.states) == len(ref.states) == 7
+            for a, b in zip(traj.states, ref.states):
+                assert type(a) is type(b)
+                pa = a.positions if isinstance(a, QuantileMeasure) else a.points
+                pb = b.positions if isinstance(b, QuantileMeasure) else b.points
+                assert pa.tobytes() == pb.tobytes()
+            assert traj.energies.tobytes() == ref.energies.tobytes()
+            assert traj.step_distances.tobytes() == ref.step_distances.tobytes()
+            assert traj.diagnostics == ref.diagnostics
+
+    def test_semigroup_check_steps_one_stack(self, monkeypatch):
+        # two Diracs on one grid: n stacked steps, not 2n single ones
+        steps = []
+        step = jko.proximal_step
+        monkeypatch.setattr(jko, "proximal_step", lambda e, mu, *a, **kw: (
+            steps.append(type(mu).__name__) or step(e, mu, *a, **kw)))
+        n = 32
+        rep = check_semigroup_contraction(
+            quadratic_energy(), dirac_state(0.6, 2), dirac_state(-0.2, 2),
+            0.25, n, lipschitz(1.0), JkoConfig(inner_tol=1e-9))
+        assert steps == ["QuantileStack"] * n
+        assert rep.passed and not rep.skipped
+
+    def test_semigroup_check_on_two_grids_steps_each_alone(self, monkeypatch):
+        energy, n, t = quadratic_energy(), 16, 0.25
+        mu, nu = dirac_state(0.6, 2), dirac_state(-0.2, 3)
+        steps = []
+        step = jko.proximal_step
+        monkeypatch.setattr(jko, "proximal_step", lambda e, m, *a, **kw: (
+            steps.append(type(m).__name__) or step(e, m, *a, **kw)))
+        rep = check_semigroup_contraction(energy, mu, nu, t, n, lipschitz(1.0),
+                                          JkoConfig(inner_tol=1e-9))
+        assert steps == ["QuantileMeasure"] * (2 * n)
+        monkeypatch.setattr(jko, "proximal_step", step)
+        cfg = JkoConfig(tau=t / n, steps=n, inner_tol=1e-9)
+        wt = w2(flow(energy, mu, cfg).states[-1], flow(energy, nu, cfg).states[-1])
+        assert rep.lhs == rep.context["Wt"] == wt

@@ -10,6 +10,7 @@ from omegaflow.measures import (
     AtomicMeasure,
     MeasureError,
     QuantileMeasure,
+    QuantileStack,
     gaps,
     gaps_adjoint,
     interval_masses,
@@ -331,8 +332,8 @@ class TestWithPositions:
         elif kind == "noise":              # a Dirac with -1e-13 noise
             x = np.full(n, x[0])
             x[1::2] -= 1e-13
-        elif kind == "decrease":
-            x = np.append(x, x[-1] - 1e-11)[1:]
+        elif kind == "decrease":           # 10x the order check's tolerance
+            x = np.append(x, x[-1] - 1e-11 * max(1.0, abs(x[-1])))[1:]
         elif kind in ("nan", "inf"):
             x[j] = math.nan if kind == "nan" else -math.inf
         elif kind == "short":
@@ -367,3 +368,45 @@ class TestWithPositions:
         assert new.positions.tolist() == [2.0, 3.0]
         with pytest.raises(ValueError):
             new.positions[0] = 0.0
+
+
+class TestOrderTolerance:
+    """Positions may decrease by 1e-12 max(1, |x_i|, |x_{i+1}|): rounding at
+    any magnitude (one ulp at 1e16 is 2), and nothing more.  QuantileMeasure,
+    ``with_positions`` and each row of a QuantileStack share the check."""
+
+    GRID = QuantileMeasure([0.25, 0.5, 0.75], [0.0, 0.0, 0.0], [0.25, 0.5, 0.25])
+
+    @pytest.mark.parametrize("scale", [1e4, 1e16])
+    def test_one_ulp_decrease_accepted_and_cleaned(self, scale):
+        x = np.array([-scale, scale, np.nextafter(scale, 0.0)])
+        for q in (QuantileMeasure(self.GRID.q_nodes, x, self.GRID.cell_mass),
+                  self.GRID.with_positions(x),
+                  QuantileStack(self.GRID, np.stack([x, -x[::-1]])).row(0)):
+            assert q.positions.tolist() == [-scale, scale, scale]
+            assert np.all(np.diff(q.positions) >= 0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e16])
+    def test_relative_decrease_of_1e_9_rejected(self, scale):
+        x = np.array([0.0, scale, scale * (1.0 - 1e-9)])
+        with pytest.raises(MeasureError, match="nondecreasing"):
+            QuantileMeasure(self.GRID.q_nodes, x, self.GRID.cell_mass)
+        with pytest.raises(MeasureError, match="nondecreasing"):
+            self.GRID.with_positions(x)
+        stack = QuantileStack(self.GRID, np.stack([np.sort(x), x]))
+        assert stack.faults.tolist() == [False, True]
+        with pytest.raises(MeasureError):
+            stack.row(1)
+
+    def test_unit_scale_keeps_the_absolute_tolerance(self):
+        self.GRID.with_positions([0.0, 0.5, 0.5 - 0.9e-12])
+        with pytest.raises(MeasureError, match="nondecreasing"):
+            self.GRID.with_positions([0.0, 0.5, 0.5 - 1.5e-12])
+
+    def test_stack_marks_faulty_rows_without_raising(self):
+        rows = np.array([[0.0, 1.0, 2.0], [0.0, math.nan, 1.0],
+                         [0.0, -math.inf, 1.0], [2.0, 1.0, 0.0]])
+        stack = QuantileStack(self.GRID, rows)
+        assert stack.faults.tolist() == [False, True, True, True]
+        assert stack.row(0).positions.tolist() == [0.0, 1.0, 2.0]
+        assert QuantileStack(self.GRID, rows[:1]).faults is None
