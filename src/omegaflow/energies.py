@@ -471,9 +471,6 @@ class Energy:
             return np.where(inf, math.inf, total + v) if inf.any() else total + v
         return total
 
-    def __call__(self, mu) -> float:
-        return self.eval(mu)
-
     # -- Lagrangian gradient in 1D quantile coordinates ------------------------
 
     def quantile_grad(self, q) -> np.ndarray:

@@ -529,10 +529,6 @@ class GluedPlan:
         m.flags.writeable = False
         object.__setattr__(self, "mass", m)
 
-    @property
-    def dim(self) -> int:
-        return self.xs.shape[1]
-
     def pairs(self):
         """The (x, y, mass) triples as arrays of shape (k,d),(k,d),(k,), as
         :meth:`TransportPlan.pairs`."""

@@ -290,14 +290,47 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
     """Evolve both states to time t (n JKO steps, one stack when they share
     a grid: :func:`jko.flows`) and compare W2 against the modulus-specific
     contraction rate with multiplicative slack."""
-    w0 = w2(mu, nu)
+    return _semigroup_contraction(energy, [(mu, nu)], t, n, modulus, cfg,
+                                  rate_slack, name)[0]
+
+
+def _semigroup_contraction(energy: Energy, pairs, t: float, n: int,
+                           modulus: Modulus, cfg: JkoConfig | None,
+                           rate_slack: float, name: str) -> list:
+    """:func:`check_semigroup_contraction` of each (mu, nu) in ``pairs``.
+
+    A pair's skip or rate bound reads W2(0) alone, so it is decided before
+    any step; the pairs left step in one :func:`jko.flows` call."""
+    w0s = [w2(mu, nu) for mu, nu in pairs]
     if t == 0:
-        return InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
+        return [InequalityReport(name, w0, w0, 1e-12, context={"t": 0.0})
+                for w0 in w0s]
     cfg = replace(cfg or JkoConfig(), tau=t / max(n, 1), steps=n)
-    lam = modulus.lam
-    kind = modulus.kind
-    if kind == "polynomial" and w0 > 1.0:
-        return _skip(name, "W2(0) > 1 outside the polynomial rate window", W0=w0)
+    out = [_rate_bound(modulus, w0, t, name) for w0 in w0s]
+    todo = [i for i, b in enumerate(out) if not isinstance(b, InequalityReport)]
+    trajs = flows(energy, [m for i in todo for m in pairs[i]], cfg)
+    for i, tr_mu, tr_nu in zip(todo, trajs[::2], trajs[1::2]):
+        wt = w2(tr_mu.states[-1], tr_nu.states[-1])
+        ctx = {"t": t, "n": n, "W0": w0s[i], "Wt": wt, "rate_kind": modulus.kind}
+        out[i] = InequalityReport(name, wt, out[i] * (1.0 + rate_slack), 1e-15,
+                                  context=ctx)
+    return out
+
+
+def _rate_bound(modulus: Modulus, w0: float, t: float, name: str):
+    """The contraction rate's bound on W2(t) from W2(0) = w0, or the skip
+    report when w0 or t lies outside the rate's window."""
+    lam, kind = modulus.lam, modulus.kind
+    if kind == "lipschitz":
+        return math.exp(-lam * t) * w0
+    if kind == "polynomial":
+        if w0 > 1.0:
+            return _skip(name, "W2(0) > 1 outside the polynomial rate window", W0=w0)
+        p = modulus.p
+        base = 1.0 + 2.0 * lam * p * t * w0 ** (2.0 * p)
+        if base <= 0:
+            return _skip(name, "polynomial rate window exceeded", t=t)
+        return w0 * base ** (-1.0 / (2.0 * p))
     if kind in LOG_KINDS:
         if w0 > JUNCTION:
             return _skip(name, "W2(0) above the log-Lipschitz junction", W0=w0)
@@ -305,20 +338,7 @@ def check_semigroup_contraction(energy: Energy, mu, nu, t: float, n: int,
             window = math.log(math.log(w0**2) / LOG_JUNCTION) / (2.0 * abs(lam))
             if t >= window:
                 return _skip(name, f"t outside rate window [0, {window})", t=t)
-    tr_mu, tr_nu = flows(energy, [mu, nu], cfg)
-    wt = w2(tr_mu.states[-1], tr_nu.states[-1])
-    if kind == "lipschitz":
-        bound = math.exp(-lam * t) * w0
-    elif kind == "polynomial":
-        p = modulus.p
-        base = 1.0 + 2.0 * lam * p * t * w0 ** (2.0 * p)
-        if base <= 0:
-            return _skip(name, "polynomial rate window exceeded", t=t)
-        bound = w0 * base ** (-1.0 / (2.0 * p))
-    else:
-        bound = w0 ** math.exp(2.0 * lam * t)
-    ctx = {"t": t, "n": n, "W0": w0, "Wt": wt, "rate_kind": kind}
-    return InequalityReport(name, wt, bound * (1.0 + rate_slack), 1e-15, context=ctx)
+    return w0 ** math.exp(2.0 * lam * t)
 
 
 def nstep_contraction_error_terms(modulus: Modulus, big_r: float, t: float,
@@ -772,51 +792,38 @@ def _suite_contraction(tol: float, seed: int, quick: bool) -> list:
                                         name=f"contraction[{fam}]")
                 rep.context["fixture"] = fam
                 reports.append(rep)
-    # semigroup rates: semiconvex quadratic
-    pairs = 5 if quick else 20
-    for k in range(pairs):
-        a, b = rng.uniform(-2, 2, size=2)
-        for t in (0.5, 1.0):
-            rep = check_semigroup_contraction(
-                quadratic_energy(), dirac_state(a, 2), dirac_state(b, 2),
-                t, 1024, lipschitz(1.0), JkoConfig(tau=t / 1024, inner_tol=1e-9),
-                rate_slack=1e-3, name="contraction_rate_lipschitz")
-            rep.context["pair"] = k
-            reports.append(rep)
+    # semigroup rates, one row per family: (name, energy, pairs, times,
+    # steps, modulus, rate slack), each family's pairs one stack per time.
+    # The granular quartic's sharp above-tangent constant is lambda = 1/6
+    # (worst Dirac ray y = -2x) and its symmetric pairs nearly saturate the
+    # rate; the log-pinch pairs sit deep enough in the branch for t = 0.5
+    quad = [rng.uniform(-2, 2, size=2) for _ in range(5 if quick else 20)]
+    gran = [0.15 + 0.05 * k for k in range(2 if quick else 6)]
+    pinch = [math.exp(-8.0 - 0.4 * k) / 2.0 for k in range(2 if quick else 5)]
+    rates = [
+        ("contraction_rate_lipschitz", quadratic_energy(),
+         [(dirac_state(a, 2), dirac_state(b, 2)) for a, b in quad], (0.5, 1.0),
+         1024, lipschitz(1.0), 1e-3),
+        ("contraction_rate_polynomial", granular_energy(2.0, 1.0),
+         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in gran], (0.5,),
+         512, polynomial(1.0, 1.0 / 6.0), 1e-3),
+        ("contraction_rate_log_lipschitz", log_pinch_energy(1.0),
+         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in pinch], (0.5,),
+         512, sqrt_psi(-frozen["log_pinch_s1"]["lambda_abs"]), 1e-2),
+    ]
+    for name, energy, pairs, times, n, mod, rate_slack in rates:
+        for t in times:
+            reps = _semigroup_contraction(energy, pairs, t, n, mod,
+                                          JkoConfig(inner_tol=1e-9), rate_slack, name)
+            for k, rep in enumerate(reps):
+                rep.context["pair"] = k
+            reports.extend(reps)
     # n-step contraction corollary with the explicit error bookkeeping
-    lam_ks = -4.0 * frozen["ks_surrogate_cap2"]["C"]
-    nu_ks = feasible_random_state(rng, 48, cap=2.0)
-    rep = check_nstep_contraction(
-        ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48), nu_ks,
-        0.2, 16 if quick else 64, sqrt_psi(lam_ks),
-        JkoConfig(tau=0.2 / 16, inner_tol=1e-9), tol=tol)
-    reports.append(rep)
-    # polynomial rate on the granular quartic potential; the sharp
-    # above-tangent constant for V = |x|^4/4 is lambda = 1/6 (worst Dirac
-    # ray y = -2x), and the symmetric pair nearly saturates the rate
-    for k in range(2 if quick else 6):
-        a = 0.15 + 0.05 * k
-        rep = check_semigroup_contraction(
-            granular_energy(2.0, 1.0), dirac_state(a, 2), dirac_state(-a, 2),
-            0.5, 512, polynomial(1.0, 1.0 / 6.0),
-            JkoConfig(tau=0.5 / 512, inner_tol=1e-9),
-            rate_slack=1e-3, name="contraction_rate_polynomial")
-        rep.context["pair"] = k
-        reports.append(rep)
-    # log-Lipschitz pinch fixture: pairs deep inside the branch so the
-    # stated time window allows t = 0.5
-    strength = 1.0
-    lam_pinch = -frozen["log_pinch_s1"]["lambda_abs"]
-    for k in range(2 if quick else 5):
-        a = math.exp(-8.0 - 0.4 * k)
-        mu = dirac_state(a / 2.0, 2)
-        nu = dirac_state(-a / 2.0, 2)
-        rep = check_semigroup_contraction(
-            log_pinch_energy(strength), mu, nu, 0.5, 512,
-            sqrt_psi(lam_pinch), JkoConfig(tau=0.5 / 512, inner_tol=1e-9),
-            rate_slack=1e-2, name="contraction_rate_log_lipschitz")
-        rep.context["pair"] = k
-        reports.append(rep)
+    reports.append(check_nstep_contraction(
+        ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48),
+        feasible_random_state(rng, 48, cap=2.0), 0.2, 16 if quick else 64,
+        sqrt_psi(-4.0 * frozen["ks_surrogate_cap2"]["C"]),
+        JkoConfig(tau=0.2 / 16, inner_tol=1e-9), tol=tol))
     return reports
 
 

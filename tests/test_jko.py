@@ -314,6 +314,18 @@ class TestProximalStep:
             assert val == pytest.approx(plain + term["weight"] * u_p,
                                         rel=1e-14)
 
+    def test_stack_value_reads_each_row_fault(self):
+        # row 0's gradient overflows, so its value reads +inf; row 1 is out
+        # of order, so its value reads NaN and its gradient stays finite
+        grid = dirac_state(0.0, 3)
+        obj = _QuantileObjective(quadratic_energy(), QuantileStack.of([grid, grid]),
+                                 0.05)
+        x = np.array([[0.0, 1e308, 1.5e308], [0.5, 0.1, 0.2]])
+        with np.errstate(over="ignore"):
+            val, grad = obj.value_and_grad(x)
+        assert val[0] == math.inf and math.isnan(val[1])
+        assert not np.isfinite(grad[0]).all() and np.isfinite(grad[1]).all()
+
     def test_ks_surrogate_flow_positions_pinned(self, monkeypatch):
         # re-recorded when the internal term moved to the intervals between
         # nodes (the states agree with Newton's to 1.2e-12); FISTA's iterates
@@ -1813,6 +1825,45 @@ class TestStackedSteps:
         assert searches[0].tobytes() == states[0].positions.tobytes()
         monkeypatch.setattr(jko, "_cap_search", search)
         self._rows(_CAPPED_NEWTONIAN, states, 0.1)
+
+    def test_rows_accept_on_different_halvings(self, monkeypatch):
+        # under a power term the spread row and the Dirac row accept their
+        # arc points on different halvings: the partial acceptance keeps
+        # each row's own point and value
+        partial = []
+        arc = jko._armijo_arc
+
+        class Recorder:
+            def __init__(self, objective):
+                self.objective, self.points = objective, []
+
+            def value(self, x):
+                self.points.append(x.copy())
+                return self.objective.value(x)
+
+        def recording_arc(objective, x, *args):
+            rec = Recorder(objective)
+            x_new, f_new, found = arc(rec, x, *args)
+            halving = [next(j for j, xt in enumerate(rec.points)
+                            if xt[k].tobytes() == x_new[k].tobytes()) for k in found]
+            partial.append(len(set(halving)) > 1 or 0 < len(found) < len(args[-1]))
+            return x_new, f_new, found
+
+        monkeypatch.setattr(jko, "_armijo_arc", recording_arc)
+        energy = Energy(potential=POTENTIALS["quadratic"]({}), internal=("power", 3.0))
+        grid = dirac_state(2.8850120326573805, 9)
+        spread = grid.with_positions([
+            -2.830081973127222, -2.254300341002616, -1.2017286567756913,
+            -0.6979346744286996, -0.4638766728140493, 0.6923106688875231,
+            0.8831370694455005, 1.0237464881617822, 2.9832596147352657])
+        cfg = JkoConfig(tau=0.05, inner_tol=1e-9, inner_max_iter=500)
+        out, infos = proximal_step(energy, QuantileStack.of([spread, grid]), 0.05,
+                                   cfg, return_info=True)
+        assert any(partial)
+        monkeypatch.setattr(jko, "_armijo_arc", arc)
+        for k, mu in enumerate([spread, grid]):
+            single, info = proximal_step(energy, mu, 0.05, cfg, return_info=True)
+            _same_step(out.row(k), single, infos[k], info)
 
     def test_tau_zero_returns_the_stack(self):
         stack = QuantileStack.of([dirac_state(0.5, 2), dirac_state(-0.5, 2)])

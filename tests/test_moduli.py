@@ -147,6 +147,8 @@ class TestFlowMap:
             (log_lipschitz(-1.0), 1.0, 0.5),     # upper -> lower branch
             (log_lipschitz(0.5), 1.0, 0.5),      # grows in upper branch
             (sqrt_psi(-2.0), 0.8, 0.2),
+            (polynomial(0.0, -1.0), 1.0, 0.5),   # p = 0: omega(x) = x below 1
+            (polynomial(0.0, -1.0), 1.0, 1.5),   # crosses the cap at t1 = 0.5
         ]
         for mod, t, x in cases:
             ref = rk_flow(mod, t, x)

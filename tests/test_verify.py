@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from omegaflow import transport, verify
+from omegaflow import jko, transport, verify
 from omegaflow.energies import POTENTIALS, Energy, Kernel
 from omegaflow.jko import JkoConfig, JkoError, proximal_step
 from omegaflow.measures import QuantileMeasure, make_atomic
@@ -189,6 +189,13 @@ class TestSemigroupContraction:
         assert rep.passed
         assert rep.lhs == rep.rhs == w2(mu, nu)
 
+    def test_no_steps_rejected_before_any_skip(self):
+        # n < 1 with t > 0 fails in JkoConfig even when the pair would skip
+        with pytest.raises(JkoError, match="steps must be >= 1"):
+            check_semigroup_contraction(quadratic_energy(), dirac_state(2.0, 2),
+                                        dirac_state(0.0, 2), 0.5, 0,
+                                        polynomial(1.0, -1.0))
+
     def test_quadratic_rate(self):
         E = quadratic_energy()
         rep = check_semigroup_contraction(
@@ -229,6 +236,55 @@ class TestSemigroupContraction:
         assert rep.context["rate_kind"] == "sqrt_psi"
 
 
+def _pair_families():
+    """name -> (energy, modulus, t, Dirac pairs (a, b)) for
+    ``_semigroup_contraction``: in-window pairs mixed with each skip."""
+    lam_pinch = -load_frozen()["log_pinch_s1"]["lambda_abs"]
+    return {
+        # t = 0: W2(0) on both sides, no step
+        "t_zero": (quadratic_energy(), lipschitz(1.0), 0.0,
+                   [(0.6, -0.2), (1.5, 0.3)]),
+        "lipschitz": (quadratic_energy(), lipschitz(1.0), 0.5,
+                      [(0.6, -0.2), (1.5, 0.3), (-0.4, -0.4)]),
+        # W2(0) = 0.2 and 0.05 in the window, 0.8 past it at t = 2 (the
+        # base 1 - 4 W2(0)^2 is negative), 1.5 above 1
+        "polynomial": (verify.granular_energy(2.0, 1.0), polynomial(1.0, -1.0), 2.0,
+                       [(0.1, -0.1), (0.5, -0.3), (1.0, -0.5), (0.05, 0.0)]),
+        # W2(0) = 1e-4 and 5e-5 in the window, 1e-3 past it at t = 0.5,
+        # 0.2 above the junction
+        "log_lipschitz": (verify.log_pinch_energy(1.0), sqrt_psi(lam_pinch), 0.5,
+                          [(5e-5, -5e-5), (5e-4, -5e-4), (0.1, -0.1),
+                           (3e-5, -2e-5)]),
+    }
+
+
+class TestSemigroupContractionPairs:
+    """``_semigroup_contraction`` gives every pair the report of its own
+    ``check_semigroup_contraction`` and steps the pairs it does not skip
+    as one stack."""
+
+    @pytest.mark.parametrize("family", sorted(_pair_families()))
+    def test_matches_single_checks(self, monkeypatch, family):
+        energy, modulus, t, ab = _pair_families()[family]
+        pairs = [(dirac_state(a, 2), dirac_state(b, 2)) for a, b in ab]
+        n, cfg = 16, JkoConfig(inner_tol=1e-9)
+        steps = []
+        step = jko.proximal_step
+        monkeypatch.setattr(jko, "proximal_step", lambda e, mu, *a, **kw: (
+            steps.append(type(mu).__name__) or step(e, mu, *a, **kw)))
+        reps = verify._semigroup_contraction(energy, pairs, t, n, modulus, cfg,
+                                             1e-3, "rate")
+        monkeypatch.setattr(jko, "proximal_step", step)
+        singles = [check_semigroup_contraction(energy, mu, nu, t, n, modulus, cfg,
+                                               1e-3, "rate") for mu, nu in pairs]
+        assert [r.to_dict() for r in reps] == [r.to_dict() for r in singles]
+        stepped = [r for r in reps if "Wt" in r.context]
+        assert steps == (["QuantileStack"] * n if stepped else [])
+        skips = {r.skip_reason for r in reps if r.skipped}
+        assert (len(stepped), len(skips)) == {
+            "t_zero": (0, 0), "lipschitz": (3, 0)}.get(family, (2, 2))
+
+
 class TestNstepContraction:
     @pytest.mark.parametrize("t", [0.0, 0.5])
     @pytest.mark.parametrize("n", [0, -1])
@@ -264,6 +320,16 @@ class TestHwi:
                         lipschitz(1.0), samples, tol=1e-6)
         assert rep.passed
         assert rep.context["slope_estimate"] <= a + 1e-6
+
+
+    def test_zero_first_estimate_refines(self):
+        # the only sample is mu0 itself, so the first slope estimate is 0
+        # and the report comes from the geodesic refinement
+        mu0 = dirac_state(1.3, 4)
+        rep = check_hwi(quadratic_energy(), mu0, dirac_state(0.4, 4),
+                        lipschitz(1.0), [mu0])
+        assert rep.context["refined"] is True
+        assert rep.passed and rep.context["slope_estimate"] > 0
 
 
 class TestRateStudy:
@@ -372,7 +438,7 @@ class TestSuites:
         assert len(reps) >= 50
         assert all(r.passed for r in reps)
 
-    @pytest.mark.parametrize("name", ["ode", "appendix"])
+    @pytest.mark.parametrize("name", ["ode", "contraction", "appendix"])
     def test_suite_quick_passes(self, name):
         reps = run_suite(name, quick=True)
         assert reps and all(r.passed for r in reps)
@@ -482,6 +548,23 @@ class TestDiscreteEvi2DPlanReuse:
                                  JkoConfig(tau=self.TAU))
         assert len(calls) == 1
         assert rep.context["certificate_slack"] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_given_step_without_plan_solves_it(self, monkeypatch, seed):
+        # mu_tau given with an empty info: the plan mu -> mu_tau is a fresh
+        # exact solve, the second LP beside W2(mu, nu)
+        energy, cfg = _convex_2d_energy(), JkoConfig(tau=self.TAU)
+        mu, nu = _pair_2d(seed, 16, "random")
+        mu_tau = proximal_step(energy, mu, self.TAU, cfg)
+        calls = []
+        original = transport._network_simplex
+        monkeypatch.setattr(transport, "_network_simplex",
+                            lambda *args: calls.append(1) or original(*args))
+        rep = check_discrete_evi(energy, mu, nu, self.TAU, lipschitz(1.0), cfg,
+                                 mu_tau=mu_tau, info={})
+        assert len(calls) == 2 and rep.passed
+        assert (rep.lhs, rep.rhs) == _reference_evi_2d(
+            energy, mu, nu, self.TAU, lipschitz(1.0), mu_tau)
 
     def test_capped_step_flag_in_context(self):
         # one L-BFGS iteration is not enough for this step: its flag, and
