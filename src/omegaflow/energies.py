@@ -400,27 +400,34 @@ class Energy:
         return _per_row((w * np.asarray(v, dtype=float)).sum(axis=-1))
 
     def interaction_value(self, mu):
-        if isinstance(mu, QuantileStack) and _newtonian_1d(self.kernel, 1):
+        if isinstance(mu, _QUANTILE):
             x, w = mu.positions, mu.cell_mass
-        else:   # a stack under another kernel raises here
+            newtonian = _newtonian_1d(self.kernel, 1)
+        else:
             pts, w = _atoms(mu)
-            x = pts[:, 0] if _newtonian_1d(self.kernel, pts.shape[1]) else None
-        if x is not None:
+            newtonian = _newtonian_1d(self.kernel, pts.shape[1])
+            x = pts[:, 0] if newtonian else None
+        if newtonian:
             # 1D atoms of every measure type are kept sorted
             left = np.cumsum(w)[:-1]                # mass of atoms 0..k
             right = np.cumsum(w[::-1])[::-1][1:]    # mass of atoms k+1..
             # a sum over gaps of nonnegative terms: no cancellation
             return 0.5 * self.kernel.c * _per_row(
                 np.sum(gaps(x) * left * right, axis=-1))
-        if not w.all():
-            # a zero-weight atom on another one would give 0 * inf = nan
-            pts, w = pts[w > 0], w[w > 0]
-        r = np.sqrt(pair_differences(pts, pts)[1])
-        vals = self.kernel.value(r)
-        pair = np.outer(w, w) * vals
+        if x is not None:   # the pair distances of 1D nodes, per row
+            d = x[..., :, None] - x[..., None, :]
+            r = np.sqrt(d * d)
+        else:
+            if not w.all():
+                # a zero-weight atom on another one would give 0 * inf = nan
+                pts, w = pts[w > 0], w[w > 0]
+            r = np.sqrt(pair_differences(pts, pts)[1])
+        # each row's n x n block as one contiguous run, its diagonal every
+        # n + 1 entries
+        pair = (np.outer(w, w) * self.kernel.value(r)).reshape(r.shape[:-2] + (-1,))
         if self.kernel.singular:
-            np.fill_diagonal(pair, 0.0)
-        return 0.5 * float(pair.sum())
+            pair[..., ::len(w) + 1] = 0.0
+        return 0.5 * _per_row(pair.sum(axis=-1))
 
     def internal_value(self, mu):
         kind = self.internal[0]
@@ -447,8 +454,7 @@ class Energy:
         """Energy value; +inf on constraint violation.  One per row of a
         :class:`QuantileStack`."""
         if isinstance(mu, QuantileStack):
-            if self.constraint is None and (self.kernel is None
-                                            or _newtonian_1d(self.kernel, 1)):
+            if self.constraint is None:
                 return self.terms_value(mu)
             return np.array([self.eval(mu.row(k)) for k in range(len(mu))])
         return self.terms_value(mu) if self.constraint_ok(mu) else math.inf
@@ -486,12 +492,10 @@ class Energy:
             cum = np.concatenate(([0.0], np.cumsum(c)))
             g += c * (0.5 * self.kernel.c) * (cum[:-1] - (cum[-1] - cum[1:]))
         elif self.kernel is not None:
-            diff = x[:, None] - x[None, :]
-            r = np.abs(diff)
-            dv = self.kernel.dvalue(r)
-            contrib = dv * np.sign(diff) * c[None, :]
-            np.fill_diagonal(contrib, 0.0)
-            g += c * contrib.sum(axis=1)
+            diff = x[..., :, None] - x[..., None, :]
+            contrib = self.kernel.dvalue(np.abs(diff)) * np.sign(diff) * c
+            contrib.reshape(x.shape[:-1] + (-1,))[..., ::len(c) + 1] = 0.0
+            g += c * contrib.sum(axis=-1)
         if self.internal is not None:
             g += gaps_adjoint(self._du_dgap(q))
         return g

@@ -9,27 +9,22 @@ inside an isotonic projection.
 On that feasible set (the sorted cone) the 1D Newtonian term is linear in
 x, and its gradient counts tied atoms by their order.
 
-Two inner solvers share one stopping test: the projected-gradient
-residual below ``inner_tol``, or ``inner_max_iter`` iterations (reported,
-result still returned with a residual flag).  Both read a trial point
-whose value or gradient is not finite (an overflowing power term) as +inf.
+Two inner solvers share one stopping test, the projected-gradient
+residual below ``inner_tol`` or ``inner_max_iter`` iterations (the result
+then comes back with a residual flag), and read a trial point whose value
+or gradient is not finite (an overflowing power term) as +inf.  Each step
+makes one solve, from the previous state's positions:
 
-Every step makes one solve, from the previous state's positions, and one
-rule picks its solver: Newton when :meth:`Energy.has_quantile_hess`,
-FISTA otherwise.
-
-* Projected Newton with a tridiagonal solve (:func:`_newton`) takes the steps
-  whose energy has a second derivative in every term: potentials with a
-  ``hess`` (every shipped one), the 1D Newtonian kernel of either
-  sign (linear on the sorted cone), entropy and power internal terms,
-  caps.  Its iteration count does not grow with the number of nodes.
-  When its tridiagonal solve meets a nonpositive pivot (a Hessian that is
-  not positive definite) or its line search fails, it hands the iterate
-  to FISTA.
-* Accelerated projected gradient (monotone FISTA with backtracking,
-  :func:`_fista`) takes everything else: potentials without a ``hess``,
-  log, Riesz and smooth kernels.  It stops early, flagged, at an iterate
-  whose value is -inf.
+* projected Newton with a tridiagonal solve (:func:`_newton`) when
+  :meth:`Energy.has_quantile_hess`: potentials with a ``hess`` (every
+  shipped one), the 1D Newtonian kernel of either sign (linear on the
+  sorted cone), entropy and power internal terms, caps.  Its iteration
+  count does not grow with the number of nodes.  Where its Hessian is not
+  positive definite or its line search fails, it hands the iterate to
+  FISTA;
+* accelerated projected gradient (monotone FISTA with backtracking,
+  :func:`_fista`) otherwise: potentials without a ``hess``, log, Riesz
+  and smooth kernels.  It stops early, flagged, at a value of -inf.
 
 Near a minimizer on a dense state one float spacing of a gap moves the
 residual by more than 1e-12, so both solvers stop where their iteration
@@ -38,11 +33,11 @@ rounding the last Newton step to the float point that minimizes it
 (:func:`_rounded_newton`).
 
 A finite-p cap ||rho||_p <= C is a multiplier search on the same solvers
-(:func:`_cap_search`): when the step without it ends above the cap, the
-step is solved again with lam U_p added, U_p = ||rho||_p^p / (p - 1) being
-the power-p internal term, and lam >= 0 is grown and bisected until the
-state ends at the cap.  Its solves spend what the first solve left of
-``inner_max_iter``; a search that cannot finish sets the residual flag.
+(:func:`_cap_search`): a step that ends above the cap is solved again with
+lam U_p added (U_p = ||rho||_p^p / (p - 1), the power-p internal term),
+lam >= 0 grown and bisected until the state ends at the cap, on what the
+first solve left of ``inner_max_iter``; a search that cannot finish sets
+the residual flag.
 
 2D proximal steps are limited to atomic measures with at most 64 atoms and
 are Lagrangian too (Westdickenberg & Wilkening 2010; Carrillo, Craig &
@@ -55,20 +50,16 @@ monotonicity (Rockafellar 1966; :func:`_cycle_slack`), so the step solves
 no LP; it hands the plan out when certified, and sets the flag when the
 certificate fails or the residual stays above ``inner_tol``.
 
-1D states on one grid step together as the rows of a
-:class:`QuantileStack` (:func:`flows`; a semigroup-contraction check
-evolves its two states so): the Newton path evaluates every row in one
-call, where small steps spend their time on per-call overhead, and each
-row keeps its own stopping test, iteration count and Armijo arc.  A row
-that goes to FISTA, and a row that searches a finite-p cap's multiplier,
-is solved alone, and FISTA solves every row of an energy without a
-Hessian alone.  Every row is bitwise the step of its own state: the
-per-row sums run along the last axis of C-contiguous arrays, which numpy
-sums row by row as it sums a 1D array, and the inner products stay one
-BLAS dot per row (a batched product would round differently).
-
-Everything here is deterministic: fixed reduction orders and one start
-per solve.
+The 1D solvers know one shape, the :class:`QuantileStack`: states on one
+grid step together as its rows (:func:`flows`; a semigroup-contraction
+check evolves its two states so), one state as a stack of one.  Each row
+keeps its own stopping test, iteration count and budget; FISTA rows, and
+the rows that Newton hands to FISTA, step in the stack too.  Every row is
+bitwise the step of its own state: the per-row sums run along the last
+axis of C-contiguous arrays, which numpy sums row by row as it sums a 1D
+array, and the inner products stay one BLAS dot per row (a batched
+product would round differently).  Everything here is deterministic:
+fixed reduction orders and one start per solve.
 """
 
 from __future__ import annotations
@@ -81,7 +72,6 @@ import numpy as np
 from .energies import Energy, EnergyError, _finite_field
 from .measures import (
     AtomicMeasure,
-    MeasureError,
     QuantileMeasure,
     QuantileStack,
     gaps,
@@ -190,38 +180,30 @@ def isotonic_project(values, weights=None, min_gaps=None) -> np.ndarray:
         g = np.asarray(min_gaps, dtype=float)
         if len(g) != n - 1 or (g < 0).any():
             raise JkoError("min_gaps must be nonnegative of length n-1")
-    return _pav(v, w, _offsets(min_gaps, n))[0]
+    return _pav(v[None], w[None], _offsets(min_gaps, v[None]))[0][0]
 
 
-def _rows(a, x):
-    """The 1D array ``a`` repeated once per row of the stack ``x`` ((K, n)),
-    or ``a`` itself for one state."""
-    return a[None].repeat(len(x), 0) if x.ndim == 2 else a
-
-
-def _offsets(min_gaps, n):
-    """The shifts sum_{j<i} min_gaps_j of the substitution z = x - shift."""
-    offsets = np.zeros(n)
+def _offsets(min_gaps, x):
+    """The shifts sum_{j<i} min_gaps_j of the substitution z = x - shift,
+    in the shape of the stack ``x``."""
+    offsets = np.zeros(np.shape(x))
     if min_gaps is not None:
-        np.cumsum(min_gaps, out=offsets[1:])
+        offsets[..., 1:] = np.cumsum(min_gaps)
     return offsets
 
 
 def _pav(v, w, offsets):
-    """:func:`isotonic_project` of ``v``, shape (n,) or a (K, n) stack
-    projected row by row, for checked positive weights ``w`` and shifts
-    ``offsets`` (:func:`_offsets`) of the same shape, and its pools: the
-    pool sizes, or None where no pair pools (for a stack, a list with one
-    entry per row)."""
+    """:func:`isotonic_project` of each row of the stack ``v`` ((K, n)), for
+    checked positive weights ``w`` and shifts ``offsets`` (:func:`_offsets`)
+    of the same shape, and each row's pools: a list of the pool sizes, or
+    None where no pair pools."""
     wz = w * (v - offsets)
     # the loop's merge predicate on two single-atom blocks, same products
     pools = wz[..., :-1] * w[..., 1:] > wz[..., 1:] * w[..., :-1]
     z = np.divide(wz, w)
-    if v.ndim == 1:
-        counts = _pool(z, w, wz, pools) if pools.any() else None
-    else:
-        counts = [_pool(z[k], w[k], wz[k], pools[k]) if any_k else None
-                  for k, any_k in enumerate(pools.any(axis=1).tolist())]
+    counts = [None] * len(v) if not pools.any() else [
+        _pool(z[k], w[k], wz[k], pools[k]) if any_k else None
+        for k, any_k in enumerate(pools.any(axis=1).tolist())]
     return z + offsets, counts
 
 
@@ -259,23 +241,19 @@ def _spacing_min_gaps(energy: Energy, cell_mass: np.ndarray):
 
 class _QuantileObjective:
     """(1/2 tau) sum m (x - y)^2 + discrete energy (+ ``weight`` U_p, U_p
-    the power-``power`` internal term: a finite-p cap's multiplier term).
-
-    ``q_prev`` is one state (points x of shape (n,), scalar values) or a
-    :class:`QuantileStack` of K states on one grid; on a stack, points are
-    (K, n) and every value is one per row, each row computed as its own
-    state's would be.  A stack row out of order reads value NaN (one state
-    raises :class:`MeasureError`)."""
+    the power-``power`` internal term: a finite-p cap's multiplier term)
+    on the rows of the :class:`QuantileStack` ``q_prev``: points x are
+    (K, n), and each row's value is its own state's.  A row out of order
+    reads value NaN (its :attr:`QuantileStack.faults` entry)."""
 
     def __init__(self, energy, q_prev, tau, power=None, weight=0.0):
         self.energy = energy
-        self.q = q_prev
-        self.grid = q_prev.grid if isinstance(q_prev, QuantileStack) else q_prev
+        self.grid = q_prev.grid
         self.y = q_prev.positions
         self.m = q_prev.cell_mass
         # the masses in the shape of y: numpy multiplies arrays of one
         # shape about twice as fast as it broadcasts (n,) against (K, n)
-        self.mass = _rows(self.m, self.y)
+        self.mass = self.m[None].repeat(len(self.y), 0)
         self.tau = tau
         self.power = power
         self.cap_term = None if power is None \
@@ -283,21 +261,17 @@ class _QuantileObjective:
         self.weight = weight
         self._x, self._qs = self.y, q_prev   # the state at y is q_prev
 
-    def row(self, k):
-        """The objective of row k of a stack alone (one state's: itself)."""
-        if not isinstance(self.q, QuantileStack):
-            return self
-        return _QuantileObjective(self.energy, self.q.row(k), self.tau,
-                                  self.power, self.weight)
+    def rows(self, idx):
+        """The objective of the rows ``idx`` of the stack."""
+        return _QuantileObjective(self.energy, QuantileStack(self.grid, self.y[idx]),
+                                  self.tau, self.power, self.weight)
 
     def state(self, x):
-        """The state at positions ``x`` (a :class:`QuantileStack` for (K, n)
-        points).  The last one is kept, keyed on the array object, so a
-        residual probe right after ``value(x)`` reuses it; callers never
-        change an evaluated array in place."""
+        """The :class:`QuantileStack` at positions ``x``.  The last one is
+        kept, keyed on the array object, for a residual probe right after
+        ``value(x)``: callers never change an evaluated array in place."""
         if x is not self._x:
-            self._x, self._qs = x, (QuantileStack(self.grid, x) if x.ndim == 2
-                                    else self.grid.with_positions(x))
+            self._x, self._qs = x, QuantileStack(self.grid, x)
         return self._qs
 
     def value(self, x):
@@ -307,23 +281,20 @@ class _QuantileObjective:
         return self._grad(self.state(x), x)
 
     def value_and_grad(self, x):
-        """(value(x), grad(x)) from one state; the value reads +inf where
-        the gradient is not finite."""
+        """(value(x), grad(x)) from one state; the value reads +inf in the
+        rows where the gradient is not finite."""
         qs = self.state(x)
         g = self._grad(qs, x)
         if np.isfinite(g).all():
             return self._value(qs, x), g
-        if x.ndim == 1:
-            return math.inf, g
         return np.where(np.isfinite(g).all(axis=1), self._value(qs, x), math.inf), g
 
     def _value(self, qs, x):
         move = (self.mass * (x - self.y) ** 2).sum(axis=-1)
-        val = self.energy.terms_value(
-            qs, 0.5 / self.tau * (move if move.ndim else float(move)))
+        val = self.energy.terms_value(qs, 0.5 / self.tau * move)
         if self.cap_term is not None:   # +inf stays +inf: weight > 0
             val = val + self.weight * self.cap_term.internal_value(qs)
-        if x.ndim == 2 and qs.faults is not None:
+        if qs.faults is not None:
             val = np.where(qs.faults, math.nan, val)
         return val
 
@@ -346,131 +317,163 @@ class _QuantileObjective:
 
 def _fista(objective, x0, min_gaps, tol, max_iter):
     """Accelerated projected gradient with Barzilai-Borwein step sizing,
-    backtracking safeguard and gradient-based momentum restarts.
-
-    Evaluates each point once: the start by ``value_and_grad``, which the
-    first iteration reuses as its extrapolated point.  Stops with an
-    infinite residual at the first accepted iterate whose value is -inf,
-    where neither the extrapolated point nor the iterate has a finite
-    gradient, and where a projected point is out of order (rounding at
-    positions near 1e17).  Stops at a fixed point of the float iteration
-    (the step and the momentum both round to nothing), where it would
-    otherwise spend its budget repeating one point.  A residual still above ``tol`` at the
-    end is then rounding when the objective has a Hessian: the end point
-    gives way to :func:`_rounded_newton`'s when that has a smaller
-    residual and no larger value.
-
-    A stack (``x0`` of shape (K, n)) is solved one row at a time.
-
-    Returns (x, iterations, projected-gradient residual, objective at x),
-    for a stack x and the value per row and the rest as lists."""
-    if np.ndim(x0) == 1:
-        return _fista_row(objective, x0, min_gaps, tol, max_iter)
-    rows = [_fista_row(objective.row(k), x0[k], min_gaps, tol, max_iter)
-            for k in range(len(x0))]
-    x, its, res, fx = zip(*rows)
-    return np.stack(x), list(its), list(res), np.array(fx)
-
-
-def _fista_row(objective, x0, min_gaps, tol, max_iter):
-    """:func:`_fista` on one state."""
-    m = objective.m
-    proj = lambda v: isotonic_project(v, m, min_gaps)
+    backtracking safeguard and gradient-based momentum restarts, on each
+    row of the stack ``x0`` ((K, n)) as if alone: its own step 1/L,
+    momentum, restarts, stops, best point and budget (``max_iter``, an int
+    or one per row).  Evaluates each point once.  A row stops with an
+    infinite residual at an iterate of value -inf, where neither the
+    extrapolated point nor the iterate has a finite gradient, and where a
+    projected point is out of order (its ``faults`` entry: rounding near
+    1e17); it stops at a fixed point of the float iteration.  A residual
+    left above ``tol`` is then rounding when the objective has a Hessian:
+    the end point gives way to :func:`_rounded_newton`'s when that has a
+    smaller residual and no larger value.  A stopped row stays pinned at a
+    point it evaluated until the iteration ends, then leaves the stack.
+    Returns (x, iterations, residuals, objective at x)."""
+    K = len(x0)
+    budget = [max_iter] * K if isinstance(max_iter, int) else list(max_iter)
+    offsets = _offsets(min_gaps, x0)
     s_probe = min(objective.tau, 1.0)
 
-    def residual(x):
-        gx = objective.grad(x) / m
-        if not np.isfinite(gx).all():
-            return math.inf
-        return float(np.abs((x - proj(x - s_probe * gx)) / s_probe).max())
+    proj = lambda obj, v: _pav(v, obj.mass, offsets[:len(v)])[0]
 
-    x = proj(np.asarray(x0, dtype=float))
-    z = x.copy()
-    t_m = 1.0
-    L = max(float(m.max()) / objective.tau, 1e-12)
-    res = math.inf
+    def residual(obj, x, idx):   # of the rows idx of x
+        if len(idx) < len(x):
+            obj, x = obj.rows(idx), x[idx]
+        gx = obj.grad(x) / obj.mass
+        ok = np.isfinite(gx).all(axis=1).tolist()
+        if not all(ok):
+            gx = np.where(np.array(ok)[:, None], gx, 0.0)
+        r = np.abs((x - proj(obj, x - s_probe * gx)) / s_probe).max(axis=1)
+        return [r_k if ok_k else math.inf for r_k, ok_k in zip(r.tolist(), ok)]
+
+    def end(i, at, r, its):
+        """Row i stops at row i of the evaluated ``at``, unless its best
+        point, then its rounded Newton point, takes that place (not at -inf)."""
+        point, f, fb = at[i], fx[i], f_best[i]
+        if f > fb + 1e-12 * (1.0 + abs(fb)):
+            at, point, f = None, x_best[i], fb
+            (r,) = residual(obj.rows([i]), point[None], [0])
+        if r > tol and f > -math.inf and objective.energy.has_quantile_hess():
+            one, y = obj.rows([i]), point[None]
+            x_r = _rounded_newton([b[0] for b in one.hess(y)], one.m, point,
+                                  one.grad(y)[0], min_gaps)
+            if x_r is not None:
+                y = x_r[None]
+                (r_r,), (f_r,) = residual(one, y, [0]), one.value(y).tolist()
+                if r_r < r and f_r <= f + 1e-15 * (1.0 + abs(f)):
+                    at, point, r, f = None, x_r, r_r, f_r
+        out[live[i]] = point, its, r, f, at
+        done.append(i)
+
+    obj, live, out, done = objective, list(range(K)), [None] * K, []
+    x = proj(obj, np.asarray(x0, dtype=float))
+    z, x_best = x.copy(), x.copy()
+    fz, g = obj.value_and_grad(z)
+    fz = fz.tolist()
+    fx, f_best = list(fz), list(fz)
+    t_m, coef = [1.0] * K, [0.0] * K
+    L = [max(float(objective.m.max()) / objective.tau, 1e-12)] * K
+    step = z_prev = g_prev = None
+    spent = [i for i in range(K) if budget[i] == 0]
+    for i, r in zip(spent, residual(obj, x, spent) if spent else ()):
+        end(i, x, r, 0)
     it = 0
-    z_prev = None
-    g_prev = None
-    x_best = x.copy()
-    fz, g = objective.value_and_grad(z)
-    fx = f_best = fz
-    for it in range(1, max_iter + 1):
+    while len(done) < len(live):
+        if done:   # the stopped rows leave the stack
+            keep = [i for i in range(len(live)) if i not in done]
+            live, L, t_m, coef, fx, fz, f_best, budget, x, z, g, step, x_best, \
+                z_prev, g_prev = [r if r is None else r[keep] if isinstance(r, np.ndarray)
+                                  else [r[i] for i in keep] for r in (
+                                      live, L, t_m, coef, fx, fz, f_best, budget, x, z,
+                                      g, step, x_best, z_prev, g_prev)]
+            del done[:]
+            obj = obj.rows(keep)
+        it += 1
         if it > 1:
-            try:
-                fz, g = objective.value_and_grad(z)
-            except MeasureError:  # z out of order
-                fz = math.inf
-            if fz == math.inf:   # restart the momentum at x
-                z, t_m = x, 1.0
-                fz, g = objective.value_and_grad(z)
-        if not np.isfinite(g).all():   # no direction to step along
-            res = math.inf
-            break
+            z = x + np.array(coef)[:, None] * step
+            fz, g = obj.value_and_grad(z)
+            fz, bad = fz.tolist(), obj.state(z).faults
+            restart = [f == math.inf or bad is not None and bad[i]
+                       for i, f in enumerate(fz)]
+            if any(restart):   # restart the momentum at x
+                t_m = [1.0 if r else t for r, t in zip(restart, t_m)]
+                z = np.where(np.array(restart)[:, None], x, z)
+                fz, g = obj.value_and_grad(z)
+                fz = fz.tolist()
+        # value_and_grad reads +inf where the gradient is not finite
+        halt = [i for i, f in enumerate(fz)
+                if f == math.inf and not np.isfinite(g[i]).all()]
+        for i in halt:   # no direction to step along
+            end(i, x, math.inf, it)
+            g[i] = 0.0
         if g_prev is not None:
             # BB curvature estimate; the backtracking loop repairs
             # underestimates, nonconvex directions keep the previous L
-            dz = z - z_prev
-            denom = float(dz @ dz)
-            if denom > 0:
-                l_bb = float((g - g_prev) @ dz) / denom
+            dz, dg = z - z_prev, g - g_prev
+            for i, d in enumerate(dz):
+                denom = float(d @ d)
+                l_bb = float(dg[i] @ d) / denom if denom > 0 else 0.0
                 if l_bb > 0:
-                    L = min(max(l_bb, 1e-12), 1e18)
-        z_prev, g_prev = z.copy(), g
-        while True:
-            x_new = proj(z - g / L)
+                    L[i] = min(max(l_bb, 1e-12), 1e18)
+        z_prev, g_prev = z, g
+        pending = [i for i in range(len(live)) if i not in done]
+        while pending:   # a row that accepts keeps its L, and so its point
+            x_new = proj(obj, z - g / np.array(L)[:, None])
+            if done:
+                x_new[done] = x[done]
             dx = x_new - z
-            quad = fz + float(g @ dx) + 0.5 * L * float(dx @ dx)
-            try:
-                fxn = objective.value(x_new)
-            except MeasureError:  # order lost to rounding at huge |x|
-                x_new = None
-                break
-            if fxn <= quad + 1e-15 * (1.0 + abs(quad)) or L >= 1e17:
-                break
-            L *= 2.0
-        if x_new is None:
-            res = math.inf
-            break
-        moved = float(np.abs(x_new - x).max())
-        if moved == 0.0 and not (z != x).any():
-            res = residual(x)   # a fixed point: no later iteration moves
-            break
-        if float(np.dot(z - x_new, x_new - x)) > 0:  # momentum restart
-            t_m = 1.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m * t_m))
-        z = x_new + (t_m - 1.0) / t_new * (x_new - x)
-        x, fx, t_m = x_new, fxn, t_new
-        if fxn == -math.inf:   # unbounded below: no minimizer to approach
-            return x, it, math.inf, fxn
-        if fxn < f_best:
-            f_best = fxn
-            x_best = x.copy()
-        if it <= 3 or it % 5 == 0 or moved <= 0.1 * tol * s_probe:
-            res = residual(x)
-            if res <= tol:
-                break
-    else:
-        res = residual(x)
-    if fx > f_best + 1e-12 * (1.0 + abs(f_best)):
-        x, fx = x_best, f_best
-        res = residual(x)
-    if res > tol and objective.energy.has_quantile_hess():
-        x_r = _rounded_newton(objective, x, objective.grad(x), min_gaps)
-        if x_r is not None:
-            res_r = residual(x_r)
-            f_r = objective.value(x_r)
-            if res_r < res and f_r <= fx + 1e-15 * (1.0 + abs(fx)):
-                x, res, fx = x_r, res_r, f_r
-    return x, it, res, fx
+            f_new = obj.value(x_new).tolist()
+            bad = obj.state(x_new).faults
+            waiting = []
+            for i in pending:
+                d = dx[i]
+                quad = fz[i] + float(g[i] @ d) + 0.5 * L[i] * float(d @ d)
+                if bad is not None and bad[i]:   # order lost to rounding
+                    end(i, x, math.inf, it)
+                elif not (f_new[i] <= quad + 1e-15 * (1.0 + abs(quad)) or L[i] >= 1e17):
+                    L[i] *= 2.0
+                    waiting.append(i)
+            pending = waiting
+        step, ahead = x_new - x, z - x_new
+        moved = np.abs(step).max(axis=1).tolist()
+        fixed, probed = [], []
+        for i in range(len(live)):
+            if i in done:
+                continue
+            if moved[i] == 0.0 and not (z[i] != x[i]).any():
+                fixed.append(i)   # a fixed point: no later iteration moves
+                continue
+            if float(ahead[i] @ step[i]) > 0:   # momentum restart
+                t_m[i] = 1.0
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_m[i] * t_m[i]))
+            coef[i], t_m[i], fx[i] = (t_m[i] - 1.0) / t_new, t_new, f_new[i]
+            if f_new[i] == -math.inf:   # unbounded below: no minimizer to approach
+                end(i, x_new, math.inf, it)
+                continue
+            if f_new[i] < f_best[i]:
+                f_best[i], x_best[i] = f_new[i], x_new[i]
+            if it <= 3 or it % 5 == 0 or moved[i] <= 0.1 * tol * s_probe \
+                    or it == budget[i]:
+                probed.append(i)
+        for i, r in zip(fixed, residual(obj, x, fixed) if fixed else ()):
+            end(i, x, r, it)
+        for i, r in zip(probed, residual(obj, x_new, probed) if probed else ()):
+            if r <= tol or it == budget[i]:
+                end(i, x_new, r, it)
+        x = x_new
+    # rows that all end on one evaluated stack return it: the objective
+    # keeps its state for the caller
+    x, its, res, f, at = zip(*out)
+    same = at[0] is not None and len(at[0]) == K and all(a is at[0] for a in at)
+    return at[0] if same else np.stack(x), list(its), list(res), np.array(f)
 
 
 def _newton(objective, x0, min_gaps, tol, max_iter):
     """Projected Newton (Bertsekas 1982) in the gap coordinates
     s_i = x_{i+1} - x_i - min_gap_i >= 0, for an objective with a Hessian
-    (:meth:`_QuantileObjective.hess`).
-
-    Each iteration glues the gaps that the projected-gradient probe pools
+    (:meth:`_QuantileObjective.hess`), on every row of the stack ``x0``
+    ((K, n)) as if it were alone.  Each iteration glues the gaps that the projected-gradient probe pools
     (the ones at or near their bound that the gradient closes), so the
     nodes fall into blocks, and takes the Newton step of the block
     positions to the minimizer of the quadratic model on that face; the
@@ -482,32 +485,21 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     of the budget go to :func:`_fista`, as they do when the search ends at
     a point without a finite gradient or at the iterate itself (the step is
     below the float spacing, and every later iteration would repeat it).
-
-    On a stack (``x0`` of shape (K, n)) each row runs this iteration as if
-    alone: its own stopping test, iteration count, Armijo arc and hand-over
-    to FISTA.  A row that stops leaves the active set; the objective is
-    still evaluated on the whole stack, which costs next to nothing at the
-    small n where stacks pay, and leaves the stopped rows' bits alone.
-
-    Returns (x, iterations, projected-gradient residual, objective at x),
-    for a stack x and the value per row and the rest as lists."""
+    The rows handed over step in one :func:`_fista` call on their
+    sub-stack, each with what it left of the budget.  A row that stops
+    leaves the active set, but the objective is evaluated on the whole
+    stack, which costs next to nothing at the small n where stacks pay."""
     n = len(objective.m)
     s_probe = min(objective.tau, 1.0)
     x = np.asarray(x0, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None]
-    # per-node arrays in the shape of the stack (see _QuantileObjective)
-    m = _rows(objective.m, x)
-    lo = _rows(np.zeros(n - 1) if min_gaps is None else min_gaps, x)
+    m = objective.mass
+    lo = (np.zeros(n - 1) if min_gaps is None else min_gaps)[None].repeat(len(x), 0)
+    offsets = _offsets(min_gaps, x)
     # a start feasible up to the rounding that QuantileMeasure allows in
     # its order keeps its bits (the arc clips the gaps it moves)
     off = (gaps(x) < lo - 1e-12).any(axis=1)
     if off.any():
-        x = np.array(x)
-        for k in np.flatnonzero(off):
-            x[k] = isotonic_project(x[k], objective.m, min_gaps)
-    offsets = _rows(_offsets(min_gaps, n), x)
+        x = np.where(off[:, None], _pav(x, m, offsets)[0], x)
     fx, g = objective.value_and_grad(x)
     active = list(range(len(x)))
     its, res, handed = [0] * len(x), [math.inf] * len(x), {}
@@ -545,19 +537,20 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
             going &= np.isfinite(g_new).all(axis=1)
         for k in active:
             if k not in found or not going[k]:
-                handed[k] = _fista(objective.row(k), x[k], min_gaps, tol,
-                                   max_iter - it)
-                its[k], res[k] = it + handed[k][1], handed[k][2]
+                handed[k] = (x[k], it)
         active = [k for k in active if k not in handed]
         if not active:
             break
         x, fx, g = x_new, f_new, g_new
     if handed:
+        rows = list(handed)
+        x_f, its_f, res_f, f_f = _fista(
+            objective.rows(rows), np.stack([handed[k][0] for k in rows]),
+            min_gaps, tol, [max_iter - handed[k][1] for k in rows])
         x, fx = np.array(x), np.array(fx, dtype=float)
-        for k, (xk, _, _, fk) in handed.items():
-            x[k], fx[k] = xk, fk
-    if single:
-        return x[0], its[0], res[0], float(fx[0])
+        x[rows], fx[rows] = x_f, f_f
+        for k, i, r in zip(rows, its_f, res_f):
+            its[k], res[k] = handed[k][1] + i, r
     return x, its, res, fx
 
 
@@ -620,18 +613,19 @@ def _solve_tridiagonal(e, w, r):
     return v
 
 
-def _rounded_newton(objective, x, g, min_gaps):
-    """The Newton step from ``x`` rounded to float64 so as to minimize the
-    residual: among the points whose node i is the float nearest to
-    x_i + v_i, v the Newton displacement, or one of its two neighbours, the
-    one whose linearized residual max_i |g + H d|_i / m_i (d = point - x)
-    is smallest (a min-max Viterbi pass over the tridiagonal H).  Near a
-    minimizer each gap moved by one spacing shifts the residual by
-    H / m times that spacing, which on dense states exceeds a 1e-12
-    tolerance: rounding every node to its nearest float can miss the
-    tolerance that a neighbouring float point meets.  None when H is not
-    positive definite or the point leaves the gap bounds."""
-    e, w = objective.hess(x)
+def _rounded_newton(bands, m, x, g, min_gaps):
+    """The Newton step from one row ``x`` (gradient ``g``, Hessian
+    ``bands`` as (e, w), cell masses ``m``) rounded to float64 so as to
+    minimize the residual: among the points whose node i is the float
+    nearest to x_i + v_i, v the Newton displacement, or one of its two
+    neighbours, the one whose linearized residual max_i |g + H d|_i / m_i
+    (d = point - x) is smallest (a min-max Viterbi pass over the
+    tridiagonal H).  Near a minimizer each gap moved by one spacing shifts
+    the residual by H / m times that spacing, which on dense states
+    exceeds a 1e-12 tolerance: rounding every node to its nearest float can
+    miss the tolerance that a neighbouring float point meets.  None when H
+    is not positive definite or the point leaves the gap bounds."""
+    e, w = bands
     v = _solve_tridiagonal(e, w, -g)
     if v is None:
         return None
@@ -647,7 +641,7 @@ def _rounded_newton(objective, x, g, min_gaps):
         # residual i over (k_{i-1}, k_i, k_{i+1})
         mid = dp[i + 1][None, :, None]
         r = np.abs(g[i] + e[i] * mid + wp[i] * (mid - dp[i][:, None, None])
-                   + wp[i + 1] * (mid - dp[i + 2][None, None, :])) / objective.m[i]
+                   + wp[i + 1] * (mid - dp[i + 2][None, None, :])) / m[i]
         if best is not None:
             r = np.maximum(best[:, :, None], r)
         backs.append(r.argmin(axis=0))
@@ -735,39 +729,41 @@ def _prox_quantile(energy, q_prev, tau, cfg):
     rows = [out.row(k) for k in range(len(out))]
     for k, q_new in enumerate(rows):
         if not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
-            rows[k], infos[k] = _cap_search(solve, q_prev.row(k), *energy.constraint,
-                                            tol, its[k], cfg.inner_max_iter)
+            rows[k], infos[k] = _cap_search(
+                solve, QuantileStack.of([q_prev.row(k)]), *energy.constraint,
+                tol, its[k], cfg.inner_max_iter)
     return QuantileStack.of(rows), infos
 
 
 def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
-    """The step under ||rho||_p <= cap, once the solve without it (``its``
-    iterations) ended above: solves with lam U_p added, U_p = ||rho||_p^p /
-    (p-1), lam grown 4x from 1 until a solve ends feasible, then bisected
-    until a state reaches cap (1 - tol) or the bracket is tol-relative
-    narrow.  Each solve starts from the last feasible state and gets what is
-    left of ``max_iter``.  An unconverged solve (value -inf or no budget
-    left) or an overflowing lam ends the search flagged, at the last
-    feasible state or ``q_prev``."""
+    """The step from the stack of one ``q_prev`` under ||rho||_p <= cap,
+    once the solve without it (``its`` iterations) ended above: solves with
+    lam U_p added, U_p = ||rho||_p^p / (p-1), lam grown 4x from 1 until a
+    solve ends feasible, then bisected until a state reaches cap (1 - tol)
+    or the bracket is tol-relative narrow.  Each solve starts from the last
+    feasible state and gets what is left of ``max_iter``.  An unconverged
+    solve (value -inf or no budget left) or an overflowing lam ends the
+    search flagged, at the last feasible state or ``q_prev``'s."""
+    q_ok = q_prev.row(0)
     x0 = q_prev.positions
-    if not lp_norm(q_prev, p) <= cap:
+    if not lp_norm(q_ok, p) <= cap:
         # start from the nearest nodes whose interval densities stay below
         # M = cap^(p / (p-1)): the intervals hold at most mass 1, so
         # ||rho||_p^p <= M^(p-1)
         c = q_prev.cell_mass
-        x0 = isotonic_project(x0, c, interval_masses(c) / cap ** (p / (p - 1.0)))
+        x0 = isotonic_project(x0[0], c, interval_masses(c) / cap ** (p / (p - 1.0)))[None]
     lo, hi, lam = 0.0, math.inf, 1.0
-    q_ok = q_prev
     while math.isfinite(lam):
-        q, add, res = solve(q_prev, x0, max_iter - its, p, lam)
+        q, (add,), (res,) = solve(q_prev, x0, max_iter - its, p, lam)
         its += add
         if res > tol:
             break
+        q = q.row(0)
         norm = lp_norm(q, p)
         if norm > cap:
             lo = lam
         else:
-            q_ok, x0, hi = q, q.positions, lam
+            q_ok, x0, hi = q, q.positions[None], lam
             if norm >= cap * (1.0 - tol) or hi - lo <= tol * hi:
                 return q, {"inner_iters": its, "residual": res,
                            "residual_flag": False}

@@ -38,7 +38,6 @@ __all__ = [
     "w2_exact",
     "geodesic",
     "glue",
-    "generalized_geodesic",
     "pseudo_distance",
 ]
 
@@ -170,7 +169,7 @@ def _northwest_corner(a, b):
             i += 1
 
 
-def _vogel_basis(a, b, C):
+def _vogel_basis(a, b, C, cost):
     """Vogel's approximation start of the network simplex.
 
     Each placement goes to the open line (row or column) of largest regret:
@@ -183,7 +182,7 @@ def _vogel_basis(a, b, C):
     rounding leaves the last open column short of the row; otherwise its
     column.  The last row and column close together.  Returns the
     m + n - 1 cells ``(i, j, t)`` in placement order, zero-mass ones
-    included; they span a basis tree.
+    included; they span a basis tree.  ``cost`` is ``C`` as nested lists.
 
     Lines are numbered as the simplex's nodes (row i is node i, column j
     node m + j), so the heap key (-regret, node) orders ties.  Each line is
@@ -192,7 +191,6 @@ def _vogel_basis(a, b, C):
     """
     m, n = C.shape
     rest = a.tolist() + b.tolist()   # supply left at each node
-    cost = C.tolist()
     # each line's cross nodes, cheapest first
     order = ((np.argsort(C, axis=1, kind="stable") + m).tolist()
              + np.argsort(C.T, axis=1, kind="stable").tolist())
@@ -348,11 +346,11 @@ def _network_simplex(a, b, C):
     m, n = C.shape
     flow = [[0.0] * n for _ in range(m)]   # rows of Python floats
     adj = [[] for _ in range(m + n)]       # row i is node i, column j node m + j
-    for i, j, t in _vogel_basis(a, b, C):
+    cost = C.tolist()   # the tree walks index Python floats far faster
+    for i, j, t in _vogel_basis(a, b, C, cost):
         flow[i][j] = t
         adj[i].append(m + j)
         adj[m + j].append(i)
-    cost = C.tolist()   # the tree walks index Python floats far faster
     u, v, parent, depth = _tree_walk(adj, cost, m)
     R = np.empty_like(C)
     bland_after = _BLAND_AFTER_PER_NODE * (m + n)
@@ -585,11 +583,6 @@ def glue(plan0: TransportPlan, plan1: TransportPlan) -> GluedPlan:
     mass = plan0.matrix[i, k] * plan1.matrix[j, k] / nu[k]
     keep = mass > 0
     return GluedPlan(x_pts[i[keep]], y_pts[j[keep]], z_pts[k[keep]], mass[keep])
-
-
-def generalized_geodesic(glued: GluedPlan, alpha: float) -> AtomicMeasure:
-    """Generalized geodesic mu_alpha = ((1-a) pi^1 + a pi^2) # nu."""
-    return _push_forward(glued, alpha)
 
 
 def pseudo_distance(glued: GluedPlan) -> float:

@@ -24,6 +24,7 @@ from omegaflow.energies import (
 )
 from omegaflow.measures import (
     QuantileMeasure,
+    QuantileStack,
     make_atomic,
     pair_differences,
     to_quantile,
@@ -225,6 +226,49 @@ class TestNewtonian1dPrefixSums:
         assert E.interaction_value(tied) == 0.0
         np.testing.assert_allclose(E.quantile_grad(tied), [-0.25, 0.25],
                                    rtol=0, atol=1e-15)
+
+
+# pair kernels evaluated through n x n matrices: log, a smooth profile,
+# and power laws r^(2-d) (the 3D Newtonian kernel) and r^(alpha-d)
+_PAIR_KERNELS = {
+    "log": Kernel("log", d=1, c=0.7),
+    "smooth": Kernel("smooth", profile=lambda r: np.exp(-np.asarray(r) ** 2),
+                     dprofile=lambda r: -2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2)),
+    "newtonian3": Kernel("newtonian", d=3),
+    "riesz": Kernel("riesz", alpha=2.5, d=3, sign=-1),
+}
+
+
+class TestStackedPairKernels:
+    """A stack's pair-kernel terms are bitwise, row by row, the one-state
+    pair-matrix sums: the value one sum of the n^2 terms, the gradient n
+    row sums."""
+
+    @pytest.mark.parametrize("name", sorted(_PAIR_KERNELS))
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_rows_match_states(self, name, n):
+        kernel = _PAIR_KERNELS[name]
+        rng = np.random.default_rng(n)
+        grid = uniform_state(-1.0, 1.0, n)   # cell masses 1/n sum to 1 exactly
+        rows = [grid, grid.with_positions(np.sort(rng.normal(size=n))),
+                grid.with_positions(np.repeat(np.sort(rng.uniform(-1, 1, n // 2)), 2))]
+        stack = QuantileStack.of(rows)
+        pair = Energy(kernel=kernel)
+        energy = Energy(potential=POTENTIALS["quadratic"]({}), kernel=kernel)
+        values, grads = pair.interaction_value(stack), pair.quantile_grad(stack)
+        evals = energy.eval(stack)
+        c = grid.cell_mass
+        for k, q in enumerate(rows):
+            diff = q.positions[:, None] - q.positions[None, :]
+            terms = np.outer(c, c) * kernel.value(np.sqrt(diff * diff))
+            if kernel.singular:
+                np.fill_diagonal(terms, 0.0)
+            assert np.float64(values[k]).tobytes() == \
+                np.float64(0.5 * float(terms.sum())).tobytes()
+            contrib = kernel.dvalue(np.abs(diff)) * np.sign(diff) * c[None, :]
+            np.fill_diagonal(contrib, 0.0)
+            assert grads[k].tobytes() == (np.zeros(n) + c * contrib.sum(axis=1)).tobytes()
+            assert np.float64(evals[k]).tobytes() == np.float64(energy.eval(q)).tobytes()
 
 
 def _dense(hess):

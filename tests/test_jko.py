@@ -303,14 +303,15 @@ class TestProximalStep:
         rng = np.random.default_rng(11)
         q = feasible_random_state(rng, 24, cap=None, span=0.5)
         x = np.sort(q.positions + rng.normal(scale=0.05, size=24))
-        obj = _QuantileObjective(energy, q, 0.05, **term)
-        val, grad = obj.value_and_grad(x)
-        assert val == obj.value(x) and math.isfinite(val)
+        stack, x = QuantileStack.of([q]), x[None]
+        obj = _QuantileObjective(energy, stack, 0.05, **term)
+        (val,), grad = obj.value_and_grad(x)
+        assert val == obj.value(x)[0] and math.isfinite(val)
         assert grad.tobytes() == obj.grad(x).tobytes()
         if term:   # the weighted power term adds weight U_p
-            u_p = Energy(internal=("power", term["power"])).internal_value(
+            (u_p,) = Energy(internal=("power", term["power"])).internal_value(
                 obj.state(x))
-            plain = _QuantileObjective(energy, q, 0.05).value(x)
+            (plain,) = _QuantileObjective(energy, stack, 0.05).value(x)
             assert val == pytest.approx(plain + term["weight"] * u_p,
                                         rel=1e-14)
 
@@ -388,10 +389,9 @@ class TestProximalStep:
         for name in ("value", "grad", "value_and_grad"):
             monkeypatch.setattr(_QuantileObjective, name, counting(
                 name, getattr(_QuantileObjective, name)))
-        monkeypatch.setattr(jko, "isotonic_project",
-                            counting("proj", jko.isotonic_project))
-        monkeypatch.setattr(QuantileMeasure, "with_positions", counting(
-            "state", QuantileMeasure.with_positions))
+        monkeypatch.setattr(jko, "_pav", counting("proj", jko._pav))
+        monkeypatch.setattr(QuantileStack, "__init__", counting(
+            "state", QuantileStack.__init__))
         mu = QuantileMeasure(np.array([0.25, 0.75]), np.array([-0.5, 1.0]),
                              np.array([0.5, 0.5]))
         out, info = proximal_step(quadratic_energy(), mu, 0.1,
@@ -1199,11 +1199,20 @@ _NEWTON_ENERGIES = {
 }
 
 
+def _solve_one(solver, objective, x, min_gaps, tol, max_iter):
+    """(x, iterations, residual, value) of ``solver`` on the stack of one
+    of ``objective`` from positions ``x`` ((n,))."""
+    xs, its, res, f = solver(objective, x[None], min_gaps, tol, max_iter)
+    assert xs.shape == (1, len(x)) and len(its) == len(res) == len(f) == 1
+    return xs[0], its[0], res[0], float(f[0])
+
+
 def _newton_and_fista(energy, q, tau, tol=1e-12):
     """(x, iterations, residual, value) of Newton and of FISTA on one step."""
     min_gaps = jko._spacing_min_gaps(energy, q.cell_mass)
-    return [solver(_QuantileObjective(energy, q, tau), q.positions, min_gaps,
-                   tol, 20000) for solver in (jko._newton, jko._fista)]
+    return [_solve_one(solver, _QuantileObjective(energy, QuantileStack.of([q]), tau),
+                       q.positions, min_gaps, tol, 20000)
+            for solver in (jko._newton, jko._fista)]
 
 
 def _assert_newton_agrees(energy, q, tau):
@@ -1310,21 +1319,22 @@ class TestNewton:
         # rounded Newton step ends below 1e-12
         n = 9
         q = dirac_state(0.7, n)
-        objective = _QuantileObjective(entropy_energy(), q, 1e-3)
-        x, its, res, _ = jko._fista(objective, q.positions, None, 1e-12, 20000)
+        objective = _QuantileObjective(entropy_energy(), QuantileStack.of([q]), 1e-3)
+        x, its, res, _ = _solve_one(jko._fista, objective, q.positions, None,
+                                    1e-12, 20000)
         assert its < 1000 and res <= 1e-12
         # the min-max pass against all 3^n candidates of its linear model,
         # from a point a few spacings off
         x0 = x + np.spacing(x) * np.array([2, -1, 0, 3, 1, -2, 0, 1, -1])
-        g = objective.grad(x0)
-        e, w = objective.hess(x0)
+        g = objective.grad(x0[None])[0]
+        e, w = (b[0] for b in objective.hess(x0[None]))
         p = x0 + np.asarray(jko._solve_tridiagonal(e, w, -g))
         k = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
         d = (p + k * np.spacing(np.abs(p))) - x0
         wd = w * np.diff(d, axis=1)
         hd = e * d + np.pad(wd, ((0, 0), (1, 0))) - np.pad(wd, ((0, 0), (0, 1)))
         model = np.abs(g + hd) / objective.m
-        d_best = jko._rounded_newton(objective, x0, g, None) - x0
+        d_best = jko._rounded_newton((e, w), objective.m, x0, g, None) - x0
         (row,) = np.flatnonzero((d == d_best).all(axis=1))
         assert model[row].max() == model.max(axis=1).min() <= 1e-12
 
@@ -1334,8 +1344,8 @@ class TestNewton:
         # of a step objective
         rng = np.random.default_rng(n)
         q = feasible_random_state(rng, n, cap=2.0)
-        step = _QuantileObjective(ks_surrogate_energy(), q, 0.05).hess(
-            q.positions)
+        step = tuple(b[0] for b in _QuantileObjective(
+            ks_surrogate_energy(), QuantileStack.of([q]), 0.05).hess(q.positions[None]))
         for hess in ((rng.uniform(0.1, 1.0, n), rng.uniform(0.0, 10.0, n - 1)),
                      step):
             dense = _dense_hess(hess)
@@ -1508,9 +1518,11 @@ class TestPenaltyMode:
         traj = flow(_CAPPED_NEWTONIAN, uniform_state(-0.6, 0.6, 16),
                     JkoConfig(tau=0.1, steps=3, inner_tol=1e-8))
         q, out = traj.states[2], traj.states[3]
-        obj = _QuantileObjective(_CAPPED_NEWTONIAN, q, 0.1)
+        obj = _QuantileObjective(_CAPPED_NEWTONIAN, QuantileStack.of([q]), 0.1)
+        value = lambda x: float(obj.value(x[None])[0])
+        grad = lambda x: obj.grad(x[None])[0]
         p, cap = _CAPPED_NEWTONIAN.constraint
-        ref = minimize(obj.value, q.positions, jac=obj.grad, method="SLSQP",
+        ref = minimize(value, q.positions, jac=grad, method="SLSQP",
                        constraints=[
                            {"type": "ineq", "fun": lambda x: cap ** p - lp_norm(
                                q.with_positions(x), p) ** p},
@@ -1518,7 +1530,7 @@ class TestPenaltyMode:
                        options={"ftol": 1e-15, "maxiter": 1000})
         assert ref.success
         assert np.max(np.abs(out.positions - ref.x)) <= 1e-6
-        assert abs(obj.value(out.positions) - ref.fun) <= 1e-9
+        assert abs(value(out.positions) - ref.fun) <= 1e-9
 
 
 # finite-p caps on a convex energy with and without an internal term (an
@@ -1577,7 +1589,7 @@ class TestFinitePCapKkt:
         # of tied nodes; fitted in the 2-norm and tested in the max norm,
         # it may miss the solver's lam by up to sqrt(n)
         x, m = out.positions, out.cell_mass
-        g_obj = _QuantileObjective(energy, q, tau).grad(x)
+        g_obj = _QuantileObjective(energy, QuantileStack.of([q]), tau).grad(x[None])[0]
         g_cap = Energy(internal=("power", p)).quantile_grad(out)
         run = np.concatenate(([0], np.cumsum(np.diff(x) > 0)))
         mass = np.bincount(run, m)
@@ -1592,16 +1604,16 @@ class TestFinitePCapKkt:
     def test_power_term_bands_match_gradient_differences(self, n):
         q = feasible_random_state(np.random.default_rng(n), n, cap=1.0,
                                   span=2.0)
-        obj = _QuantileObjective(_CAPPED_NEWTONIAN, q, 0.05, power=4.0,
-                                 weight=3.0)
+        obj = _QuantileObjective(_CAPPED_NEWTONIAN, QuantileStack.of([q]), 0.05,
+                                 power=4.0, weight=3.0)
         x = q.positions
         h = 1e-7
         fd = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            fd[:, j] = (obj.grad(x + e) - obj.grad(x - e)) / (2 * h)
-        dense = _dense_hess(obj.hess(x))
+            fd[:, j] = (obj.grad((x + e)[None])[0] - obj.grad((x - e)[None])[0]) / (2 * h)
+        dense = _dense_hess(tuple(b[0] for b in obj.hess(x[None])))
         assert np.max(np.abs(dense - fd)) <= 1e-5 * float(np.abs(dense).max())
 
     def test_unbounded_step_flagged(self):
@@ -1644,11 +1656,12 @@ class TestFinitePCapKkt:
                         constraint=(48.0, 2.0))
         q = flow(energy, uniform_state(-1.0, 1.0, 48),
                  JkoConfig(tau=0.05, steps=30)).states[-1]
-        obj = _QuantileObjective(energy, q, 0.05, power=48.0, weight=1.0)
+        obj = _QuantileObjective(energy, QuantileStack.of([q]), 0.05, power=48.0,
+                                 weight=1.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, res, _ = jko._fista(obj, q.positions, None, 1e-8, 20000)
+            _, _, res, _ = _solve_one(jko._fista, obj, q.positions, None, 1e-8, 20000)
         assert res > 1e-8
-        assert jko._newton(obj, q.positions, None, 1e-8, 20000)[2] <= 1e-8
+        assert _solve_one(jko._newton, obj, q.positions, None, 1e-8, 20000)[2] <= 1e-8
         # a point that Newton's search accepts without a finite gradient
         # goes to FISTA with the rest of the budget, like a failed search
         budgets = []
@@ -1658,8 +1671,8 @@ class TestFinitePCapKkt:
         monkeypatch.setattr(_QuantileObjective, "grad",
                             lambda self, x: np.full(np.shape(x), np.nan))
         with np.errstate(over="ignore", invalid="ignore"):
-            _, _, res, _ = jko._newton(obj, q.positions, None, 1e-8, 40)
-        assert budgets == [39] and res > 1e-8
+            _, _, res, _ = _solve_one(jko._newton, obj, q.positions, None, 1e-8, 40)
+        assert budgets == [[39]] and res > 1e-8
 
     def test_budget_is_shared(self):
         # every solve draws on one inner_max_iter budget
@@ -1694,17 +1707,28 @@ class TestConfigValidation:
 # stacked steps: K states on one grid solved as one QuantileStack
 # ---------------------------------------------------------------------------
 
+# energies that FISTA alone steps: no Hessian in some term
+_SMOOTH = Kernel("smooth", profile=lambda r: np.exp(-np.asarray(r) ** 2),
+                 dprofile=lambda r: -2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2))
+_FISTA_ENERGIES = {
+    "log_kernel": Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1, c=0.2)),
+    "smooth_kernel": Energy(potential=_QUADRATIC, kernel=_SMOOTH),
+    "hessless_pinch": _hessless_log_pinch(),
+    "hessless_quadratic": Energy(potential=dataclasses.replace(_QUADRATIC, hess=None),
+                                 kernel=Kernel("newtonian", d=1, c=1.0)),
+}
 # energies of the stack contract: Newton in one iteration (quadratic), in
 # several (granular, log_pinch, whose Dirac at 0 hands its row to FISTA),
 # under a saturated hard cap (ks), with a finite-p cap search (finite_p),
-# and without a Hessian, where FISTA takes every row (log kernel)
+# and without a Hessian, where FISTA takes every row (log kernel; the other
+# FISTA energies step fixed stacks in test_fista_rows_match_single_steps)
 _STACK_ENERGIES = {
     "quadratic": quadratic_energy(),
     "granular": granular_energy(),
     "log_pinch": log_pinch_energy(),
     "ks": ks_surrogate_energy(2.0),
     "finite_p": _CAPPED_NEWTONIAN,
-    "log_kernel": Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1, c=0.2)),
+    "log_kernel": _FISTA_ENERGIES["log_kernel"],
 }
 _STACK_ROWS = ("random", "tied", "dirac", "dirac0", "saturated", "wide")
 
@@ -1776,10 +1800,10 @@ class TestStackedSteps:
                 _same_step(out.row(k), single, infos[k], info)
 
     @staticmethod
-    def _rows(energy, states, tau):
+    def _rows(energy, states, tau, inner_tol=1e-9, **cfg):
         """The stacked step's infos, each row checked against its K = 1
         step."""
-        cfg = JkoConfig(tau=tau, inner_tol=1e-9)
+        cfg = JkoConfig(tau=tau, inner_tol=inner_tol, **cfg)
         out, infos = proximal_step(energy, QuantileStack.of(states), tau, cfg,
                                    return_info=True)
         for k, mu in enumerate(states):
@@ -1794,6 +1818,75 @@ class TestStackedSteps:
         infos = self._rows(ks_surrogate_energy(2.0), states, 0.05)
         assert len({i["inner_iters"] for i in infos}) > 1
 
+    @pytest.mark.parametrize("name", sorted(_FISTA_ENERGIES))
+    @pytest.mark.parametrize("tau", [1e-3, 0.05])
+    def test_fista_rows_match_single_steps(self, name, tau):
+        # one stack of every row kind, n = 9: FISTA steps all of them at once
+        rng = np.random.default_rng(9)
+        grid = dirac_state(0.0, 9)
+        states = [grid.with_positions(_stack_row(kind, 9, rng)) for kind in _STACK_ROWS]
+        infos = self._rows(_FISTA_ENERGIES[name], states, tau)
+        assert len(infos) == len(_STACK_ROWS)
+
+    def test_rows_exhaust_budget_while_others_converge(self):
+        # a repulsive log kernel: the wide row converges in 13 iterations,
+        # the other two run out of a budget of 16
+        rng = np.random.default_rng(1)
+        grid = dirac_state(0.0, 9)
+        states = [grid.with_positions(x) for x in (
+            np.sort(rng.uniform(-0.6, 0.6, 9)), np.linspace(-0.3, 0.3, 9),
+            np.linspace(-1.5, 1.5, 9))]
+        energy = Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1, c=-0.5))
+        infos = self._rows(energy, states, 0.05, inner_max_iter=16)
+        assert [(i["inner_iters"], i["residual_flag"]) for i in infos] == \
+            [(16, True), (16, True), (13, False)]
+
+    def test_fista_rows_keep_their_own_budgets(self):
+        # one budget per row, a budget of 0 (a row handed over on Newton's
+        # last iteration) included: each row is bitwise its own solve
+        energy = Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1, c=-0.5))
+        states = [uniform_state(-0.5, 0.5, 6), uniform_state(-1.0, 0.2, 6),
+                  uniform_state(-2.0, 2.0, 6)]
+        stack, budgets = QuantileStack.of(states), [0, 7, 3]
+        x, its, res, f = jko._fista(_QuantileObjective(energy, stack, 0.05),
+                                    stack.positions, None, 1e-12, budgets)
+        assert its == budgets
+        for k, q in enumerate(states):
+            one = _solve_one(jko._fista, _QuantileObjective(energy, QuantileStack.of([q]), 0.05),
+                             q.positions, None, 1e-12, budgets[k])
+            assert (x[k].tobytes(), its[k], res[k], f[k]) == \
+                (one[0].tobytes(), one[1], one[2], one[3])
+
+    def test_rows_handed_at_different_newton_iterations(self, monkeypatch):
+        # at a tolerance below the rounding floor each row's Newton step
+        # stalls on its own iteration and goes to FISTA with what it left
+        # of the budget: one FISTA call on the stack of those rows
+        budgets = []
+        fista = jko._fista
+        monkeypatch.setattr(jko, "_fista", lambda *args: (
+            budgets.append(args[-1]) or fista(*args)))
+        rng = np.random.default_rng(3)
+        states = [dirac_state(0.7, 3)] + [feasible_random_state(rng, 3, cap=2.0, span=s)
+                                          for s in (0.5, 1.0, 1.5)]
+        cfg = JkoConfig(tau=1e-3, inner_tol=1e-15, inner_max_iter=500)
+        proximal_step(ks_surrogate_energy(2.0), QuantileStack.of(states), 1e-3, cfg)
+        assert len(budgets) == 1 and len(set(budgets[0])) > 1
+        monkeypatch.setattr(jko, "_fista", fista)
+        self._rows(ks_surrogate_energy(2.0), states, 1e-3, inner_tol=1e-15,
+                   inner_max_iter=500)
+
+    def test_unbounded_row_beside_converging_rows(self):
+        # attractive log kernel: the cubed row's atoms meet, its value goes
+        # to -inf and it stops there, flagged; the other rows converge
+        grid = dirac_state(0.0, 7)
+        states = [grid.with_positions(x) for x in (
+            np.linspace(-1.0, 1.5, 7) ** 3, np.linspace(-0.5, 0.5, 7),
+            np.linspace(-1.5, 1.5, 7))]
+        energy = Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1))
+        infos = self._rows(energy, states, 0.01, inner_tol=1e-10)
+        assert infos[0]["residual"] == math.inf and infos[0]["residual_flag"]
+        assert not any(i["residual_flag"] for i in infos[1:])
+
     def test_row_handed_to_fista(self, monkeypatch):
         # V'' = -inf at 0: the row with a node at 0 has no Newton direction,
         # and only that row goes to FISTA
@@ -1804,8 +1897,9 @@ class TestStackedSteps:
         grid = dirac_state(0.0, 2)
         states = [dirac_state(1e-3, 2), grid.with_positions([0.0, 1e-3])]
         infos = self._rows(log_pinch_energy(), states, 0.01)
-        assert len(handed) == 1 + 1   # the stack's row, then its K = 1 step
-        assert handed[0].tolist() == handed[1].tolist() == [0.0, 1e-3]
+        # one call on the handed row's (1, n) sub-stack, then its K = 1 step
+        assert len(handed) == 1 + 1
+        assert handed[0].tolist() == handed[1].tolist() == [[0.0, 1e-3]]
         assert not any(i["residual_flag"] for i in infos)
 
     def test_finite_p_row_searches_alone(self, monkeypatch):
@@ -1899,6 +1993,20 @@ class TestFlows:
                 pa = a.positions if isinstance(a, QuantileMeasure) else a.points
                 pb = b.positions if isinstance(b, QuantileMeasure) else b.points
                 assert pa.tobytes() == pb.tobytes()
+            assert traj.energies.tobytes() == ref.energies.tobytes()
+            assert traj.step_distances.tobytes() == ref.step_distances.tobytes()
+            assert traj.diagnostics == ref.diagnostics
+
+    @pytest.mark.parametrize("name", sorted(_FISTA_ENERGIES))
+    def test_fista_flows_match_flow(self, name):
+        energy = _FISTA_ENERGIES[name]
+        starts = [uniform_state(-0.5, 0.5, 6), dirac_state(0.3, 6),
+                  uniform_state(-1.2, 0.4, 6)]
+        cfg = JkoConfig(tau=0.05, steps=4, inner_tol=1e-9)
+        for mu, traj in zip(starts, jko.flows(energy, starts, cfg)):
+            ref = flow(energy, mu, cfg)
+            for a, b in zip(traj.states, ref.states):
+                assert a.positions.tobytes() == b.positions.tobytes()
             assert traj.energies.tobytes() == ref.energies.tobytes()
             assert traj.step_distances.tobytes() == ref.step_distances.tobytes()
             assert traj.diagnostics == ref.diagnostics

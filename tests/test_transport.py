@@ -13,7 +13,6 @@ from omegaflow.transport import (
     GluedPlan,
     TransportError,
     TransportPlan,
-    generalized_geodesic,
     geodesic,
     glue,
     pseudo_distance,
@@ -422,7 +421,7 @@ class TestGeneralizedGeodesic:
         _, p0 = w2_exact(mu0, base)
         _, p1 = w2_exact(mu1, base)
         g = glue(p0, p1)
-        out = generalized_geodesic(g, 0.0)
+        out = transport._push_forward(g, 0.0)
         assert w2_1d(out, mu0, return_plan=False) <= 1e-12
 
     def test_base_mu0_reduces_to_geodesic(self, rng):
@@ -432,7 +431,7 @@ class TestGeneralizedGeodesic:
         _, p1 = w2_exact(mu1, mu0)
         g = glue(p_self, p1)
         for a in (0.25, 0.5, 0.8):
-            out = generalized_geodesic(g, a)
+            out = transport._push_forward(g, a)
             ref = geodesic(mu0, mu1, a)
             assert w2_1d(out, ref, return_plan=False) <= 1e-10
 
@@ -447,7 +446,7 @@ class TestGeneralizedGeodesic:
         _, p1 = w2_exact(mu1, base)
         g = glue(p0, p1)
         for a in (0.0, 0.3, 0.7, 1.0):
-            out = generalized_geodesic(g, a)
+            out = transport._push_forward(g, a)
             ref = geodesic(mu0, mu1, a)
             assert w2_1d(out, ref, return_plan=False) <= 1e-10
 
@@ -780,7 +779,7 @@ class TestNetworkSimplexReference:
     def test_flows_bitwise_equal(self, seed, dim, m, n, kind, equal):
         a, b, C = _lp_problem(seed, dim, m, n, kind, equal)
         got = transport._network_simplex(a.copy(), b.copy(), C)
-        start = transport._vogel_basis(a, b, C)
+        start = transport._vogel_basis(a, b, C, C.tolist())
         assert np.array_equal(got, _reference_network_simplex(a, b, C, start))
 
     def test_bland_branch_bitwise_equal(self, monkeypatch):
@@ -791,7 +790,7 @@ class TestNetworkSimplexReference:
                 _LP_KINDS, (1, 2), ((1, 5), (5, 1), (2, 9), (12, 12), (20, 13)))):
             a, b, C = _lp_problem(k, dim, m, n, kind, equal=k % 3 == 0)
             got = transport._network_simplex(a.copy(), b.copy(), C)
-            start = transport._vogel_basis(a, b, C)
+            start = transport._vogel_basis(a, b, C, C.tolist())
             ref = _reference_network_simplex(a, b, C, start, bland_per_node=0)
             assert np.array_equal(got, ref), (kind, dim, m, n)
 
@@ -890,7 +889,7 @@ class TestVogelBasis:
             self, seed, dim, m, n, kind, equal):
         a, b, C = _lp_problem(seed, dim, m, n, kind, equal)
         m, n = C.shape
-        cells = transport._vogel_basis(a, b, C)
+        cells = transport._vogel_basis(a, b, C, C.tolist())
         # the incremental regrets place exactly what a full recount places
         assert cells == _reference_vogel(a, b, C)
         assert len(cells) == m + n - 1
