@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
-from omegaflow.jko import JkoConfig, flow, quantile_w2
+from omegaflow.jko import JkoConfig, flow
 from omegaflow.measures import lp_norm
+from omegaflow.transport import w2
 from omegaflow.verify import (
     capped_aggregation_energy, dirac_state, entropy_energy,
     quadratic_energy, uniform_state,
@@ -47,6 +48,6 @@ print("  support width:", final.positions[-1] - final.positions[0],
       " block width:", 1.0 / cap)
 center = float(np.sum(final.cell_mass * final.positions))
 block = final.with_positions(center + (final.q_nodes - 0.5) / cap)
-print("  W2 to the saturated block:", quantile_w2(final, block))
+print("  W2 to the saturated block:", w2(final, block))
 print("  every state feasible:",
       tr.max_constraint_violation(math.inf, cap) <= 1e-8)

@@ -31,7 +31,7 @@ from . import __version__
 from .energies import parse_energy
 from .jko import FlowTrajectory, JkoConfig, flow
 from .measures import lp_norm, measure_from_json, measure_to_json
-from .moduli import _first_unknown, modulus_from_json
+from .moduli import _reject_unknown, modulus_from_json
 from .verify import RateStudy, SUITES, rate_study, run_suite
 from .verify import dirac_state, uniform_state
 
@@ -149,14 +149,6 @@ def _suite(name):
     return name
 
 
-def _reject_unknown(spec, known, path):
-    """A :class:`ConfigError` at ``path.key`` for the first key of ``spec``
-    not in ``known``."""
-    key = _first_unknown(spec, known)
-    if key is not None:
-        raise ConfigError(f"{path}.{key}", "unknown key")
-
-
 # the keys each ``initial`` shorthand reads
 _SHORTHAND_KEYS = {"dirac": {"kind", "a", "n"}, "uniform": {"kind", "lo", "hi", "n"}}
 
@@ -167,7 +159,8 @@ def _parse_measure(spec):
         raise TypeError("expected an object")
     kind = spec.get("kind")
     if kind in _SHORTHAND_KEYS:
-        _reject_unknown(spec, _SHORTHAND_KEYS[kind], "initial")
+        _reject_unknown(spec, _SHORTHAND_KEYS[kind],
+                        lambda key: ConfigError(f"initial.{key}", "unknown key"))
     if kind == "dirac":
         return dirac_state(_read(spec, "a", float, 0.0, "initial"),
                            _read(spec, "n", int, 8, "initial"))
@@ -182,7 +175,8 @@ def _parse_jko(spec) -> JkoConfig:
     spec = {} if spec is None else spec
     if not isinstance(spec, dict):
         raise TypeError("expected an object")
-    _reject_unknown(spec, {f.name for f in dataclasses.fields(JkoConfig)}, "jko")
+    _reject_unknown(spec, {f.name for f in dataclasses.fields(JkoConfig)},
+                    lambda key: ConfigError(f"jko.{key}", "unknown key"))
     return JkoConfig(**spec)
 
 
@@ -248,9 +242,8 @@ def _run_config(config, raw: str, base: str) -> int:
         job = _read(config, "job", None)
         if not isinstance(job, str) or job not in _JOB_KEYS:
             raise ConfigError("job", f"unknown job kind {job!r}")
-        key = _first_unknown(config, _JOB_KEYS[job] | {"job"})
-        if key is not None:
-            raise ConfigError(key, f"unknown key for a {job} job")
+        _reject_unknown(config, _JOB_KEYS[job] | {"job"},
+                        lambda key: ConfigError(key, f"unknown key for a {job} job"))
         outputs = _read(config, "output", _outputs(job), {})
         if job == "flow":
             artifacts, counts["flagged_steps"] = _job_flow(config, outputs)

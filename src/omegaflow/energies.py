@@ -48,7 +48,7 @@ from .measures import (
     lp_norm,
     pair_differences,
 )
-from .moduli import JUNCTION, Modulus, _first_unknown, _log_positive, psi
+from .moduli import JUNCTION, Modulus, _log_positive, _reject_unknown, psi
 from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
@@ -171,21 +171,37 @@ class Kernel:
         out = np.where(r > 0, out, 0.0)
         return out if out.ndim else float(out)
 
-    def field(self, at: np.ndarray, pts: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def field(self, diffs, r, w) -> np.ndarray:
         """Radial field sum_j w_j w'(|a - p_j|) (a - p_j)/|a - p_j| at each
-        row a of ``at`` ((k, d)) from atoms ``pts`` ((n, d)) of mass ``w``;
+        row a of ``at`` ((k, d)) from atoms ``pts`` ((n, d)) of mass ``w``,
+        given their pair geometry ``diffs, r = _pair_geometry(at, pts)``;
         coincident points contribute nothing.
 
-        Built one coordinate at a time (:func:`measures.pair_differences`):
-        column c is the matvec of the (k, n) products w'(r) (a_c - p_c) / r
+        Column c is the matvec of the (k, n) products w'(r) (a_c - p_c) / r
         with ``w``.  Where r = 0, w'(r) is 0, so those products are 0; where
         w'(r) overflows at distinct points, inf * 0 gives NaN for the caller
         to reject (:func:`_finite_field`)."""
-        diffs, sq = pair_differences(at, pts)
-        r = np.sqrt(sq)
         dv = self.dvalue(r)
         safe = np.where(r > 0, r, 1.0)
         return np.stack([(dv * (dc / safe)) @ w for dc in diffs], axis=1)
+
+
+def _pair_geometry(at, pts):
+    """(the d coordinate differences, the (k, n) distances) of the rows of
+    ``at`` ((k, d)) and ``pts`` ((n, d)): :func:`measures.pair_differences`."""
+    diffs, sq = pair_differences(at, pts)
+    return diffs, np.sqrt(sq)
+
+
+def _pair_sum(kernel: Kernel, w, r):
+    """1/2 sum_ij w_i w_j w(r_ij) over the (..., n, n) distances ``r`` of
+    atoms of weights ``w`` > 0, the diagonal left out for a singular
+    kernel: a float, or one per leading index."""
+    # each n x n block as one contiguous run, its diagonal every n + 1 entries
+    pair = (np.outer(w, w) * kernel.value(r)).reshape(r.shape[:-2] + (-1,))
+    if kernel.singular:
+        pair[..., ::len(w) + 1] = 0.0
+    return 0.5 * _per_row(pair.sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +315,12 @@ def _zero():
     return Potential("zero", val, zeros, hess=zeros)
 
 
-def _reject_unknown(spec, known, what: str) -> None:
-    """Raise at the first key of the config object ``spec`` not in ``known``."""
-    key = _first_unknown(spec, known)
-    if key is not None:
-        raise EnergyError(f"unknown {what} {key!r}")
-
-
 def _from_params(factory, *keys):
     """A :data:`POTENTIALS` entry: ``factory`` called with a parameter dict,
     which may hold only ``keys``."""
     def build(params):
-        _reject_unknown(params, keys, "potential parameter")
+        _reject_unknown(params, keys, lambda key: EnergyError(
+            f"unknown potential parameter {key!r}"))
         return factory(**params)
     return build
 
@@ -421,13 +431,8 @@ class Energy:
             if not w.all():
                 # a zero-weight atom on another one would give 0 * inf = nan
                 pts, w = pts[w > 0], w[w > 0]
-            r = np.sqrt(pair_differences(pts, pts)[1])
-        # each row's n x n block as one contiguous run, its diagonal every
-        # n + 1 entries
-        pair = (np.outer(w, w) * self.kernel.value(r)).reshape(r.shape[:-2] + (-1,))
-        if self.kernel.singular:
-            pair[..., ::len(w) + 1] = 0.0
-        return 0.5 * _per_row(pair.sum(axis=-1))
+            r = _pair_geometry(pts, pts)[1]
+        return _pair_sum(self.kernel, w, r)
 
     def internal_value(self, mu):
         kind = self.internal[0]
@@ -476,6 +481,26 @@ class Energy:
             inf = v == math.inf
             return np.where(inf, math.inf, total + v) if inf.any() else total + v
         return total
+
+    def atoms_value_and_grad(self, pts, w, start=0.0):
+        """(``start`` + E, grad_i E / w_i) at 2D atoms ``pts`` ((n, 2)) of
+        weights ``w`` > 0 (no internal term): the value bitwise
+        ``terms_value(AtomicMeasure(pts, w), start)``, with no measure built,
+        and the kernel's value and field from one pair geometry.  An
+        overflowing field raises :class:`EnergyError` before any value."""
+        g = np.zeros_like(pts)
+        if self.potential is not None:
+            g += np.asarray(self.potential.grad(pts), dtype=float).reshape(pts.shape)
+        if self.kernel is not None:
+            diffs, r = _pair_geometry(pts, pts)
+            g += _finite_field(self.kernel, diffs, r, w)
+        total = start
+        if self.potential is not None:
+            total = total + _per_row(
+                (w * np.asarray(self.potential.value(pts), dtype=float)).sum(axis=-1))
+        if self.kernel is not None:
+            total = total + _pair_sum(self.kernel, w, r)
+        return total, g
 
     # -- Lagrangian gradient in 1D quantile coordinates ------------------------
 
@@ -554,11 +579,11 @@ class Energy:
 # fields, derivatives, certificates
 # ---------------------------------------------------------------------------
 
-def _finite_field(kernel: Kernel, at, pts, w) -> np.ndarray:
+def _finite_field(kernel: Kernel, diffs, r, w) -> np.ndarray:
     """``kernel.field``, raising where w'(r) overflows at distinct points
     too close together (there inf * 0 in the unit vector gives NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = kernel.field(at, pts, w)
+        out = kernel.field(diffs, r, w)
     if not np.all(np.isfinite(out)):
         raise EnergyError("kernel field is undefined (overflow): distinct "
                           "points lie too close together")
@@ -576,7 +601,7 @@ def kernel_gradient(kernel: Kernel, mu, x):
     xq = np.atleast_2d(np.asarray(x, dtype=float))
     if xq.shape[1] != d:
         xq = xq.reshape(-1, d)
-    out = _finite_field(kernel, xq, pts, w)
+    out = _finite_field(kernel, *_pair_geometry(xq, pts), w)
     if np.ndim(x) == 0 or (np.ndim(x) == 1 and len(np.atleast_1d(x)) == d and d > 1):
         return out[0] if d > 1 else float(out[0, 0])
     return out[:, 0] if d == 1 else out
@@ -606,7 +631,7 @@ def directional_derivative(energy: Energy, curve, at: float = 0.0) -> float:
         grad = grad.reshape(pa.shape)
         total += float(np.sum(ms * np.sum(grad * vel, axis=1)))
     if energy.kernel is not None:
-        field_at = _finite_field(energy.kernel, pa, pa, ms)
+        field_at = _finite_field(energy.kernel, *_pair_geometry(pa, pa), ms)
         total += float(np.sum(ms * np.sum(field_at * vel, axis=1)))
     if energy.internal is not None:
         total += _internal_directional(energy, curve, at)
@@ -708,7 +733,7 @@ def parse_energy(data) -> Energy:
     if isinstance(data, str):
         data = json.loads(data)
     _reject_unknown(data, ("potential", "kernel", "internal", "constraint"),
-                    "energy key")
+                    lambda key: EnergyError(f"unknown energy key {key!r}"))
     pot = None
     if "potential" in data and data["potential"] is not None:
         spec = data["potential"]
@@ -738,7 +763,8 @@ def parse_energy(data) -> Energy:
     constraint = None
     if "constraint" in data and data["constraint"] is not None:
         cd = data["constraint"]
-        _reject_unknown(cd, ("p", "cap"), "constraint key")
+        _reject_unknown(cd, ("p", "cap"),
+                        lambda key: EnergyError(f"unknown constraint key {key!r}"))
         p = cd["p"]
         if p is None:
             raise EnergyError('constraint p is a number or "inf", got null')

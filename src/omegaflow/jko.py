@@ -10,10 +10,11 @@ On that feasible set (the sorted cone) the 1D Newtonian term is linear in
 x, and its gradient counts tied atoms by their order.
 
 Two inner solvers share one stopping test, the projected-gradient
-residual below ``inner_tol`` or ``inner_max_iter`` iterations (the result
-then comes back with a residual flag), and read a trial point whose value
-or gradient is not finite (an overflowing power term) as +inf.  Each step
-makes one solve, from the previous state's positions:
+residual (:func:`_residual`) below ``inner_tol`` or ``inner_max_iter``
+iterations (the result then comes back with a residual flag), and read a
+trial point whose value or gradient is not finite (an overflowing power
+term) as +inf.  Each step makes one solve, from the previous state's
+positions:
 
 * projected Newton with a tridiagonal solve (:func:`_newton`) when
   :meth:`Energy.has_quantile_hess`: potentials with a ``hess`` (every
@@ -43,7 +44,8 @@ the residual flag.
 are Lagrangian too (Westdickenberg & Wilkening 2010; Carrillo, Craig &
 Patacchini 2019): each atom keeps its weight, and the positions minimize
 Phi(z) = sum_i w_i |x_i - z_i|^2 / (2 tau) + E(z), by L-BFGS in the metric
-diag(w_i / tau) with an Armijo search (:func:`_lbfgs`).  Their residual is
+diag(w_i / tau) with an Armijo search (:func:`_lbfgs`), each trial point
+in one pair pass (:meth:`Energy.atoms_value_and_grad`).  Their residual is
 the stationarity residual max_i tau |grad_i Phi| / w_i, a length.  The
 diagonal plan x_i -> z_i is then certified optimal by cyclical
 monotonicity (Rockafellar 1966; :func:`_cycle_slack`), so the step solves
@@ -51,15 +53,15 @@ no LP; it hands the plan out when certified, and sets the flag when the
 certificate fails or the residual stays above ``inner_tol``.
 
 The 1D solvers know one shape, the :class:`QuantileStack`: states on one
-grid step together as its rows (:func:`flows`; a semigroup-contraction
-check evolves its two states so), one state as a stack of one.  Each row
-keeps its own stopping test, iteration count and budget; FISTA rows, and
-the rows that Newton hands to FISTA, step in the stack too.  Every row is
-bitwise the step of its own state: the per-row sums run along the last
-axis of C-contiguous arrays, which numpy sums row by row as it sums a 1D
-array, and the inner products stay one BLAS dot per row (a batched
-product would round differently).  Everything here is deterministic:
-fixed reduction orders and one start per solve.
+grid (:func:`measures.same_grid`) step together as its rows (:func:`flows`;
+a semigroup-contraction check evolves its two states so), one state as a
+stack of one.  Each row keeps its own stopping test, iteration count and
+budget; FISTA rows, and the rows that Newton hands to FISTA, step in the
+stack too.  Every row is bitwise the step of its own state: the per-row
+sums run along the last axis of C-contiguous arrays, which numpy sums row
+by row as it sums a 1D array, and the inner products stay one BLAS dot
+per row (a batched product would round differently).  Everything here is
+deterministic: fixed reduction orders and one start per solve.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import Energy, EnergyError, _finite_field
+from .energies import Energy, EnergyError
 from .measures import (
     AtomicMeasure,
     QuantileMeasure,
@@ -79,6 +81,7 @@ from .measures import (
     interval_masses,
     lp_norm,
     pair_differences,
+    same_grid,
 )
 # w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
 from .transport import (
@@ -86,7 +89,6 @@ from .transport import (
     _node_distance,
     _plan_distance,
     geodesic,
-    same_quantile_grid,
     w2,
     w2_exact,
 )
@@ -101,7 +103,6 @@ __all__ = [
     "flows",
     "flow_time_dependent",
     "rescaled_intermediate",
-    "quantile_w2",
 ]
 
 ATOM_CAP_2D = 64
@@ -134,6 +135,10 @@ class JkoConfig:
     def __post_init__(self):
         if self.tau < 0:
             raise JkoError("tau must be nonnegative")
+        for name in ("steps", "inner_max_iter"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise JkoError(f"{name} must be an integer, got {count!r}")
         if self.steps < 1:
             raise JkoError("steps must be >= 1")
         if self.inner_tol <= 0:
@@ -315,23 +320,37 @@ class _QuantileObjective:
         return g
 
 
+def _residual(objective, x, g, offsets):
+    """The projected-gradient residual of each row of the stack ``x``
+    ((K, n)) at gradient ``g``, the stopping test of both 1D solvers:
+    max_i |x - P(x - s g / m)|_i / s, P the projection of :func:`_pav`
+    (shifts ``offsets``), m the cell masses and s = min(tau, 1); inf in a
+    row without a finite gradient, whose probe is not finite either (its
+    NaN reads inf).  Returns (the residuals as a list, the pools of each
+    row's projection, as :func:`_pav`'s)."""
+    s = min(objective.tau, 1.0)
+    probe, counts = _pav(x - s * (g / objective.mass), objective.mass, offsets)
+    r = np.abs((x - probe) / s).max(axis=1).tolist()
+    return [math.inf if math.isnan(r_k) else r_k for r_k in r], counts
+
+
 def _fista(objective, x0, min_gaps, tol, max_iter):
     """Accelerated projected gradient with Barzilai-Borwein step sizing,
     backtracking safeguard and gradient-based momentum restarts, on each
     row of the stack ``x0`` ((K, n)) as if alone: its own step 1/L,
-    momentum, restarts, stops, best point and budget (``max_iter``, an int
-    or one per row).  Evaluates each point once.  A row stops with an
-    infinite residual at an iterate of value -inf, where neither the
-    extrapolated point nor the iterate has a finite gradient, and where a
-    projected point is out of order (its ``faults`` entry: rounding near
-    1e17); it stops at a fixed point of the float iteration.  A residual
-    left above ``tol`` is then rounding when the objective has a Hessian:
-    the end point gives way to :func:`_rounded_newton`'s when that has a
-    smaller residual and no larger value.  A stopped row stays pinned at a
-    point it evaluated until the iteration ends, then leaves the stack.
-    Returns (x, iterations, residuals, objective at x)."""
+    momentum, restarts, stops, best point and budget (``max_iter``, an
+    integer or a list of one per row).  Evaluates each point once.  A row
+    stops with an infinite residual at an iterate of value -inf, where
+    neither the extrapolated point nor the iterate has a finite gradient,
+    and where a projected point is out of order (its ``faults`` entry:
+    rounding near 1e17); it stops at a fixed point of the float iteration.
+    A residual left above ``tol`` is then rounding when the objective has a
+    Hessian: the end point gives way to :func:`_rounded_newton`'s when that
+    has a smaller residual and no larger value.  A stopped row stays pinned
+    at a point it evaluated until the iteration ends, then leaves the
+    stack.  Returns (x, iterations, residuals, objective at x)."""
     K = len(x0)
-    budget = [max_iter] * K if isinstance(max_iter, int) else list(max_iter)
+    budget = list(max_iter) if isinstance(max_iter, list) else [max_iter] * K
     offsets = _offsets(min_gaps, x0)
     s_probe = min(objective.tau, 1.0)
 
@@ -340,12 +359,7 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     def residual(obj, x, idx):   # of the rows idx of x
         if len(idx) < len(x):
             obj, x = obj.rows(idx), x[idx]
-        gx = obj.grad(x) / obj.mass
-        ok = np.isfinite(gx).all(axis=1).tolist()
-        if not all(ok):
-            gx = np.where(np.array(ok)[:, None], gx, 0.0)
-        r = np.abs((x - proj(obj, x - s_probe * gx)) / s_probe).max(axis=1)
-        return [r_k if ok_k else math.inf for r_k, ok_k in zip(r.tolist(), ok)]
+        return _residual(obj, x, obj.grad(x), offsets[:len(x)])[0]
 
     def end(i, at, r, its):
         """Row i stops at row i of the evaluated ``at``, unless its best
@@ -490,7 +504,6 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     leaves the active set, but the objective is evaluated on the whole
     stack, which costs next to nothing at the small n where stacks pay."""
     n = len(objective.m)
-    s_probe = min(objective.tau, 1.0)
     x = np.asarray(x0, dtype=float)
     m = objective.mass
     lo = (np.zeros(n - 1) if min_gaps is None else min_gaps)[None].repeat(len(x), 0)
@@ -505,10 +518,9 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     its, res, handed = [0] * len(x), [math.inf] * len(x), {}
     it = 0
     while True:
-        # FISTA's residual; the probe's pools are the gaps that the
-        # gradient closes, and those within eps of their bound are glued
-        probe, counts = _pav(x - s_probe * (g / m), m, offsets)
-        r = np.abs((x - probe) / s_probe).max(axis=1).tolist()
+        # the probe's pools are the gaps that the gradient closes, and
+        # those within eps of their bound are glued
+        r, counts = _residual(objective, x, g, offsets)
         stop = [k for k in active if r[k] <= tol or it == max_iter]
         for k in stop:
             its[k], res[k] = it, r[k]
@@ -802,17 +814,6 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
     return nu, info
 
 
-def _atomic_energy_grad(energy, pts, w):
-    """grad_i E / w_i at 2D atoms ``pts`` of weights ``w``: grad V(z_i) +
-    sum_j w_j grad W(z_i - z_j), the energy's gradient per unit mass."""
-    g = np.zeros_like(pts)
-    if energy.potential is not None:
-        g += np.asarray(energy.potential.grad(pts), dtype=float).reshape(pts.shape)
-    if energy.kernel is not None:
-        g += _finite_field(energy.kernel, pts, pts, w)
-    return g
-
-
 class _LagrangianObjective:
     """Phi(z) = sum_i w_i |x_i - z_i|^2 / (2 tau) + E(z) over 2D atoms z of
     weights ``w`` > 0, and its gradient in the metric diag(w_i / tau):
@@ -825,13 +826,14 @@ class _LagrangianObjective:
         """The metric's inner product, up to the factor 1 / tau."""
         return float(self.w @ (a * b).sum(axis=1))
 
-    def value(self, z):
+    def value_and_grad(self, z):
+        """(Phi(z), h(z)) from one pair geometry
+        (:meth:`Energy.atoms_value_and_grad`); raises :class:`EnergyError`
+        where the kernel's field overflows at z."""
         d = z - self.x
-        return self.energy.terms_value(AtomicMeasure(z, self.w),
-                                       0.5 / self.tau * self.inner(d, d))
-
-    def grad(self, z):
-        return z - self.x + self.tau * _atomic_energy_grad(self.energy, z, self.w)
+        e, g = self.energy.atoms_value_and_grad(z, self.w,
+                                                0.5 / self.tau * self.inner(d, d))
+        return e, d + self.tau * g
 
 
 def _lbfgs(objective, tol, max_iter):
@@ -844,11 +846,11 @@ def _lbfgs(objective, tol, max_iter):
     Phi no longer moves by more than its rounding and the residual no longer
     halves, and the residual left there is compared with ``tol`` by the
     caller.  A value of -inf (colliding atoms under an attractive singular
-    kernel) ends the solve with an infinite residual; a gradient that
-    overflows at the start raises (:func:`_finite_field`).
+    kernel) ends the solve with an infinite residual; a field that
+    overflows at the start raises :class:`EnergyError`.
     Returns (z, iterations, residual)."""
     z = objective.x.copy()
-    fz, h = objective.value(z), objective.grad(z)
+    fz, h = objective.value_and_grad(z)
     memory = []   # (s, y, 1 / <s, y>) of the last _LBFGS_MEMORY steps
     it = 0
     while True:
@@ -905,18 +907,17 @@ def _armijo_step(objective, z, fz, res, slope, d):
     where Phi stays within that rounding of Phi(z), that halves the
     residual ``res``.  A drop below the rounding alone is not progress:
     accepting it lets the solve wander on rounding noise.  A trial point
-    whose gradient overflows is rejected.  Returns (point, value, metric
+    whose field overflows is rejected.  Returns (point, value, metric
     gradient), or None when no halving is accepted."""
     rounding = _VALUE_ROUNDING * (1.0 + abs(fz))
     alpha = 1.0
     for _ in range(_ARMIJO_HALVINGS):
         zt = z + alpha * d
         try:
-            ht = objective.grad(zt)
+            ft, ht = objective.value_and_grad(zt)
         except EnergyError:   # distinct atoms too close: w'(r) overflows
             ht = None
         if ht is not None:
-            ft = objective.value(zt)
             drop = fz - ft
             if drop >= max(-_ARMIJO * alpha * slope, rounding) \
                     or (drop >= -rounding and _max_length(ht) <= 0.5 * res):
@@ -993,7 +994,7 @@ def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:
 def flows(energy: Energy, states, cfg: JkoConfig) -> list:
     """:func:`flow` from each of ``states``, as a list of trajectories.
 
-    States on one quantile grid (bitwise equal nodes and cell masses) step
+    States on one quantile grid (:func:`measures.same_grid`) step
     together: each step solves them as the rows of one
     :class:`QuantileStack`, and every row comes out bitwise equal to its
     own :func:`flow`.  Any other state steps alone."""
@@ -1007,22 +1008,12 @@ def flow_time_dependent(schedule, mu0, cfg: JkoConfig) -> FlowTrajectory:
     return _flows(schedule, [mu0], cfg)[0]
 
 
-def _one_grid(a, b) -> bool:
-    """True for two QuantileMeasures whose grids are bitwise equal, so that
-    either one's arrays give the other's step bit for bit."""
-    return (isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure)
-            and len(a) == len(b)
-            and (a.q_nodes is b.q_nodes or np.array_equal(a.q_nodes, b.q_nodes))
-            and (a.cell_mass is b.cell_mass
-                 or np.array_equal(a.cell_mass, b.cell_mass)))
-
-
 def _flows(schedule, starts, cfg: JkoConfig) -> list:
     """The trajectories of :func:`flows` under a step-indexed schedule."""
     groups = []
     for i, mu in enumerate(starts):
         for group in groups:
-            if _one_grid(starts[group[0]], mu):
+            if same_grid(starts[group[0]], mu):
                 group.append(i)
                 break
         else:
@@ -1063,13 +1054,6 @@ def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
         prev = new
     return [FlowTrajectory(s, np.asarray(e), np.asarray(d), di, cfg)
             for s, e, d, di in zip(states, energies, dists, diagnostics)]
-
-
-def quantile_w2(qa: QuantileMeasure, qb: QuantileMeasure) -> float:
-    """Exact 1D W2 between states sharing the same quantile grid."""
-    if not same_quantile_grid(qa, qb):
-        raise JkoError("states do not share a quantile grid")
-    return w2(qa, qb)
 
 
 def rescaled_intermediate(mu, mu_tau, plan, h: float, tau: float):

@@ -39,6 +39,7 @@ __all__ = [
     "AtomicMeasure",
     "QuantileMeasure",
     "QuantileStack",
+    "same_grid",
     "gaps",
     "gaps_adjoint",
     "interval_masses",
@@ -252,6 +253,18 @@ class QuantileMeasure:
         object.__setattr__(new, "positions", x)
         object.__setattr__(new, "cell_mass", self.cell_mass)
         return new
+
+
+def same_grid(a, b) -> bool:
+    """True for two QuantileMeasures on one quantile grid: nodes and cell
+    masses bitwise equal (:meth:`QuantileMeasure.with_positions` shares
+    both arrays), so that either one's grid gives the other's steps, node
+    distances and interpolants bit for bit."""
+    return (isinstance(a, QuantileMeasure) and isinstance(b, QuantileMeasure)
+            and len(a) == len(b)
+            and (a.q_nodes is b.q_nodes or np.array_equal(a.q_nodes, b.q_nodes))
+            and (a.cell_mass is b.cell_mass
+                 or np.array_equal(a.cell_mass, b.cell_mass)))
 
 
 class QuantileStack:

@@ -596,12 +596,13 @@ def modulus_from_phi(s_samples, phi_samples, sign: int) -> Modulus:
 # JSON config
 # ---------------------------------------------------------------------------
 
-def _first_unknown(spec, known):
-    """The first key of the config object ``spec``, in sorted order, that is
-    not in ``known``, or None: a key that is not read is a typo, not a
-    default.  Each config parser raises its own error at that key."""
+def _reject_unknown(spec, known, error) -> None:
+    """Raise ``error(key)`` at the first key of the config object ``spec``,
+    in sorted order, that is not in ``known``: a key that is not read is a
+    typo, not a default.  Each config parser builds its own error."""
     unknown = sorted(set(spec) - set(known))
-    return unknown[0] if unknown else None
+    if unknown:
+        raise error(unknown[0])
 
 
 def modulus_from_json(data) -> Modulus:
@@ -615,9 +616,8 @@ def modulus_from_json(data) -> Modulus:
     if kind not in ("lipschitz", "polynomial") + LOG_KINDS:
         raise ModulusError(f"unknown modulus kind {kind!r}")
     known = {"kind", "lambda", "p"} if kind == "polynomial" else {"kind", "lambda"}
-    key = _first_unknown(data, known)
-    if key is not None:
-        raise ModulusError(f"unknown key {key!r} of a {kind} modulus")
+    _reject_unknown(data, known, lambda key: ModulusError(
+        f"unknown key {key!r} of a {kind} modulus"))
     lam = float(data.get("lambda", 0.0))
     if kind == "polynomial":
         return polynomial(float(data.get("p", 1.0)), lam)

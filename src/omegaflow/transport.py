@@ -27,6 +27,7 @@ from .measures import (
     QuantileMeasure,
     make_atomic,
     pair_differences,
+    same_grid,
 )
 
 __all__ = [
@@ -61,13 +62,6 @@ def _as_atomic(mu) -> AtomicMeasure:
     raise TransportError(f"unsupported measure type {type(mu)!r}")
 
 
-def _sq_cost_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The (k, n) cost matrix |x_i - y_j|^2 of point sets ``xs`` ((k, d))
-    and ``ys`` ((n, d)), summed one coordinate at a time
-    (:func:`measures.pair_differences`) with no (k, n, d) tensor."""
-    return pair_differences(xs, ys)[1]
-
-
 @dataclass(frozen=True)
 class TransportPlan:
     """Coupling matrix between two atomic measures.
@@ -96,7 +90,7 @@ class TransportPlan:
 
     def cost(self) -> float:
         """Total squared-distance cost of the coupling."""
-        c = _sq_cost_matrix(self.source.points_2d(), self.target.points_2d())
+        c = pair_differences(self.source.points_2d(), self.target.points_2d())[1]
         return float(np.sum(self.matrix * c))
 
     def transpose(self) -> TransportPlan:
@@ -421,7 +415,7 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True):
     if len(mu) > SUPPORT_CAP or len(nu) > SUPPORT_CAP:
         raise TransportError(
             f"support size exceeds cap {SUPPORT_CAP} (got {len(mu)}x{len(nu)})")
-    C = _sq_cost_matrix(mu.points_2d(), nu.points_2d())
+    C = pair_differences(mu.points_2d(), nu.points_2d())[1]
     plan = TransportPlan(mu, nu, _network_simplex(mu.weights, nu.weights, C))
     # the plan's cost from the C just solved (plan.cost() would rebuild it)
     dist = math.sqrt(max(float(np.sum(plan.matrix * C)), 0.0))
@@ -439,26 +433,16 @@ def _node_distance(mass, x, y):
     return np.sqrt(np.sum(mass * (x - y) ** 2, axis=-1))
 
 
-def same_quantile_grid(mu, nu) -> bool:
-    """True for two QuantileMeasures on one quantile grid: nodes and cell
-    masses each within 1e-12 (``with_positions`` shares both arrays)."""
-    return (isinstance(mu, QuantileMeasure) and isinstance(nu, QuantileMeasure)
-            and len(mu) == len(nu)
-            and (mu.q_nodes is nu.q_nodes
-                 or float(np.max(np.abs(mu.q_nodes - nu.q_nodes))) <= 1e-12)
-            and (mu.cell_mass is nu.cell_mass
-                 or float(np.max(np.abs(mu.cell_mass - nu.cell_mass))) <= 1e-12))
-
-
 def w2(mu, nu, return_plan: bool = False):
     """W2 between any two measures of this package.
 
-    Two states on one quantile grid are coupled node to node, so without a
-    plan their distance is the diagonal sqrt(sum c (x - y)^2).  Otherwise 1D
-    pairs use the monotone coupling :func:`w2_1d` and everything else the
-    exact LP :func:`w2_exact`; ``return_plan`` then also returns the plan.
+    Two states on one quantile grid (:func:`measures.same_grid`) are
+    coupled node to node, so without a plan their distance is the diagonal
+    sqrt(sum c (x - y)^2).  Otherwise 1D pairs use the monotone coupling
+    :func:`w2_1d` and everything else the exact LP :func:`w2_exact`;
+    ``return_plan`` then also returns the plan.
     """
-    if not return_plan and same_quantile_grid(mu, nu):
+    if not return_plan and same_grid(mu, nu):
         return float(_node_distance(mu.cell_mass, mu.positions, nu.positions))
     if mu.dim == 1 and nu.dim == 1:
         return w2_1d(mu, nu, return_plan=return_plan)
@@ -483,12 +467,12 @@ def geodesic(mu0, mu1, alpha: float, plan: TransportPlan | None = None):
     """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha.
 
     ``gamma`` is ``plan`` when given.  Without a plan, two states on one
-    quantile grid (:func:`same_quantile_grid`) move node to node and the
+    quantile grid (:func:`measures.same_grid`) move node to node and the
     result is the ``QuantileMeasure`` with positions (1-a) x + a y; other
     pairs use the optimal plan of :func:`w2` and give an ``AtomicMeasure``.
     """
     if plan is None:
-        if same_quantile_grid(mu0, mu1):
+        if same_grid(mu0, mu1):
             return mu0.with_positions(_displace(mu0.positions, mu1.positions, alpha))
         _, plan = w2(mu0, mu1, return_plan=True)
     return _push_forward(plan, alpha)

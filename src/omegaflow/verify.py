@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energies import (
+    POTENTIALS,
     Energy,
     Kernel,
     Potential,
@@ -47,6 +48,7 @@ from .moduli import (
     Modulus,
     lipschitz,
     log_lipschitz,
+    modulus_from_phi,
     polynomial,
     sqrt_psi,
 )
@@ -563,8 +565,8 @@ def fixtures_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def load_frozen(name: str = "calibration.json") -> dict:
-    path = os.path.join(fixtures_dir(), name)
+def load_frozen() -> dict:
+    path = os.path.join(fixtures_dir(), "calibration.json")
     with open(path) as fh:
         return json.load(fh)
 
@@ -580,7 +582,6 @@ def uniform_state(lo: float, hi: float, n: int = 64) -> QuantileMeasure:
 
 
 def quadratic_energy() -> Energy:
-    from .energies import POTENTIALS
     return Energy(potential=POTENTIALS["quadratic"]({}))
 
 
@@ -599,19 +600,16 @@ def ks_surrogate_energy(cap: float = 2.0, c: float = 4.0) -> Energy:
 
 
 def granular_energy(b: float = 2.0, beta: float = 1.0) -> Energy:
-    from .energies import POTENTIALS
     return Energy(potential=POTENTIALS["granular"]({"b": b, "beta": beta}))
 
 
 def log_pinch_energy(strength: float = 1.0) -> Energy:
-    from .energies import POTENTIALS
     return Energy(potential=POTENTIALS["log_pinch"]({"strength": strength}))
 
 
-def drift_diffusion_energy(cap_rho: float = 2.0, m: float = 2.0,
-                           n_rho: int = 33) -> Energy:
-    """V_m drift-diffusion with V = N * rho for a fixed bounded density rho."""
-    rho = uniform_state(-0.25, 0.25, n_rho)  # density 2 <= cap
+def drift_diffusion_energy() -> Energy:
+    """V_2 drift-diffusion with V = N * rho, rho = 2 on [-1/4, 1/4]."""
+    rho = uniform_state(-0.25, 0.25, 33)
     zk = rho.positions.copy()
     wk = rho.cell_mass.copy()
 
@@ -623,8 +621,8 @@ def drift_diffusion_energy(cap_rho: float = 2.0, m: float = 2.0,
         x = np.asarray(x, dtype=float)
         return 0.5 * np.sum(wk * np.sign(x[..., None] - zk), axis=-1)
 
-    pot = Potential(f"newtonian_drift(rho cap {cap_rho})", val, grd)
-    return Energy(potential=pot, internal=("power", m))
+    pot = Potential("newtonian_drift(rho cap 2.0)", val, grd)
+    return Energy(potential=pot, internal=("power", 2.0))
 
 
 def feasible_random_state(rng, n: int = 32, cap: float | None = 2.0,
@@ -950,7 +948,6 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
 
 
 def _suite_appendix(tol: float, seed: int, quick: bool) -> list:
-    from .moduli import modulus_from_phi
     reports = []
     s = np.linspace(0.0, 1.5, 400)
     mod = modulus_from_phi(s, s, +1)
@@ -962,7 +959,6 @@ def _suite_appendix(tol: float, seed: int, quick: bool) -> list:
     def schedule(k, tau):
         t = k * tau
         scale = 1.0 + 0.5 * math.sin(t)
-        from .energies import Potential
         pot = Potential("sin_quadratic",
                         lambda x, s=scale: 0.5 * s * np.asarray(x) ** 2,
                         lambda x, s=scale: s * np.asarray(x))

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from omegaflow.energies import Energy, Kernel
-from omegaflow.jko import (JkoConfig, flow, flow_time_dependent, flows,
-                           proximal_step, quantile_w2)
+from omegaflow.jko import JkoConfig, flow, flow_time_dependent, flows, proximal_step
 from omegaflow.measures import QuantileMeasure, lp_norm, make_atomic
 from omegaflow.moduli import lipschitz, log_lipschitz, modulus_from_phi, polynomial, sqrt_psi
-from omegaflow.transport import glue, w2_1d, w2_exact
+from omegaflow.transport import glue, w2, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
     dirac_state,
@@ -181,7 +180,7 @@ def test_criterion_6_contraction_rates():
         finals = [tr.states[-1] for tr in flows(
             E, [dirac_state(c, 2) for pair in pairs for c in pair], cfg)]
         for (a, b), fa, fb in zip(pairs, finals[::2], finals[1::2]):
-            ratio = quantile_w2(fa, fb) / abs(a - b)
+            ratio = w2(fa, fb) / abs(a - b)
             worst_ratio_excess = max(worst_ratio_excess,
                                      ratio / (math.exp(-t) * (1 + 1e-3)) - 1.0)
     ok_i = worst_ratio_excess <= 0.0
@@ -200,7 +199,7 @@ def test_criterion_6_contraction_rates():
         cfg = JkoConfig(tau=t / n, steps=n, inner_tol=1e-9)
         fa, fb = (tr.states[-1] for tr in flows(
             Ep, [dirac_state(w0 / 2, 2), dirac_state(-w0 / 2, 2)], cfg))
-        wt = quantile_w2(fa, fb)
+        wt = w2(fa, fb)
         bound = w0 ** math.exp(-2 * lam_abs * t) * (1 + 1e-2)
         detail_iii.append(wt / bound)
         ok_iii = ok_iii and wt <= bound
@@ -239,7 +238,7 @@ def test_criterion_8_constrained_aggregation():
     final = tr.states[-1]
     center = float(np.sum(final.cell_mass * final.positions))
     block = final.with_positions(center + (final.q_nodes - 0.5) / cap)
-    dist = quantile_w2(final, block)
+    dist = w2(final, block)
     report(8, viol <= 1e-8 and bool(strictly_dec) and dist <= 0.05,
            f"cap violation {viol:.2e}, strictly decreasing: {bool(strictly_dec)}, "
            f"W2 to block {dist:.3f}")
@@ -285,7 +284,7 @@ def test_criterion_10_appendix():
         tr = flow_time_dependent(schedule, dirac_state(1.0, 2),
                                  JkoConfig(tau=t_final / n, steps=n,
                                            inner_tol=1e-10))
-        errs[n] = quantile_w2(tr.states[-1], ref)
+        errs[n] = w2(tr.states[-1], ref)
     ratios = [errs[n] / errs[2 * n] for n in (16, 32, 64)]
     ok = phi_err <= 1e-8 and all(r >= 1.2 for r in ratios)
     report(10, ok, f"phi->omega error {phi_err:.2e}, Cauchy ratios "

@@ -180,6 +180,21 @@ class TestRun:
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("inner_max_iter", 1e4, id="float_budget"),
+        pytest.param("steps", 2.5, id="float_steps"),
+        pytest.param("steps", True, id="bool_steps"),
+    ])
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, key, value):
+        # a FISTA energy: a float budget used to fail inside the solver
+        # (exit 1), and steps = true ran one step (exit 0)
+        cfg = dict(FLOW_CONFIG, energy={"potential": "quadratic",
+                                        "kernel": {"kind": "log", "c": -0.5}})
+        cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
+        assert run(write_config(tmp_path, "c.json", cfg)) == 2
+        assert (f"config error at 'jko': {key} must be an integer, got {value!r}"
+                in capsys.readouterr().err)
+
     def test_grid_initial_exit_2(self, tmp_path, capsys):
         # the initial state is a shorthand, an atomic or a quantile measure
         cfg = dict(FLOW_CONFIG)

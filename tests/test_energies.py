@@ -14,6 +14,7 @@ from omegaflow.energies import (
     POTENTIALS,
     Potential,
     _finite_field,
+    _pair_geometry,
     above_tangent_slack,
     calibrate_interaction_constant,
     coupling_cost,
@@ -652,7 +653,7 @@ class TestFieldFastPath:
         at, pts, w = inputs
         with np.errstate(over="ignore", invalid="ignore"):
             ref, scale = unit_tensor_field(kernel, at, pts, w)
-            out = kernel.field(at, pts, w)
+            out = kernel.field(*_pair_geometry(at, pts), w)
         assert out.shape == ref.shape == at.shape
         # the same products, summed over j in another order
         finite = np.all(np.isfinite(ref), axis=1)
@@ -666,7 +667,7 @@ class TestFieldFastPath:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.all(np.isfinite(unit_tensor_field(kernel, pts, pts, w)[0]))
         with pytest.raises(EnergyError, match=r"undefined \(overflow\)"):
-            _finite_field(kernel, pts, pts, w)
+            _finite_field(kernel, *_pair_geometry(pts, pts), w)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 """Every name a module of the package exports through ``__all__`` exists,
-so ``from omegaflow.<module> import *`` never fails on a stale entry, and no
-module imports a name it neither uses nor exports."""
+so ``from omegaflow.<module> import *`` never fails on a stale entry; no
+module imports a name it neither uses nor exports, and no function imports
+again what its module imports at top level."""
 
 import ast
 import importlib
@@ -36,6 +37,15 @@ _UNUSED_IMPORTS_ALLOWED = {
 }
 
 
+def _bound_names(node) -> list:
+    """The names an import statement binds ([] for any other node)."""
+    if isinstance(node, ast.Import):
+        return [a.asname or a.name.split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
 def unused_imports(source: str) -> list:
     """Names a module's source imports (at top level or inside a function)
     but neither reads anywhere nor lists in ``__all__``."""
@@ -43,11 +53,8 @@ def unused_imports(source: str) -> list:
     imported = []
     exported: set = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
-        elif isinstance(node, ast.Assign) and any(
+        imported += _bound_names(node)
+        if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree)
@@ -59,6 +66,37 @@ def test_unused_import_guard_detects_a_stale_import():
     src = ("import json\nimport math\nfrom .a import b, c\n__all__ = ['c']\n"
            "def f():\n    from .d import e, g\n    return math.pi + g\n")
     assert unused_imports(src) == ["json", "b", "e"]
+
+
+def local_reimports(source: str) -> list:
+    """Names that a function of a module's source imports although the
+    module's top level already imports them, or imports from their module."""
+    tree = ast.parse(source)
+    functions = [n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    local = {id(n) for f in functions for n in ast.walk(f)}
+    origin = lambda n: (n.level, n.module) if isinstance(n, ast.ImportFrom) else None
+    top = {name for n in ast.walk(tree) if id(n) not in local
+           for name in _bound_names(n)}
+    top_origins = {origin(n) for n in ast.walk(tree)
+                   if id(n) not in local and _bound_names(n)} - {None}
+    return [name for n in ast.walk(tree) if id(n) in local
+            for name in _bound_names(n) if name in top or origin(n) in top_origins]
+
+
+def test_local_reimport_guard_detects_a_reimport():
+    src = ("import math\nfrom .a import b\n"
+           "def f():\n    import math\n    from .a import b, c\n"
+           "    def g():\n        from .d import b\n    return g\n"
+           "class K:\n    def h(self):\n        from .e import d\n")
+    assert local_reimports(src) == ["math", "b", "c", "b"]
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_no_local_reimports(name):
+    path = pathlib.Path(omegaflow.__file__).with_name(f"{name}.py")
+    again = local_reimports(path.read_text())
+    assert not again, f"omegaflow/{name}.py imports {again} again inside a function"
 
 
 @pytest.mark.parametrize("name", MODULES + ["__init__"])

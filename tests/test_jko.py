@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import omegaflow
 from omegaflow import jko, transport
-from omegaflow.energies import Energy, Kernel, POTENTIALS
+from omegaflow.energies import Energy, EnergyError, Kernel, POTENTIALS, _pair_geometry
 from omegaflow.jko import (
     FlowTrajectory,
     JkoConfig,
@@ -22,7 +23,6 @@ from omegaflow.jko import (
     flow_time_dependent,
     isotonic_project,
     proximal_step,
-    quantile_w2,
     rescaled_intermediate,
 )
 from omegaflow.measures import (
@@ -32,6 +32,8 @@ from omegaflow.measures import (
     interval_masses,
     lp_norm,
     make_atomic,
+    pair_differences,
+    same_grid,
 )
 from omegaflow.moduli import lipschitz
 from omegaflow.transport import w2, w2_1d, w2_exact
@@ -410,7 +412,7 @@ class TestProximalStep:
         mu = uniform_state(-0.7, 0.7, 32)
         tau = 0.05
         out = proximal_step(E, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
-        obj_out = 0.5 / tau * quantile_w2(mu, out) ** 2 + E.eval(out)
+        obj_out = 0.5 / tau * w2(mu, out) ** 2 + E.eval(out)
         assert obj_out <= E.eval(mu) + 1e-9
 
     def test_2d_quadratic_contraction(self, rng):
@@ -444,6 +446,34 @@ class TestProximalStep:
 # 2D proximal step: one Lagrangian solve and a cycle certificate
 # ---------------------------------------------------------------------------
 
+def _two_pass_grad(energy, z, w):
+    """grad_i E / w_i at 2D atoms ``z``, as the 2D step computed it before
+    one pair pass served value and field: grad V(z_i) plus
+    ``Kernel.field``, with its own pair geometry; EnergyError where the
+    field overflows."""
+    g = np.zeros_like(z)
+    if energy.potential is not None:
+        g += np.asarray(energy.potential.grad(z), dtype=float).reshape(z.shape)
+    if energy.kernel is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            field = energy.kernel.field(*_pair_geometry(z, z), w)
+        if not np.isfinite(field).all():
+            raise EnergyError("kernel field is undefined (overflow): distinct "
+                              "points lie too close together")
+        g += field
+    return g
+
+
+def _two_pass_value_and_grad(self, z):
+    """``_LagrangianObjective.value_and_grad`` as two passes: the gradient
+    by :func:`_two_pass_grad` (it rejects an overflowing field first), the
+    value through a validated ``AtomicMeasure``."""
+    h = z - self.x + self.tau * _two_pass_grad(self.energy, z, self.w)
+    d = z - self.x
+    return self.energy.terms_value(AtomicMeasure(z.copy(), self.w),
+                                   0.5 / self.tau * self.inner(d, d)), h
+
+
 def _reference_prox_atomic_2d(energy, mu, tau, cfg):
     """The block-coordinate 2D step that the Lagrangian solve replaced:
     an exact LP, solved cold by ``w2_exact``, then up to 500 fixed-plan
@@ -465,7 +495,7 @@ def _reference_prox_atomic_2d(energy, mu, tau, cfg):
         L = float(np.max(colw)) / tau + 1.0
         for _ in range(500):
             g = (colw[:, None] * z - bary) / tau \
-                + w[:, None] * jko._atomic_energy_grad(energy, z, w)
+                + w[:, None] * _two_pass_grad(energy, z, w)
             z_new = z - g / L
             step = float(np.max(np.abs(z_new - z)))
             z = z_new
@@ -584,14 +614,13 @@ class TestProx2dWarmStart:
             assert tr.step_distances[k] == w2(tr.states[k], tr.states[k + 1])
 
     def test_close_points_raise_instead_of_nan(self):
-        from omegaflow.energies import EnergyError
         # w'(r) overflows at r ~ 1e-160 and inf * 0 in the unit vector
         # gives NaN, which the step used to pass on into make_atomic
         energy = Energy(kernel=Kernel("riesz", alpha=2.0, d=3))
         pts = np.array([[0.0, 0.0], [0.0, 3.8e-161]])
         w = np.array([0.5, 0.5])
         with pytest.raises(EnergyError, match="too close"):
-            jko._atomic_energy_grad(energy, pts, w)
+            energy.atoms_value_and_grad(pts, w)
         with pytest.raises(EnergyError, match="too close"):
             proximal_step(energy, make_atomic(pts, w), 0.05)
 
@@ -617,6 +646,100 @@ class TestProx2dWarmStart:
         assert info["residual_flag"] is True
         assert info["inner_iters"] == 0
         assert np.array_equal(out.points, mu.points)
+
+
+# the 2D kernels: smooth, log of either sign, Riesz and 2D Newtonian
+_KERNELS_2D = {
+    "smooth": Kernel("smooth", d=2, profile=lambda r: np.asarray(r) ** 2 / 4.0,
+                     dprofile=lambda r: np.asarray(r) / 2.0),
+    "log_repulsive": Kernel("log", c=-0.3),
+    "log_attractive": Kernel("log", c=0.5),
+    "riesz": Kernel("riesz", alpha=2.0, d=3),
+    "newtonian_2d": Kernel("newtonian", d=2, c=-1.0),
+}
+_POTENTIALS_2D = {"none": None, "quadratic": POTENTIALS["quadratic"]({}),
+                  "log_pinch": POTENTIALS["log_pinch"]({"strength": 1.0})}
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestOnePass2d:
+    """``Energy.atoms_value_and_grad``, one pair pass for the value and the
+    field, is bitwise the two passes it replaced: the value of
+    ``terms_value(AtomicMeasure(z, w), start)`` and :func:`_two_pass_grad`;
+    so the 2D step is bitwise the step of the two-pass objective."""
+
+    @pytest.mark.parametrize("potential", sorted(_POTENTIALS_2D))
+    @pytest.mark.parametrize("kernel", sorted(_KERNELS_2D))
+    @pytest.mark.parametrize("n", [2, 3, 9, 64])
+    def test_value_and_grad_bitwise(self, kernel, potential, n):
+        energy = Energy(potential=_POTENTIALS_2D[potential],
+                        kernel=_KERNELS_2D[kernel])
+        rng = np.random.default_rng(n)
+        for trial in range(6):
+            z = rng.normal(scale=10.0 ** rng.uniform(-3, 1), size=(n, 2))
+            if trial % 2:   # tied atoms
+                z[rng.integers(0, n, n // 2 + 1)] = z[0]
+            w = rng.uniform(0.5, 1.5, n)
+            w /= w.sum()
+            start = float(rng.uniform(0.0, 2.0))
+            value, g = energy.atoms_value_and_grad(z, w, start)
+            assert _same_bits(value, energy.terms_value(AtomicMeasure(z.copy(), w), start))
+            assert _same_bits(g, _two_pass_grad(energy, z, w))
+
+    @pytest.mark.parametrize("potential", sorted(_POTENTIALS_2D))
+    @pytest.mark.parametrize("kernel", sorted(_KERNELS_2D))
+    def test_steps_bitwise(self, monkeypatch, kernel, potential):
+        energy = Energy(potential=_POTENTIALS_2D[potential],
+                        kernel=_KERNELS_2D[kernel])
+        cases = [(seed, n, kind, tau) for seed, (n, kind) in enumerate(
+            [(2, "random"), (5, "random"), (9, "tied"), (17, "zero"), (33, "random")])
+            for tau in (0.05, 0.3)]
+        steps = [proximal_step(energy, _atoms_2d(seed, n, kind), tau,
+                               JkoConfig(tau=tau, inner_tol=1e-9), return_info=True)
+                 for seed, n, kind, tau in cases]
+        monkeypatch.setattr(jko._LagrangianObjective, "value_and_grad",
+                            _two_pass_value_and_grad)
+        for (seed, n, kind, tau), (nu, info) in zip(cases, steps):
+            ref, ref_info = proximal_step(energy, _atoms_2d(seed, n, kind), tau,
+                                          JkoConfig(tau=tau, inner_tol=1e-9),
+                                          return_info=True)
+            assert nu.points.tobytes() == ref.points.tobytes()
+            assert info["inner_iters"] == ref_info["inner_iters"]
+            for key in ("residual", "certificate_slack"):
+                assert _same_bits(info[key], ref_info[key])
+            assert info["residual_flag"] == ref_info["residual_flag"]
+
+    def test_overflowing_trial_point_rejected_without_warning(self):
+        # an attractive Riesz kernel w(r) = -r^-8: at the full trial step
+        # (r ~ 1e-40) w'(r) and w(r) both overflow, so the point is rejected
+        # by its field, before a value would warn, and the half step taken
+        # (tau keeps h = z - x + tau grad E / w, and |h|^2, finite)
+        energy = Energy(kernel=Kernel("riesz", alpha=2.0, d=10, sign=-1))
+        x = np.array([[0.0, 0.0], [0.0, 1e-30]])
+        d = np.array([[0.0, 0.0], [0.0, -1e-30 + 1e-40]])
+        objective = jko._LagrangianObjective(energy, x, np.array([0.5, 0.5]), 1e-125)
+        calls = []
+
+        def value_and_grad(z):
+            calls.append(z[1, 1])
+            return jko._LagrangianObjective.value_and_grad(objective, z)
+
+        objective.value_and_grad = value_and_grad
+        fz, h = objective.value_and_grad(x)
+        slope = objective.inner(h, d) / objective.tau
+        assert slope < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                energy.terms_value(AtomicMeasure(x + d, objective.w))
+            with pytest.raises(EnergyError, match="too close"):
+                objective.value_and_grad(x + d)
+            z, f, _ = jko._armijo_step(objective, x, fz, jko._max_length(h), slope, d)
+        assert calls[-2:] == [(x + d)[1, 1], (x + 0.5 * d)[1, 1]]
+        assert z.tobytes() == (x + 0.5 * d).tobytes() and f < fz
 
 
 class TestProx2dClosedForm:
@@ -717,7 +840,7 @@ class TestCycleCertificate:
     @pytest.mark.parametrize("seed", range(4))
     def test_equal_weights_against_permutations(self, seed, n, kind):
         x, z = _certificate_pair(seed, n, kind)
-        C = transport._sq_cost_matrix(x, z)
+        C = pair_differences(x, z)[1]
         best, diag = _brute_force_permutation_cost(C), float(np.trace(C))
         if _certified(x, z):
             assert abs(diag - best) <= 1e-12 * best
@@ -728,7 +851,7 @@ class TestCycleCertificate:
                                                 (89.0, False), (100.0, False)])
     def test_three_cycle_beats_identity(self, theta, optimal):
         x, z = _rotated_triangle(theta)
-        C = transport._sq_cost_matrix(x, z)
+        C = pair_differences(x, z)[1]
         two_cycles = [C[i, j] + C[j, i] - C[i, i] - C[j, j]
                       for i, j in itertools.combinations(range(3), 2)]
         assert (min(two_cycles) < 0) == (theta > 90.0)
@@ -791,7 +914,7 @@ class TestFlow:
         E = Energy()
         tr = flow(E, uniform_state(-1, 1, 16), JkoConfig(tau=0.1, steps=4))
         for s in tr.states[1:]:
-            assert quantile_w2(tr.states[0], s) <= 1e-9
+            assert w2(tr.states[0], s) <= 1e-9
 
     def test_energy_descent_and_onestep_bound(self):
         E = ks_surrogate_energy(2.0)
@@ -809,7 +932,7 @@ class TestFlow:
         tr = flow(E, mu0, cfg)
         c_mu = tr.energies[0] - tr.energies.min()
         n = cfg.steps
-        assert quantile_w2(mu0, tr.states[-1]) \
+        assert w2(mu0, tr.states[-1]) \
             <= math.sqrt(2 * n * cfg.tau * c_mu) + 1e-6
 
     def test_determinism(self):
@@ -871,7 +994,7 @@ class TestTimeDependent:
             tr = flow_time_dependent(self._sin_schedule, dirac_state(1.0, 2),
                                      JkoConfig(tau=t / n, steps=n,
                                                inner_tol=1e-10))
-            errs[n] = quantile_w2(tr.states[-1], ref)
+            errs[n] = w2(tr.states[-1], ref)
         assert errs[32] / errs[64] >= 1.2
         assert errs[64] / errs[128] >= 1.2
 
@@ -898,7 +1021,7 @@ class TestRescaledIntermediate:
         mu_tau = proximal_step(E, mu, tau, cfg)
         nu = rescaled_intermediate(mu, mu_tau, None, h, tau)
         back = proximal_step(E, nu, h, cfg)
-        assert quantile_w2(back, mu_tau) <= 1e-5
+        assert w2(back, mu_tau) <= 1e-5
 
     def test_h_out_of_range(self):
         mu = uniform_state(-1, 1, 8)
@@ -1702,6 +1825,25 @@ class TestConfigValidation:
     def test_smallest_budget_and_grid_accepted(self):
         assert JkoConfig(tau=0.1, inner_max_iter=1).inner_max_iter == 1
 
+    @pytest.mark.parametrize("name, value", [
+        ("inner_max_iter", 1e4), ("inner_max_iter", False),
+        ("steps", 2.5), ("steps", True), ("steps", "2"),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(JkoError, match=f"{name} must be an integer"):
+            JkoConfig(tau=0.1, **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        # FISTA takes the budget (a log kernel has no Hessian)
+        energy = _FISTA_ENERGIES["log_kernel"]
+        mu = uniform_state(-0.5, 0.5, 6)
+        ref = flow(energy, mu, JkoConfig(tau=0.05, steps=2, inner_max_iter=3))
+        tr = flow(energy, mu, JkoConfig(tau=0.05, steps=np.int64(2),
+                                        inner_max_iter=np.int32(3)))
+        assert len(tr.states) == 3
+        assert tr.states[-1].positions.tobytes() == ref.states[-1].positions.tobytes()
+        assert tr.diagnostics == ref.diagnostics
+
 
 # ---------------------------------------------------------------------------
 # stacked steps: K states on one grid solved as one QuantileStack
@@ -1996,6 +2138,33 @@ class TestFlows:
             assert traj.energies.tobytes() == ref.energies.tobytes()
             assert traj.step_distances.tobytes() == ref.step_distances.tobytes()
             assert traj.diagnostics == ref.diagnostics
+
+    def test_grids_one_ulp_apart_step_alone(self, monkeypatch):
+        # equal grids built separately stack; a grid one ulp apart in a
+        # node, or in a cell mass, steps alone
+        base = uniform_state(-0.5, 0.5, 4)
+        q, c = base.q_nodes.copy(), base.cell_mass.copy()
+        q_ulp, c_ulp = q.copy(), c.copy()
+        q_ulp[2] = np.nextafter(q[2], 1.0)
+        c_ulp[0] = np.nextafter(c[0], 1.0)
+        x = np.array([-0.2, 0.0, 0.1, 0.4])
+        starts = [base, QuantileMeasure(q, x, c), QuantileMeasure(q_ulp, x, c),
+                  QuantileMeasure(q, x, c_ulp)]
+        assert same_grid(starts[0], starts[1])
+        assert not any(same_grid(starts[0], s) for s in starts[2:])
+        steps = []
+        step = jko.proximal_step
+        monkeypatch.setattr(jko, "proximal_step", lambda e, mu, *a, **kw: (
+            steps.append(len(mu) if isinstance(mu, QuantileStack) else 0)
+            or step(e, mu, *a, **kw)))
+        cfg = JkoConfig(tau=0.05, steps=3, inner_tol=1e-10)
+        trajs = jko.flows(granular_energy(), starts, cfg)
+        assert sorted(steps) == [0] * 6 + [2] * 3
+        monkeypatch.setattr(jko, "proximal_step", step)
+        for mu, traj in zip(starts, trajs):
+            ref = flow(granular_energy(), mu, cfg)
+            assert traj.states[-1].positions.tobytes() == ref.states[-1].positions.tobytes()
+            assert traj.step_distances.tobytes() == ref.step_distances.tobytes()
 
     @pytest.mark.parametrize("name", sorted(_FISTA_ENERGIES))
     def test_fista_flows_match_flow(self, name):

@@ -7,8 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from omegaflow import transport
-from omegaflow.jko import JkoError, quantile_w2
-from omegaflow.measures import QuantileMeasure, make_atomic, to_quantile
+from omegaflow.measures import (
+    AtomicMeasure,
+    QuantileMeasure,
+    make_atomic,
+    pair_differences,
+    same_grid,
+    to_quantile,
+)
 from omegaflow.transport import (
     GluedPlan,
     TransportError,
@@ -561,7 +567,7 @@ class TestW2Dispatch:
         qa = QuantileMeasure(q, np.sort(xs), c)
         qb = QuantileMeasure(q, np.sort(ys), c)
         d = w2(qa, qb)
-        assert d == quantile_w2(qa, qb)
+        assert same_grid(qa, qb)
         assert _close_sq(d, w2_1d(qa, qb, return_plan=False))
         assert _close_sq(d, w2_exact(qa, qb, return_plan=False))
         dp, plan = w2(qa, qb, return_plan=True)
@@ -581,8 +587,7 @@ class TestW2Dispatch:
         # quantile states on different grids go through the monotone coupling
         qa, qb = to_quantile(a, n_nodes), to_quantile(b, n_nodes + 1)
         assert w2(qa, qb) == w2_1d(qa, qb, return_plan=False)
-        with pytest.raises(JkoError, match="quantile grid"):
-            quantile_w2(qa, qb)
+        assert not same_grid(qa, qb)
         # a quantile state against atoms: the monotone coupling too
         assert w2(qa, b) == w2_1d(qa, b, return_plan=False)
 
@@ -605,7 +610,7 @@ class TestW2Dispatch:
         c = np.array([0.5, 0.5])
         da = QuantileMeasure(q, [0.3, 0.3], c)
         db = QuantileMeasure(q, [-0.2, -0.2], c)
-        assert w2(da, db) == quantile_w2(da, db) == 0.5
+        assert same_grid(da, db) and w2(da, db) == 0.5
         assert _close_sq(w2(da.to_atomic(), db.to_atomic()), 0.5)
 
     def test_same_nodes_other_masses(self):
@@ -613,16 +618,34 @@ class TestW2Dispatch:
         # node-to-node coupling moves no mass between cells
         a = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.5, 0.5])
         b = QuantileMeasure([0.25, 0.75], [0.0, 1.0], [0.1, 0.9])
-        assert not transport.same_quantile_grid(a, b)
-        assert transport.same_quantile_grid(a, a.with_positions([0.5, 2.0]))
+        assert not same_grid(a, b)
+        assert same_grid(a, a.with_positions([0.5, 2.0]))
         ref = w2_1d(a, b, return_plan=False)
         assert ref == pytest.approx(math.sqrt(0.4))
         assert w2(a, b) == ref
-        with pytest.raises(JkoError, match="quantile grid"):
-            quantile_w2(a, b)
         g = geodesic(a, b, 0.5)
         assert g.points.tolist() == [0.0, 0.5, 1.0]
         assert g.weights.tolist() == pytest.approx([0.1, 0.4, 0.5])
+
+    @pytest.mark.parametrize("array", ["q_nodes", "cell_mass"])
+    def test_grid_identity_is_bitwise(self, array):
+        # a grid built again from equal arrays is the same grid: node to
+        # node; one ulp apart in one node or one cell mass it is another
+        c = np.array([0.2, 0.3, 0.5])
+        q = np.cumsum(c) - 0.5 * c
+        a = QuantileMeasure(q, [-1.0, 0.25, 2.0], c)
+        b = QuantileMeasure(q.copy(), [0.0, 0.5, 0.75], c.copy())
+        assert same_grid(a, b) and a.q_nodes is not b.q_nodes
+        assert w2(a, b) == math.sqrt(float(np.sum(c * (a.positions - b.positions) ** 2)))
+        g = geodesic(a, b, 0.25)
+        assert isinstance(g, QuantileMeasure) and g.q_nodes is a.q_nodes
+        assert g.positions.tolist() == (0.75 * a.positions + 0.25 * b.positions).tolist()
+        nudged = {"q_nodes": q.copy(), "cell_mass": c.copy()}
+        nudged[array][1] = np.nextafter(nudged[array][1], 1.0)
+        b_ulp = QuantileMeasure(nudged["q_nodes"], b.positions, nudged["cell_mass"])
+        assert not same_grid(a, b_ulp) and not same_grid(b_ulp, a)
+        assert w2(a, b_ulp) == w2_1d(a, b_ulp, return_plan=False)
+        assert isinstance(geodesic(a, b_ulp, 0.25), AtomicMeasure)
 
 
 class TestPinnedPlans:
@@ -764,7 +787,7 @@ def _lp_problem(seed, dim, m, n, kind, equal):
     mu = make_atomic(xs if dim == 2 else xs[:, 0], wa)
     nu = make_atomic(ys if dim == 2 else ys[:, 0], wb)
     return (mu.weights.copy(), nu.weights.copy(),
-            transport._sq_cost_matrix(mu.points_2d(), nu.points_2d()))
+            pair_differences(mu.points_2d(), nu.points_2d())[1])
 
 
 class TestNetworkSimplexReference:
