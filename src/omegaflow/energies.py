@@ -270,24 +270,27 @@ def _log_pinch(strength: float = 1.0):
     """
     s = float(strength)
     j = math.sqrt(JUNCTION)
+    slope_j = -(s / 2.0) * j * (-2.0 * math.log(j))   # v'(j)
 
+    # the far region r > j (V'' = 0) takes its own np.where only when some
+    # point lies there (or is NaN)
     def val(x):
         x = np.asarray(x, dtype=float)
         x = np.sqrt(_radius_sq(x)) if x.ndim == 2 else np.abs(x)
         xc = np.minimum(x, j)
-        lg = _log_positive(xc)
-        core = -(s / 4.0) * xc**2 * (1.0 - 2.0 * lg)
-        # continue linearly in the (unused) far region to keep V C^1
-        slope_j = -(s / 2.0) * j * (-2.0 * math.log(j))
-        out = np.where(x <= j, core,
-                       core + slope_j * (x - xc))
+        out = -(s / 4.0) * xc**2 * (1.0 - 2.0 * _log_positive(xc))
+        if not (x <= j).all():
+            # continue linearly in the (unused) far region to keep V C^1
+            out = np.where(x <= j, out, out + slope_j * (x - xc))
         return out if out.ndim else float(out)
 
     def dv(r):
         # v'(r) for r >= 0
         rc = np.minimum(r, j)
-        lg = _log_positive(rc)
-        return np.where(r <= j, -s * rc * (-lg), -s * j * (-math.log(j)))
+        out = -s * rc * (-_log_positive(rc))
+        if not (r <= j).all():
+            out = np.where(r <= j, out, slope_j)
+        return out
 
     def grd(x):
         x = np.asarray(x, dtype=float)
@@ -300,7 +303,8 @@ def _log_pinch(strength: float = 1.0):
 
     def hss(x):
         r = np.abs(np.asarray(x, dtype=float))
-        return np.where(r <= j, s * (1.0 + _log_positive(r, -np.inf)), 0.0)
+        out = s * (1.0 + _log_positive(r, -np.inf))
+        return out if (r <= j).all() else np.where(r <= j, out, 0.0)
 
     return Potential(f"log_pinch({s})", val, grd, hess=hss)
 
@@ -457,30 +461,51 @@ class Energy:
 
     def eval(self, mu):
         """Energy value; +inf on constraint violation.  One per row of a
-        :class:`QuantileStack`."""
+        :class:`QuantileStack`, whose kept terms it reads
+        (:meth:`terms_value`); a cap only masks rows."""
         if isinstance(mu, QuantileStack):
+            total = self.terms_value(mu)
             if self.constraint is None:
-                return self.terms_value(mu)
-            return np.array([self.eval(mu.row(k)) for k in range(len(mu))])
+                return total
+            ok = [self.constraint_ok(mu.row(k)) for k in range(len(mu))]
+            return total if all(ok) else np.where(ok, total, math.inf)
         return self.terms_value(mu) if self.constraint_ok(mu) else math.inf
 
     def terms_value(self, mu, start=0.0):
         """``start`` plus the potential, interaction and internal terms, added
         in that order, without the constraint; +inf where the internal term
-        is.  Per row for a :class:`QuantileStack` (``start`` then has one
-        entry per row)."""
+        is.  Per row for a :class:`QuantileStack` (``start`` then a float or
+        one entry per row), which keeps the term values
+        (:meth:`QuantileStack.kept`), so a state is evaluated once."""
+        if isinstance(mu, QuantileStack):
+            kept = mu.kept(self)
+            terms = kept.get("terms")
+            if terms is None:
+                terms = kept["terms"] = self._terms(mu)
+        else:
+            terms = self._terms(mu)
+        potential, interaction, internal = terms
         total = start
-        if self.potential is not None:
-            total = total + self.potential_value(mu)
-        if self.kernel is not None:
-            total = total + self.interaction_value(mu)
-        if self.internal is not None:
-            v = self.internal_value(mu)
-            if not np.ndim(v):
-                return math.inf if v == math.inf else total + v
-            inf = v == math.inf
-            return np.where(inf, math.inf, total + v) if inf.any() else total + v
-        return total
+        if potential is not None:
+            total = total + potential
+        if interaction is not None:
+            total = total + interaction
+        if internal is not None:
+            if not isinstance(internal, np.ndarray):
+                return math.inf if internal == math.inf else total + internal
+            inf = internal == math.inf
+            total = np.where(inf, math.inf, total + internal) if inf.any() \
+                else total + internal
+        if isinstance(total, np.ndarray) or not isinstance(mu, QuantileStack):
+            return total
+        return np.full(len(mu), total)   # no term: ``start`` on every row
+
+    def _terms(self, mu):
+        """The (potential, interaction, internal) term values, None for a
+        term the energy does not have."""
+        return (None if self.potential is None else self.potential_value(mu),
+                None if self.kernel is None else self.interaction_value(mu),
+                None if self.internal is None else self.internal_value(mu))
 
     def atoms_value_and_grad(self, pts, w, start=0.0):
         """(``start`` + E, grad_i E / w_i) at 2D atoms ``pts`` ((n, 2)) of
@@ -506,8 +531,19 @@ class Energy:
 
     def quantile_grad(self, q) -> np.ndarray:
         """d/dx_i of the discretized energy (constraint terms excluded), per
-        row of a :class:`QuantileStack`; the 1D Newtonian term counts tied
+        row of a :class:`QuantileStack`, which keeps it, read-only
+        (:meth:`QuantileStack.kept`); the 1D Newtonian term counts tied
         atoms by their order."""
+        if not isinstance(q, QuantileStack):
+            return self._quantile_grad(q)
+        kept = q.kept(self)
+        g = kept.get("grad")
+        if g is None:
+            g = kept["grad"] = self._quantile_grad(q)
+            g.flags.writeable = False
+        return g
+
+    def _quantile_grad(self, q) -> np.ndarray:
         x = q.positions
         c = q.cell_mass
         g = np.zeros(x.shape)

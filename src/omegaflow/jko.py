@@ -18,20 +18,18 @@ positions:
 
 * projected Newton with a tridiagonal solve (:func:`_newton`) when
   :meth:`Energy.has_quantile_hess`: potentials with a ``hess`` (every
-  shipped one), the 1D Newtonian kernel of either sign (linear on the
-  sorted cone), entropy and power internal terms, caps.  Its iteration
-  count does not grow with the number of nodes.  Where its Hessian is not
-  positive definite or its line search fails, it hands the iterate to
-  FISTA;
+  shipped one), the 1D Newtonian kernel, entropy and power internal terms,
+  caps.  Its iteration count does not grow with the number of nodes; where
+  its Hessian is not positive definite or its search fails, it hands the
+  iterate to FISTA;
 * accelerated projected gradient (monotone FISTA with backtracking,
   :func:`_fista`) otherwise: potentials without a ``hess``, log, Riesz
   and smooth kernels.  It stops early, flagged, at a value of -inf.
 
 Near a minimizer on a dense state one float spacing of a gap moves the
-residual by more than 1e-12, so both solvers stop where their iteration
-no longer moves, and a residual left above the tolerance there is cut by
-rounding the last Newton step to the float point that minimizes it
-(:func:`_rounded_newton`).
+residual by more than 1e-12: both solvers stop where their iteration no
+longer moves, and a residual left above the tolerance is cut by rounding
+the last Newton step to the best float point (:func:`_rounded_newton`).
 
 A finite-p cap ||rho||_p <= C is a multiplier search on the same solvers
 (:func:`_cap_search`): a step that ends above the cap is solved again with
@@ -45,23 +43,24 @@ are Lagrangian too (Westdickenberg & Wilkening 2010; Carrillo, Craig &
 Patacchini 2019): each atom keeps its weight, and the positions minimize
 Phi(z) = sum_i w_i |x_i - z_i|^2 / (2 tau) + E(z), by L-BFGS in the metric
 diag(w_i / tau) with an Armijo search (:func:`_lbfgs`), each trial point
-in one pair pass (:meth:`Energy.atoms_value_and_grad`).  Their residual is
-the stationarity residual max_i tau |grad_i Phi| / w_i, a length.  The
-diagonal plan x_i -> z_i is then certified optimal by cyclical
-monotonicity (Rockafellar 1966; :func:`_cycle_slack`), so the step solves
-no LP; it hands the plan out when certified, and sets the flag when the
-certificate fails or the residual stays above ``inner_tol``.
+in one pair pass (:meth:`Energy.atoms_value_and_grad`).  The diagonal plan
+x_i -> z_i is then certified optimal by cyclical monotonicity (Rockafellar
+1966; :func:`_cycle_slack`), so the step solves no LP; it hands the plan
+out when certified, and sets the flag when the certificate fails or the
+stationarity residual stays above ``inner_tol``.
 
 The 1D solvers know one shape, the :class:`QuantileStack`: states on one
 grid (:func:`measures.same_grid`) step together as its rows (:func:`flows`;
 a semigroup-contraction check evolves its two states so), one state as a
-stack of one.  Each row keeps its own stopping test, iteration count and
-budget; FISTA rows, and the rows that Newton hands to FISTA, step in the
-stack too.  Every row is bitwise the step of its own state: the per-row
-sums run along the last axis of C-contiguous arrays, which numpy sums row
-by row as it sums a 1D array, and the inner products stay one BLAS dot
-per row (a batched product would round differently).  Everything here is
-deterministic: fixed reduction orders and one start per solve.
+stack of one, each row with its own stopping test, iteration count and
+budget.  Every row is bitwise the step of its own state: the per-row sums
+run along the last axis of C-contiguous arrays, which numpy sums row by
+row as it sums a 1D array, and the inner products stay one BLAS dot per
+row.  A stack keeps the energy terms and gradient computed at it
+(:meth:`QuantileStack.kept`); a step returns the stack its solver
+evaluated last, which a flow's energy column and next step then read.
+Everything here is deterministic: fixed reduction orders, one start per
+solve.
 """
 
 from __future__ import annotations
@@ -200,16 +199,17 @@ def _offsets(min_gaps, x):
 def _pav(v, w, offsets):
     """:func:`isotonic_project` of each row of the stack ``v`` ((K, n)), for
     checked positive weights ``w`` and shifts ``offsets`` (:func:`_offsets`)
-    of the same shape, and each row's pools: a list of the pool sizes, or
-    None where no pair pools."""
-    wz = w * (v - offsets)
+    of the same shape (None: no shift, which keeps a -0 that a zero shift
+    makes +0), and each row's pools: a list of the pool sizes, or None
+    where no pair pools."""
+    wz = w * v if offsets is None else w * (v - offsets)
     # the loop's merge predicate on two single-atom blocks, same products
     pools = wz[..., :-1] * w[..., 1:] > wz[..., 1:] * w[..., :-1]
     z = np.divide(wz, w)
     counts = [None] * len(v) if not pools.any() else [
         _pool(z[k], w[k], wz[k], pools[k]) if any_k else None
         for k, any_k in enumerate(pools.any(axis=1).tolist())]
-    return z + offsets, counts
+    return (z if offsets is None else z + offsets), counts
 
 
 def _pool(z, w, wz, pools):
@@ -295,8 +295,10 @@ class _QuantileObjective:
         return np.where(np.isfinite(g).all(axis=1), self._value(qs, x), math.inf), g
 
     def _value(self, qs, x):
-        move = (self.mass * (x - self.y) ** 2).sum(axis=-1)
-        val = self.energy.terms_value(qs, 0.5 / self.tau * move)
+        # at y the W2 term and its gradient are +0 (a stack is finite)
+        move = 0.0 if x is self.y \
+            else 0.5 / self.tau * (self.mass * (x - self.y) ** 2).sum(axis=-1)
+        val = self.energy.terms_value(qs, move)
         if self.cap_term is not None:   # +inf stays +inf: weight > 0
             val = val + self.weight * self.cap_term.internal_value(qs)
         if qs.faults is not None:
@@ -314,7 +316,8 @@ class _QuantileObjective:
         return diag, curv
 
     def _grad(self, qs, x):
-        g = self.mass * (x - self.y) / self.tau + self.energy.quantile_grad(qs)
+        move = 0.0 if x is self.y else self.mass * (x - self.y) / self.tau
+        g = move + self.energy.quantile_grad(qs)
         if self.cap_term is not None:
             g += self.weight * self.cap_term.quantile_grad(qs)
         return g
@@ -324,14 +327,15 @@ def _residual(objective, x, g, offsets):
     """The projected-gradient residual of each row of the stack ``x``
     ((K, n)) at gradient ``g``, the stopping test of both 1D solvers:
     max_i |x - P(x - s g / m)|_i / s, P the projection of :func:`_pav`
-    (shifts ``offsets``), m the cell masses and s = min(tau, 1); inf in a
-    row without a finite gradient, whose probe is not finite either (its
-    NaN reads inf).  Returns (the residuals as a list, the pools of each
-    row's projection, as :func:`_pav`'s)."""
+    (shifts ``offsets`` or None), m the cell masses, s = min(tau, 1); inf
+    in a row without a finite gradient, whose probe's NaN reads inf.
+    Returns (the residuals as a list, the pools of each row's projection,
+    as :func:`_pav`'s)."""
     s = min(objective.tau, 1.0)
     probe, counts = _pav(x - s * (g / objective.mass), objective.mass, offsets)
-    r = np.abs((x - probe) / s).max(axis=1).tolist()
-    return [math.inf if math.isnan(r_k) else r_k for r_k in r], counts
+    # rounding is monotone, so max_i fl(|d_i| / s) = fl(max_i |d_i| / s)
+    r = np.abs(x - probe).max(axis=1).tolist()
+    return [math.inf if math.isnan(r_k) else r_k / s for r_k in r], counts
 
 
 def _fista(objective, x0, min_gaps, tol, max_iter):
@@ -342,13 +346,12 @@ def _fista(objective, x0, min_gaps, tol, max_iter):
     integer or a list of one per row).  Evaluates each point once.  A row
     stops with an infinite residual at an iterate of value -inf, where
     neither the extrapolated point nor the iterate has a finite gradient,
-    and where a projected point is out of order (its ``faults`` entry:
-    rounding near 1e17); it stops at a fixed point of the float iteration.
-    A residual left above ``tol`` is then rounding when the objective has a
-    Hessian: the end point gives way to :func:`_rounded_newton`'s when that
-    has a smaller residual and no larger value.  A stopped row stays pinned
-    at a point it evaluated until the iteration ends, then leaves the
-    stack.  Returns (x, iterations, residuals, objective at x)."""
+    and where a projected point is out of order (its ``faults`` entry); it
+    stops at a fixed point of the float iteration, where a residual above
+    ``tol`` is rounding: with a Hessian, :func:`_rounded_newton`'s point
+    replaces it when smaller in residual and no larger in value.  A stopped
+    row stays pinned at a point it evaluated until the iteration ends, then
+    leaves the stack.  Returns (x, iterations, residuals, objective at x)."""
     K = len(x0)
     budget = list(max_iter) if isinstance(max_iter, list) else [max_iter] * K
     offsets = _offsets(min_gaps, x0)
@@ -487,32 +490,28 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
     """Projected Newton (Bertsekas 1982) in the gap coordinates
     s_i = x_{i+1} - x_i - min_gap_i >= 0, for an objective with a Hessian
     (:meth:`_QuantileObjective.hess`), on every row of the stack ``x0``
-    ((K, n)) as if it were alone.  Each iteration glues the gaps that the projected-gradient probe pools
-    (the ones at or near their bound that the gradient closes), so the
-    nodes fall into blocks, and takes the Newton step of the block
-    positions to the minimizer of the quadratic model on that face; the
-    reduced Hessian stays tridiagonal and is solved by an LDL^T sweep.
-    An Armijo search runs along the projection arc, which clips the gaps
-    that the step would close past their bound.  The stopping test and the
-    budget are FISTA's; when the search fails (or has no direction: the
-    Hessian is not positive definite on the face), the iterate and the rest
-    of the budget go to :func:`_fista`, as they do when the search ends at
-    a point without a finite gradient or at the iterate itself (the step is
-    below the float spacing, and every later iteration would repeat it).
-    The rows handed over step in one :func:`_fista` call on their
-    sub-stack, each with what it left of the budget.  A row that stops
-    leaves the active set, but the objective is evaluated on the whole
-    stack, which costs next to nothing at the small n where stacks pay."""
+    ((K, n)) as if it were alone.  Each iteration glues the gaps that the
+    residual probe pools and that lie near their bound, so the nodes fall
+    into blocks, and takes the Newton step of the blocks to the minimizer
+    of the quadratic model on that face (a tridiagonal LDL^T solve), with
+    an Armijo search along the projection arc, which clips the gaps the
+    step would close past their bound.  The stopping test and the budget
+    are FISTA's.  A row whose search fails, has no direction (H not
+    positive definite on the face) or ends at a point without a finite
+    gradient or at the iterate itself (a step below the float spacing)
+    goes to :func:`_fista` with the rest of its budget; the rows handed
+    over step in one call on their sub-stack.  A stopped row leaves the
+    active set, but the whole stack is evaluated (cheap at small n)."""
     n = len(objective.m)
     x = np.asarray(x0, dtype=float)
-    m = objective.mass
-    lo = (np.zeros(n - 1) if min_gaps is None else min_gaps)[None].repeat(len(x), 0)
-    offsets = _offsets(min_gaps, x)
-    # a start feasible up to the rounding that QuantileMeasure allows in
-    # its order keeps its bits (the arc clips the gaps it moves)
-    off = (gaps(x) < lo - 1e-12).any(axis=1)
-    if off.any():
-        x = np.where(off[:, None], _pav(x, m, offsets)[0], x)
+    offsets = lo = None
+    if min_gaps is not None:   # without bounds the rows are in order already
+        offsets, lo = _offsets(min_gaps, x), min_gaps[None].repeat(len(x), 0)
+        # a start feasible up to the rounding that QuantileMeasure allows in
+        # its order keeps its bits (the arc clips the gaps it moves)
+        off = (gaps(x) < lo - 1e-12).any(axis=1)
+        if off.any():
+            x = np.where(off[:, None], _pav(x, objective.mass, offsets)[0], x)
     fx, g = objective.value_and_grad(x)
     active = list(range(len(x)))
     its, res, handed = [0] * len(x), [math.inf] * len(x), {}
@@ -528,20 +527,24 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
         if not active:
             break
         it += 1
-        slack = gaps(x) - lo
+        slack = gaps(x) if lo is None else gaps(x) - lo
         diag, curv = objective.hess(x)
-        dx = np.zeros_like(x)
-        todo = []
+        # the bands and right-hand sides of the rows with no glued gap
+        e, w, rhs = diag.tolist(), curv.tolist(), (-g).tolist()
+        dx, todo = [[0.0] * n] * len(x), []
         for k in active:
             glued = None
             if counts[k] is not None:
                 pooled = np.repeat(np.arange(len(counts[k])), counts[k])
                 eps = _EPS_ACTIVE * (x[k, -1] - x[k, 0]) / (n - 1)
                 glued = (pooled[1:] == pooled[:-1]) & (slack[k] <= eps)
-            d = _newton_direction((diag[k], curv[k]), g[k], slack[k], glued)
+            d = _solve_tridiagonal(e[k], w[k], rhs[k]) if glued is None \
+                or not glued.any() else _newton_direction(
+                    (diag[k], curv[k]), g[k], slack[k], glued)
             if d is not None:
                 dx[k] = d
                 todo.append(k)
+        dx = np.array(dx)
         x_new, f_new, found = _armijo_arc(objective, x, fx, g, dx, slack, todo)
         g_new = objective.grad(x_new)
         going = (x_new != x).any(axis=1)
@@ -568,11 +571,8 @@ def _newton(objective, x0, min_gaps, tol, max_iter):
 
 def _newton_direction(bands, g, slack, glued):
     """Node displacement to the minimizer of the quadratic model
-    g.d + d.H.d/2 over the face where the ``glued`` gaps (None: none) sit
-    at their bounds; None when H is not positive definite on that face."""
-    if glued is None or not glued.any():
-        v = _solve_tridiagonal(*bands, -g)
-        return None if v is None else np.asarray(v)
+    g.d + d.H.d/2 over the face where the ``glued`` gaps (some) sit at
+    their bounds; None when H is not positive definite on that face."""
     if (bands[0] == -math.inf).any():   # V'' = -inf (log_pinch at 0)
         return None
     blk = np.concatenate(([0], np.cumsum(~glued)))
@@ -581,7 +581,8 @@ def _newton_direction(bands, g, slack, glued):
     close = np.concatenate(([0.0], np.cumsum(np.where(glued, -slack, 0.0))))
     rhs = np.bincount(blk, weights=-(g + _band_matvec(bands, close)),
                       minlength=nb)
-    v = _solve_tridiagonal(*_reduce_bands(bands, blk, nb), rhs)
+    e, w = _reduce_bands(bands, blk, nb)
+    v = _solve_tridiagonal(e.tolist(), w.tolist(), rhs.tolist())
     return None if v is None else close + np.asarray(v)[blk]
 
 
@@ -601,14 +602,14 @@ def _reduce_bands(bands, blk, nb):
 
 
 def _solve_tridiagonal(e, w, r):
-    """Solve (diag(e) + D^T diag(w) D) v = r by LDL^T, on Python floats (a
-    loop, as in :func:`_pav`).  Pivot i is s_i + w_i with
+    """Solve (diag(e) + D^T diag(w) D) v = r by LDL^T on lists of Python
+    floats (a loop, as in :func:`_pav`).  Pivot i is s_i + w_i with
     s_i = e_i + w_{i-1} s_{i-1} / pivot_{i-1}: for e, w >= 0 every term is
     nonnegative, so no pivot cancels however large w is against e.
     Returns a list, or None on a nonpositive pivot."""
     l, z = [], []
     lm, sm, ym = 0.0, 0.0, 0.0   # w_{i-1} / pivot_{i-1}, s_{i-1}, y_{i-1}
-    for ei, wi, ri in zip(e.tolist(), w.tolist() + [0.0], r.tolist()):
+    for ei, wi, ri in zip(e, [*w, 0.0], r):
         si = ei + lm * sm
         di = si + wi
         if not di > 0.0:
@@ -628,17 +629,15 @@ def _solve_tridiagonal(e, w, r):
 def _rounded_newton(bands, m, x, g, min_gaps):
     """The Newton step from one row ``x`` (gradient ``g``, Hessian
     ``bands`` as (e, w), cell masses ``m``) rounded to float64 so as to
-    minimize the residual: among the points whose node i is the float
-    nearest to x_i + v_i, v the Newton displacement, or one of its two
-    neighbours, the one whose linearized residual max_i |g + H d|_i / m_i
-    (d = point - x) is smallest (a min-max Viterbi pass over the
-    tridiagonal H).  Near a minimizer each gap moved by one spacing shifts
-    the residual by H / m times that spacing, which on dense states
-    exceeds a 1e-12 tolerance: rounding every node to its nearest float can
-    miss the tolerance that a neighbouring float point meets.  None when H
-    is not positive definite or the point leaves the gap bounds."""
+    minimize the residual: of the points whose node i is the float nearest
+    to x_i + v_i (v the Newton displacement) or one of its two neighbours,
+    the one of smallest linearized residual max_i |g + H d|_i / m_i
+    (d = point - x), by a min-max Viterbi pass over the tridiagonal H.  On
+    dense states one spacing of a gap moves the residual past a 1e-12
+    tolerance, which rounding each node to its nearest float can miss.
+    None when H is not positive definite or the point leaves the bounds."""
     e, w = bands
-    v = _solve_tridiagonal(e, w, -g)
+    v = _solve_tridiagonal(e.tolist(), w.tolist(), (-g).tolist())
     if v is None:
         return None
     n = len(x)
@@ -672,33 +671,35 @@ def _armijo_arc(objective, x, fx, g, dx, slack, todo):
     """For each row k in ``todo`` of the stack ``x`` ((K, n)), the first
     point x_k(a), a = 1, 1/2, ..., of its projection arc with
     f(x_k(a)) <= f(x_k) + _ARMIJO min(g_k.(x_k(a) - x_k), 0) (up to
-    rounding of f): the glued gaps and the clipping can turn the arc away
-    from descent, so no step raises f beyond that rounding.  x(a) steps by
-    a dx and then clips each gap whose ``slack`` over its bound turns
-    negative, shifting the nodes right of it.
-
+    rounding of f; the glued gaps and the clipping can turn the arc away
+    from descent).  x(a) steps by a dx and then clips each gap whose
+    ``slack`` over its bound turns negative, shifting the nodes right of it.
     Returns (points, values, the rows that found a point); every other row
     keeps x and fx.  When every searching row succeeds on one halving, the
-    points are the array last evaluated, so the objective's kept state
-    serves the next gradient."""
+    points are the array last evaluated, whose state the objective keeps."""
     dslack = dx[:, 1:] - dx[:, :-1]
+    # a gap above its bound at a = 0 and a = 1 stays above it at every
+    # halving, rounding included (a dslack is exact): then nothing clips
+    clips = not (slack + np.minimum(dslack, 0.0) >= 0.0).all()
     pending, found = list(todo), []
     x_new, f_new = x, fx
+    f0 = fx.tolist()
     alpha = 1.0
     for _ in range(_ARMIJO_HALVINGS):
         if not pending:
             break
         xt = x + alpha * dx
-        over = np.maximum(-(slack + alpha * dslack), 0.0)
-        if over.any():
-            clip = over.any(axis=1)
-            xt[clip, 1:] += np.cumsum(over[clip], axis=1)
+        if clips:
+            over = np.maximum(-(slack + alpha * dslack), 0.0)
+            if over.any():
+                clip = over.any(axis=1)
+                xt[clip, 1:] += np.cumsum(over[clip], axis=1)
         if len(pending) < len(x):   # the other rows stay where they are
             rest = [k for k in range(len(x)) if k not in pending]
             xt[rest] = x_new[rest]
         ft = objective.value(xt)
         step = xt - x
-        f0, f1 = fx.tolist(), ft.tolist()
+        f1 = ft.tolist()
         # one BLAS dot per row
         ok = [k for k in pending if f1[k] <= f0[k] + _ARMIJO * min(
             float(g[k] @ step[k]), 0.0) + 1e-15 * (1.0 + abs(f0[k]))]
@@ -739,12 +740,12 @@ def _prox_quantile(energy, q_prev, tau, cfg):
     if energy.constraint is None or energy.constraint[0] == math.inf:
         return out, infos
     rows = [out.row(k) for k in range(len(out))]
-    for k, q_new in enumerate(rows):
-        if not lp_norm(q_new, energy.constraint[0]) <= energy.constraint[1]:
-            rows[k], infos[k] = _cap_search(
-                solve, QuantileStack.of([q_prev.row(k)]), *energy.constraint,
-                tol, its[k], cfg.inner_max_iter)
-    return QuantileStack.of(rows), infos
+    above = [k for k, q in enumerate(rows) if not lp_norm(q, energy.constraint[0])
+             <= energy.constraint[1]]
+    for k in above:   # without a search the solved stack, and its kept terms, stay
+        rows[k], infos[k] = _cap_search(solve, QuantileStack.of([q_prev.row(k)]),
+                                        *energy.constraint, tol, its[k], cfg.inner_max_iter)
+    return (QuantileStack.of(rows) if above else out), infos
 
 
 def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
@@ -752,10 +753,10 @@ def _cap_search(solve, q_prev, p, cap, tol, its, max_iter):
     once the solve without it (``its`` iterations) ended above: solves with
     lam U_p added, U_p = ||rho||_p^p / (p-1), lam grown 4x from 1 until a
     solve ends feasible, then bisected until a state reaches cap (1 - tol)
-    or the bracket is tol-relative narrow.  Each solve starts from the last
-    feasible state and gets what is left of ``max_iter``.  An unconverged
-    solve (value -inf or no budget left) or an overflowing lam ends the
-    search flagged, at the last feasible state or ``q_prev``'s."""
+    or the bracket is tol-relative narrow, each solve from the last
+    feasible state with what is left of ``max_iter``.  An unconverged solve
+    or an overflowing lam ends the search flagged, at the last feasible
+    state or ``q_prev``'s."""
     q_ok = q_prev.row(0)
     x0 = q_prev.positions
     if not lp_norm(q_ok, p) <= cap:
@@ -804,6 +805,7 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
     z = x.copy()
     z[keep], its, res = _lbfgs(_LagrangianObjective(energy, x[keep], w[keep], tau),
                                cfg.inner_tol, cfg.inner_max_iter)
+    z.flags.writeable = False   # fresh: the measure takes it without a copy
     nu = AtomicMeasure(z, w)
     slack, scale = _cycle_slack(x[keep], z[keep])
     certified = slack >= -_CERTIFICATE_EPS * scale
@@ -838,17 +840,15 @@ class _LagrangianObjective:
 
 def _lbfgs(objective, tol, max_iter):
     """L-BFGS in the metric of :class:`_LagrangianObjective`, from z = x,
-    with the line search of :func:`_armijo_step`.
-
-    The residual is the stationarity residual max_i |h_i|, in length units.
-    The solve stops when it is at most ``tol``, after ``max_iter``
-    iterations, or when the search fails: that is the rounding floor, where
-    Phi no longer moves by more than its rounding and the residual no longer
-    halves, and the residual left there is compared with ``tol`` by the
-    caller.  A value of -inf (colliding atoms under an attractive singular
-    kernel) ends the solve with an infinite residual; a field that
-    overflows at the start raises :class:`EnergyError`.
-    Returns (z, iterations, residual)."""
+    with the line search of :func:`_armijo_step`.  The residual is the
+    stationarity residual max_i |h_i|, in length units.  The solve stops
+    when it is at most ``tol``, after ``max_iter`` iterations, or when the
+    search fails: that is the rounding floor, where Phi no longer moves by
+    more than its rounding and the residual no longer halves, and the
+    caller compares the residual left there with ``tol``.  A value of -inf
+    (colliding atoms under an attractive singular kernel) ends the solve
+    with an infinite residual; a field that overflows at the start raises
+    :class:`EnergyError`.  Returns (z, iterations, residual)."""
     z = objective.x.copy()
     fz, h = objective.value_and_grad(z)
     memory = []   # (s, y, 1 / <s, y>) of the last _LBFGS_MEMORY steps
@@ -977,8 +977,9 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
     elif isinstance(mu, AtomicMeasure):
         keep = mu.weights > 0   # one quantile cell per atom of positive mass
         n = int(keep.sum())
-        q = QuantileMeasure((np.arange(n) + 0.5) / n, mu.points[keep],
-                            mu.weights[keep])
+        q_nodes, cell_mass = (np.arange(n) + 0.5) / n, mu.weights[keep]
+        q_nodes.flags.writeable = cell_mass.flags.writeable = False   # fresh
+        q = QuantileMeasure(q_nodes, mu.points[keep], cell_mass)
         q_out, (info,) = _prox_quantile(energy, QuantileStack.of([q]), tau, cfg)
         out = q_out.row(0).to_atomic()
     else:
@@ -1020,40 +1021,39 @@ def _flows(schedule, starts, cfg: JkoConfig) -> list:
             groups.append([i])
     out = [None] * len(starts)
     for group in groups:
-        trajs = _flow_group(schedule, [starts[i] for i in group], cfg)
-        for i, traj in zip(group, trajs):
+        for i, traj in zip(group, _flow_group(schedule, [starts[i] for i in group], cfg)):
             out[i] = traj
     return out
 
 
 def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
-    """Trajectories from ``starts``: one state, or QuantileMeasures on one
-    grid, which step as one :class:`QuantileStack`."""
+    """Trajectories from ``starts``: QuantileMeasures on one grid, which step
+    as the rows of one :class:`QuantileStack` (one state as a stack of one),
+    or one other state.  Each step's result is the next step's start, so
+    the terms it kept for an energy are read again there, not recomputed."""
+    stacked = isinstance(starts[0], QuantileMeasure)
+    prev = QuantileStack.of(starts) if stacked else starts[0]
     e0 = schedule(0, cfg.tau)
-    states = [[mu] for mu in starts]
-    energies = [[e0.eval(mu)] for mu in starts]
-    dists = [[] for _ in starts]
-    diagnostics = [[] for _ in starts]
-    prev = starts[0] if len(starts) == 1 else QuantileStack.of(starts)
+    # each state's columns: states, energies, step distances, step infos
+    columns = [([mu], [e], [], []) for mu, e in zip(
+        starts, e0.eval(prev) if stacked else [e0.eval(prev)])]
     for k in range(1, cfg.steps + 1):
         ek = schedule(k, cfg.tau)
         new, info = proximal_step(ek, prev, cfg.tau, cfg, return_info=True)
-        if len(starts) == 1:
-            plan = info.pop("plan", None)
-            steps = [(new, info, ek.eval(new),
-                      w2(prev, new) if plan is None else _plan_distance(plan))]
+        if stacked:
+            steps = zip([new.row(r) for r in range(len(new))], ek.eval(new),
+                        _node_distance(prev.cell_mass, prev.positions,
+                                       new.positions), info)
         else:
-            steps = zip([new.row(r) for r in range(len(new))], info,
-                        ek.eval(new), _node_distance(prev.cell_mass,
-                                                     prev.positions, new.positions))
-        for row, (mu, step_info, e, d) in enumerate(steps):
-            states[row].append(mu)
-            energies[row].append(e)
-            dists[row].append(d)
-            diagnostics[row].append(step_info)
+            plan = info.pop("plan", None)
+            steps = [(new, ek.eval(new),
+                      w2(prev, new) if plan is None else _plan_distance(plan), info)]
+        for row, step in zip(columns, steps):
+            for column, value in zip(row, step):
+                column.append(value)
         prev = new
     return [FlowTrajectory(s, np.asarray(e), np.asarray(d), di, cfg)
-            for s, e, d, di in zip(states, energies, dists, diagnostics)]
+            for s, e, d, di in columns]
 
 
 def rescaled_intermediate(mu, mu_tau, plan, h: float, tau: float):

@@ -20,7 +20,9 @@ A QuantileMeasure has a dual reading that the rest of the package relies on:
   projection.
 
 All measure objects are immutable after construction (arrays are marked
-read-only), so they are safe to share across threads.
+read-only), so they are safe to share across threads.  A measure freezes a
+copy of a writeable array that the caller hands in, so the caller's array
+stays writeable; a read-only array is taken as it is.
 :meth:`QuantileMeasure.with_positions` relies on this: the new state shares
 the already validated, read-only ``q_nodes`` and ``cell_mass`` arrays of
 the old one and checks only the new positions.
@@ -60,8 +62,12 @@ class MeasureError(ValueError):
     """Invalid measure construction or an operation outside its domain."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, given=None) -> np.ndarray:
+    """``a`` as a read-only contiguous float array: a copy when it is, or
+    views, the caller's writeable array ``given``."""
     a = np.ascontiguousarray(a, dtype=float)
+    if given is not None and a.flags.writeable and np.may_share_memory(a, given):
+        a = a.copy()
     a.flags.writeable = False
     return a
 
@@ -169,8 +175,8 @@ class AtomicMeasure:
             raise MeasureError(f"weights sum to {w.sum()}, expected 1 within 1e-12")
         if dim == 1 and np.any(np.diff(pts) < 0):
             raise MeasureError("1D atoms must be sorted ascending (use make_atomic)")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "weights", _freeze(w))
+        object.__setattr__(self, "points", _freeze(pts, self.points))
+        object.__setattr__(self, "weights", _freeze(w))   # a fresh array
 
     @property
     def dim(self) -> int:
@@ -212,9 +218,9 @@ class QuantileMeasure:
             raise MeasureError("cell_mass must be positive")
         if abs(c.sum() - 1.0) > MASS_TOL:
             raise MeasureError(f"cell_mass sums to {c.sum()}, expected 1")
-        object.__setattr__(self, "q_nodes", _freeze(q))
+        object.__setattr__(self, "q_nodes", _freeze(q, self.q_nodes))
         object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "cell_mass", _freeze(c))
+        object.__setattr__(self, "cell_mass", _freeze(c, self.cell_mass))
 
     @property
     def dim(self) -> int:
@@ -275,9 +281,13 @@ class QuantileStack:
     :meth:`QuantileMeasure.with_positions`, but a row that breaks it does
     not raise: ``faults`` marks it (its positions then mean nothing), so
     one row out of order does not stop the others.  ``faults`` is None
-    when every row is a state."""
+    when every row is a state.
 
-    __slots__ = ("grid", "positions", "faults")
+    The positions are read-only, so what is computed at them stays true: a
+    stack keeps, for one owner (the first :class:`energies.Energy` to ask,
+    :meth:`kept`), its term values and gradient once computed."""
+
+    __slots__ = ("grid", "positions", "faults", "_kept")
 
     def __init__(self, grid: QuantileMeasure, x):
         x = np.asarray(x, dtype=float)
@@ -292,6 +302,7 @@ class QuantileStack:
             disordered = _disordered(x)
             self.faults = ~finite if disordered is None else ~finite | disordered
         self.positions = _freeze(np.maximum.accumulate(x, axis=1))
+        self._kept = None
 
     @classmethod
     def of(cls, states) -> "QuantileStack":
@@ -299,7 +310,7 @@ class QuantileStack:
         rows of a stack; their positions were checked when they were built,
         so they are not checked again."""
         new = object.__new__(cls)
-        new.grid, new.faults = states[0], None
+        new.grid, new.faults, new._kept = states[0], None, None
         new.positions = _freeze(states[0].positions[None] if len(states) == 1
                                 else np.stack([s.positions for s in states]))
         return new
@@ -314,6 +325,14 @@ class QuantileStack:
     def gaps(self) -> np.ndarray:
         """Interval widths of every row, (K, n - 1)."""
         return gaps(self.positions)
+
+    def kept(self, owner) -> dict:
+        """What ``owner`` keeps on this stack, a dict it fills; the first
+        owner to ask keeps it, and any other gets a fresh dict that is not
+        kept."""
+        if self._kept is None:
+            self._kept = owner, {}
+        return self._kept[1] if self._kept[0] is owner else {}
 
     def row(self, k: int) -> QuantileMeasure:
         """Row k as a state; it was checked when the stack was built."""
@@ -343,6 +362,7 @@ def make_atomic(points, weights) -> AtomicMeasure:
     if pts.ndim == 1:
         order = np.argsort(pts, kind="stable")
         pts, w = pts[order], w[order]
+        pts.flags.writeable = False   # fresh: the measure takes it without a copy
     return AtomicMeasure(pts, w)
 
 

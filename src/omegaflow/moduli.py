@@ -125,8 +125,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = _QUAD_TOL) -> float:
 
 
 def _log_positive(x, fill=0.0):
-    """log x where x > 0, else ``fill``; log sees no x <= 0, so no warning."""
-    return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), fill)
+    """log x where x > 0, else ``fill``, in one log call that sees no
+    x <= 0, so no warning."""
+    return np.log(x, out=np.full(np.shape(x), fill), where=x > 0)
 
 
 def psi(x):

@@ -430,7 +430,7 @@ def _plan_distance(plan: TransportPlan) -> float:
 def _node_distance(mass, x, y):
     """sqrt(sum mass (x - y)^2) over the last axis: the node-to-node
     distance of two states on one quantile grid, per row of a stack."""
-    return np.sqrt(np.sum(mass * (x - y) ** 2, axis=-1))
+    return np.sqrt((mass * (x - y) ** 2).sum(axis=-1))
 
 
 def w2(mu, nu, return_plan: bool = False):

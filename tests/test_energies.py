@@ -30,10 +30,12 @@ from omegaflow.measures import (
     pair_differences,
     to_quantile,
 )
+from omegaflow.jko import JkoConfig, flows
 from omegaflow.moduli import JUNCTION, _log_positive, lipschitz, psi, sqrt_psi
 from omegaflow.transport import TransportPlan, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
+    check_semigroup_contraction,
     diagonal_plan,
     dirac_state,
     feasible_random_state,
@@ -126,6 +128,32 @@ class TestEval:
         assert E.eval(dense) == math.inf
         ok = uniform_state(-0.5, 0.5, 32)     # density 1
         assert math.isfinite(E.eval(ok))
+
+    def test_stack_without_terms_gives_one_value_per_row(self):
+        # it used to return the float start, so that flows and the
+        # semigroup check of Energy() raised TypeError
+        stack = QuantileStack.of([dirac_state(0.1, 3), dirac_state(0.5, 3)])
+        assert Energy().eval(stack).tolist() == [0.0, 0.0]
+        spread = QuantileStack.of([uniform_state(0.0, 1.0, 3), dirac_state(0.5, 3)])
+        assert Energy(constraint=(math.inf, 2.0)).eval(spread).tolist() == [0.0, math.inf]
+        assert Energy().terms_value(stack).tolist() == [0.0, 0.0]
+        assert Energy().terms_value(stack, 1.5).tolist() == [1.5, 1.5]
+        assert Energy().eval(dirac_state(0.1, 3)) == 0.0
+        cfg = JkoConfig(tau=0.1, steps=3)
+        starts = [dirac_state(0.1, 3), dirac_state(0.5, 3)]
+        for mu, traj in zip(starts, flows(Energy(), starts, cfg)):
+            assert traj.energies.tolist() == [0.0] * 4
+            assert all(s.positions.tobytes() == mu.positions.tobytes()
+                       for s in traj.states)
+        rep = check_semigroup_contraction(Energy(), starts[0], starts[1], 0.1, 4,
+                                          lipschitz(0.0))
+        assert rep.passed and rep.lhs == pytest.approx(0.4, rel=1e-15)
+
+    def test_stack_eval_under_a_cap_masks_rows(self):
+        E = Energy(kernel=Kernel("newtonian", d=1), constraint=(math.inf, 2.0))
+        dense, ok = uniform_state(-0.1, 0.1, 8), uniform_state(-0.5, 0.5, 8)
+        values = E.eval(QuantileStack.of([dense, ok]))
+        assert values[0] == math.inf and values[1] == E.eval(ok)
 
     def test_internal_on_atoms_is_inf(self):
         E = Energy(internal=("entropy",))
@@ -348,10 +376,54 @@ class TestQuantileHessian:
         np.testing.assert_allclose(E.quantile_grad(free), pair, rtol=0, atol=1e-15)
 
 
+def _reference_log_positive(x, fill=0.0):
+    """``moduli._log_positive`` as first written, in three numpy calls."""
+    return np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), fill)
+
+
+def _reference_log_pinch(s):
+    """(value, gradient, Hessian) of ``log_pinch`` as written before its
+    evaluators took one log call and a far-region np.where only when a
+    point lies there; 1D and (n, 2) points."""
+    j = math.sqrt(JUNCTION)
+    log_positive = _reference_log_positive
+
+    def val(x):
+        x = np.asarray(x, dtype=float)
+        x = np.sqrt(np.sum(x * x, axis=1)) if x.ndim == 2 else np.abs(x)
+        xc = np.minimum(x, j)
+        lg = log_positive(xc)
+        core = -(s / 4.0) * xc**2 * (1.0 - 2.0 * lg)
+        slope_j = -(s / 2.0) * j * (-2.0 * math.log(j))
+        out = np.where(x <= j, core, core + slope_j * (x - xc))
+        return out if out.ndim else float(out)
+
+    def dv(r):
+        rc = np.minimum(r, j)
+        lg = log_positive(rc)
+        return np.where(r <= j, -s * rc * (-lg), -s * j * (-math.log(j)))
+
+    def grd(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            r = np.sqrt(np.sum(x * x, axis=1))
+            scale = np.where(r > 0, dv(r) / np.where(r > 0, r, 1.0), 0.0)
+            return scale[:, None] * x
+        out = np.sign(x) * dv(np.abs(x))
+        return out if out.ndim else float(out)
+
+    def hss(x):
+        r = np.abs(np.asarray(x, dtype=float))
+        return np.where(r <= j, s * (1.0 + log_positive(r, -np.inf)), 0.0)
+
+    return val, grd, hss
+
+
 def _reference_log_pinch_1d(s):
     """(value, gradient) of ``log_pinch`` on 1D points as first written,
     with abs and sign taken per coordinate."""
     j = math.sqrt(JUNCTION)
+    _log_positive = _reference_log_positive
 
     def val(x):
         x = np.abs(np.asarray(x, dtype=float))
@@ -411,6 +483,46 @@ class TestLogPinch:
                           0.0)
         np.testing.assert_allclose(pot.hess(x), expect, rtol=1e-15, atol=0.0)
         assert pot.hess(np.zeros(2)).tolist() == [-math.inf, -math.inf]
+
+    @pytest.mark.parametrize("strength", [1.0, 0.5, 3.0])
+    def test_evaluators_bitwise_as_written(self, strength):
+        # one log call per evaluation, and the far-region np.where only
+        # when a point lies beyond the junction: the same bits as before
+        pot = POTENTIALS["log_pinch"]({"strength": strength})
+        val, grd, hss = _reference_log_pinch(strength)
+        rng = np.random.default_rng(29)
+        j = math.sqrt(JUNCTION)
+        edge = np.array([0.0, -0.0, j, -j, np.nextafter(j, 1.0),
+                         -np.nextafter(j, 0.0), 1e-300, -1e-8, 2.0, -7.5])
+        points_1d = [edge, np.zeros(4), rng.normal(scale=0.1, size=64),
+                     rng.normal(scale=3.0, size=64), np.array([0.2, -0.1, 1e-5]),
+                     np.array([0.9, -2.0])]
+        for x in points_1d:
+            for mine, ref in ((pot.value, val), (pot.grad, grd), (pot.hess, hss)):
+                assert np.asarray(mine(x)).tobytes() == np.asarray(ref(x)).tobytes()
+        assert pot.hess(np.array([0.0, 0.1])).tolist()[0] == -math.inf
+        for x in edge.tolist():
+            assert type(pot.value(x)) is float and pot.value(x) == val(x)
+            assert type(pot.grad(x)) is float and pot.grad(x) == grd(x)
+            assert float(pot.hess(x)) == float(hss(x))
+        radii = np.concatenate([edge, rng.uniform(0.0, 0.2, 20), [0.5, 3.0]])
+        theta = rng.uniform(0.0, 2.0 * math.pi, len(radii))
+        pts = np.column_stack([radii * np.cos(theta), radii * np.sin(theta)])
+        points_2d = [pts, np.zeros((3, 2)), pts[np.abs(radii) < 0.2],
+                     np.array([[j, 0.0], [0.0, -j]])]
+        for p in points_2d:
+            assert pot.value(p).tobytes() == val(p).tobytes()
+            assert pot.grad(p).tobytes() == grd(p).tobytes()
+
+    def test_log_positive_bitwise_as_written(self):
+        rng = np.random.default_rng(5)
+        x = np.exp(rng.uniform(-700.0, 700.0, 500))
+        x[::7] = 0.0
+        x[3::11] *= -1.0
+        for fill in (0.0, -math.inf):
+            for a in (x, x[:1], x.reshape(20, 25), np.array(0.0), np.array(2.5)):
+                got, ref = _log_positive(a, fill), _reference_log_positive(a, fill)
+                assert type(got) is type(ref) and got.tobytes() == ref.tobytes()
 
     def test_2d_value_is_radial(self):
         pot = POTENTIALS["log_pinch"]({"strength": 2.0})

@@ -13,7 +13,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import omegaflow
 from omegaflow import jko, transport
-from omegaflow.energies import Energy, EnergyError, Kernel, POTENTIALS, _pair_geometry
+from omegaflow.energies import (
+    Energy,
+    EnergyError,
+    Kernel,
+    POTENTIALS,
+    Potential,
+    _pair_geometry,
+)
 from omegaflow.jko import (
     FlowTrajectory,
     JkoConfig,
@@ -2124,8 +2131,9 @@ class TestFlows:
             steps.append(len(mu) if isinstance(mu, QuantileStack) else 0)
             or step(e, mu, *a, **kw)))
         trajs = jko.flows(energy, starts, cfg)
-        # the three 2-node Diracs as one stack, the other two alone
-        assert sorted(steps) == [0] * 12 + [3] * 6
+        # the three 2-node Diracs as one stack, the 3-node state as a stack
+        # of one, the 1D atoms alone
+        assert sorted(steps) == [0] * 6 + [1] * 6 + [3] * 6
         monkeypatch.setattr(jko, "proximal_step", step)
         for mu, traj in zip(starts, trajs):
             ref = flow(energy, mu, cfg)
@@ -2141,7 +2149,7 @@ class TestFlows:
 
     def test_grids_one_ulp_apart_step_alone(self, monkeypatch):
         # equal grids built separately stack; a grid one ulp apart in a
-        # node, or in a cell mass, steps alone
+        # node, or in a cell mass, steps alone, as a stack of one
         base = uniform_state(-0.5, 0.5, 4)
         q, c = base.q_nodes.copy(), base.cell_mass.copy()
         q_ulp, c_ulp = q.copy(), c.copy()
@@ -2159,7 +2167,7 @@ class TestFlows:
             or step(e, mu, *a, **kw)))
         cfg = JkoConfig(tau=0.05, steps=3, inner_tol=1e-10)
         trajs = jko.flows(granular_energy(), starts, cfg)
-        assert sorted(steps) == [0] * 6 + [2] * 3
+        assert sorted(steps) == [1] * 6 + [2] * 3
         monkeypatch.setattr(jko, "proximal_step", step)
         for mu, traj in zip(starts, trajs):
             ref = flow(granular_energy(), mu, cfg)
@@ -2193,6 +2201,60 @@ class TestFlows:
         assert steps == ["QuantileStack"] * n
         assert rep.passed and not rep.skipped
 
+    @pytest.mark.parametrize("starts, constraint", [
+        ([dirac_state(0.7, 2)], None),
+        ([dirac_state(0.7, 2), dirac_state(-1.3, 2)], None),
+        # a finite-p cap that no step reaches: no row searches
+        ([uniform_state(-1.0, 1.0, 3), uniform_state(-0.5, 1.5, 3)], (4.0, 10.0)),
+    ], ids=["K=1", "K=2", "K=2-finite-p"])
+    def test_states_keep_their_terms(self, monkeypatch, starts, constraint):
+        # the energy column and the next step's start read the terms the
+        # solver kept at each step's end: with nothing kept, every step
+        # evaluates V twice more and grad V once more from step 2 on (the
+        # start's value is kept by the column's first entry)
+        calls = {"value": 0, "grad": 0}
+        base = POTENTIALS["granular"]({})
+
+        def counted(name, fn):
+            def counting(x):
+                calls[name] += 1
+                return fn(x)
+            return counting
+
+        energy = Energy(potential=Potential(
+            "counted", counted("value", base.value), counted("grad", base.grad),
+            hess=base.hess), constraint=constraint)
+        cfg = JkoConfig(tau=0.05, steps=6, inner_tol=1e-10)
+        kept = jko.flows(energy, starts, cfg)
+        kept_calls = dict(calls)
+        calls.update(value=0, grad=0)
+        monkeypatch.setattr(QuantileStack, "kept", lambda self, owner: {})
+        fresh = jko.flows(energy, starts, cfg)
+        assert calls["value"] - kept_calls["value"] == 2 * cfg.steps
+        assert calls["grad"] - kept_calls["grad"] == cfg.steps - 1
+        for a, b in zip(kept, fresh):
+            assert [s.positions.tobytes() for s in a.states] == \
+                [s.positions.tobytes() for s in b.states]
+            assert a.energies.tobytes() == b.energies.tobytes()
+            assert a.diagnostics == b.diagnostics
+
+    def test_new_energy_each_step_reads_no_stale_terms(self):
+        # a schedule that builds a new Energy every step: each state's
+        # terms are kept for the energy that solved it, and the next step's
+        # energy computes its own
+        def energy(k):
+            return Energy(potential=POTENTIALS["granular"]({"beta": 1.0 + k}))
+
+        cfg = JkoConfig(tau=0.05, steps=5, inner_tol=1e-10)
+        mu0 = dirac_state(0.6, 2)
+        traj = flow_time_dependent(lambda k, tau: energy(k), mu0, cfg)
+        prev = mu0
+        for k, (mu, e) in enumerate(zip(traj.states, traj.energies)):
+            assert e == energy(k).eval(mu) and type(mu) is QuantileMeasure
+            if k:
+                prev = proximal_step(energy(k), prev, cfg.tau, cfg)
+                assert mu.positions.tobytes() == prev.positions.tobytes()
+
     def test_semigroup_check_on_two_grids_steps_each_alone(self, monkeypatch):
         energy, n, t = quadratic_energy(), 16, 0.25
         mu, nu = dirac_state(0.6, 2), dirac_state(-0.2, 3)
@@ -2202,7 +2264,7 @@ class TestFlows:
             steps.append(type(m).__name__) or step(e, m, *a, **kw)))
         rep = check_semigroup_contraction(energy, mu, nu, t, n, lipschitz(1.0),
                                           JkoConfig(inner_tol=1e-9))
-        assert steps == ["QuantileMeasure"] * (2 * n)
+        assert steps == ["QuantileStack"] * (2 * n)   # each a stack of one
         monkeypatch.setattr(jko, "proximal_step", step)
         cfg = JkoConfig(tau=t / n, steps=n, inner_tol=1e-9)
         wt = w2(flow(energy, mu, cfg).states[-1], flow(energy, nu, cfg).states[-1])

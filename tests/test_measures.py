@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegaflow import measures
 from omegaflow.measures import (
     AtomicMeasure,
     MeasureError,
@@ -22,8 +23,9 @@ from omegaflow.measures import (
     second_moment,
     to_quantile,
 )
+from omegaflow.jko import proximal_step
 from omegaflow.transport import w2_1d
-from omegaflow.verify import uniform_state
+from omegaflow.verify import quadratic_energy, uniform_state
 
 
 class TestMakeAtomic:
@@ -368,6 +370,54 @@ class TestWithPositions:
         assert new.positions.tolist() == [2.0, 3.0]
         with pytest.raises(ValueError):
             new.positions[0] = 0.0
+
+
+class TestCallerArrays:
+    """A measure freezes a copy of a writeable array the caller hands in,
+    and takes a read-only or fresh array as it is."""
+
+    def test_caller_arrays_stay_writeable(self):
+        z, w = np.array([[0.0, 1.0], [2.0, 0.5]]), np.array([0.25, 0.75])
+        mu = AtomicMeasure(z, w)
+        z[0, 0] = w[0] = 9.0   # the caller's arrays, still writeable
+        assert mu.points.tolist() == [[0.0, 1.0], [2.0, 0.5]]
+        assert mu.weights.tolist() == [0.25, 0.75]
+        column = np.array([[0.5], [1.5]])
+        mu = AtomicMeasure(column, [0.5, 0.5])   # 1D points as a view of it
+        column[0, 0] = 0.75
+        assert mu.points.tolist() == [0.5, 1.5]
+        q, x, c = np.array([0.25, 0.75]), np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        nu = QuantileMeasure(q, x, c)
+        q[0], x[0], c[0] = 0.1, -1.0, 0.9
+        assert nu.q_nodes.tolist() == [0.25, 0.75]
+        assert nu.positions.tolist() == [0.0, 1.0]
+        assert nu.cell_mass.tolist() == [0.5, 0.5]
+        for m in (mu, nu):
+            for a in vars(m).values():
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
+
+    def test_read_only_arrays_are_taken_as_they_are(self):
+        z = np.array([[0.0, 1.0], [2.0, 0.5]])
+        z.flags.writeable = False
+        assert AtomicMeasure(z, [0.5, 0.5]).points is z
+        q, c = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        q.flags.writeable = c.flags.writeable = False
+        nu = QuantileMeasure(q, [0.0, 1.0], c)
+        assert nu.q_nodes is q and nu.cell_mass is c
+
+    def test_fresh_points_are_handed_over(self, monkeypatch):
+        # make_atomic's sorted 1D points and the 2D step's solved positions
+        # become the measure's points with no copy
+        freeze, frozen = measures._freeze, []
+        monkeypatch.setattr(measures, "_freeze", lambda a, given=None: (
+            frozen.append(a) or freeze(a, given)))
+        assert make_atomic([2.0, -1.0, 0.5], [1.0, 1.0, 2.0]).points is frozen[0]
+        mu = make_atomic(np.array([[0.1, 0.0], [-0.2, 0.3]]), [0.5, 0.5])
+        assert mu.points is not frozen[-2]   # the caller's: a copy
+        frozen.clear()
+        nu = proximal_step(quadratic_energy(), mu, 0.1)
+        assert nu.points is frozen[0]
 
 
 class TestOrderTolerance:
