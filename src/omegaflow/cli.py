@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import platform
 import sys
@@ -30,10 +29,9 @@ import numpy as np
 from . import __version__
 from .energies import parse_energy
 from .jko import FlowTrajectory, JkoConfig, flow
-from .measures import lp_norm, measure_from_json, measure_to_json
+from .measures import dirac_state, measure_from_json, measure_to_json, uniform_state
 from .moduli import _reject_unknown, modulus_from_json
 from .verify import RateStudy, SUITES, rate_study, run_suite
-from .verify import dirac_state, uniform_state
 
 __all__ = ["main", "run", "emit_plot_table", "ConfigError"]
 
@@ -90,22 +88,16 @@ def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
               "residual,residual_flag")
     lines = [header]
     tau = traj.config.tau
-    cap = energy.constraint if energy.constraint else None
     for k, state in enumerate(traj.states):
-        viol = 0.0
-        if cap is not None:
-            v = lp_norm(state, cap[0])
-            viol = max(0.0, v - cap[1]) if math.isfinite(v) else math.inf
         if k == 0:
             w2s, iters, res, flag = 0.0, 0, 0, False
         else:
             w2s = float(traj.step_distances[k - 1])
             info = traj.diagnostics[k - 1]
-            iters = info.get("inner_iters", 0)
-            res, flag = info["residual"], info["residual_flag"]
+            iters, res, flag = info["inner_iters"], info["residual"], info["residual_flag"]
         lines.append(",".join([str(k), _fmt(k * tau), _fmt(float(traj.energies[k])),
-                               _fmt(w2s), _fmt(viol), str(iters), _fmt(res),
-                               _fmt(bool(flag))]))
+                               _fmt(w2s), _fmt(energy.cap_excess(state)), str(iters),
+                               _fmt(res), _fmt(bool(flag))]))
     return "\n".join(lines) + "\n"
 
 

@@ -46,6 +46,7 @@ from .measures import (
     gaps_adjoint,
     interval_masses,
     lp_norm,
+    midpoint_grid,
     pair_differences,
 )
 from .moduli import JUNCTION, Modulus, _log_positive, _reject_unknown, psi
@@ -459,6 +460,12 @@ class Energy:
         p, cap = self.constraint
         return lp_norm(mu, p) <= cap * (1.0 + CONSTRAINT_SLACK)
 
+    def cap_excess(self, mu) -> float:
+        """max(0, ||mu||_p - cap) under the constraint (p, cap), 0.0 without one."""
+        if self.constraint is None:
+            return 0.0
+        return max(0.0, lp_norm(mu, self.constraint[0]) - self.constraint[1])
+
     def eval(self, mu):
         """Energy value; +inf on constraint violation.  One per row of a
         :class:`QuantileStack`, whose kept terms it reads
@@ -686,8 +693,7 @@ def _internal_directional(energy: Energy, curve, at: float) -> float:
     x1 = ys[np.argsort(xs[:, 0], kind="stable"), 0]
     if np.any(np.diff(x1) < -1e-12):
         raise EnergyError("coupling is not monotone node-to-node")
-    qn = (np.arange(n) + 0.5) / n
-    qa = QuantileMeasure(qn, (1.0 - at) * x0 + at * x1, ms)
+    qa = QuantileMeasure(midpoint_grid(n)[0], (1.0 - at) * x0 + at * x1, ms)
     du = energy._du_dgap(qa)
     # widths are linear in the nodes: width velocities are the gaps of x1 - x0
     return float(np.sum(du * gaps(x1 - x0)))
@@ -762,6 +768,11 @@ def calibrate_interaction_constant(kernel: Kernel, measures, rng,
 # config JSON
 # ---------------------------------------------------------------------------
 
+# the config keys each kernel kind reads; a config cannot hold a smooth profile
+_KERNEL_KEYS = {"newtonian": ("d", "c"), "riesz": ("alpha", "d", "sign", "c"),
+                "log": ("c",)}
+
+
 def parse_energy(data) -> Energy:
     """Energy from config JSON, e.g.
     {"potential":"quadratic","kernel":{"kind":"newtonian","d":1},
@@ -784,6 +795,8 @@ def parse_energy(data) -> Energy:
     if "kernel" in data and data["kernel"] is not None:
         kd = dict(data["kernel"])
         kind = kd.pop("kind")
+        _reject_unknown(kd, _KERNEL_KEYS.get(kind, ()), lambda key: EnergyError(
+            f"unknown key {key!r} of a {kind!r} kernel"))
         ker = Kernel(kind=kind, **kd)
     internal = None
     if "internal" in data and data["internal"] is not None:

@@ -79,14 +79,15 @@ from .measures import (
     gaps_adjoint,
     interval_masses,
     lp_norm,
+    midpoint_grid,
     pair_differences,
     same_grid,
 )
 # w2_exact is not called here; perfbench's tracer tests patch jko.w2_exact
 from .transport import (
-    TransportPlan,
     _node_distance,
     _plan_distance,
+    diagonal_plan,
     geodesic,
     w2,
     w2_exact,
@@ -155,9 +156,6 @@ class FlowTrajectory:
     step_distances: np.ndarray
     diagnostics: list
     config: JkoConfig
-
-    def max_constraint_violation(self, p, cap) -> float:
-        return max([0.0] + [lp_norm(s, p) - cap for s in self.states])
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +810,7 @@ def _prox_atomic_2d(energy, mu, tau, cfg):
     info = {"inner_iters": its, "residual": res, "certificate_slack": slack,
             "residual_flag": not res <= cfg.inner_tol or not certified}
     if certified:
-        info["plan"] = TransportPlan(mu, nu, np.diag(w))   # optimal mu -> nu
+        info["plan"] = diagonal_plan(mu, nu)   # optimal mu -> nu
     return nu, info
 
 
@@ -949,15 +947,17 @@ def _cycle_slack(x, z):
 # public proximal map and flow drivers
 # ---------------------------------------------------------------------------
 
-def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
-                  return_info: bool = False):
-    """One proximal step argmin_nu (1/2 tau) W2^2(mu, nu) + E(nu).
+def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None):
+    """One proximal step argmin_nu (1/2 tau) W2^2(mu, nu) + E(nu): the pair
+    (nu, info), info the solve's ``inner_iters``, ``residual`` and
+    ``residual_flag`` (a 2D step's also its ``certificate_slack`` and, when
+    certified, its optimal ``plan`` mu -> nu).
 
     ``mu`` is a :class:`QuantileMeasure`, an :class:`AtomicMeasure` (1D
     atoms stepped exactly as quantile cells) or a :class:`QuantileStack`,
     whose rows step together, each bitwise as it would alone (the info is
-    then a list, one dict per row); the result has the input's type.
-    Other types raise :class:`JkoError`; ``tau = 0`` returns ``mu``.
+    then a list, one dict per row); nu has the input's type.
+    Other types raise :class:`JkoError`; ``tau = 0`` gives nu = ``mu``.
     """
     cfg = cfg or JkoConfig(tau=tau)
     if tau < 0:
@@ -966,25 +966,22 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None,
         info = {"inner_iters": 0, "residual": 0.0, "residual_flag": False}
         if isinstance(mu, QuantileStack):
             info = [dict(info) for _ in range(len(mu))]
-        return (mu, info) if return_info else mu
+        return mu, info
     if isinstance(mu, QuantileStack):
-        out, info = _prox_quantile(energy, mu, tau, cfg)
-    elif isinstance(mu, QuantileMeasure):
+        return _prox_quantile(energy, mu, tau, cfg)
+    if isinstance(mu, QuantileMeasure):
         out, (info,) = _prox_quantile(energy, QuantileStack.of([mu]), tau, cfg)
-        out = out.row(0)
-    elif isinstance(mu, AtomicMeasure) and mu.dim == 2:
-        out, info = _prox_atomic_2d(energy, mu, tau, cfg)
-    elif isinstance(mu, AtomicMeasure):
+        return out.row(0), info
+    if isinstance(mu, AtomicMeasure) and mu.dim == 2:
+        return _prox_atomic_2d(energy, mu, tau, cfg)
+    if isinstance(mu, AtomicMeasure):
         keep = mu.weights > 0   # one quantile cell per atom of positive mass
-        n = int(keep.sum())
-        q_nodes, cell_mass = (np.arange(n) + 0.5) / n, mu.weights[keep]
-        q_nodes.flags.writeable = cell_mass.flags.writeable = False   # fresh
-        q = QuantileMeasure(q_nodes, mu.points[keep], cell_mass)
+        cell_mass = mu.weights[keep]
+        cell_mass.flags.writeable = False   # fresh: the measure takes it without a copy
+        q = QuantileMeasure(midpoint_grid(len(cell_mass))[0], mu.points[keep], cell_mass)
         q_out, (info,) = _prox_quantile(energy, QuantileStack.of([q]), tau, cfg)
-        out = q_out.row(0).to_atomic()
-    else:
-        raise JkoError(f"unsupported measure type {type(mu)!r}")
-    return (out, info) if return_info else out
+        return q_out.row(0).to_atomic(), info
+    raise JkoError(f"unsupported measure type {type(mu)!r}")
 
 
 def flow(energy: Energy, mu0, cfg: JkoConfig) -> FlowTrajectory:
@@ -1039,7 +1036,7 @@ def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
         starts, e0.eval(prev) if stacked else [e0.eval(prev)])]
     for k in range(1, cfg.steps + 1):
         ek = schedule(k, cfg.tau)
-        new, info = proximal_step(ek, prev, cfg.tau, cfg, return_info=True)
+        new, info = proximal_step(ek, prev, cfg.tau, cfg)
         if stacked:
             steps = zip([new.row(r) for r in range(len(new))], ek.eval(new),
                         _node_distance(prev.cell_mass, prev.positions,

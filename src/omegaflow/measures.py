@@ -42,6 +42,9 @@ __all__ = [
     "QuantileMeasure",
     "QuantileStack",
     "same_grid",
+    "midpoint_grid",
+    "dirac_state",
+    "uniform_state",
     "gaps",
     "gaps_adjoint",
     "interval_masses",
@@ -341,6 +344,26 @@ class QuantileStack:
         return self.grid._at(self.positions[k])
 
 
+def midpoint_grid(n: int):
+    """The midpoint nodes (i + 1/2) / n and equal cell masses 1 / n of an
+    n-node quantile grid, fresh and read-only: a measure takes them as they are."""
+    q, c = (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n)
+    q.flags.writeable = c.flags.writeable = False
+    return q, c
+
+
+def dirac_state(a: float, n: int = 8) -> QuantileMeasure:
+    """The Dirac mass at ``a`` on the n-node midpoint grid."""
+    q, c = midpoint_grid(n)
+    return QuantileMeasure(q, np.full(n, float(a)), c)
+
+
+def uniform_state(lo: float, hi: float, n: int = 64) -> QuantileMeasure:
+    """The uniform law on [lo, hi] on the n-node midpoint grid."""
+    q, c = midpoint_grid(n)
+    return QuantileMeasure(q, lo + (hi - lo) * q, c)
+
+
 def make_atomic(points, weights) -> AtomicMeasure:
     """Build an atomic measure: renormalize weights, co-sort 1D supports."""
     pts = np.asarray(points, dtype=float)
@@ -388,10 +411,8 @@ def to_quantile(measure, n_nodes: int = 256) -> QuantileMeasure:
         raise MeasureError("to_quantile requires a 1D measure")
     if n_nodes < 2:
         raise MeasureError("n_nodes must be >= 2")
-    q = (np.arange(n_nodes) + 0.5) / n_nodes
-    x = quantile_function(measure, q)
-    c = np.full(n_nodes, 1.0 / n_nodes)
-    return QuantileMeasure(q, x, c)
+    q, c = midpoint_grid(n_nodes)
+    return QuantileMeasure(q, quantile_function(measure, q), c)
 
 
 def second_moment(measure) -> float:

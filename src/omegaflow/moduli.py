@@ -244,7 +244,8 @@ class Modulus:
             return float(np.power(x, self.p + 1.0)) if x <= 1.0 else 1.0
         if self.kind in LOG_KINDS:
             if x <= JUNCTION:
-                return x * abs(math.log(x))
+                # np.log as in omega: libm's log can differ in the last bit
+                return x * abs(float(np.log(x)))
             return math.sqrt(x * x + PSI_SHIFT * x)
         return float(self._omega_fn(x))
 
@@ -463,11 +464,10 @@ class Modulus:
         vals = self.omega_tilde(pts) / np.sqrt(pts)
         return float(1.01 * vals.max())
 
-    def validate(self, grid: np.ndarray | None = None) -> None:
+    def validate(self) -> None:
         """Check the modulus axioms on a dense grid; raise on violation."""
-        if grid is None:
-            grid = np.concatenate([np.geomspace(1e-14, 1.0, 600),
-                                   np.linspace(1.0, 50.0, 200)[1:]])
+        grid = np.concatenate([np.geomspace(1e-14, 1.0, 600),
+                               np.linspace(1.0, 50.0, 200)[1:]])
         om = self.omega(grid)
         omt = self.omega_tilde(grid)
         if np.any(om <= 0.0):

@@ -34,6 +34,7 @@ __all__ = [
     "TransportError",
     "TransportPlan",
     "GluedPlan",
+    "diagonal_plan",
     "w2",
     "w2_1d",
     "w2_exact",
@@ -102,6 +103,12 @@ class TransportPlan:
         i, j = np.nonzero(self.matrix)
         return (self.source.points_2d()[i], self.target.points_2d()[j],
                 self.matrix[i, j])
+
+
+def diagonal_plan(mu, nu) -> TransportPlan:
+    """The node-to-node plan x_i -> y_i of two measures with equal weights."""
+    a = _as_atomic(mu)
+    return TransportPlan(a, _as_atomic(nu), np.diag(a.weights))
 
 
 # ---------------------------------------------------------------------------

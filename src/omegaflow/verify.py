@@ -40,7 +40,8 @@ from .jko import (
     proximal_step,
     rescaled_intermediate,
 )
-from .measures import QuantileMeasure, make_atomic, measure_to_json
+from .measures import QuantileMeasure, make_atomic, measure_to_json, midpoint_grid
+from .measures import dirac_state, uniform_state   # the fixtures' starts, re-exported
 from .moduli import (
     JUNCTION,
     LOG_JUNCTION,
@@ -53,8 +54,8 @@ from .moduli import (
     sqrt_psi,
 )
 from .transport import (
-    TransportPlan,
     _plan_distance,
+    diagonal_plan,
     geodesic,
     glue,
     pseudo_distance,
@@ -167,19 +168,6 @@ class RateStudy:
 
 
 # ---------------------------------------------------------------------------
-# distances
-# ---------------------------------------------------------------------------
-
-def _step_plan(mu, mu_tau, info):
-    """The optimal plan mu -> mu_tau: the one a 2D proximal step hands out
-    in ``info``, else a fresh exact solve."""
-    plan = (info or {}).get("plan")
-    if plan is None or plan.source is not mu or plan.target is not mu_tau:
-        _, plan = w2_exact(mu, mu_tau)
-    return plan
-
-
-# ---------------------------------------------------------------------------
 # discrete EVI
 # ---------------------------------------------------------------------------
 
@@ -191,8 +179,8 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
        <= 2 tau (E(nu) - E(mu_tau)) - W2^2(mu, mu_tau).
 
     In 1D W_{2,mu} is W2.  In 2D it is glued over mu from the transposes of
-    the plans mu -> mu_tau (the step's own, see :func:`_step_plan`) and
-    mu -> nu, so the check solves one LP of its own.
+    the plans mu -> mu_tau (the one a 2D step hands out in ``info``, else
+    a fresh exact solve) and mu -> nu, so the check solves one LP of its own.
 
     A failing check is rerun once from a fresh proximal step at a 10x
     tighter inner tolerance; the rerun's report says ``reran_tighter``."""
@@ -211,9 +199,11 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
         if mu.dim == 1:
             w_cross, w_step = w2(mu_tau, nu), w2(mu, mu_tau)
         else:
-            plan_step = _step_plan(mu, mu_tau, info)
-            w_cross = pseudo_distance(glue(plan_step.transpose(), plan_mn.transpose()))
-            w_step = _plan_distance(plan_step)
+            plan = (info or {}).get("plan")
+            if plan is None or plan.source is not mu or plan.target is not mu_tau:
+                _, plan = w2_exact(mu, mu_tau)
+            w_cross = pseudo_distance(glue(plan.transpose(), plan_mn.transpose()))
+            w_step = _plan_distance(plan)
         lhs = modulus.euler_step(tau, w_cross**2) - w_mu_nu**2
         rhs = 2.0 * tau * (e_nu - e_mt) - w_step**2
         ctx = {"tau": tau, "E_mu": e_mu, "E_mu_tau": e_mt, "E_nu": e_nu}
@@ -223,11 +213,11 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
         return InequalityReport(name, lhs, rhs, tol, context=ctx)
 
     if mu_tau is None:
-        mu_tau, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        mu_tau, info = proximal_step(energy, mu, tau, cfg)
     rep = report(mu_tau, info)
     if not rep.passed:
         tighter = replace(cfg, inner_tol=cfg.inner_tol / 10.0)
-        rep = report(*proximal_step(energy, mu, tau, tighter, return_info=True))
+        rep = report(*proximal_step(energy, mu, tau, tighter))
         rep.context["reran_tighter"] = True
     return rep
 
@@ -239,7 +229,8 @@ def check_discrete_evi(energy: Energy, mu, nu, tau: float, modulus: Modulus,
 def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
                       cfg: JkoConfig | None = None, tol: float = DEFAULT_TOL,
                       name: str = "contraction") -> InequalityReport:
-    """f_tau^(2)(W2^2(mu_tau, nu_tau)) against the explicit right-hand sides."""
+    """f_tau^(2)(W2^2(mu_tau, nu_tau)) against the explicit right-hand sides;
+    both steps come from one :func:`jko.flows` call (one stack on one grid)."""
     cfg = cfg or JkoConfig(tau=tau)
     e_mu, e_nu = energy.eval(mu), energy.eval(nu)
     if not (math.isfinite(e_mu) and math.isfinite(e_nu)):
@@ -247,13 +238,13 @@ def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     lam = modulus.lam
     if lam > 0 and tau >= 1.0:
         return _skip(name, "tau cap violated (tau >= 1)", tau=tau)
-    mu_tau, info_m = proximal_step(energy, mu, tau, cfg, return_info=True)
-    nu_tau, info_n = proximal_step(energy, nu, tau, cfg, return_info=True)
-    e_mt, e_nt = energy.eval(mu_tau), energy.eval(nu_tau)
+    tr_mu, tr_nu = flows(energy, [mu, nu], replace(cfg, tau=tau, steps=1))
+    e_mt, e_nt = tr_mu.energies[1], tr_nu.energies[1]
     w0 = w2(mu, nu)
-    wt = w2(mu_tau, nu_tau)
+    wt = w2(tr_mu.states[1], tr_nu.states[1])
     ctx = {"tau": tau, "W0": w0, "Wt": wt,
-           "residual_flag": info_m.get("residual_flag") or info_n.get("residual_flag")}
+           "residual_flag": tr_mu.diagnostics[0]["residual_flag"]
+           or tr_nu.diagnostics[0]["residual_flag"]}
     lhs = modulus.euler_step(tau, modulus.euler_step(tau, wt**2))
     if lam > 0:
         gap = max(2.0 * tau * (e_nt - e_mt), 0.0)
@@ -272,9 +263,7 @@ def check_contraction(energy: Energy, mu, nu, tau: float, modulus: Modulus,
     cap = min(caps)
     if tau >= cap:
         return _skip(name, f"tau cap violated (tau >= {cap})", tau=tau)
-    w_nu_step = w2(nu, nu_tau) if nu.dim == 1 \
-        else _plan_distance(_step_plan(nu, nu_tau, info_n))
-    rhs = w0**2 - lam * tau * modulus.omega_tilde(big_r**2 * w_nu_step) \
+    rhs = w0**2 - lam * tau * modulus.omega_tilde(big_r**2 * tr_nu.step_distances[0]) \
         + 2.0 * tau * (e_mu - e_mt) + 3.0 * lam**2 * c_r**2 * tau**2
     ctx.update({"R": big_r, "r": r, "c_r": c_r})
     return InequalityReport(name, lhs, rhs, tol, context=ctx)
@@ -452,9 +441,9 @@ def check_large_small_step(energy: Energy, mu, tau: float, h: float,
     if not 0.0 <= h <= tau:
         return _skip(name, "need 0 <= h <= tau", tau=tau, h=h)
     cfg = cfg or JkoConfig(tau=tau)
-    mu_tau = proximal_step(energy, mu, tau, cfg)
+    mu_tau, _ = proximal_step(energy, mu, tau, cfg)
     nu = rescaled_intermediate(mu, mu_tau, None, h, tau)
-    back = proximal_step(energy, nu, h, cfg)
+    back, _ = proximal_step(energy, nu, h, cfg)
     d = w2(back, mu_tau)
     return InequalityReport(name, d, 0.0, tol,
                             context={"tau": tau, "h": h, "distance": d})
@@ -526,7 +515,6 @@ def rate_study(energy: Energy, mu0, t: float, n_list, modulus: Modulus,
     n_list = sorted(n_list)
     traj_ref = flow(energy, mu0, replace(cfg, tau=t / n_ref, steps=n_ref))
     ref = traj_ref.states[-1]
-    errors = []
     cache = {}
     for n in list(n_list) + [n_ref // 2, n_ref // 4]:
         if n not in cache:
@@ -569,16 +557,6 @@ def load_frozen() -> dict:
     path = os.path.join(fixtures_dir(), "calibration.json")
     with open(path) as fh:
         return json.load(fh)
-
-
-def dirac_state(a: float, n: int = 8) -> QuantileMeasure:
-    q = (np.arange(n) + 0.5) / n
-    return QuantileMeasure(q, np.full(n, float(a)), np.full(n, 1.0 / n))
-
-
-def uniform_state(lo: float, hi: float, n: int = 64) -> QuantileMeasure:
-    q = (np.arange(n) + 0.5) / n
-    return QuantileMeasure(q, lo + (hi - lo) * q, np.full(n, 1.0 / n))
 
 
 def quadratic_energy() -> Energy:
@@ -628,17 +606,10 @@ def drift_diffusion_energy() -> Energy:
 def feasible_random_state(rng, n: int = 32, cap: float | None = 2.0,
                           span: float = 1.5) -> QuantileMeasure:
     """Random spacing-feasible quantile state (density <= cap when given)."""
-    q = (np.arange(n) + 0.5) / n
+    q, c = midpoint_grid(n)
     x = np.sort(rng.uniform(-span, span, size=n))
     min_gaps = None if cap is None else np.full(n - 1, 1.0 / (n * cap))
-    x = isotonic_project(x, np.full(n, 1.0 / n), min_gaps)
-    return QuantileMeasure(q, x, np.full(n, 1.0 / n))
-
-
-def diagonal_plan(qa: QuantileMeasure, qb: QuantileMeasure) -> TransportPlan:
-    """Node-to-node monotone coupling of two same-grid states (optimal)."""
-    a = qa.to_atomic()
-    return TransportPlan(a, qb.to_atomic(), np.diag(a.weights))
+    return QuantileMeasure(q, isotonic_project(x, c, min_gaps), c)
 
 
 # ---------------------------------------------------------------------------
@@ -766,8 +737,6 @@ def _suite_evi(tol: float, seed: int, quick: bool) -> list:
             info = tr.diagnostics[k - 1]
             for mod in mods:
                 for pi, nu in enumerate(probes):
-                    if isinstance(nu, QuantileMeasure) and len(nu) != len(mu_prev):
-                        continue
                     reports.append(check_discrete_evi(
                         energy, mu_prev, nu, cfg.tau, mod, cfg,
                         mu_tau=mu_tau, info=info, tol=tol,

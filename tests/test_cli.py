@@ -277,14 +277,13 @@ class TestRun:
         # flag set
         initial = {"kind": "uniform", "lo": -0.5, "hi": 0.5, "n": 8}
         rows = self._finite_p_rows(
-            tmp_path, {"kind": "log", "d": 1, "c": 4.0}, initial, 3)
+            tmp_path, {"kind": "log", "c": 4.0}, initial, 3)
         assert len(rows) == 4
         assert all(row["residual_flag"] == "True" for row in rows[1:])
         assert all(float(row["constraint_violation"]) == 0.0
                    and row["energy"] == rows[0]["energy"] for row in rows)
         # at c = 1 every step converges, feasible
-        rows = self._finite_p_rows(tmp_path, {"kind": "log", "d": 1},
-                                   initial, 3)
+        rows = self._finite_p_rows(tmp_path, {"kind": "log"}, initial, 3)
         assert all(row["residual_flag"] == "False"
                    and float(row["constraint_violation"]) == 0.0
                    for row in rows)
@@ -398,6 +397,8 @@ class TestRun:
                      "energy", "constraint", id="constraint-p-null"),
         pytest.param("flow", "energy", {"internal": {"kind": "entropy"}},
                      "energy", "internal", id="entropy-object"),
+        pytest.param("flow", "energy", {"kernel": {"kind": "log", "alpha": 3.0}},
+                     "energy", "'alpha'", id="kernel-key-unread"),
         pytest.param("rates", "modulus", {"kind": "lipschitz", "lamda": 1},
                      "modulus", "'lamda'", id="modulus-typo"),
         pytest.param("rates", "modulus", {"kind": "lipschitz", "lam": 1},

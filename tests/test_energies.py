@@ -26,6 +26,7 @@ from omegaflow.energies import (
 from omegaflow.measures import (
     QuantileMeasure,
     QuantileStack,
+    lp_norm,
     make_atomic,
     pair_differences,
     to_quantile,
@@ -128,6 +129,17 @@ class TestEval:
         assert E.eval(dense) == math.inf
         ok = uniform_state(-0.5, 0.5, 32)     # density 1
         assert math.isfinite(E.eval(ok))
+
+    def test_cap_excess(self):
+        # max(0, ||mu||_p - cap), the CSV's constraint_violation: 0.0
+        # without a cap, +inf for a Dirac under a hard cap
+        dense, spread = uniform_state(-0.1, 0.1, 32), uniform_state(-2.0, 2.0, 32)
+        assert Energy().cap_excess(dense) == 0.0
+        for p, cap in ((math.inf, 2.0), (3.0, 1.5)):
+            E = Energy(constraint=(p, cap))
+            assert E.cap_excess(dense) == lp_norm(dense, p) - cap > 0.0
+            assert E.cap_excess(spread) == 0.0
+        assert Energy(constraint=(math.inf, 2.0)).cap_excess(dirac_state(0.3, 8)) == math.inf
 
     def test_stack_without_terms_gives_one_value_per_row(self):
         # it used to return the float start, so that flows and the
@@ -990,6 +1002,17 @@ class TestConfig:
         # a misspelt term would otherwise leave a zero energy
         with pytest.raises(EnergyError, match="potentail"):
             parse_energy({"potentail": "quadratic"})
+
+    @pytest.mark.parametrize("kind, key", [
+        ("newtonian", "sign"), ("newtonian", "alpha"), ("riesz", "profile"),
+        ("log", "d"), ("log", "alpha")])
+    def test_kernel_key_its_kind_does_not_read(self, kind, key):
+        # each kind reads its own keys: newtonian {d, c}, riesz {alpha, d,
+        # sign, c}, log {c}; any other key was dropped silently
+        spec = {"kind": kind, "alpha": 2.0, "d": 3} if kind == "riesz" else {"kind": kind}
+        with pytest.raises(EnergyError, match=f"unknown key '{key}' of a '{kind}' kernel"):
+            parse_energy({"kernel": {**spec, key: 1.0}})
+        assert parse_energy({"kernel": spec}).kernel.kind == kind
 
     def test_json_string_input(self):
         E = parse_energy(json.dumps({"potential": "quadratic"}))

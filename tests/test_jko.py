@@ -243,25 +243,25 @@ class TestIsotonicProject:
 class TestProximalStep:
     def test_tau_zero_identity(self):
         mu = dirac_state(1.0, 4)
-        assert proximal_step(quadratic_energy(), mu, 0.0) is mu
+        assert proximal_step(quadratic_energy(), mu, 0.0)[0] is mu
 
     def test_quadratic_dirac_closed_form(self):
         for a, tau in ((1.7, 0.25), (-0.9, 0.04), (2.4, 1.5)):
-            out = proximal_step(quadratic_energy(), dirac_state(a, 8), tau,
-                                JkoConfig(tau=tau, inner_tol=1e-12))
+            out, _ = proximal_step(quadratic_energy(), dirac_state(a, 8), tau,
+                                   JkoConfig(tau=tau, inner_tol=1e-12))
             assert np.max(np.abs(out.positions - a / (1.0 + tau))) <= 1e-10
 
     def test_atomic_input_round_trip(self):
         mu = make_atomic([1.0, 1.0], [0.5, 0.5])
-        out = proximal_step(quadratic_energy(), mu, 0.5,
-                            JkoConfig(tau=0.5, inner_tol=1e-11))
+        out, _ = proximal_step(quadratic_energy(), mu, 0.5,
+                               JkoConfig(tau=0.5, inner_tol=1e-11))
         assert isinstance(out, type(mu))
         assert np.max(np.abs(out.points - 1.0 / 1.5)) <= 1e-9
 
     def test_capped_step_stays_feasible(self):
         E = capped_aggregation_energy(2.0)
         mu = uniform_state(-1.0, 1.0, 32)
-        out = proximal_step(E, mu, 0.2, JkoConfig(tau=0.2, inner_tol=1e-9))
+        out, _ = proximal_step(E, mu, 0.2, JkoConfig(tau=0.2, inner_tol=1e-9))
         assert lp_norm(out, math.inf) <= 2.0 + 1e-8
 
     def test_quantile_step_does_not_import_scipy_optimize(self):
@@ -404,8 +404,7 @@ class TestProximalStep:
         mu = QuantileMeasure(np.array([0.25, 0.75]), np.array([-0.5, 1.0]),
                              np.array([0.5, 0.5]))
         out, info = proximal_step(quadratic_energy(), mu, 0.1,
-                                  JkoConfig(tau=0.1, inner_tol=1e-12),
-                                  return_info=True)
+                                  JkoConfig(tau=0.1, inner_tol=1e-12))
         np.testing.assert_allclose(out.positions, mu.positions / 1.1,
                                    rtol=0, atol=1e-12)
         assert info["inner_iters"] == 2      # as before the change
@@ -418,7 +417,7 @@ class TestProximalStep:
         E = ks_surrogate_energy(2.0)
         mu = uniform_state(-0.7, 0.7, 32)
         tau = 0.05
-        out = proximal_step(E, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
+        out, _ = proximal_step(E, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
         obj_out = 0.5 / tau * w2(mu, out) ** 2 + E.eval(out)
         assert obj_out <= E.eval(mu) + 1e-9
 
@@ -426,8 +425,8 @@ class TestProximalStep:
         pts = rng.normal(size=(6, 2))
         mu = make_atomic(pts, np.ones(6))
         tau = 0.3
-        out = proximal_step(quadratic_energy(), mu, tau,
-                            JkoConfig(tau=tau, inner_tol=1e-9))
+        out, _ = proximal_step(quadratic_energy(), mu, tau,
+                               JkoConfig(tau=tau, inner_tol=1e-9))
         # V = |x|^2/2 acts per atom: positions shrink by 1/(1+tau)
         got = out.points_2d()
         expect = mu.points_2d() / (1.0 + tau)
@@ -437,7 +436,7 @@ class TestProximalStep:
     def test_2d_step_reports_residual(self, rng):
         mu = make_atomic(rng.normal(size=(6, 2)), np.ones(6))
         cfg = JkoConfig(tau=0.3, inner_tol=1e-9)
-        _, info = proximal_step(quadratic_energy(), mu, 0.3, cfg, return_info=True)
+        _, info = proximal_step(quadratic_energy(), mu, 0.3, cfg)
         assert math.isfinite(info["residual"])
         assert 0.0 <= info["residual"] <= cfg.inner_tol
         assert info["residual_flag"] is False
@@ -561,9 +560,9 @@ class TestProx2dWarmStart:
         energy, tau = _convex_2d_energy(), 0.05
         mu = _atoms_2d(seed, n, kind)
         cfg = JkoConfig(tau=tau)
-        got, info = proximal_step(energy, mu, tau, cfg, return_info=True)
-        again = proximal_step(energy, AtomicMeasure(mu.points.copy(), mu.weights.copy()),
-                              tau, cfg)
+        got, info = proximal_step(energy, mu, tau, cfg)
+        again, _ = proximal_step(energy, AtomicMeasure(mu.points.copy(), mu.weights.copy()),
+                                 tau, cfg)
         assert np.array_equal(got.points, again.points)
         assert np.array_equal(got.weights, mu.weights)
         assert not info["residual_flag"] and info["residual"] <= cfg.inner_tol
@@ -577,7 +576,7 @@ class TestProx2dWarmStart:
         # on these seeds, so the two are equal)
         energy, tau = _convex_2d_energy(), 0.05
         mu = _atoms_2d(seed, 64, "rounded")
-        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau))
         cost = info["plan"].cost()
         lp_cost = w2_exact(mu, out)[1].cost()
         assert abs(cost - lp_cost) <= np.spacing(lp_cost)
@@ -589,7 +588,7 @@ class TestProx2dWarmStart:
                             lambda *args: calls.append(1) or original(*args))
         mu = _atoms_2d(3, 16)
         out, info = proximal_step(_convex_2d_energy(), mu, 0.05,
-                                  JkoConfig(tau=0.05), return_info=True)
+                                  JkoConfig(tau=0.05))
         assert calls == []
         plan = info["plan"]
         assert plan.source is mu and plan.target is out
@@ -604,7 +603,7 @@ class TestProx2dWarmStart:
         mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.5]]), np.array([1.0, 1e-3]))
         tau = 0.3
         cfg = JkoConfig(tau=tau, inner_tol=1e-9, steps=1)
-        out, info = proximal_step(quadratic_energy(), mu, tau, cfg, return_info=True)
+        out, info = proximal_step(quadratic_energy(), mu, tau, cfg)
         assert np.max(np.abs(out.points - mu.points / (1.0 + tau))) <= 1e-10
         assert info["residual"] <= cfg.inner_tol
         assert info["residual_flag"] is False
@@ -648,7 +647,7 @@ class TestProx2dWarmStart:
                         kernel=Kernel("log", c=1.0))
         mu = make_atomic(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]]),
                          np.ones(3))
-        out, info = proximal_step(energy, mu, 0.1, return_info=True)
+        out, info = proximal_step(energy, mu, 0.1)
         assert info["residual"] == math.inf
         assert info["residual_flag"] is True
         assert info["inner_iters"] == 0
@@ -705,14 +704,13 @@ class TestOnePass2d:
             [(2, "random"), (5, "random"), (9, "tied"), (17, "zero"), (33, "random")])
             for tau in (0.05, 0.3)]
         steps = [proximal_step(energy, _atoms_2d(seed, n, kind), tau,
-                               JkoConfig(tau=tau, inner_tol=1e-9), return_info=True)
+                               JkoConfig(tau=tau, inner_tol=1e-9))
                  for seed, n, kind, tau in cases]
         monkeypatch.setattr(jko._LagrangianObjective, "value_and_grad",
                             _two_pass_value_and_grad)
         for (seed, n, kind, tau), (nu, info) in zip(cases, steps):
             ref, ref_info = proximal_step(energy, _atoms_2d(seed, n, kind), tau,
-                                          JkoConfig(tau=tau, inner_tol=1e-9),
-                                          return_info=True)
+                                          JkoConfig(tau=tau, inner_tol=1e-9))
             assert nu.points.tobytes() == ref.points.tobytes()
             assert info["inner_iters"] == ref_info["inner_iters"]
             for key in ("residual", "certificate_slack"):
@@ -766,7 +764,7 @@ class TestProx2dClosedForm:
         energy = _convex_2d_energy()
         mu = _atoms_2d(n + int(10 * tau), n, kind)
         cfg = JkoConfig(tau=tau, inner_tol=1e-11)
-        out, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        out, info = proximal_step(energy, mu, tau, cfg)
         assert not info["residual_flag"] and "plan" in info
         assert np.max(np.abs(out.points - _closed_form_2d(mu, tau))) <= 1e-10
 
@@ -778,7 +776,7 @@ class TestProx2dClosedForm:
         energy, tau = _convex_2d_energy(), 0.05
         mu = _atoms_2d(seed, 64)
         cfg = JkoConfig(tau=tau)
-        out, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+        out, info = proximal_step(energy, mu, tau, cfg)
         err = out.points - _closed_form_2d(mu, tau)
         assert info["residual"] <= cfg.inner_tol
         assert math.sqrt(float(mu.weights @ (err * err).sum(axis=1))) \
@@ -793,7 +791,7 @@ class TestProx2dClosedForm:
         energy, tau = _convex_2d_energy(), 10.0
         rng = np.random.default_rng(seed)
         mu = make_atomic(10.0 * rng.normal(size=(32, 2)), 1e3 ** rng.uniform(0.0, 1.0, 32))
-        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau))
         assert info["inner_iters"] <= 10 and not info["residual_flag"]
         err = out.points - _closed_form_2d(mu, tau)
         assert math.sqrt(float(mu.weights @ (err * err).sum(axis=1))) \
@@ -892,7 +890,7 @@ class TestCycleCertificate:
         # stops being optimal; such steps hand out no plan and are flagged
         energy = Energy(potential=POTENTIALS["quadratic"]({}), kernel=Kernel("log", c=0.5))
         mu = _atoms_2d(seed, 32)
-        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau), return_info=True)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau))
         assert info["certificate_slack"] < 0 and "plan" not in info
         assert info["residual_flag"] is True
         diag = float(np.sum(mu.weights * ((mu.points - out.points) ** 2).sum(axis=1)))
@@ -954,15 +952,15 @@ class TestFlow:
         E = capped_aggregation_energy(2.0)
         tr = flow(E, uniform_state(-1, 1, 32),
                   JkoConfig(tau=0.05, steps=20, inner_tol=1e-9))
-        assert tr.max_constraint_violation(math.inf, 2.0) <= 1e-8
+        assert max(E.cap_excess(s) for s in tr.states) <= 1e-8
 
     def test_infinite_norm_is_a_violation(self):
         # atoms have infinite L-inf norm: the CSV says inf, and so must this
-        tr = flow(capped_aggregation_energy(2.0),
-                  make_atomic(np.linspace(-1, 1, 8), np.full(8, 0.125)),
+        E = capped_aggregation_energy(2.0)
+        tr = flow(E, make_atomic(np.linspace(-1, 1, 8), np.full(8, 0.125)),
                   JkoConfig(tau=0.05, steps=3, inner_tol=1e-9))
         assert all(lp_norm(s, math.inf) == math.inf for s in tr.states)
-        assert tr.max_constraint_violation(math.inf, 2.0) == math.inf
+        assert max(E.cap_excess(s) for s in tr.states) == math.inf
 
 
 class TestTimeDependent:
@@ -1025,9 +1023,9 @@ class TestRescaledIntermediate:
         tau, h = 0.2, 0.1
         mu = dirac_state(1.0, 4)
         cfg = JkoConfig(tau=tau, inner_tol=1e-11)
-        mu_tau = proximal_step(E, mu, tau, cfg)
+        mu_tau, _ = proximal_step(E, mu, tau, cfg)
         nu = rescaled_intermediate(mu, mu_tau, None, h, tau)
-        back = proximal_step(E, nu, h, cfg)
+        back, _ = proximal_step(E, nu, h, cfg)
         assert w2(back, mu_tau) <= 1e-5
 
     def test_h_out_of_range(self):
@@ -1094,7 +1092,7 @@ class TestAtomicInput:
     @staticmethod
     def _step(mu, tau):
         return proximal_step(quadratic_energy(), mu, tau,
-                             JkoConfig(tau=tau, inner_tol=1e-12))
+                             JkoConfig(tau=tau, inner_tol=1e-12))[0]
 
     @settings(max_examples=60, deadline=None)
     @given(mu=_tied_atoms(), tau=st.sampled_from([0.1, 0.25, 1.0]))
@@ -1128,9 +1126,9 @@ class TestAtomicInput:
         n = 7
         mu = make_atomic(np.linspace(-1.0, 1.5, n) ** 3, np.full(n, 1.0 / n))
         cfg = JkoConfig(tau=0.1, inner_tol=1e-10)
-        ref = proximal_step(energy, QuantileMeasure(
+        ref, _ = proximal_step(energy, QuantileMeasure(
             (np.arange(n) + 0.5) / n, mu.points, mu.weights), 0.1, cfg)
-        out = proximal_step(energy, mu, 0.1, cfg)
+        out, _ = proximal_step(energy, mu, 0.1, cfg)
         assert out.points.tobytes() == ref.to_atomic().points.tobytes()
         assert out.weights.tobytes() == ref.to_atomic().weights.tobytes()
 
@@ -1168,7 +1166,7 @@ class TestHardCapStepProperty:
     @given(mu=_hard_cap_starts(), tau=st.sampled_from([1e-3, 0.05, 0.5]))
     def test_feasible_and_descends(self, make, mu, tau):
         energy = make(2.0)
-        out = proximal_step(energy, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
+        out, _ = proximal_step(energy, mu, tau, JkoConfig(tau=tau, inner_tol=1e-9))
         assert lp_norm(out, math.inf) <= 2.0 * (1.0 + 1e-9)
         e_mu = energy.eval(mu)
         if math.isfinite(e_mu):
@@ -1217,7 +1215,7 @@ class TestUncappedStepProperty:
     @given(mu=_uncapped_starts(), tau=st.sampled_from([1e-3, 0.05, 0.5]))
     def test_descends(self, name, mu, tau):
         energy = _UNCAPPED_ENERGIES[name]
-        out = proximal_step(energy, mu, tau, JkoConfig(
+        out, _ = proximal_step(energy, mu, tau, JkoConfig(
             tau=tau, inner_tol=1e-9, inner_max_iter=2000))
         e_mu = energy.eval(mu)
         if math.isfinite(e_mu):
@@ -1231,8 +1229,7 @@ class TestUncappedStepProperty:
     # absolute); under the relative tolerance FISTA converges
     def test_dirac_start_under_power_term_converges(self):
         _, info = proximal_step(_UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5),
-                                1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9),
-                                return_info=True)
+                                1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9))
         assert not info["residual_flag"]
 
     def test_lost_order_ends_the_solve(self):
@@ -1240,7 +1237,7 @@ class TestUncappedStepProperty:
         # here, beyond the absolute tolerance the order check had; the step
         # satisfies the one-step bound and raises no MeasureError.
         energy, mu = _UNCAPPED_ENERGIES["power3"], dirac_state(0.0, 5)
-        out = proximal_step(energy, mu, 1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9))
+        out, _ = proximal_step(energy, mu, 1e-3, JkoConfig(tau=1e-3, inner_tol=1e-9))
         e_mu = energy.eval(mu)
         assert energy.eval(out) + w2(mu, out) ** 2 / 2e-3 \
             <= e_mu + 1e-12 * abs(e_mu)
@@ -1278,8 +1275,7 @@ class TestDegenerate2dStepProperty:
     @given(mu=_degenerate_2d_starts(), tau=st.sampled_from([0.05, 0.3, 1.0, 3.0]))
     def test_descends_and_converges(self, mu, tau):
         energy = _convex_2d_energy()
-        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau),
-                                  return_info=True)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau))
         e_mu = energy.eval(mu)
         assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
             <= e_mu + 1e-12 * max(1.0, abs(e_mu))
@@ -1296,8 +1292,7 @@ class TestLogPinch2dStep:
         energy = log_pinch_energy(1.0)
         rng = np.random.default_rng(100 * n + int(1e3 * tau))
         mu = make_atomic(rng.normal(scale=0.05, size=(n, 2)), rng.uniform(0.5, 1.5, n))
-        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau),
-                                  return_info=True)
+        out, info = proximal_step(energy, mu, tau, JkoConfig(tau=tau))
         assert isinstance(out, AtomicMeasure) and out.points.shape == (n, 2)
         e_mu = energy.eval(mu)
         assert energy.eval(out) + w2(mu, out) ** 2 / (2.0 * tau) \
@@ -1377,15 +1372,14 @@ class TestNewton:
         # the multiplier search take Newton
         del calls[:]
         _, info = proximal_step(_CAPPED_NEWTONIAN, uniform_state(-0.4, 0.4, 8),
-                                0.1, return_info=True)
+                                0.1)
         assert len(calls) > 1 and set(calls) == {"newton"}
         assert not info["residual_flag"]
 
     @pytest.mark.parametrize("a, n", [(1.0, 2), (-2.5, 8)])
     def test_quadratic_dirac_step_exact_in_one_iteration(self, a, n):
         out, info = proximal_step(quadratic_energy(), dirac_state(a, n), 0.1,
-                                  JkoConfig(tau=0.1, inner_tol=1e-12),
-                                  return_info=True)
+                                  JkoConfig(tau=0.1, inner_tol=1e-12))
         np.testing.assert_allclose(out.positions, a / 1.1, rtol=0, atol=1e-12)
         assert info["inner_iters"] == 1 and not info["residual_flag"]
 
@@ -1395,8 +1389,7 @@ class TestNewton:
         # all 20000 iterations and ended 7.5e-5 off
         mu = make_atomic([1.0, 2.0], [w, 1.0 - w])
         out, info = proximal_step(quadratic_energy(), mu, 0.25,
-                                  JkoConfig(tau=0.25, inner_tol=1e-12),
-                                  return_info=True)
+                                  JkoConfig(tau=0.25, inner_tol=1e-12))
         assert info["inner_iters"] <= 5 and not info["residual_flag"]
         np.testing.assert_allclose(out.points, [0.8, 1.6], rtol=0, atol=1e-12)
 
@@ -1597,7 +1590,7 @@ class TestIntervalDiscretization:
                          rng.uniform(0.2, 1.0, 12))
         cap = energy.constraint[1]
         for _ in range(4):
-            mu, info = proximal_step(energy, mu, 0.05, return_info=True)
+            mu, info = proximal_step(energy, mu, 0.05)
             assert not info["residual_flag"]
         q = QuantileMeasure((np.arange(12) + 0.5) / 12, mu.points, mu.weights)
         assert lp_norm(q, math.inf) <= cap * (1.0 + 1e-9)
@@ -1612,8 +1605,7 @@ class TestUnboundedObjective:
         energy = Energy(potential=_QUADRATIC, kernel=Kernel("log", d=1))
         mu = make_atomic(np.linspace(-1.0, 1.5, 7) ** 3, np.full(7, 1.0 / 7))
         _, info = proximal_step(energy, mu, 0.1,
-                                JkoConfig(tau=0.1, inner_tol=1e-10),
-                                return_info=True)
+                                JkoConfig(tau=0.1, inner_tol=1e-10))
         assert info["inner_iters"] <= 50 and info["residual_flag"]
 
 
@@ -1704,11 +1696,11 @@ class TestFinitePCapKkt:
         q = _finite_p_state(kind, n, p, cap)
         tau, tol = 0.05, 1e-8
         cfg = JkoConfig(tau=tau, inner_tol=tol)
-        out, info = proximal_step(energy, q, tau, cfg, return_info=True)
+        out, info = proximal_step(energy, q, tau, cfg)
         assert energy.constraint_ok(out)
         assert info["residual"] <= tol and not info["residual_flag"]
-        free = proximal_step(dataclasses.replace(energy, constraint=None), q,
-                             tau, cfg)
+        free, _ = proximal_step(dataclasses.replace(energy, constraint=None), q,
+                                tau, cfg)
         if lp_norm(free, p) <= cap:
             assert out.positions.tobytes() == free.positions.tobytes()
             return
@@ -1751,13 +1743,13 @@ class TestFinitePCapKkt:
         # where two atoms meet; the step returns its start, flagged
         energy = Energy(kernel=Kernel("log", d=1, c=4.0), constraint=(3.0, 1.5))
         q = uniform_state(-0.5, 0.5, 8)
-        out, info = proximal_step(energy, q, 0.1, return_info=True)
+        out, info = proximal_step(energy, q, 0.1)
         assert info["residual_flag"] and info["residual"] == math.inf
         assert out.positions.tobytes() == q.positions.tobytes()
         # at c = 1 the search converges: a tie is a zero-width interval,
         # where lam U_p is huge, so the solves no longer tie two atoms
         weak = dataclasses.replace(energy, kernel=Kernel("log", d=1))
-        out, info = proximal_step(weak, q, 0.1, return_info=True)
+        out, info = proximal_step(weak, q, 0.1)
         assert not info["residual_flag"] and weak.constraint_ok(out)
         assert lp_norm(out, 3.0) >= 1.5 * (1.0 - 1e-8)
 
@@ -1808,8 +1800,7 @@ class TestFinitePCapKkt:
         # every solve draws on one inner_max_iter budget
         cfg = JkoConfig(tau=0.1, inner_tol=1e-8, inner_max_iter=20)
         q = uniform_state(-0.4, 0.4, 8)
-        out, info = proximal_step(_CAPPED_NEWTONIAN, q, 0.1, cfg,
-                                  return_info=True)
+        out, info = proximal_step(_CAPPED_NEWTONIAN, q, 0.1, cfg)
         assert info["inner_iters"] <= 20 and info["residual_flag"]
         assert _CAPPED_NEWTONIAN.constraint_ok(out)
 
@@ -1941,11 +1932,10 @@ class TestStackedSteps:
         cfg = JkoConfig(tau=tau, inner_tol=1e-9, inner_max_iter=3000)
         with np.errstate(all="ignore"):
             out, infos = proximal_step(energy, QuantileStack.of(states), tau,
-                                       cfg, return_info=True)
+                                       cfg)
             assert isinstance(out, QuantileStack) and len(infos) == len(states)
             for k, mu in enumerate(states):
-                single, info = proximal_step(energy, mu, tau, cfg,
-                                             return_info=True)
+                single, info = proximal_step(energy, mu, tau, cfg)
                 _same_step(out.row(k), single, infos[k], info)
 
     @staticmethod
@@ -1953,10 +1943,9 @@ class TestStackedSteps:
         """The stacked step's infos, each row checked against its K = 1
         step."""
         cfg = JkoConfig(tau=tau, inner_tol=inner_tol, **cfg)
-        out, infos = proximal_step(energy, QuantileStack.of(states), tau, cfg,
-                                   return_info=True)
+        out, infos = proximal_step(energy, QuantileStack.of(states), tau, cfg)
         for k, mu in enumerate(states):
-            single, info = proximal_step(energy, mu, tau, cfg, return_info=True)
+            single, info = proximal_step(energy, mu, tau, cfg)
             _same_step(out.row(k), single, infos[k], info)
         return infos
 
@@ -2101,17 +2090,16 @@ class TestStackedSteps:
             0.8831370694455005, 1.0237464881617822, 2.9832596147352657])
         cfg = JkoConfig(tau=0.05, inner_tol=1e-9, inner_max_iter=500)
         out, infos = proximal_step(energy, QuantileStack.of([spread, grid]), 0.05,
-                                   cfg, return_info=True)
+                                   cfg)
         assert any(partial)
         monkeypatch.setattr(jko, "_armijo_arc", arc)
         for k, mu in enumerate([spread, grid]):
-            single, info = proximal_step(energy, mu, 0.05, cfg, return_info=True)
+            single, info = proximal_step(energy, mu, 0.05, cfg)
             _same_step(out.row(k), single, infos[k], info)
 
     def test_tau_zero_returns_the_stack(self):
         stack = QuantileStack.of([dirac_state(0.5, 2), dirac_state(-0.5, 2)])
-        out, infos = proximal_step(quadratic_energy(), stack, 0.0,
-                                   return_info=True)
+        out, infos = proximal_step(quadratic_energy(), stack, 0.0)
         assert out is stack and [i["inner_iters"] for i in infos] == [0, 0]
 
 
@@ -2252,7 +2240,7 @@ class TestFlows:
         for k, (mu, e) in enumerate(zip(traj.states, traj.energies)):
             assert e == energy(k).eval(mu) and type(mu) is QuantileMeasure
             if k:
-                prev = proximal_step(energy(k), prev, cfg.tau, cfg)
+                prev, _ = proximal_step(energy(k), prev, cfg.tau, cfg)
                 assert mu.positions.tobytes() == prev.positions.tobytes()
 
     def test_semigroup_check_on_two_grids_steps_each_alone(self, monkeypatch):

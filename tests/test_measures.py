@@ -416,7 +416,7 @@ class TestCallerArrays:
         mu = make_atomic(np.array([[0.1, 0.0], [-0.2, 0.3]]), [0.5, 0.5])
         assert mu.points is not frozen[-2]   # the caller's: a copy
         frozen.clear()
-        nu = proximal_step(quadratic_energy(), mu, 0.1)
+        nu, _ = proximal_step(quadratic_energy(), mu, 0.1)
         assert nu.points is frozen[0]
 
 

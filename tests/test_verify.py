@@ -57,7 +57,7 @@ class TestDiscreteEvi:
         mu = dirac_state(1.0, 4)
         tau = 0.2
         cfg = JkoConfig(tau=tau, inner_tol=1e-11)
-        mu_tau = proximal_step(E, mu, tau, cfg)
+        mu_tau, _ = proximal_step(E, mu, tau, cfg)
         rep = check_discrete_evi(E, mu, mu_tau, tau, lipschitz(1.0), cfg)
         assert rep.passed
 
@@ -93,16 +93,16 @@ class TestDiscreteEvi:
         cfg = JkoConfig(tau=0.25, inner_tol=1e-9)
         steps = []
 
-        def counting(energy, state, tau, step_cfg, return_info=False):
+        def counting(energy, state, tau, step_cfg):
             steps.append(step_cfg.inner_tol)
-            return proximal_step(energy, state, tau, step_cfg, return_info=return_info)
+            return proximal_step(energy, state, tau, step_cfg)
 
         monkeypatch.setattr(verify, "proximal_step", counting)
         rep = check_discrete_evi(E, mu, nu, 0.25, lipschitz(1.0), cfg, tol=-math.inf)
         assert steps == [cfg.inner_tol, cfg.inner_tol / 10.0]
         assert not rep.passed and rep.context["reran_tighter"] is True
         tighter = JkoConfig(tau=0.25, inner_tol=cfg.inner_tol / 10.0)
-        mu_tau, info = proximal_step(E, mu, 0.25, tighter, return_info=True)
+        mu_tau, info = proximal_step(E, mu, 0.25, tighter)
         ref = check_discrete_evi(E, mu, nu, 0.25, lipschitz(1.0), tighter,
                                  mu_tau=mu_tau, info=info, tol=math.inf)
         assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
@@ -121,8 +121,8 @@ class TestContraction:
     def test_tau_cap_skip(self, monkeypatch):
         # lam > 0 and tau >= 1 is skipped before any proximal step
         steps = []
-        monkeypatch.setattr(verify, "proximal_step",
-                            lambda *args, **kwargs: steps.append(1))
+        monkeypatch.setattr(verify, "flows", lambda *args, **kwargs: steps.append(1))
+        monkeypatch.setattr(jko, "proximal_step", lambda *args, **kwargs: steps.append(1))
         E = quadratic_energy()
         rep = check_contraction(E, dirac_state(0.0, 4), dirac_state(1.0, 4),
                                 2.0, lipschitz(1.0), JkoConfig(tau=2.0))
@@ -131,23 +131,48 @@ class TestContraction:
         assert rep.to_dict() == verify._skip(
             "contraction", "tau cap violated (tau >= 1)", tau=2.0).to_dict()
 
+    @staticmethod
+    def _matches_two_lone_steps(E, mu, nu):
+        # the report from one flows call is bitwise the lam <= 0 report of
+        # two lone proximal steps, with nu's step distance from a cold
+        # solve (W2 in 1D, the LP in 2D)
+        tau, modulus, cfg = 0.05, lipschitz(-1.0), JkoConfig(tau=0.05)
+        rep = check_contraction(E, mu, nu, tau, modulus, cfg)
+        assert not rep.skipped and "R" in rep.context
+        (mu_tau, info_m), (nu_tau, info_n) = (proximal_step(E, s, tau, cfg) for s in (mu, nu))
+        w0, wt = w2(mu, nu), w2(mu_tau, nu_tau)
+        w_nu_step = w2(nu, nu_tau) if nu.dim == 1 else w2_exact(nu, nu_tau)[0]
+        lam, big_r = modulus.lam, max(w0, 3.0)
+        r = 4.0 * (big_r**2 + abs(lam) * modulus.omega_tilde(big_r**2))
+        c_r = modulus.c_r(r)
+        lhs = modulus.euler_step(tau, modulus.euler_step(tau, wt**2))
+        rhs = w0**2 - lam * tau * modulus.omega_tilde(big_r**2 * w_nu_step) \
+            + 2.0 * tau * (E.eval(mu) - E.eval(mu_tau)) + 3.0 * lam**2 * c_r**2 * tau**2
+        ctx = {"tau": tau, "W0": w0, "Wt": wt,
+               "residual_flag": info_m["residual_flag"] or info_n["residual_flag"],
+               "R": big_r, "r": r, "c_r": c_r}
+        assert rep.to_dict() == InequalityReport("contraction", lhs, rhs, 1e-6,
+                                                 context=ctx).to_dict()
+        assert (rep.lhs, rep.rhs) == (lhs, rhs)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_2d_step_distance_from_plan_bitwise(self, monkeypatch, seed):
-        # W2(nu, nu_tau) comes from nu's step plan; a fresh cold solve,
-        # the call it replaces, must give the same report bit for bit
+    def test_2d_step_distance_from_plan_bitwise(self, seed):
+        # W2(nu, nu_tau) comes from the plan nu's step hands out
         rng = np.random.default_rng(seed)
         mu = make_atomic(rng.normal(size=(8, 2)), rng.uniform(0.5, 1.5, 8))
         nu = make_atomic(rng.normal(size=(8, 2)), rng.uniform(0.5, 1.5, 8))
-        E, tau, modulus = quadratic_energy(), 0.05, lipschitz(-1.0)
-        rep = check_contraction(E, mu, nu, tau, modulus, JkoConfig(tau=tau))
-        assert not rep.skipped and "R" in rep.context
-        _, info = proximal_step(E, nu, tau, JkoConfig(tau=tau), return_info=True)
-        assert "plan" in info   # the step hands out the plan reused above
-        monkeypatch.setattr(verify, "_step_plan",
-                            lambda a, b, info: w2_exact(a, b)[1])
-        ref = check_contraction(E, mu, nu, tau, modulus, JkoConfig(tau=tau))
-        assert rep.to_dict() == ref.to_dict()
-        assert (rep.lhs, rep.rhs) == (ref.lhs, ref.rhs)
+        assert "plan" in proximal_step(quadratic_energy(), nu, 0.05)[1]
+        self._matches_two_lone_steps(quadratic_energy(), mu, nu)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_nu", [8, 5])
+    def test_1d_steps_bitwise(self, n_nu, seed):
+        # on one grid (n_nu = 8) the pair steps as a stack of two, on two
+        # grids each state alone
+        rng = np.random.default_rng(seed)
+        mu = feasible_random_state(rng, 8, cap=2.0)
+        nu = feasible_random_state(rng, n_nu, cap=2.0)
+        self._matches_two_lone_steps(verify.capped_aggregation_energy(2.0), mu, nu)
 
 
 class TestDiagonalPlan:
@@ -169,6 +194,28 @@ class TestDiagonalPlan:
         plan = diagonal_plan(qa, qb)
         assert np.array_equal(plan.matrix, loop)
         assert np.array_equal(plan.target.points, np.asarray(y))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_plan_for_atoms_and_quantile_states(self, seed):
+        # transport.diagonal_plan is, bit for bit, the plan the 2D step
+        # built inline and the one verify built for quantile pairs
+        assert verify.diagonal_plan is transport.diagonal_plan
+        rng = np.random.default_rng(seed)
+        mu = make_atomic(rng.normal(size=(6, 2)), rng.uniform(0.5, 1.5, 6))
+        nu_tau, info = proximal_step(quadratic_energy(), mu, 0.05)
+        qa = feasible_random_state(rng, 7, cap=2.0)
+        qb = feasible_random_state(rng, 7, cap=2.0)
+        a = qa.to_atomic()
+        for plan, ref in [
+                (info["plan"], transport.TransportPlan(mu, nu_tau, np.diag(mu.weights))),
+                (diagonal_plan(mu, nu_tau), info["plan"]),
+                (diagonal_plan(qa, qb),
+                 transport.TransportPlan(a, qb.to_atomic(), np.diag(a.weights)))]:
+            assert np.array_equal(plan.matrix, ref.matrix)
+            for side in ("source", "target"):
+                got, want = getattr(plan, side), getattr(ref, side)
+                assert np.array_equal(got.points, want.points)
+                assert np.array_equal(got.weights, want.weights)
 
 
 class TestSemigroupContraction:
@@ -518,7 +565,7 @@ class TestDiscreteEvi2DPlanReuse:
         energy, modulus, cfg = _convex_2d_energy(), lipschitz(1.0), JkoConfig(tau=self.TAU)
         rep = check_discrete_evi(energy, mu, nu, self.TAU, modulus, cfg)
         assert "reran_tighter" not in rep.context
-        mu_tau = proximal_step(energy, mu, self.TAU, cfg)
+        mu_tau, _ = proximal_step(energy, mu, self.TAU, cfg)
         lhs, rhs = _reference_evi_2d(energy, mu, nu, self.TAU, modulus, mu_tau)
         return rep, lhs, rhs
 
@@ -557,7 +604,7 @@ class TestDiscreteEvi2DPlanReuse:
         # exact solve, the second LP beside W2(mu, nu)
         energy, cfg = _convex_2d_energy(), JkoConfig(tau=self.TAU)
         mu, nu = _pair_2d(seed, 16, "random")
-        mu_tau = proximal_step(energy, mu, self.TAU, cfg)
+        mu_tau, _ = proximal_step(energy, mu, self.TAU, cfg)
         calls = []
         original = transport._network_simplex
         monkeypatch.setattr(transport, "_network_simplex",
