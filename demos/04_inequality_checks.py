@@ -11,31 +11,30 @@ import math
 import numpy as np
 
 from omegaflow.jko import JkoConfig
-from omegaflow.moduli import lipschitz, sqrt_psi
+from omegaflow.moduli import lipschitz
 from omegaflow.verify import (
-    check_contraction, check_discrete_evi, check_hwi, check_omega_convexity,
-    diagonal_plan, dirac_state, feasible_random_state, load_frozen,
+    calibrated_modulus, check_contraction, check_discrete_evi, check_hwi,
+    check_omega_convexity, diagonal_plan, dirac_state, feasible_random_state,
     log_pinch_energy, capped_aggregation_energy,
 )
 
 rng = np.random.default_rng(1)
-frozen = load_frozen()
 
 E = capped_aggregation_energy(2.0)
-lam = -4.0 * frozen["aggregation_cap2"]["C"]
+mod = calibrated_modulus("aggregation_cap2")
 mu = feasible_random_state(rng, 32, cap=2.0)
 nu = feasible_random_state(rng, 32, cap=2.0)
 
-rep = check_discrete_evi(E, mu, nu, 0.05, sqrt_psi(lam),
+rep = check_discrete_evi(E, mu, nu, 0.05, mod,
                          JkoConfig(tau=0.05, inner_tol=1e-9))
 print(f"discrete EVI:    slack {rep.slack:+.3e}  pass={rep.passed}")
 
-rep = check_contraction(E, mu, nu, 0.02, sqrt_psi(lam),
+rep = check_contraction(E, mu, nu, 0.02, mod,
                         JkoConfig(tau=0.02, inner_tol=1e-9))
 print(f"contraction:     slack {rep.slack:+.3e}  pass={rep.passed}")
 
 samples = [feasible_random_state(rng, 32, cap=2.0) for _ in range(6)]
-rep = check_hwi(E, mu, nu, sqrt_psi(lam), samples, tol=1e-5)
+rep = check_hwi(E, mu, nu, mod, samples, tol=1e-5)
 print(f"HWI:             slack {rep.slack:+.3e}  pass={rep.passed}")
 
 # -- certificates: wrong modulus finds a witness, right one passes -----------
@@ -59,7 +58,6 @@ wrong = check_omega_convexity(pinch, pairs(7), lipschitz(0.0), 50)
 print(f"\nwrong modulus (omega=x, lam=0): min slack "
       f"{wrong.context['min_slack']:+.3e}  (negative witness found)")
 
-lam_p = -frozen["log_pinch_s1"]["lambda_abs"]
-right = check_omega_convexity(pinch, pairs(7), sqrt_psi(lam_p), 50)
+right = check_omega_convexity(pinch, pairs(7), calibrated_modulus("log_pinch_s1"), 50)
 print(f"calibrated sqrt(x psi) modulus: min slack "
       f"{right.context['min_slack']:+.3e}  pass={right.passed}")

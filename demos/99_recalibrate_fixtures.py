@@ -6,8 +6,8 @@ the theory only asserts to exist:
 * field-regularity constants C with |grad W * mu(x) - grad W * mu(y)|^2
   <= C^2 psi(|x - y|^2) on the constrained densities (and the potential
   analogue with 4 C^2 psi), estimated as 1.05x the worst sampled ratio;
-* the envelope constants C* of the convergence-rate studies, fitted at
-  the coarsest discretization n = 8.
+* the envelope constants C* of the rate rows of ``verify.FAMILIES`` (the
+  ``rates`` suite's studies) under the constants above, fitted at n = 8.
 
 Run this script only to refresh src/omegaflow/fixtures/calibration.json;
 the verification suites compare freshly computed values against these
@@ -22,19 +22,9 @@ import os
 import numpy as np
 
 from omegaflow.energies import Kernel, calibrate_interaction_constant, psi
-from omegaflow.jko import JkoConfig
-from omegaflow.moduli import JUNCTION, lipschitz, polynomial, sqrt_psi
-from omegaflow.verify import (
-    dirac_state,
-    drift_diffusion_energy,
-    feasible_random_state,
-    granular_energy,
-    ks_surrogate_energy,
-    log_pinch_energy,
-    quadratic_energy,
-    rate_study,
-    uniform_state,
-)
+from omegaflow.moduli import JUNCTION
+from omegaflow.verify import (FAMILIES, drift_diffusion_energy, feasible_random_state,
+                               log_pinch_energy, rate_study)
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "omegaflow",
                    "fixtures", "calibration.json")
@@ -100,23 +90,6 @@ def main() -> None:
     print("calibrated: C_agg", c_agg, "C_ks", c_ks, "C_vm", c_vm,
           "C_pinch", c_pinch, "loeper", c_loeper)
 
-    rate_cfg = [
-        ("quadratic_dirac", quadratic_energy(), dirac_state(1.0, 2),
-         lipschitz(1.0), JkoConfig(tau=1.0, inner_tol=1e-9)),
-        ("granular_dirac", granular_energy(2.0, 1.0), dirac_state(1.0, 2),
-         polynomial(1.0, 4.0), JkoConfig(tau=1.0, inner_tol=1e-9)),
-        ("ks_surrogate", ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48),
-         sqrt_psi(-4.0 * c_ks), JkoConfig(tau=1.0, inner_tol=1e-8)),
-    ]
-    families = {}
-    for fam, energy, mu0, mod, cfg in rate_cfg:
-        st = rate_study(energy, mu0, 0.5, [8, 16, 32, 64, 128, 256, 512],
-                        mod, cfg, n_ref=4096, family=fam)
-        families[fam] = {"C_star": st.c_star, "t": 0.5,
-                         "loglog_slope": st.loglog_slope}
-        print(fam, "C* =", st.c_star, "slope", st.loglog_slope,
-              "errors", st.errors)
-
     payload = {
         "aggregation_cap2": {"kernel": {"kind": "newtonian", "d": 1, "c": 1.0},
                              "cap": 2.0, "C": c_agg},
@@ -125,8 +98,15 @@ def main() -> None:
         "vm_drift_cap2": {"C": c_vm},
         "log_pinch_s1": {"C": c_pinch, "lambda_abs": 4.0 * c_pinch},
         "loeper_observed": {"aggregation_cap2": c_loeper},
-        "rate_families": families,
+        "rate_families": {},
     }
+    for row in (f for f in FAMILIES if f.t is not None):
+        st = rate_study(row.energy(), row.start(), row.t,
+                        [8, 16, 32, 64, 128, 256, 512],
+                        row.certified(payload)[-1], row.cfg, n_ref=4096, family=row.name)
+        payload["rate_families"][row.name] = {"C_star": st.c_star, "t": row.t,
+                                              "loglog_slope": st.loglog_slope}
+        print(row.name, "C* =", st.c_star, "slope", st.loglog_slope, "errors", st.errors)
     old = {}
     if os.path.exists(OUT):
         with open(OUT) as fh:

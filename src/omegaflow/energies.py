@@ -773,6 +773,13 @@ _KERNEL_KEYS = {"newtonian": ("d", "c"), "riesz": ("alpha", "d", "sign", "c"),
                 "log": ("c",)}
 
 
+def _required(spec: dict, key: str, what: str):
+    """``spec[key]``, or an :class:`EnergyError` that names the missing key."""
+    if key not in spec:
+        raise EnergyError(f"a {what} object needs a {key!r} key")
+    return spec[key]
+
+
 def parse_energy(data) -> Energy:
     """Energy from config JSON, e.g.
     {"potential":"quadratic","kernel":{"kind":"newtonian","d":1},
@@ -787,14 +794,16 @@ def parse_energy(data) -> Energy:
         if isinstance(spec, str):
             name, params = spec, {}
         else:
-            name, params = spec["name"], {k: v for k, v in spec.items() if k != "name"}
+            name = _required(spec, "name", "potential")
+            params = {k: v for k, v in spec.items() if k != "name"}
         if name not in POTENTIALS:
             raise EnergyError(f"unknown potential {name!r}")
         pot = POTENTIALS[name](params)
     ker = None
     if "kernel" in data and data["kernel"] is not None:
         kd = dict(data["kernel"])
-        kind = kd.pop("kind")
+        kind = _required(kd, "kind", "kernel")
+        del kd["kind"]
         _reject_unknown(kd, _KERNEL_KEYS.get(kind, ()), lambda key: EnergyError(
             f"unknown key {key!r} of a {kind!r} kernel"))
         ker = Kernel(kind=kind, **kd)
@@ -814,10 +823,10 @@ def parse_energy(data) -> Energy:
         cd = data["constraint"]
         _reject_unknown(cd, ("p", "cap"),
                         lambda key: EnergyError(f"unknown constraint key {key!r}"))
-        p = cd["p"]
+        p = _required(cd, "p", "constraint")
         if p is None:
             raise EnergyError('constraint p is a number or "inf", got null')
         p = math.inf if p == "inf" else float(p)
-        constraint = (p, float(cd["cap"]))
+        constraint = (p, float(_required(cd, "cap", "constraint")))
     return Energy(potential=pot, kernel=ker, internal=internal,
                   constraint=constraint)

@@ -4,7 +4,9 @@ Each check evaluates one inequality (discrete EVI, one-step and n-step
 contraction, HWI, above-tangent convexity certificates, the large-vs-small
 step identity, the asymmetric recursion deep audit) on concrete fixtures
 and returns an :class:`InequalityReport` with the raw left/right hand
-sides.  ``pass`` means ``slack = rhs - lhs >= -tolerance``; checks whose
+sides.  The suites read their families from one table, :data:`FAMILIES`;
+:func:`calibrated_modulus` is the one reader of a frozen constant.
+``pass`` means ``slack = rhs - lhs >= -tolerance``; checks whose
 preconditions fail are skipped with a machine-readable reason rather than
 failed.
 
@@ -19,6 +21,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,6 +82,8 @@ __all__ = [
     "SUITES",
     "fixtures_dir",
     "load_frozen",
+    "calibrated_modulus",
+    "FAMILIES",
 ]
 
 DEFAULT_TOL = 1e-6
@@ -559,6 +564,14 @@ def load_frozen() -> dict:
         return json.load(fh)
 
 
+def calibrated_modulus(key: str, constants: dict | None = None) -> Modulus:
+    """The certified modulus ``sqrt_psi(-4 C)`` of a calibration key, C read
+    from ``constants`` or else from :func:`load_frozen` at call time (so that
+    ``OMEGAFLOW_FIXTURES`` set after import holds)."""
+    constants = load_frozen() if constants is None else constants
+    return sqrt_psi(-4.0 * constants[key]["C"])
+
+
 def quadratic_energy() -> Energy:
     return Energy(potential=POTENTIALS["quadratic"]({}))
 
@@ -610,6 +623,50 @@ def feasible_random_state(rng, n: int = 32, cap: float | None = 2.0,
     x = np.sort(rng.uniform(-span, span, size=n))
     min_gaps = None if cap is None else np.full(n - 1, 1.0 / (n * cap))
     return QuantileMeasure(q, isotonic_project(x, c, min_gaps), c)
+
+
+class Family(NamedTuple):
+    """A name, an energy factory and its moduli (each a :class:`Modulus` or a
+    calibration key, the sharpest last), plus a start factory, a :class:`JkoConfig`
+    and a rate-study horizon ``t`` where two readers share them."""
+
+    name: str
+    energy: Callable[[], Energy]
+    moduli: tuple
+    start: Callable[[], QuantileMeasure] | None = None
+    cfg: JkoConfig | None = None
+    t: float | None = None
+
+    def certified(self, constants: dict | None = None) -> list:
+        """The moduli, each calibration key read by :func:`calibrated_modulus`."""
+        return [calibrated_modulus(m, constants) if isinstance(m, str) else m
+                for m in self.moduli]
+
+
+# Every family that two or more suites, demos or tests read.  The rows with
+# a horizon t are the rate studies, named as calibration.json's rate_families.
+# The granular quartic's sharp constant is lambda = 1/6 (worst Dirac ray y = -2x).
+FAMILIES = (
+    Family("quadratic", quadratic_energy, (lipschitz(1.0),),
+           lambda: dirac_state(1.5, 8), JkoConfig(tau=0.05, inner_tol=1e-10)),
+    Family("entropy", entropy_energy, (lipschitz(0.0),),
+           lambda: uniform_state(-0.5, 0.5, 48), JkoConfig(tau=0.02, inner_tol=1e-9)),
+    Family("aggregation_cap", capped_aggregation_energy,
+           (lipschitz(0.0), "aggregation_cap2"), lambda: uniform_state(-1.0, 1.0, 48),
+           JkoConfig(tau=0.05, inner_tol=1e-9)),
+    Family("ks_surrogate", ks_surrogate_energy, (lipschitz(0.0), "ks_surrogate_cap2"),
+           lambda: uniform_state(-0.8, 0.8, 48), JkoConfig(tau=0.02, inner_tol=1e-9)),
+    Family("granular", granular_energy, (polynomial(1.0, 1.0 / 6.0),)),
+    Family("log_pinch", log_pinch_energy, ("log_pinch_s1",)),
+    Family("quadratic_dirac", quadratic_energy, (lipschitz(1.0),),
+           lambda: dirac_state(1.0, 2), JkoConfig(inner_tol=1e-9), t=0.5),
+    Family("granular_dirac", granular_energy, (polynomial(1.0, 1.0 / 6.0),),
+           lambda: dirac_state(1.0, 2), JkoConfig(inner_tol=1e-9), t=0.5),
+    Family("ks_surrogate", ks_surrogate_energy, ("ks_surrogate_cap2",),
+           lambda: uniform_state(-0.8, 0.8, 48), JkoConfig(inner_tol=1e-8), t=0.5),
+)
+_BY_NAME = {f.name: f for f in FAMILIES if f.t is None}      # rate rows aside
+_FLOW_FIXTURES = [f for f in _BY_NAME.values() if f.start]  # evi, contraction
 
 
 # ---------------------------------------------------------------------------
@@ -700,33 +757,14 @@ def _suite_transport(tol: float, seed: int, quick: bool) -> list:
     return reports
 
 
-def _fixture_flows(quick: bool):
-    """The shipped EVI fixture families: (name, energy, modulus list, flow)."""
-    frozen = load_frozen()
-    lam_agg = -4.0 * frozen["aggregation_cap2"]["C"]
-    lam_ks = -4.0 * frozen["ks_surrogate_cap2"]["C"]
-    fams = []
-    fams.append(("quadratic", quadratic_energy(), [lipschitz(1.0)],
-                 dirac_state(1.5, 8), JkoConfig(tau=0.05, steps=12 if quick else 40,
-                                                inner_tol=1e-10)))
-    fams.append(("entropy", entropy_energy(), [lipschitz(0.0)],
-                 uniform_state(-0.5, 0.5, 48),
-                 JkoConfig(tau=0.02, steps=10 if quick else 40, inner_tol=1e-9)))
-    fams.append(("aggregation_cap", capped_aggregation_energy(2.0),
-                 [lipschitz(0.0), sqrt_psi(lam_agg)],
-                 uniform_state(-1.0, 1.0, 48),
-                 JkoConfig(tau=0.05, steps=12 if quick else 45, inner_tol=1e-9)))
-    fams.append(("ks_surrogate", ks_surrogate_energy(2.0),
-                 [lipschitz(0.0), sqrt_psi(lam_ks)],
-                 uniform_state(-0.8, 0.8, 48),
-                 JkoConfig(tau=0.02, steps=10 if quick else 40, inner_tol=1e-9)))
-    return fams
-
-
 def _suite_evi(tol: float, seed: int, quick: bool) -> list:
     rng = np.random.default_rng(seed)
     reports = []
-    for fam, energy, mods, mu0, cfg in _fixture_flows(quick):
+    steps = {"quadratic": (12, 40), "entropy": (10, 40),
+             "aggregation_cap": (12, 45), "ks_surrogate": (10, 40)}
+    for row in _FLOW_FIXTURES:
+        fam, energy, mods, mu0 = row.name, row.energy(), row.certified(), row.start()
+        cfg = replace(row.cfg, steps=steps[fam][0 if quick else 1])
         tr = flow(energy, mu0, cfg)
         cap = energy.constraint[1] if energy.constraint else None
         probes = [tr.states[len(tr.states) // 2], tr.states[-1]]
@@ -749,38 +787,34 @@ def _suite_evi(tol: float, seed: int, quick: bool) -> list:
 def _suite_contraction(tol: float, seed: int, quick: bool) -> list:
     rng = np.random.default_rng(seed)
     reports = []
-    frozen = load_frozen()
-    # one-step contraction on the fixture families
-    for fam, energy, mods, mu0, cfg in _fixture_flows(True):
+    # one-step contraction on the flow fixtures
+    for row in _FLOW_FIXTURES:
+        energy, mu0 = row.energy(), row.start()
         cap = energy.constraint[1] if energy.constraint else None
         nu0 = feasible_random_state(rng, len(mu0), cap=cap)
-        for mod in mods:
+        for mod in row.certified():
             for tau in (0.01, 0.05):
                 rep = check_contraction(energy, mu0, nu0, tau, mod,
-                                        replace(cfg, tau=tau), tol=tol,
-                                        name=f"contraction[{fam}]")
-                rep.context["fixture"] = fam
+                                        replace(row.cfg, tau=tau), tol=tol,
+                                        name=f"contraction[{row.name}]")
+                rep.context["fixture"] = row.name
                 reports.append(rep)
-    # semigroup rates, one row per family: (name, energy, pairs, times,
-    # steps, modulus, rate slack), each family's pairs one stack per time.
-    # The granular quartic's sharp above-tangent constant is lambda = 1/6
-    # (worst Dirac ray y = -2x) and its symmetric pairs nearly saturate the
-    # rate; the log-pinch pairs sit deep enough in the branch for t = 0.5
+    # semigroup rates at the sharp modulus, each family's pairs one stack per
+    # time: (name, family, times, steps, rate slack, pairs).  The granular
+    # pairs nearly saturate the rate; the pinch pairs sit deep in the branch
     quad = [rng.uniform(-2, 2, size=2) for _ in range(5 if quick else 20)]
     gran = [0.15 + 0.05 * k for k in range(2 if quick else 6)]
     pinch = [math.exp(-8.0 - 0.4 * k) / 2.0 for k in range(2 if quick else 5)]
     rates = [
-        ("contraction_rate_lipschitz", quadratic_energy(),
-         [(dirac_state(a, 2), dirac_state(b, 2)) for a, b in quad], (0.5, 1.0),
-         1024, lipschitz(1.0), 1e-3),
-        ("contraction_rate_polynomial", granular_energy(2.0, 1.0),
-         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in gran], (0.5,),
-         512, polynomial(1.0, 1.0 / 6.0), 1e-3),
-        ("contraction_rate_log_lipschitz", log_pinch_energy(1.0),
-         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in pinch], (0.5,),
-         512, sqrt_psi(-frozen["log_pinch_s1"]["lambda_abs"]), 1e-2),
+        ("contraction_rate_lipschitz", "quadratic", (0.5, 1.0), 1024, 1e-3,
+         [(dirac_state(a, 2), dirac_state(b, 2)) for a, b in quad]),
+        ("contraction_rate_polynomial", "granular", (0.5,), 512, 1e-3,
+         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in gran]),
+        ("contraction_rate_log_lipschitz", "log_pinch", (0.5,), 512, 1e-2,
+         [(dirac_state(a, 2), dirac_state(-a, 2)) for a in pinch]),
     ]
-    for name, energy, pairs, times, n, mod, rate_slack in rates:
+    for name, fam, times, n, rate_slack, pairs in rates:
+        energy, mod = _BY_NAME[fam].energy(), _BY_NAME[fam].certified()[-1]
         for t in times:
             reps = _semigroup_contraction(energy, pairs, t, n, mod,
                                           JkoConfig(inner_tol=1e-9), rate_slack, name)
@@ -788,11 +822,10 @@ def _suite_contraction(tol: float, seed: int, quick: bool) -> list:
                 rep.context["pair"] = k
             reports.extend(reps)
     # n-step contraction corollary with the explicit error bookkeeping
+    ks = _BY_NAME["ks_surrogate"]
     reports.append(check_nstep_contraction(
-        ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48),
-        feasible_random_state(rng, 48, cap=2.0), 0.2, 16 if quick else 64,
-        sqrt_psi(-4.0 * frozen["ks_surrogate_cap2"]["C"]),
-        JkoConfig(tau=0.2 / 16, inner_tol=1e-9), tol=tol))
+        ks.energy(), ks.start(), feasible_random_state(rng, 48, cap=2.0), 0.2,
+        16 if quick else 64, ks.certified()[-1], ks.cfg, tol=tol))
     return reports
 
 
@@ -801,18 +834,10 @@ def _suite_rates(tol: float, seed: int, quick: bool) -> list:
     reports = []
     n_list = [8, 16, 32, 64, 128] if quick else [8, 16, 32, 64, 128, 256, 512]
     n_ref = 1024 if quick else 4096
-    lam_ks = -4.0 * frozen["ks_surrogate_cap2"]["C"]
-    studies = [
-        ("quadratic_dirac", quadratic_energy(), dirac_state(1.0, 2),
-         lipschitz(1.0), 0.5, JkoConfig(tau=1.0, inner_tol=1e-9)),
-        ("granular_dirac", granular_energy(2.0, 1.0), dirac_state(1.0, 2),
-         polynomial(1.0, 4.0), 0.5, JkoConfig(tau=1.0, inner_tol=1e-9)),
-        ("ks_surrogate", ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48),
-         sqrt_psi(lam_ks), 0.5, JkoConfig(tau=1.0, inner_tol=1e-8)),
-    ]
-    for fam, energy, mu0, mod, t, cfg in studies:
-        st = rate_study(energy, mu0, t, n_list, mod, cfg, n_ref=n_ref, family=fam)
-        frozen_c = frozen["rate_families"].get(fam, {}).get("C_star")
+    for row in (f for f in FAMILIES if f.t is not None):
+        st = rate_study(row.energy(), row.start(), row.t, n_list,
+                        row.certified(frozen)[-1], row.cfg, n_ref=n_ref, family=row.name)
+        frozen_c = frozen["rate_families"].get(row.name, {}).get("C_star")
         ctx = st.to_dict()
         if frozen_c is not None and not quick:
             ctx["frozen_C_star"] = frozen_c
@@ -820,12 +845,12 @@ def _suite_rates(tol: float, seed: int, quick: bool) -> list:
         worst = max((e / (st.c_star * b) if st.c_star * b > 0 else 0.0)
                     for e, b in zip(st.errors, st.bounds))
         reports.append(InequalityReport(
-            f"rate_envelope[{fam}]", worst, 1.0, 1e-9, context=ctx))
+            f"rate_envelope[{row.name}]", worst, 1.0, 1e-9, context=ctx))
         mono_viol = max([st.errors[i + 1] - st.errors[i]
                          for i in range(len(st.errors) - 1)] + [0.0])
         reports.append(InequalityReport(
-            f"rate_monotone[{fam}]", mono_viol, 0.0, 1e-10,
-            context={"family": fam, "errors": st.errors}))
+            f"rate_monotone[{row.name}]", mono_viol, 0.0, 1e-10,
+            context={"family": row.name, "errors": st.errors}))
     return reports
 
 
@@ -849,24 +874,21 @@ def _pinch_sampler(rng):
 
 def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
     rng = np.random.default_rng(seed)
-    frozen = load_frozen()
     reports = []
     trials = 40 if quick else 100
-    lam_agg = -4.0 * frozen["aggregation_cap2"]["C"]
-    rep = check_omega_convexity(
-        capped_aggregation_energy(2.0),
-        _pair_sampler_interaction(rng, n=32, cap=2.0),
-        sqrt_psi(lam_agg), trials, tol=tol, name="omega_convexity[W_inf]")
-    reports.append(rep)
-    lam_vm = -4.0 * frozen["vm_drift_cap2"]["C"]
-    energy_vm = drift_diffusion_energy()
-    rep = check_omega_convexity(
-        energy_vm, _pair_sampler_interaction(rng, n=32, cap=2.0),
-        sqrt_psi(lam_vm), trials, tol=tol, name="omega_convexity[V_m]")
-    reports.append(rep)
+    agg, pinch_fam, gran, quad = (_BY_NAME[k] for k in (
+        "aggregation_cap", "log_pinch", "granular", "quadratic"))
+    mod_agg = agg.certified()[-1]
+    reports.append(check_omega_convexity(
+        agg.energy(), _pair_sampler_interaction(rng, n=32, cap=2.0),
+        mod_agg, trials, tol=tol, name="omega_convexity[W_inf]"))
+    reports.append(check_omega_convexity(
+        drift_diffusion_energy(), _pair_sampler_interaction(rng, n=32, cap=2.0),
+        calibrated_modulus("vm_drift_cap2"), trials, tol=tol,
+        name="omega_convexity[V_m]"))
     # adversarial wrong-modulus control on a genuinely nonconvex 1D energy,
     # then the correct modulus on the same pairs
-    energy_pinch = log_pinch_energy(1.0)
+    energy_pinch = pinch_fam.energy()
     pinch = _pinch_sampler(rng)
     pinch_pairs = [pinch(k) for k in range(50)]
     wrong = check_omega_convexity(energy_pinch, pinch_pairs.__getitem__,
@@ -877,15 +899,11 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
     reports.append(InequalityReport(
         "adversarial_wrong_modulus_witness", 0.0 if found else 1.0, 0.0, 1e-12,
         context=wrong.context))
-    lam_pinch = -frozen["log_pinch_s1"]["lambda_abs"]
     reports.append(check_omega_convexity(
-        energy_pinch, pinch_pairs.__getitem__,
-        sqrt_psi(lam_pinch), 50, tol=tol,
-        name="omega_convexity[log_pinch]"))
+        energy_pinch, pinch_pairs.__getitem__, pinch_fam.certified()[-1], 50,
+        tol=tol, name="omega_convexity[log_pinch]"))
     # granular quartic with its sharp polynomial certificate, including
     # pairs on the extremal ray y = -2x where the slack vanishes
-    energy_gran = granular_energy(2.0, 1.0)
-
     def granular_sampler(k):
         if k % 3 == 0:
             a = float(rng.uniform(-0.5, 0.5))
@@ -896,21 +914,21 @@ def _suite_convexity(tol: float, seed: int, quick: bool) -> list:
         return mu0, mu1, diagonal_plan(mu0, mu1)
 
     reports.append(check_omega_convexity(
-        energy_gran, granular_sampler, polynomial(1.0, 1.0 / 6.0), 60,
+        gran.energy(), granular_sampler, gran.certified()[-1], 60,
         tol=tol, name="omega_convexity[granular]"))
     # HWI on the constrained suite
     for k in range(3 if quick else 10):
         mu0 = feasible_random_state(rng, 24, cap=2.0)
         mu1 = feasible_random_state(rng, 24, cap=2.0)
         samples = [feasible_random_state(rng, 24, cap=2.0) for _ in range(6)]
-        rep = check_hwi(capped_aggregation_energy(2.0), mu0, mu1,
-                        sqrt_psi(lam_agg), samples, tol=1e-5,
+        rep = check_hwi(agg.energy(), mu0, mu1, mod_agg, samples, tol=1e-5,
                         name="hwi[W_inf]")
         rep.context["case"] = k
         reports.append(rep)
     a = 1.3
-    rep = check_hwi(quadratic_energy(), dirac_state(a, 4), dirac_state(0.4, 4),
-                    lipschitz(1.0), [dirac_state(a - 1e-4, 4), dirac_state(0.4, 4)],
+    rep = check_hwi(quad.energy(), dirac_state(a, 4), dirac_state(0.4, 4),
+                    quad.certified()[-1],
+                    [dirac_state(a - 1e-4, 4), dirac_state(0.4, 4)],
                     tol=1e-8, name="hwi[quadratic]")
     reports.append(rep)
     return reports

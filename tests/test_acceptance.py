@@ -14,9 +14,9 @@ from omegaflow.measures import QuantileMeasure, lp_norm, make_atomic
 from omegaflow.moduli import lipschitz, log_lipschitz, modulus_from_phi, polynomial, sqrt_psi
 from omegaflow.transport import glue, w2, w2_1d, w2_exact
 from omegaflow.verify import (
+    calibrated_modulus,
     capped_aggregation_energy,
     dirac_state,
-    load_frozen,
     quadratic_energy,
     run_suite,
     uniform_state,
@@ -185,8 +185,7 @@ def test_criterion_6_contraction_rates():
                                      ratio / (math.exp(-t) * (1 + 1e-3)) - 1.0)
     ok_i = worst_ratio_excess <= 0.0
     # (iii) log-Lipschitz pinch fixture inside the stated window
-    frozen = load_frozen()
-    lam_abs = frozen["log_pinch_s1"]["lambda_abs"]
+    lam_abs = -calibrated_modulus("log_pinch_s1").lam
     from omegaflow.verify import log_pinch_energy
     Ep = log_pinch_energy(1.0)
     ok_iii = True

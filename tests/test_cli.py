@@ -534,7 +534,7 @@ class TestMainEntry:
 
 class TestFixtureOverride:
     def test_env_var_override(self, tmp_path, monkeypatch):
-        from omegaflow.verify import fixtures_dir, load_frozen
+        from omegaflow.verify import calibrated_modulus, fixtures_dir, load_frozen
         src = load_frozen()
         alt = tmp_path / "fixtures"
         alt.mkdir()
@@ -543,3 +543,5 @@ class TestFixtureOverride:
         monkeypatch.setenv("OMEGAFLOW_FIXTURES", str(alt))
         assert fixtures_dir() == str(alt)
         assert load_frozen()["aggregation_cap2"]["C"] == 123.0
+        # the modulus reads the file at call time, not at import
+        assert calibrated_modulus("aggregation_cap2").lam == -4.0 * 123.0

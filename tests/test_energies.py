@@ -1014,6 +1014,16 @@ class TestConfig:
             parse_energy({"kernel": {**spec, key: 1.0}})
         assert parse_energy({"kernel": spec}).kernel.kind == kind
 
+    @pytest.mark.parametrize("data, key", [
+        ({"kernel": {"c": 1.0}}, "kind"),
+        ({"potential": {"strength": 1.0}}, "name"),
+        ({"constraint": {"cap": 2.0}}, "p"),
+        ({"constraint": {"p": "inf"}}, "cap")])
+    def test_missing_key_named(self, data, key):
+        # the CLI prints this message after "config error at 'energy':"
+        with pytest.raises(EnergyError, match=f"needs a '{key}' key"):
+            parse_energy(data)
+
     def test_json_string_input(self):
         E = parse_energy(json.dumps({"potential": "quadratic"}))
         assert E.kernel is None

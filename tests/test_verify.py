@@ -8,10 +8,13 @@ from omegaflow import jko, transport, verify
 from omegaflow.energies import POTENTIALS, Energy, Kernel
 from omegaflow.jko import JkoConfig, JkoError, proximal_step
 from omegaflow.measures import QuantileMeasure, make_atomic
-from omegaflow.moduli import lipschitz, polynomial, sqrt_psi
+from omegaflow.moduli import lipschitz, polynomial
 from omegaflow.transport import glue, pseudo_distance, w2, w2_exact
 from omegaflow.verify import (
+    FAMILIES,
+    SUITES,
     InequalityReport,
+    calibrated_modulus,
     check_contraction,
     check_discrete_evi,
     check_hwi,
@@ -274,10 +277,9 @@ class TestSemigroupContraction:
         assert rep.passed and not rep.skipped
         assert rep.context["rate_kind"] == "polynomial"
         a = math.exp(-8.0)
-        lam = -load_frozen()["log_pinch_s1"]["lambda_abs"]
         rep = check_semigroup_contraction(
             verify.log_pinch_energy(1.0), dirac_state(a / 2.0, 2),
-            dirac_state(-a / 2.0, 2), 0.5, 512, sqrt_psi(lam),
+            dirac_state(-a / 2.0, 2), 0.5, 512, calibrated_modulus("log_pinch_s1"),
             JkoConfig(tau=0.5 / 512, inner_tol=1e-9), rate_slack=1e-2)
         assert rep.passed and not rep.skipped
         assert rep.context["rate_kind"] == "sqrt_psi"
@@ -286,7 +288,6 @@ class TestSemigroupContraction:
 def _pair_families():
     """name -> (energy, modulus, t, Dirac pairs (a, b)) for
     ``_semigroup_contraction``: in-window pairs mixed with each skip."""
-    lam_pinch = -load_frozen()["log_pinch_s1"]["lambda_abs"]
     return {
         # t = 0: W2(0) on both sides, no step
         "t_zero": (quadratic_energy(), lipschitz(1.0), 0.0,
@@ -299,7 +300,8 @@ def _pair_families():
                        [(0.1, -0.1), (0.5, -0.3), (1.0, -0.5), (0.05, 0.0)]),
         # W2(0) = 1e-4 and 5e-5 in the window, 1e-3 past it at t = 0.5,
         # 0.2 above the junction
-        "log_lipschitz": (verify.log_pinch_energy(1.0), sqrt_psi(lam_pinch), 0.5,
+        "log_lipschitz": (verify.log_pinch_energy(1.0),
+                          calibrated_modulus("log_pinch_s1"), 0.5,
                           [(5e-5, -5e-5), (5e-4, -5e-4), (0.1, -0.1),
                            (3e-5, -2e-5)]),
     }
@@ -342,11 +344,11 @@ class TestNstepContraction:
 
     def test_ks_surrogate(self):
         # the contraction suite's quick KS input: 16 steps to t = 0.2
-        lam = -4.0 * load_frozen()["ks_surrogate_cap2"]["C"]
         nu = feasible_random_state(np.random.default_rng(0), 48, cap=2.0)
         rep = check_nstep_contraction(
             verify.ks_surrogate_energy(2.0), uniform_state(-0.8, 0.8, 48), nu,
-            0.2, 16, sqrt_psi(lam), JkoConfig(tau=0.2 / 16, inner_tol=1e-9))
+            0.2, 16, calibrated_modulus("ks_surrogate_cap2"),
+            JkoConfig(tau=0.2 / 16, inner_tol=1e-9))
         assert rep.passed and not rep.skipped
         assert rep.context["n"] == 16 and rep.context["R"] >= 3.0
 
@@ -482,20 +484,33 @@ class TestSuites:
         with pytest.raises(KeyError):
             run_suite("nonsense")
 
-    def test_transport_suite_quick(self):
-        reps = run_suite("transport", quick=True)
-        assert len(reps) >= 50
-        assert all(r.passed for r in reps)
-
-    @pytest.mark.parametrize("name", ["ode", "contraction", "appendix"])
+    @pytest.mark.parametrize("name", sorted(SUITES))
     def test_suite_quick_passes(self, name):
         reps = run_suite(name, quick=True)
-        assert reps and all(r.passed for r in reps)
+        assert len(reps) >= (50 if name == "transport" else 1)
+        assert all(r.passed for r in reps)
 
     def test_frozen_fixture_file_loads(self):
         frozen = load_frozen()
         assert "aggregation_cap2" in frozen
         assert frozen["aggregation_cap2"]["C"] > 0
+
+
+class TestFamilies:
+    def test_calibration_keys_exist(self):
+        frozen = load_frozen()
+        keys = {m for f in FAMILIES for m in f.moduli if isinstance(m, str)}
+        assert keys and all(frozen[k]["C"] > 0 for k in keys)
+
+    def test_rate_rows_are_the_frozen_rate_families(self):
+        rows = [f.name for f in FAMILIES if f.t is not None]
+        assert rows == list(load_frozen()["rate_families"])
+
+    def test_lambda_abs_is_four_c_bitwise(self):
+        # perfbench reads lambda_abs, the suites 4 C through calibrated_modulus
+        pinch = load_frozen()["log_pinch_s1"]
+        assert pinch["lambda_abs"] == 4.0 * pinch["C"]
+        assert calibrated_modulus("log_pinch_s1").lam == -pinch["lambda_abs"]
 
 
 class TestDiscreteEvi2D:
