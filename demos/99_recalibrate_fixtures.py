@@ -39,7 +39,7 @@ def potential_constant(energy, pts) -> float:
     return 1.05 * float(np.max(dv[ok] / (2.0 * den[ok])))
 
 
-def loeper_constant(kernel, measures, probes) -> float:
+def loeper_constant(kernel, measures) -> float:
     """Observed constant of ||grad W*mu - grad W*nu||_L2(rho) <= C W2(mu,nu)."""
     from omegaflow.energies import kernel_gradient
     from omegaflow.transport import w2_1d
@@ -85,7 +85,7 @@ def main() -> None:
     sgn = np.random.default_rng(4).choice([-1.0, 1.0], size=(8000, 2))
     c_pinch = potential_constant(log_pinch_energy(1.0), mag * sgn)
 
-    c_loeper = loeper_constant(k_agg, measures, None)
+    c_loeper = loeper_constant(k_agg, measures)
 
     print("calibrated: C_agg", c_agg, "C_ks", c_ks, "C_vm", c_vm,
           "C_pinch", c_pinch, "loeper", c_loeper)

@@ -135,6 +135,26 @@ def _boolean(value) -> bool:
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer: true, 2.5 and "3" are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    """A JSON number as a float: true and "0.5" are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _suite(name):
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
@@ -154,12 +174,12 @@ def _parse_measure(spec):
         _reject_unknown(spec, _SHORTHAND_KEYS[kind],
                         lambda key: ConfigError(f"initial.{key}", "unknown key"))
     if kind == "dirac":
-        return dirac_state(_read(spec, "a", float, 0.0, "initial"),
-                           _read(spec, "n", int, 8, "initial"))
+        return dirac_state(_read(spec, "a", _number, 0.0, "initial"),
+                           _read(spec, "n", _integer, 8, "initial"))
     if kind == "uniform":
-        return uniform_state(_read(spec, "lo", float, path="initial"),
-                             _read(spec, "hi", float, path="initial"),
-                             _read(spec, "n", int, 64, "initial"))
+        return uniform_state(_read(spec, "lo", _number, path="initial"),
+                             _read(spec, "hi", _number, path="initial"),
+                             _read(spec, "n", _integer, 64, "initial"))
     return measure_from_json(spec)
 
 
@@ -291,11 +311,11 @@ def _job_rates(config, outputs) -> list:
     mu0 = _read(config, "initial", _parse_measure)
     modulus = _read(config, "modulus", modulus_from_json)
     cfg = _read(config, "jko", _parse_jko, None)
-    st = rate_study(energy, mu0, _read(config, "t", float, 0.5),
-                    _read(config, "n_list", lambda v: [int(n) for n in v],
+    st = rate_study(energy, mu0, _read(config, "t", _number, 0.5),
+                    _read(config, "n_list", lambda v: [_integer(n) for n in v],
                           [8, 16, 32, 64, 128]),
-                    modulus, cfg, n_ref=_read(config, "n_ref", int, 1024),
-                    family=_read(config, "family", str, "config"))
+                    modulus, cfg, n_ref=_read(config, "n_ref", _integer, 1024),
+                    family=_read(config, "family", _string, "config"))
     table = outputs.get("plot_table", "rates.csv")
     _atomic_write(table, emit_plot_table(st))
     report = outputs.get("report", "rates.json")
@@ -305,8 +325,8 @@ def _job_rates(config, outputs) -> list:
 
 def _job_verify(config, outputs):
     reports = run_suite(_read(config, "suite", _suite, "all"),
-                        tol=_read(config, "tol", float, 1e-6),
-                        seed=_read(config, "seed", int, 0),
+                        tol=_read(config, "tol", _number, 1e-6),
+                        seed=_read(config, "seed", _integer, 0),
                         quick=_read(config, "quick", _boolean, False))
     path = outputs.get("report", "verify_report.json")
     ordered = sorted(reports, key=lambda r: (

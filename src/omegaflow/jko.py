@@ -1053,16 +1053,15 @@ def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
             for s, e, d, di in columns]
 
 
-def rescaled_intermediate(mu, mu_tau, plan, h: float, tau: float):
+def rescaled_intermediate(mu, mu_tau, h: float, tau: float):
     """Partial displacement nu = ((tau-h)/tau * t_mu^{mu_tau} + h/tau * id) # mu.
 
     This is the point at (tau - h) / tau on the geodesic from ``mu`` to
-    ``mu_tau`` (:func:`transport.geodesic`): along ``plan`` when given,
-    node to node for states on one quantile grid, otherwise along the
-    optimal plan computed by :func:`transport.w2`.
+    ``mu_tau`` (:func:`transport.geodesic` without a plan): node to node
+    for states on one quantile grid, otherwise along an optimal plan.
     """
     if not 0.0 <= h <= tau:
         raise JkoError("need 0 <= h <= tau")
     if tau == 0:
         return mu
-    return geodesic(mu, mu_tau, (tau - h) / tau, plan)
+    return geodesic(mu, mu_tau, (tau - h) / tau)

@@ -449,20 +449,18 @@ class Modulus:
     def c_r(self, r: float) -> float:
         """max over 0 <= x <= r of omega_tilde(x)/sqrt(x).
 
-        Closed form slope * sqrt(r) for linear majorants; for the log family
-        grid maximization over a fixed master grid (so the result is
-        nondecreasing in r) with a 1.01 safety factor.
+        Closed form slope * sqrt(r) for linear majorants.  For the log
+        family omega_tilde(x)/sqrt(x) rises on (0, r]: below the junction
+        J = e^(-1-sqrt 2) < e^-2 it is sqrt(x) |log x|, which increases up
+        to e^-2, and above J it is sqrt(x + PSI_SHIFT).  So the maximum is
+        omega_tilde(r)/sqrt(r), reported with a 1.01 safety factor.
         """
         if r < 1.0:
             raise ModulusError("c_r requires r >= 1")
         slope = self.tilde_slope
         if slope is not None:
             return slope * math.sqrt(r)
-        grid = _master_grid()
-        pts = grid[grid <= r]
-        pts = np.append(pts, r)
-        vals = self.omega_tilde(pts) / np.sqrt(pts)
-        return float(1.01 * vals.max())
+        return 1.01 * (self.omega_tilde(r) / math.sqrt(r))
 
     def validate(self) -> None:
         """Check the modulus axioms on a dense grid; raise on violation."""
@@ -492,18 +490,6 @@ class Modulus:
                  for k in range(4, 13)]
         if np.any(np.diff(decay) > 1e-15):
             raise ModulusError("omega_tilde(x)/sqrt(x) must decrease to 0")
-
-
-_MASTER_GRID = None
-
-
-def _master_grid() -> np.ndarray:
-    global _MASTER_GRID
-    if _MASTER_GRID is None:
-        g = np.geomspace(1e-14, 1e8, 8192)
-        g = np.union1d(g, np.array([math.exp(-2.0), JUNCTION]))
-        _MASTER_GRID = g
-    return _MASTER_GRID
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,10 @@ def w2_1d(mu, nu, return_plan: bool = True):
 
     On sorted 1D supports the monotone coupling is the north-west-corner
     walk; its zero-mass cells are skipped.
-    Returns ``(distance, plan)`` (or just the distance when
-    ``return_plan=False``).  Optimality of the monotone coupling in 1D is
-    cross-checked against :func:`w2_exact` in the test suite.
+    Returns ``(distance, plan)``, or just the distance when
+    ``return_plan=False``, which skips building the dense m x n plan
+    matrix (the distance is the same).  Optimality of the monotone coupling
+    in 1D is cross-checked against :func:`w2_exact` in the test suite.
     """
     a, b = _as_atomic(mu), _as_atomic(nu)
     if a.dim != 1 or b.dim != 1:
@@ -410,11 +411,12 @@ def _network_simplex(a, b, C):
     return np.array(flow)
 
 
-def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True):
+def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure):
     """Exact W2 between atomic measures by linear programming.
 
-    Quantile states are atomized at their nodes first.  A support of more
-    than ``SUPPORT_CAP`` atoms on either side raises before any solve.
+    Returns ``(distance, plan)``, the plan optimal.  Quantile states are
+    atomized at their nodes first.  A support of more than ``SUPPORT_CAP``
+    atoms on either side raises before any solve.
     """
     mu, nu = _as_atomic(mu), _as_atomic(nu)
     if mu.dim != nu.dim:
@@ -426,7 +428,7 @@ def w2_exact(mu: AtomicMeasure, nu: AtomicMeasure, return_plan: bool = True):
     plan = TransportPlan(mu, nu, _network_simplex(mu.weights, nu.weights, C))
     # the plan's cost from the C just solved (plan.cost() would rebuild it)
     dist = math.sqrt(max(float(np.sum(plan.matrix * C)), 0.0))
-    return (dist, plan) if return_plan else dist
+    return dist, plan
 
 
 def _plan_distance(plan: TransportPlan) -> float:
@@ -440,20 +442,24 @@ def _node_distance(mass, x, y):
     return np.sqrt((mass * (x - y) ** 2).sum(axis=-1))
 
 
-def w2(mu, nu, return_plan: bool = False):
+def _monotone_pair(mu, nu) -> bool:
+    """Two 1D measures couple by :func:`w2_1d`, any other pair by the LP
+    :func:`w2_exact`."""
+    return mu.dim == 1 and nu.dim == 1
+
+
+def w2(mu, nu) -> float:
     """W2 between any two measures of this package.
 
     Two states on one quantile grid (:func:`measures.same_grid`) are
-    coupled node to node, so without a plan their distance is the diagonal
-    sqrt(sum c (x - y)^2).  Otherwise 1D pairs use the monotone coupling
-    :func:`w2_1d` and everything else the exact LP :func:`w2_exact`;
-    ``return_plan`` then also returns the plan.
+    coupled node to node, at distance sqrt(sum c (x - y)^2); other pairs
+    by the optimal coupling :func:`_monotone_pair` picks.
     """
-    if not return_plan and same_grid(mu, nu):
+    if same_grid(mu, nu):
         return float(_node_distance(mu.cell_mass, mu.positions, nu.positions))
-    if mu.dim == 1 and nu.dim == 1:
-        return w2_1d(mu, nu, return_plan=return_plan)
-    return w2_exact(mu, nu, return_plan=return_plan)
+    if _monotone_pair(mu, nu):
+        return w2_1d(mu, nu, return_plan=False)
+    return w2_exact(mu, nu)[0]
 
 
 def _displace(xs, ys, alpha: float):
@@ -473,15 +479,17 @@ def _push_forward(coupling, alpha: float) -> AtomicMeasure:
 def geodesic(mu0, mu1, alpha: float, plan: TransportPlan | None = None):
     """Displacement interpolant ((1-a) pi_1 + a pi_2) # gamma at a=alpha.
 
-    ``gamma`` is ``plan`` when given.  Without a plan, two states on one
-    quantile grid (:func:`measures.same_grid`) move node to node and the
-    result is the ``QuantileMeasure`` with positions (1-a) x + a y; other
-    pairs use the optimal plan of :func:`w2` and give an ``AtomicMeasure``.
+    ``gamma`` is ``plan`` when given; a glued plan's generalized geodesic
+    is reached only this way.  Without a plan, two states on one quantile
+    grid (:func:`measures.same_grid`) move node to node and the result is
+    the ``QuantileMeasure`` with positions (1-a) x + a y; other pairs move
+    along the optimal plan :func:`_monotone_pair` picks, as in :func:`w2`,
+    and give an ``AtomicMeasure``.
     """
     if plan is None:
         if same_grid(mu0, mu1):
             return mu0.with_positions(_displace(mu0.positions, mu1.positions, alpha))
-        _, plan = w2(mu0, mu1, return_plan=True)
+        _, plan = (w2_1d if _monotone_pair(mu0, mu1) else w2_exact)(mu0, mu1)
     return _push_forward(plan, alpha)
 
 

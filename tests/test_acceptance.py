@@ -72,7 +72,7 @@ def test_criterion_2_exact_ot():
         mu = make_atomic(rng.normal(size=m), rng.uniform(0.05, 1, m))
         nu = make_atomic(rng.normal(size=n), rng.uniform(0.05, 1, n))
         d1 = w2_1d(mu, nu, return_plan=False)
-        d2 = w2_exact(mu, nu, return_plan=False)
+        d2 = w2_exact(mu, nu)[0]
         worst_cross = max(worst_cross, abs(d1 - d2))
     worst_bf = 0.0
     for k in range(200):
@@ -97,7 +97,7 @@ def test_criterion_2_exact_ot():
             xs_split = np.repeat(xs[ox], counts[ox])
             ys_split = np.repeat(ys[oy], counts[oy])
             ref = _perm_bruteforce(xs_split, ys_split)
-        d = w2_exact(mu, nu, return_plan=False)
+        d = w2_exact(mu, nu)[0]
         worst_bf = max(worst_bf, abs(d * d - ref))
     elapsed = time.monotonic() - t0
     report(2, worst_cross <= 1e-9 and worst_bf <= 1e-12 and elapsed < 30.0,

@@ -323,6 +323,12 @@ class TestRun:
                      id="key-of-another-job"),
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, job, key, value):
+        self._assert_rejected(tmp_path, capsys, job, {key: value}, key)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, job, changes, pointer):
+        """The job's config with ``changes`` exits 2 at ``pointer`` and
+        writes nothing."""
         # each job's config holds only the keys that job reads
         dynamics = {"energy": {"potential": "quadratic"},
                     "initial": {"kind": "dirac", "a": 1.0, "n": 2}}
@@ -335,11 +341,37 @@ class TestRun:
                    "flow": {"trajectory": "t.csv"}}[job]
         written = dict(written, manifest="m.json")
         cfg = dict(cfg, job=job,
-                   output={k: str(tmp_path / v) for k, v in written.items()})
-        cfg[key] = value
+                   output={k: str(tmp_path / v) for k, v in written.items()},
+                   **changes)
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert f"config error at {key!r}" in capsys.readouterr().err
+        assert f"config error at {pointer!r}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    @pytest.mark.parametrize("job, changes, pointer", [
+        pytest.param("flow", {"initial": {"kind": "dirac", "n": 2.7}},
+                     "initial.n", id="n-float"),
+        pytest.param("flow", {"initial": {"kind": "dirac", "n": "3"}},
+                     "initial.n", id="n-string"),
+        pytest.param("flow", {"initial": {"kind": "dirac", "n": True}},
+                     "initial.n", id="n-bool"),
+        pytest.param("flow", {"initial": {"kind": "dirac", "a": "1.0"}},
+                     "initial.a", id="a-string"),
+        pytest.param("flow", {"initial": {"kind": "uniform", "lo": True,
+                                          "hi": 1.0}},
+                     "initial.lo", id="lo-bool"),
+        pytest.param("flow", {"initial": {"kind": "uniform", "lo": -1.0,
+                                          "hi": "1"}},
+                     "initial.hi", id="hi-string"),
+        pytest.param("rates", {"n_list": [8.9, 16]}, "n_list", id="n_list-float"),
+        pytest.param("rates", {"n_ref": 64.9}, "n_ref", id="n_ref-float"),
+        pytest.param("rates", {"t": "0.5"}, "t", id="t-string"),
+        pytest.param("rates", {"family": 3}, "family", id="family-number"),
+        pytest.param("verify", {"seed": 1.5}, "seed", id="seed-float"),
+        pytest.param("verify", {"tol": True}, "tol", id="tol-bool"),
+    ])
+    def test_numbers_checked_not_coerced(self, tmp_path, capsys, job, changes,
+                                         pointer):
+        self._assert_rejected(tmp_path, capsys, job, changes, pointer)
 
     @pytest.mark.parametrize("job, output, pointer", [
         pytest.param("flow", "out.csv", "output", id="flow-string"),

@@ -43,7 +43,7 @@ from omegaflow.measures import (
     same_grid,
 )
 from omegaflow.moduli import lipschitz
-from omegaflow.transport import w2, w2_1d, w2_exact
+from omegaflow.transport import geodesic, w2, w2_1d, w2_exact
 from omegaflow.verify import (
     capped_aggregation_energy,
     check_large_small_step,
@@ -593,7 +593,7 @@ class TestProx2dWarmStart:
         plan = info["plan"]
         assert plan.source is mu and plan.target is out
         assert np.array_equal(plan.matrix, np.diag(mu.weights))
-        d = w2_exact(mu, out, return_plan=False)
+        d = w2_exact(mu, out)[0]
         assert len(calls) == 1
         assert abs(transport._plan_distance(plan) ** 2 - d ** 2) <= 1e-12 * d ** 2
 
@@ -1008,13 +1008,13 @@ class TestRescaledIntermediate:
     def test_h_equals_tau_returns_mu(self):
         mu = uniform_state(-1, 1, 8)
         nu = uniform_state(-0.5, 0.5, 8)
-        out = rescaled_intermediate(mu, nu, None, 0.3, 0.3)
+        out = rescaled_intermediate(mu, nu, 0.3, 0.3)
         assert np.allclose(out.positions, mu.positions)
 
     def test_h_zero_returns_mu_tau(self):
         mu = uniform_state(-1, 1, 8)
         nu = uniform_state(-0.5, 0.5, 8)
-        out = rescaled_intermediate(mu, nu, None, 0.0, 0.3)
+        out = rescaled_intermediate(mu, nu, 0.0, 0.3)
         assert np.allclose(out.positions, nu.positions)
 
     def test_lemma_verification_quadratic(self):
@@ -1024,20 +1024,23 @@ class TestRescaledIntermediate:
         mu = dirac_state(1.0, 4)
         cfg = JkoConfig(tau=tau, inner_tol=1e-11)
         mu_tau, _ = proximal_step(E, mu, tau, cfg)
-        nu = rescaled_intermediate(mu, mu_tau, None, h, tau)
+        nu = rescaled_intermediate(mu, mu_tau, h, tau)
         back, _ = proximal_step(E, nu, h, cfg)
         assert w2(back, mu_tau) <= 1e-5
 
     def test_h_out_of_range(self):
         mu = uniform_state(-1, 1, 8)
         with pytest.raises(JkoError):
-            rescaled_intermediate(mu, mu, None, 0.5, 0.3)
+            rescaled_intermediate(mu, mu, 0.5, 0.3)
 
     def test_atomic_with_plan(self):
         mu = make_atomic([0.0, 1.0], [0.5, 0.5])
         nu = make_atomic([2.0, 3.0], [0.5, 0.5])
         _, plan = w2_1d(mu, nu)
-        mid = rescaled_intermediate(mu, nu, plan, 0.15, 0.3)
+        mid = rescaled_intermediate(mu, nu, 0.15, 0.3)
+        ref = geodesic(mu, nu, 0.5, plan)
+        assert np.array_equal(mid.points, ref.points)
+        assert np.array_equal(mid.weights, ref.weights)
         # half displacement toward nu
         assert np.allclose(np.sort(mid.points), [1.0, 2.0])
 
@@ -1046,10 +1049,10 @@ class TestRescaledIntermediate:
         shape_mu, shape_nu = ((6,), (5,)) if dim == 1 else ((6, 2), (5, 2))
         mu = make_atomic(rng.normal(size=shape_mu), rng.uniform(0.2, 1.0, 6))
         nu = make_atomic(rng.normal(size=shape_nu), rng.uniform(0.2, 1.0, 5))
-        _, plan = w2(mu, nu, return_plan=True)
+        _, plan = (w2_1d if dim == 1 else w2_exact)(mu, nu)
         for h in (0.0, 0.1, 0.25, 0.3):
-            ref = rescaled_intermediate(mu, nu, plan, h, 0.3)
-            out = rescaled_intermediate(mu, nu, None, h, 0.3)
+            ref = geodesic(mu, nu, (0.3 - h) / 0.3, plan)
+            out = rescaled_intermediate(mu, nu, h, 0.3)
             assert np.array_equal(out.points, ref.points)
             assert np.array_equal(out.weights, ref.weights)
 

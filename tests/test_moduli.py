@@ -235,7 +235,32 @@ class TestEulerErrorBound:
                         assert err <= mod.euler_error_bound(t, x, m) + 1e-15
 
 
+def _reference_c_r(mod, r):
+    """The grid search that ``Modulus.c_r`` ran for the log family before
+    its closed form: the largest omega_tilde(x)/sqrt(x) over a fixed
+    geometric master grid up to r, and r itself, times 1.01."""
+    grid = np.union1d(np.geomspace(1e-14, 1e8, 8192), [math.exp(-2.0), JUNCTION])
+    pts = np.append(grid[grid <= r], r)
+    return float(1.01 * (mod.omega_tilde(pts) / np.sqrt(pts)).max())
+
+
 class TestCR:
+    @pytest.mark.parametrize("mod", [log_lipschitz(-1.0), log_lipschitz(0.5),
+                                     sqrt_psi(-1.0), sqrt_psi(0.5)],
+                             ids=lambda m: f"{m.kind}{m.lam:+g}")
+    def test_log_closed_form_matches_grid_search(self, mod):
+        rng = np.random.default_rng(3)
+        rs = np.concatenate([[1.0, 1e8, 1e9], 10.0 ** rng.uniform(0.0, 9.0, 300),
+                             10.0 ** rng.uniform(8.0, 12.0, 50)])
+        for r in rs.tolist():
+            assert mod.c_r(r) == _reference_c_r(mod, r), r
+        # one ulp above a grid point the grid point's rounded ratio can top
+        # r's by an ulp; the closed form reports the ratio at r
+        grid = np.geomspace(1e-14, 1e8, 8192)
+        for r in np.nextafter(grid[grid >= 1.0][::40], np.inf).tolist():
+            ref = _reference_c_r(mod, r)
+            assert abs(mod.c_r(r) - ref) <= np.spacing(ref), r
+
     def test_lipschitz_closed_form(self):
         assert lipschitz(-1.0).c_r(1.0) == 1.0
         assert lipschitz(-1.0).c_r(4.0) == 2.0

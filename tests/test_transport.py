@@ -165,12 +165,12 @@ class TestW2Exact:
     def test_matches_1d_example(self):
         mu = make_atomic([0.0, 2.0], [0.5, 0.5])
         nu = make_atomic([1.0, 3.0], [0.5, 0.5])
-        assert abs(w2_exact(mu, nu, return_plan=False) - 1.0) <= 1e-12
+        assert abs(w2_exact(mu, nu)[0] - 1.0) <= 1e-12
 
     def test_2d_example(self):
         mu = make_atomic(np.array([[0.0, 0.0], [1.0, 0.0]]), [0.5, 0.5])
         nu = make_atomic(np.array([[0.0, 1.0], [1.0, 1.0]]), [0.5, 0.5])
-        assert abs(w2_exact(mu, nu, return_plan=False) - 1.0) <= 1e-12
+        assert abs(w2_exact(mu, nu)[0] - 1.0) <= 1e-12
 
     def test_brute_force_small(self, rng):
         for _ in range(25):
@@ -181,7 +181,7 @@ class TestW2Exact:
             ys = rng.normal(size=shape)
             mu = make_atomic(xs, np.ones(n))
             nu = make_atomic(ys, np.ones(n))
-            d = w2_exact(mu, nu, return_plan=False)
+            d = w2_exact(mu, nu)[0]
             ref = brute_force_equal_weights(np.sort(xs, axis=0) if dim == 1 else xs, ys)
             assert abs(d * d - ref) <= 1e-12
 
@@ -205,17 +205,17 @@ class TestW2Exact:
             res = linprog(C.ravel(), A_eq=np.array(a_eq),
                           b_eq=np.concatenate([mu.weights, nu.weights]),
                           bounds=(0, None), method="highs")
-            d = w2_exact(mu, nu, return_plan=False)
+            d = w2_exact(mu, nu)[0]
             assert abs(d * d - res.fun) <= 1e-9
 
     def test_symmetry_and_triangle(self, rng):
         for _ in range(20):
             ms = [make_atomic(rng.normal(size=5), rng.uniform(0.1, 1, 5))
                   for _ in range(3)]
-            d01 = w2_exact(ms[0], ms[1], return_plan=False)
-            d10 = w2_exact(ms[1], ms[0], return_plan=False)
-            d02 = w2_exact(ms[0], ms[2], return_plan=False)
-            d12 = w2_exact(ms[1], ms[2], return_plan=False)
+            d01 = w2_exact(ms[0], ms[1])[0]
+            d10 = w2_exact(ms[1], ms[0])[0]
+            d02 = w2_exact(ms[0], ms[2])[0]
+            d12 = w2_exact(ms[1], ms[2])[0]
             assert abs(d01 - d10) <= 1e-9
             assert d02 <= d01 + d12 + 1e-9
 
@@ -285,7 +285,7 @@ class TestGeodesic:
     def test_quantile_pair_with_plan_is_atomic(self):
         mu = QuantileMeasure([0.25, 0.75], [0.0, 2.0], [0.5, 0.5])
         nu = QuantileMeasure([0.25, 0.75], [1.0, 3.0], [0.5, 0.5])
-        _, plan = w2(mu, nu, return_plan=True)
+        _, plan = w2_1d(mu, nu)
         g = geodesic(mu, nu, 0.5, plan)
         assert not isinstance(g, QuantileMeasure)
         assert g.points.tolist() == [0.5, 2.5]
@@ -472,7 +472,7 @@ class TestPseudoDistance:
         _, p0 = w2_exact(mu0, base)
         _, p1 = w2_exact(mu1, base)
         g = glue(p0, p1)
-        w = w2_exact(mu0, mu1, return_plan=False)
+        w = w2_exact(mu0, mu1)[0]
         assert abs(pseudo_distance(g) - w) <= 1e-9
 
     def test_single_atom_base_strictly_larger(self):
@@ -484,7 +484,7 @@ class TestPseudoDistance:
         _, p0 = w2_exact(mu0, base)
         _, p1 = w2_exact(mu1, base)
         g = glue(p0, p1)
-        w = w2_exact(mu0, mu1, return_plan=False)
+        w = w2_exact(mu0, mu1)[0]
         assert abs(w - 0.1) <= 1e-12
         assert abs(pseudo_distance(g) - math.sqrt(0.51)) <= 1e-12
         assert pseudo_distance(g) > w + 0.5
@@ -497,7 +497,7 @@ class TestPseudoDistance:
         _, p0 = w2_exact(mu0, base)
         _, p1 = w2_exact(mu1, base)
         g = glue(p0, p1)
-        w = w2_exact(mu0, mu1, return_plan=False)
+        w = w2_exact(mu0, mu1)[0]
         assert pseudo_distance(g) > w + 0.3
 
     def test_dominates_w2(self, rng):
@@ -509,7 +509,7 @@ class TestPseudoDistance:
             _, p0 = w2_exact(mu0, base)
             _, p1 = w2_exact(mu1, base)
             g = glue(p0, p1)
-            w = w2_exact(mu0, mu1, return_plan=False)
+            w = w2_exact(mu0, mu1)[0]
             assert pseudo_distance(g) >= w - 1e-9
 
 
@@ -540,7 +540,7 @@ class TestLargerSupports:
             mu = make_atomic(rng.normal(size=64), rng.uniform(0.05, 1, 64))
             nu = make_atomic(rng.normal(size=64), rng.uniform(0.05, 1, 64))
             d1 = w2_1d(mu, nu, return_plan=False)
-            d2 = w2_exact(mu, nu, return_plan=False)
+            d2 = w2_exact(mu, nu)[0]
             assert abs(d1 - d2) <= 1e-9
 
 
@@ -569,8 +569,8 @@ class TestW2Dispatch:
         d = w2(qa, qb)
         assert same_grid(qa, qb)
         assert _close_sq(d, w2_1d(qa, qb, return_plan=False))
-        assert _close_sq(d, w2_exact(qa, qb, return_plan=False))
-        dp, plan = w2(qa, qb, return_plan=True)
+        assert _close_sq(d, w2_exact(qa, qb)[0])
+        dp, plan = w2_1d(qa, qb)
         assert dp == w2_1d(qa, qb, return_plan=False)
         assert _close_sq(dp, math.sqrt(plan.cost()))
 
@@ -583,7 +583,7 @@ class TestW2Dispatch:
         b = make_atomic(ys, np.arange(1.0, len(ys) + 1.0))
         ref = w2_1d(a, b, return_plan=False)
         assert w2(a, b) == ref
-        assert _close_sq(ref, w2_exact(a, b, return_plan=False))
+        assert _close_sq(ref, w2_exact(a, b)[0])
         # quantile states on different grids go through the monotone coupling
         qa, qb = to_quantile(a, n_nodes), to_quantile(b, n_nodes + 1)
         assert w2(qa, qb) == w2_1d(qa, qb, return_plan=False)
@@ -601,9 +601,19 @@ class TestW2Dispatch:
         b = make_atomic(np.array(ys), np.arange(1.0, len(ys) + 1.0))
         ref, ref_plan = w2_exact(a, b)
         assert w2(a, b) == ref
-        d, plan = w2(a, b, return_plan=True)
-        assert d == ref
-        assert np.array_equal(plan.matrix, ref_plan.matrix)
+        # the geodesic moves along the LP's plan
+        g, ref_g = geodesic(a, b, 0.5), geodesic(a, b, 0.5, ref_plan)
+        assert np.array_equal(g.points, ref_g.points)
+        assert np.array_equal(g.weights, ref_g.weights)
+
+    @pytest.mark.parametrize("fn", [w2, w2_exact])
+    def test_no_result_shape_flag(self, fn):
+        a = make_atomic([0.0, 1.0], [0.5, 0.5])
+        b = make_atomic([0.5, 2.0], [0.25, 0.75])
+        with pytest.raises(TypeError):
+            fn(a, b, return_plan=False)
+        assert isinstance(w2(a, b), float)
+        assert w2_exact(a, b)[0] == w2(a, b)
 
     def test_two_atom_diracs(self):
         q = np.array([0.25, 0.75])
