@@ -1,12 +1,12 @@
 """Batch driver: experiment configs in, CSV/JSON artifacts out.
 
-Subcommands: ``flow`` and ``rates`` run a JKO or rate-study config;
-``verify`` runs an inequality suite (``--suite``, ``--seed``, ``--tol``,
-``--quick``, ``--report``) as a ``verify`` config job, so it too writes a
-manifest, beside its report.
+Subcommands: ``run CONFIG`` runs an experiment config, whose ``job``
+(``flow``, ``rates`` or ``verify``) picks the work; ``verify`` runs a
+suite (``--suite``, ``--seed``, ``--tol``, ``--quick``, ``--report``) as a
+``verify`` config job, so it too writes a manifest, beside its report.
 
 Exit codes: 0 all checks passed / artifacts written; 1 computation failure;
-2 config schema violation (with a pointer to the offending key).
+2 config schema violation, at the full pointer such as ``energy.kernel.c``.
 Artifacts are written atomically (temp file + rename); reruns with the
 same config and seed produce byte-identical CSV bodies.  The environment
 variable ``OMEGAFLOW_FIXTURES`` overrides the frozen-fixture directory.
@@ -15,7 +15,6 @@ variable ``OMEGAFLOW_FIXTURES`` overrides the frozen-fixture directory.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -27,21 +26,15 @@ import time
 import numpy as np
 
 from . import __version__
+from .config import (ConfigError, boolean, fields, integer, number, one_of,
+                     options, read, string)
 from .energies import parse_energy
 from .jko import FlowTrajectory, JkoConfig, flow
 from .measures import dirac_state, measure_from_json, measure_to_json, uniform_state
-from .moduli import _reject_unknown, modulus_from_json
+from .moduli import modulus_from_json
 from .verify import RateStudy, SUITES, rate_study, run_suite
 
 __all__ = ["main", "run", "emit_plot_table", "ConfigError"]
-
-
-class ConfigError(ValueError):
-    """Schema violation; ``key`` points at the offending entry."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"config error at {key!r}: {message}")
 
 
 def _fmt(x) -> str:
@@ -105,91 +98,27 @@ def _trajectory_csv(traj: FlowTrajectory, energy) -> str:
 # config parsing
 # ---------------------------------------------------------------------------
 
-REQUIRED = object()
-
-
-def _read(data, key, convert, default=REQUIRED, path=""):
-    """``convert(data[key])`` (the value itself if ``convert`` is None), or
-    of ``default`` when the key is absent.  A missing required key or a value
-    ``convert`` rejects is a :class:`ConfigError` at ``path.key``."""
-    pointer = f"{path}.{key}" if path else key
-    if key in data:
-        value = data[key]
-    elif default is REQUIRED:
-        raise ConfigError(pointer, "missing required key")
-    else:
-        value = default
-    if convert is None:
-        return value
-    try:
-        return convert(value)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(pointer, str(exc)) from exc
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    """A JSON integer: true, 2.5 and "3" are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    """A JSON number as a float: true and "0.5" are rejected, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-def _suite(name):
-    if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    return name
-
-
-# the keys each ``initial`` shorthand reads
-_SHORTHAND_KEYS = {"dirac": {"kind", "a", "n"}, "uniform": {"kind", "lo", "hi", "n"}}
-
-
-def _parse_measure(spec):
-    """The ``initial`` state: ``dirac`` or ``uniform`` shorthand, or measure JSON."""
-    if not isinstance(spec, dict):
-        raise TypeError("expected an object")
-    kind = spec.get("kind")
-    if kind in _SHORTHAND_KEYS:
-        _reject_unknown(spec, _SHORTHAND_KEYS[kind],
-                        lambda key: ConfigError(f"initial.{key}", "unknown key"))
+def _initial(spec):
+    """The ``initial`` state: a ``dirac`` or ``uniform`` shorthand, or
+    measure JSON."""
+    kind = read(spec, "kind", string)
     if kind == "dirac":
-        return dirac_state(_read(spec, "a", _number, 0.0, "initial"),
-                           _read(spec, "n", _integer, 8, "initial"))
+        fields(spec, ("kind", "a", "n"))
+        return dirac_state(read(spec, "a", number, 0.0), read(spec, "n", integer, 8))
     if kind == "uniform":
-        return uniform_state(_read(spec, "lo", _number, path="initial"),
-                             _read(spec, "hi", _number, path="initial"),
-                             _read(spec, "n", _integer, 64, "initial"))
+        fields(spec, ("kind", "lo", "hi", "n"))
+        return uniform_state(read(spec, "lo", number), read(spec, "hi", number),
+                             read(spec, "n", integer, 64))
     return measure_from_json(spec)
 
 
-def _parse_jko(spec) -> JkoConfig:
-    spec = {} if spec is None else spec
-    if not isinstance(spec, dict):
-        raise TypeError("expected an object")
-    _reject_unknown(spec, {f.name for f in dataclasses.fields(JkoConfig)},
-                    lambda key: ConfigError(f"jko.{key}", "unknown key"))
-    return JkoConfig(**spec)
+# the ``jko`` keys, the fields of JkoConfig
+_JKO_KEYS = {"tau": number, "steps": integer, "inner_tol": number,
+             "inner_max_iter": integer}
+
+
+def _jko(spec) -> JkoConfig:
+    return JkoConfig(**options(spec, _JKO_KEYS))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +137,9 @@ def run(config_path: str) -> int:
     except json.JSONDecodeError as exc:
         print(f"config error at <root>: invalid JSON ({exc})", file=sys.stderr)
         return 2
+    if not isinstance(config, dict):
+        print("config error at <root>: expected an object", file=sys.stderr)
+        return 2
     return _run_config(config, raw, os.path.dirname(os.path.abspath(config_path)))
 
 
@@ -218,28 +150,12 @@ _JOB_KEYS = {
               "family", "output"},
     "verify": {"suite", "tol", "seed", "quick", "output"},
 }
-# the ``output`` keys each job writes
+# the ``output`` keys each job writes, each a path
 _OUTPUT_KEYS = {
-    "flow": {"trajectory", "plot_table", "states_dir", "manifest"},
-    "rates": {"plot_table", "report", "manifest"},
-    "verify": {"report", "manifest"},
+    "flow": dict.fromkeys(("trajectory", "plot_table", "states_dir", "manifest"), string),
+    "rates": dict.fromkeys(("plot_table", "report", "manifest"), string),
+    "verify": dict.fromkeys(("report", "manifest"), string),
 }
-
-
-def _outputs(job):
-    """Converter of a ``job``'s ``output``: an object of string paths under
-    the keys that job writes."""
-    def convert(value):
-        if not isinstance(value, dict):
-            raise TypeError("expected an object")
-        for key, path in value.items():
-            if key not in _OUTPUT_KEYS[job]:
-                raise ConfigError(f"output.{key}",
-                                  f"unknown key for a {job} job")
-            if not isinstance(path, str):
-                raise ConfigError(f"output.{key}", "expected a string")
-        return value
-    return convert
 
 
 def _run_config(config, raw: str, base: str) -> int:
@@ -251,12 +167,9 @@ def _run_config(config, raw: str, base: str) -> int:
     failed = False
     counts = {}
     try:
-        job = _read(config, "job", None)
-        if not isinstance(job, str) or job not in _JOB_KEYS:
-            raise ConfigError("job", f"unknown job kind {job!r}")
-        _reject_unknown(config, _JOB_KEYS[job] | {"job"},
-                        lambda key: ConfigError(key, f"unknown key for a {job} job"))
-        outputs = _read(config, "output", _outputs(job), {})
+        job = read(config, "job", one_of(_JOB_KEYS, "job kind"))
+        fields(config, _JOB_KEYS[job] | {"job"})
+        outputs = read(config, "output", lambda o: options(o, _OUTPUT_KEYS[job]), {})
         if job == "flow":
             artifacts, counts["flagged_steps"] = _job_flow(config, outputs)
         elif job == "rates":
@@ -285,10 +198,9 @@ def _run_config(config, raw: str, base: str) -> int:
 
 
 def _job_flow(config, outputs):
-    energy = _read(config, "energy", parse_energy)
-    mu0 = _read(config, "initial", _parse_measure)
-    cfg = _read(config, "jko", _parse_jko, None)
-    traj = flow(energy, mu0, cfg)
+    energy = read(config, "energy", parse_energy)
+    mu0 = read(config, "initial", _initial)
+    traj = flow(energy, mu0, read(config, "jko", _jko, JkoConfig()))
     csv_path = outputs.get("trajectory", "trajectory.csv")
     _atomic_write(csv_path, _trajectory_csv(traj, energy))
     artifacts = [csv_path]
@@ -307,15 +219,15 @@ def _job_flow(config, outputs):
 
 
 def _job_rates(config, outputs) -> list:
-    energy = _read(config, "energy", parse_energy)
-    mu0 = _read(config, "initial", _parse_measure)
-    modulus = _read(config, "modulus", modulus_from_json)
-    cfg = _read(config, "jko", _parse_jko, None)
-    st = rate_study(energy, mu0, _read(config, "t", _number, 0.5),
-                    _read(config, "n_list", lambda v: [_integer(n) for n in v],
-                          [8, 16, 32, 64, 128]),
-                    modulus, cfg, n_ref=_read(config, "n_ref", _integer, 1024),
-                    family=_read(config, "family", _string, "config"))
+    energy = read(config, "energy", parse_energy)
+    mu0 = read(config, "initial", _initial)
+    modulus = read(config, "modulus", modulus_from_json)
+    cfg = read(config, "jko", _jko, JkoConfig())
+    st = rate_study(energy, mu0, read(config, "t", number, 0.5),
+                    read(config, "n_list", lambda v: [integer(n) for n in v],
+                         [8, 16, 32, 64, 128]),
+                    modulus, cfg, n_ref=read(config, "n_ref", integer, 1024),
+                    family=read(config, "family", string, "config"))
     table = outputs.get("plot_table", "rates.csv")
     _atomic_write(table, emit_plot_table(st))
     report = outputs.get("report", "rates.json")
@@ -324,10 +236,10 @@ def _job_rates(config, outputs) -> list:
 
 
 def _job_verify(config, outputs):
-    reports = run_suite(_read(config, "suite", _suite, "all"),
-                        tol=_read(config, "tol", _number, 1e-6),
-                        seed=_read(config, "seed", _integer, 0),
-                        quick=_read(config, "quick", _boolean, False))
+    reports = run_suite(read(config, "suite", one_of([*SUITES, "all"], "suite"), "all"),
+                        tol=read(config, "tol", number, 1e-6),
+                        seed=read(config, "seed", integer, 0),
+                        quick=read(config, "quick", boolean, False))
     path = outputs.get("report", "verify_report.json")
     ordered = sorted(reports, key=lambda r: (
         r.name, json.dumps(r.context, sort_keys=True, default=str)))
@@ -348,9 +260,8 @@ def main(argv=None) -> int:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, text in (("flow", "run a JKO experiment config"),
-                       ("rates", "run a rate-study config")):
-        sub.add_parser(name, help=text).add_argument("config")
+    sub.add_parser("run", help="run an experiment config; its job picks "
+                   "the work").add_argument("config")
 
     p_verify = sub.add_parser("verify", help="run inequality suites")
     p_verify.add_argument("--suite", default="all",
@@ -361,7 +272,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("--report", default="verify_report.json")
 
     args = parser.parse_args(argv)
-    if args.command != "verify":
+    if args.command == "run":
         return run(args.config)
     config = {"job": "verify", "suite": args.suite, "seed": args.seed,
               "tol": args.tol, "quick": args.quick,

@@ -31,12 +31,12 @@ for every other kernel.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import fields, integer, number, one_of, options, read, string
 from .measures import (
     GAP_FLOOR,
     AtomicMeasure,
@@ -49,7 +49,7 @@ from .measures import (
     midpoint_grid,
     pair_differences,
 )
-from .moduli import JUNCTION, Modulus, _log_positive, _reject_unknown, psi
+from .moduli import JUNCTION, Modulus, _log_positive, psi
 from .transport import GluedPlan, TransportPlan, w2
 
 __all__ = [
@@ -320,20 +320,16 @@ def _zero():
     return Potential("zero", val, zeros, hess=zeros)
 
 
-def _from_params(factory, *keys):
-    """A :data:`POTENTIALS` entry: ``factory`` called with a parameter dict,
-    which may hold only ``keys``."""
-    def build(params):
-        _reject_unknown(params, keys, lambda key: EnergyError(
-            f"unknown potential parameter {key!r}"))
-        return factory(**params)
-    return build
+def _from_params(factory, **converters):
+    """A :data:`POTENTIALS` entry: ``factory`` called with a config object
+    of parameters, each read through its converter."""
+    return lambda params: factory(**options(params, converters))
 
 
 POTENTIALS = {
     "quadratic": _from_params(_quadratic),
-    "granular": _from_params(_granular, "b", "beta"),
-    "log_pinch": _from_params(_log_pinch, "strength"),
+    "granular": _from_params(_granular, b=number, beta=number),
+    "log_pinch": _from_params(_log_pinch, strength=number),
     "zero": _from_params(_zero),
 }
 
@@ -769,64 +765,48 @@ def calibrate_interaction_constant(kernel: Kernel, measures, rng,
 # ---------------------------------------------------------------------------
 
 # the config keys each kernel kind reads; a config cannot hold a smooth profile
-_KERNEL_KEYS = {"newtonian": ("d", "c"), "riesz": ("alpha", "d", "sign", "c"),
-                "log": ("c",)}
+_KERNEL_KEYS = {"newtonian": {"kind": string, "d": integer, "c": number},
+                "riesz": {"kind": string, "alpha": number, "d": integer,
+                          "sign": integer, "c": number},
+                "log": {"kind": string, "c": number}}
+_POTENTIAL_NAME = one_of(POTENTIALS, "potential")
 
 
-def _required(spec: dict, key: str, what: str):
-    """``spec[key]``, or an :class:`EnergyError` that names the missing key."""
-    if key not in spec:
-        raise EnergyError(f"a {what} object needs a {key!r} key")
-    return spec[key]
+def _potential(spec) -> Potential:
+    """A potential: its name, or an object of its name and parameters."""
+    if not isinstance(spec, dict):
+        return POTENTIALS[_POTENTIAL_NAME(spec)]({})
+    name = read(spec, "name", _POTENTIAL_NAME)
+    return POTENTIALS[name]({k: v for k, v in spec.items() if k != "name"})
+
+
+def _kernel(spec) -> Kernel:
+    kind = read(spec, "kind", one_of(_KERNEL_KEYS, "kernel kind"))
+    return Kernel(**options(spec, _KERNEL_KEYS[kind]))
+
+
+def _internal(spec) -> tuple:
+    """``"entropy"``, or ``{"power": m}``."""
+    if spec == "entropy":
+        return ("entropy",)
+    return ("power", read(fields(spec, ("power",)), "power", number))
+
+
+def _exponent(value) -> float:
+    """A constraint's p: a number, or ``"inf"`` for the hard density cap."""
+    return math.inf if value == "inf" else number(value)
+
+
+def _constraint(spec) -> tuple:
+    fields(spec, ("p", "cap"))
+    return (read(spec, "p", _exponent), read(spec, "cap", number))
 
 
 def parse_energy(data) -> Energy:
-    """Energy from config JSON, e.g.
+    """Energy from its config object, e.g.
     {"potential":"quadratic","kernel":{"kind":"newtonian","d":1},
-     "constraint":{"p":"inf","cap":1.0},"internal":{"power":2}}"""
-    if isinstance(data, str):
-        data = json.loads(data)
-    _reject_unknown(data, ("potential", "kernel", "internal", "constraint"),
-                    lambda key: EnergyError(f"unknown energy key {key!r}"))
-    pot = None
-    if "potential" in data and data["potential"] is not None:
-        spec = data["potential"]
-        if isinstance(spec, str):
-            name, params = spec, {}
-        else:
-            name = _required(spec, "name", "potential")
-            params = {k: v for k, v in spec.items() if k != "name"}
-        if name not in POTENTIALS:
-            raise EnergyError(f"unknown potential {name!r}")
-        pot = POTENTIALS[name](params)
-    ker = None
-    if "kernel" in data and data["kernel"] is not None:
-        kd = dict(data["kernel"])
-        kind = _required(kd, "kind", "kernel")
-        del kd["kind"]
-        _reject_unknown(kd, _KERNEL_KEYS.get(kind, ()), lambda key: EnergyError(
-            f"unknown key {key!r} of a {kind!r} kernel"))
-        ker = Kernel(kind=kind, **kd)
-    internal = None
-    if "internal" in data and data["internal"] is not None:
-        idata = data["internal"]
-        if idata == "entropy":
-            internal = ("entropy",)
-        elif isinstance(idata, dict) and set(idata) == {"power"} \
-                and isinstance(idata["power"], (int, float)):
-            internal = ("power", float(idata["power"]))
-        else:
-            raise EnergyError(f"unknown internal term {idata!r}; write a "
-                              "hard density cap as constraint")
-    constraint = None
-    if "constraint" in data and data["constraint"] is not None:
-        cd = data["constraint"]
-        _reject_unknown(cd, ("p", "cap"),
-                        lambda key: EnergyError(f"unknown constraint key {key!r}"))
-        p = _required(cd, "p", "constraint")
-        if p is None:
-            raise EnergyError('constraint p is a number or "inf", got null')
-        p = math.inf if p == "inf" else float(p)
-        constraint = (p, float(_required(cd, "cap", "constraint")))
-    return Energy(potential=pot, kernel=ker, internal=internal,
-                  constraint=constraint)
+     "constraint":{"p":"inf","cap":1.0},"internal":{"power":2}};
+    each term is optional."""
+    return Energy(**options(data, {"potential": _potential, "kernel": _kernel,
+                                   "internal": _internal,
+                                   "constraint": _constraint}))

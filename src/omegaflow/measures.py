@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, fields, integer, numbers, one_of, read
+
 __all__ = [
     "MeasureError",
     "AtomicMeasure",
@@ -471,14 +473,27 @@ def measure_to_json(measure) -> str:
     return json.dumps(payload)
 
 
+# the keys of each kind's object
+_MEASURE_KEYS = {"atomic": ("kind", "dim", "points", "weights"),
+                 "quantile": ("kind", "q_nodes", "positions", "cell_mass")}
+
+
+def _points(value) -> np.ndarray:
+    """Atom positions: numbers in 1D, or one array of numbers per atom."""
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return np.array([numbers(row) for row in value])
+    return numbers(value)
+
+
 def measure_from_json(text):
+    """The measure of a :func:`measure_to_json` text, or of its object; an
+    atomic one's ``dim`` must match its points."""
     data = json.loads(text) if isinstance(text, str) else text
-    kind = data.get("kind")
-    if kind == "atomic":
-        return AtomicMeasure(np.asarray(data["points"], dtype=float),
-                             np.asarray(data["weights"], dtype=float))
+    kind = read(data, "kind", one_of(_MEASURE_KEYS, "measure kind"))
+    fields(data, _MEASURE_KEYS[kind])
     if kind == "quantile":
-        return QuantileMeasure(np.asarray(data["q_nodes"], dtype=float),
-                               np.asarray(data["positions"], dtype=float),
-                               np.asarray(data["cell_mass"], dtype=float))
-    raise MeasureError(f"unknown measure kind {kind!r}")
+        return QuantileMeasure(*[read(data, k, numbers) for k in _MEASURE_KEYS[kind][1:]])
+    mu = AtomicMeasure(read(data, "points", _points), read(data, "weights", numbers))
+    if read(data, "dim", integer, mu.dim) != mu.dim:
+        raise ConfigError("dim", f"the points are {mu.dim}D")
+    return mu

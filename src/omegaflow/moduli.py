@@ -44,11 +44,12 @@ contraction bound F_{2t}(W^2) <= W^2(0) yields the e^{-lam t} rate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import fields, number, one_of, read
 
 __all__ = [
     "JUNCTION",
@@ -583,29 +584,13 @@ def modulus_from_phi(s_samples, phi_samples, sign: int) -> Modulus:
 # JSON config
 # ---------------------------------------------------------------------------
 
-def _reject_unknown(spec, known, error) -> None:
-    """Raise ``error(key)`` at the first key of the config object ``spec``,
-    in sorted order, that is not in ``known``: a key that is not read is a
-    typo, not a default.  Each config parser builds its own error."""
-    unknown = sorted(set(spec) - set(known))
-    if unknown:
-        raise error(unknown[0])
-
-
 def modulus_from_json(data) -> Modulus:
-    """Build a modulus from config JSON, e.g. {"kind":"polynomial","p":1,
-    "lambda":-0.5}."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if not isinstance(data, dict):
-        raise ModulusError(f"a modulus is a JSON object, got {data!r}")
-    kind = data.get("kind")
-    if kind not in ("lipschitz", "polynomial") + LOG_KINDS:
-        raise ModulusError(f"unknown modulus kind {kind!r}")
-    known = {"kind", "lambda", "p"} if kind == "polynomial" else {"kind", "lambda"}
-    _reject_unknown(data, known, lambda key: ModulusError(
-        f"unknown key {key!r} of a {kind} modulus"))
-    lam = float(data.get("lambda", 0.0))
+    """Build a modulus from its config object, e.g. {"kind":"polynomial",
+    "p":1,"lambda":-0.5}."""
+    kind = read(data, "kind", one_of(("lipschitz", "polynomial") + LOG_KINDS,
+                                     "modulus kind"))
+    fields(data, {"kind", "lambda", "p"} if kind == "polynomial" else {"kind", "lambda"})
+    lam = read(data, "lambda", number, 0.0)
     if kind == "polynomial":
-        return polynomial(float(data.get("p", 1.0)), lam)
+        return polynomial(read(data, "p", number, 1.0), lam)
     return Modulus(kind, lam)

@@ -192,7 +192,7 @@ class TestRun:
                                         "kernel": {"kind": "log", "c": -0.5}})
         cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert (f"config error at 'jko': {key} must be an integer, got {value!r}"
+        assert (f"config error at 'jko.{key}': expected an integer, got {value!r}"
                 in capsys.readouterr().err)
 
     def test_grid_initial_exit_2(self, tmp_path, capsys):
@@ -201,7 +201,7 @@ class TestRun:
         cfg["initial"] = {"kind": "grid", "origin": -0.5, "spacing": 0.5,
                           "values": [1.0, 1.0]}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert "config error at 'initial': unknown measure kind 'grid'" \
+        assert "config error at 'initial.kind': unknown measure kind 'grid'" \
             in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -309,21 +309,21 @@ class TestRun:
         assert table[0] == "series,x,y"
         assert any(line.startswith("measured,") for line in table[1:])
 
-    @pytest.mark.parametrize("job, key, value", [
-        pytest.param("verify", "quick", "false", id="quick-string"),
-        pytest.param("verify", "seed", "x", id="seed"),
-        pytest.param("verify", "tol", [1], id="tol"),
-        pytest.param("rates", "n_list", [8, "x"], id="n_list"),
-        pytest.param("rates", "n_ref", "x", id="n_ref"),
+    @pytest.mark.parametrize("job, key, value, pointer", [
+        pytest.param("verify", "quick", "false", "quick", id="quick-string"),
+        pytest.param("verify", "seed", "x", "seed", id="seed"),
+        pytest.param("verify", "tol", [1], "tol", id="tol"),
+        pytest.param("rates", "n_list", [8, "x"], "n_list", id="n_list"),
+        pytest.param("rates", "n_ref", "x", "n_ref", id="n_ref"),
         pytest.param("flow", "energy", {"potentail": "quadratic"},
-                     id="energy-typo"),
-        pytest.param("rates", "modulus", [1], id="modulus-not-object"),
-        pytest.param("flow", "jk0", {"tau": 0.1}, id="top-level-typo"),
-        pytest.param("verify", "energy", {"potential": "quadratic"},
+                     "energy.potentail", id="energy-typo"),
+        pytest.param("rates", "modulus", [1], "modulus", id="modulus-not-object"),
+        pytest.param("flow", "jk0", {"tau": 0.1}, "jk0", id="top-level-typo"),
+        pytest.param("verify", "energy", {"potential": "quadratic"}, "energy",
                      id="key-of-another-job"),
     ])
-    def test_bad_value_exit_2(self, tmp_path, capsys, job, key, value):
-        self._assert_rejected(tmp_path, capsys, job, {key: value}, key)
+    def test_bad_value_exit_2(self, tmp_path, capsys, job, key, value, pointer):
+        self._assert_rejected(tmp_path, capsys, job, {key: value}, pointer)
 
     @staticmethod
     def _assert_rejected(tmp_path, capsys, job, changes, pointer):
@@ -373,6 +373,49 @@ class TestRun:
                                          pointer):
         self._assert_rejected(tmp_path, capsys, job, changes, pointer)
 
+    @pytest.mark.parametrize("job, changes, pointer", [
+        pytest.param("flow", {"jko": {"tau": True}}, "jko.tau", id="tau-bool"),
+        pytest.param("flow", {"jko": {"inner_tol": "1e-9"}}, "jko.inner_tol",
+                     id="inner_tol-string"),
+        pytest.param("flow", {"energy": {"potential": {"name": "granular", "b": "2"}}},
+                     "energy.potential.b", id="potential-b-string"),
+        pytest.param("flow", {"energy": {"kernel": {"kind": "newtonian", "d": 1.5}}},
+                     "energy.kernel.d", id="kernel-d-float"),
+        pytest.param("flow", {"energy": {"kernel": {"kind": "riesz", "alpha": 2.0,
+                                                    "d": 3, "sign": True}}},
+                     "energy.kernel.sign", id="kernel-sign-bool"),
+        pytest.param("flow", {"energy": {"kernel": {"kind": "log", "c": True}}},
+                     "energy.kernel.c", id="kernel-c-bool"),
+        pytest.param("flow", {"energy": {"constraint": {"p": "3", "cap": 2.0}}},
+                     "energy.constraint.p", id="constraint-p-string"),
+        pytest.param("flow", {"energy": {"constraint": {"p": "inf", "cap": True}}},
+                     "energy.constraint.cap", id="constraint-cap-bool"),
+        pytest.param("rates", {"modulus": {"kind": "lipschitz", "lambda": "2"}},
+                     "modulus.lambda", id="modulus-lambda-string"),
+        pytest.param("rates", {"modulus": {"kind": "polynomial", "p": True,
+                                           "lambda": 1.0}},
+                     "modulus.p", id="modulus-p-bool"),
+        pytest.param("flow", {"initial": {"kind": "atomic", "points": [True, 1],
+                                          "weights": [0.5, 0.5]}},
+                     "initial.points", id="points-bool"),
+        pytest.param("flow", {"initial": {"kind": "atomic", "dim": 2,
+                                          "points": [0.0, 1.0],
+                                          "weights": [0.5, 0.5]}},
+                     "initial.dim", id="dim-mismatch"),
+        pytest.param("flow", {"initial": {"kind": "quantile", "q_nodes": [0.25, 0.75],
+                                          "positions": [0.0, 1.0],
+                                          "cell_mass": [0.5, 0.5], "n": 2}},
+                     "initial.n", id="quantile-unknown-key"),
+        pytest.param("flow", {"initial": {"kind": "atomic", "points": [0.0, 1.0]}},
+                     "initial.weights", id="atomic-no-weights"),
+    ])
+    def test_config_values_read_by_one_rule(self, tmp_path, capsys, job, changes,
+                                            pointer):
+        # every config object reads its values through one converter per
+        # kind: a bool, a string or a float where another kind is read exits
+        # 2 at the full pointer, before the job computes
+        self._assert_rejected(tmp_path, capsys, job, changes, pointer)
+
     @pytest.mark.parametrize("job, output, pointer", [
         pytest.param("flow", "out.csv", "output", id="flow-string"),
         pytest.param("flow", {"trajectory": 5}, "output.trajectory",
@@ -414,30 +457,30 @@ class TestRun:
                      "initial.nn", "unknown key", id="uniform-typo"),
         pytest.param("flow", "energy",
                      {"constraint": {"p": "inf", "cap": 2, "cpa": 1}},
-                     "energy", "'cpa'", id="constraint-typo"),
+                     "energy.constraint.cpa", "unknown key", id="constraint-typo"),
         pytest.param("flow", "energy",
                      {"potential": {"name": "granular", "bb": 3}},
-                     "energy", "'bb'", id="potential-param-typo"),
+                     "energy.potential.bb", "unknown key", id="potential-param-typo"),
         pytest.param("flow", "energy",
                      {"potential": {"name": "quadratic", "b": 3}},
-                     "energy", "'b'", id="potential-param-unread"),
+                     "energy.potential.b", "unknown key", id="potential-param-unread"),
         pytest.param("flow", "energy", {"internal": {"power": "inf"}},
-                     "energy", "constraint", id="power-inf"),
+                     "energy.internal.power", "expected a number", id="power-inf"),
         pytest.param("flow", "energy", {"internal": {"power": None}},
-                     "energy", "constraint", id="power-null"),
+                     "energy.internal.power", "expected a number", id="power-null"),
         pytest.param("flow", "energy", {"constraint": {"p": None, "cap": 2}},
-                     "energy", "constraint", id="constraint-p-null"),
+                     "energy.constraint.p", "expected a number", id="constraint-p-null"),
         pytest.param("flow", "energy", {"internal": {"kind": "entropy"}},
-                     "energy", "internal", id="entropy-object"),
+                     "energy.internal.kind", "unknown key", id="entropy-object"),
         pytest.param("flow", "energy", {"kernel": {"kind": "log", "alpha": 3.0}},
-                     "energy", "'alpha'", id="kernel-key-unread"),
+                     "energy.kernel.alpha", "unknown key", id="kernel-key-unread"),
         pytest.param("rates", "modulus", {"kind": "lipschitz", "lamda": 1},
-                     "modulus", "'lamda'", id="modulus-typo"),
+                     "modulus.lamda", "unknown key", id="modulus-typo"),
         pytest.param("rates", "modulus", {"kind": "lipschitz", "lam": 1},
-                     "modulus", "'lam'", id="modulus-lam"),
+                     "modulus.lam", "unknown key", id="modulus-lam"),
         pytest.param("rates", "modulus",
                      {"kind": "sqrt_psi", "lambda": -1, "p": 2},
-                     "modulus", "'p'", id="modulus-p-unread"),
+                     "modulus.p", "unknown key", id="modulus-p-unread"),
     ])
     def test_unread_nested_key_exit_2(self, tmp_path, capsys, job, key,
                                       value, pointer, word):
@@ -534,16 +577,18 @@ class TestMainEntry:
                      "--tol", "1e-6", "--report", "rep.json"]) == 0
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--tol", "1e-3"]])
-    @pytest.mark.parametrize("command", ["flow", "rates"])
-    def test_config_jobs_reject_suite_flags(self, tmp_path, command, flag):
-        path = write_config(tmp_path, "c.json", FLOW_CONFIG)
+    @pytest.mark.parametrize("job", ["flow", "rates"])
+    def test_config_jobs_reject_suite_flags(self, tmp_path, job, flag):
+        # everything about a config job's run is in its config
+        path = write_config(tmp_path, "c.json", dict(FLOW_CONFIG, job=job))
         with pytest.raises(SystemExit) as exc:
-            main([command, path, *flag])
+            main(["run", path, *flag])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["ode", "transport"])
+    @pytest.mark.parametrize("command", ["ode", "transport", "flow", "rates"])
     def test_suite_aliases_removed(self, tmp_path, monkeypatch, command):
-        # a focused suite runs as ``verify --suite <name>``
+        # a focused suite runs as ``verify --suite <name>``, and a config
+        # job as ``run CONFIG``, whose ``job`` picks the work
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main([command, "--quick"])
@@ -555,7 +600,7 @@ class TestMainEntry:
         cfg["output"] = {"trajectory": str(tmp_path / "t.csv"),
                          "manifest": str(tmp_path / "m.json")}
         path = write_config(tmp_path, "c.json", cfg)
-        assert main(["flow", path]) == 0
+        assert main(["run", path]) == 0
 
     def test_console_script_help(self):
         out = subprocess.run([sys.executable, "-m", "omegaflow.cli", "--help"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from omegaflow.config import ConfigError
 from omegaflow.energies import (
     Energy,
     EnergyError,
@@ -995,12 +996,12 @@ class TestConfig:
         assert E.internal == ("entropy",)
 
     def test_unknown_potential(self):
-        with pytest.raises(EnergyError):
+        with pytest.raises(ConfigError, match="'potential': unknown potential 'mystery'"):
             parse_energy({"potential": "mystery"})
 
     def test_unknown_key(self):
         # a misspelt term would otherwise leave a zero energy
-        with pytest.raises(EnergyError, match="potentail"):
+        with pytest.raises(ConfigError, match="'potentail': unknown key"):
             parse_energy({"potentail": "quadratic"})
 
     @pytest.mark.parametrize("kind, key", [
@@ -1010,7 +1011,7 @@ class TestConfig:
         # each kind reads its own keys: newtonian {d, c}, riesz {alpha, d,
         # sign, c}, log {c}; any other key was dropped silently
         spec = {"kind": kind, "alpha": 2.0, "d": 3} if kind == "riesz" else {"kind": kind}
-        with pytest.raises(EnergyError, match=f"unknown key '{key}' of a '{kind}' kernel"):
+        with pytest.raises(ConfigError, match=f"'kernel.{key}': unknown key"):
             parse_energy({"kernel": {**spec, key: 1.0}})
         assert parse_energy({"kernel": spec}).kernel.kind == kind
 
@@ -1020,10 +1021,13 @@ class TestConfig:
         ({"constraint": {"cap": 2.0}}, "p"),
         ({"constraint": {"p": "inf"}}, "cap")])
     def test_missing_key_named(self, data, key):
-        # the CLI prints this message after "config error at 'energy':"
-        with pytest.raises(EnergyError, match=f"needs a '{key}' key"):
+        # the pointer names the term's key; the CLI puts 'energy.' in front
+        term = next(iter(data))
+        with pytest.raises(ConfigError, match=f"'{term}.{key}': missing required key"):
             parse_energy(data)
 
     def test_json_string_input(self):
-        E = parse_energy(json.dumps({"potential": "quadratic"}))
-        assert E.kernel is None
+        # the reader takes the config object only, not its JSON text
+        with pytest.raises(TypeError, match="expected an object"):
+            parse_energy(json.dumps({"potential": "quadratic"}))
+        assert parse_energy({"potential": "quadratic"}).kernel is None

@@ -16,7 +16,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(omegaflow.__path__))
 
 
 def test_modules_found():
-    assert {"measures", "transport", "energies", "jko", "verify"} <= set(MODULES)
+    assert {"config", "measures", "transport", "energies", "jko", "verify"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegaflow import measures
+from omegaflow.config import ConfigError
 from omegaflow.measures import (
     AtomicMeasure,
     MeasureError,
@@ -194,7 +195,7 @@ class TestSerialization:
         assert np.array_equal(back.weights, m.weights)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(MeasureError, match="unknown measure kind 'grid'"):
+        with pytest.raises(ConfigError, match="'kind': unknown measure kind 'grid'"):
             measure_from_json({"kind": "grid", "origin": 0.0, "spacing": 0.5,
                                "values": [1.0, 1.0]})
 

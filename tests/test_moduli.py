@@ -1,11 +1,11 @@
 import functools
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from omegaflow.config import ConfigError
 from omegaflow.moduli import (
     JUNCTION,
     LOG_JUNCTION,
@@ -396,7 +396,7 @@ class TestConfigJson:
             spec = {"kind": mod.kind, "lambda": mod.lam}
             if mod.kind == "polynomial":
                 spec["p"] = mod.p
-            back = modulus_from_json(json.dumps(spec))
+            back = modulus_from_json(spec)
             assert back.kind == mod.kind
             assert back.lam == mod.lam
             assert back.p == mod.p
@@ -406,7 +406,7 @@ class TestConfigJson:
         assert mod.kind == "polynomial" and mod.p == 1.0 and mod.lam == -0.5
 
     def test_unknown_kind(self):
-        with pytest.raises(ModulusError):
+        with pytest.raises(ConfigError, match="'kind': unknown modulus kind 'mystery'"):
             modulus_from_json({"kind": "mystery"})
 
 
