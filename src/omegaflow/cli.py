@@ -112,13 +112,15 @@ def _initial(spec):
     return measure_from_json(spec)
 
 
-# the ``jko`` keys, the fields of JkoConfig
+# the ``jko`` keys of a flow, the fields of JkoConfig; a rates job sets
+# each flow's tau and steps itself, so it reads the inner solver's keys only
 _JKO_KEYS = {"tau": number, "steps": integer, "inner_tol": number,
              "inner_max_iter": integer}
+_SOLVER_KEYS = {k: _JKO_KEYS[k] for k in ("inner_tol", "inner_max_iter")}
 
 
-def _jko(spec) -> JkoConfig:
-    return JkoConfig(**options(spec, _JKO_KEYS))
+def _jko(keys):
+    return lambda spec: JkoConfig(**options(spec, keys))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +202,7 @@ def _run_config(config, raw: str, base: str) -> int:
 def _job_flow(config, outputs):
     energy = read(config, "energy", parse_energy)
     mu0 = read(config, "initial", _initial)
-    traj = flow(energy, mu0, read(config, "jko", _jko, JkoConfig()))
+    traj = flow(energy, mu0, read(config, "jko", _jko(_JKO_KEYS), JkoConfig()))
     csv_path = outputs.get("trajectory", "trajectory.csv")
     _atomic_write(csv_path, _trajectory_csv(traj, energy))
     artifacts = [csv_path]
@@ -222,7 +224,7 @@ def _job_rates(config, outputs) -> list:
     energy = read(config, "energy", parse_energy)
     mu0 = read(config, "initial", _initial)
     modulus = read(config, "modulus", modulus_from_json)
-    cfg = read(config, "jko", _jko, JkoConfig())
+    cfg = read(config, "jko", _jko(_SOLVER_KEYS), JkoConfig())
     st = rate_study(energy, mu0, read(config, "t", number, 0.5),
                     read(config, "n_list", lambda v: [integer(n) for n in v],
                          [8, 16, 32, 64, 128]),

@@ -5,10 +5,12 @@ through :func:`read`, with one converter per kind of value, and admits only
 the keys it reads (:func:`fields`).  Converters check, they do not coerce:
 ``true`` is not 1, ``2.5`` is not an integer and ``"3"`` is not a number.
 A fault is a :class:`ConfigError` at the full pointer, such as
-``energy.kernel.c``.
+``energy.kernel.c``, with the offending value spelled as JSON.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -17,6 +19,14 @@ __all__ = ["ConfigError", "read", "fields", "options", "integer", "number",
 
 REQUIRED = object()
 _JSON_NUMBERS = {int, float}   # bool is its own type, so true is not one
+
+
+def _spelled(value) -> str:
+    """``value`` spelled as JSON (``true``, ``null``, ``"3"``), else its repr."""
+    try:
+        return json.dumps(value)
+    except TypeError:   # not JSON: a Python caller's object, such as an array
+        return repr(value)
 
 
 class ConfigError(ValueError):
@@ -36,7 +46,7 @@ def read(spec, key: str, convert, default=REQUIRED):
     pointer, a ``ConfigError`` below.  A ``spec`` that is not an object is
     reported by the reader of ``spec``."""
     if not isinstance(spec, dict):
-        raise TypeError(f"expected an object, got {spec!r}")
+        raise TypeError(f"expected an object, got {_spelled(spec)}")
     if key not in spec:
         if default is REQUIRED:
             raise ConfigError(key, "missing required key")
@@ -53,7 +63,7 @@ def fields(spec, known) -> dict:
     """``spec``, an object whose keys are all ``known``: a key that no
     reader reads is a typo, not a default."""
     if not isinstance(spec, dict):
-        raise TypeError(f"expected an object, got {spec!r}")
+        raise TypeError(f"expected an object, got {_spelled(spec)}")
     unknown = sorted(set(spec) - set(known))
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
@@ -71,7 +81,7 @@ def _exactly(test, what: str):
     """Converter of the values ``test`` accepts, each one ``what``."""
     def convert(value):
         if not test(value):
-            raise TypeError(f"expected {what}, got {value!r}")
+            raise TypeError(f"expected {what}, got {_spelled(value)}")
         return value
     return convert
 
@@ -83,7 +93,7 @@ boolean = _exactly(lambda value: isinstance(value, bool), "true or false")
 
 def number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
+        raise TypeError(f"expected a number, got {_spelled(value)}")
     return float(value)
 
 
@@ -91,10 +101,10 @@ def numbers(value) -> np.ndarray:
     """A JSON array of numbers as a float array, its entries' types checked
     in one pass."""
     if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {value!r}")
+        raise TypeError(f"expected an array, got {_spelled(value)}")
     if not set(map(type, value)) <= _JSON_NUMBERS:
         bad = next(v for v in value if type(v) not in _JSON_NUMBERS)
-        raise TypeError(f"expected an array of numbers, got {bad!r} in it")
+        raise TypeError(f"expected an array of numbers, got {_spelled(bad)} in it")
     return np.asarray(value, dtype=float)
 
 
@@ -103,6 +113,6 @@ def one_of(names, what: str):
     other value is an unknown ``what``."""
     def convert(value):
         if not (isinstance(value, str) and value in names):
-            raise ValueError(f"unknown {what} {value!r}")
+            raise ValueError(f"unknown {what} {_spelled(value)}")
         return value
     return convert

@@ -371,6 +371,23 @@ def _newtonian_1d(kernel: Kernel, dim: int) -> bool:
     return kernel.kind == "newtonian" and kernel.d == 1 and dim == 1
 
 
+def _in_range(test, message: str):
+    """The range rule of one number an Energy's terms hold: the constructor
+    applies it, and the config reader at the number's own key."""
+    def check(value):
+        if not test(value):
+            raise EnergyError(message)
+        return value
+    return check
+
+
+_power_exponent = _in_range(lambda m: m > 1 and math.isfinite(m),
+                            "power internal term requires 1 < m < inf; write "
+                            "a hard density cap as constraint=(inf, cap)")
+_cap_exponent = _in_range(lambda p: p > 1, "constraint requires p > 1")
+_cap = _in_range(lambda cap: cap > 0, "constraint cap must be positive")
+
+
 @dataclass(frozen=True)
 class Energy:
     """Sum of potential + interaction + internal terms with an Lp cap."""
@@ -383,19 +400,13 @@ class Energy:
     def __post_init__(self):
         if self.internal is not None:
             kind = self.internal[0]
-            if kind == "power" and not (self.internal[1] > 1
-                                        and math.isfinite(self.internal[1])):
-                raise EnergyError(
-                    "power internal term requires 1 < m < inf; write a hard "
-                    "density cap as constraint=(inf, cap)")
-            if kind not in ("power", "entropy"):
+            if kind == "power":
+                _power_exponent(self.internal[1])
+            elif kind != "entropy":
                 raise EnergyError(f"unknown internal term {kind!r}")
         if self.constraint is not None:
-            p, cap = self.constraint
-            if not (p > 1):
-                raise EnergyError("constraint requires p > 1")
-            if cap <= 0:
-                raise EnergyError("constraint cap must be positive")
+            _cap_exponent(self.constraint[0])
+            _cap(self.constraint[1])
 
     # -- pieces ---------------------------------------------------------------
 
@@ -592,12 +603,12 @@ class Energy:
         """(interval masses, their densities with each width clamped at
         GAP_FLOOR)."""
         c = interval_masses(q.cell_mass)
-        return c, c / np.maximum(q.gaps(), GAP_FLOOR)
+        return c, c / np.maximum(gaps(q.positions), GAP_FLOOR)
 
     def _d2u_dgap2(self, q: QuantileMeasure) -> np.ndarray:
         """Second derivative of the internal term w.r.t. each interval
         width; 0 below GAP_FLOOR, where :meth:`_du_dgap` is clamped."""
-        g = q.gaps()
+        g = gaps(q.positions)
         c, rho = self._interval_densities(q)
         if self.internal[0] == "entropy":
             u2 = rho * rho / c
@@ -789,17 +800,15 @@ def _internal(spec) -> tuple:
     """``"entropy"``, or ``{"power": m}``."""
     if spec == "entropy":
         return ("entropy",)
-    return ("power", read(fields(spec, ("power",)), "power", number))
-
-
-def _exponent(value) -> float:
-    """A constraint's p: a number, or ``"inf"`` for the hard density cap."""
-    return math.inf if value == "inf" else number(value)
+    return ("power", read(fields(spec, ("power",)), "power",
+                          lambda m: _power_exponent(number(m))))
 
 
 def _constraint(spec) -> tuple:
+    """``p`` (a number, or ``"inf"`` for the hard density cap) and ``cap``."""
     fields(spec, ("p", "cap"))
-    return (read(spec, "p", _exponent), read(spec, "cap", number))
+    p = read(spec, "p", lambda p: _cap_exponent(math.inf if p == "inf" else number(p)))
+    return p, read(spec, "cap", lambda cap: _cap(number(cap)))
 
 
 def parse_energy(data) -> Energy:

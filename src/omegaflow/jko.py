@@ -88,7 +88,6 @@ from .transport import (
     _node_distance,
     _plan_distance,
     diagonal_plan,
-    geodesic,
     w2,
     w2_exact,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "flow",
     "flows",
     "flow_time_dependent",
-    "rescaled_intermediate",
 ]
 
 ATOM_CAP_2D = 64
@@ -958,8 +956,9 @@ def proximal_step(energy: Energy, mu, tau: float, cfg: JkoConfig | None = None):
     whose rows step together, each bitwise as it would alone (the info is
     then a list, one dict per row); nu has the input's type.
     Other types raise :class:`JkoError`; ``tau = 0`` gives nu = ``mu``.
+    ``cfg`` is read for the inner solver only; the step is ``tau``.
     """
-    cfg = cfg or JkoConfig(tau=tau)
+    cfg = cfg or JkoConfig()
     if tau < 0:
         raise JkoError("tau must be nonnegative")
     if tau == 0:
@@ -1052,16 +1051,3 @@ def _flow_group(schedule, starts, cfg: JkoConfig) -> list:
     return [FlowTrajectory(s, np.asarray(e), np.asarray(d), di, cfg)
             for s, e, d, di in columns]
 
-
-def rescaled_intermediate(mu, mu_tau, h: float, tau: float):
-    """Partial displacement nu = ((tau-h)/tau * t_mu^{mu_tau} + h/tau * id) # mu.
-
-    This is the point at (tau - h) / tau on the geodesic from ``mu`` to
-    ``mu_tau`` (:func:`transport.geodesic` without a plan): node to node
-    for states on one quantile grid, otherwise along an optimal plan.
-    """
-    if not 0.0 <= h <= tau:
-        raise JkoError("need 0 <= h <= tau")
-    if tau == 0:
-        return mu
-    return geodesic(mu, mu_tau, (tau - h) / tau)

@@ -234,14 +234,10 @@ class QuantileMeasure:
     def __len__(self) -> int:
         return len(self.q_nodes)
 
-    def gaps(self) -> np.ndarray:
-        """Widths of the n - 1 intervals between nodes (:func:`gaps`)."""
-        return gaps(self.positions)
-
     def densities(self) -> np.ndarray:
         """Interval densities interval_mass / gap; +inf on zero-width
         intervals."""
-        g = self.gaps()
+        g = gaps(self.positions)
         with np.errstate(divide="ignore", over="ignore"):  # subnormal gaps
             return np.where(g > 0, interval_masses(self.cell_mass)
                             / np.where(g > 0, g, 1.0), np.inf)
@@ -326,10 +322,6 @@ class QuantileStack:
 
     def __len__(self) -> int:
         return len(self.positions)
-
-    def gaps(self) -> np.ndarray:
-        """Interval widths of every row, (K, n - 1)."""
-        return gaps(self.positions)
 
     def kept(self, owner) -> dict:
         """What ``owner`` keeps on this stack, a dict it fills; the first
@@ -445,7 +437,7 @@ def lp_norm(measure, p) -> float:
             return math.inf
         if p == math.inf:
             return float(dens.max())
-        return float(np.sum(measure.gaps() * dens ** float(p)) ** (1.0 / float(p)))
+        return float(np.sum(gaps(measure.positions) * dens ** float(p)) ** (1.0 / float(p)))
     raise MeasureError(f"unsupported measure type {type(measure)!r}")
 
 

@@ -18,7 +18,7 @@ Shipped kinds
                     certificates whose lambda is calibrated
 ``phi_derived``     omega built by quadrature of a sampled phi (see
                     :func:`modulus_from_phi`), with linear majorant
-                    ``meta["slope"]`` x
+                    ``slope`` x
 
 Each modulus carries a signed rate ``lam`` and exposes:
 
@@ -27,14 +27,13 @@ Each modulus carries a signed rate ``lam`` and exposes:
 * ``tilde_euler_step``  f~_tau(x) = x - lam^- * tau * omega_tilde(x)
 * ``euler_iterate`` / ``tilde_euler_iterate``  m-fold compositions
 * ``euler_error_bound`` the a-priori bound on |F_t(x) - f^(m)_{t/m}(x)|
-* ``tilde_flow``        the decaying comparison flow dG/dt = -lam^- om~(G)
 * ``envelope``          the growing Bihari majorant dG/ds = om~(G) used on
                         the bound side of the error estimates
 * ``c_r``               max_{0 <= x <= r} omega_tilde(x) / sqrt(x)
 
-``tilde_flow``, ``envelope`` and ``flow`` (for the lipschitz and log
-kinds, where omega = omega_tilde) all solve the one majorant ODE
-dG/dt = rate * omega_tilde(G), at rates -lam^-, 1 and lam.
+``envelope`` and ``flow`` (for the lipschitz and log kinds, where
+omega = omega_tilde) both solve the one majorant ODE
+dG/dt = rate * omega_tilde(G), at rates 1 and lam.
 
 Sign conventions here keep the Euler map, the exact flow, and the error
 bound mutually consistent: F_t(x) = exp(lam*t) * x for the Lipschitz kind,
@@ -165,16 +164,15 @@ class Modulus:
     lam: float
     p: float = 0.0                       # polynomial exponent, if applicable
     _omega_fn: object = field(default=None, repr=False, compare=False)
-    meta: dict = field(default_factory=dict, compare=False)
+    slope: float = field(default=0.0, compare=False)   # phi_derived majorant
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ModulusError(f"unknown modulus kind {self.kind!r}")
-        slope = self.meta.get("slope") or 0.0
         if self.kind == "phi_derived" and not (callable(self._omega_fn)
-                                               and slope > 0.0):
+                                               and self.slope > 0.0):
             raise ModulusError("phi_derived modulus needs an omega function "
-                               "and meta['slope'] > 0")
+                               "and slope > 0")
 
     # -- evaluators ---------------------------------------------------------
 
@@ -205,14 +203,9 @@ class Modulus:
         """Slope of the linear majorant, or None for the log family.
 
         1 for lipschitz, p+1 for the capped power (its sharp Lipschitz
-        constant), ``meta["slope"]`` for phi_derived."""
-        if self.kind == "lipschitz":
-            return 1.0
-        if self.kind == "polynomial":
-            return self.p + 1.0
-        if self.kind == "phi_derived":
-            return self.meta["slope"]
-        return None
+        constant), ``slope`` for phi_derived."""
+        return {"lipschitz": 1.0, "polynomial": self.p + 1.0,
+                "phi_derived": self.slope}.get(self.kind)
 
     @property
     def lam_minus(self) -> float:
@@ -346,7 +339,8 @@ class Modulus:
         return 0.5 * c * (math.cosh(k + s) - 1.0)
 
     def _majorant_flow(self, rate: float, t: float, x: float) -> float:
-        """G_t(x) of dG/dt = rate * omega_tilde(G), G_0 = x, for t, x > 0.
+        """G_t(x) of dG/dt = rate * omega_tilde(G), G_0 = x, for t, x > 0:
+        rate 1 in :meth:`envelope`, lam in :meth:`flow` (either sign).
 
         Exponential for a linear majorant; for the log family the power
         branch x^exp(-rate t) below the junction and the cosh branch above
@@ -410,15 +404,6 @@ class Modulus:
         return 0.5 * (lo + hi)
 
     # -- comparison flows used on the bound side ----------------------------
-
-    def tilde_flow(self, t: float, x: float) -> float:
-        """Decaying comparison flow of dG/dt = -lam^- * omega_tilde(G)."""
-        if x < 0 or t < 0:
-            raise ModulusError("tilde_flow requires t, x >= 0")
-        lm = self.lam_minus
-        if lm == 0.0 or t == 0.0 or x == 0.0:
-            return float(x)
-        return self._majorant_flow(-lm, t, x)
 
     def envelope(self, s: float, y: float) -> float:
         """Growing Bihari majorant G_s(y) of dG/ds = omega_tilde(G)."""
@@ -574,8 +559,7 @@ def modulus_from_phi(s_samples, phi_samples, sign: int) -> Modulus:
     else:
         pos = s > 0
         slope = float(np.max(-ph[pos] / s[pos]))
-    mod = Modulus("phi_derived", lam, _omega_fn=omega_fn,
-                  meta={"slope": slope, "sign": sign})
+    mod = Modulus("phi_derived", lam, _omega_fn=omega_fn, slope=slope)
     mod.validate()
     return mod
 

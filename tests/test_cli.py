@@ -180,20 +180,23 @@ class TestRun:
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        pytest.param("inner_max_iter", 1e4, id="float_budget"),
-        pytest.param("steps", 2.5, id="float_steps"),
-        pytest.param("steps", True, id="bool_steps"),
+    @pytest.mark.parametrize("key, value, spelled", [
+        pytest.param("inner_max_iter", 1e4, "10000.0", id="float_budget"),
+        pytest.param("steps", 2.5, "2.5", id="float_steps"),
+        pytest.param("steps", True, "true", id="bool_steps"),
+        pytest.param("steps", None, "null", id="null_steps"),
+        pytest.param("steps", "3", '"3"', id="string_steps"),
     ])
-    def test_non_integer_count_exit_2(self, tmp_path, capsys, key, value):
+    def test_non_integer_count_exit_2(self, tmp_path, capsys, key, value, spelled):
         # a FISTA energy: a float budget used to fail inside the solver
-        # (exit 1), and steps = true ran one step (exit 0)
+        # (exit 1), and steps = true ran one step (exit 0); the message
+        # spells the value as the config does, in JSON
         cfg = dict(FLOW_CONFIG, energy={"potential": "quadratic",
                                         "kernel": {"kind": "log", "c": -0.5}})
         cfg["jko"] = {"tau": 0.1, "steps": 2, key: value}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert (f"config error at 'jko.{key}': expected an integer, got {value!r}"
-                in capsys.readouterr().err)
+        assert (f"config error at 'jko.{key}': expected an integer, got {spelled}\n"
+                == capsys.readouterr().err)
 
     def test_grid_initial_exit_2(self, tmp_path, capsys):
         # the initial state is a shorthand, an atomic or a quantile measure
@@ -201,7 +204,7 @@ class TestRun:
         cfg["initial"] = {"kind": "grid", "origin": -0.5, "spacing": 0.5,
                           "values": [1.0, 1.0]}
         assert run(write_config(tmp_path, "c.json", cfg)) == 2
-        assert "config error at 'initial.kind': unknown measure kind 'grid'" \
+        assert 'config error at \'initial.kind\': unknown measure kind "grid"' \
             in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -408,12 +411,21 @@ class TestRun:
                      "initial.n", id="quantile-unknown-key"),
         pytest.param("flow", {"initial": {"kind": "atomic", "points": [0.0, 1.0]}},
                      "initial.weights", id="atomic-no-weights"),
+        pytest.param("flow", {"energy": {"internal": {"power": 1}}},
+                     "energy.internal.power", id="power-range"),
+        pytest.param("flow", {"energy": {"constraint": {"p": 1, "cap": 2}}},
+                     "energy.constraint.p", id="constraint-p-range"),
+        pytest.param("flow", {"energy": {"constraint": {"p": "inf", "cap": 0}}},
+                     "energy.constraint.cap", id="constraint-cap-range"),
+        pytest.param("flow", {"energy": {"constraint": {"p": "inf", "cap": float("nan")}}},
+                     "energy.constraint.cap", id="constraint-cap-nan"),
     ])
     def test_config_values_read_by_one_rule(self, tmp_path, capsys, job, changes,
                                             pointer):
         # every config object reads its values through one converter per
-        # kind: a bool, a string or a float where another kind is read exits
-        # 2 at the full pointer, before the job computes
+        # kind: a bool, a string or a float where another kind is read, or
+        # a number out of its term's range, exits 2 at the full pointer,
+        # before the job computes
         self._assert_rejected(tmp_path, capsys, job, changes, pointer)
 
     @pytest.mark.parametrize("job, output, pointer", [
@@ -434,7 +446,7 @@ class TestRun:
         # rejected before the job computes: a verify job runs no suite
         monkeypatch.setattr(cli, "run_suite", None)
         cfg = {"flow": FLOW_CONFIG,
-               "rates": dict(FLOW_CONFIG, job="rates",
+               "rates": dict(FLOW_CONFIG, job="rates", jko={"inner_tol": 1e-10},
                              modulus={"kind": "lipschitz", "lambda": 1.0}),
                "verify": {"job": "verify", "suite": "all"}}[job]
         monkeypatch.chdir(tmp_path)
@@ -481,6 +493,12 @@ class TestRun:
         pytest.param("rates", "modulus",
                      {"kind": "sqrt_psi", "lambda": -1, "p": 2},
                      "modulus.p", "unknown key", id="modulus-p-unread"),
+        # each flow of a rate study steps t / n, n times: a rates job's jko
+        # object holds the inner solver's keys only
+        pytest.param("rates", "jko", {"inner_tol": 1e-9, "tau": 0.01},
+                     "jko.tau", "unknown key", id="rates-jko-tau"),
+        pytest.param("rates", "jko", {"inner_tol": 1e-9, "steps": 7},
+                     "jko.steps", "unknown key", id="rates-jko-steps"),
     ])
     def test_unread_nested_key_exit_2(self, tmp_path, capsys, job, key,
                                       value, pointer, word):
@@ -488,7 +506,7 @@ class TestRun:
         cfg = dict(FLOW_CONFIG, output={"trajectory": str(tmp_path / "t.csv"),
                                         "manifest": str(tmp_path / "m.json")})
         if job == "rates":
-            cfg = dict(cfg, job="rates",
+            cfg = dict(cfg, job="rates", jko={"inner_tol": 1e-10},
                        modulus={"kind": "lipschitz", "lambda": 1.0},
                        output={"report": str(tmp_path / "r.json"),
                                "plot_table": str(tmp_path / "r.csv"),

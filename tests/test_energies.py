@@ -996,7 +996,7 @@ class TestConfig:
         assert E.internal == ("entropy",)
 
     def test_unknown_potential(self):
-        with pytest.raises(ConfigError, match="'potential': unknown potential 'mystery'"):
+        with pytest.raises(ConfigError, match="'potential': unknown potential \"mystery\""):
             parse_energy({"potential": "mystery"})
 
     def test_unknown_key(self):
@@ -1031,3 +1031,8 @@ class TestConfig:
         with pytest.raises(TypeError, match="expected an object"):
             parse_energy(json.dumps({"potential": "quadratic"}))
         assert parse_energy({"potential": "quadratic"}).kernel is None
+
+    def test_value_json_cannot_spell_is_a_repr(self):
+        # a Python caller's array, which no config holds
+        with pytest.raises(ConfigError, match=r"'b': expected a number, got array\(\[2\.\]\)$"):
+            POTENTIALS["granular"]({"b": np.array([2.0])})

@@ -30,12 +30,12 @@ from omegaflow.jko import (
     flow_time_dependent,
     isotonic_project,
     proximal_step,
-    rescaled_intermediate,
 )
 from omegaflow.measures import (
     AtomicMeasure,
     QuantileMeasure,
     QuantileStack,
+    gaps,
     interval_masses,
     lp_norm,
     make_atomic,
@@ -1005,56 +1005,68 @@ class TestTimeDependent:
 
 
 class TestRescaledIntermediate:
+    """The rescaled intermediate nu = ((tau-h)/tau t_mu^{mu_tau} + h/tau id) # mu
+    of the large-vs-small-step identity J_h(nu) = mu_tau, as
+    :func:`verify.check_large_small_step` builds it: the point at
+    (tau - h) / tau on the geodesic from mu to mu_tau."""
+
+    @staticmethod
+    def _through_geodesic(E, mu, tau, h, cfg, plan_of=None):
+        """W2(J_h(nu), mu_tau) with nu built here, along the plan that
+        ``plan_of(mu, mu_tau)`` returns when given."""
+        mu_tau, _ = proximal_step(E, mu, tau, cfg)
+        plan = None if plan_of is None else plan_of(mu, mu_tau)[1]
+        back, _ = proximal_step(E, geodesic(mu, mu_tau, (tau - h) / tau, plan), h, cfg)
+        return w2(back, mu_tau)
+
     def test_h_equals_tau_returns_mu(self):
-        mu = uniform_state(-1, 1, 8)
-        nu = uniform_state(-0.5, 0.5, 8)
-        out = rescaled_intermediate(mu, nu, 0.3, 0.3)
-        assert np.allclose(out.positions, mu.positions)
+        # nu = mu, so J_tau(nu) is the large step itself, bit for bit
+        rep = check_large_small_step(quadratic_energy(), uniform_state(-1, 1, 8),
+                                     0.3, 0.3)
+        assert rep.passed and rep.lhs == 0.0
 
     def test_h_zero_returns_mu_tau(self):
+        # nu = mu_tau and J_0 is the identity; at tau = 0 also nu = mu
         mu = uniform_state(-1, 1, 8)
-        nu = uniform_state(-0.5, 0.5, 8)
-        out = rescaled_intermediate(mu, nu, 0.0, 0.3)
-        assert np.allclose(out.positions, nu.positions)
+        for tau in (0.3, 0.0):
+            rep = check_large_small_step(quadratic_energy(), mu, tau, 0.0)
+            assert rep.passed and rep.lhs == 0.0
 
     def test_lemma_verification_quadratic(self):
         # J_h applied to the partial displacement returns mu_tau
         E = quadratic_energy()
-        tau, h = 0.2, 0.1
         mu = dirac_state(1.0, 4)
-        cfg = JkoConfig(tau=tau, inner_tol=1e-11)
-        mu_tau, _ = proximal_step(E, mu, tau, cfg)
-        nu = rescaled_intermediate(mu, mu_tau, h, tau)
-        back, _ = proximal_step(E, nu, h, cfg)
-        assert w2(back, mu_tau) <= 1e-5
+        cfg = JkoConfig(inner_tol=1e-11)
+        rep = check_large_small_step(E, mu, 0.2, 0.1, cfg)
+        assert rep.lhs == self._through_geodesic(E, mu, 0.2, 0.1, cfg)
+        assert rep.lhs <= 1e-5
 
     def test_h_out_of_range(self):
         mu = uniform_state(-1, 1, 8)
-        with pytest.raises(JkoError):
-            rescaled_intermediate(mu, mu, 0.5, 0.3)
+        for h in (0.5, -0.1):
+            rep = check_large_small_step(quadratic_energy(), mu, 0.3, h)
+            assert rep.skipped and rep.skip_reason == "need 0 <= h <= tau"
 
     def test_atomic_with_plan(self):
+        # 1D atoms: nu displaces along the monotone plan mu -> mu_tau
+        E = quadratic_energy()
         mu = make_atomic([0.0, 1.0], [0.5, 0.5])
-        nu = make_atomic([2.0, 3.0], [0.5, 0.5])
-        _, plan = w2_1d(mu, nu)
-        mid = rescaled_intermediate(mu, nu, 0.15, 0.3)
-        ref = geodesic(mu, nu, 0.5, plan)
-        assert np.array_equal(mid.points, ref.points)
-        assert np.array_equal(mid.weights, ref.weights)
-        # half displacement toward nu
-        assert np.allclose(np.sort(mid.points), [1.0, 2.0])
+        cfg = JkoConfig(inner_tol=1e-11)
+        rep = check_large_small_step(E, mu, 0.3, 0.15, cfg)
+        assert rep.lhs == self._through_geodesic(E, mu, 0.3, 0.15, cfg, w2_1d)
+        assert rep.passed
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_atomic_without_plan_uses_optimal_plan(self, rng, dim):
-        shape_mu, shape_nu = ((6,), (5,)) if dim == 1 else ((6, 2), (5, 2))
-        mu = make_atomic(rng.normal(size=shape_mu), rng.uniform(0.2, 1.0, 6))
-        nu = make_atomic(rng.normal(size=shape_nu), rng.uniform(0.2, 1.0, 5))
-        _, plan = (w2_1d if dim == 1 else w2_exact)(mu, nu)
+        E = quadratic_energy()
+        shape = (6,) if dim == 1 else (6, 2)
+        mu = make_atomic(rng.normal(size=shape), rng.uniform(0.2, 1.0, 6))
+        cfg = JkoConfig(inner_tol=1e-11)
         for h in (0.0, 0.1, 0.25, 0.3):
-            ref = geodesic(mu, nu, (0.3 - h) / 0.3, plan)
-            out = rescaled_intermediate(mu, nu, h, 0.3)
-            assert np.array_equal(out.points, ref.points)
-            assert np.array_equal(out.weights, ref.weights)
+            rep = check_large_small_step(E, mu, 0.3, h, cfg)
+            assert rep.lhs == self._through_geodesic(
+                E, mu, 0.3, h, cfg, w2_1d if dim == 1 else w2_exact)
+            assert rep.passed
 
 
 _UNSUPPORTED = [
@@ -1579,7 +1591,7 @@ class TestIntervalDiscretization:
         cap = energy.constraint[1]
         dens = end.densities().max()
         spacing = cap * float(np.max(jko._spacing_min_gaps(
-            energy, end.cell_mass) / end.gaps()))
+            energy, end.cell_mass) / gaps(end.positions)))
         assert lp_norm(end, math.inf) == pytest.approx(dens, rel=1e-12)
         assert spacing == pytest.approx(dens, rel=1e-12)
         assert dens <= cap * (1.0 + 1e-9)

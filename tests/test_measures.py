@@ -114,7 +114,7 @@ class TestQuantile:
         # 1000 equal atoms at the cell midpoints of [0, 1], read at 8 nodes
         fine = make_atomic((np.arange(1000) + 0.5) / 1000, np.ones(1000))
         q = to_quantile(fine, 8)
-        assert np.allclose(q.gaps(), 1.0 / 8)
+        assert np.allclose(gaps(q.positions), 1.0 / 8)
         assert np.allclose(q.densities(), 1.0)
 
     def test_zero_width_cell_infinite_density(self):
@@ -195,7 +195,7 @@ class TestSerialization:
         assert np.array_equal(back.weights, m.weights)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="'kind': unknown measure kind 'grid'"):
+        with pytest.raises(ConfigError, match="'kind': unknown measure kind \"grid\""):
             measure_from_json({"kind": "grid", "origin": 0.0, "spacing": 0.5,
                                "values": [1.0, 1.0]})
 
@@ -260,8 +260,9 @@ class TestGapStencil:
     def test_quantile_gaps_use_the_stencil(self):
         q = QuantileMeasure([0.1, 0.3, 0.6, 0.9], [0.0, 0.0, 1.0, 3.0],
                             [0.25, 0.25, 0.25, 0.25])
-        assert np.array_equal(q.gaps(), gaps(q.positions))
-        assert q.gaps().tolist() == [0.0, 1.0, 2.0]
+        assert gaps(q.positions).tolist() == [0.0, 1.0, 2.0]
+        # the densities read the widths through it: masses 1/4 each
+        assert q.densities().tolist() == [math.inf, 0.25, 0.125]
 
 
 class TestIntervalDensity:
@@ -270,7 +271,7 @@ class TestIntervalDensity:
 
     def test_one_node_has_no_interval(self):
         q = QuantileMeasure([0.5], [0.3], [1.0])
-        assert q.gaps().size == 0 and q.densities().size == 0
+        assert gaps(q.positions).size == 0 and q.densities().size == 0
         for p in (1.5, 2, 8, math.inf):
             assert lp_norm(q, p) == math.inf
         assert lp_norm(q, 1) == 1.0

@@ -14,6 +14,7 @@ from omegaflow.verify import (
     FAMILIES,
     SUITES,
     InequalityReport,
+    RateStudy,
     calibrated_modulus,
     check_contraction,
     check_discrete_evi,
@@ -400,6 +401,17 @@ class TestRateStudy:
         assert st.below_envelope()
         assert st.loglog_slope == pytest.approx(-1.0, abs=0.1)
         assert st.richardson_ratio >= 1.5
+
+    @pytest.mark.parametrize("errors, rise", [
+        ([0.1, 0.05, 0.02], 0.0), ([0.1, 0.25, 0.2, 0.5], 0.3),
+        ([0.0, 1e-12], 1e-12), ([0.0, 2e-12], 2e-12), ([0.1], 0.0), ([], 0.0)])
+    def test_one_monotone_rule(self, errors, rise):
+        # monotone() tests the one number that the rate_monotone report
+        # reports: the largest rise of the error from one n to the next
+        st = RateStudy("f", 0.5, list(range(len(errors))), errors, "n^-1/4",
+                       [1.0] * len(errors), 1.0, -1.0, 2.0)
+        assert st.monotone_violation() == pytest.approx(rise, abs=1e-17)
+        assert st.monotone() == (rise <= 1e-12)
 
 
 class TestOmegaConvexity:
